@@ -763,46 +763,3 @@ def _power_product_general(gammas, exponents) -> bool:
         if bits > _MAX_BITS:
             raise RuntimeError("power product decision failed")
 
-
-class RealRootSlots:
-    """Isolated real roots of an integer polynomial, for exact comparisons
-    of real algebraic quantities that are known roots of it."""
-
-    def __init__(self, intpoly: tuple[int, ...]):
-        self.poly = tuple(int(c) for c in intpoly)
-        sqf = (ONE,)
-        for fac, _ in P.factor_int([Q(c) for c in self.poly]):
-            sqf = pmul(sqf, tuple(Q(v) for v in fac))
-        sp = P.to_sympy(sqf)
-        self._roots = sympy.Poly(sp, _x).real_roots(radicals=False)
-        self._bits = 32
-        self._refresh()
-
-    def _refresh(self):
-        ivals = []
-        for r in self._roots:
-            if r.is_rational:
-                v = Q(sympy.Rational(r).p, sympy.Rational(r).q)
-                ivals.append(Ival.point(v))
-                continue
-            ivals.append(_sympy_expr_box(r, self._bits).re)
-        self.ivals = ivals
-
-    def locate(self, refiner) -> int:
-        """Index of the root equal to the refinable real value (which must
-        be a root of the polynomial)."""
-        bits = 64
-        while True:
-            if self._bits < bits:
-                self._bits = bits
-                self._refresh()
-            v = refiner(bits)
-            hits = [i for i, iv in enumerate(self.ivals) if iv.overlaps(v)]
-            disjoint = all(not self.ivals[i].overlaps(self.ivals[j])
-                           for i in range(len(self.ivals))
-                           for j in range(i + 1, len(self.ivals)))
-            if len(hits) == 1 and disjoint:
-                return hits[0]
-            bits *= 2
-            if bits > _MAX_BITS:
-                raise RuntimeError("real root location failed")

@@ -20,7 +20,8 @@ from typing import Optional
 from .qmath import (Q, ZERO, ONE, sqrt_down, sqrt_up, is_perfect_square,
                     exact_sqrt, floor_frac, ceil_frac)
 from .interval import Ival
-from .trig import pi_ival, make_rot_scan, rotation_order, angle_from_cos
+from .trig import (pi_ival, make_rot_scan, rotation_order, rotation_power,
+                   angle_from_cos, ExactRotScan)
 from .poly import pmul
 from .lrs import Lrr, InitialConfig
 from .algebraic import NumberField, FieldElement
@@ -47,27 +48,25 @@ def _check_circle(p: Fraction, q: Fraction):
         raise ValueError("(p, q) must lie exactly on the unit circle")
 
 
+def _rotation_point(p, q):
+    """(p, q) as Fractions; a given q must put p + qi on the unit circle."""
+    p = Q(p)
+    if q is None:
+        return p, None
+    q = Q(q)
+    _check_circle(p, q)
+    return p, q
+
+
 def build_hardness_lrr(p, q=None) -> Lrr:
     """Order-6 relation with characteristic polynomial
     (x-1)^2 (x^2 - 2px + 1)^2, roots 1 and e^{+-i 2 pi theta} (cos = p),
     each of multiplicity 2 and modulus 1."""
-    p = Q(p)
-    if q is not None:
-        _check_circle(p, Q(q))
+    p, _ = _rotation_point(p, q)
     if not (-1 < p < 1):
         raise ValueError("p must satisfy -1 < p < 1 (three distinct roots)")
     char = pmul((ONE, Q(-2), ONE), pmul((ONE, -2 * p, ONE), (ONE, -2 * p, ONE)))
     return Lrr(tuple(-c for c in char[:6]))
-
-
-def _rotation_powers(p: Fraction, q: Fraction, count: int):
-    """Exact (cos, sin) of n*theta for n < count; q rational."""
-    out = [(ONE, ZERO)]
-    c, s = ONE, ZERO
-    for _ in range(count - 1):
-        c, s = p * c - q * s, q * c + p * s
-        out.append((c, s))
-    return out
 
 
 def _mat_inv_rat(m):
@@ -98,10 +97,9 @@ def basis_change(p, q):
     _check_circle(p, q)
     if q == 0:
         raise ValueError("degenerate rotation: q must be nonzero")
-    powers = _rotation_powers(p, q, 6)
     c_inv = []
     for j in range(6):
-        cos_j, sin_j = powers[j]
+        cos_j, sin_j = rotation_power(p, q, j)
         c_inv.append([Q(j), -j * cos_j, -j * sin_j, ONE, -cos_j, -sin_j])
     c_mat = _mat_inv_rat(c_inv)
     return c_mat, c_inv
@@ -243,6 +241,8 @@ def compute_params(ell, eps, p=None, q=None) -> HardnessParams:
     sin a >= a(1 - a^2/6), whence a nonneg gadget term forces
     n a > 2 pi ell (1 - a^2/6) > 2 pi ell - eps once a^2 <= 3 eps/(pi ell).
     """
+    if q is not None:
+        _check_circle(Q(p), Q(q))
     qprime = Q(ell)
     eps = Q(eps)
     if qprime <= 0 or eps <= 0:
@@ -335,25 +335,34 @@ def min_ball_term(n: int, params: HardnessParams, bits: int = 160) -> Ival:
     - 2 psi (sqrt(n^2+1) - n)."""
     if n < 1:
         raise ValueError("n >= 1 required")
-    p, q = params.p, params.q
-    if p is None:
+    if params.p is None:
         raise ValueError("params carry no rotation point")
-    psi, lam = params.psi, params.two_pi_ell
-    if q is not None and rotation_order(p) is None and n <= 4000:
-        # exact rational rotation powers
-        c, s = ONE, ZERO
-        for _ in range(n):
-            c, s = p * c - q * s, q * c + p * s
-        cos_iv, sin_iv = Ival.point(c), Ival.point(abs(s))
-    else:
-        sc = make_rot_scan(p, q, bits)
-        for _ in range(n):
-            sc.step()
-        cos_iv = sc.cos_ival()
-        sin_iv = sc.sin_ival().abs()
-    tail = Ival(Q(2 * psi, 2 * n + 1), Q(2 * psi, 2 * n))  # 2 psi (sqrt(n^2+1)-n)
-    return (Ival.point(n * (2 - psi)) * (1 - cos_iv)
-            - Ival.point(lam) * sin_iv - tail)
+    cos_iv, sin_iv = _rotation_ivals(params.p, params.q, n, bits,
+                                     exact=n <= 4000)
+    return _ball_term(n, params, cos_iv, sin_iv, _root_tail(n, params.psi))
+
+
+def _rotation_ivals(p, q, n: int, bits: int, exact: bool):
+    """Enclosures of cos and sin of n*theta: exact rational powers when
+    `exact` and the angle is irrational with rational q; otherwise the
+    root-of-unity table or a dyadic scan of `bits` bits."""
+    if exact and q is not None and rotation_order(p) is None:
+        c, s = rotation_power(p, q, n)
+        return Ival.point(c), Ival.point(s)
+    sc = make_rot_scan(p, q, bits)
+    sc.advance(n)
+    return sc.cos_ival(), sc.sin_ival()
+
+
+def _root_tail(n: int, psi: Fraction) -> Ival:
+    """2 psi (sqrt(n^2+1) - n), bracketed by 1/(2n+1) < sqrt(n^2+1)-n < 1/(2n)."""
+    return Ival(Q(2 * psi, 2 * n + 1), Q(2 * psi, 2 * n))
+
+
+def _ball_term(n: int, params: HardnessParams, cos_iv: Ival, sin_iv: Ival,
+               tail: Ival) -> Ival:
+    return (Ival.point(n * (2 - params.psi)) * (1 - cos_iv)
+            - Ival.point(params.two_pi_ell) * sin_iv.abs() - tail)
 
 
 def scan_ball_terms(params: HardnessParams, n_from: int, n_to: int,
@@ -363,32 +372,36 @@ def scan_ball_terms(params: HardnessParams, n_from: int, n_to: int,
     ('violation', n, enclosure) at the first certified-negative term.
     Ambiguous steps are resolved exactly via rational rotation powers.
 
-    The hot loop runs on scaled integers: with cos/sin tracked as a dyadic
-    point + error ball, the inequality n(2-psi)(1-cos) - 2pi ell |sin|
-    - 2 psi (sqrt(n^2+1)-n) >= 0 is decided after clearing denominators
-    (the root term is bracketed by 1/(2n+1) < sqrt(n^2+1)-n < 1/(2n))."""
-    p, q = params.p, params.q
+    The hot loop consumes `RotScan.walk` on scaled integers: with cos/sin
+    tracked as a dyadic point + error ball, the inequality
+    n(2-psi)(1-cos) - 2pi ell |sin| - 2 psi (sqrt(n^2+1)-n) >= 0 is decided
+    after clearing denominators (the root term is bracketed by
+    1/(2n+1) < sqrt(n^2+1)-n < 1/(2n)).
+
+    Root-of-unity angles are periodic, and at every multiple of the order
+    (cos = 1, sin = 0) the term is -2 psi (sqrt(n^2+1)-n), certified
+    negative.  So only the at most `order` terms after n_from are
+    evaluated, from the exact `ExactRotScan` table, with no stepping."""
     psi, lam = params.psi, params.two_pi_ell
-    if rotation_order(p) is not None or q is None:
-        return _scan_ball_terms_slow(params, n_from, n_to, bits)
-    # integer state (dyadic rotation with error ball)
-    scale = 1 << bits
-    den = p.denominator * q.denominator // math.gcd(p.denominator,
-                                                    q.denominator)
-    pn, qn = int(p * den), int(q * den)
-    C, S, E = scale, 0, 0
+    sc = make_rot_scan(params.p, params.q, bits)
+    ambiguous = []
+    if isinstance(sc, ExactRotScan):
+        for n in range(n_from + 1, min(n_to, n_from + sc.order) + 1):
+            sc.advance(n)
+            iv = _ball_term(n, params, sc.cos_ival(), sc.sin_ival(),
+                            _root_tail(n, psi))
+            if iv.lo >= 0:
+                continue
+            if iv.hi < 0:
+                return ("violation", n, iv)
+            ambiguous.append(n)
+        return _resolve_ambiguous(ambiguous, params)
+    scale = sc.scale
     a = 2 - psi                      # Fractions
     L = math.lcm(a.denominator, lam.denominator, psi.denominator)
     aL, lamL, psiL = int(a * L), int(lam * L), int(psi * L)
-    for _ in range(n_from):
-        C, S = (2 * (pn * C - qn * S) + den) // (2 * den), \
-               (2 * (qn * C + pn * S) + den) // (2 * den)
-        E += 1
-    ambiguous = []
-    for n in range(n_from + 1, n_to + 1):
-        C, S = (2 * (pn * C - qn * S) + den) // (2 * den), \
-               (2 * (qn * C + pn * S) + den) // (2 * den)
-        E += 1
+    sc.advance(n_from)
+    for n, C, S, E in sc.walk(n_to):
         Sa = abs(S)
         # term_lo * (2 n^2 scale L) >= T_lo with the worst-case rounding
         T_lo = (2 * n * n * aL * (scale - C - E - 1)
@@ -403,35 +416,10 @@ def scan_ball_terms(params: HardnessParams, n_from: int, n_to: int,
             lo, hi = Q(T_lo, f), Q(T_hi, f)
             return ("violation", n, Ival(min(lo, hi), max(lo, hi)))
         ambiguous.append(n)
-    for n in ambiguous:
-        iv = _exact_ball_term(n, params)
-        if iv.hi < 0:
-            return ("violation", n, iv)
-        if iv.lo < 0:
-            raise RuntimeError(f"ball term sign unresolved at n={n}")
-    return ("clean",)
+    return _resolve_ambiguous(ambiguous, params)
 
 
-def _scan_ball_terms_slow(params: HardnessParams, n_from: int, n_to: int,
-                          bits: int):
-    psi, lam = params.psi, params.two_pi_ell
-    sc = make_rot_scan(params.p, params.q, bits)
-    for _ in range(n_from):
-        sc.step()
-    ambiguous = []
-    for n in range(n_from + 1, n_to + 1):
-        sc.step()
-        cos_iv = sc.cos_ival()
-        sin_iv = sc.sin_ival().abs()
-        lo = (n * (2 - psi) * (1 - cos_iv.hi) - lam * sin_iv.hi
-              - Q(2 * psi, 2 * n))
-        if lo >= 0:
-            continue
-        hi = (n * (2 - psi) * (1 - cos_iv.lo) - lam * sin_iv.lo
-              - Q(2 * psi, 2 * n + 1))
-        if hi < 0:
-            return ("violation", n, Ival(lo, hi))
-        ambiguous.append(n)
+def _resolve_ambiguous(ambiguous: list[int], params: HardnessParams):
     for n in ambiguous:
         iv = _exact_ball_term(n, params)
         if iv.hi < 0:
@@ -445,115 +433,63 @@ def _exact_ball_term(n: int, params: HardnessParams, bits: int = 512) -> Ival:
     """High-precision resolution of one ball term.  The value can only be
     zero if sqrt(n^2+1) were rational, which it never is for n >= 1, so a
     finite precision always decides the sign."""
-    p, q = params.p, params.q
-    psi, lam = params.psi, params.two_pi_ell
-    if rotation_order(p) is None and q is not None:
-        zc, zs = ONE, ZERO
-        base_c, base_s = p, q
-        m = n
-        # binary powering of the exact rotation
-        while m:
-            if m & 1:
-                zc, zs = zc * base_c - zs * base_s, zc * base_s + zs * base_c
-            m >>= 1
-            if m:
-                base_c, base_s = (base_c * base_c - base_s * base_s,
-                                  2 * base_c * base_s)
-        cos_iv, sin_iv = Ival.point(zc), Ival.point(abs(zs))
-    else:
-        sc = make_rot_scan(p, q, bits)
-        for _ in range(n):
-            sc.step()
-        cos_iv, sin_iv = sc.cos_ival(), sc.sin_ival().abs()
+    cos_iv, sin_iv = _rotation_ivals(params.p, params.q, n, bits, exact=True)
     root = Ival.point(Q(n * n + 1)).sqrt(bits)
-    tail = (root - n) * (2 * psi)
-    return (Ival.point(n * (2 - psi)) * (1 - cos_iv)
-            - Ival.point(lam) * sin_iv - tail)
+    return _ball_term(n, params, cos_iv, sin_iv,
+                      (root - n) * (2 * params.psi))
 
 
 # ---------------------------------------------------------------------------
 # Diophantine-type estimation
 
 
-def lagrange_prefix(p, q, N: int, precision: Fraction = Q(1, 10**6),
-                    bits: int = 192) -> Ival:
+def lagrange_prefix(p, q, N: int, bits: int = 192) -> Ival:
     """Enclosure of (1/2pi) min_{0 < n <= N} n [2 pi n theta].
 
-    One certified scan proposes candidates via the square-root bounds
-    sqrt(2(1-c)) <= [x] <= pi sqrt((1-c)/2); candidates are then resolved
-    with certified arccos enclosures.  The scan compares the *squares*
-    n^2 * 2(1-cos) so the hot loop is integer-only."""
-    p = Q(p)
-    q = Q(q) if q is not None else None
+    One certified scan over `RotScan.walk` proposes candidates via the
+    square-root bounds sqrt(2(1-c)) <= [x] <= pi sqrt((1-c)/2); candidates
+    are then resolved with certified arccos enclosures.  The scan compares
+    the *squares* n^2 * 2(1-cos), as integers over the one denominator
+    kb * 2^bits, so the hot loop is integer-only.
+
+    Root-of-unity angles are periodic: n = order brings the rotation back
+    to 1, so the minimum is exactly 0 once N >= order, and below that it
+    is the minimum over the at most 5 exact `ExactRotScan` values."""
+    p, q = _rotation_point(p, q)
     if N < 1:
         raise ValueError("N >= 1 required")
-    precision = Q(precision)
-    pi_iv = pi_ival(bits)
-    if rotation_order(p) is not None or q is None:
-        return _lagrange_prefix_slow(p, q, N, bits)
-    scale = 1 << bits
-    den = p.denominator * q.denominator // math.gcd(p.denominator,
-                                                    q.denominator)
-    pn, qn = int(p * den), int(q * den)
-    # pi^2/2 upper bound as an integer ratio (for the crude upper values)
-    pi_sq_hi = (pi_iv.hi * pi_iv.hi / 2).limit_denominator(1 << 48)
-    if pi_sq_hi < pi_iv.hi * pi_iv.hi / 2:
-        pi_sq_hi += Q(1, 1 << 40)
-    ka, kb = pi_sq_hi.numerator, pi_sq_hi.denominator
-    C, S, E = scale, 0, 0
-    upper_sq: Fraction | None = None   # upper bound for (min n [..])^2
-    candidates: list[tuple[int, int, int]] = []
-    for n in range(1, N + 1):
-        C, S = (2 * (pn * C - qn * S) + den) // (2 * den), \
-               (2 * (qn * C + pn * S) + den) // (2 * den)
-        E += 1
-        one_minus_hi = scale - C + E + 1      # scale*(1-cos) upper
-        one_minus_lo = max(scale - C - E - 1, 0)
-        # crude: 2(1-c) <= alpha^2 <= pi^2 (1-c)/2
-        hi_sq = Q(n * n * ka * one_minus_hi, kb * scale)
-        lo_sq = Q(2 * n * n * one_minus_lo, scale)
-        if upper_sq is None or hi_sq < upper_sq:
-            upper_sq = hi_sq
-        if lo_sq <= upper_sq:
-            candidates.append((n, C, E))
-    final = [(n, C_, E_) for n, C_, E_ in candidates
-             if Q(2 * n * n * max(scale - C_ - E_ - 1, 0), scale) <= upper_sq]
-    best: Ival | None = None
-    for n, C_, E_ in final:
-        e = Q(E_ + 1, scale)
-        v = Q(C_, scale)
-        cos_iv = Ival(max(v - e, Q(-1)), min(v + e, Q(1)))
-        precise = angle_from_cos(cos_iv, bits) * n
-        best = precise if best is None else Ival(min(best.lo, precise.lo),
-                                                 min(best.hi, precise.hi))
-    out = best / (pi_iv * 2)
-    if out.lo < 0:
-        out = Ival(ZERO, max(out.hi, ZERO))
-    return out
-
-
-def _lagrange_prefix_slow(p, q, N: int, bits: int) -> Ival:
     pi_iv = pi_ival(bits)
     sc = make_rot_scan(p, q, bits)
-    upper = None
-    candidates: list[tuple[int, Ival]] = []
-    for n in range(1, N + 1):
-        sc.step()
-        cos_iv = sc.cos_ival()
-        if cos_iv.lo == 1 and cos_iv.hi == 1:
-            return Ival.point(0)    # exact hit: the angle distance is zero
-        alpha_crude = angle_from_cos(cos_iv, 64, crude=True)
-        lo_val = alpha_crude.lo * n
-        hi_val = alpha_crude.hi * n
-        if upper is None or hi_val < upper:
-            upper = hi_val
-        if lo_val <= upper:
-            candidates.append((n, cos_iv))
-    final = [(n, civ) for n, civ in candidates
-             if angle_from_cos(civ, 64, crude=True).lo * n <= upper]
+    if isinstance(sc, ExactRotScan):
+        if N >= sc.order:
+            return Ival.point(0)
+        final = []
+        for n in range(1, N + 1):
+            sc.advance(n)
+            final.append((n, sc.cos_ival()))
+    else:
+        # pi^2/2 upper bound as an integer ratio (for the crude upper values)
+        pi_sq_hi = (pi_iv.hi * pi_iv.hi / 2).limit_denominator(1 << 48)
+        if pi_sq_hi < pi_iv.hi * pi_iv.hi / 2:
+            pi_sq_hi += Q(1, 1 << 40)
+        ka, kb = pi_sq_hi.numerator, pi_sq_hi.denominator
+        scale = sc.scale
+        # squared angle bounds times kb * scale:
+        # 2(1-c) <= alpha^2 <= pi^2 (1-c)/2
+        upper = None                       # bound on (min n [..])^2
+        candidates = []
+        for n, C, _, E in sc.walk(N):
+            hi_sq = n * n * ka * (scale - C + E + 1)
+            lo_sq = 2 * n * n * kb * max(scale - C - E - 1, 0)
+            if upper is None or hi_sq < upper:
+                upper = hi_sq
+            if lo_sq <= upper:
+                candidates.append((lo_sq, n, C, E))
+        final = [(n, sc.ival(C, E)) for lo_sq, n, C, E in candidates
+                 if lo_sq <= upper]
     best: Ival | None = None
-    for n, civ in final:
-        precise = angle_from_cos(civ, bits) * n
+    for n, cos_iv in final:
+        precise = angle_from_cos(cos_iv, bits) * n
         best = precise if best is None else Ival(min(best.lo, precise.lo),
                                                  min(best.hi, precise.hi))
     out = best / (pi_iv * 2)
@@ -580,8 +516,8 @@ def approximate_L(p, q, eps, horizon_cap: int = 10**6) -> LEstimate:
     minima forces n [2 pi n theta] > 2 pi ell - eps_a beyond the cutoff
     (and the prefix is scanned directly); a certified-negative ball term
     witnesses n [2 pi n theta] < 2 pi ell + eps_a."""
-    p, eps = Q(p), Q(eps)
-    q = Q(q) if q is not None else None
+    p, q = _rotation_point(p, q)
+    eps = Q(eps)
     if eps <= 0:
         raise ValueError("eps must be positive")
     pi_iv = pi_ival(96)
@@ -604,7 +540,7 @@ def approximate_L(p, q, eps, horizon_cap: int = 10**6) -> LEstimate:
         if params.n2 >= horizon_cap:
             exhausted = True
             break
-        prefix = lagrange_prefix(p, q, params.n2, precision=eps / 4)
+        prefix = lagrange_prefix(p, q, params.n2)
         hi = min(hi, max(prefix.hi, ZERO))
         tail = scan_ball_terms(params, params.n2, horizon_cap)
         if tail[0] == "clean":

@@ -48,9 +48,6 @@ class Ival:
     def contains(self, x: Fraction) -> bool:
         return self.lo <= x <= self.hi
 
-    def contains_ival(self, other: "Ival") -> bool:
-        return self.lo <= other.lo and other.hi <= self.hi
-
     def overlaps(self, other: "Ival") -> bool:
         return self.lo <= other.hi and other.lo <= self.hi
 

@@ -20,6 +20,7 @@ from .qmath import Q, ZERO, ONE
 from .interval import Ival, Box
 from . import poly as P
 from .poly import pnorm, PolyRat
+from .intmat import mat_mul
 from .algebraic import (AlgebraicNumber, FieldElement, NumberField,
                         isolate_roots)
 
@@ -95,12 +96,6 @@ def eval_terms(lrr: Lrr, c: InitialConfig, n_max: int) -> list[Fraction]:
         terms.append(sum((a * terms[n - k + j] for j, a in enumerate(lrr.coeffs)),
                          ZERO))
     return terms[:n_max + 1]
-
-
-def mat_mul(a, b):
-    n, m, p = len(a), len(b), len(b[0])
-    return [[sum((a[i][t] * b[t][j] for t in range(m)), ZERO)
-             for j in range(p)] for i in range(n)]
 
 
 def mat_pow(m, n: int):
@@ -379,9 +374,6 @@ class ExpPolySolution:
     factors: list[_FactorSolution]
     roots: list[tuple[AlgebraicNumber, int]]
     alpha: dict  # (root_index, j) -> AlgebraicNumber
-
-    def term_box(self, root_index: int, j: int, bits: int = 128) -> Box:
-        return self.alpha[(root_index, j)].box(bits)
 
 
 def exp_poly_solution(lrr: Lrr, c: InitialConfig,

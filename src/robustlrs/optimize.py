@@ -35,6 +35,11 @@ DEFAULT_TOL = Q(1, 1 << 40)
 ESCALATION_FACTOR = Q(1, 1 << 10)
 TOL_FLOOR = Q(1, 1 << 200)
 _MAX_BITS = 1 << 15
+# Top of the precision climb of `ExactReal.sign` for a value with no exact
+# zero test: an exact zero never separates from 0, and each doubling costs
+# about five times the last.  Enclosures of width TOL_FLOOR / 2 come from
+# precisions below the cap, which the climb has already tried.
+_SIGN_MAX_BITS = 1 << 10
 _MAX_BOXES = 60_000
 
 
@@ -46,7 +51,7 @@ class SignOutcome:
     tol: Fraction = DEFAULT_TOL
     lattice_complete: bool = True
     method: str = "branch-and-bound"
-    converged: bool = True          # False when the box budget ran out
+    converged: bool = True          # False when a finer tol cannot help
 
     def __post_init__(self):
         v = self.verdict
@@ -105,8 +110,11 @@ class ExactReal:
                 return iv
 
     def sign(self) -> int | None:
+        """Certified sign, or None.  A straddling enclosure goes to the
+        exact zero test when there is one; otherwise the precision climbs,
+        up to _SIGN_MAX_BITS."""
         bits = 96
-        while bits <= _MAX_BITS:
+        while bits <= _SIGN_MAX_BITS:
             s = self.refiner(bits).sign()
             if s is not None:
                 return s
@@ -455,8 +463,17 @@ def _finite_torus_min(form, torus, tol, absolute: bool):
                                    TorusPoint(neg, ()), tol, lat_ok,
                                    "finite-exact")
             width = width * width if width < 1 else width / 2
+    # A coset with no exact zero test that still straddles 0 at the capped
+    # climb straddles it at every escalated tolerance too, so POSITIVE is
+    # out of reach; unless another coset may be negative, so is NEGATIVE,
+    # and escalating would only repeat this pass.
+    stuck = any(s is None and v.exact_sign is None
+                for v, s in zip(values, signs))
+    open_neg = any((s is None and v.exact_sign is not None)
+                   or (s is not None and s < 0)
+                   for v, s in zip(values, signs))
     return SignOutcome("UNKNOWN", enclosure, witness, tol, lat_ok,
-                       "finite-exact")
+                       "finite-exact", converged=not (stuck and not open_neg))
 
 
 @dataclass

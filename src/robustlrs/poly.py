@@ -15,7 +15,7 @@ from functools import lru_cache
 import sympy
 
 from .qmath import Q, ZERO, ONE
-from .interval import Ival, Box
+from .interval import Box
 
 _x = sympy.Symbol("x")
 
@@ -87,15 +87,6 @@ def pmod(p: Coeffs, q: Coeffs) -> Coeffs:
     return pdivmod(p, q)[1]
 
 
-def pgcd(p: Coeffs, q: Coeffs) -> Coeffs:
-    a, b = pnorm(p), pnorm(q)
-    while b:
-        a, b = b, pmod(a, b)
-    if a:
-        a = tuple(c / a[-1] for c in a)  # monic
-    return a
-
-
 def peval(p: Coeffs, x: Fraction) -> Fraction:
     acc = ZERO
     for c in reversed(p):
@@ -107,13 +98,6 @@ def peval_box(p: Coeffs, z: Box, bits: int = 256) -> Box:
     acc = Box.point(0)
     for c in reversed(p):
         acc = (acc * z + c).round_out(bits)
-    return acc
-
-
-def peval_ival(p: Coeffs, t: Ival) -> Ival:
-    acc = Ival.point(0)
-    for c in reversed(p):
-        acc = acc * t + c
     return acc
 
 
@@ -184,11 +168,6 @@ def composed_product(p: Coeffs, q: Coeffs) -> Coeffs:
     sq = sympy.expand(to_sympy(q).as_expr().subs(_x, _x / y) * y ** dq)
     res = sympy.Poly(sympy.resultant(sp, sq, y), _x)
     return from_sympy(res)
-
-
-def scaled_roots_poly(p: Coeffs, s: Fraction) -> Coeffs:
-    """Polynomial with roots {s * a : p(a) = 0}."""
-    return pnorm([p[i] / s**i for i in range(len(p))])
 
 
 @lru_cache(maxsize=None)

@@ -8,7 +8,11 @@ bounded by the alternating-series criterion after argument reduction.
 `RotScan` iterates the exact rotation by a rational point (p, q) on the
 unit circle as a dyadic point plus an error ball.  Rotations are
 isometries, so the Euclidean error grows only additively with the number
-of steps (naive interval iteration would blow up exponentially).
+of steps (naive interval iteration would blow up exponentially).  It is
+the one stepper of the dyadic rotation: the hardness lab's integer scans
+(`hardness.scan_ball_terms`, `hardness.lagrange_prefix`) consume its
+`walk`.  `rotation_power` gives the same powers exactly, and
+`ExactRotScan` tables the periodic root-of-unity angles.
 """
 
 from __future__ import annotations
@@ -238,31 +242,47 @@ def angle_from_cos(c: Ival, bits: int = 64, crude: bool = False) -> Ival:
     return Ival.hull([left, right]).intersect(crude_ival)
 
 
-# Rational points on the unit circle that are roots of unity (Niven).
-_NIVEN_COS = {Q(1): 0, Q(1, 2): 1, Q(0): 2, Q(-1, 2): 3, Q(-1): 4}
-# corresponding angles in turns: 0, 1/6, 1/4, 1/3, 1/2
+# Rational cosines of roots of unity (Niven) and the orders of their angles
+# 0, 1/6, 1/4, 1/3, 1/2 turns.
+_NIVEN_ORDER = {Q(1): 1, Q(1, 2): 6, Q(0): 4, Q(-1, 2): 3, Q(-1): 2}
 
 
-def rotation_order(p: Fraction, q_sign: int = 1) -> int | None:
+def rotation_order(p: Fraction) -> int | None:
     """Order of the rotation e^(2 pi i theta) with cos = p, when finite.
 
     Returns None when theta is irrational (equivalently p not in Niven's
     list), which is the case for every p + qi with p, q rational nonzero
-    on the unit circle.
+    on the unit circle.  The order does not depend on the direction.
     """
-    table = {Q(1): 1, Q(-1): 2, Q(0): 4, Q(1, 2): 6, Q(-1, 2): 3}
-    if p in table:
-        n = table[p]
-        return n if (q_sign >= 0 or n <= 2) else n  # order ignores direction
-    return None
+    return _NIVEN_ORDER.get(p)
+
+
+def rotation_power(p: Fraction, q: Fraction, n: int) -> tuple[Fraction, Fraction]:
+    """Exact (cos, sin) of n * theta for e^(i theta) = p + qi, q rational,
+    by binary powering."""
+    c, s = ONE, ZERO
+    bc, bs = p, q
+    while n:
+        if n & 1:
+            c, s = c * bc - s * bs, c * bs + s * bc
+        n >>= 1
+        if n:
+            bc, bs = bc * bc - bs * bs, 2 * bc * bs
+    return c, s
 
 
 class RotScan:
     """Iterates (cos, sin) of n * theta for e^(i theta) = p + qi exactly on
     the unit circle, as a dyadic point with a certified error ball.
 
-    Per step the rounding adds at most one unit in the last place to the
-    Euclidean error; the rotation itself is an isometry and adds nothing.
+    The state is integers: cos ~ c / 2^bits, sin ~ s / 2^bits, with the
+    Euclidean error at most err + 1 units of 2^-bits after n steps.  Per
+    step the rounding adds at most one unit in the last place; the
+    rotation itself is an isometry and adds nothing.
+
+    This is the only code that advances the dyadic rotation.  `step`,
+    `advance`, `hardness.scan_ball_terms` and `hardness.lagrange_prefix`
+    all go through `walk`.
     """
 
     def __init__(self, p: Fraction, q: Fraction, bits: int = 128):
@@ -279,24 +299,45 @@ class RotScan:
         self.err = 0  # euclidean error in ulps (2^-bits)
         self.n = 0
 
+    def walk(self, n_to: int):
+        """Step up to index n_to, yielding (n, c, s, err) after each step.
+
+        The loop runs on locals; the attributes are written back once, when
+        the generator finishes or is closed, so read them only after that.
+        """
+        c, s, err, n = self.c, self.s, self.err, self.n
+        pn, qn, den = self.pn, self.qn, self.den
+        d2 = 2 * den
+        try:
+            while n < n_to:
+                # round to nearest: (2x + den) // (2 den) = floor(x/den + 1/2)
+                c, s = ((2 * (pn * c - qn * s) + den) // d2,
+                        (2 * (qn * c + pn * s) + den) // d2)
+                err += 1
+                n += 1
+                yield n, c, s, err
+        finally:
+            self.c, self.s, self.err, self.n = c, s, err, n
+
     def step(self):
-        c, s, pn, qn, d = self.c, self.s, self.pn, self.qn, self.den
-        tc = pn * c - qn * s
-        ts = qn * c + pn * s
-        self.c = (2 * tc + d) // (2 * d)
-        self.s = (2 * ts + d) // (2 * d)
-        self.err += 1
-        self.n += 1
+        self.advance(self.n + 1)
+
+    def advance(self, n_to: int):
+        """Step until the index is n_to."""
+        for _ in self.walk(n_to):
+            pass
+
+    def ival(self, v: int, err: int) -> Ival:
+        """Enclosure of a coordinate held as v / 2^bits with error err."""
+        e = Q(err + 1, self.scale)
+        x = Q(v, self.scale)
+        return Ival(max(x - e, Q(-1)), min(x + e, Q(1)))
 
     def cos_ival(self) -> Ival:
-        e = Q(self.err + 1, self.scale)
-        v = Q(self.c, self.scale)
-        return Ival(max(v - e, Q(-1)), min(v + e, Q(1)))
+        return self.ival(self.c, self.err)
 
     def sin_ival(self) -> Ival:
-        e = Q(self.err + 1, self.scale)
-        v = Q(self.s, self.scale)
-        return Ival(max(v - e, Q(-1)), min(v + e, Q(1)))
+        return self.ival(self.s, self.err)
 
 
 class ExactRotScan:
@@ -312,7 +353,6 @@ class ExactRotScan:
             raise ValueError(f"cos = {p} is not a root-of-unity angle")
         self.order = order
         self.bits = bits
-        q2 = 1 - p * p
         cos_vals = []
         sin_vals = []
         # walk k / order turns
@@ -331,6 +371,10 @@ class ExactRotScan:
 
     def step(self):
         self.n += 1
+
+    def advance(self, n_to: int):
+        """Jump to index n_to: the table is periodic, nothing is stepped."""
+        self.n = n_to
 
     def cos_ival(self) -> Ival:
         return Ival.point(self.cos_vals[self.n % self.order])

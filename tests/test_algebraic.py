@@ -6,7 +6,7 @@ from robustlrs.interval import Box
 from robustlrs.poly import PolyRat, peval, pmul, pnorm, separation_bound
 from robustlrs.algebraic import (AlgebraicNumber, FieldElement, NumberField,
                                  isolate_roots, refine, power_product_is_one,
-                                 identify_root_of_unity, RealRootSlots)
+                                 identify_root_of_unity)
 
 
 def poly(*coeffs):
@@ -183,13 +183,3 @@ def test_defining_poly_of_derived_element():
     a = AlgebraicNumber.from_element(e)
     # minimal polynomial of 1 + sqrt2 is x^2 - 2x - 1
     assert a.defining_poly.coefficients == (Q(-1), Q(-2), Q(1))
-
-
-def test_real_root_slots():
-    slots = RealRootSlots((2, -3, 1))  # (x-1)(x-2)
-    f = NumberField.get((-2, 0, 1), 1)
-    sq2 = FieldElement.generator(f)
-    # locate the value 2 = sq2*sq2 among the roots
-    val = sq2 * sq2
-    idx = slots.locate(lambda bits: val.box(bits).re)
-    assert idx == 1

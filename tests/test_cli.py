@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction as Q
 from pathlib import Path
 
@@ -159,6 +160,33 @@ def test_lab_cone():
     assert json.loads(p.stdout)["inside"] is True
     p = run_cli(["lab", "cone", "--z", "1", "--x", "1", "--y", "1"])
     assert p.returncode == 1
+
+
+@pytest.mark.parametrize("args", [
+    ["prefix-L", "--p", "3/5", "--q", "1/2", "--n", "50"],
+    ["approx-L", "--p", "3/5", "--q", "1/2", "--eps", "1/20",
+     "--horizon", "2000"],
+    ["ball-term", "--p", "3/5", "--q", "1/2", "--ell", "1", "--eps", "1/20",
+     "--n", "5"],
+], ids=["prefix-L", "approx-L", "ball-term"])
+def test_lab_off_circle_exit3(args):
+    p = run_cli(["lab", *args])
+    assert p.returncode == 3, p.stdout + p.stderr
+    assert "unit circle" in p.stderr
+    assert p.stdout == ""
+
+
+def test_decide_zero_coset_unknown_in_time():
+    # modulus 2/sqrt(3) at angle pi/6 with u_1 = 0: one finite-torus coset
+    # value is exactly zero, and its refiner has no exact zero test
+    doc = '{"coeffs":["-4/3","2"],"init":["-5/2","0"]}'
+    start = time.monotonic()
+    p = run_cli(["decide", "exists-robust-skolem", "--problem", "-"],
+                stdin=doc)
+    elapsed = time.monotonic() - start
+    assert p.returncode == 2, p.stderr
+    assert json.loads(p.stdout)["verdict"] == "UNKNOWN"
+    assert elapsed < 60, f"took {elapsed:.1f} s"
 
 
 def test_plot_orbit_deterministic():

@@ -167,7 +167,7 @@ def test_lagrange_prefix_rational_angle():
 
 
 def test_lagrange_prefix_p35():
-    out = lagrange_prefix(P, QSIN, 1000, precision=Q(1, 10**6))
+    out = lagrange_prefix(P, QSIN, 1000)
     assert out.width <= Q(1, 10**6)
     # independent float oracle
     theta = math.atan2(0.8, 0.6)
@@ -325,3 +325,16 @@ def test_cone_membership_vs_orbit_sign():
     outside = (Q(28, 10), Q(29, 10), Q(0))  # margin -1/10
     _, hi = orbit_min(*outside, 10**5)
     assert hi < 0
+
+
+@pytest.mark.parametrize("call", [
+    lambda: compute_params(Q(1), Q(1, 20), Q(3, 5), Q(1, 2)),
+    lambda: lagrange_prefix(Q(3, 5), Q(1, 2), 50),
+    lambda: lagrange_prefix(Q(1, 2), Q(1, 2), 3),   # root of unity, bad q
+    lambda: approximate_L(Q(3, 5), Q(1, 2), Q(1, 20), horizon_cap=2000),
+    lambda: approximate_L(Q(3, 5), Q(1, 2), Q(1), horizon_cap=2000),
+], ids=["compute_params", "lagrange_prefix", "lagrange_prefix_rou",
+        "approximate_L", "approximate_L_no_probe"])
+def test_off_circle_point_rejected(call):
+    with pytest.raises(ValueError, match="unit circle"):
+        call()

@@ -60,7 +60,7 @@ def test_companion_consistency():
         # incremental exact powering for every n <= 500
         acc = [[Q(1) if i == j else Q(0) for j in range(lrr.order)]
                for i in range(lrr.order)]
-        from robustlrs.lrs import mat_mul
+        from robustlrs.intmat import mat_mul
         for n in range(501):
             first = sum(acc[0][j] * c.entries[j] for j in range(lrr.order))
             assert first == terms[n], f"n={n}"
