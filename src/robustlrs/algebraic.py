@@ -2,11 +2,13 @@
 
 An algebraic number is represented as an element of Q[x]/(M) for an
 irreducible integer polynomial M together with an isolating box for the
-distinguished root of M.  Certified refinement of the root delegates to
-sympy's `CRootOf.eval_rational` (exact interval Newton/bisection under
-the hood); everything layered on top -- arithmetic, conjugation, zero
-tests, unit-modulus and root-of-unity decisions -- is exact rational
-computation here.
+distinguished root of M.  sympy isolates the roots (`CRootOf`); the first
+box of a non-real root comes from replaying sympy's bisection of its
+isolating rectangle here (`_BisectionPath`, the same box sympy's
+`eval_rational` would return), and deeper refinement is the package's
+own interval Newton.  A real root's seed box is still sympy's.  Everything
+layered on top -- arithmetic, conjugation, zero tests, unit-modulus and
+root-of-unity decisions -- is exact rational computation here.
 
 Predicates are never decided by approximation alone: enclosures may
 *separate* two numbers, while equalities are certified through unique
@@ -21,6 +23,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 import sympy
+from sympy.polys import rootoftools
 
 from .qmath import Q, ZERO, ONE
 from .interval import Ival, Box
@@ -39,18 +42,26 @@ def _rootof(intpoly: tuple[int, ...], index: int):
     return sympy.rootof(expr, _x, index, radicals=False)
 
 
+def _eval_rational(r, bits: int) -> tuple[Fraction, Fraction]:
+    """Centre of sympy's own refinement of the CRootOf `r` to sides
+    < 2^-(bits+1) (Collins-Krandick bisection; cached by sympy)."""
+    dx = sympy.Rational(1, 1 << (bits + 1))
+    re_s, im_s = r.eval_rational(dx=dx, dy=dx).as_real_imag()
+    return Q(re_s.p, re_s.q), Q(im_s.p, im_s.q)
+
+
 def _sympy_expr_box(expr, bits: int) -> Box:
     """Certified box for the affine CRootOf expressions sympy's root
     preprocessing can produce (rational multiples/shifts of a CRootOf)."""
     if expr.is_Rational:
         return Box.point(Q(expr.p, expr.q))
-    if isinstance(expr, sympy.polys.rootoftools.ComplexRootOf):
-        dx = sympy.Rational(1, 1 << (bits + 1))
-        val = expr.eval_rational(dx=dx, dy=dx)
-        re_s, im_s = val.as_real_imag()
+    if isinstance(expr, rootoftools.ComplexRootOf):
+        if expr.is_real:
+            re, im = _eval_rational(expr, bits)
+        else:
+            re, im = _bisection_path(expr).centre(bits)
         eps = Q(1, 1 << (bits + 1))
-        return Box(Ival(Q(re_s.p, re_s.q) - eps, Q(re_s.p, re_s.q) + eps),
-                   Ival(Q(im_s.p, im_s.q) - eps, Q(im_s.p, im_s.q) + eps))
+        return Box(Ival(re - eps, re + eps), Ival(im - eps, im + eps))
     if expr.is_Add:
         acc = Box.point(0)
         for arg in expr.args:
@@ -64,6 +75,164 @@ def _sympy_expr_box(expr, bits: int) -> Box:
     raise TypeError(f"unsupported root expression {expr!r}")
 
 
+def _newton_step(p, dp, box: Box, work: int) -> Box | None:
+    """One certified interval Newton step for the roots of `p` in `box`:
+    its image intersected with the box, or None when p' may vanish on the
+    box or the image misses it."""
+    dval = peval_box(dp, box, work)
+    if dval.re.contains(ZERO) and dval.im.contains(ZERO):
+        return None
+    try:
+        dinv = dval.inverse()
+    except ZeroDivisionError:
+        return None
+    mid = Box.point(box.re.mid, box.im.mid)
+    pmid = peval_box(p, mid, work)
+    cand = (mid - pmid * dinv).round_out(work)
+    re = cand.re.intersect(box.re) if cand.re.overlaps(box.re) else None
+    im = cand.im.intersect(box.im) if cand.im.overlaps(box.im) else None
+    if re is None or im is None:
+        return None
+    return Box(re, im)
+
+
+def _frac(v) -> Fraction:
+    return Q(int(v.numerator), int(v.denominator))
+
+
+def _corners(iv) -> tuple[Fraction, Fraction, Fraction, Fraction]:
+    return _frac(iv.a[0]), _frac(iv.a[1]), _frac(iv.b[0]), _frac(iv.b[1])
+
+
+def _bits_of(width: Fraction) -> int:
+    """k with 2^-k < width <= 2^-(k-1), for 0 < width <= 1; 0 above."""
+    return (width.denominator // width.numerator).bit_length()
+
+
+class _BisectionPath:
+    """sympy's refinement of one non-real CRootOf, replayed without sympy.
+
+    `CRootOf.eval_rational` halves the longer side of the root's isolating
+    rectangle (the vertical split when dx > dy), keeps the half that holds
+    the root, returns the centre of the first rectangle with both sides
+    < dx, and caches that rectangle: a later request for fewer bits gets
+    the deepest rectangle reached.  This walks the same path from sympy's
+    isolating rectangle, so it returns the same centres.  The rectangle
+    (u, v)-(s, t) is in sympy's coordinates for the conjugate with positive
+    imaginary part; sympy flips the imaginary part when `conj` is set and
+    reads the real part as 0 for a root on the imaginary axis.
+
+    Each half is chosen from an exact description of the root where there
+    is one: the real part of a quadratic's or an imaginary root (a root on
+    a vertical line goes to the right half, as in sympy) and the squared
+    imaginary part of a quadratic's.  Otherwise it comes from a certified
+    Newton enclosure, sharpened when it straddles the line, once sympy's
+    own steps have shrunk the rectangle until a Newton step contracts.  A
+    side this cannot decide (a root on a horizontal line, or a straddle
+    that persists at high precision) is left to sympy's `eval_rational`.
+    """
+
+    def __init__(self, r):
+        self.root = r
+        self.cache = rootoftools._complexes_cache
+        self.iv = r._get_interval()
+        self.conj = self.iv.conj
+        self.imaginary = bool(r.is_imaginary)
+        self.rect = _corners(self.iv)
+        coeffs = [int(c) for c in reversed(r.poly.all_coeffs())]
+        self.poly = tuple(Q(c) for c in coeffs)
+        self.deriv = pderiv(self.poly)
+        self.re = ZERO if self.imaginary else None
+        self.im_sq = None
+        if len(coeffs) == 3:
+            c, b, a = coeffs
+            self.re, self.im_sq = Q(-b, 2 * a), Q(4 * a * c - b * b, 4 * a * a)
+        self.enc: Box | None = None
+
+    def centre(self, bits: int) -> tuple[Fraction, Fraction]:
+        eps = Q(1, 1 << (bits + 1))
+        u, v, s, t = self.rect
+        iv = self.root._get_interval()
+        if _frac(iv.dx) <= s - u and _frac(iv.dy) <= t - v:
+            # sympy's cached rectangle is at least as deep: continue from it
+            self.iv = iv
+            u, v, s, t = self.rect = _corners(iv)
+        while not (s - u < eps and t - v < eps):
+            if self.im_sq is None and self.enc is None:
+                self.iv = self.iv._inner_refine()
+                u, v, s, t = self.rect = _corners(self.iv)
+                self._try_newton()
+                continue
+            vertical = s - u > t - v
+            m = (u + s) / 2 if vertical else (v + t) / 2
+            upper = self._upper_half(vertical, m, bits)
+            if upper is None:
+                return self._fallback(bits)
+            if vertical:
+                u, s = (m, s) if upper else (u, m)
+            else:
+                v, t = (m, t) if upper else (v, m)
+            self.rect = (u, v, s, t)
+        im = (v + t) / 2
+        return (ZERO if self.imaginary else (u + s) / 2), (-im if self.conj else im)
+
+    def _try_newton(self):
+        u, v, s, t = self.rect
+        box = Box(Ival(u, s), Ival(v, t))
+        nxt = _newton_step(self.poly, self.deriv, box, 2 * _bits_of(box.width) + 32)
+        if nxt is not None and nxt.width <= box.width / 4:
+            self.enc = nxt
+
+    def _upper_half(self, vertical: bool, m: Fraction, bits: int) -> bool | None:
+        """Whether the root lies in the right (vertical split at re = m) or
+        the top (horizontal split at im = m) half; None if undecided."""
+        if vertical and self.re is not None:
+            return self.re >= m
+        if not vertical and self.im_sq is not None:
+            if self.im_sq == m * m:
+                return None  # m > 0: the root is on the line
+            return self.im_sq > m * m
+        while True:
+            ival = self.enc.re if vertical else self.enc.im
+            if ival.lo > m or (vertical and ival.lo == m):
+                return True
+            if ival.hi < m:
+                return False
+            if not self._sharpen(4 * (bits + 1)):
+                return None
+
+    def _sharpen(self, max_bits: int) -> bool:
+        width = self.enc.width
+        k = _bits_of(width)
+        if k > max_bits:
+            return False
+        nxt = _newton_step(self.poly, self.deriv, self.enc, 2 * k + 32)
+        if nxt is None or nxt.width > width * Q(3, 4):
+            return False
+        self.enc = nxt
+        return True
+
+    def _fallback(self, bits: int) -> tuple[Fraction, Fraction]:
+        # every rectangle here is on sympy's path and no deeper than the
+        # request, so sympy's refinement reaches the same rectangle
+        centre = _eval_rational(self.root, bits)
+        self.iv = self.root._get_interval()
+        self.rect = _corners(self.iv)
+        return centre
+
+
+_PATHS: dict = {}
+
+
+def _bisection_path(r) -> _BisectionPath:
+    """The replay for the CRootOf `r`, kept as long as sympy's cache of
+    isolating rectangles (`CRootOf.clear_cache` replaces it)."""
+    path = _PATHS.get(r)
+    if path is None or path.cache is not rootoftools._complexes_cache:
+        path = _PATHS[r] = _BisectionPath(r)
+    return path
+
+
 @lru_cache(maxsize=None)
 def _field_cache(minpoly: tuple[int, ...], index: int) -> "NumberField":
     return NumberField(minpoly, index)
@@ -74,8 +243,9 @@ class NumberField:
 
     Deep refinement runs a certified complex interval Newton iteration
     (sound over convex boxes; the minimal polynomial is irreducible, so
-    the root is simple and p' eventually excludes zero); sympy's isolation
-    only provides the initial certified seed box.
+    the root is simple and p' eventually excludes zero).  The certified
+    seed box comes from sympy's isolation: sympy's own refinement for a
+    real root, the replay of its bisection (`_BisectionPath`) otherwise.
     """
 
     def __init__(self, minpoly: tuple[int, ...], root_index: int):
@@ -118,7 +288,7 @@ class NumberField:
         work = bits + 16
         seed_bits = 64
         while box.width > Q(1, 1 << bits):
-            nxt = self._newton_step(box, work)
+            nxt = _newton_step(self.minpoly_q, self._deriv, box, work)
             if nxt is None or nxt.width > box.width * Q(3, 4):
                 # derivative box straddles zero or convergence stalled:
                 # take a sharper certified seed and retry
@@ -133,23 +303,6 @@ class NumberField:
         self._box = box
         self._box_bits = bits
         return box
-
-    def _newton_step(self, box: Box, work: int) -> Box | None:
-        dval = peval_box(self._deriv, box, work)
-        if dval.re.contains(ZERO) and dval.im.contains(ZERO):
-            return None
-        try:
-            dinv = dval.inverse()
-        except ZeroDivisionError:
-            return None
-        mid = Box.point(box.re.mid, box.im.mid)
-        pmid = peval_box(self.minpoly_q, mid, work)
-        cand = (mid - pmid * dinv).round_out(work)
-        re = cand.re.intersect(box.re) if cand.re.overlaps(box.re) else None
-        im = cand.im.intersect(box.im) if cand.im.overlaps(box.im) else None
-        if re is None or im is None:
-            return None
-        return Box(re, im)
 
     def conjugate_field(self) -> "NumberField":
         """The field embedding at the complex-conjugate root."""

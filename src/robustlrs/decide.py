@@ -50,10 +50,14 @@ class Decision:
     certificate: Certificate
 
     def __post_init__(self):
+        # checked under `python -O` too; RuntimeError, not a usage error
         if self.verdict in ("YES", "NO"):
-            assert self.certificate.kind in ("violation", "tail", "optimum")
+            allowed = ("violation", "tail", "optimum")
         else:
-            assert self.certificate.kind in ("cap", "lattice", "optimum")
+            allowed = ("cap", "lattice", "optimum")
+        if self.certificate.kind not in allowed:
+            raise RuntimeError(f"{self.verdict} decision with a "
+                               f"{self.certificate.kind!r} certificate")
 
 
 @dataclass

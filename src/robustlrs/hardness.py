@@ -311,7 +311,8 @@ def ball_gadget(params: HardnessParams, samples: int = 1000,
         # scale so the point is strictly inside radius sqrt(2) psi
         lam_scale = sqrt_down(r_sq * Q(2**20 - 1, 2**20) / nv2, 48)
         pt = tuple(cj + lam_scale * vj for cj, vj in zip(center, v))
-        assert sum((a - b) ** 2 for a, b in zip(pt, center)) <= r_sq
+        if sum((a - b) ** 2 for a, b in zip(pt, center)) > r_sq:
+            raise RuntimeError("sample point outside the ball")
         checked += 1
         z, x, y = pt[0], pt[1], pt[2]
         strict = (x < z) and (x * x + y * y < z * z)

@@ -123,12 +123,15 @@ class SpectralData:
     m: int
 
     def __post_init__(self):
-        assert self.dominant_indices, "dominant root set cannot be empty"
-        assert max(self.roots[i][1] for i in self.dominant_indices) == self.m + 1
+        if not self.dominant_indices:
+            raise RuntimeError("dominant root set cannot be empty")
+        if max(self.roots[i][1] for i in self.dominant_indices) != self.m + 1:
+            raise RuntimeError("m + 1 is not the largest dominant multiplicity")
         if self.rho.is_rational:
-            assert self.rho.as_rational() > 0
-        else:
-            assert self.rho.box(64).re.lo >= 0
+            if not self.rho.as_rational() > 0:
+                raise RuntimeError("dominant modulus is not positive")
+        elif not self.rho.box(64).re.lo >= 0:
+            raise RuntimeError("dominant modulus enclosure is not nonnegative")
 
     @property
     def order(self) -> int:

@@ -55,10 +55,9 @@ class SignOutcome:
 
     def __post_init__(self):
         v = self.verdict
-        if v == "POSITIVE":
-            assert self.enclosure.lo > 0
-        elif v == "NEGATIVE":
-            assert self.enclosure.hi < 0
+        if (v == "POSITIVE" and not self.enclosure.lo > 0) or \
+                (v == "NEGATIVE" and not self.enclosure.hi < 0):
+            raise RuntimeError(f"{v} outcome with enclosure {self.enclosure}")
 
 
 def dominant_value(form: DominantForm, t, torus: TorusParam | None = None,

@@ -1,9 +1,14 @@
+import random
 from fractions import Fraction as Q
 
 import pytest
+from sympy.polys import rootoftools
 
+from robustlrs import algebraic
 from robustlrs.interval import Box
-from robustlrs.poly import PolyRat, peval, pmul, pnorm, separation_bound
+from robustlrs.lrs import Lrr
+from robustlrs.poly import (PolyRat, peval, pmul, pnorm, separation_bound,
+                            factor_int)
 from robustlrs.algebraic import (AlgebraicNumber, FieldElement, NumberField,
                                  isolate_roots, refine, power_product_is_one,
                                  identify_root_of_unity)
@@ -183,3 +188,126 @@ def test_defining_poly_of_derived_element():
     a = AlgebraicNumber.from_element(e)
     # minimal polynomial of 1 + sqrt2 is x^2 - 2x - 1
     assert a.defining_poly.coefficients == (Q(-1), Q(-2), Q(1))
+
+
+# -- the bisection replay against sympy's own refinement ---------------------
+#
+# `algebraic._BisectionPath` replays the path of sympy's
+# `CRootOf.eval_rational` (halve the longer side, keep the half holding the
+# root, stop when both sides are < 2^-(bits+1), keep the deepest rectangle)
+# instead of calling it.  These tests pin that rule for the installed sympy:
+# each runs a sequence of seed requests once through the replay and once
+# through `eval_rational`, from the same fresh sympy state, and asks for the
+# same boxes.
+
+
+@pytest.fixture
+def fresh_roots(monkeypatch):
+    """Returns a reset to a fresh sympy root cache (and fresh replays); the
+    process's own caches come back after the test."""
+    def reset():
+        monkeypatch.setattr(rootoftools, "_reals_cache", rootoftools._pure_key_dict())
+        monkeypatch.setattr(rootoftools, "_complexes_cache",
+                            rootoftools._pure_key_dict())
+        monkeypatch.setattr(algebraic, "_PATHS", {})
+    return reset
+
+
+def _box_key(box):
+    return (box.re.lo, box.re.hi, box.im.lo, box.im.hi)
+
+
+def _replay_and_sympy(fresh_roots, monkeypatch, requests):
+    """Seed boxes for `requests` [(int poly, root index, bits)], in order,
+    from the replay and from sympy's `eval_rational`."""
+    def run():
+        fresh_roots()
+        return [_box_key(algebraic._sympy_expr_box(algebraic._rootof(p, i), bits))
+                for p, i, bits in requests]
+    replayed = run()
+    with monkeypatch.context() as m:
+        m.setattr(algebraic._BisectionPath, "centre",
+                  lambda self, bits: algebraic._eval_rational(self.root, bits))
+        reference = run()
+    return replayed, reference
+
+
+def _both_roots(p, bits_seq):
+    return [(p, i, b) for i in (0, 1) for b in bits_seq]
+
+
+def test_replay_matches_sympy_on_complex_quadratics(fresh_roots, monkeypatch):
+    grid = [(c, b, a) for a in (1, 2, 3, 4, 9) for b in range(-8, 9)
+            for c in range(1, 14) if b * b < 4 * a * c]
+    polys = random.Random(4).sample(grid, 40)
+    polys += [(4, -3, 1),   # roots 3/2 +- i sqrt(7)/2: on a vertical split line
+              (7, 0, 1)]    # +- i sqrt(7): on the imaginary axis
+    requests = [r for p in polys for r in _both_roots(p, [64])]
+    replayed, reference = _replay_and_sympy(fresh_roots, monkeypatch, requests)
+    assert replayed == reference
+
+
+def test_replay_keeps_sympys_deepest_rectangle(fresh_roots, monkeypatch):
+    # 64 then 128 bits, 128 then 64 (sympy keeps the deeper rectangle), and
+    # sympy writes a root of x^2+4 as 2 * (a root of x^2+1), so its 64-bit
+    # seed refines sympy's x^2+1 root to 68 bits
+    requests = (_both_roots((5, 2, 1), [64, 128]) + _both_roots((3, 1, 2), [128, 64])
+                + [((1, 0, 1), 1, 64), ((4, 0, 1), 1, 64), ((1, 0, 1), 1, 64),
+                   ((4, 0, 1), 0, 64), ((1, 0, 1), 0, 64)])
+    replayed, reference = _replay_and_sympy(fresh_roots, monkeypatch, requests)
+    assert replayed == reference
+    assert replayed[-3] != replayed[-5]    # x^2+1 at 64 bits after x^2+4
+
+
+def _acceptance4_factors(count):
+    """Irreducible factors of degree 3-6 with non-real roots, from the
+    characteristic polynomials of recurrences drawn as in acceptance 4."""
+    rng, out = random.Random(7), []
+    while len(out) < count:
+        order = rng.randint(1, 6)
+        coeffs = tuple(Q(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(order))
+        if coeffs[0] == 0:
+            continue
+        for fac, _ in factor_int(Lrr(coeffs).char_poly()):
+            if len(fac) >= 4 and fac not in out and \
+                    not all(algebraic._rootof(fac, i).is_real for i in range(len(fac) - 1)):
+                out.append(fac)
+    return out[:count]
+
+
+def test_replay_matches_sympy_on_higher_degree_roots(fresh_roots, monkeypatch):
+    requests = []
+    for k, fac in enumerate(_acceptance4_factors(4)):
+        complex_idx = [i for i in range(len(fac) - 1)
+                       if not algebraic._rootof(fac, i).is_real]
+        bits_seq = [[64], [64, 128], [128, 64], [64]][k]
+        requests += [(fac, i, b) for i in complex_idx[:2] for b in bits_seq]
+    # x^4 + 3x^2 + 1: four roots on the imaginary axis
+    requests += [((1, 0, 3, 0, 1), i, 64) for i in range(4)]
+    replayed, reference = _replay_and_sympy(fresh_roots, monkeypatch, requests)
+    assert replayed == reference
+
+
+def test_replay_falls_back_to_sympy(fresh_roots, monkeypatch):
+    # an undecided side hands the rest of the request to eval_rational, and
+    # the replay then continues from sympy's rectangle
+    calls = {"n": 0}
+    decide = algebraic._BisectionPath._upper_half
+
+    def undecided_once(self, vertical, m, bits):
+        calls["n"] += 1
+        return None if calls["n"] == 20 else decide(self, vertical, m, bits)
+
+    monkeypatch.setattr(algebraic._BisectionPath, "_upper_half", undecided_once)
+    fallbacks = []
+    fallback = algebraic._BisectionPath._fallback
+    monkeypatch.setattr(algebraic._BisectionPath, "_fallback",
+                        lambda self, bits: fallbacks.append(bits) or fallback(self, bits))
+    cubic = _acceptance4_factors(1)[0]
+    complex_idx = [i for i in range(len(cubic) - 1)
+                   if not algebraic._rootof(cubic, i).is_real]
+    requests = [((11, 3, 2), 1, 64), ((11, 3, 2), 1, 128), ((11, 3, 2), 1, 64),
+                (cubic, complex_idx[0], 64), (cubic, complex_idx[0], 128)]
+    replayed, reference = _replay_and_sympy(fresh_roots, monkeypatch, requests)
+    assert fallbacks == [64]
+    assert replayed == reference

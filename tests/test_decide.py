@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction as Q
+from pathlib import Path
 
 import pytest
 
@@ -6,7 +10,10 @@ from robustlrs.lrs import Lrr, InitialConfig, Ball, eval_terms
 from robustlrs.decide import (exists_robust_ultimate_positivity,
                               exists_robust_positivity, exists_robust_skolem,
                               robust_nonuniform_ultpos_open_ball,
-                              brute_force_check, Analysis)
+                              brute_force_check, Analysis, Certificate,
+                              Decision)
+from robustlrs.interval import Ival
+from robustlrs.optimize import SignOutcome
 
 FIB = Lrr((Q(1), Q(1)))
 ALT = Lrr((Q(-1),))
@@ -230,3 +237,32 @@ def test_incomplete_lattice_downgrades_no_to_unknown():
         if d.verdict == "UNKNOWN":
             assert "incomplete" in (d.certificate.reason or "")
     assert "UNKNOWN" in verdicts
+
+
+def test_soundness_invariants_raise_runtime_error():
+    with pytest.raises(RuntimeError):
+        Decision("YES", Certificate(kind="cap"))
+    with pytest.raises(RuntimeError):
+        Decision("UNKNOWN", Certificate(kind="violation"))
+    with pytest.raises(RuntimeError):
+        SignOutcome("POSITIVE", Ival(Q(-1), Q(1)))
+    with pytest.raises(RuntimeError):
+        SignOutcome("NEGATIVE", Ival(Q(0), Q(1)))
+
+
+def test_decision_invariant_holds_under_python_O():
+    # `python -O` strips asserts; the invariant must still raise, and as a
+    # RuntimeError (the CLI maps ValueError to the usage exit code 3)
+    code = ("from robustlrs.decide import Decision, Certificate\n"
+            "assert False\n"
+            "try:\n"
+            "    Decision('YES', Certificate(kind='cap'))\n"
+            "except RuntimeError:\n"
+            "    print('RuntimeError')\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    p = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
+                       text=True, env=env, timeout=120)
+    assert p.returncode == 0, p.stderr
+    assert p.stdout.strip() == "RuntimeError"
