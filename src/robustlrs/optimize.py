@@ -6,8 +6,11 @@ Replaces quantifier elimination with three routes, chosen by structure:
   with zero tests in a cyclotomic ring or a shared quadratic field;
 * a single free conjugate pair: the closed-form range
   S + [-2|w|, +2|w|] of S + w z + conj(w z), |z| = 1;
-* general: deterministic interval branch-and-bound over the free angles
-  (plain evaluation intersected with a first-order centered form).
+* general: deterministic interval branch-and-bound over the free angles.
+  Each box costs one cos/sin pass over its angles and one over its
+  midpoint; the plain enclosure, the first-order centered (mean-value)
+  form and the midpoint upper bound all come from those two passes.
+  `min_over_ball` runs the same objective and the same per-coset loop.
 
 A ZERO verdict is only ever issued with an exact certificate; when
 intervals alone cannot separate the minimum from zero the verdict is
@@ -123,8 +126,13 @@ class ExactReal:
         return None
 
 
-def _rou_data(a: AlgebraicNumber) -> tuple[int, int] | None:
-    return identify_root_of_unity(a)
+def _work_bits(tol: Fraction) -> int:
+    """floor(log2(1/tol)) + 32, exact for every positive rational tol."""
+    num, den = tol.denominator, tol.numerator   # 1/tol = num/den
+    k = num.bit_length() - den.bit_length()
+    if (num << max(-k, 0)) < (den << max(k, 0)):   # num/den < 2^k
+        k -= 1
+    return k + 32
 
 
 def _cyclo_combo(terms, rho: AlgebraicNumber | None) -> ExactReal | None:
@@ -135,7 +143,7 @@ def _cyclo_combo(terms, rho: AlgebraicNumber | None) -> ExactReal | None:
     r = rho.as_rational()
     datas = []
     for alpha, s, zeta_turn in terms:
-        rou = _rou_data(s)
+        rou = identify_root_of_unity(s)
         if rou is None:
             return None
         datas.append((alpha, rou, zeta_turn))
@@ -213,31 +221,34 @@ def _quadratic_combo(terms) -> ExactReal | None:
     return ExactReal(lambda bits: total.box(bits).re, exact_sign)
 
 
-def _coset_exact_value(form: DominantForm, torus: TorusParam,
-                       coset: int) -> ExactReal:
-    """dominant(c, coset point) on a finite torus, as exact as achievable."""
-    turns = torus.coset_turns[coset]
-    terms = [(alpha, s, turns[j]) for j, (alpha, s) in enumerate(form.terms)]
+def _exact_combo(terms, rho: AlgebraicNumber | None) -> ExactReal:
+    """Re sum alpha_j * zeta_j over (alpha, s, zeta_turn) terms, as exact as
+    achievable: rational, then cyclotomic, then one quadratic field, else a
+    certified refiner with no exact zero test."""
     if all(a.is_rational and t.denominator <= 2 for a, _, t in terms):
-        acc = ZERO
-        for a, _, t in terms:
-            acc += a.as_rational() * (1 if t == 0 else -1)
-        return ExactReal.of_rational(acc)
-    got = _cyclo_combo(terms, getattr(form, "rho", None))
-    if got is not None:
-        return got
-    got = _quadratic_combo(terms)
+        return ExactReal.of_rational(sum(
+            (a.as_rational() * (1 if t == 0 else -1) for a, _, t in terms),
+            ZERO))
+    got = _cyclo_combo(terms, rho) or _quadratic_combo(terms)
     if got is not None:
         return got
 
     def refiner(bits: int) -> Ival:
-        boxes = [unit_box(t, bits) for _, _, t in terms]
         acc = Box.point(0)
-        for (a, _, _), zb in zip(terms, boxes):
-            acc = acc + a.box(bits) * zb
+        for a, _, t in terms:
+            acc = acc + a.box(bits) * unit_box(t, bits)
         return acc.re
 
     return ExactReal(refiner)
+
+
+def _coset_exact_value(form: DominantForm, torus: TorusParam,
+                       coset: int) -> ExactReal:
+    """dominant(c, coset point) on a finite torus, as exact as achievable."""
+    turns = torus.coset_turns[coset]
+    return _exact_combo([(alpha, s, turns[j])
+                         for j, (alpha, s) in enumerate(form.terms)],
+                        getattr(form, "rho", None))
 
 
 # ---------------------------------------------------------------------------
@@ -305,12 +316,13 @@ def _minimizer_turn(alpha: AlgebraicNumber, coset_turn: Fraction,
 
 
 class _Objective:
-    """Interval objective over the free angles for one torsion coset."""
+    """Interval objective over the free angles for one torsion coset.
+
+    `evaluate` costs one cos/sin pass over a box's angles and one over its
+    midpoint, whatever the number of forms."""
 
     def __init__(self, forms: list[DominantForm], torus: TorusParam,
                  coset: int, bits: int):
-        self.torus = torus
-        self.coset = coset
         self.bits = bits
         self.k = torus.k
         self.embed = torus.embedding
@@ -325,60 +337,67 @@ class _Objective:
             self.weights.append(row)
         self.two_pi = pi_ival(bits) * 2
 
-    def _angles(self, sbox: list[Ival]) -> list[Ival]:
-        out = []
+    def _terms(self, sbox: list[Ival]) -> list[list[Box]]:
+        """w_j e^{2 pi i phi_j} per form and coordinate over sbox: one
+        cos/sin pass over the angles phi_j."""
+        zbs = []
         for j in range(self.k):
             t = Ival.point(0)
             for b in range(self.free):
                 e = self.embed[j][b]
                 if e:
                     t = t + sbox[b] * e
-            out.append(t)
+            zbs.append(Box(cos_turn(t, self.bits), sin_turn(t, self.bits)))
+        return [[w * zb for w, zb in zip(row, zbs)] for row in self.weights]
+
+    def _values(self, terms: list[list[Box]]) -> list[Ival]:
+        out = []
+        for row in terms:
+            acc = Ival.point(0)
+            for wz in row:
+                acc = acc + wz.re
+            out.append(acc.round_out(self.bits))
         return out
 
-    def value(self, sbox: list[Ival], which: int = 0) -> Ival:
-        angles = self._angles(sbox)
-        acc = Ival.point(0)
-        for w, t in zip(self.weights[which], angles):
-            zb = Box(cos_turn(t, self.bits), sin_turn(t, self.bits))
-            acc = acc + (w * zb).re
-        return acc.round_out(self.bits)
+    def evaluate(self, sbox: list[Ival]) -> tuple[list[Ival], list[Ival]]:
+        """(enclosures over sbox, enclosures at its midpoint), one per form.
 
-    def value_centered(self, sbox: list[Ival], which: int = 0) -> Ival:
-        plain = self.value(sbox, which)
+        Form 0's box enclosure is the plain one intersected with the
+        centered form f(m) + f'(sbox) (sbox - m), whose derivative reuses
+        the box's trig pass."""
         mid = [Ival.point(s.mid) for s in sbox]
-        fm = self.value(mid, which)
-        acc = fm
-        angles = self._angles(sbox)
+        terms = self._terms(sbox)
+        plain = self._values(terms)
+        at_mid = self._values(self._terms(mid))
+        acc = at_mid[0]
         for b in range(self.free):
             # d/ds_b sum Re(w e^{2 pi i phi}) = -2 pi sum e_jb Im(w e^{..})
             deriv = Ival.point(0)
             for j in range(self.k):
                 e = self.embed[j][b]
-                if not e:
-                    continue
-                zb = Box(cos_turn(angles[j], self.bits),
-                         sin_turn(angles[j], self.bits))
-                deriv = deriv + (self.weights[which][j] * zb).im * (-e)
-            deriv = deriv * self.two_pi
-            acc = acc + deriv * (sbox[b] - Ival.point(sbox[b].mid))
-        return acc.intersect(plain) if acc.overlaps(plain) else plain
+                if e:
+                    deriv = deriv + terms[0][j].im * (-e)
+            acc = acc + deriv * self.two_pi * (sbox[b] - mid[b])
+        centered = (acc.intersect(plain[0]) if acc.overlaps(plain[0])
+                    else plain[0])
+        return [centered] + plain[1:], at_mid
 
 
 def _branch_and_bound(value_fn, free: int, tol: Fraction,
                       max_boxes: int = _MAX_BOXES, sign_exit: bool = False):
     """Minimize a certified interval objective over [0,1)^free.
 
+    `value_fn(box)` returns (enclosure over the box, enclosure at its
+    midpoint); the midpoint's upper end bounds the minimum from above.
     Returns (enclosure, witness_angles, converged).  Deterministic: boxes
     are ordered by (lower bound, insertion counter).  With `sign_exit` the
     search stops as soon as the sign of the minimum is certified, even if
     the enclosure is wider than tol."""
     if free == 0:
-        iv = value_fn([],)
-        return iv, (), True
+        return value_fn([])[0], (), True
     start = [Ival(ZERO, ONE) for _ in range(free)]
     counter = itertools.count()
-    iv0 = value_fn(start)
+    iv0 = value_fn(start)[0]
     heap = [(iv0.lo, next(counter), start)]
     upper = iv0.hi
     best_mid = tuple(s.mid for s in start)
@@ -400,16 +419,41 @@ def _branch_and_bound(value_fn, free: int, tol: Fraction,
         for part in (Ival(box[dim].lo, mid), Ival(mid, box[dim].hi)):
             child = list(box)
             child[dim] = part
-            iv = value_fn(child)
-            mid_pt = [Ival.point(s.mid) for s in child]
-            center_hi = value_fn(mid_pt).hi
-            if center_hi < upper:
-                upper = center_hi
+            iv, at_mid = value_fn(child)
+            if at_mid.hi < upper:
+                upper = at_mid.hi
                 best_mid = tuple(s.mid for s in child)
             if iv.lo <= upper:
                 heapq.heappush(heap, (iv.lo, next(counter), child))
     global_lo = min((item[0] for item in heap), default=upper)
     return Ival(min(global_lo, upper), upper), best_mid, converged
+
+
+def _bb_min(forms, torus, tol, value_of, method: str, **bnb) -> SignOutcome:
+    """Branch and bound of `value_of(objective, box)` on every torsion
+    coset; the least enclosure decides the sign."""
+    bits = max(96, _work_bits(tol))
+    best = None
+    all_converged = True
+    for coset in range(len(torus.finite_part)):
+        obj = _Objective(forms, torus, coset, bits)
+        encl, mids, conv = _branch_and_bound(
+            lambda sbox, obj=obj: value_of(obj, sbox), torus.free_rank, tol,
+            **bnb)
+        all_converged = all_converged and conv
+        wit = TorusPoint(coset, mids)
+        if best is None:
+            best = (encl, wit)
+        else:
+            lo = min(best[0].lo, encl.lo)
+            hi = min(best[0].hi, encl.hi)
+            keep = best[1] if best[0].hi <= encl.hi else wit
+            best = (Ival(lo, hi), keep)
+    encl, wit = best
+    verdict = ("POSITIVE" if encl.lo > 0 else
+               "NEGATIVE" if encl.hi < 0 else "UNKNOWN")
+    return SignOutcome(verdict, encl, wit, tol, torus.lattice.complete,
+                       method, converged=all_converged)
 
 
 # ---------------------------------------------------------------------------
@@ -485,6 +529,7 @@ class _PairCoset:
     mag2: Optional[Fraction]        # |w|^2 exact, when available
     coset: int
     witness_turn: Fraction
+    alpha: AlgebraicNumber          # w's coefficient, for |w| when mag2 is None
 
     def lo_ival(self, bits: int) -> Ival:
         return self.S.ival(bits) - self._two_mag(bits)
@@ -497,9 +542,7 @@ class _PairCoset:
             if is_perfect_square(self.mag2):
                 return Ival.point(2 * exact_sqrt(self.mag2))
             return Ival.point(self.mag2).sqrt(bits) * 2
-        return self._alpha_box(bits).abs_sq().sqrt(bits) * 2
-
-    _alpha_box = None  # patched in by the builder when mag2 is unavailable
+        return self.alpha.box(bits).abs_sq().sqrt(bits) * 2
 
     def exact_min_sign(self) -> Optional[int]:
         """Sign of S - 2|w| decided exactly when S, |w|^2 are rational."""
@@ -529,33 +572,16 @@ def _pair_closed_form(form, torus, tol, absolute: bool):
     cosets = []
     for coset in range(len(torus.finite_part)):
         turns = torus.coset_turns[coset]
-        fixed_terms = [(form.terms[j][0], form.terms[j][1], turns[j])
-                       for j in fixed_idx]
-        if not fixed_terms:
-            S = ExactReal.of_rational(ZERO)
-        elif all(al.is_rational and t.denominator <= 2
-                 for al, _, t in fixed_terms):
-            s_val = sum((al.as_rational() * (1 if t == 0 else -1)
-                         for al, _, t in fixed_terms), ZERO)
-            S = ExactReal.of_rational(s_val)
-        else:
-            S = (_cyclo_combo(fixed_terms, getattr(form, "rho", None))
-                 or _quadratic_combo(fixed_terms))
-            if S is None:
-                def refiner(bits, ts=fixed_terms):
-                    acc = Box.point(0)
-                    for al, _, t in ts:
-                        acc = acc + al.box(bits) * unit_box(t, bits)
-                    return acc.re
-                S = ExactReal(refiner)
+        S = _exact_combo([(form.terms[j][0], form.terms[j][1], turns[j])
+                          for j in fixed_idx], getattr(form, "rho", None))
         iv = S.ival(96)
         s_rat = iv.lo if iv.lo == iv.hi else None
         pc = _PairCoset(S=S, s_rat=s_rat, mag2=mag2, coset=coset,
-                        witness_turn=_minimizer_turn(alpha, turns[a], e_mult))
-        pc._alpha_box = alpha.box
+                        witness_turn=_minimizer_turn(alpha, turns[a], e_mult),
+                        alpha=alpha)
         cosets.append(pc)
     lat_ok = torus.lattice.complete
-    bits = max(128, int(-math.log2(float(tol))) + 32)
+    bits = max(128, _work_bits(tol))
     if absolute:
         return _pair_nu(cosets, bits, tol, lat_ok)
     return _pair_mu(cosets, bits, tol, lat_ok)
@@ -631,39 +657,6 @@ def _pair_nu(cosets: list[_PairCoset], bits, tol, lat_ok) -> SignOutcome:
                        "pair-closed-form")
 
 
-def _bb_min(forms, torus, tol, absolute: bool):
-    bits = max(96, int(-math.log2(float(tol))) + 32) if tol < 1 else 96
-    best = None
-    all_converged = True
-    for coset in range(len(torus.finite_part)):
-        obj = _Objective(forms, torus, coset, bits)
-
-        def value_fn(sbox, obj=obj):
-            iv = obj.value_centered(sbox)
-            return iv.abs() if absolute else iv
-
-        encl, mids, conv = _branch_and_bound(value_fn, torus.free_rank, tol)
-        all_converged = all_converged and conv
-        wit = TorusPoint(coset, mids)
-        if best is None:
-            best = (encl, wit)
-        else:
-            lo = min(best[0].lo, encl.lo)
-            hi = min(best[0].hi, encl.hi)
-            keep = best[1] if best[0].hi <= encl.hi else wit
-            best = (Ival(lo, hi), keep)
-    encl, wit = best
-    lat_ok = torus.lattice.complete
-    if encl.lo > 0:
-        return SignOutcome("POSITIVE", encl, wit, tol, lat_ok,
-                           converged=all_converged)
-    if encl.hi < 0:
-        return SignOutcome("NEGATIVE", encl, wit, tol, lat_ok,
-                           converged=all_converged)
-    return SignOutcome("UNKNOWN", encl, wit, tol, lat_ok,
-                       converged=all_converged)
-
-
 def _minimize(forms, torus, tol, absolute: bool):
     form = forms[0]
     if torus.free_rank == 0 and len(forms) == 1:
@@ -672,7 +665,12 @@ def _minimize(forms, torus, tol, absolute: bool):
         got = _pair_closed_form(form, torus, tol, absolute)
         if got is not None:
             return got
-    return _bb_min(forms, torus, tol, absolute)
+
+    def value_of(obj, sbox):
+        (iv,), (at_mid,) = obj.evaluate(sbox)
+        return (iv.abs(), at_mid.abs()) if absolute else (iv, at_mid)
+
+    return _bb_min(forms, torus, tol, value_of, "branch-and-bound")
 
 
 def _with_escalation(run, tol):
@@ -723,43 +721,16 @@ def min_over_ball(family: DominantFamily, radius: Fraction,
     if radius <= 0:
         raise ValueError("radius must be positive")
     tol = Q(tol)
-    bits_for = lambda t: max(96, int(-math.log2(float(t))) + 32)
 
-    def run(t):
-        bits = bits_for(t)
-        best = None
-        all_converged = True
-        for coset in range(len(torus.finite_part)):
-            obj = _Objective([family.center] + family.basis, torus, coset, bits)
+    def value_of(obj, sbox):
+        out = []
+        for vals in obj.evaluate(sbox):   # the box, then its midpoint
+            norm_sq = Ival.point(0)
+            for v in vals[1:]:
+                norm_sq = norm_sq + v.sq()
+            out.append(vals[0] - norm_sq.sqrt(obj.bits) * radius)
+        return tuple(out)
 
-            def value_fn(sbox, obj=obj):
-                center = obj.value_centered(sbox, 0)
-                norm_sq = Ival.point(0)
-                for which in range(1, len(family.basis) + 1):
-                    norm_sq = norm_sq + obj.value(sbox, which).sq()
-                return center - norm_sq.sqrt(obj.bits) * radius
-
-            encl, mids, conv = _branch_and_bound(value_fn, torus.free_rank, t,
-                                                 max_boxes=20_000,
-                                                 sign_exit=True)
-            all_converged = all_converged and conv
-            wit = TorusPoint(coset, mids)
-            if best is None:
-                best = (encl, wit)
-            else:
-                lo = min(best[0].lo, encl.lo)
-                hi = min(best[0].hi, encl.hi)
-                keep = best[1] if best[0].hi <= encl.hi else wit
-                best = (Ival(lo, hi), keep)
-        encl, wit = best
-        lat_ok = torus.lattice.complete
-        if encl.lo > 0:
-            return SignOutcome("POSITIVE", encl, wit, t, lat_ok, "ball-bnb",
-                               converged=all_converged)
-        if encl.hi < 0:
-            return SignOutcome("NEGATIVE", encl, wit, t, lat_ok, "ball-bnb",
-                               converged=all_converged)
-        return SignOutcome("UNKNOWN", encl, wit, t, lat_ok, "ball-bnb",
-                           converged=all_converged)
-
-    return _with_escalation(run, tol)
+    return _with_escalation(
+        lambda t: _bb_min([family.center] + family.basis, torus, t, value_of,
+                          "ball-bnb", max_boxes=20_000, sign_exit=True), tol)

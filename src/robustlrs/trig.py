@@ -58,35 +58,19 @@ def pi_ival(bits: int = 128) -> Ival:
     return _PI_CACHE[bits]
 
 
-def _cos_series(x: Ival, bits: int) -> Ival:
-    """cos on 0 <= x <= 1 (radians), alternating Taylor series."""
-    term = Ival.point(1)
-    acc = Ival.point(1)
+def _taylor_series(x: Ival, bits: int, odd: int) -> Ival:
+    """cos (odd = 0) or sin (odd = 1) on 0 <= x <= 1 (radians): the
+    alternating Taylor series x^(2k + odd) / (2k + odd)!."""
+    term = acc = x if odd else Ival.point(1)
     x2 = (x * x).round_out(bits + 8)
     k = 0
     threshold = Q(1, 1 << (bits + 4))
     while True:
         k += 1
-        term = (term * x2 * Q(1, (2 * k - 1) * (2 * k))).round_out(bits + 8)
+        term = (term * x2 * Q(1, (2 * k - 1 + odd) * (2 * k + odd))
+                ).round_out(bits + 8)
         if term.hi < threshold:
             # remainder bounded by the first omitted term (terms decreasing)
-            acc = acc + Ival(-term.hi, term.hi)
-            break
-        acc = acc + (term if k % 2 == 0 else -term)
-    return acc.round_out(bits + 2).intersect(Ival(Q(-1), Q(1)))
-
-
-def _sin_series(x: Ival, bits: int) -> Ival:
-    """sin on 0 <= x <= 1 (radians), alternating Taylor series."""
-    term = x
-    acc = x
-    x2 = (x * x).round_out(bits + 8)
-    k = 0
-    threshold = Q(1, 1 << (bits + 4))
-    while True:
-        k += 1
-        term = (term * x2 * Q(1, (2 * k) * (2 * k + 1))).round_out(bits + 8)
-        if term.hi < threshold:
             acc = acc + Ival(-term.hi, term.hi)
             break
         acc = acc + (term if k % 2 == 0 else -term)
@@ -96,15 +80,15 @@ def _sin_series(x: Ival, bits: int) -> Ival:
 def _cos2pi_quarter(r: Fraction, bits: int) -> Ival:
     """cos(2 pi r) for 0 <= r <= 1/4."""
     if r <= Q(1, 8):
-        return _cos_series(pi_ival(bits + 8) * (2 * r), bits)
-    return _sin_series(pi_ival(bits + 8) * (2 * (Q(1, 4) - r)), bits)
+        return _taylor_series(pi_ival(bits + 8) * (2 * r), bits, 0)
+    return _taylor_series(pi_ival(bits + 8) * (2 * (Q(1, 4) - r)), bits, 1)
 
 
 def _sin2pi_quarter(r: Fraction, bits: int) -> Ival:
     """sin(2 pi r) for 0 <= r <= 1/4."""
     if r <= Q(1, 8):
-        return _sin_series(pi_ival(bits + 8) * (2 * r), bits)
-    return _cos_series(pi_ival(bits + 8) * (2 * (Q(1, 4) - r)), bits)
+        return _taylor_series(pi_ival(bits + 8) * (2 * r), bits, 1)
+    return _taylor_series(pi_ival(bits + 8) * (2 * (Q(1, 4) - r)), bits, 0)
 
 
 def cos_turn_point(r: Fraction, bits: int = 64) -> Ival:
@@ -143,8 +127,8 @@ def cos_turn(t: Ival, bits: int = 64) -> Ival:
     """Enclosure of cos(2 pi x) for x in t (turns)."""
     if t.width >= 1:
         return Ival(Q(-1), Q(1))
-    vals = [cos_turn_point(t.lo, bits), cos_turn_point(t.hi, bits)]
-    out = Ival.hull(vals)
+    # a set: a point interval (a box midpoint) is evaluated once
+    out = Ival.hull([cos_turn_point(x, bits) for x in {t.lo, t.hi}])
     if _has_point_mod1(t.lo, t.hi, ZERO):
         out = Ival(out.lo, ONE)
     if _has_point_mod1(t.lo, t.hi, Q(1, 2)):
@@ -156,8 +140,7 @@ def sin_turn(t: Ival, bits: int = 64) -> Ival:
     """Enclosure of sin(2 pi x) for x in t (turns)."""
     if t.width >= 1:
         return Ival(Q(-1), Q(1))
-    vals = [sin_turn_point(t.lo, bits), sin_turn_point(t.hi, bits)]
-    out = Ival.hull(vals)
+    out = Ival.hull([sin_turn_point(x, bits) for x in {t.lo, t.hi}])
     if _has_point_mod1(t.lo, t.hi, Q(1, 4)):
         out = Ival(out.lo, ONE)
     if _has_point_mod1(t.lo, t.hi, Q(3, 4)):

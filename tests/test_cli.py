@@ -189,6 +189,19 @@ def test_decide_zero_coset_unknown_in_time():
     assert elapsed < 60, f"took {elapsed:.1f} s"
 
 
+@pytest.mark.parametrize("tol", [f"1/{10**400}", str(10**400)])
+def test_mu_tol_beyond_float_range(tol):
+    # the working precision comes from tol exactly: 1/10^400 underflows a
+    # float (log2 domain error) and 10^400 overflows one
+    doc = ('{"coeffs":["-1","22/5","-231/25","292/25","-231/25","22/5"],'
+           '"init":["3","1","0","2","1","5"]}')
+    p = run_cli(["mu", "--problem", "-", "--tol", tol], stdin=doc)
+    assert p.returncode == 0, p.stderr
+    out = json.loads(p.stdout)
+    assert out["verdict"] == "POSITIVE"
+    assert out["tolerance"] == tol
+
+
 def test_plot_orbit_deterministic():
     doc = '{"coeffs":["1","1"],"init":["1","1"]}'
     p1 = run_cli(["plot", "--kind", "orbit", "--range", "20",

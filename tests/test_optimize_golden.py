@@ -1,0 +1,92 @@
+"""Exact outputs of the certified optimizer, pinned byte for byte.
+
+`optimize_golden.json` holds the `SignOutcome`s these calls returned
+before the branch and bound was changed to evaluate each box once (one
+cos/sin pass over its angles, one over its midpoint).  The optimizer is
+exact `Fraction` interval arithmetic with a fixed sequence of operations,
+so a refactor that performs the same operations on the same values must
+reproduce every enclosure endpoint, witness angle, tolerance, method and
+convergence flag exactly.
+
+The nu case calls `optimize._minimize` (one pass, no escalation): nu on
+two independent unit-modulus pairs has an exact zero, so the public `nu`
+escalates until it reaches the box cap, which takes minutes.
+"""
+
+import json
+from fractions import Fraction as Q
+from pathlib import Path
+
+import pytest
+
+from robustlrs.decide import Analysis, robust_nonuniform_ultpos_open_ball
+from robustlrs.lrs import Ball, InitialConfig, Lrr, normalize, spectral
+from robustlrs.optimize import (DominantFamily, _minimize, min_over_ball, mu)
+from robustlrs.poly import pmul
+from robustlrs.torus import parametrize, relation_lattice
+
+GOLDEN = json.loads((Path(__file__).with_name("optimize_golden.json"))
+                    .read_text(encoding="utf-8"))
+
+FIB = Lrr((Q(1), Q(1)))
+# (x^2 - 6/5 x + 1)(x^2 - 10/13 x + 1): two pairs at independent angles,
+# so the torus has two free angles and the optimizer branches and bounds
+TWO_PAIR = Lrr(tuple(-c for c in pmul((Q(1), Q(-6, 5), Q(1)),
+                                      (Q(1), Q(-10, 13), Q(1)))[:4]))
+# (x - 1)^2 (x^2 - 6/5 x + 1)^2, the order-6 family at p = 3/5
+P35 = Lrr((Q(-1), Q(22, 5), Q(-231, 25), Q(292, 25), Q(-231, 25),
+           Q(22, 5)))
+TWO_PAIR_TOL = Q(1, 4)
+
+
+def cfg(*vals):
+    return InitialConfig(tuple(Q(v) for v in vals))
+
+
+def _outcome(out):
+    return {"verdict": out.verdict,
+            "enclosure": [str(out.enclosure.lo), str(out.enclosure.hi)],
+            "witness": None if out.witness is None else
+            [out.witness.coset, [str(a) for a in out.witness.angles]],
+            "tol": str(out.tol), "method": out.method,
+            "converged": out.converged}
+
+
+def _two_pair(absolute):
+    a = Analysis.build(TWO_PAIR, cfg(1, 0, 0, 0))
+    if absolute:
+        return _minimize([a.form], a.torus, TWO_PAIR_TOL, True)
+    return mu(a.form, a.torus, TWO_PAIR_TOL)
+
+
+def _fib_ball(center, radius):
+    spec = spectral(FIB)
+    center_form, _ = normalize(FIB, cfg(*center), spec)
+    basis = [normalize(FIB, cfg(1, 0), spec)[0],
+             normalize(FIB, cfg(0, 1), spec)[0]]
+    torus = parametrize(relation_lattice([s for _, s in center_form.terms]))
+    return min_over_ball(DominantFamily(center_form, basis), radius, torus)
+
+
+def _p35_ball(init):
+    d = robust_nonuniform_ultpos_open_ball(P35, Ball(cfg(*init), Q(1, 20)))
+    return d.certificate.optimum
+
+
+def _cases():
+    """(key, thunk) pairs; each thunk returns a SignOutcome."""
+    yield "mu two-pair 1,0,0,0", lambda: _two_pair(False)
+    yield "nu two-pair 1,0,0,0 one pass", lambda: _two_pair(True)
+    for center, radius in (((1, 1), Q(1, 10)), ((1, 1), Q(1, 10**6)),
+                           ((-1, -1), Q(1, 2))):
+        yield (f"min_over_ball fib {center} r={radius}",
+               lambda c=center, r=radius: _fib_ball(c, r))
+    for init in ((3, 1, 0, 2, 1, 5), (1, 0, 0, 0, 0, 0), (2, 1, 1, 1, 0, 0)):
+        yield (f"open ball p=3/5 {init} r=1/20",
+               lambda i=init: _p35_ball(i))
+
+
+@pytest.mark.parametrize("key,thunk", list(_cases()),
+                         ids=[k for k, _ in _cases()])
+def test_golden_outcome(key, thunk):
+    assert _outcome(thunk()) == GOLDEN[key]
