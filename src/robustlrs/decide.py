@@ -23,8 +23,8 @@ import numpy as np
 from .qmath import Q, ZERO, ONE
 from .lrs import (Lrr, InitialConfig, Ball, eval_terms, spectral,
                   exp_poly_solution, normalize, residual_threshold,
-                  term_sign, exact_zeros_up_to, OrbitScanner, DominantForm,
-                  ResidualEvaluator)
+                  term_sign, scaled_term, exact_zeros_up_to, OrbitScanner,
+                  DominantForm, ResidualEvaluator)
 from .torus import relation_lattice, parametrize, TorusParam
 from .optimize import (mu, nu, min_over_ball, DominantFamily, SignOutcome,
                        DEFAULT_TOL)
@@ -39,6 +39,10 @@ class Certificate:
     violating_value: Optional[Fraction] = None
     optimum: Optional[SignOutcome] = None
     threshold: Optional[int] = None
+    # least prefix value: min u_n over n <= threshold when the prefix is
+    # evaluated exactly (threshold <= 4096); past that, the least certified
+    # lower bound of v_n = u_n/(n^m rho^n) from the orbit scan, or 0 once a
+    # term had to be confirmed positive by an exact sign test
     prefix_margin: Optional[Fraction] = None
     witness_radius: Optional[Fraction] = None
     reason: Optional[str] = None
@@ -160,24 +164,27 @@ def _prefix_scan(lrr: Lrr, c: InitialConfig, n_thr: int, want_zero: bool):
         if zeros:
             return zeros[0], ZERO, None
         return None, None, None
-    # long positivity prefix: certified scan with exact confirmation
-    margin = None
+    # long positivity prefix: certified scan with exact confirmation; the
+    # least lower bound is kept as an integer pair (numerator, denominator)
+    low = None
     sc = OrbitScanner(lrr, c, bits=192)
     v0 = c.entries[0]
     if v0 <= 0:
         return 0, v0, None
     for n in range(1, n_thr + 1):
         sc.step()
-        iv = sc.v_box().re
-        if iv.lo > 0:
-            margin = iv.lo if margin is None else min(margin, iv.lo)
+        lo, _, _, _, den = sc.enclosure()
+        if lo > 0:
+            if low is None or lo * low[1] < low[0] * den:
+                low = (lo, den)
             continue
         s = term_sign(lrr, c, n)
         if s <= 0:
-            val = eval_terms(lrr, c, n)[n] if n <= 4096 else None
+            val = Q(*scaled_term(lrr, c, n)) if n <= 4096 else None
             return n, val, None
-        margin = ZERO if margin is None else margin
-    return None, None, margin
+        # u_n > 0 exactly, but no positive lower bound of v_n is certified
+        low = (0, 1)
+    return None, None, None if low is None else Q(*low)
 
 
 def exists_robust_positivity(lrr: Lrr, c: InitialConfig,

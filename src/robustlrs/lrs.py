@@ -12,6 +12,7 @@ exact evaluator.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -649,7 +650,14 @@ def _ratio_to_rho(root: AlgebraicNumber, rho: AlgebraicNumber) -> AlgebraicNumbe
 
 def residual_threshold(res: ResidualEvaluator, eps: Fraction,
                        bits: int = 96) -> int:
-    """Certified N with |v_n^res| < eps for all n > N."""
+    """Certified N with |v_n^res| < eps for all n > N.
+
+    eps is split evenly over the residual terms, and each term's bound
+    A * n^t * beta^n is pushed below its share by doubling then bisection
+    (`_term_threshold`); N is the largest per-term index.  A probe
+    compares floor/ceiling 128-bit dyadic bounds of beta^n with the share
+    and multiplies out the exact integer powers only when they straddle
+    it, so N is exactly the index the rational comparison gives."""
     eps = Q(eps)
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -657,52 +665,108 @@ def residual_threshold(res: ResidualEvaluator, eps: Fraction,
         return 0
     bounds = res.term_bounds(bits)
     per_term = eps / len(bounds)
-    worst = 0
-    for a_hi, t, beta in bounds:
-        if a_hi == 0:
-            continue
-        if beta == 1:
-            # a * n^t with t <= -1: need n^|t| > a/per_term
-            if t >= 0:
-                raise AssertionError("unit-modulus residual term must decay")
-            target = a_hi / per_term
-            n = 1
-            while Q(n) ** (-t) <= target:
-                n *= 2
-            lo, hi = n // 2, n
-            while lo + 1 < hi:
-                mid = (lo + hi) // 2
-                if Q(mid) ** (-t) <= target:
-                    lo = mid
-                else:
-                    hi = mid
-            worst = max(worst, lo)
-            continue
-        # geometric decay: find n0 from which the term decreases, i.e.
-        # beta * ((n+1)/n)^t < 1 for n >= n0, then push below per_term
-        n0 = 1
-        if t > 0:
-            while beta * Q(n0 + 1, n0) ** t >= 1:
-                n0 *= 2
+    return max((_term_threshold(a_hi, t, beta, per_term)
+                for a_hi, t, beta in bounds if a_hi != 0), default=0)
 
-        def term_at(n):
-            return a_hi * Q(n) ** t * beta ** n
 
-        if term_at(n0) < per_term:
-            worst = max(worst, n0 - 1)
-            continue
-        n = n0
-        while term_at(n) >= per_term:
+def _term_threshold(a: Fraction, t: int, beta: Fraction,
+                    eps: Fraction) -> int:
+    """N with a * n^t * beta^n < eps for every n > N: doubling then
+    bisection, from the n0 where the bound starts to decrease."""
+    if beta == 1:
+        # a * n^t with t <= -1: need n^|t| > a/eps
+        if t >= 0:
+            raise AssertionError("unit-modulus residual term must decay")
+        target = a / eps
+        n = 1
+        while Q(n) ** (-t) <= target:
             n *= 2
-        lo, hi = n // 2, n  # term(lo) >= per_term > term(hi), lo >= n0
+        lo, hi = n // 2, n
         while lo + 1 < hi:
             mid = (lo + hi) // 2
-            if term_at(mid) >= per_term:
+            if Q(mid) ** (-t) <= target:
                 lo = mid
             else:
                 hi = mid
-        worst = max(worst, lo)
-    return worst
+        return lo
+    # geometric decay: find n0 from which the term decreases, i.e.
+    # beta * ((n+1)/n)^t < 1 for n >= n0, then push below eps
+    n0 = 1
+    if t > 0:
+        while beta * Q(n0 + 1, n0) ** t >= 1:
+            n0 *= 2
+    # a * n^t * beta^n >= eps  <=>  x * beta^n >= y over the integers
+    x = a.numerator * eps.denominator
+    y = eps.numerator * a.denominator
+    bn, bd = beta.numerator, beta.denominator
+
+    def above(n):
+        if t >= 0:
+            return _pow_ge(x * n ** t, y, bn, bd, n)
+        return _pow_ge(x, y * n ** -t, bn, bd, n)
+
+    if not above(n0):
+        return n0 - 1
+    n = n0
+    while above(n):
+        n *= 2
+    lo, hi = n // 2, n  # term(lo) >= eps > term(hi), lo >= n0
+    while lo + 1 < hi:
+        mid = (lo + hi) // 2
+        if above(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+_POW_BITS = 128
+
+
+def _pow_ge(x: int, y: int, bn: int, bd: int, n: int) -> bool:
+    """x * (bn/bd)^n >= y for integers x, y, bn >= 0, bd > bn, n >= 1.
+
+    Decided from floor/ceiling dyadic bounds of (bn/bd)^n with
+    `_POW_BITS`-bit mantissas; only when they straddle y does the exact
+    integer comparison run (the powers there are n * log2(bd) bits)."""
+    lo, hi = _dyadic_pow(bn, bd, n)
+    if _dyadic_ge(x, lo, y):
+        return True
+    if not _dyadic_ge(x, hi, y):
+        return False
+    return x * bn ** n >= y * bd ** n
+
+
+def _dyadic_ge(x: int, d: tuple[int, int], y: int) -> bool:
+    m, e = d
+    if e >= 0:
+        return (x * m) << e >= y
+    return x * m >= y << -e
+
+
+def _dyadic_pow(bn: int, bd: int, n: int):
+    """(m, e) pairs lo, hi with lo <= (bn/bd)^n <= hi, value m * 2^e; every
+    product is floored (lo) or ceiled (hi) back to `_POW_BITS` bits."""
+
+    def mul(a, b, up):
+        m, e = a[0] * b[0], a[1] + b[1]
+        sh = m.bit_length() - _POW_BITS
+        if sh > 0:
+            m = -(-m >> sh) if up else m >> sh
+            e += sh
+        return m, e
+
+    s = _POW_BITS + bd.bit_length() - bn.bit_length()  # > 0: bn < bd
+    blo = ((bn << s) // bd, -s)
+    bhi = (-(-(bn << s) // bd), -s)
+    lo = hi = (1, 0)
+    while n:
+        if n & 1:
+            lo, hi = mul(lo, blo, False), mul(hi, bhi, True)
+        n >>= 1
+        if n:
+            blo, bhi = mul(blo, blo, False), mul(bhi, bhi, True)
+    return lo, hi
 
 
 # ---------------------------------------------------------------------------
@@ -749,7 +813,10 @@ class OrbitScanner:
     Unit-root powers are tracked as dyadic points with additive error
     (multiplication by a unit-modulus number is an isometry up to the
     approximation of the base itself), so enclosure widths grow only
-    linearly in n.
+    linearly in n.  Every track's alpha enclosure is held as integer
+    endpoints over one common denominator, so the enclosure of v_n is
+    computed on integers, over `den * 2^bits * n^P` with P the largest
+    -npow (`enclosure`); `v_box` turns it into a `Box` of `Fraction`s.
     """
 
     def __init__(self, lrr: Lrr, c: InitialConfig, bits: int = 160,
@@ -764,7 +831,17 @@ class OrbitScanner:
         self.form, self.res = form, res
         triples = [(a, b, 0) for a, b in form.terms] + \
                   [(t.alpha, t.base, t.npow) for t in res.terms]
-        self._track = [_PowerTrack(a, b, npow, bits) for a, b, npow in triples]
+        ends = []
+        for a, _, _ in triples:
+            ab = a.refine(Q(1, 1 << bits))
+            ends.append((ab.re.lo, ab.re.hi, ab.im.lo, ab.im.hi))
+        den = math.lcm(*(x.denominator for e in ends for x in e))
+        self._track = [
+            _PowerTrack(tuple(x.numerator * (den // x.denominator) for x in e),
+                        b, npow, bits)
+            for e, (_, b, npow) in zip(ends, triples)]
+        self._den = den << bits
+        self._npow_max = max([0] + [-t.npow for t in self._track])
         self.n = 0
 
     def step(self):
@@ -772,33 +849,65 @@ class OrbitScanner:
             t.step()
         self.n += 1
 
-    def v_box(self) -> Box:
+    def enclosure(self) -> tuple[int, int, int, int, int]:
+        """(re_lo, re_hi, im_lo, im_hi, den): integers with v_n in
+        [re_lo, re_hi]/den + i [im_lo, im_hi]/den, den > 0."""
         if self.n < 1:
             raise ValueError("scan value defined for n >= 1")
-        acc = Box.point(0)
-        for t in self._track:
-            acc = acc + t.value_box(self.n)
-        return acc
+        return self._sum(self._track, self.n)
+
+    def v_box(self) -> Box:
+        return _box_of(*self.enclosure())
 
     def v_dom_box(self) -> Box:
-        acc = Box.point(0)
-        for t in self._track[:len(self.form.terms)]:
-            acc = acc + t.value_box(max(self.n, 1))
-        return acc
+        return _box_of(*self._sum(self._track[:len(self.form.terms)],
+                                  max(self.n, 1)))
+
+    def _sum(self, tracks, n: int):
+        rl = rh = il = ih = 0
+        for t in tracks:
+            e = t.err + 2
+            pr_lo, pr_hi, pi_lo, pi_hi = t.vr - e, t.vr + e, t.vi - e, t.vi + e
+            ar_lo, ar_hi, ai_lo, ai_hi = t.alpha
+            # (alpha box) * (power box): re = ar pr - ai pi, im = ar pi + ai pr
+            re_lo, re_hi = _imul(ar_lo, ar_hi, pr_lo, pr_hi)
+            im_lo, im_hi = _imul(ar_lo, ar_hi, pi_lo, pi_hi)
+            if ai_lo or ai_hi:  # else both ai products are the point 0
+                b_lo, b_hi = _imul(ai_lo, ai_hi, pi_lo, pi_hi)
+                d_lo, d_hi = _imul(ai_lo, ai_hi, pr_lo, pr_hi)
+                re_lo, re_hi = re_lo - b_hi, re_hi - b_lo
+                im_lo, im_hi = im_lo + d_lo, im_hi + d_hi
+            s = n ** (t.npow + self._npow_max)
+            rl += re_lo * s
+            rh += re_hi * s
+            il += im_lo * s
+            ih += im_hi * s
+        return rl, rh, il, ih, self._den * n ** self._npow_max
+
+
+def _imul(a_lo: int, a_hi: int, b_lo: int, b_hi: int) -> tuple[int, int]:
+    p = (a_lo * b_lo, a_lo * b_hi, a_hi * b_lo, a_hi * b_hi)
+    return min(p), max(p)
+
+
+def _box_of(rl: int, rh: int, il: int, ih: int, den: int) -> Box:
+    return Box(Ival(Q(rl, den), Q(rh, den)), Ival(Q(il, den), Q(ih, den)))
 
 
 class _PowerTrack:
-    """base^n as a dyadic point with certified error, times alpha * n^npow."""
+    """base^n as a dyadic point with certified error; `alpha` holds the
+    integer numerators (re_lo, re_hi, im_lo, im_hi) of the coefficient's
+    enclosure over the scanner's common denominator."""
 
-    __slots__ = ("alpha_box", "npow", "bits", "scale", "br", "bi", "berr",
+    __slots__ = ("alpha", "npow", "bits", "scale", "br", "bi", "berr",
                  "vr", "vi", "err")
 
-    def __init__(self, alpha: AlgebraicNumber, base: AlgebraicNumber,
-                 npow: int, bits: int):
+    def __init__(self, alpha: tuple[int, int, int, int],
+                 base: AlgebraicNumber, npow: int, bits: int):
         self.bits = bits
         self.scale = 1 << bits
         self.npow = npow
-        self.alpha_box = alpha.refine(Q(1, self.scale))
+        self.alpha = alpha
         bb = base.refine(Q(1, self.scale * 4))
         self.br = int(bb.re.mid * self.scale)
         self.bi = int(bb.im.mid * self.scale)
@@ -815,35 +924,39 @@ class _PowerTrack:
         # error plus truncation; keep an integral, safely-rounded-up bound
         self.err = self.err + self.berr + 4 + (self.err >> (s - 8))
 
-    def value_box(self, n: int) -> Box:
-        e = Q(self.err + 2, self.scale)
-        pr = Q(self.vr, self.scale)
-        pi = Q(self.vi, self.scale)
-        pw = Box(Ival(pr - e, pr + e), Ival(pi - e, pi + e))
-        return self.alpha_box * pw * (Q(n) ** self.npow)
-
 
 def _scaled_integer_recurrence(lrr: Lrr, c: InitialConfig):
-    """Integer sequence w_n = E * D^n * u_n with sign(w_n) = sign(u_n)."""
+    """Integer sequence w_n = E * D^n * u_n with sign(w_n) = sign(u_n):
+    its coefficients, its first k terms, D and E."""
     D = math.lcm(*[a.denominator for a in lrr.coeffs])
     E = math.lcm(*[v.denominator for v in c.entries]) if len(c) else 1
     k = lrr.order
     coeffs = [int(lrr.coeffs[j] * D ** (k - j)) for j in range(k)]
     init = [int(v * E * D**n) for n, v in enumerate(c.entries)]
-    return coeffs, init
+    return coeffs, init, D, E
+
+
+def scaled_term(lrr: Lrr, c: InitialConfig, n: int) -> tuple[int, int]:
+    """(w, s) with u_n = w / s and s = E * D^n > 0, by integer recursion."""
+    coeffs, w, D, E = _scaled_integer_recurrence(lrr, c)
+    if n < len(w):
+        return w[n], E * D**n
+    for _ in range(n - len(w) + 1):
+        w = w[1:] + [sum(a * x for a, x in zip(coeffs, w))]
+    return w[-1], E * D**n
 
 
 def exact_zeros_up_to(lrr: Lrr, c: InitialConfig, n_max: int) -> list[int]:
     """All n <= n_max with u_n = 0 exactly, via deterministic CRT over
-    enough 62-bit primes to cover the certified magnitude bound."""
-    coeffs, init = _scaled_integer_recurrence(lrr, c)
+    enough 62-bit primes to cover the certified magnitude bound.  Primes
+    are drawn one at a time: the first one usually leaves no candidate."""
+    coeffs, init, _, _ = _scaled_integer_recurrence(lrr, c)
     k = lrr.order
     growth = max(2, sum(abs(x) for x in coeffs))
     base_bits = max((abs(v).bit_length() for v in init), default=1) + 1
     need_bits = base_bits + (n_max + k) * (growth.bit_length() + 1)
-    primes = _primes_62bit(need_bits // 61 + 2)
     candidate: set[int] | None = None
-    for p in primes:
+    for p in itertools.islice(_primes_62bit(), need_bits // 61 + 2):
         seq = [v % p for v in init]
         for n in range(k, n_max + 1):
             seq.append(sum(coeffs[j] * seq[n - k + j] for j in range(k)) % p)
@@ -854,14 +967,48 @@ def exact_zeros_up_to(lrr: Lrr, c: InitialConfig, n_max: int) -> list[int]:
     return sorted(candidate)
 
 
-def _primes_62bit(count: int) -> list[int]:
-    import sympy
-    primes = []
-    p = (1 << 62) - 57
-    while len(primes) < count:
-        p = sympy.prevprime(p)
-        primes.append(int(p))
-    return primes
+_PRIMES: list[int] = []
+# Miller-Rabin with these bases is exact below 3.3 * 10^24
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def _primes_62bit():
+    """The primes below 2^62 - 57 in descending order (the chain of
+    `sympy.prevprime` from there), found on demand and cached."""
+    i = 0
+    while True:
+        if i == len(_PRIMES):
+            p = _PRIMES[-1] if _PRIMES else (1 << 62) - 57
+            p -= 2
+            while not _is_prime(p):
+                p -= 2
+            _PRIMES.append(p)
+        yield _PRIMES[i]
+        i += 1
+
+
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin for n < 3.3 * 10^24."""
+    if n < 2:
+        return False
+    for a in _MR_BASES:
+        if n % a == 0:
+            return n == a
+    d, r = n - 1, 0
+    while not d & 1:
+        d >>= 1
+        r += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def term_sign(lrr: Lrr, c: InitialConfig, n: int,
@@ -871,8 +1018,8 @@ def term_sign(lrr: Lrr, c: InitialConfig, n: int,
         v = c.entries[n]
         return (v > 0) - (v < 0)
     if n <= 4096:
-        v = eval_terms(lrr, c, n)[n]
-        return (v > 0) - (v < 0)
+        w, _ = scaled_term(lrr, c, n)
+        return (w > 0) - (w < 0)
     bits = 192
     while bits <= _MAX_BITS:
         sc = OrbitScanner(lrr, c, bits)

@@ -129,6 +129,26 @@ def test_open_ball_surface_center_no():
     assert d.verdict == "NO"
 
 
+def test_prefix_margin_zero_after_exact_confirmation(monkeypatch):
+    """A term whose scan bound is not positive is confirmed by term_sign;
+    its value may lie below every earlier bound, so the margin is 0."""
+    from robustlrs.lrs import OrbitScanner
+    r = 1 - Q(1, 1301)
+    lrr = Lrr((-r, 1 + r))                      # roots 1 and r
+    c = cfg(1 + Q(1, 21), r + Q(1, 21))         # u_n = 1/21 + r^n
+    real = OrbitScanner.enclosure
+
+    def no_bound_at_3000(self):
+        out = real(self)
+        return (0,) + out[1:] if self.n == 3000 else out
+
+    assert exists_robust_positivity(lrr, c).certificate.prefix_margin > 0
+    monkeypatch.setattr(OrbitScanner, "enclosure", no_bound_at_3000)
+    d = exists_robust_positivity(lrr, c)
+    assert d.verdict == "YES" and d.certificate.threshold > 4096
+    assert d.certificate.prefix_margin == 0
+
+
 def test_brute_force_alternating_violation():
     rep = brute_force_check(ALT, cfg(1), horizon=10, samples=1)
     assert rep.violation is not None

@@ -9,7 +9,7 @@ from robustlrs.lrs import (Lrr, InitialConfig, Ball, eval_terms, spectral,
                            exp_poly_solution, normalize, residual_threshold,
                            hyperplane_distance, hyperplane_constant,
                            OrbitScanner, exact_zeros_up_to, term_sign,
-                           mat_pow)
+                           scaled_term, mat_pow)
 
 FIB = Lrr((Q(1), Q(1)))
 ALT = Lrr((Q(-1),))
@@ -267,6 +267,48 @@ def test_term_sign():
     assert term_sign(ALT, cfg(1), 7) == -1
     assert term_sign(FIB, cfg(0, 1), 0) == 0
     assert term_sign(Lrr((Q(-1), Q(2))), cfg(-5, -4), 5) == 0  # -5,-4,...,0 at n=5
+
+
+def test_term_sign_matches_eval_terms():
+    """The integer recurrence gives the sign of every term up to the 4096
+    cut-off: rational coefficients and starts, and exact zeros."""
+    cases = [
+        (Lrr((Q(-1), Q(2))), cfg(-5, -4)),              # n - 5: zero at 5
+        (Lrr((Q(-1, 2), Q(3, 2))), cfg(-7, -3)),       # 1 - 8/2^n: zero at 3
+        (Lrr((Q(-1), Q(0))), cfg(0, Q(1, 3))),          # zero at every even n
+        (Lrr((Q(-2, 3),)), cfg(Q(5, 7))),               # alternating signs
+        (Lrr((Q(-1), Q(6, 5))), cfg(1, Q(3, 5))),       # rotation by 3/5
+    ]
+    rng = random.Random(11)
+    for _ in range(6):
+        coeffs = [Q(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(3)]
+        coeffs[0] = coeffs[0] or Q(1, 3)
+        cases.append((Lrr(tuple(coeffs)),
+                      cfg(*[Q(rng.randint(-5, 5), rng.randint(1, 5))
+                            for _ in range(3)])))
+    for lrr, c in cases:
+        terms = eval_terms(lrr, c, 120)
+        signs = [term_sign(lrr, c, n) for n in range(121)]
+        assert signs == [(v > 0) - (v < 0) for v in terms], lrr
+        assert [Q(*scaled_term(lrr, c, n)) for n in range(121)] == terms
+    assert [term_sign(*cases[i], n) for i, n in ((0, 5), (1, 3), (2, 80))] \
+        == [0, 0, 0]
+
+
+def test_primes_match_prevprime_chain():
+    import itertools
+    import sympy
+    from robustlrs.lrs import _is_prime, _primes_62bit
+    p, chain = (1 << 62) - 57, []
+    for _ in range(64):
+        p = sympy.prevprime(p)
+        chain.append(int(p))
+    assert list(itertools.islice(_primes_62bit(), 64)) == chain
+    assert [n for n in range(2000) if _is_prime(n)] == \
+        list(sympy.primerange(2000))
+    # strong pseudoprimes to the first bases, and a Carmichael number
+    for n in (2047, 3215031751, 3825123056546413051, 561):
+        assert not _is_prime(n)
 
 
 def test_alpha_linearity():
