@@ -35,6 +35,7 @@ from .poly import (pnorm, pdeg, padd, psub, pmul, pmod, pdivmod, pscale,
 _x = sympy.Symbol("x")
 
 _MAX_BITS = 1 << 16
+_UNSET = object()   # marks a lazily computed slot not yet filled
 
 
 def _rootof(intpoly: tuple[int, ...], index: int):
@@ -568,7 +569,7 @@ class AlgebraicNumber:
     radius) is derived lazily and certified via the separation bound.
     """
 
-    __slots__ = ("_rat", "_elem", "_defpoly")
+    __slots__ = ("_rat", "_elem", "_defpoly", "_rou")
 
     def __init__(self, rat: Fraction | None = None, elem: FieldElement | None = None):
         if (rat is None) == (elem is None):
@@ -578,6 +579,7 @@ class AlgebraicNumber:
         self._rat = rat
         self._elem = elem
         self._defpoly: tuple[int, ...] | None = None
+        self._rou = _UNSET      # identify_root_of_unity's answer, once found
 
     @staticmethod
     def from_rational(q) -> "AlgebraicNumber":
@@ -764,7 +766,13 @@ def refine(a: AlgebraicNumber, width) -> Box:
 
 def identify_root_of_unity(a: AlgebraicNumber) -> tuple[int, int] | None:
     """(k, n) with value = e^(2 pi i k/n), gcd(k, n) = 1, when the number is
-    a root of unity; None otherwise."""
+    a root of unity; None otherwise.  Found once per object and kept."""
+    if a._rou is _UNSET:
+        a._rou = _root_of_unity_index(a)
+    return a._rou
+
+
+def _root_of_unity_index(a: AlgebraicNumber) -> tuple[int, int] | None:
     if a.is_rational:
         if a.as_rational() == 1:
             return (0, 1)

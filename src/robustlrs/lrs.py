@@ -412,7 +412,7 @@ def exp_poly_solution(lrr: Lrr, c: InitialConfig,
         xi_inv = _Scalar.inv(xi)
         # O(X) = D(X) / (1 - xi X)^mult over the field
         DX = [ring_of(cf) for cf in D]
-        lin = [one, -xi]  # wait: (1 - xi X) has coeffs [1, -xi]
+        lin = [one, -xi]
         denom = [one]
         for _ in range(mult):
             denom = _rp_mul(denom, lin, zero)
@@ -936,79 +936,41 @@ def _scaled_integer_recurrence(lrr: Lrr, c: InitialConfig):
     return coeffs, init, D, E
 
 
+def _scaled_terms(coeffs: list[int], init: list[int]):
+    """w_0, w_1, ... of the scaled integer recurrence, without end."""
+    w = list(init)
+    yield from w
+    while True:
+        w = w[1:] + [sum(a * x for a, x in zip(coeffs, w))]
+        yield w[-1]
+
+
 def scaled_term(lrr: Lrr, c: InitialConfig, n: int) -> tuple[int, int]:
     """(w, s) with u_n = w / s and s = E * D^n > 0, by integer recursion."""
-    coeffs, w, D, E = _scaled_integer_recurrence(lrr, c)
-    if n < len(w):
-        return w[n], E * D**n
-    for _ in range(n - len(w) + 1):
-        w = w[1:] + [sum(a * x for a, x in zip(coeffs, w))]
-    return w[-1], E * D**n
+    coeffs, init, D, E = _scaled_integer_recurrence(lrr, c)
+    return next(itertools.islice(_scaled_terms(coeffs, init), n, None)), E * D**n
+
+
+# The second largest prime below 2^62.  Any modulus is sound, since the
+# candidates it leaves are confirmed exactly; a large prime leaves few.
+_FILTER_PRIME = (1 << 62) - 87
 
 
 def exact_zeros_up_to(lrr: Lrr, c: InitialConfig, n_max: int) -> list[int]:
-    """All n <= n_max with u_n = 0 exactly, via deterministic CRT over
-    enough 62-bit primes to cover the certified magnitude bound.  Primes
-    are drawn one at a time: the first one usually leaves no candidate."""
+    """All n <= n_max with u_n = 0 exactly.  One pass of the scaled integer
+    recurrence modulo a 62-bit prime leaves the candidates, every true zero
+    among them (usually none); one exact pass up to the largest candidate
+    keeps the true ones."""
     coeffs, init, _, _ = _scaled_integer_recurrence(lrr, c)
-    k = lrr.order
-    growth = max(2, sum(abs(x) for x in coeffs))
-    base_bits = max((abs(v).bit_length() for v in init), default=1) + 1
-    need_bits = base_bits + (n_max + k) * (growth.bit_length() + 1)
-    candidate: set[int] | None = None
-    for p in itertools.islice(_primes_62bit(), need_bits // 61 + 2):
-        seq = [v % p for v in init]
-        for n in range(k, n_max + 1):
-            seq.append(sum(coeffs[j] * seq[n - k + j] for j in range(k)) % p)
-        zeros = {n for n in range(min(n_max + 1, len(seq))) if seq[n] == 0}
-        candidate = zeros if candidate is None else (candidate & zeros)
-        if not candidate:
-            return []
-    return sorted(candidate)
-
-
-_PRIMES: list[int] = []
-# Miller-Rabin with these bases is exact below 3.3 * 10^24
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-
-def _primes_62bit():
-    """The primes below 2^62 - 57 in descending order (the chain of
-    `sympy.prevprime` from there), found on demand and cached."""
-    i = 0
-    while True:
-        if i == len(_PRIMES):
-            p = _PRIMES[-1] if _PRIMES else (1 << 62) - 57
-            p -= 2
-            while not _is_prime(p):
-                p -= 2
-            _PRIMES.append(p)
-        yield _PRIMES[i]
-        i += 1
-
-
-def _is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin for n < 3.3 * 10^24."""
-    if n < 2:
-        return False
-    for a in _MR_BASES:
-        if n % a == 0:
-            return n == a
-    d, r = n - 1, 0
-    while not d & 1:
-        d >>= 1
-        r += 1
-    for a in _MR_BASES:
-        x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(r - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
+    k, p = lrr.order, _FILTER_PRIME
+    seq = [v % p for v in init]
+    for n in range(k, n_max + 1):
+        seq.append(sum(coeffs[j] * seq[n - k + j] for j in range(k)) % p)
+    candidates = [n for n in range(min(n_max + 1, len(seq))) if seq[n] == 0]
+    if not candidates:
+        return []
+    exact = itertools.islice(_scaled_terms(coeffs, init), candidates[-1] + 1)
+    return [n for n, w in enumerate(exact) if w == 0]
 
 
 def term_sign(lrr: Lrr, c: InitialConfig, n: int,

@@ -5,6 +5,14 @@ period reduction is exact rational arithmetic; only the final Taylor
 evaluation multiplies by an enclosure of 2*pi.  Series remainders are
 bounded by the alternating-series criterion after argument reduction.
 
+`unit_box` at a rational turn reads a bounded table keyed by (turn mod 1,
+bits), so the enclosure of each root of unity at each precision is
+computed once per process: the finite-torus path of the optimizer and
+the root-of-unity tests of `algebraic` and `torus` ask for the same few
+constants at every coset and every term.  Entries are shared, so callers
+build new boxes from them and never change them.  Interval turns (the
+branch-and-bound boxes) are not tabled.
+
 `RotScan` iterates the exact rotation by a rational point (p, q) on the
 unit circle as a dyadic point plus an error ball.  Rotations are
 isometries, so the Euclidean error grows only additively with the number
@@ -19,6 +27,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 from .qmath import Q, ZERO, ONE, exact_sqrt, is_perfect_square, sqrt_down, sqrt_up
 from .interval import Ival, Box
@@ -148,10 +157,21 @@ def sin_turn(t: Ival, bits: int = 64) -> Ival:
     return out
 
 
+# A problem asks for a few dozen keys at most; the bound matters because a
+# precision climb can reach 2^15 bits, where one entry holds tens of kB.
+@lru_cache(maxsize=256)
+def _unit_point_box(t: Fraction, bits: int) -> Box:
+    """The table entry of `unit_box` for a turn reduced into [0, 1)."""
+    return Box(cos_turn_point(t, bits), sin_turn_point(t, bits))
+
+
 def unit_box(t: Ival | Fraction, bits: int = 64) -> Box:
-    """Box enclosing e^(2 pi i x) for x in t (turns)."""
+    """Box enclosing e^(2 pi i x) for x in t (turns).
+
+    A rational turn reads the shared table, so the returned `Box` must not
+    be changed."""
     if isinstance(t, Fraction):
-        return Box(cos_turn_point(t, bits), sin_turn_point(t, bits))
+        return _unit_point_box(t - (t.numerator // t.denominator), bits)
     return Box(cos_turn(t, bits), sin_turn(t, bits))
 
 

@@ -1,14 +1,16 @@
+import math
 import random
 from fractions import Fraction as Q
 
 import pytest
 from sympy.polys import rootoftools
 
-from robustlrs import algebraic
+from robustlrs import algebraic, trig
 from robustlrs.interval import Box
 from robustlrs.lrs import Lrr
 from robustlrs.poly import (PolyRat, peval, pmul, pnorm, separation_bound,
-                            factor_int)
+                            factor_int, cyclotomic)
+from robustlrs.torus import root_of_unity_alg
 from robustlrs.algebraic import (AlgebraicNumber, FieldElement, NumberField,
                                  isolate_roots, refine, power_product_is_one,
                                  identify_root_of_unity)
@@ -163,6 +165,59 @@ def test_identify_root_of_unity():
     assert identify_root_of_unity(AlgebraicNumber.from_rational(Q(2))) is None
     u, _ = _unit_pair_3_4_5()
     assert identify_root_of_unity(u) is None
+
+
+# Orders 3..30 with at most 10 primitive roots.  The other ten (13, 17, 19,
+# 21, 23, 25, 26, 27, 28, 29) cost 2.7-77 s each on a 2-core machine,
+# 160 s together, nearly all of it sympy isolating the roots of their
+# cyclotomic polynomials (degree 12-28) to seed the fields.
+_ROU_ORDERS = [n for n in range(3, 31)
+               if sum(math.gcd(k, n) == 1 for k in range(n)) <= 10]
+
+
+def test_identify_every_primitive_root_of_unity():
+    for n in _ROU_ORDERS:
+        for k in range(n):
+            if math.gcd(k, n) == 1:
+                assert identify_root_of_unity(root_of_unity_alg(k, n)) == (k, n)
+
+
+def test_identify_unit_non_roots_of_unity():
+    # x^4 - x^3 - x^2 - x + 1: a Salem-type quartic, two roots on the circle
+    salem = [a for a, _ in isolate_roots(poly(1, -1, -1, -1, 1))
+             if not a.is_rational and a.is_unit_modulus()]
+    pairs = [r for p in (poly(5, -6, 5), poly(13, -10, 13), poly(25, 14, 25))
+             for r, _ in isolate_roots(p)]
+    units = salem + pairs
+    assert len(units) == 8 and all(u.is_unit_modulus() for u in units)
+    for u in units:
+        assert identify_root_of_unity(u) is None
+
+
+def test_identify_root_of_unity_once_per_object(monkeypatch):
+    """The answer is kept on the object: a second call sweeps no
+    candidates (no unit_box) and repeats no cyclotomic test."""
+    boxes, tests = [], []
+    real_box, real_index = trig.unit_box, algebraic.cyclotomic_index
+
+    def counted_box(t, bits=64):
+        boxes.append(t)
+        return real_box(t, bits)
+
+    def counted_index(mp):
+        tests.append(mp)
+        return real_index(mp)
+
+    monkeypatch.setattr(trig, "unit_box", counted_box)
+    monkeypatch.setattr(algebraic, "cyclotomic_index", counted_index)
+    rou = AlgebraicNumber.from_root(NumberField.get(cyclotomic(7), 2))
+    u, _ = _unit_pair_3_4_5()
+    first = [identify_root_of_unity(a) for a in (rou, u)]
+    assert first[0] is not None and first[1] is None
+    assert boxes and len(tests) == 2
+    seen = len(boxes), len(tests)
+    assert [identify_root_of_unity(a) for a in (rou, u)] == first
+    assert (len(boxes), len(tests)) == seen
 
 
 def test_mixed_rou_and_pair_product():

@@ -9,7 +9,7 @@ from robustlrs.lrs import (Lrr, InitialConfig, Ball, eval_terms, spectral,
                            exp_poly_solution, normalize, residual_threshold,
                            hyperplane_distance, hyperplane_constant,
                            OrbitScanner, exact_zeros_up_to, term_sign,
-                           scaled_term, mat_pow)
+                           scaled_term, mat_pow, _scaled_integer_recurrence)
 
 FIB = Lrr((Q(1), Q(1)))
 ALT = Lrr((Q(-1),))
@@ -262,6 +262,50 @@ def test_exact_zeros():
     assert z == [1]
 
 
+def _crt_zeros(lrr, c, n_max):
+    """Reference: the zeros of w_n = E D^n u_n by CRT over as many primes
+    (the sympy.prevprime chain below 2^62) as the magnitude bound of w_n
+    needs, each pass over the whole range."""
+    import sympy
+    coeffs, init, _, _ = _scaled_integer_recurrence(lrr, c)
+    k = lrr.order
+    growth = max(2, sum(abs(x) for x in coeffs))
+    base_bits = max((abs(v).bit_length() for v in init), default=1) + 1
+    need_bits = base_bits + (n_max + k) * (growth.bit_length() + 1)
+    p, candidate = 1 << 62, None
+    for _ in range(need_bits // 61 + 2):
+        p = sympy.prevprime(p)
+        seq = [v % p for v in init]
+        for n in range(k, n_max + 1):
+            seq.append(sum(coeffs[j] * seq[n - k + j] for j in range(k)) % p)
+        zeros = {n for n in range(min(n_max + 1, len(seq))) if seq[n] == 0}
+        candidate = zeros if candidate is None else candidate & zeros
+    return sorted(candidate)
+
+
+def test_exact_zeros_match_crt_reference():
+    """One prime pass and an exact confirmation give the zeros the full CRT
+    scan gives, also where every term is a candidate modulo the prime."""
+    from robustlrs.lrs import _FILTER_PRIME
+    p = _FILTER_PRIME
+    cases = [
+        (Lrr((Q(-1), Q(2))), cfg(-5, -4)),              # n - 5: zero at 5
+        (Lrr((Q(-1, 2), Q(3, 2))), cfg(-7, -3)),       # 1 - 8/2^n: zero at 3
+        (Lrr((Q(-1), Q(0))), cfg(0, Q(1, 3))),          # zero at every even n
+        (Lrr((Q(-1), Q(2))), cfg(-3 * p, -2 * p)),      # p (n - 3): zero at 3
+        (Lrr((Q(1),)), cfg(p)),                         # p: no zero
+        (FIB, cfg(1, 1)),
+        (Lrr((Q(1, 2), Q(-2), Q(5, 2))), cfg(-40, -39, -38)),  # n - 40
+    ]
+    for lrr, c in cases:
+        for n_max in (0, 1, 2, 5, 40, 90):
+            assert exact_zeros_up_to(lrr, c, n_max) == _crt_zeros(lrr, c, n_max)
+    assert exact_zeros_up_to(*cases[2], 90) == list(range(0, 91, 2))
+    # (x - 1)^2 (x - 1/2), u_n = n - 1300: one zero far into the range
+    assert exact_zeros_up_to(cases[-1][0], cfg(-1300, -1299, -1298),
+                             6000) == [1300]
+
+
 def test_term_sign():
     assert term_sign(FIB, cfg(1, 1), 10) == 1
     assert term_sign(ALT, cfg(1), 7) == -1
@@ -295,20 +339,11 @@ def test_term_sign_matches_eval_terms():
         == [0, 0, 0]
 
 
-def test_primes_match_prevprime_chain():
-    import itertools
+def test_filter_prime():
     import sympy
-    from robustlrs.lrs import _is_prime, _primes_62bit
-    p, chain = (1 << 62) - 57, []
-    for _ in range(64):
-        p = sympy.prevprime(p)
-        chain.append(int(p))
-    assert list(itertools.islice(_primes_62bit(), 64)) == chain
-    assert [n for n in range(2000) if _is_prime(n)] == \
-        list(sympy.primerange(2000))
-    # strong pseudoprimes to the first bases, and a Carmichael number
-    for n in (2047, 3215031751, 3825123056546413051, 561):
-        assert not _is_prime(n)
+    from robustlrs.lrs import _FILTER_PRIME
+    assert _FILTER_PRIME == sympy.prevprime(sympy.prevprime(1 << 62))
+    assert sympy.isprime(_FILTER_PRIME)
 
 
 def test_alpha_linearity():

@@ -6,7 +6,8 @@ cos/sin pass over its angles, one over its midpoint).  The optimizer is
 exact `Fraction` interval arithmetic with a fixed sequence of operations,
 so a refactor that performs the same operations on the same values must
 reproduce every enclosure endpoint, witness angle, tolerance, method and
-convergence flag exactly.
+convergence flag exactly.  The finite-torus `mu` cases at p = 1/2 were
+recorded before root-of-unity enclosures were read from a table.
 
 The nu case calls `optimize._minimize` (one pass, no escalation): nu on
 two independent unit-modulus pairs has an exact zero, so the public `nu`
@@ -37,6 +38,9 @@ TWO_PAIR = Lrr(tuple(-c for c in pmul((Q(1), Q(-6, 5), Q(1)),
 P35 = Lrr((Q(-1), Q(22, 5), Q(-231, 25), Q(292, 25), Q(-231, 25),
            Q(22, 5)))
 TWO_PAIR_TOL = Q(1, 4)
+# (x - 1)^2 (x^2 - x + 1)^2, the order-6 family at p = 1/2: the dominant
+# unit roots are sixth roots of unity, so the torus is finite (six cosets)
+P12 = Lrr((Q(-1), Q(4), Q(-8), Q(10), Q(-8), Q(4)))
 
 
 def cfg(*vals):
@@ -68,6 +72,11 @@ def _fib_ball(center, radius):
     return min_over_ball(DominantFamily(center_form, basis), radius, torus)
 
 
+def _p12_mu(init):
+    a = Analysis.build(P12, cfg(*init))
+    return mu(a.form, a.torus)
+
+
 def _p35_ball(init):
     d = robust_nonuniform_ultpos_open_ball(P35, Ball(cfg(*init), Q(1, 20)))
     return d.certificate.optimum
@@ -84,6 +93,8 @@ def _cases():
     for init in ((3, 1, 0, 2, 1, 5), (1, 0, 0, 0, 0, 0), (2, 1, 1, 1, 0, 0)):
         yield (f"open ball p=3/5 {init} r=1/20",
                lambda i=init: _p35_ball(i))
+    for init in ((3, 1, 0, 2, 1, 5), (5, -3, 2, 0, 1, -1), (0, 1, 0, 0, 0, 0)):
+        yield f"mu p=1/2 {init} finite", lambda i=init: _p12_mu(i)
 
 
 @pytest.mark.parametrize("key,thunk", list(_cases()),

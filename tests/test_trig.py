@@ -1,14 +1,18 @@
+import ast
 import math
 from fractions import Fraction as Q
+from pathlib import Path
 
 import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from robustlrs.interval import Ival
+import robustlrs
+from robustlrs.interval import Box, Ival
 from robustlrs.trig import (pi_ival, cos_turn_point, sin_turn_point, cos_turn,
-                            sin_turn, atan_ival, angle_from_cos, RotScan,
-                            ExactRotScan, make_rot_scan, rotation_order)
+                            sin_turn, unit_box, atan_ival, angle_from_cos,
+                            RotScan, ExactRotScan, make_rot_scan,
+                            rotation_order)
 
 mpmath.mp.dps = 60
 
@@ -45,6 +49,78 @@ def test_cos_turn_interval_extrema():
     assert s.hi == 1  # max at quarter turn
     wide = cos_turn(Ival(Q(0), Q(2)), 64)
     assert wide.lo == -1 and wide.hi == 1
+
+
+def _endpoints(box):
+    return box.re.lo, box.re.hi, box.im.lo, box.im.hi
+
+
+def test_unit_box_table_matches_point_enclosures():
+    """unit_box on a rational turn reads a table keyed by (t mod 1, bits);
+    every entry is the enclosure cos_turn_point and sin_turn_point give at
+    the unreduced turn, endpoint for endpoint, and stays so on repeat."""
+    for bits in (64, 96, 192):
+        for n in range(1, 25):
+            for k in range(-n, 2 * n):
+                t = Q(k, n)
+                want = _endpoints(Box(cos_turn_point(t, bits),
+                                      sin_turn_point(t, bits)))
+                assert _endpoints(unit_box(t, bits)) == want, (t, bits)
+                assert _endpoints(unit_box(t, bits)) == want, (t, bits)
+
+
+class _FieldWrites(ast.NodeVisitor):
+    """Assignments to a `lo`, `hi`, `re` or `im` attribute anywhere but to
+    `self` in an `__init__`, and every call of `setattr`."""
+
+    FIELDS = ("lo", "hi", "re", "im")
+
+    def __init__(self, name):
+        self.name = name
+        self.func = None
+        self.found = []
+
+    def visit_FunctionDef(self, node):
+        outer, self.func = self.func, node.name
+        self.generic_visit(node)
+        self.func = outer
+
+    visit_AsyncFunctionDef = visit_FunctionDef
+
+    def _targets(self, targets):
+        for tgt in targets:
+            for attr in ast.walk(tgt):
+                if isinstance(attr, ast.Attribute) and attr.attr in self.FIELDS \
+                        and not (self.func == "__init__"
+                                 and isinstance(attr.value, ast.Name)
+                                 and attr.value.id == "self"):
+                    self.found.append(f"{self.name}:{attr.lineno}")
+
+    def visit_Assign(self, node):
+        self._targets(node.targets)
+        self.generic_visit(node)
+
+    def visit_AugAssign(self, node):
+        self._targets([node.target])
+        self.generic_visit(node)
+
+    visit_AnnAssign = visit_AugAssign
+
+    def visit_Call(self, node):
+        if getattr(node.func, "id", None) == "setattr":
+            self.found.append(f"{self.name}:{node.lineno} setattr")
+        self.generic_visit(node)
+
+
+def test_no_code_assigns_to_box_or_ival_fields():
+    """unit_box hands every caller the same table entry, so no code in the
+    package may change a Box or Ival after building it."""
+    found = []
+    for path in sorted(Path(robustlrs.__file__).parent.glob("*.py")):
+        v = _FieldWrites(path.name)
+        v.visit(ast.parse(path.read_text(encoding="utf-8")))
+        found += v.found
+    assert not found, found
 
 
 @given(st.fractions(min_value=-50, max_value=50, max_denominator=100))
