@@ -12,6 +12,7 @@ UNKNOWN rather than risk an unsound certificate.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -21,10 +22,11 @@ from typing import Optional
 import numpy as np
 
 from .qmath import Q, ZERO, ONE
-from .lrs import (Lrr, InitialConfig, Ball, eval_terms, spectral,
+from .lrs import (Lrr, InitialConfig, Ball, spectral,
                   exp_poly_solution, normalize, residual_threshold,
                   term_sign, scaled_term, exact_zeros_up_to, OrbitScanner,
-                  DominantForm, ResidualEvaluator)
+                  DominantForm, ResidualEvaluator, _scaled_integer_recurrence,
+                  _scaled_terms)
 from .torus import relation_lattice, parametrize, TorusParam
 from .optimize import (mu, nu, min_over_ball, DominantFamily, SignOutcome,
                        DEFAULT_TOL)
@@ -149,16 +151,22 @@ def robust_nonuniform_ultpos_open_ball(lrr: Lrr, ball: Ball,
 
 def _prefix_scan(lrr: Lrr, c: InitialConfig, n_thr: int, want_zero: bool):
     """Scan u_0..u_{n_thr}: returns (violation_n, value, margin) where the
-    violation is u_n <= 0 (positivity) or u_n = 0 (Skolem)."""
+    violation is u_n <= 0 (positivity) or u_n = 0 (Skolem).
+
+    Up to 4096 terms the scan runs on the scaled integer recurrence
+    w_n = E * D^n * u_n, which has the signs of u_n.  The running minimum
+    is kept as best = w_m * D^(n-m), so that comparing it with w_n compares
+    u_m with u_n; it becomes a `Fraction` once, at the end."""
     if n_thr <= 4096:
-        terms = eval_terms(lrr, c, n_thr)
-        margin = None
-        for n, v in enumerate(terms):
-            if (v == 0) if want_zero else (v <= 0):
-                return n, v, None
+        coeffs, init, D, E = _scaled_integer_recurrence(lrr, c)
+        best = None
+        terms = itertools.islice(_scaled_terms(coeffs, init), n_thr + 1)
+        for n, w in enumerate(terms):
+            if (w == 0) if want_zero else (w <= 0):
+                return n, Q(w, E * D**n), None
             if not want_zero:
-                margin = v if margin is None else min(margin, v)
-        return None, None, margin
+                best = w if best is None else min(best * D, w)
+        return None, None, None if best is None else Q(best, E * D**n_thr)
     if want_zero:
         zeros = exact_zeros_up_to(lrr, c, n_thr)
         if zeros:

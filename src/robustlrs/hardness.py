@@ -8,11 +8,21 @@ with ell = q'/pi, so the recurring quantity 2*pi*ell equals 2 q' exactly.
 The square-root term in the ball minimum is handled through the algebraic
 bounds 1/(2n+1) < sqrt(n^2+1) - n < 1/(2n), so long scans need no
 square-root extraction at all.
+
+The long scans step the rotation only through `trig.RotScan.walk`, on
+scaled integers.  Both skip a step far from a return to 1 with one integer
+comparison against a threshold that is sound over a block of `_BLOCK`
+steps, and run their full test on every other step, so they report what a
+plain per-step scan reports.  The probes of one `approximate_L` call share
+one `_TailWalk`: the orbit past the prefix is walked once, and each probe
+replays its exact test on the few steps a worst-case probe leaves
+uncertified.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import closing
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -366,27 +376,99 @@ def _ball_term(n: int, params: HardnessParams, cos_iv: Ival, sin_iv: Ival,
             - Ival.point(params.two_pi_ell) * sin_iv.abs() - tail)
 
 
+# Steps per prefilter block: the skip threshold of both scan loops is
+# refreshed at least this often, from bounds on n and the error valid over
+# the whole block.
+_BLOCK = 1024
+
+
+class _TailWalk:
+    """One dyadic walk of the rotation orbit past n_start, shared by the
+    probes of one `approximate_L` call (a standalone `scan_ball_terms`
+    builds its own).
+
+    A step is kept when its ball term is not certified >= 0 under the worst
+    case lam <= lam_max, psi <= psi_max.  That certificate covers every
+    probe within those bounds: with X = scale - C - E - 1 >= 0, the scaled
+    lower bound T_lo falls as lam and psi grow and rises as a = 2 - psi
+    grows, and for X < 0 the worst case fails too, so the step is kept.
+    A probe therefore only needs its exact test on the kept steps; the
+    walk is extended lazily, as far as some probe needs it.
+    """
+
+    def __init__(self, p, q, n_start: int, lam_max: Fraction,
+                 psi_max: Fraction, bits: int = 160):
+        self.sc = make_rot_scan(p, q, bits)
+        self.sc.advance(n_start)
+        self.n_start = n_start
+        self.lam_max, self.psi_max = lam_max, psi_max
+        a = 2 - psi_max
+        L = math.lcm(a.denominator, lam_max.denominator, psi_max.denominator)
+        self._worst = (int(a * L), int(lam_max * L), int(psi_max * L))
+        self.kept = []                  # (n, C, S, E), increasing n
+
+    def steps(self, params: HardnessParams, n_from: int, n_to: int):
+        """Yield the kept steps in (n_from, n_to], walking on as needed.
+        Close the generator on an early exit so the walk's state is saved."""
+        if (params.two_pi_ell > self.lam_max or params.psi > self.psi_max
+                or n_from < self.n_start):
+            raise RuntimeError("probe outside the shared tail walk's bounds")
+        for step in self.kept:
+            if step[0] > n_to:
+                return
+            if step[0] > n_from:
+                yield step
+        sc, kept = self.sc, self.kept
+        scale = sc.scale
+        aW, lamW, psiW = self._worst
+        while sc.n < n_to:
+            end = min(n_to, sc.n + _BLOCK)
+            e_hi = sc.err + end - sc.n
+            # Prefilter: |S| <= scale + E + 1, so X >= ceil((lamW (scale +
+            # 2 e_hi + 2) + psiW scale) / (n aW)) certifies the worst case;
+            # C < thr gives that X over the block (n > sc.n, E <= e_hi).
+            need = -(-(lamW * (scale + 2 * e_hi + 2) + psiW * scale)
+                     // ((sc.n + 1) * aW))
+            thr = scale - e_hi - need
+            with closing(sc.walk(end)) as walk:
+                for n, C, S, E in walk:
+                    if C < thr:
+                        continue
+                    if (2 * n * n * aW * (scale - C - E - 1)
+                            - 2 * n * lamW * (abs(S) + E + 1)
+                            - 2 * psiW * scale) >= 0:
+                        continue
+                    kept.append((n, C, S, E))
+                    if n > n_from:
+                        yield n, C, S, E
+
+
 def scan_ball_terms(params: HardnessParams, n_from: int, n_to: int,
-                    bits: int = 160):
+                    bits: int = 160, *, _tail: Optional[_TailWalk] = None):
     """Certified signs of min_ball_term over (n_from, n_to]: returns
     ('clean',) when every term is certified >= 0, else
     ('violation', n, enclosure) at the first certified-negative term.
     Ambiguous steps are resolved exactly via rational rotation powers.
 
-    The hot loop consumes `RotScan.walk` on scaled integers: with cos/sin
-    tracked as a dyadic point + error ball, the inequality
-    n(2-psi)(1-cos) - 2pi ell |sin| - 2 psi (sqrt(n^2+1)-n) >= 0 is decided
-    after clearing denominators (the root term is bracketed by
-    1/(2n+1) < sqrt(n^2+1)-n < 1/(2n)).
+    The steps come from a `_TailWalk` over `RotScan.walk` on scaled
+    integers: with cos/sin tracked as a dyadic point + error ball, the
+    inequality n(2-psi)(1-cos) - 2pi ell |sin| - 2 psi (sqrt(n^2+1)-n) >= 0
+    is decided after clearing denominators (the root term is bracketed by
+    1/(2n+1) < sqrt(n^2+1)-n < 1/(2n)).  The walk skips a step with one
+    integer comparison C < thr when the term is certified >= 0 far from a
+    return to 1, and keeps the few steps its worst-case test cannot
+    certify; only those reach the exact test here.  `approximate_L` passes
+    one walk to all its probes through `_tail`, so the orbit is walked once
+    per call; without it the worst case is `params` itself.
 
     Root-of-unity angles are periodic, and at every multiple of the order
     (cos = 1, sin = 0) the term is -2 psi (sqrt(n^2+1)-n), certified
     negative.  So only the at most `order` terms after n_from are
     evaluated, from the exact `ExactRotScan` table, with no stepping."""
     psi, lam = params.psi, params.two_pi_ell
-    sc = make_rot_scan(params.p, params.q, bits)
     ambiguous = []
-    if isinstance(sc, ExactRotScan):
+    if rotation_order(params.p) is not None:
+        sc = make_rot_scan(params.p, params.q, bits)
         for n in range(n_from + 1, min(n_to, n_from + sc.order) + 1):
             sc.advance(n)
             iv = _ball_term(n, params, sc.cos_ival(), sc.sin_ival(),
@@ -397,26 +479,27 @@ def scan_ball_terms(params: HardnessParams, n_from: int, n_to: int,
                 return ("violation", n, iv)
             ambiguous.append(n)
         return _resolve_ambiguous(ambiguous, params)
-    scale = sc.scale
+    tail = _tail or _TailWalk(params.p, params.q, n_from, lam, psi, bits)
+    scale = tail.sc.scale
     a = 2 - psi                      # Fractions
     L = math.lcm(a.denominator, lam.denominator, psi.denominator)
     aL, lamL, psiL = int(a * L), int(lam * L), int(psi * L)
-    sc.advance(n_from)
-    for n, C, S, E in sc.walk(n_to):
-        Sa = abs(S)
-        # term_lo * (2 n^2 scale L) >= T_lo with the worst-case rounding
-        T_lo = (2 * n * n * aL * (scale - C - E - 1)
-                - 2 * n * lamL * (Sa + E + 1) - 2 * psiL * scale)
-        if T_lo >= 0:
-            continue
-        T_hi = (2 * n * n * aL * (scale - C + E + 1)
-                - 2 * n * lamL * max(Sa - E - 1, 0)
-                - 4 * n * psiL * scale // (2 * n + 1))
-        if T_hi < 0:
-            f = 2 * n * scale * L
-            lo, hi = Q(T_lo, f), Q(T_hi, f)
-            return ("violation", n, Ival(min(lo, hi), max(lo, hi)))
-        ambiguous.append(n)
+    with closing(tail.steps(params, n_from, n_to)) as steps:
+        for n, C, S, E in steps:
+            Sa = abs(S)
+            # term_lo * (2 n^2 scale L) >= T_lo with the worst-case rounding
+            T_lo = (2 * n * n * aL * (scale - C - E - 1)
+                    - 2 * n * lamL * (Sa + E + 1) - 2 * psiL * scale)
+            if T_lo >= 0:
+                continue
+            T_hi = (2 * n * n * aL * (scale - C + E + 1)
+                    - 2 * n * lamL * max(Sa - E - 1, 0)
+                    - 4 * n * psiL * scale // (2 * n + 1))
+            if T_hi < 0:
+                f = 2 * n * scale * L
+                lo, hi = Q(T_lo, f), Q(T_hi, f)
+                return ("violation", n, Ival(min(lo, hi), max(lo, hi)))
+            ambiguous.append(n)
     return _resolve_ambiguous(ambiguous, params)
 
 
@@ -451,7 +534,12 @@ def lagrange_prefix(p, q, N: int, bits: int = 192) -> Ival:
     square-root bounds sqrt(2(1-c)) <= [x] <= pi sqrt((1-c)/2); candidates
     are then resolved with certified arccos enclosures.  The scan compares
     the *squares* n^2 * 2(1-cos), as integers over the one denominator
-    kb * 2^bits, so the hot loop is integer-only.
+    kb * 2^bits, so the hot loop is integer-only.  Far from a return to 1 a
+    step is skipped by one comparison C < thr: a step whose lower bound
+    lo_sq exceeds the running bound `upper` can neither be a candidate nor
+    lower `upper`, since hi_sq >= lo_sq.  thr is refreshed when `upper`
+    falls and at least every `_BLOCK` steps; every other step runs the
+    full test, so the candidates are exactly those of a plain scan.
 
     Root-of-unity angles are periodic: n = order brings the rotation back
     to 1, so the minimum is exactly 0 once N >= order, and below that it
@@ -479,13 +567,25 @@ def lagrange_prefix(p, q, N: int, bits: int = 192) -> Ival:
         # 2(1-c) <= alpha^2 <= pi^2 (1-c)/2
         upper = None                       # bound on (min n [..])^2
         candidates = []
-        for n, C, _, E in sc.walk(N):
-            hi_sq = n * n * ka * (scale - C + E + 1)
-            lo_sq = 2 * n * n * kb * max(scale - C - E - 1, 0)
-            if upper is None or hi_sq < upper:
-                upper = hi_sq
-            if lo_sq <= upper:
-                candidates.append((lo_sq, n, C, E))
+        while sc.n < N:
+            end = min(N, sc.n + _BLOCK)
+            e_hi = sc.err + end - sc.n
+            # Prefilter: lo_sq > upper once scale - C - E - 1 exceeds
+            # upper / (2 n^2 kb), and then hi_sq > upper too (ka >= 2 kb),
+            # so the step changes nothing; C < thr gives that over the rest
+            # of the block (n >= its first index, E <= e_hi).
+            thr = (-math.inf if upper is None else
+                   scale - e_hi - 1 - upper // (2 * (sc.n + 1) ** 2 * kb))
+            for n, C, _, E in sc.walk(end):
+                if C < thr:
+                    continue
+                hi_sq = n * n * ka * (scale - C + E + 1)
+                lo_sq = 2 * n * n * kb * max(scale - C - E - 1, 0)
+                if upper is None or hi_sq < upper:
+                    upper = hi_sq
+                    thr = scale - e_hi - 1 - upper // (2 * n * n * kb)
+                if lo_sq <= upper:
+                    candidates.append((lo_sq, n, C, E))
         final = [(n, sc.ival(C, E)) for lo_sq, n, C, E in candidates
                  if lo_sq <= upper]
     best: Ival | None = None
@@ -516,16 +616,26 @@ def approximate_L(p, q, eps, horizon_cap: int = 10**6) -> LEstimate:
     tangent-ball machinery: a clean certified-nonnegative tail of ball
     minima forces n [2 pi n theta] > 2 pi ell - eps_a beyond the cutoff
     (and the prefix is scanned directly); a certified-negative ball term
-    witnesses n [2 pi n theta] < 2 pi ell + eps_a."""
+    witnesses n [2 pi n theta] < 2 pi ell + eps_a.
+
+    The orbit is walked once per call: all probes share one `_TailWalk`,
+    bounded by the largest 2 pi ell a probe can reach and psi <= 1/6, and
+    the prefix scan of each distinct n2 is computed once."""
     p, q = _rotation_point(p, q)
     eps = Q(eps)
     if eps <= 0:
         raise ValueError("eps must be positive")
+    if horizon_cap < 1:
+        raise ValueError("horizon >= 1 required")
     pi_iv = pi_ival(96)
     # Lagrange-type values live in [0, 1/sqrt(5)]
     lo = ZERO
     hi = sqrt_up(Q(1, 5), 48)
     eps_a = pi_iv.lo * eps / 2      # angle-scale slack: eps_a/(2 pi) <= eps/4
+    # every probe has q' <= pi_hi * hi + 2^-24 (rounding) and psi <= 1/6
+    lam_max = 2 * (pi_iv.hi * hi + Q(1, 1 << 24))
+    tail = None
+    prefixes = {}
     probes = 0
     exhausted = False
     # aim for half the permitted width so the midpoint sits comfortably
@@ -541,10 +651,16 @@ def approximate_L(p, q, eps, horizon_cap: int = 10**6) -> LEstimate:
         if params.n2 >= horizon_cap:
             exhausted = True
             break
-        prefix = lagrange_prefix(p, q, params.n2)
+        if params.n2 not in prefixes:
+            prefixes[params.n2] = lagrange_prefix(p, q, params.n2)
+        prefix = prefixes[params.n2]
         hi = min(hi, max(prefix.hi, ZERO))
-        tail = scan_ball_terms(params, params.n2, horizon_cap)
-        if tail[0] == "clean":
+        if tail is None and rotation_order(p) is None:
+            # the least q' gives the least n2, so the walk covers every probe
+            n_start = compute_params(Q(1, 1 << 24), eps_a, p, q).n2
+            tail = _TailWalk(p, q, n_start, lam_max, Q(1, 6))
+        res = scan_ball_terms(params, params.n2, horizon_cap, _tail=tail)
+        if res[0] == "clean":
             # min over the tail of n[2 pi n theta] > 2 q' - eps_a
             tail_lo = (2 * qprime - eps_a) / (2 * pi_iv.hi)
             lo = max(lo, min(prefix.lo, max(tail_lo, ZERO)))

@@ -86,7 +86,13 @@ class TorusParam:
 
 @lru_cache(maxsize=None)
 def root_of_unity_alg(k: int, n: int) -> AlgebraicNumber:
-    """The exact algebraic number e^(2 pi i k/n)."""
+    """The exact algebraic number e^(2 pi i k/n).
+
+    Distinct primitive n-th roots are at least 2 sin(pi/n) >= 4/n apart
+    (sin x >= 2x/pi on [0, pi/2]).  A root box that meets the target box,
+    with the two diameters summing to less than 4/n, holds the target root
+    itself, so the first such conjugate field is the answer and the fields
+    after it are never seeded."""
     k %= n
     g = math.gcd(k, n)
     k, n = k // g, n // g
@@ -100,13 +106,11 @@ def root_of_unity_alg(k: int, n: int) -> AlgebraicNumber:
     while True:
         for idx in range(len(cyc) - 1):
             f = NumberField.get(cyc, idx)
-            if f.root_box(bits).re.overlaps(target.re) and \
-               f.root_box(bits).im.overlaps(target.im):
-                others = [i for i in range(len(cyc) - 1) if i != idx and
-                          not (NumberField.get(cyc, i).root_box(bits)
-                               .disjoint(target))]
-                if not others:
-                    return AlgebraicNumber.from_root(f)
+            box = f.root_box(bits)
+            # a box's diameter is at most twice its larger side
+            if not box.disjoint(target) and \
+               2 * (box.width + target.width) < Q(4, n):
+                return AlgebraicNumber.from_root(f)
         bits *= 2
         target = unit_box(Q(k, n), bits)
         if bits > 1 << 14:

@@ -176,6 +176,15 @@ def test_lab_off_circle_exit3(args):
     assert p.stdout == ""
 
 
+@pytest.mark.parametrize("horizon", ["0", "-5"])
+def test_lab_approx_L_horizon_below_one_exit3(horizon):
+    p = run_cli(["lab", "approx-L", "--p", "3/5", "--q", "4/5",
+                 "--eps", "1/20", "--horizon", horizon])
+    assert p.returncode == 3, p.stdout + p.stderr
+    assert "horizon" in p.stderr
+    assert p.stdout == ""
+
+
 def test_decide_zero_coset_unknown_in_time():
     # modulus 2/sqrt(3) at angle pi/6 with u_1 = 0: one finite-torus coset
     # value is exactly zero, and its refiner has no exact zero test

@@ -286,3 +286,44 @@ def test_decision_invariant_holds_under_python_O():
                        text=True, env=env, timeout=120)
     assert p.returncode == 0, p.stderr
     assert p.stdout.strip() == "RuntimeError"
+
+
+def _prefix_scan_ref(lrr, c, n_thr, want_zero):
+    """The short prefix scan on `eval_terms`' exact Fraction terms."""
+    margin = None
+    for n, v in enumerate(eval_terms(lrr, c, n_thr)):
+        if (v == 0) if want_zero else (v <= 0):
+            return n, v, None
+        if not want_zero:
+            margin = v if margin is None else min(margin, v)
+    return None, None, margin
+
+
+def test_short_prefix_scan_matches_fraction_terms():
+    """The integer prefix scan gives the violation index, its value and
+    the margin of the Fraction recursion, for positivity and Skolem."""
+    import random
+    from robustlrs.decide import _prefix_scan
+    rng = random.Random(11)
+    rat = lambda: Q(rng.randint(-9, 9), rng.choice((1, 2, 3, 7, 10)))
+    cases = [(Lrr((Q(-1), Q(2))), InitialConfig((Q(-5), Q(-4))), 12),
+             (Lrr((Q(-1), Q(2))), InitialConfig((Q(5), Q(9, 2))), 12)]
+    for _ in range(120):
+        k = rng.randint(1, 3)
+        coeffs = tuple(rat() for _ in range(k))
+        if coeffs[0] == 0:
+            continue
+        cases.append((Lrr(coeffs), InitialConfig(tuple(
+            rat() if rng.random() < 0.8 else abs(rat()) + 1
+            for _ in range(k))), rng.randint(0, 60)))
+    seen = set()
+    for lrr, c, n_thr in cases:
+        for want_zero in (False, True):
+            got = _prefix_scan(lrr, c, n_thr, want_zero)
+            assert got == _prefix_scan_ref(lrr, c, n_thr, want_zero), \
+                (lrr.coeffs, c.entries, n_thr, want_zero)
+            seen.add((want_zero, got[0] is None, got[0] is not None
+                      and got[0] >= lrr.order))
+    # violations past the initial values and clean scans, for both questions
+    assert {(False, True, False), (True, True, False), (False, False, True),
+            (True, False, True)} <= seen
