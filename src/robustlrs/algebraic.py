@@ -25,7 +25,7 @@ from functools import lru_cache
 import sympy
 from sympy.polys import rootoftools
 
-from .qmath import Q, ZERO, ONE
+from .qmath import Q, ZERO, ONE, precisions
 from .interval import Ival, Box
 from . import poly as P
 from .poly import (pnorm, pdeg, padd, psub, pmul, pmod, pdivmod, pscale,
@@ -34,7 +34,6 @@ from .poly import (pnorm, pdeg, padd, psub, pmul, pmod, pdivmod, pscale,
 
 _x = sympy.Symbol("x")
 
-_MAX_BITS = 1 << 16
 _UNSET = object()   # marks a lazily computed slot not yet filled
 
 
@@ -310,8 +309,7 @@ class NumberField:
         if self.is_real_root:
             return self
         # conjugate root is the unique root of minpoly in the mirrored box
-        bits = 32
-        while True:
+        for bits in precisions(32, "conjugate root identification"):
             target = self.root_box(bits).conj()
             hits = []
             for idx in range(self.degree):
@@ -320,9 +318,6 @@ class NumberField:
                     hits.append(idx)
             if len(hits) == 1:
                 return _field_cache(self.minpoly, hits[0])
-            bits *= 2
-            if bits > _MAX_BITS:
-                raise RuntimeError("conjugate root identification failed")
 
     def power_sums(self, count: int) -> list[Fraction]:
         """Newton power sums p_k = sum of k-th powers of all roots."""
@@ -456,14 +451,10 @@ class FieldElement:
         """Enclosure of guaranteed width at most `width`."""
         if self.is_rational():
             return Box.point(self.as_rational())
-        bits = 64
-        while True:
+        for bits in precisions(64, "refinement to a given width"):
             b = self.box(bits)
             if b.width <= width:
                 return b
-            bits *= 2
-            if bits > _MAX_BITS:
-                raise RuntimeError("refinement budget exhausted")
 
     def conj_in_field(self) -> "FieldElement | None":
         """Complex conjugate as an element of the same field, when expressible:
@@ -526,16 +517,8 @@ def _root_fields(intpoly: tuple[int, ...]) -> list[NumberField]:
             continue
         for idx in range(len(fac) - 1):
             fields.append(_field_cache(fac, idx))
-    bits = 32
-    while True:
-        boxes = [f.root_box(bits) for f in fields]
-        ok = all(boxes[i].disjoint(boxes[j])
-                 for i in range(len(boxes)) for j in range(i + 1, len(boxes)))
-        if ok:
-            return fields
-        bits *= 2
-        if bits > _MAX_BITS:
-            raise RuntimeError("could not separate roots")
+    _separate(lambda bits: [f.root_box(bits) for f in fields], 32)
+    return fields
 
 
 def _same_root_of(intpoly, refine_a, refine_b) -> bool:
@@ -546,8 +529,7 @@ def _same_root_of(intpoly, refine_a, refine_b) -> bool:
     isolating box of its root, and equality reduces to identity of that
     root."""
     fields = _root_fields(intpoly)
-    bits = 64
-    while True:
+    for bits in precisions(64, "root identification"):
         ba, bb = refine_a(bits), refine_b(bits)
         if ba.disjoint(bb):
             return False
@@ -556,9 +538,6 @@ def _same_root_of(intpoly, refine_a, refine_b) -> bool:
         ib = [i for i, rb in enumerate(root_boxes) if not rb.disjoint(bb)]
         if len(ia) == 1 and len(ib) == 1:
             return ia == ib
-        bits *= 2
-        if bits > _MAX_BITS:
-            raise RuntimeError("root identification budget exhausted")
 
 
 class AlgebraicNumber:
@@ -648,8 +627,7 @@ class AlgebraicNumber:
         Ay = P.to_sympy(e.coeffs).as_expr().subs(_x, y)
         res = sympy.Poly(sympy.resultant(My, _x - Ay, y), _x)
         cands = [fac for fac, _ in P.factor_int(P.from_sympy(res)) if len(fac) > 1]
-        bits = 64
-        while True:
+        for bits in precisions(64, "defining polynomial identification"):
             b = self.box(bits)
             alive = []
             for fac in cands:
@@ -659,9 +637,6 @@ class AlgebraicNumber:
             if len(alive) == 1:
                 self._defpoly = alive[0]
                 return self._defpoly
-            bits *= 2
-            if bits > _MAX_BITS:
-                raise RuntimeError("defining polynomial identification failed")
 
     def isolating_disk(self) -> tuple[Fraction, Fraction, Fraction]:
         """(center_re, center_im, radius) containing exactly one root of the
@@ -739,25 +714,19 @@ def isolate_roots(p) -> list[tuple[AlgebraicNumber, int]]:
         for idx in range(len(fac) - 1):
             out.append((AlgebraicNumber.from_root(_field_cache(fac, idx)), mult))
     # touch disjointness once so returned disks are isolated
-    fields = []
-    for a, _ in out:
-        if not a.is_rational:
-            fields.append(a.elem.field)
-    if fields:
-        _separate(fields, [a for a, _ in out])
+    if any(not a.is_rational for a, _ in out):
+        _separate(lambda bits: [a.box(bits) for a, _ in out], 64)
     return out
 
 
-def _separate(fields, numbers, bits: int = 64):
-    while True:
-        boxes = [a.box(bits) for a in numbers]
-        ok = all(boxes[i].disjoint(boxes[j])
-                 for i in range(len(boxes)) for j in range(i + 1, len(boxes)))
-        if ok:
+def _separate(boxes_at, start: int):
+    """Climb the precision ladder from `start` until the boxes
+    `boxes_at(bits)` are pairwise disjoint."""
+    for bits in precisions(start, "root separation"):
+        boxes = boxes_at(bits)
+        if all(boxes[i].disjoint(boxes[j])
+               for i in range(len(boxes)) for j in range(i + 1, len(boxes))):
             return
-        bits *= 2
-        if bits > _MAX_BITS:
-            raise RuntimeError("separation failed")
 
 
 def refine(a: AlgebraicNumber, width) -> Box:
@@ -785,15 +754,11 @@ def _root_of_unity_index(a: AlgebraicNumber) -> tuple[int, int] | None:
         return None
     from .trig import unit_box
     cands = [k for k in range(n) if math.gcd(k, n) == 1]
-    bits = 64
-    while True:
+    for bits in precisions(64, "root-of-unity identification"):
         b = a.box(bits)
         alive = [k for k in cands if not b.disjoint(unit_box(Q(k, n), bits))]
         if len(alive) == 1:
             return (alive[0], n)
-        bits *= 2
-        if bits > _MAX_BITS:
-            raise RuntimeError("root-of-unity identification failed")
 
 
 def _as_common_field(gammas: list[AlgebraicNumber]):
@@ -864,8 +829,7 @@ def power_product_is_one(gammas: list[AlgebraicNumber],
             return False
         from .trig import unit_box
         target = -turn
-        bits = 64
-        while True:
+        for bits in precisions(64, "root-of-unity comparison"):
             b = prod.box(bits)
             tb = unit_box(target, bits)
             if b.disjoint(tb):
@@ -873,9 +837,6 @@ def power_product_is_one(gammas: list[AlgebraicNumber],
             if max(b.width, tb.width) < Q(1, 4 * n):
                 # distinct n-th roots of unity are at least 2 sin(pi/n) > 4/n apart
                 return True
-            bits *= 2
-            if bits > _MAX_BITS:
-                raise RuntimeError("root-of-unity comparison failed")
     return _power_product_general(gammas, exponents)
 
 
@@ -913,14 +874,10 @@ def _power_product_general(gammas, exponents) -> bool:
     if peval([Q(c) for c in acc_int], ONE) != 0:
         return False
     sep = separation_bound(acc_int)
-    bits = 64
-    while True:
+    for bits in precisions(64, "power product decision"):
         b = prod_box(bits)
         if not b.contains(ONE):
             return False
         if b.width < sep / 4:
             return True  # a root of acc_int within sep/2 of the root 1 is 1
-        bits *= 2
-        if bits > _MAX_BITS:
-            raise RuntimeError("power product decision failed")
 

@@ -116,7 +116,6 @@ def emit_plot_data(spec: ProblemSpec, kind: str, count: int) -> str:
     buf = io.StringIO()
     if kind == "orbit":
         terms = eval_terms(spec.lrr, spec.init, count)
-        spec_data = spectral(spec.lrr)
         buf.write("n,u_n,v_n\n")
         sc = OrbitScanner(spec.lrr, spec.init, bits=128)
         for n, u in enumerate(terms):
@@ -260,6 +259,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # exact certificates and terms print integers of any length
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     args = _build_parser().parse_args(argv)
     defaults = _load_defaults()
     try:
@@ -267,7 +269,7 @@ def main(argv=None) -> int:
     except (ProblemError, ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
-    except Exception as exc:  # pragma: no cover
+    except Exception as exc:
         sys.stderr.write(f"internal error: {type(exc).__name__}: {exc}\n")
         return EXIT_INTERNAL
 

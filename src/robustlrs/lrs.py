@@ -17,15 +17,14 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .qmath import Q, ZERO, ONE
+from .qmath import Q, ZERO, ONE, precisions
+from . import qmath
 from .interval import Ival, Box
 from . import poly as P
 from .poly import pnorm, PolyRat
 from .intmat import mat_mul
 from .algebraic import (AlgebraicNumber, FieldElement, NumberField,
                         isolate_roots)
-
-_MAX_BITS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -139,34 +138,21 @@ class SpectralData:
         return sum(mult for _, mult in self.roots)
 
 
-def _abs_sq_refiner(a: AlgebraicNumber):
-    return lambda bits: a.box(bits).abs_sq()
-
-
-def _alg_sqrt(t: AlgebraicNumber, box_hint) -> AlgebraicNumber:
-    """Positive square root of a positive real algebraic number."""
+def _alg_sqrt(t: AlgebraicNumber, refiner) -> AlgebraicNumber:
+    """Positive square root of a positive real algebraic number; `refiner`
+    maps a bit count to a box enclosing the root."""
     if t.is_rational:
         v = t.as_rational()
         from .qmath import is_perfect_square, exact_sqrt
         if is_perfect_square(v):
             return AlgebraicNumber.from_rational(exact_sqrt(v))
-        cands = isolate_roots(PolyRat((-v, ZERO, ONE)))
+        coeffs = (-v, ZERO, ONE)
     else:
         ints = t._defining_ints()
-        doubled = [ZERO] * (2 * len(ints) - 1)
+        coeffs = [ZERO] * (2 * len(ints) - 1)
         for i, co in enumerate(ints):
-            doubled[2 * i] = Q(co)
-        cands = isolate_roots(PolyRat(tuple(doubled)))
-    bits = 64
-    while True:
-        hint = box_hint(bits)
-        alive = [a for a, _ in cands
-                 if not a.box(bits).disjoint(Box(hint, Ival.point(0)))]
-        if len(alive) == 1:
-            return alive[0]
-        bits *= 2
-        if bits > _MAX_BITS:
-            raise RuntimeError("square root identification failed")
+            coeffs[2 * i] = Q(co)
+    return _locate_as_root(coeffs, refiner, "square root identification")
 
 
 def _conjugate_partners(roots) -> list[int]:
@@ -194,7 +180,9 @@ def _abs_sq_alg(a: AlgebraicNumber) -> AlgebraicNumber:
     if cj is not None:
         return AlgebraicNumber.from_element(a.elem * cj)
     mp = [Q(c) for c in a.elem.field.minpoly]
-    return _locate_as_root(P.composed_product(mp, mp), _abs_sq_refiner(a))
+    return _locate_as_root(P.composed_product(mp, mp),
+                           lambda bits: Box(a.box(bits).abs_sq(), Ival.point(0)),
+                           "squared modulus identification")
 
 
 def _same_modulus_exact(a: AlgebraicNumber, b: AlgebraicNumber) -> bool:
@@ -230,8 +218,7 @@ def spectral(lrr: Lrr) -> SpectralData:
     for i, j in enumerate(_conjugate_partners(roots)):
         union(i, j)
     tested: set[tuple[int, int]] = set()
-    bits = 96
-    while True:
+    for bits in precisions(96, "modulus separation"):
         sqs = [a.box(bits).abs_sq() for a, _ in roots]
         pending = [(i, j) for i in range(r) for j in range(i + 1, r)
                    if find(i) != find(j) and sqs[i].overlaps(sqs[j])]
@@ -243,9 +230,6 @@ def spectral(lrr: Lrr) -> SpectralData:
                 union(i, j)
         if all(find(i) == find(j) for i, j in pending):
             break
-        bits *= 2
-        if bits > 1 << 14:
-            raise RuntimeError("modulus separation failed")
     top = max(range(r), key=lambda i: (sqs[i].lo, i))
     dominant = sorted(i for i in range(r) if find(i) == find(top))
     m = max(roots[i][1] for i in dominant) - 1
@@ -259,32 +243,29 @@ def _rho_of(rep: AlgebraicNumber) -> AlgebraicNumber:
     if rep.is_unit_modulus():
         return AlgebraicNumber.from_rational(ONE)
     if rep.elem.field.is_real_root:
-        # |real root|: flip the sign when the embedding is negative
-        bits = 64
-        while True:
+        # |real root|: flip the sign when the embedding is negative; roots
+        # are nonzero (a_0 != 0), so the sign is found
+        for bits in precisions(64, "sign of a real root"):
             s = rep.box(bits).re.sign()
             if s is not None:
                 break
-            bits *= 2  # roots are nonzero (a_0 != 0), so this terminates
         return rep if s > 0 else AlgebraicNumber.from_element(rep.elem * Q(-1))
 
-    def rho_hint(bits):
-        return rep.box(bits).abs_sq().sqrt(bits)
+    def rho_box(bits):
+        return Box(rep.box(bits).abs_sq().sqrt(bits), Ival.point(0))
 
-    return _alg_sqrt(_abs_sq_alg(rep), rho_hint)
+    return _alg_sqrt(_abs_sq_alg(rep), rho_box)
 
 
-def _locate_as_root(coeffs, refiner) -> AlgebraicNumber:
-    cands = isolate_roots(PolyRat(pnorm(coeffs)))
-    bits = 64
-    while True:
-        b = Box(refiner(bits), Ival.point(0))
+def _locate_as_root(coeffs, refiner, what: str) -> AlgebraicNumber:
+    """The one root of the polynomial `coeffs` whose box meets the box
+    `refiner(bits)` enclosing the wanted number, refined until one does."""
+    cands = isolate_roots(coeffs)
+    for bits in precisions(64, what):
+        b = refiner(bits)
         alive = [a for a, _ in cands if not a.box(bits).disjoint(b)]
         if len(alive) == 1:
             return alive[0]
-        bits *= 2
-        if bits > _MAX_BITS:
-            raise RuntimeError("root location failed")
 
 
 # ---------------------------------------------------------------------------
@@ -563,14 +544,10 @@ class ResidualEvaluator:
             if t.base_is_unit:
                 beta = ONE
             else:
-                b = bits
-                while True:
+                for b in precisions(bits, "certifying |base| < 1"):
                     beta = t.base.box(b).abs(b).hi
                     if beta < 1:
                         break
-                    b *= 2
-                    if b > _MAX_BITS:
-                        raise RuntimeError("failed to certify |base| < 1")
             out.append((a_hi, t.npow, beta))
         return out
 
@@ -618,34 +595,18 @@ def _ratio_to_rho(root: AlgebraicNumber, rho: AlgebraicNumber) -> AlgebraicNumbe
         if root.is_rational:
             return AlgebraicNumber.from_rational(root.as_rational() / r)
         return AlgebraicNumber.from_element(root.elem * (1 / r))
-    if root.is_rational and not rho.is_rational:
-        # root/rho: root of P_rho scaled -- construct via resultant poly below
-        pass
     # resultant: roots of Res_y(P_rho(y), M(x*y)) include root/rho
     import sympy
-    from .poly import to_sympy, from_sympy, int_normalize as pint
+    from .poly import to_sympy, from_sympy
     _xs = sympy.Symbol("x")
     ys = sympy.Symbol("y")
     prho = to_sympy([Q(v) for v in rho._defining_ints()]).as_expr().subs(_xs, ys)
     mroot = to_sympy([Q(v) for v in root._defining_ints()]).as_expr().subs(
         _xs, _xs * ys)
     res = sympy.Poly(sympy.expand(sympy.resultant(prho, mroot, ys)), _xs)
-    coeffs = from_sympy(res)
-
-    def refiner(bits):
-        rb = rho.box(bits).re
-        return root.box(bits) * rb.inverse()
-
-    cands = isolate_roots(PolyRat(pnorm(coeffs)))
-    bits = 64
-    while True:
-        b = refiner(bits)
-        alive = [a for a, _ in cands if not a.box(bits).disjoint(b)]
-        if len(alive) == 1:
-            return alive[0]
-        bits *= 2
-        if bits > _MAX_BITS:
-            raise RuntimeError("unit ratio identification failed")
+    return _locate_as_root(from_sympy(res),
+                           lambda bits: root.box(bits) * rho.box(bits).re.inverse(),
+                           "unit ratio identification")
 
 
 def residual_threshold(res: ResidualEvaluator, eps: Fraction,
@@ -983,7 +944,7 @@ def term_sign(lrr: Lrr, c: InitialConfig, n: int,
         w, _ = scaled_term(lrr, c, n)
         return (w > 0) - (w < 0)
     bits = 192
-    while bits <= _MAX_BITS:
+    while bits <= qmath.MAX_BITS:
         sc = OrbitScanner(lrr, c, bits)
         for _ in range(n):
             sc.step()

@@ -16,6 +16,24 @@ Q = Fraction
 ZERO = Q(0)
 ONE = Q(1)
 
+# Precision cap of every exact decision that refines enclosures until they
+# separate (root identification, equal moduli, roots of unity, relations).
+MAX_BITS = 1 << 16
+
+
+class PrecisionExhausted(RuntimeError):
+    """An exact decision still undecided at MAX_BITS bits of precision."""
+
+
+def precisions(start: int, what: str):
+    """The precision ladder start, 2*start, ... up to MAX_BITS (read at each
+    rung); past it, raise PrecisionExhausted naming `what`."""
+    bits = start
+    while bits <= MAX_BITS:
+        yield bits
+        bits *= 2
+    raise PrecisionExhausted(f"{what}: undecided at {MAX_BITS} bits")
+
 
 def parse_rational(text: str) -> Fraction:
     """Parse a rational from its canonical "p/q" (or plain integer) string."""

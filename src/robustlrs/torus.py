@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .qmath import Q, ZERO
+from .qmath import Q, ZERO, precisions
 from .interval import Box
 from .trig import unit_box
 from .intmat import hnf_rows, snf, kernel_basis, lll_reduce
@@ -101,9 +101,8 @@ def root_of_unity_alg(k: int, n: int) -> AlgebraicNumber:
     if n == 2:
         return AlgebraicNumber.from_rational(Q(-1))
     cyc = cyclotomic(n)
-    target = unit_box(Q(k, n), 96)
-    bits = 96
-    while True:
+    for bits in precisions(96, "root of unity identification"):
+        target = unit_box(Q(k, n), bits)
         for idx in range(len(cyc) - 1):
             f = NumberField.get(cyc, idx)
             box = f.root_box(bits)
@@ -111,10 +110,6 @@ def root_of_unity_alg(k: int, n: int) -> AlgebraicNumber:
             if not box.disjoint(target) and \
                2 * (box.width + target.width) < Q(4, n):
                 return AlgebraicNumber.from_root(f)
-        bits *= 2
-        target = unit_box(Q(k, n), bits)
-        if bits > 1 << 14:
-            raise RuntimeError("root of unity identification failed")
 
 
 def _rou_congruence_lattice(rous: list[tuple[int, int]]) -> list[list[int]]:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -8,6 +9,8 @@ from pathlib import Path
 
 import pytest
 
+from robustlrs import qmath
+from robustlrs.lrs import Lrr, InitialConfig, scaled_term
 from robustlrs.serialize import parse_problem, ProblemError, decimal_str
 from robustlrs.cli import main, emit_plot_data
 
@@ -222,6 +225,63 @@ def test_plot_orbit_deterministic():
     lines = p1.stdout.strip().split("\n")
     assert lines[0] == "n,u_n,v_n"
     assert len(lines) == 22
+
+
+def test_plot_orbit_bytes_pinned():
+    # a real root and a complex pair: x^3 = x^2/2 + x - 4
+    p = run_cli(["plot", "--kind", "orbit", "--range", "60", "--problem", "-"],
+                stdin='{"coeffs":["-4","1","1/2"],"init":["1","0","2"]}')
+    assert p.returncode == 0, p.stderr
+    assert hashlib.sha256(p.stdout.encode()).hexdigest() == \
+        "86c22a12fd013ef163f93f1b51300633a8d7e483568d1c22dde453c113543e34"
+
+
+@pytest.fixture
+def no_int_digit_limit():
+    """Lift Python's int/str digit limit (3.11+) for the test, then restore it."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    yield
+    sys.set_int_max_str_digits(old)
+
+
+def test_decide_margin_beyond_int_digit_limit(no_int_digit_limit):
+    # u_n = 1/21 + (999/1000)^n: the YES certificate's exact margin u_3735
+    # has about 11 000 digits
+    p = run_cli(["decide", "exists-robust-positivity", "--problem", "-"],
+                stdin='{"coeffs":["-999/1000","1999/1000"],'
+                      '"init":["22/21","21979/21000"]}')
+    assert p.returncode == 0, p.stderr
+    doc = json.loads(p.stdout)
+    assert doc["verdict"] == "YES"
+    cert = doc["certificate"]
+    assert cert["threshold"] == 3735
+    lrr = Lrr((Q(-999, 1000), Q(1999, 1000)))
+    c = InitialConfig((Q(22, 21), Q(21979, 21000)))
+    assert Q(cert["prefix_margin"]) == Q(*scaled_term(lrr, c, 3735))
+
+
+def test_eval_term_beyond_int_digit_limit():
+    p = run_cli(["eval", "--problem", "-", "--n-max", "800"],
+                stdin='{"coeffs":["1000000"],"init":["1"]}')
+    assert p.returncode == 0, p.stderr
+    assert p.stdout.strip().split("\n")[-1] == "800,1" + "0" * 4800
+
+
+def test_precision_exhausted_exits_internal(tmp_path, monkeypatch, capsys,
+                                           no_int_digit_limit):
+    # every exact decision refines on qmath.precisions; with a cap below the
+    # first rung the golden-ratio roots cannot be separated
+    problem = tmp_path / "fib.json"
+    problem.write_text(FIB_POS)
+    monkeypatch.setattr(qmath, "MAX_BITS", 32)
+    code = main(["decide", "exists-robust-positivity", "--problem", str(problem)])
+    assert code == 4
+    err = capsys.readouterr().err
+    assert "PrecisionExhausted" in err and "undecided at 32 bits" in err
 
 
 def test_plot_cone_section_requires_family():

@@ -3,9 +3,11 @@ from fractions import Fraction as Q
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from robustlrs import qmath
 from robustlrs.interval import Ival, Box, imin
 from robustlrs.qmath import (parse_rational, format_rational, round_down,
-                             round_up, sqrt_down, sqrt_up, exact_sqrt)
+                             round_up, sqrt_down, sqrt_up, exact_sqrt,
+                             precisions, PrecisionExhausted)
 
 rationals = st.fractions(min_value=-100, max_value=100, max_denominator=1000)
 
@@ -37,6 +39,24 @@ def test_exact_sqrt():
     assert exact_sqrt(Q(9, 4)) == Q(3, 2)
     with pytest.raises(ValueError):
         exact_sqrt(Q(2))
+
+
+def test_precisions_ladder():
+    ladder = precisions(64, "x")
+    assert [next(ladder) for _ in range(11)] == [64 << i for i in range(11)]
+    assert 64 << 10 == qmath.MAX_BITS == 65536
+    with pytest.raises(PrecisionExhausted, match="x: undecided at 65536 bits"):
+        next(ladder)
+    assert issubclass(PrecisionExhausted, RuntimeError)
+
+
+def test_precisions_reads_cap_when_called(monkeypatch):
+    monkeypatch.setattr(qmath, "MAX_BITS", 256)
+    seen = []
+    with pytest.raises(PrecisionExhausted, match="y: undecided at 256 bits"):
+        for bits in precisions(64, "y"):
+            seen.append(bits)
+    assert seen == [64, 128, 256]
 
 
 @given(rationals, rationals, rationals, rationals)
