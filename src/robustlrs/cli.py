@@ -275,12 +275,24 @@ def main(argv=None) -> int:
 
 
 def _resolve(args, defaults):
-    tol = parse_rational(args.tol) if getattr(args, "tol", None) else \
-        parse_rational(defaults["tol"]) if "tol" in defaults else DEFAULT_TOL
-    cap = getattr(args, "prefix_cap", None) or defaults.get("prefix_cap") \
-        or DEFAULT_PREFIX_CAP
-    hb = getattr(args, "height_bound", None) or defaults.get("height_bound") \
-        or 64
+    """(tol, prefix cap, height bound): the flag, else the defaults file,
+    else the built-in default.  A given 0 is a value, not a missing one."""
+    def pick(name, fallback):
+        value = getattr(args, name, None)
+        if value is None:
+            value = defaults.get(name)
+        return fallback if value is None else value
+
+    tol = pick("tol", None)
+    if tol is not None and not isinstance(tol, str):
+        raise ValueError(f"tol must be a rational string p/q, got {tol!r}")
+    tol = DEFAULT_TOL if tol is None else parse_rational(tol)
+    cap = pick("prefix_cap", DEFAULT_PREFIX_CAP)
+    hb = pick("height_bound", 64)
+    if not isinstance(cap, int) or cap < 0:
+        raise ValueError(f"prefix cap must be an integer >= 0, got {cap!r}")
+    if not isinstance(hb, int) or hb < 1:
+        raise ValueError(f"height bound must be an integer >= 1, got {hb!r}")
     return tol, cap, hb
 
 

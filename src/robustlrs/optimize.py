@@ -11,6 +11,10 @@ Replaces quantifier elimination with three routes, chosen by structure:
   midpoint; the plain enclosure, the first-order centered (mean-value)
   form and the midpoint upper bound all come from those two passes.
   `min_over_ball` runs the same objective and the same per-coset loop.
+  The objective's products and sums run on integers: weights at scale
+  2^bits, cos/sin on the 2^-(bits + 2) grid, products exact at scale
+  2^(2 bits + 2), sums rounded out to `bits` by shifts.  Its `Fraction`
+  enclosures are those of the same operations on `Fraction` intervals.
 
 A ZERO verdict is only ever issued with an exact certificate; when
 intervals alone cannot separate the minimum from zero the verdict is
@@ -315,11 +319,29 @@ def _minimizer_turn(alpha: AlgebraicNumber, coset_turn: Fraction,
 # branch and bound
 
 
+def _on_grid(x: Fraction, bits: int) -> int:
+    """x * 2^bits for a dyadic x on the 2^-bits grid.  Anything else
+    would be truncated and lose the enclosure, so it raises."""
+    den = x.denominator
+    shift = bits - den.bit_length() + 1
+    if den & (den - 1) or shift < 0:
+        raise RuntimeError(f"{x} is not on the 2^-{bits} grid")
+    return x.numerator << shift
+
+
 class _Objective:
     """Interval objective over the free angles for one torsion coset.
 
     `evaluate` costs one cos/sin pass over a box's angles and one over its
-    midpoint, whatever the number of forms."""
+    midpoint, whatever the number of forms.  The products and sums run on
+    integers.  Each weight w_j = alpha_j zeta_j is kept as the endpoints
+    (re lo, re hi, im lo, im hi) at scale 2^bits, and the cos/sin
+    enclosures lie on the 2^-(bits + 2) grid, so w_j e^{2 pi i phi_j} and
+    the sums of its real parts are exact at scale 2^(2 bits + 2), each
+    interval product the min and max of four as in `Ival.__mul__`.  Sums
+    are rounded out to `bits` by shifts.  Only `evaluate` builds `Fraction`
+    intervals, with the endpoints the same operations on `Fraction`
+    intervals give."""
 
     def __init__(self, forms: list[DominantForm], torus: TorusParam,
                  coset: int, bits: int):
@@ -327,37 +349,53 @@ class _Objective:
         self.k = torus.k
         self.embed = torus.embedding
         self.free = torus.free_rank
-        # per form, per coordinate: w_j = alpha_j * zeta_j boxes
+        # per form, per coordinate: w_j = alpha_j * zeta_j, scale 2^bits
         self.weights = []
         for form in forms:
             row = []
             for j, (alpha, _s) in enumerate(form.terms):
                 zb = unit_box(torus.coset_turns[coset][j], bits)
-                row.append((alpha.box(bits) * zb).round_out(bits))
+                w = (alpha.box(bits) * zb).round_out(bits)
+                row.append((_on_grid(w.re.lo, bits), _on_grid(w.re.hi, bits),
+                            _on_grid(w.im.lo, bits), _on_grid(w.im.hi, bits)))
             self.weights.append(row)
         self.two_pi = pi_ival(bits) * 2
 
-    def _terms(self, sbox: list[Ival]) -> list[list[Box]]:
-        """w_j e^{2 pi i phi_j} per form and coordinate over sbox: one
-        cos/sin pass over the angles phi_j."""
-        zbs = []
+    def _terms(self, sbox: list[Ival]) -> list[list[tuple]]:
+        """w_j e^{2 pi i phi_j} per form and coordinate over sbox, as
+        (re lo, re hi, im lo, im hi) at scale 2^(2 bits + 2): one cos/sin
+        pass over the angles phi_j."""
+        zbits = self.bits + 2
+        zs = []
         for j in range(self.k):
             t = Ival.point(0)
             for b in range(self.free):
                 e = self.embed[j][b]
                 if e:
                     t = t + sbox[b] * e
-            zbs.append(Box(cos_turn(t, self.bits), sin_turn(t, self.bits)))
-        return [[w * zb for w, zb in zip(row, zbs)] for row in self.weights]
-
-    def _values(self, terms: list[list[Box]]) -> list[Ival]:
+            c, s = cos_turn(t, self.bits), sin_turn(t, self.bits)
+            zs.append((_on_grid(c.lo, zbits), _on_grid(c.hi, zbits),
+                       _on_grid(s.lo, zbits), _on_grid(s.hi, zbits)))
         out = []
-        for row in terms:
-            acc = Ival.point(0)
-            for wz in row:
-                acc = acc + wz.re
-            out.append(acc.round_out(self.bits))
+        for row in self.weights:
+            prods = []
+            for (ar, Ar, ai, Ai), (cr, Cr, ci, Ci) in zip(row, zs):
+                # re = w.re z.re - w.im z.im, im = w.re z.im + w.im z.re
+                rr = (ar * cr, ar * Cr, Ar * cr, Ar * Cr)
+                ii = (ai * ci, ai * Ci, Ai * ci, Ai * Ci)
+                ri = (ar * ci, ar * Ci, Ar * ci, Ar * Ci)
+                ir = (ai * cr, ai * Cr, Ai * cr, Ai * Cr)
+                prods.append((min(rr) - max(ii), max(rr) - min(ii),
+                              min(ri) + min(ir), max(ri) + max(ir)))
+            out.append(prods)
         return out
+
+    def _values(self, terms: list[list[tuple]]) -> list[Ival]:
+        """Sum of the real parts per form, rounded out to `bits`."""
+        shift, den = self.bits + 2, 1 << self.bits
+        return [Ival(Q(sum(p[0] for p in row) >> shift, den),
+                     Q(-(-sum(p[1] for p in row) >> shift), den))
+                for row in terms]
 
     def evaluate(self, sbox: list[Ival]) -> tuple[list[Ival], list[Ival]]:
         """(enclosures over sbox, enclosures at its midpoint), one per form.
@@ -370,13 +408,17 @@ class _Objective:
         plain = self._values(terms)
         at_mid = self._values(self._terms(mid))
         acc = at_mid[0]
+        den = 1 << (2 * self.bits + 2)
         for b in range(self.free):
             # d/ds_b sum Re(w e^{2 pi i phi}) = -2 pi sum e_jb Im(w e^{..})
-            deriv = Ival.point(0)
+            lo = hi = 0
             for j in range(self.k):
                 e = self.embed[j][b]
                 if e:
-                    deriv = deriv + terms[0][j].im * (-e)
+                    im_lo, im_hi = terms[0][j][2:]
+                    lo, hi = ((lo - e * im_hi, hi - e * im_lo) if e > 0 else
+                              (lo - e * im_lo, hi - e * im_hi))
+            deriv = Ival(Q(lo, den), Q(hi, den))
             acc = acc + deriv * self.two_pi * (sbox[b] - mid[b])
         centered = (acc.intersect(plain[0]) if acc.overlaps(plain[0])
                     else plain[0])

@@ -5,13 +5,19 @@ period reduction is exact rational arithmetic; only the final Taylor
 evaluation multiplies by an enclosure of 2*pi.  Series remainders are
 bounded by the alternating-series criterion after argument reduction.
 
+The Taylor series runs on integers at scale 2^(bits + 8), rounding each
+term outward as `Ival.round_out` would, so its enclosures are those of
+the same series on `Fraction` intervals, endpoint for endpoint.
+
 `unit_box` at a rational turn reads a bounded table keyed by (turn mod 1,
 bits), so the enclosure of each root of unity at each precision is
 computed once per process: the finite-torus path of the optimizer and
 the root-of-unity tests of `algebraic` and `torus` ask for the same few
-constants at every coset and every term.  Entries are shared, so callers
-build new boxes from them and never change them.  Interval turns (the
-branch-and-bound boxes) are not tabled.
+constants at every coset and every term.  `cos_turn` and `sin_turn` read
+the endpoints of an interval turn from the same table, so a
+branch-and-bound child box, whose endpoints are its parent's endpoints
+or midpoint, costs about one new point.  Entries are shared, so callers
+build new boxes from them and never change them.
 
 `RotScan` iterates the exact rotation by a rational point (p, q) on the
 unit circle as a dyadic point plus an error ball.  Rotations are
@@ -69,21 +75,40 @@ def pi_ival(bits: int = 128) -> Ival:
 
 def _taylor_series(x: Ival, bits: int, odd: int) -> Ival:
     """cos (odd = 0) or sin (odd = 1) on 0 <= x <= 1 (radians): the
-    alternating Taylor series x^(2k + odd) / (2k + odd)!."""
-    term = acc = x if odd else Ival.point(1)
-    x2 = (x * x).round_out(bits + 8)
-    k = 0
-    threshold = Q(1, 1 << (bits + 4))
-    while True:
+    alternating Taylor series x^(2k + odd) / (2k + odd)!.
+
+    x^2 and the terms after the first are integers at scale 2^s, s =
+    bits + 8, each floored (lower end) or ceiled (upper end) as
+    `round_out(s)` would round the exact interval product; the first term
+    (1 or x) is exact and added once at the end."""
+    s = bits + 8
+    lo, hi = x.lo, x.hi
+    x2lo = (lo.numerator ** 2 << s) // lo.denominator ** 2
+    x2hi = -((-hi.numerator ** 2 << s) // hi.denominator ** 2)
+    if odd:
+        tlo = lo.numerator * x2lo // (6 * lo.denominator)
+        thi = -(-hi.numerator * x2hi // (6 * hi.denominator))
+    else:
+        tlo, thi = x2lo >> 1, -(-x2hi >> 1)
+    acc_lo = acc_hi = 0    # sum of the terms after the first, scale 2^s
+    k = 1
+    while thi >= 16:       # term.hi >= 2^-(bits + 4)
+        if k % 2:
+            acc_lo, acc_hi = acc_lo - thi, acc_hi - tlo
+        else:
+            acc_lo, acc_hi = acc_lo + tlo, acc_hi + thi
         k += 1
-        term = (term * x2 * Q(1, (2 * k - 1 + odd) * (2 * k + odd))
-                ).round_out(bits + 8)
-        if term.hi < threshold:
-            # remainder bounded by the first omitted term (terms decreasing)
-            acc = acc + Ival(-term.hi, term.hi)
-            break
-        acc = acc + (term if k % 2 == 0 else -term)
-    return acc.round_out(bits + 2).intersect(Ival(Q(-1), Q(1)))
+        m = (2 * k - 1 + odd) * (2 * k + odd) << s
+        tlo, thi = tlo * x2lo // m, -(-thi * x2hi // m)
+    # remainder bounded by the first omitted term (terms decreasing)
+    acc_lo, acc_hi = acc_lo - thi, acc_hi + thi
+    # round_out(bits + 2) of first term + acc / 2^s, clamped to [-1, 1]
+    first_lo, first_hi = (lo, hi) if odd else (ONE, ONE)
+    d_lo, d_hi = first_lo.denominator, first_hi.denominator
+    one = 1 << (bits + 2)
+    out_lo = ((first_lo.numerator << s) + acc_lo * d_lo) // (d_lo << 6)
+    out_hi = -((-(first_hi.numerator << s) - acc_hi * d_hi) // (d_hi << 6))
+    return Ival(Q(max(out_lo, -one), one), Q(min(out_hi, one), one))
 
 
 def _cos2pi_quarter(r: Fraction, bits: int) -> Ival:
@@ -136,8 +161,9 @@ def cos_turn(t: Ival, bits: int = 64) -> Ival:
     """Enclosure of cos(2 pi x) for x in t (turns)."""
     if t.width >= 1:
         return Ival(Q(-1), Q(1))
-    # a set: a point interval (a box midpoint) is evaluated once
-    out = Ival.hull([cos_turn_point(x, bits) for x in {t.lo, t.hi}])
+    # endpoints read the turn table; a point interval (a box midpoint) is
+    # read once
+    out = Ival.hull([unit_box(x, bits).re for x in {t.lo, t.hi}])
     if _has_point_mod1(t.lo, t.hi, ZERO):
         out = Ival(out.lo, ONE)
     if _has_point_mod1(t.lo, t.hi, Q(1, 2)):
@@ -149,7 +175,7 @@ def sin_turn(t: Ival, bits: int = 64) -> Ival:
     """Enclosure of sin(2 pi x) for x in t (turns)."""
     if t.width >= 1:
         return Ival(Q(-1), Q(1))
-    out = Ival.hull([sin_turn_point(x, bits) for x in {t.lo, t.hi}])
+    out = Ival.hull([unit_box(x, bits).im for x in {t.lo, t.hi}])
     if _has_point_mod1(t.lo, t.hi, Q(1, 4)):
         out = Ival(out.lo, ONE)
     if _has_point_mod1(t.lo, t.hi, Q(3, 4)):
@@ -157,7 +183,9 @@ def sin_turn(t: Ival, bits: int = 64) -> Ival:
     return out
 
 
-# A problem asks for a few dozen keys at most; the bound matters because a
+# Keys are the few root-of-unity turns of a problem and the endpoints of
+# the branch-and-bound boxes: a child box's endpoints are its parent's
+# endpoints or midpoint, read shortly before.  The bound matters because a
 # precision climb can reach 2^15 bits, where one entry holds tens of kB.
 @lru_cache(maxsize=256)
 def _unit_point_box(t: Fraction, bits: int) -> Box:

@@ -313,3 +313,49 @@ def test_env_config_default(tmp_path):
     doc = json.loads(p.stdout)
     assert doc["provenance"]["tol"] == "1/1048576"
     assert doc["provenance"]["prefix_cap"] == 500
+
+
+def _decide_fib(tmp_path, monkeypatch, capsys, flags, config=None):
+    """Run `decide` in process on FIB_POS; returns (exit code, report or
+    None, stderr)."""
+    problem = tmp_path / "fib.json"
+    problem.write_text(FIB_POS)
+    monkeypatch.delenv("ROBUSTLRS_CONFIG", raising=False)
+    if config is not None:
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps(config))
+        monkeypatch.setenv("ROBUSTLRS_CONFIG", str(cfgfile))
+    code = main(["decide", "exists-robust-positivity", "--problem",
+                 str(problem), *flags])
+    out, err = capsys.readouterr()
+    return code, (json.loads(out) if out else None), err
+
+
+@pytest.mark.parametrize("flags,config", [
+    (["--prefix-cap", "0"], None),
+    ([], {"prefix_cap": 0}),
+], ids=["flag", "config"])
+def test_zero_prefix_cap_is_kept(tmp_path, monkeypatch, capsys, flags,
+                                 config):
+    """A prefix cap of 0 is a value: the report does not swap in the
+    default of 10^6."""
+    code, doc, err = _decide_fib(tmp_path, monkeypatch, capsys, flags, config)
+    assert code in (0, 1, 2), err
+    assert doc["provenance"]["prefix_cap"] == 0
+
+
+@pytest.mark.parametrize("flags,config", [
+    (["--prefix-cap", "-3"], None),
+    (["--height-bound", "0"], None),
+    ([], {"prefix_cap": -1}),
+    ([], {"height_bound": 0}),
+    ([], {"prefix_cap": "5"}),
+    ([], {"tol": 0.001}),
+], ids=["cap-flag", "height-flag", "cap-config", "height-config",
+        "cap-string-config", "tol-float-config"])
+def test_bad_setting_exit3(tmp_path, monkeypatch, capsys, flags, config):
+    """A cap below 0, a height bound below 1 or a setting of the wrong type
+    in the defaults file is a usage error (exit 3), not an internal one."""
+    code, doc, err = _decide_fib(tmp_path, monkeypatch, capsys, flags, config)
+    assert code == 3 and doc is None
+    assert "must be" in err

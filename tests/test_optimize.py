@@ -3,12 +3,14 @@ from fractions import Fraction as Q
 
 import pytest
 
-from robustlrs.interval import Ival
+from robustlrs.interval import Box, Ival
 from robustlrs.lrs import Lrr, InitialConfig, normalize, spectral
 from robustlrs.torus import relation_lattice, parametrize, TorusPoint
 from robustlrs.optimize import (mu, nu, dominant_value, min_over_ball,
-                                DominantFamily, DEFAULT_TOL)
+                                DominantFamily, DEFAULT_TOL, _Objective,
+                                _on_grid)
 from robustlrs.algebraic import AlgebraicNumber
+from robustlrs.trig import cos_turn, pi_ival, sin_turn, unit_box
 
 FIB = Lrr((Q(1), Q(1)))
 ALT = Lrr((Q(-1),))
@@ -316,3 +318,130 @@ def test_degenerate_all_ones_start():
     d_sko = exists_robust_skolem(lrr, c)
     assert d_sko.verdict == "NO"
     assert d_sko.certificate.optimum.verdict == "ZERO"
+
+
+class _FractionObjective:
+    """The branch-and-bound objective on `Fraction` boxes, as it was before
+    its products and sums moved to integers: the reference oracle of
+    `optimize._Objective`."""
+
+    def __init__(self, forms, torus, coset, bits):
+        self.bits = bits
+        self.k = torus.k
+        self.embed = torus.embedding
+        self.free = torus.free_rank
+        self.weights = []
+        for form in forms:
+            row = []
+            for j, (alpha, _s) in enumerate(form.terms):
+                zb = unit_box(torus.coset_turns[coset][j], bits)
+                row.append((alpha.box(bits) * zb).round_out(bits))
+            self.weights.append(row)
+        self.two_pi = pi_ival(bits) * 2
+
+    def _terms(self, sbox):
+        zbs = []
+        for j in range(self.k):
+            t = Ival.point(0)
+            for b in range(self.free):
+                e = self.embed[j][b]
+                if e:
+                    t = t + sbox[b] * e
+            zbs.append(Box(cos_turn(t, self.bits), sin_turn(t, self.bits)))
+        return [[w * zb for w, zb in zip(row, zbs)] for row in self.weights]
+
+    def _values(self, terms):
+        out = []
+        for row in terms:
+            acc = Ival.point(0)
+            for wz in row:
+                acc = acc + wz.re
+            out.append(acc.round_out(self.bits))
+        return out
+
+    def evaluate(self, sbox):
+        mid = [Ival.point(s.mid) for s in sbox]
+        terms = self._terms(sbox)
+        plain = self._values(terms)
+        at_mid = self._values(self._terms(mid))
+        acc = at_mid[0]
+        for b in range(self.free):
+            deriv = Ival.point(0)
+            for j in range(self.k):
+                e = self.embed[j][b]
+                if e:
+                    deriv = deriv + terms[0][j].im * (-e)
+            acc = acc + deriv * self.two_pi * (sbox[b] - mid[b])
+        centered = (acc.intersect(plain[0]) if acc.overlaps(plain[0])
+                    else plain[0])
+        return [centered] + plain[1:], at_mid
+
+
+def _random_subbox(rng, free, depth):
+    """A box the branch and bound can reach: `depth` random halvings of
+    [0, 1]^free."""
+    box = [Ival(Q(0), Q(1))] * free
+    for _ in range(depth):
+        dim = rng.randrange(free)
+        lo, hi, mid = box[dim].lo, box[dim].hi, box[dim].mid
+        box = box[:dim] + [Ival(lo, mid) if rng.random() < 0.5
+                           else Ival(mid, hi)] + box[dim + 1:]
+    return box
+
+
+def _two_pair_forms():
+    from robustlrs.poly import pmul
+    lrr = Lrr(tuple(-c for c in pmul((Q(1), Q(-6, 5), Q(1)),
+                                     (Q(1), Q(-10, 13), Q(1)))[:4]))
+    form, torus = build_torus(lrr, cfg(1, 0, 0, 0))
+    return [form], torus
+
+
+def _rho2_forms():
+    form, torus = build_torus(Lrr((Q(-4), Q(-1, 2))), cfg(Q(-3, 2), Q(-5, 3)))
+    return [form], torus
+
+
+def _p35_ball_forms():
+    """The center and basis forms of the open-ball objective at p = 3/5."""
+    lrr = hard_lrr(P35)
+    spec = spectral(lrr)
+    center, _ = normalize(lrr, cfg(3, 1, 0, 2, 1, 5), spec)
+    basis = [normalize(lrr, cfg(*(int(i == j) for j in range(6))), spec)[0]
+             for i in range(6)]
+    torus = parametrize(relation_lattice([s for _, s in center.terms]))
+    return [center] + basis, torus
+
+
+@pytest.mark.parametrize("make,bits_list", [
+    (_two_pair_forms, (96,)),
+    (_rho2_forms, (96, 232)),
+    (_p35_ball_forms, (96,)),
+], ids=["two-pair", "rho2", "p35-ball"])
+def test_objective_matches_fraction_oracle(make, bits_list):
+    """The integer objective gives the oracle's enclosures, endpoint for
+    endpoint, on random boxes the branch and bound can reach."""
+    forms, torus = make()
+    assert torus.free_rank >= 1
+    rng = random.Random(3)
+    for bits in bits_list:
+        for coset in range(len(torus.finite_part)):
+            obj = _Objective(forms, torus, coset, bits)
+            ref = _FractionObjective(forms, torus, coset, bits)
+            for _ in range(12):
+                sbox = _random_subbox(rng, torus.free_rank,
+                                      rng.randint(0, bits + 8))
+                got, want = obj.evaluate(sbox), ref.evaluate(sbox)
+                assert [[(v.lo, v.hi) for v in part] for part in got] == \
+                    [[(v.lo, v.hi) for v in part] for part in want], sbox
+
+
+def test_on_grid_rejects_off_grid_endpoints():
+    """The objective maps dyadic endpoints to integers on the 2^-bits grid;
+    an endpoint off that grid raises rather than being truncated."""
+    assert _on_grid(Q(3, 8), 4) == 6
+    assert _on_grid(Q(-5), 3) == -40
+    assert _on_grid(Q(1, 1 << 64), 64) == 1
+    for x, bits in ((Q(1, 3), 64), (Q(1, 1 << 65), 64), (Q(5, 12), 100)):
+        with pytest.raises(RuntimeError, match="grid"):
+            _on_grid(x, bits)

@@ -9,9 +9,14 @@ reproduce every enclosure endpoint, witness angle, tolerance, method and
 convergence flag exactly.  The finite-torus `mu` cases at p = 1/2 were
 recorded before root-of-unity enclosures were read from a table.
 
-The nu case calls `optimize._minimize` (one pass, no escalation): nu on
-two independent unit-modulus pairs has an exact zero, so the public `nu`
-escalates until it reaches the box cap, which takes minutes.
+The two-pair nu case calls `optimize._minimize` (one pass, no
+escalation): nu on two independent unit-modulus pairs has an exact zero,
+so the public `nu` escalates until it reaches the box cap, which takes
+minutes.  The rho = 2 nu case runs the public `nu` through its whole
+escalation, 17 passes from tol 2^-40 to 2^-200, on a torus with two free
+angles (the relation lattice of its conjugate pair is incomplete); it was
+recorded before the optimizer's products and Taylor series moved to
+integers.
 """
 
 import json
@@ -22,7 +27,8 @@ import pytest
 
 from robustlrs.decide import Analysis, robust_nonuniform_ultpos_open_ball
 from robustlrs.lrs import Ball, InitialConfig, Lrr, normalize, spectral
-from robustlrs.optimize import (DominantFamily, _minimize, min_over_ball, mu)
+from robustlrs.optimize import (DominantFamily, _minimize, min_over_ball, mu,
+                                nu)
 from robustlrs.poly import pmul
 from robustlrs.torus import parametrize, relation_lattice
 
@@ -41,6 +47,7 @@ TWO_PAIR_TOL = Q(1, 4)
 # (x - 1)^2 (x^2 - x + 1)^2, the order-6 family at p = 1/2: the dominant
 # unit roots are sixth roots of unity, so the torus is finite (six cosets)
 P12 = Lrr((Q(-1), Q(4), Q(-8), Q(10), Q(-8), Q(4)))
+RHO2 = Lrr((Q(-4), Q(-1, 2)))
 
 
 def cfg(*vals):
@@ -72,6 +79,12 @@ def _fib_ball(center, radius):
     return min_over_ball(DominantFamily(center_form, basis), radius, torus)
 
 
+def _rho2_nu():
+    # u_{n+2} = -1/2 u_{n+1} - 4 u_n: a conjugate pair of modulus 2
+    a = Analysis.build(RHO2, cfg(Q(-3, 2), Q(-5, 3)))
+    return nu(a.form, a.torus)
+
+
 def _p12_mu(init):
     a = Analysis.build(P12, cfg(*init))
     return mu(a.form, a.torus)
@@ -86,6 +99,7 @@ def _cases():
     """(key, thunk) pairs; each thunk returns a SignOutcome."""
     yield "mu two-pair 1,0,0,0", lambda: _two_pair(False)
     yield "nu two-pair 1,0,0,0 one pass", lambda: _two_pair(True)
+    yield "nu rho=2 -4,-1/2 init -3/2,-5/3 escalated", _rho2_nu
     for center, radius in (((1, 1), Q(1, 10)), ((1, 1), Q(1, 10**6)),
                            ((-1, -1), Q(1, 2))):
         yield (f"min_over_ball fib {center} r={radius}",

@@ -1,5 +1,6 @@
 import ast
 import math
+import random
 from fractions import Fraction as Q
 from pathlib import Path
 
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import robustlrs
+from robustlrs import trig
 from robustlrs.interval import Box, Ival
 from robustlrs.trig import (pi_ival, cos_turn_point, sin_turn_point, cos_turn,
                             sin_turn, unit_box, atan_ival, angle_from_cos,
@@ -53,6 +55,88 @@ def test_cos_turn_interval_extrema():
 
 def _endpoints(box):
     return box.re.lo, box.re.hi, box.im.lo, box.im.hi
+
+
+def _taylor_series_fraction(x: Ival, bits: int, odd: int) -> Ival:
+    """The series on `Fraction` intervals, every term rounded out to
+    bits + 8: the reference oracle of `trig._taylor_series`, which runs
+    the same rounding on integers."""
+    term = acc = x if odd else Ival.point(1)
+    x2 = (x * x).round_out(bits + 8)
+    k = 0
+    threshold = Q(1, 1 << (bits + 4))
+    while True:
+        k += 1
+        term = (term * x2 * Q(1, (2 * k - 1 + odd) * (2 * k + odd))
+                ).round_out(bits + 8)
+        if term.hi < threshold:
+            acc = acc + Ival(-term.hi, term.hi)
+            break
+        acc = acc + (term if k % 2 == 0 else -term)
+    return acc.round_out(bits + 2).intersect(Ival(Q(-1), Q(1)))
+
+
+# turns r in [0, 1/8] at which the quarter functions evaluate the series,
+# at x = 2 pi r and at x = 2 pi (1/4 - r): dyadic, non-dyadic and the
+# boundaries 0 and 1/8 (r = 1/4 gives x = 0 again)
+_SERIES_TURNS = (Q(0), Q(1, 8), Q(1, 16), Q(3, 64), Q(5, 1024),
+                 Q(12345, 2 ** 20), Q(1, 10), Q(1, 12), Q(7, 60), Q(1, 9),
+                 Q(1, 3 * 2 ** 10), Q(999, 8000))
+
+
+@pytest.mark.parametrize("bits", (64, 96, 232, 512, 1024))
+def test_taylor_series_matches_fraction_oracle(bits):
+    pi = pi_ival(bits + 8)
+    for r in _SERIES_TURNS:
+        for x in (pi * (2 * r), pi * (2 * (Q(1, 4) - r))):
+            for odd in (0, 1):
+                got = trig._taylor_series(x, bits, odd)
+                want = _taylor_series_fraction(x, bits, odd)
+                assert (got.lo, got.hi) == (want.lo, want.hi), (r, bits, odd)
+
+
+def test_point_turns_match_fraction_oracle(monkeypatch):
+    """cos_turn_point and sin_turn_point at the octant boundaries and a
+    few other turns, against the same functions on the oracle series."""
+    turns = [Q(k, 8) for k in range(-8, 17)] + [Q(1, 3), Q(-5, 12), Q(7, 10)]
+    got = [(cos_turn_point(t, b), sin_turn_point(t, b))
+           for t in turns for b in (64, 200)]
+    monkeypatch.setattr(trig, "_taylor_series", _taylor_series_fraction)
+    want = [(cos_turn_point(t, b), sin_turn_point(t, b))
+            for t in turns for b in (64, 200)]
+    for (gc, gs), (wc, ws) in zip(got, want):
+        assert (gc.lo, gc.hi, gs.lo, gs.hi) == (wc.lo, wc.hi, ws.lo, ws.hi)
+
+
+def _point_hull(point_fn, t, bits, top, bottom):
+    """cos_turn / sin_turn as the hull of the point enclosures at the
+    endpoints, widened to the extremum at the turns top and bottom."""
+    if t.width >= 1:
+        return Ival(Q(-1), Q(1))
+    out = Ival.hull([point_fn(t.lo, bits), point_fn(t.hi, bits)])
+    if trig._has_point_mod1(t.lo, t.hi, top):
+        out = Ival(out.lo, Q(1))
+    if trig._has_point_mod1(t.lo, t.hi, bottom):
+        out = Ival(Q(-1), out.hi)
+    return out
+
+
+def test_interval_turns_match_point_hull():
+    """cos_turn and sin_turn read their endpoints from the turn table; the
+    enclosures are the hull of cos_turn_point / sin_turn_point."""
+    rng = random.Random(10)
+    for _ in range(150):
+        bits = rng.choice((64, 96, 232))
+        if rng.random() < 0.5:
+            den = 1 << rng.randint(1, 40)
+        else:
+            den = rng.randint(1, 10 ** 6)
+        lo = Q(rng.randint(-2 * den, 2 * den), den)
+        t = Ival(lo, lo + Q(rng.randint(0, den), den) / rng.choice((1, 7, 64)))
+        assert _endpoints(Box(cos_turn(t, bits), sin_turn(t, bits))) == \
+            _endpoints(Box(_point_hull(cos_turn_point, t, bits, Q(0), Q(1, 2)),
+                           _point_hull(sin_turn_point, t, bits, Q(1, 4),
+                                       Q(3, 4)))), (t, bits)
 
 
 def test_unit_box_table_matches_point_enclosures():
