@@ -26,7 +26,7 @@ from .lrs import (Lrr, InitialConfig, Ball, spectral,
                   exp_poly_solution, normalize, residual_threshold,
                   term_sign, scaled_term, exact_zeros_up_to, OrbitScanner,
                   DominantForm, ResidualEvaluator, _scaled_integer_recurrence,
-                  _scaled_terms)
+                  _scaled_terms, EXACT_TERMS)
 from .torus import relation_lattice, parametrize, TorusParam
 from .optimize import (mu, nu, min_over_ball, DominantFamily, SignOutcome,
                        DEFAULT_TOL)
@@ -42,9 +42,9 @@ class Certificate:
     optimum: Optional[SignOutcome] = None
     threshold: Optional[int] = None
     # least prefix value: min u_n over n <= threshold when the prefix is
-    # evaluated exactly (threshold <= 4096); past that, the least certified
-    # lower bound of v_n = u_n/(n^m rho^n) from the orbit scan, or 0 once a
-    # term had to be confirmed positive by an exact sign test
+    # evaluated exactly (threshold <= EXACT_TERMS); past that, the least
+    # certified lower bound of v_n = u_n/(n^m rho^n) from the orbit scan,
+    # or 0 once a term had to be confirmed positive by an exact sign test
     prefix_margin: Optional[Fraction] = None
     witness_radius: Optional[Fraction] = None
     reason: Optional[str] = None
@@ -153,11 +153,11 @@ def _prefix_scan(lrr: Lrr, c: InitialConfig, n_thr: int, want_zero: bool):
     """Scan u_0..u_{n_thr}: returns (violation_n, value, margin) where the
     violation is u_n <= 0 (positivity) or u_n = 0 (Skolem).
 
-    Up to 4096 terms the scan runs on the scaled integer recurrence
+    Up to EXACT_TERMS terms the scan runs on the scaled integer recurrence
     w_n = E * D^n * u_n, which has the signs of u_n.  The running minimum
     is kept as best = w_m * D^(n-m), so that comparing it with w_n compares
     u_m with u_n; it becomes a `Fraction` once, at the end."""
-    if n_thr <= 4096:
+    if n_thr <= EXACT_TERMS:
         coeffs, init, D, E = _scaled_integer_recurrence(lrr, c)
         best = None
         terms = itertools.islice(_scaled_terms(coeffs, init), n_thr + 1)
@@ -188,7 +188,7 @@ def _prefix_scan(lrr: Lrr, c: InitialConfig, n_thr: int, want_zero: bool):
             continue
         s = term_sign(lrr, c, n)
         if s <= 0:
-            val = Q(*scaled_term(lrr, c, n)) if n <= 4096 else None
+            val = Q(*scaled_term(lrr, c, n)) if n <= EXACT_TERMS else None
             return n, val, None
         # u_n > 0 exactly, but no positive lower bound of v_n is certified
         low = (0, 1)
@@ -303,10 +303,14 @@ def brute_force_check(lrr: Lrr, region, horizon: int = 10**4,
     """Sampling oracle: exact-confirmed first violation or none found.
 
     A float screen (renormalized power iteration over all samples at once)
-    proposes candidate violations; every reported violation is confirmed
-    with exact arithmetic.  'none found' means the screen saw margins above
-    the float noise floor and the worst margin was exactly confirmed
-    positive (or nonzero, for Skolem mode).
+    flags every term whose scaled value falls below a small float
+    threshold (or whose magnitude does, for Skolem mode) as a candidate;
+    each candidate's sign is then decided exactly, and the first exactly
+    confirmed violation is reported.  'none found' means every candidate
+    was exactly refuted; terms the screen saw above its threshold are not
+    checked exactly, so it is evidence, not a proof.  The screen stops
+    early once it holds more than 50 000 candidates.  `min_scaled_value`
+    is the screen's least float margin.
     """
     if mode not in ("positivity", "skolem", "ultpos"):
         raise ValueError(f"unknown mode {mode!r}")

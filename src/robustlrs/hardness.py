@@ -33,7 +33,7 @@ from .interval import Ival
 from .trig import (pi_ival, make_rot_scan, rotation_order, rotation_power,
                    angle_from_cos, ExactRotScan)
 from .poly import pmul
-from .lrs import Lrr, InitialConfig
+from .lrs import Lrr, InitialConfig, mat_inv
 from .algebraic import NumberField, FieldElement
 
 COEFF_AXES = ("z_dom", "x_dom", "y_dom", "z_res", "x_res", "y_res")
@@ -79,25 +79,6 @@ def build_hardness_lrr(p, q=None) -> Lrr:
     return Lrr(tuple(-c for c in char[:6]))
 
 
-def _mat_inv_rat(m):
-    """Exact inverse of a square Fraction matrix by Gaussian elimination."""
-    n = len(m)
-    a = [list(row) + [ONE if i == j else ZERO for j in range(n)]
-         for i, row in enumerate(m)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if piv is None:
-            raise ValueError("singular matrix")
-        a[col], a[piv] = a[piv], a[col]
-        inv = 1 / a[col][col]
-        a[col] = [v * inv for v in a[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [v - f * w for v, w in zip(a[r], a[col])]
-    return [row[n:] for row in a]
-
-
 def basis_change(p, q):
     """(C, C_inv) with C @ c = (z_dom, x_dom, y_dom, z_res, x_res, y_res).
 
@@ -111,7 +92,7 @@ def basis_change(p, q):
     for j in range(6):
         cos_j, sin_j = rotation_power(p, q, j)
         c_inv.append([Q(j), -j * cos_j, -j * sin_j, ONE, -cos_j, -sin_j])
-    c_mat = _mat_inv_rat(c_inv)
+    c_mat = mat_inv(c_inv)
     return c_mat, c_inv
 
 

@@ -123,11 +123,6 @@ class Ival:
         return Ival(max(self.lo, other.lo), min(self.hi, other.hi))
 
 
-def imin(a: Ival, b: Ival) -> Ival:
-    """Interval enclosure of min(x, y) for x in a, y in b."""
-    return Ival(min(a.lo, b.lo), min(a.hi, b.hi))
-
-
 class Box:
     """Complex interval (rectangle) re + i*im."""
 

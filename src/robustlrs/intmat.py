@@ -65,29 +65,6 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
              for j in range(len(b[0]))] for i in range(len(a))]
 
 
-def det_unimodular(m: Matrix) -> int:
-    """Determinant via fraction-free Gaussian elimination (Bareiss)."""
-    a = [list(r) for r in m]
-    n = len(a)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for r in range(k + 1, n):
-                if a[r][k] != 0:
-                    _swap_rows(a, k, r)
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[-1][-1]
-
-
 def snf(mat: Matrix) -> tuple[Matrix, Matrix, Matrix]:
     """Smith normal form: returns (D, U, V) with D = U * mat * V,
     U and V unimodular, D diagonal with d1 | d2 | ... positive.
@@ -159,11 +136,6 @@ def snf(mat: Matrix) -> tuple[Matrix, Matrix, Matrix]:
                 u[t] = [-x for x in u[t]]
             t += 1
     return a, u, v
-
-
-def snf_diagonal(mat: Matrix) -> list[int]:
-    d, _, _ = snf(mat)
-    return [d[i][i] for i in range(min(len(d), len(d[0]) if d else 0))]
 
 
 def kernel_basis(mat: Matrix) -> list[list[int]]:

@@ -1,13 +1,12 @@
 """Recurrence engine: exact evaluation, spectral data, exponential
 polynomial solutions, normalization into dominant + residual parts.
 
-The exponential polynomial coefficients are computed by partial fraction
-decomposition of the generating function, carried out inside each root's
-own number field Q[x]/(M).  Conjugate roots share one coefficient
-polynomial, so the whole-sequence reconstruction
-    u_n = sum over factors of Trace( A_f(n) * root^n )
-is an exact rational identity used both for validation and as a second
-exact evaluator.
+The exponential polynomial coefficients live in each root's own number
+field Q[x]/(M), and conjugate roots share one coefficient polynomial, so
+    u_n = sum over factors of Trace( A_f(n) * root^n ).
+Written in trace form, the first k terms give one rational linear system
+in the coordinates of the A_f; the same identity, evaluated in the fields,
+is an exact rational check of the solution.
 """
 
 from __future__ import annotations
@@ -18,7 +17,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .qmath import Q, ZERO, ONE, precisions
-from . import qmath
 from .interval import Ival, Box
 from . import poly as P
 from .poly import pnorm, PolyRat
@@ -109,6 +107,27 @@ def mat_pow(m, n: int):
         if n:
             base = mat_mul(base, base)
     return result
+
+
+def mat_inv(m):
+    """Exact inverse of a square Fraction matrix by Gauss-Jordan
+    elimination.  Every caller's matrix is nonsingular by construction, so
+    a singular one is an internal fault."""
+    n = len(m)
+    a = [list(row) + [ONE if i == j else ZERO for j in range(n)]
+         for i, row in enumerate(m)]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
+        if piv is None:
+            raise RuntimeError("singular matrix")
+        a[col], a[piv] = a[piv], a[col]
+        inv = 1 / a[col][col]
+        a[col] = [v * inv for v in a[col]]
+        for r in range(n):
+            if r != col and a[r][col] != 0:
+                f = a[r][col]
+                a[r] = [v - f * w for v, w in zip(a[r], a[col])]
+    return [row[n:] for row in a]
 
 
 # ---------------------------------------------------------------------------
@@ -269,77 +288,7 @@ def _locate_as_root(coeffs, refiner, what: str) -> AlgebraicNumber:
 
 
 # ---------------------------------------------------------------------------
-# exponential polynomial solution (partial fractions per irreducible factor)
-
-
-class _Scalar:
-    """Generic helpers treating Fraction and FieldElement uniformly."""
-
-    @staticmethod
-    def inv(v):
-        return 1 / v if isinstance(v, Fraction) else v.inverse()
-
-    @staticmethod
-    def is_zero(v):
-        return v == 0 if isinstance(v, Fraction) else v.is_zero()
-
-
-def _rp_mul(p, q, zero):
-    if not p or not q:
-        return []
-    out = [zero] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        for j, b in enumerate(q):
-            out[i + j] = out[i + j] + a * b
-    return _rp_norm(out)
-
-
-def _rp_norm(p):
-    while p and _Scalar.is_zero(p[-1]):
-        p.pop()
-    return p
-
-
-def _rp_divmod(p, q, zero):
-    rem = list(p)
-    qd = len(q) - 1
-    quot = [zero] * max(len(p) - qd, 0)
-    inv_lead = _Scalar.inv(q[-1])
-    for top in range(len(rem) - 1, qd - 1, -1):
-        c = rem[top] * inv_lead
-        if _Scalar.is_zero(c):
-            continue
-        shift = top - qd
-        quot[shift] = c
-        for j, b in enumerate(q):
-            rem[shift + j] = rem[shift + j] - c * b
-    return _rp_norm(quot), _rp_norm(rem)
-
-
-def _series_div(num, den, order, zero):
-    """Power series num/den mod W^order (den[0] invertible)."""
-    inv0 = _Scalar.inv(den[0])
-    out = []
-    for k in range(order):
-        acc = num[k] if k < len(num) else zero
-        for j in range(1, min(k, len(den) - 1) + 1):
-            acc = acc - den[j] * out[k - j]
-        out.append(acc * inv0)
-    return out
-
-
-def _falling_binom_coeffs(l: int) -> list[Fraction]:
-    """Coefficients of binom(n+l-1, l-1) as a polynomial in n."""
-    # product (n+1)(n+2)...(n+l-1) / (l-1)!
-    coeffs = [ONE]
-    for t in range(1, l):
-        nxt = [ZERO] * (len(coeffs) + 1)
-        for i, c in enumerate(coeffs):
-            nxt[i] += c * t
-            nxt[i + 1] += c
-        coeffs = nxt
-    fact = math.factorial(l - 1)
-    return [c / fact for c in coeffs]
+# exponential polynomial solution (one rational linear solve in trace form)
 
 
 @dataclass
@@ -363,74 +312,50 @@ class ExpPolySolution:
 
 def exp_poly_solution(lrr: Lrr, c: InitialConfig,
                       spec: SpectralData | None = None) -> ExpPolySolution:
-    _check_config(lrr, c)
-    roots = spec.roots if spec is not None else isolate_roots(
-        PolyRat(lrr.char_poly()))
-    k = lrr.order
-    u = eval_terms(lrr, c, k - 1)
-    char = lrr.char_poly()
-    # D(X) = X^k char(1/X) (constant term 1); N = (u * D) mod X^k
-    D = P.preverse(char)
-    N = [sum((u[i] * (D[j - i] if 0 <= j - i < len(D) else ZERO)
-              for i in range(j + 1)), ZERO) for j in range(k)]
-    N = pnorm(N)
+    """u_n = sum over irreducible factors f of Tr(A_f(n) xi_f^n).
 
-    factor_solutions = []
-    for fac, mult in P.factor_int(char):
-        minpoly = fac
+    The unknowns are the rational coordinates a_{f,j,i} of each
+    alpha_{f,j} = sum_i a_{f,j,i} xi_f^i (j < mult f, i < deg f), k of
+    them in all.  Tr(alpha_{f,j} n^j xi_f^n) = n^j sum_i a_{f,j,i}
+    p_f(n + i), with p_f the power sums of the roots of f, so the terms
+    u_0 .. u_{k-1} give a k x k rational system (a confluent Vandermonde
+    system in trace form).  It is nonsingular: the k initial terms
+    determine the sequence, and distinct coefficients give distinct
+    sequences."""
+    _check_config(lrr, c)
+    char = lrr.char_poly()
+    roots = spec.roots if spec is not None else isolate_roots(PolyRat(char))
+    k = lrr.order
+    factors = P.factor_int(char)
+    columns = []  # per unknown, in the order (f, j, i): its k coefficients
+    for fac, mult in factors:
         d = len(fac) - 1
         if d == 1:
             root_val = Q(-fac[0], fac[1])
-            one, zero = ONE, ZERO
-            ring_of = lambda q: q
-            xi = root_val
+            ps = [root_val ** t for t in range(k)]
+        else:
+            ps = NumberField.get(fac, 0).power_sums(k + d - 1)
+        for j in range(mult):
+            for i in range(d):
+                columns.append([n ** j * ps[n + i] for n in range(k)])
+    inv = mat_inv([list(row) for row in zip(*columns)])
+    coords = iter([sum((a * u for a, u in zip(row, c.entries)), ZERO)
+                   for row in inv])
+    factor_solutions = []
+    for fac, mult in factors:
+        d = len(fac) - 1
+        if d == 1:
+            alphas = [next(coords) for _ in range(mult)]
         else:
             fld = NumberField.get(fac, 0)
-            one = FieldElement.const(fld, ONE)
-            zero = FieldElement.const(fld, ZERO)
-            ring_of = lambda q, fld=fld: FieldElement.const(fld, q)
-            xi = FieldElement.generator(fld)
-        xi_inv = _Scalar.inv(xi)
-        # O(X) = D(X) / (1 - xi X)^mult over the field
-        DX = [ring_of(cf) for cf in D]
-        lin = [one, -xi]
-        denom = [one]
-        for _ in range(mult):
-            denom = _rp_mul(denom, lin, zero)
-        OX, rem = _rp_divmod(DX, denom, zero)
-        if rem:
-            raise AssertionError("inexact division in partial fractions")
-        # substitute X = (1 - W)/xi
-        sub = [xi_inv, -xi_inv]  # X = xi_inv - xi_inv W
-
-        def compose(pcoeffs):
-            acc = []
-            for co in reversed(pcoeffs):
-                acc = _rp_mul(acc, sub, zero)
-                if acc:
-                    acc[0] = acc[0] + co
-                else:
-                    acc = [co] if not _Scalar.is_zero(co) else []
-            return acc
-
-        N_t = compose([ring_of(cf) for cf in N])
-        O_t = compose(OX)
-        series = _series_div(N_t if N_t else [zero], O_t, mult, zero)
-        # c_l = [W^(mult-l)] series, l = 1..mult
-        alphas = [zero] * mult
-        for l in range(1, mult + 1):
-            idx = mult - l
-            c_l = series[idx] if idx < len(series) else zero
-            if _Scalar.is_zero(c_l):
-                continue
-            for j, bc in enumerate(_falling_binom_coeffs(l)):
-                alphas[j] = alphas[j] + c_l * bc
-        factor_solutions.append(_FactorSolution(minpoly=minpoly, mult=mult,
+            alphas = [FieldElement(fld, [next(coords) for _ in range(d)])
+                      for _ in range(mult)]
+        factor_solutions.append(_FactorSolution(minpoly=fac, mult=mult,
                                                 alphas=alphas))
 
     # exact validation: u_n == sum of traces for n = 0..k-1
     for n in range(k):
-        if _reconstruct_exact(factor_solutions, n) != u[n]:
+        if _reconstruct_exact(factor_solutions, n) != c.entries[n]:
             raise AssertionError("exponential polynomial reconstruction failed")
 
     alpha_table = _alpha_per_embedding(factor_solutions, roots)
@@ -448,13 +373,12 @@ def _reconstruct_exact(factor_solutions, n: int) -> Fraction:
             a_of_n = sum((a * n**j for j, a in enumerate(fs.alphas)), ZERO)
             total += a_of_n * root_val**n
         else:
-            if all(_Scalar.is_zero(a) for a in fs.alphas):
+            if all(a == 0 for a in fs.alphas):
                 continue
-            fld = fs.alphas[0].field if isinstance(fs.alphas[0], FieldElement) \
-                else NumberField.get(fs.minpoly, 0)
+            fld = fs.alphas[0].field
             a_of_n = FieldElement.const(fld, ZERO)
             for j, a in enumerate(fs.alphas):
-                if not _Scalar.is_zero(a):
+                if a != 0:
                     a_of_n = a_of_n + a * Q(n**j)
             xi_n = FieldElement.generator(fld).pow(n)
             total += (a_of_n * xi_n).trace()
@@ -934,17 +858,20 @@ def exact_zeros_up_to(lrr: Lrr, c: InitialConfig, n_max: int) -> list[int]:
     return [n for n, w in enumerate(exact) if w == 0]
 
 
-def term_sign(lrr: Lrr, c: InitialConfig, n: int,
-              scanner: OrbitScanner | None = None) -> int:
+# Terms u_n with n <= EXACT_TERMS are evaluated exactly on the scaled
+# integer recurrence; past it, signs come from the certified orbit scan.
+EXACT_TERMS = 4096
+
+
+def term_sign(lrr: Lrr, c: InitialConfig, n: int) -> int:
     """Exact sign of u_n(c): -1, 0, or +1."""
     if n < lrr.order:
         v = c.entries[n]
         return (v > 0) - (v < 0)
-    if n <= 4096:
+    if n <= EXACT_TERMS:
         w, _ = scaled_term(lrr, c, n)
         return (w > 0) - (w < 0)
-    bits = 192
-    while bits <= qmath.MAX_BITS:
+    for bits in precisions(192, "term sign"):
         sc = OrbitScanner(lrr, c, bits)
         for _ in range(n):
             sc.step()
@@ -953,5 +880,3 @@ def term_sign(lrr: Lrr, c: InitialConfig, n: int,
             return s
         if n in exact_zeros_up_to(lrr, c, n):
             return 0
-        bits *= 4
-    raise RuntimeError("sign determination failed")

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from robustlrs import qmath
-from robustlrs.interval import Ival, Box, imin
+from robustlrs.interval import Ival, Box
 from robustlrs.qmath import (parse_rational, format_rational, round_down,
                              round_up, sqrt_down, sqrt_up, exact_sqrt,
                              precisions, PrecisionExhausted)
@@ -86,8 +86,6 @@ def test_interval_misc():
     x = Ival(Q(-2), Q(3))
     assert x.abs().lo == 0 and x.abs().hi == 3
     assert x.sq().lo == 0 and x.sq().hi == 9
-    assert imin(Ival(Q(1), Q(5)), Ival(Q(2), Q(3))).lo == 1
-    assert imin(Ival(Q(1), Q(5)), Ival(Q(2), Q(3))).hi == 3
     with pytest.raises(ZeroDivisionError):
         x.inverse()
     assert Ival(Q(1), Q(2)).inverse().lo == Q(1, 2)

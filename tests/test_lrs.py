@@ -4,12 +4,14 @@ from fractions import Fraction as Q
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from robustlrs.interval import Ival
+from robustlrs import qmath
+from robustlrs.interval import Box, Ival
 from robustlrs.lrs import (Lrr, InitialConfig, Ball, eval_terms, spectral,
                            exp_poly_solution, normalize, residual_threshold,
                            hyperplane_distance, hyperplane_constant,
                            OrbitScanner, exact_zeros_up_to, term_sign,
-                           scaled_term, mat_pow, _scaled_integer_recurrence)
+                           scaled_term, mat_pow, _scaled_integer_recurrence,
+                           EXACT_TERMS)
 
 FIB = Lrr((Q(1), Q(1)))
 ALT = Lrr((Q(-1),))
@@ -337,6 +339,21 @@ def test_term_sign_matches_eval_terms():
         assert [Q(*scaled_term(lrr, c, n)) for n in range(121)] == terms
     assert [term_sign(*cases[i], n) for i, n in ((0, 5), (1, 3), (2, 80))] \
         == [0, 0, 0]
+
+
+def test_term_sign_past_the_exact_prefix(monkeypatch):
+    """Past EXACT_TERMS the sign comes from the orbit scan on the precision
+    ladder, an exact zero from the zero scan; a sign that never separates
+    ends in PrecisionExhausted."""
+    n = EXACT_TERMS + 4
+    lin = Lrr((Q(-1), Q(2)))                    # u_t = t - n: zero at n
+    c = cfg(-n, 1 - n)
+    assert [term_sign(lin, c, t) for t in (n - 1, n, n + 1)] == [-1, 0, 1]
+    monkeypatch.setattr(OrbitScanner, "v_box",
+                        lambda self: Box(Ival(Q(-1), Q(1)), Ival.point(0)))
+    monkeypatch.setattr(qmath, "MAX_BITS", 384)
+    with pytest.raises(qmath.PrecisionExhausted, match="term sign"):
+        term_sign(lin, c, n + 1)
 
 
 def test_filter_prime():
