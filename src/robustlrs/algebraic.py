@@ -476,10 +476,6 @@ class FieldElement:
             return acc
         return None
 
-    def conj_embedding(self) -> "FieldElement":
-        """Complex conjugate as an element of the conjugate embedding field."""
-        return FieldElement(self.field.conjugate_field(), self.coeffs)
-
 
 @lru_cache(maxsize=None)
 def _unit_modulus_minpoly(minpoly: tuple[int, ...], index: int) -> bool:
@@ -649,14 +645,6 @@ class AlgebraicNumber:
         from .qmath import sqrt_up
         radius = sqrt_up((b.re.width / 2) ** 2 + (b.im.width / 2) ** 2, 64)
         return center_re, center_im, max(radius, Q(1, 1 << 200))
-
-    def conjugate(self) -> "AlgebraicNumber":
-        if self._rat is not None:
-            return self
-        inf = self._elem.conj_in_field()
-        if inf is not None:
-            return AlgebraicNumber.from_element(inf)
-        return AlgebraicNumber.from_element(self._elem.conj_embedding())
 
     def is_unit_modulus(self) -> bool:
         """Exact test |value| == 1."""

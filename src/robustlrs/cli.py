@@ -19,8 +19,7 @@ from . import __version__
 from .qmath import Q, parse_rational, format_rational
 from .poly import PolyRat
 from .algebraic import isolate_roots
-from .lrs import eval_terms, spectral, normalize, OrbitScanner
-from .torus import relation_lattice, parametrize
+from .lrs import eval_terms, OrbitScanner
 from .optimize import mu as mu_op, nu as nu_op, DEFAULT_TOL
 from .decide import (exists_robust_positivity, exists_robust_skolem,
                      exists_robust_ultimate_positivity,
@@ -54,16 +53,14 @@ def _write_out(text: str, out_path: str | None):
         sys.stdout.write(text)
 
 
-def _provenance(tol, prefix_cap, height_bound, lattice_complete=None) -> dict:
-    doc = {
+def _provenance(tol, prefix_cap, height_bound, lattice_complete) -> dict:
+    return {
         "version": __version__,
         "tol": format_rational(tol),
         "prefix_cap": prefix_cap,
         "height_bound": height_bound,
+        "lattice_complete": lattice_complete,
     }
-    if lattice_complete is not None:
-        doc["lattice_complete"] = lattice_complete
-    return doc
 
 
 def _read_problem(args) -> ProblemSpec:
@@ -79,31 +76,26 @@ def run(spec: ProblemSpec, question: str, tol: Fraction, prefix_cap: int,
         height_bound: int, timing: bool = False) -> tuple[str, int]:
     """Dispatch one decision problem; returns (report text, exit code)."""
     t0 = time.monotonic()
-    if question in ("exists-robust-positivity", "exists-robust-skolem",
-                    "exists-robust-ultpos"):
-        analysis = Analysis.build(spec.lrr, spec.init, height_bound)
-        if question == "exists-robust-positivity":
-            decision = exists_robust_positivity(spec.lrr, spec.init,
-                                                prefix_cap, tol, analysis)
-        elif question == "exists-robust-skolem":
-            decision = exists_robust_skolem(spec.lrr, spec.init, prefix_cap,
-                                            tol, analysis)
-        else:
-            decision = exists_robust_ultimate_positivity(spec.lrr, spec.init,
-                                                         tol, analysis)
-        lattice_complete = analysis.torus.lattice.complete
-    elif question == "robust-ultpos-open":
-        if spec.ball is None:
-            raise ProblemError("$.ball", "robust-ultpos-open requires a ball")
-        decision = robust_nonuniform_ultpos_open_ball(spec.lrr, spec.ball, tol)
-        lattice_complete = (decision.certificate.optimum.lattice_complete
-                            if decision.certificate.optimum else None)
-    else:
+    decide = {
+        "exists-robust-positivity": lambda a: exists_robust_positivity(
+            spec.lrr, spec.init, prefix_cap, tol, a),
+        "exists-robust-skolem": lambda a: exists_robust_skolem(
+            spec.lrr, spec.init, prefix_cap, tol, a),
+        "exists-robust-ultpos": lambda a: exists_robust_ultimate_positivity(
+            spec.lrr, spec.init, tol, a),
+        "robust-ultpos-open": lambda a: robust_nonuniform_ultpos_open_ball(
+            spec.lrr, spec.ball, tol, a),
+    }.get(question)
+    if decide is None:
         raise ProblemError("$.question", f"unknown question {question!r}")
+    if question == "robust-ultpos-open" and spec.ball is None:
+        raise ProblemError("$.ball", "robust-ultpos-open requires a ball")
+    analysis = Analysis.build(spec.lrr, spec.init, height_bound)
+    decision = decide(analysis)
     elapsed = time.monotonic() - t0
     text = report_json(decision.verdict, decision.certificate,
                        _provenance(tol, prefix_cap, height_bound,
-                                   lattice_complete),
+                                   analysis.torus.lattice.complete),
                        elapsed if timing else None)
     code = {"YES": EXIT_YES, "NO": EXIT_NO,
             "UNKNOWN": EXIT_UNKNOWN}[decision.verdict]
@@ -336,10 +328,8 @@ def _dispatch(args, defaults) -> int:
     if args.command == "torus":
         spec = _read_problem(args)
         _, _, hb = _resolve(args, defaults)
-        cfg_spec = spectral(spec.lrr)
-        form, _ = normalize(spec.lrr, spec.init, cfg_spec)
-        lat = relation_lattice([s for _, s in form.terms], hb)
-        par = parametrize(lat)
+        par = Analysis.build(spec.lrr, spec.init, hb).torus
+        lat = par.lattice
         doc = {
             "k": lat.k,
             "generators": lat.generators,

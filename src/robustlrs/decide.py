@@ -1,13 +1,16 @@
 """The four robustness decision procedures, with machine-checkable
 certificates, plus a sampling oracle for cross-validation.
 
-Verdict logic: the minimum of the dominant form over the closure torus
-classifies the start relative to the positivity set (negative / surface /
-interior); positive minima yield a certified tail bound via the residual
-threshold, after which only a finite exact prefix scan remains.  When the
-relation lattice is incomplete the torus is a superset, minima are lower
-bounds, and only YES-type verdicts survive; everything else degrades to
-UNKNOWN rather than risk an unsound certificate.
+Each start is analysed once (`Analysis`: spectral data, exp-poly
+solution, normal form, relation lattice) and every procedure runs the
+same two stages on it.  The optimum stage reads the minimum of the
+dominant form over the closure torus (over ball x torus for a given open
+ball): it gives NO, YES or UNKNOWN from the optimizer's verdict alone.
+When the lattice is incomplete the torus is a superset and the minimum a
+lower bound, so a NO degrades to UNKNOWN rather than risk an unsound
+certificate.  For positivity and Skolem a positive minimum goes on to the
+tail stage: a certified residual threshold, the prefix cap, and an exact
+scan of the finite prefix.
 """
 
 from __future__ import annotations
@@ -22,10 +25,10 @@ from typing import Optional
 import numpy as np
 
 from .qmath import Q, ZERO, ONE
-from .lrs import (Lrr, InitialConfig, Ball, spectral,
-                  exp_poly_solution, normalize, residual_threshold,
-                  term_sign, scaled_term, exact_zeros_up_to, OrbitScanner,
-                  DominantForm, ResidualEvaluator, _scaled_integer_recurrence,
+from .lrs import (Lrr, InitialConfig, Ball, spectral, exp_poly_solutions,
+                  normalize, residual_threshold, term_sign, scaled_term,
+                  exact_zeros_up_to, OrbitScanner, DominantForm,
+                  ResidualEvaluator, _scaled_integer_recurrence,
                   _scaled_terms, EXACT_TERMS)
 from .torus import relation_lattice, parametrize, TorusParam
 from .optimize import (mu, nu, min_over_ball, DominantFamily, SignOutcome,
@@ -80,21 +83,53 @@ class Analysis:
     @staticmethod
     def build(lrr: Lrr, c: InitialConfig, height_bound: int = 64) -> "Analysis":
         spec = spectral(lrr)
-        sol = exp_poly_solution(lrr, c, spec)
-        form, res = normalize(lrr, c, spec, sol)
+        form, res = normalize(lrr, c, spec)
         lat = relation_lattice([s for _, s in form.terms], height_bound)
         return Analysis(lrr=lrr, c=c, spec=spec, form=form, res=res,
                         torus=parametrize(lat))
 
 
-def _downgrade_no(out: SignOutcome) -> Decision | None:
-    """NO is only sound on a complete lattice (an incomplete lattice gives
-    a torus superset, so the computed minimum is merely a lower bound)."""
-    if not out.lattice_complete:
+def _optimum_stage(out: SignOutcome, no: tuple[str, ...], reason: str,
+                   yes: tuple[str, ...] = ("POSITIVE",),
+                   witness_radius: Fraction | None = None) -> Decision:
+    """NO when the optimizer's verdict is in `no` (UNKNOWN on an
+    incomplete lattice, where the minimum is merely a lower bound), YES
+    on the optimum when it is in `yes`, UNKNOWN for `reason` otherwise."""
+    if out.verdict in no:
+        if not out.lattice_complete:
+            return Decision("UNKNOWN", Certificate(
+                kind="lattice", optimum=None,
+                reason="relation lattice incomplete: minimum is a lower bound"))
+        return Decision("NO", Certificate(kind="optimum", optimum=out))
+    if out.verdict in yes:
+        return Decision("YES", Certificate(kind="optimum", optimum=out,
+                                           witness_radius=witness_radius))
+    return Decision("UNKNOWN", Certificate(kind="optimum", optimum=out,
+                                           reason=reason))
+
+
+def _tail_stage(a: Analysis, out: SignOutcome, prefix_cap: int,
+                skolem: bool) -> Decision:
+    """A positive dominant minimum: certified residual threshold, prefix
+    cap, then the exact prefix (the first zero for Skolem, the first
+    nonpositive term for positivity)."""
+    n_thr = residual_threshold(a.res, out.enclosure.lo / 2)
+    if n_thr > prefix_cap:
         return Decision("UNKNOWN", Certificate(
-            kind="lattice", optimum=None,
-            reason="relation lattice incomplete: minimum is a lower bound"))
-    return None
+            kind="cap", threshold=n_thr, optimum=out,
+            reason=f"residual threshold {n_thr} exceeds prefix cap {prefix_cap}"))
+    if skolem:
+        zeros = exact_zeros_up_to(a.lrr, a.c, n_thr)
+        viol, value, margin = (zeros[0], ZERO, None) if zeros else (None,) * 3
+    else:
+        viol, value, margin = _prefix_scan(a.lrr, a.c, n_thr, (a.form, a.res))
+    if viol is not None:
+        return Decision("NO", Certificate(kind="violation",
+                                          violating_index=viol,
+                                          violating_value=value))
+    return Decision("YES", Certificate(kind="tail", optimum=out,
+                                       threshold=n_thr,
+                                       prefix_margin=margin))
 
 
 def exists_robust_ultimate_positivity(lrr: Lrr, c: InitialConfig,
@@ -102,92 +137,68 @@ def exists_robust_ultimate_positivity(lrr: Lrr, c: InitialConfig,
                                       analysis: Analysis | None = None) -> Decision:
     """YES iff the dominant minimum is strictly positive."""
     a = analysis or Analysis.build(lrr, c)
-    out = mu(a.form, a.torus, tol)
-    if out.verdict == "POSITIVE":
-        return Decision("YES", Certificate(kind="optimum", optimum=out))
-    if out.verdict in ("NEGATIVE", "ZERO"):
-        down = _downgrade_no(out)
-        if down:
-            return down
-        return Decision("NO", Certificate(kind="optimum", optimum=out))
-    return Decision("UNKNOWN", Certificate(
-        kind="optimum", optimum=out,
-        reason="optimizer tolerance exhausted without a sign"))
+    return _optimum_stage(mu(a.form, a.torus, tol), ("NEGATIVE", "ZERO"),
+                          "optimizer tolerance exhausted without a sign")
 
 
 def robust_nonuniform_ultpos_open_ball(lrr: Lrr, ball: Ball,
-                                       tol: Fraction = DEFAULT_TOL) -> Decision:
+                                       tol: Fraction = DEFAULT_TOL,
+                                       analysis: Analysis | None = None
+                                       ) -> Decision:
     """Open-ball non-uniform ultimate positivity: ball inside the dominant
-    nonnegativity set iff the closed-ball minimum is >= 0."""
+    nonnegativity set iff the closed-ball minimum is >= 0.  `analysis` is
+    that of the centre; the unit starts' forms come from one solve."""
     if ball.topology == "closed":
         raise ValueError("closed given balls are out of scope "
                          "(Diophantine-hard); only open balls are decided")
-    c = ball.center
-    spec = spectral(lrr)
-    sol = exp_poly_solution(lrr, c, spec)
-    center_form, _ = normalize(lrr, c, spec, sol)
+    a = analysis or Analysis.build(lrr, ball.center)
     k = lrr.order
-    basis = []
-    for i in range(k):
-        e_i = InitialConfig(tuple(ONE if j == i else ZERO for j in range(k)))
-        basis.append(normalize(lrr, e_i, spec)[0])
-    lat = relation_lattice([s for _, s in center_form.terms])
-    torus = parametrize(lat)
-    fam = DominantFamily(center=center_form, basis=basis)
-    out = min_over_ball(fam, ball.radius, torus, tol)
-    if out.verdict in ("POSITIVE", "ZERO"):
-        # closed-ball min >= 0 certifies the open ball is inside P_dom
-        return Decision("YES", Certificate(kind="optimum", optimum=out,
-                                           witness_radius=ball.radius))
-    if out.verdict == "NEGATIVE":
-        down = _downgrade_no(out)
-        if down:
-            return down
-        return Decision("NO", Certificate(kind="optimum", optimum=out))
-    return Decision("UNKNOWN", Certificate(
-        kind="optimum", optimum=out,
-        reason="ball minimum straddles zero at tolerance"))
+    units = [InitialConfig(tuple(ONE if j == i else ZERO for j in range(k)))
+             for i in range(k)]
+    basis = [normalize(lrr, e, a.spec, sol)[0]
+             for e, sol in zip(units, exp_poly_solutions(lrr, units, a.spec))]
+    out = min_over_ball(DominantFamily(center=a.form, basis=basis),
+                        ball.radius, a.torus, tol)
+    # closed-ball min >= 0 certifies the open ball is inside P_dom
+    return _optimum_stage(out, ("NEGATIVE",),
+                          "ball minimum straddles zero at tolerance",
+                          yes=("POSITIVE", "ZERO"),
+                          witness_radius=ball.radius)
 
 
-def _prefix_scan(lrr: Lrr, c: InitialConfig, n_thr: int, want_zero: bool):
-    """Scan u_0..u_{n_thr}: returns (violation_n, value, margin) where the
-    violation is u_n <= 0 (positivity) or u_n = 0 (Skolem).
+def _prefix_scan(lrr: Lrr, c: InitialConfig, n_thr: int, normal):
+    """Scan u_0..u_{n_thr} for a term u_n <= 0: returns (violation_n,
+    value, margin); `normal` is the (form, residual) pair of the start.
 
     Up to EXACT_TERMS terms the scan runs on the scaled integer recurrence
     w_n = E * D^n * u_n, which has the signs of u_n.  The running minimum
     is kept as best = w_m * D^(n-m), so that comparing it with w_n compares
-    u_m with u_n; it becomes a `Fraction` once, at the end."""
+    u_m with u_n; it becomes a `Fraction` once, at the end.  Past that the
+    certified orbit scan runs: an enclosure below zero is a violation, and
+    only an enclosure holding 0 needs an exact sign test."""
     if n_thr <= EXACT_TERMS:
         coeffs, init, D, E = _scaled_integer_recurrence(lrr, c)
         best = None
         terms = itertools.islice(_scaled_terms(coeffs, init), n_thr + 1)
         for n, w in enumerate(terms):
-            if (w == 0) if want_zero else (w <= 0):
+            if w <= 0:
                 return n, Q(w, E * D**n), None
-            if not want_zero:
-                best = w if best is None else min(best * D, w)
+            best = w if best is None else min(best * D, w)
         return None, None, None if best is None else Q(best, E * D**n_thr)
-    if want_zero:
-        zeros = exact_zeros_up_to(lrr, c, n_thr)
-        if zeros:
-            return zeros[0], ZERO, None
-        return None, None, None
-    # long positivity prefix: certified scan with exact confirmation; the
-    # least lower bound is kept as an integer pair (numerator, denominator)
+    # the least lower bound is kept as an integer pair (numerator, denominator)
     low = None
-    sc = OrbitScanner(lrr, c, bits=192)
+    sc = OrbitScanner(lrr, c, 192, normal)
     v0 = c.entries[0]
     if v0 <= 0:
         return 0, v0, None
     for n in range(1, n_thr + 1):
         sc.step()
-        lo, _, _, _, den = sc.enclosure()
+        lo, hi, _, _, den = sc.enclosure()
         if lo > 0:
             if low is None or lo * low[1] < low[0] * den:
                 low = (lo, den)
             continue
-        s = term_sign(lrr, c, n)
-        if s <= 0:
+        if hi < 0 or term_sign(lrr, c, n) <= 0:
             val = Q(*scaled_term(lrr, c, n)) if n <= EXACT_TERMS else None
             return n, val, None
         # u_n > 0 exactly, but no positive lower bound of v_n is certified
@@ -202,29 +213,10 @@ def exists_robust_positivity(lrr: Lrr, c: InitialConfig,
     """Dominant minimum positive + exact strictly-positive prefix."""
     a = analysis or Analysis.build(lrr, c)
     out = mu(a.form, a.torus, tol)
-    if out.verdict in ("NEGATIVE", "ZERO"):
-        down = _downgrade_no(out)
-        if down:
-            return down
-        return Decision("NO", Certificate(kind="optimum", optimum=out))
     if out.verdict != "POSITIVE":
-        return Decision("UNKNOWN", Certificate(
-            kind="optimum", optimum=out,
-            reason="dominant minimum sign unresolved"))
-    mu_lo = out.enclosure.lo
-    n_thr = residual_threshold(a.res, mu_lo / 2)
-    if n_thr > prefix_cap:
-        return Decision("UNKNOWN", Certificate(
-            kind="cap", threshold=n_thr, optimum=out,
-            reason=f"residual threshold {n_thr} exceeds prefix cap {prefix_cap}"))
-    viol, value, margin = _prefix_scan(lrr, c, n_thr, want_zero=False)
-    if viol is not None:
-        return Decision("NO", Certificate(kind="violation",
-                                          violating_index=viol,
-                                          violating_value=value))
-    return Decision("YES", Certificate(kind="tail", optimum=out,
-                                       threshold=n_thr,
-                                       prefix_margin=margin))
+        return _optimum_stage(out, ("NEGATIVE", "ZERO"),
+                              "dominant minimum sign unresolved")
+    return _tail_stage(a, out, prefix_cap, skolem=False)
 
 
 def exists_robust_skolem(lrr: Lrr, c: InitialConfig,
@@ -234,28 +226,10 @@ def exists_robust_skolem(lrr: Lrr, c: InitialConfig,
     """Nonzero dominant minimum in absolute value + zero-free exact prefix."""
     a = analysis or Analysis.build(lrr, c)
     out = nu(a.form, a.torus, tol)
-    if out.verdict == "ZERO":
-        down = _downgrade_no(out)
-        if down:
-            return down
-        return Decision("NO", Certificate(kind="optimum", optimum=out))
     if out.verdict != "POSITIVE":
-        return Decision("UNKNOWN", Certificate(
-            kind="optimum", optimum=out,
-            reason="absolute dominant minimum unresolved"))
-    nu_lo = out.enclosure.lo
-    n_thr = residual_threshold(a.res, nu_lo / 2)
-    if n_thr > prefix_cap:
-        return Decision("UNKNOWN", Certificate(
-            kind="cap", threshold=n_thr, optimum=out,
-            reason=f"residual threshold {n_thr} exceeds prefix cap {prefix_cap}"))
-    viol, value, _ = _prefix_scan(lrr, c, n_thr, want_zero=True)
-    if viol is not None:
-        return Decision("NO", Certificate(kind="violation",
-                                          violating_index=viol,
-                                          violating_value=ZERO))
-    return Decision("YES", Certificate(kind="tail", optimum=out,
-                                       threshold=n_thr))
+        return _optimum_stage(out, ("ZERO",),
+                              "absolute dominant minimum unresolved")
+    return _tail_stage(a, out, prefix_cap, skolem=True)
 
 
 # ---------------------------------------------------------------------------

@@ -312,7 +312,15 @@ class ExpPolySolution:
 
 def exp_poly_solution(lrr: Lrr, c: InitialConfig,
                       spec: SpectralData | None = None) -> ExpPolySolution:
-    """u_n = sum over irreducible factors f of Tr(A_f(n) xi_f^n).
+    """u_n = sum over irreducible factors f of Tr(A_f(n) xi_f^n): the
+    one-start case of `exp_poly_solutions`."""
+    return exp_poly_solutions(lrr, [c], spec)[0]
+
+
+def exp_poly_solutions(lrr: Lrr, starts: list[InitialConfig],
+                       spec: SpectralData | None = None
+                       ) -> list[ExpPolySolution]:
+    """The exponential polynomial solution of each start, from one inverse.
 
     The unknowns are the rational coordinates a_{f,j,i} of each
     alpha_{f,j} = sum_i a_{f,j,i} xi_f^i (j < mult f, i < deg f), k of
@@ -321,8 +329,10 @@ def exp_poly_solution(lrr: Lrr, c: InitialConfig,
     u_0 .. u_{k-1} give a k x k rational system (a confluent Vandermonde
     system in trace form).  It is nonsingular: the k initial terms
     determine the sequence, and distinct coefficients give distinct
-    sequences."""
-    _check_config(lrr, c)
+    sequences.  The matrix depends on the recurrence only, so one inverse
+    serves every start."""
+    for c in starts:
+        _check_config(lrr, c)
     char = lrr.char_poly()
     roots = spec.roots if spec is not None else isolate_roots(PolyRat(char))
     k = lrr.order
@@ -339,28 +349,31 @@ def exp_poly_solution(lrr: Lrr, c: InitialConfig,
             for i in range(d):
                 columns.append([n ** j * ps[n + i] for n in range(k)])
     inv = mat_inv([list(row) for row in zip(*columns)])
-    coords = iter([sum((a * u for a, u in zip(row, c.entries)), ZERO)
-                   for row in inv])
-    factor_solutions = []
-    for fac, mult in factors:
-        d = len(fac) - 1
-        if d == 1:
-            alphas = [next(coords) for _ in range(mult)]
-        else:
-            fld = NumberField.get(fac, 0)
-            alphas = [FieldElement(fld, [next(coords) for _ in range(d)])
-                      for _ in range(mult)]
-        factor_solutions.append(_FactorSolution(minpoly=fac, mult=mult,
-                                                alphas=alphas))
+    solutions = []
+    for c in starts:
+        coords = iter([sum((a * u for a, u in zip(row, c.entries)), ZERO)
+                       for row in inv])
+        factor_solutions = []
+        for fac, mult in factors:
+            d = len(fac) - 1
+            if d == 1:
+                alphas = [next(coords) for _ in range(mult)]
+            else:
+                fld = NumberField.get(fac, 0)
+                alphas = [FieldElement(fld, [next(coords) for _ in range(d)])
+                          for _ in range(mult)]
+            factor_solutions.append(_FactorSolution(minpoly=fac, mult=mult,
+                                                    alphas=alphas))
 
-    # exact validation: u_n == sum of traces for n = 0..k-1
-    for n in range(k):
-        if _reconstruct_exact(factor_solutions, n) != c.entries[n]:
-            raise AssertionError("exponential polynomial reconstruction failed")
-
-    alpha_table = _alpha_per_embedding(factor_solutions, roots)
-    return ExpPolySolution(factors=factor_solutions, roots=roots,
-                           alpha=alpha_table)
+        # exact validation: u_n == sum of traces for n = 0..k-1
+        for n in range(k):
+            if _reconstruct_exact(factor_solutions, n) != c.entries[n]:
+                raise AssertionError(
+                    "exponential polynomial reconstruction failed")
+        solutions.append(ExpPolySolution(
+            factors=factor_solutions, roots=roots,
+            alpha=_alpha_per_embedding(factor_solutions, roots)))
+    return solutions
 
 
 def _reconstruct_exact(factor_solutions, n: int) -> Fraction:
@@ -519,16 +532,10 @@ def _ratio_to_rho(root: AlgebraicNumber, rho: AlgebraicNumber) -> AlgebraicNumbe
         if root.is_rational:
             return AlgebraicNumber.from_rational(root.as_rational() / r)
         return AlgebraicNumber.from_element(root.elem * (1 / r))
-    # resultant: roots of Res_y(P_rho(y), M(x*y)) include root/rho
-    import sympy
-    from .poly import to_sympy, from_sympy
-    _xs = sympy.Symbol("x")
-    ys = sympy.Symbol("y")
-    prho = to_sympy([Q(v) for v in rho._defining_ints()]).as_expr().subs(_xs, ys)
-    mroot = to_sympy([Q(v) for v in root._defining_ints()]).as_expr().subs(
-        _xs, _xs * ys)
-    res = sympy.Poly(sympy.expand(sympy.resultant(prho, mroot, ys)), _xs)
-    return _locate_as_root(from_sympy(res),
+    # the composed product of M and reversed P_rho has the roots root_i/rho_j
+    cands = P.composed_product([Q(v) for v in root._defining_ints()],
+                               P.preverse([Q(v) for v in rho._defining_ints()]))
+    return _locate_as_root(cands,
                            lambda bits: root.box(bits) * rho.box(bits).re.inverse(),
                            "unit ratio identification")
 
@@ -702,17 +709,14 @@ class OrbitScanner:
     endpoints over one common denominator, so the enclosure of v_n is
     computed on integers, over `den * 2^bits * n^P` with P the largest
     -npow (`enclosure`); `v_box` turns it into a `Box` of `Fraction`s.
+    `normal` is the start's (form, residual) pair from `normalize`; it is
+    computed here when the caller holds none.
     """
 
     def __init__(self, lrr: Lrr, c: InitialConfig, bits: int = 160,
-                 spec: SpectralData | None = None,
-                 sol: ExpPolySolution | None = None):
-        self.lrr, self.c = lrr, c
+                 normal: tuple[DominantForm, ResidualEvaluator] | None = None):
         self.bits = bits
-        spec = spec or spectral(lrr)
-        sol = sol or exp_poly_solution(lrr, c, spec)
-        self.spec, self.sol = spec, sol
-        form, res = normalize(lrr, c, spec, sol)
+        form, res = normal or normalize(lrr, c)
         self.form, self.res = form, res
         triples = [(a, b, 0) for a, b in form.terms] + \
                   [(t.alpha, t.base, t.npow) for t in res.terms]
@@ -871,8 +875,9 @@ def term_sign(lrr: Lrr, c: InitialConfig, n: int) -> int:
     if n <= EXACT_TERMS:
         w, _ = scaled_term(lrr, c, n)
         return (w > 0) - (w < 0)
+    normal = normalize(lrr, c)
     for bits in precisions(192, "term sign"):
-        sc = OrbitScanner(lrr, c, bits)
+        sc = OrbitScanner(lrr, c, bits, normal)
         for _ in range(n):
             sc.step()
         s = sc.v_box().re.sign()

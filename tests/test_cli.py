@@ -105,6 +105,26 @@ def test_decide_open_ball():
     assert json.loads(p.stdout)["verdict"] == "YES"
 
 
+def test_open_ball_searches_at_the_given_height_bound(monkeypatch):
+    """The open ball's relation lattice uses --height-bound, as the
+    provenance says, like the three existential questions."""
+    from robustlrs import cli, decide
+    seen = []
+    real = decide.relation_lattice
+
+    def spy(units, height_bound=64):
+        seen.append(height_bound)
+        return real(units, height_bound)
+
+    monkeypatch.setattr(decide, "relation_lattice", spy)
+    spec = parse_problem('{"coeffs":["1","1"],"init":["1","1"],'
+                         '"ball":{"radius":"1/10","topology":"open"}}')
+    text, code = cli.run(spec, "robust-ultpos-open", Q(1, 1 << 20), 100, 5)
+    assert code == 0
+    assert seen == [5]
+    assert json.loads(text)["provenance"]["height_bound"] == 5
+
+
 def test_decide_bad_problem_exit3():
     p = run_cli(["decide", "exists-robust-positivity", "--problem", "-"],
                 stdin='{"coeffs":["0","1"],"init":["1","1"]}')

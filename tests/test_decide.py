@@ -129,6 +129,26 @@ def test_open_ball_surface_center_no():
     assert d.verdict == "NO"
 
 
+def test_open_ball_inverts_the_trace_form_matrix_at_most_twice(monkeypatch):
+    """The centre and the k unit starts of an order-6 ball share the
+    trace-form matrix: one inverse for the centre's analysis and one for
+    the unit starts."""
+    from robustlrs import lrs
+    calls = []
+    real = lrs.mat_inv
+
+    def counting(m):
+        calls.append(len(m))
+        return real(m)
+
+    monkeypatch.setattr(lrs, "mat_inv", counting)
+    lrr = hard_lrr(Q(3, 5))
+    c = coeff_config(Q(3, 5), Q(4, 5), Q(3), Q(1), Q(0), Q(0), Q(0), Q(0))
+    d = robust_nonuniform_ultpos_open_ball(lrr, Ball(c, Q(1, 100)))
+    assert d.verdict in ("YES", "NO")
+    assert 1 <= len(calls) <= 2
+
+
 def test_prefix_margin_zero_after_exact_confirmation(monkeypatch):
     """A term whose scan bound is not positive is confirmed by term_sign;
     its value may lie below every earlier bound, so the margin is 0."""
@@ -301,9 +321,11 @@ def _prefix_scan_ref(lrr, c, n_thr, want_zero):
 
 def test_short_prefix_scan_matches_fraction_terms():
     """The integer prefix scan gives the violation index, its value and
-    the margin of the Fraction recursion, for positivity and Skolem."""
+    the margin of the Fraction recursion; the first zero of
+    `exact_zeros_up_to` (Skolem's prefix) is the Fraction recursion's."""
     import random
     from robustlrs.decide import _prefix_scan
+    from robustlrs.lrs import exact_zeros_up_to
     rng = random.Random(11)
     rat = lambda: Q(rng.randint(-9, 9), rng.choice((1, 2, 3, 7, 10)))
     cases = [(Lrr((Q(-1), Q(2))), InitialConfig((Q(-5), Q(-4))), 12),
@@ -318,12 +340,16 @@ def test_short_prefix_scan_matches_fraction_terms():
             for _ in range(k))), rng.randint(0, 60)))
     seen = set()
     for lrr, c, n_thr in cases:
-        for want_zero in (False, True):
-            got = _prefix_scan(lrr, c, n_thr, want_zero)
-            assert got == _prefix_scan_ref(lrr, c, n_thr, want_zero), \
-                (lrr.coeffs, c.entries, n_thr, want_zero)
-            seen.add((want_zero, got[0] is None, got[0] is not None
-                      and got[0] >= lrr.order))
+        got = _prefix_scan(lrr, c, n_thr, None)
+        assert got == _prefix_scan_ref(lrr, c, n_thr, False), \
+            (lrr.coeffs, c.entries, n_thr)
+        zeros = exact_zeros_up_to(lrr, c, n_thr)
+        first_zero = zeros[0] if zeros else None
+        assert first_zero == _prefix_scan_ref(lrr, c, n_thr, True)[0], \
+            (lrr.coeffs, c.entries, n_thr)
+        for want_zero, n in ((False, got[0]), (True, first_zero)):
+            seen.add((want_zero, n is None, n is not None
+                      and n >= lrr.order))
     # violations past the initial values and clean scans, for both questions
     assert {(False, True, False), (True, True, False), (False, False, True),
             (True, False, True)} <= seen

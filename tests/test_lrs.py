@@ -242,9 +242,8 @@ def test_hyperplane_claim_constant():
 def test_orbit_scanner_matches_exact():
     c = cfg(1, 1)
     sc = OrbitScanner(FIB, c, bits=160)
-    spec = sc.spec
     terms = eval_terms(FIB, c, 300)
-    rho = spec.rho
+    rho = spectral(FIB).rho
     for n in range(1, 300):
         sc.step()
         vb = sc.v_box()
@@ -383,6 +382,57 @@ def test_alpha_linearity():
             else:
                 lin = a1.elem * lam + a2.elem * mu
                 assert lin == ac.elem
+
+
+def test_one_inverse_serves_every_start():
+    """`exp_poly_solutions` gives each start the coefficients that its own
+    one-start solve gives."""
+    from robustlrs.lrs import exp_poly_solutions
+    for lrr in (FIB, HARD6):
+        k = lrr.order
+        starts = [cfg(*[int(i == j) for j in range(k)]) for i in range(k)]
+        starts.append(cfg(*range(3, 3 + k)))
+        for c, got in zip(starts, exp_poly_solutions(lrr, starts)):
+            want = exp_poly_solution(lrr, c).alpha
+            assert got.alpha.keys() == want.keys()
+            for key, a in want.items():
+                b = got.alpha[key]
+                if a.is_rational:
+                    assert b.as_rational() == a.as_rational()
+                else:
+                    assert b.elem.field is a.elem.field and b.elem == a.elem
+
+
+def _resultant_oracle(root, rho):
+    """Res_y(P_rho(y), M(x y)), built by hand in sympy: its roots include
+    root/rho."""
+    import sympy
+    from robustlrs.poly import from_sympy, int_normalize
+    x, y = sympy.symbols("x y")
+    p_rho = sum(c * y ** i for i, c in enumerate(rho._defining_ints()))
+    m = sum(c * (x * y) ** i for i, c in enumerate(root._defining_ints()))
+    res = sympy.Poly(sympy.expand(sympy.resultant(p_rho, m, y)), x)
+    return int_normalize(from_sympy(res))
+
+
+@pytest.mark.parametrize("coeffs", [(1, 1), (-3, 2), (-2, 0, 1), (-3, -1, 0)])
+def test_ratio_to_rho_candidates_match_resultant(monkeypatch, coeffs):
+    """With an irrational dominant modulus the unit-ratio candidates are the
+    composed product of M with reversed P_rho, equal after normalization
+    to the hand-built resultant (x^2 - x - 1, x^2 - 2x + 3, x^3 - x^2 + 2,
+    x^3 + x + 3)."""
+    from robustlrs import lrs
+    from robustlrs.poly import int_normalize
+    spec = spectral(Lrr(tuple(Q(a) for a in coeffs)))
+    assert not spec.rho.is_rational
+    built = []
+    monkeypatch.setattr(lrs, "_locate_as_root",
+                        lambda cands, refiner, what: built.append(cands))
+    for root, _ in spec.roots:
+        lrs._ratio_to_rho(root, spec.rho)
+        assert int_normalize(built[-1]) == _resultant_oracle(root, spec.rho)
+    assert len(built) == len(spec.roots)
+
 
 def test_conjugate_closure_imaginary_part():
     """Dominant terms pair into conjugates: the dominant-part enclosure has

@@ -88,6 +88,35 @@ def test_long_prefix_violation_value():
     assert cert.violating_value == Q(1, 10) - r ** 3963 + 2 * s ** 3963
 
 
+@pytest.mark.parametrize("shape_, verdict", [(M4201, "NO"), (M1301, "YES")],
+                         ids=["m4201", "m1301"])
+def test_long_positivity_analyses_the_start_once(monkeypatch, shape_,
+                                                 verdict):
+    """One `spectral` per decision: the orbit scan is built from the
+    decision's own normal form, and a term whose enclosure is below zero
+    is a violation without an exact sign test."""
+    from robustlrs import decide, lrs
+    calls = {"spectral": 0, "term_sign": 0}
+
+    def counting(name):
+        real = getattr(lrs, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        wrapped = counting(name)
+        monkeypatch.setattr(lrs, name, wrapped)
+        monkeypatch.setattr(decide, name, wrapped)
+    lrr, c = shape_
+    assert exists_robust_positivity(lrr, c).verdict == verdict
+    assert calls["spectral"] == 1
+    if shape_ is M4201:
+        assert calls["term_sign"] == 0
+
+
 def test_shapes_as_built():
     # the golden values belong to exactly these recurrences
     assert M1301[0].coeffs == (Q(-1300, 1301), Q(2601, 1301))
