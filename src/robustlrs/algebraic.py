@@ -456,6 +456,13 @@ class FieldElement:
             if b.width <= width:
                 return b
 
+    def root_exchanged(self, field: NumberField) -> "FieldElement":
+        """The same number in `field`, a quadratic field on the same minimal
+        polynomial at the other root (or, for a complex root, at its own
+        conjugate): the roots are r and s - r with s the rational root sum."""
+        return FieldElement(field, P.pcompose(self.coeffs,
+                                              (-field.minpoly_q[1], Q(-1))))
+
     def conj_in_field(self) -> "FieldElement | None":
         """Complex conjugate as an element of the same field, when expressible:
         real embeddings (identity), quadratic fields (root exchange), and
@@ -464,9 +471,7 @@ class FieldElement:
         if f.is_real_root:
             return self
         if f.degree == 2:
-            # conjugate root = s - root with s the rational root sum
-            s = -f.minpoly_q[1]
-            return FieldElement(f, P.pcompose(self.coeffs, (s, Q(-1))))
+            return self.root_exchanged(f)
         gen = FieldElement.generator(f)
         if _unit_modulus_primitive(f):
             inv = gen.inverse()
@@ -617,22 +622,21 @@ class AlgebraicNumber:
         if e.coeffs == (ZERO, ONE):
             self._defpoly = e.field.minpoly
             return self._defpoly
-        # minimal polynomial divides Res_y(M(y), x - A(y))
-        y = sympy.Symbol("y")
-        My = P.to_sympy([Q(c) for c in e.field.minpoly]).as_expr().subs(_x, y)
-        Ay = P.to_sympy(e.coeffs).as_expr().subs(_x, y)
-        res = sympy.Poly(sympy.resultant(My, _x - Ay, y), _x)
-        cands = [fac for fac, _ in P.factor_int(P.from_sympy(res)) if len(fac) > 1]
-        for bits in precisions(64, "defining polynomial identification"):
-            b = self.box(bits)
-            alive = []
-            for fac in cands:
-                v = peval_box([Q(c) for c in fac], b)
-                if v.re.contains(ZERO) and v.im.contains(ZERO):
-                    alive.append(fac)
-            if len(alive) == 1:
-                self._defpoly = alive[0]
-                return self._defpoly
+        # the characteristic polynomial of e is minpoly^k: its power sums are
+        # the traces of e^i, and Newton's identities give its coefficients
+        d = e.field.degree
+        ps, power = [], e
+        for _ in range(d):
+            ps.append(power.trace())
+            power = power * e
+        el = [ONE]  # elementary symmetric functions e_0..e_d of the conjugates
+        for k in range(1, d + 1):
+            el.append(sum(((-1) ** (i - 1) * el[k - i] * ps[i - 1]
+                           for i in range(1, k + 1)), ZERO) / k)
+        char = [(-1) ** (d - j) * el[d - j] for j in range(d + 1)]
+        (fac, _), = [f for f in P.factor_int(char) if len(f[0]) > 1]
+        self._defpoly = fac
+        return self._defpoly
 
     def isolating_disk(self) -> tuple[Fraction, Fraction, Fraction]:
         """(center_re, center_im, radius) containing exactly one root of the

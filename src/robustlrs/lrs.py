@@ -527,11 +527,27 @@ def _unit_ratio(root: AlgebraicNumber, rho: AlgebraicNumber) -> AlgebraicNumber:
 
 
 def _ratio_to_rho(root: AlgebraicNumber, rho: AlgebraicNumber) -> AlgebraicNumber:
+    """gamma = root/rho, exact.  When the root can be written in rho's field
+    (a rational root, the same field, or the other root of rho's real
+    quadratic minimal polynomial) this is one field inverse; only a root of
+    another field goes through the composed product and root isolation."""
     if rho.is_rational:
         r = rho.as_rational()
         if root.is_rational:
             return AlgebraicNumber.from_rational(root.as_rational() / r)
         return AlgebraicNumber.from_element(root.elem * (1 / r))
+    f = rho.elem.field
+    if root.is_rational:
+        num = FieldElement.const(f, root.as_rational())
+    elif root.elem.field is f:
+        num = root.elem
+    elif (f.degree == 2 and f.is_real_root
+          and root.elem.field.minpoly == f.minpoly):
+        num = root.elem.root_exchanged(f)
+    else:
+        num = None
+    if num is not None:
+        return AlgebraicNumber.from_element(num / rho.elem)
     # the composed product of M and reversed P_rho has the roots root_i/rho_j
     cands = P.composed_product([Q(v) for v in root._defining_ints()],
                                P.preverse([Q(v) for v in rho._defining_ints()]))

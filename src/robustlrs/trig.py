@@ -149,12 +149,12 @@ def sin_turn_point(r: Fraction, bits: int = 64) -> Ival:
 
 
 def _has_point_mod1(lo: Fraction, hi: Fraction, frac: Fraction) -> bool:
-    """Is there an x in [lo, hi] with x = frac (mod 1)?"""
-    k = (lo - frac).numerator // (lo - frac).denominator  # floor(lo - frac)
-    candidate = frac + k
-    if candidate < lo:
-        candidate += 1
-    return candidate <= hi
+    """Is there an x in [lo, hi] with x = frac (mod 1)?  That is, is
+    ceil(lo - frac) <= floor(hi - frac), on numerators and denominators."""
+    a, b = frac.numerator, frac.denominator
+    ld, hd = lo.denominator, hi.denominator
+    return (-((a * ld - lo.numerator * b) // (ld * b))
+            <= (hi.numerator * b - a * hd) // (hd * b))
 
 
 def cos_turn(t: Ival, bits: int = 64) -> Ival:

@@ -245,6 +245,56 @@ def test_defining_poly_of_derived_element():
     assert a.defining_poly.coefficients == (Q(-1), Q(-2), Q(1))
 
 
+def _defining_ints_by_resultant(a):
+    """The minimal polynomial of a field element as the one factor of
+    Res_y(M(y), x - A(y)) that vanishes on the element's box: the sympy
+    route, the reference for the characteristic-polynomial route."""
+    import sympy
+    from robustlrs.poly import from_sympy, peval_box
+    from robustlrs.qmath import precisions
+    e = a.elem
+    x, y = sympy.symbols("x y")
+    my = sum(c * y ** i for i, c in enumerate(e.field.minpoly))
+    ay = sum(sympy.Rational(c.numerator, c.denominator) * y ** i
+             for i, c in enumerate(e.coeffs))
+    res = sympy.Poly(sympy.resultant(my, x - ay, y), x)
+    cands = [fac for fac, _ in factor_int(from_sympy(res)) if len(fac) > 1]
+    for bits in precisions(64, "reference identification"):
+        b = a.box(bits)
+        alive = [fac for fac in cands
+                 if not peval_box([Q(c) for c in fac], b).disjoint(Box.point(0))]
+        if len(alive) == 1:
+            return alive[0]
+
+
+@pytest.mark.parametrize("minpoly", [
+    (-2, 0, 1), (1, 1, 1), (3, -2, 1),            # degree 2
+    (-2, 0, 0, 1), (3, 1, 0, 1), (-1, -1, 0, 1),  # degree 3
+    (1, 0, 0, 0, 1), (5, 0, -2, 0, 1), (1, 1, 1, 1, 1),  # degree 4
+])
+def test_defining_ints_matches_resultant(minpoly):
+    """Random elements of every embedding, subfield elements included
+    (x^2 in Q(zeta_8) and in Q[x]/(x^4 - 2x^2 + 5)), get the same minimal
+    polynomial from the traces of their powers as from the resultant."""
+    rng = random.Random(sum(minpoly) * 31 + len(minpoly))
+    d = len(minpoly) - 1
+    for idx in range(d):
+        f = NumberField.get(minpoly, idx)
+        elems = [FieldElement(f, [Q(rng.randint(-4, 4), rng.choice((1, 2, 3)))
+                                  for _ in range(d)]) for _ in range(3)]
+        elems.append(FieldElement(f, (Q(1),) + (Q(0),) * (d - 2) + (Q(-2),)))
+        x2 = FieldElement(f, (Q(0), Q(0), Q(1)))
+        if d == 4:
+            elems.append(x2)
+        for e in elems:
+            if e.is_rational():
+                continue
+            got = AlgebraicNumber.from_element(e)._defining_ints()
+            assert got == _defining_ints_by_resultant(AlgebraicNumber.from_element(e))
+            if e == x2 and minpoly[1] == minpoly[3] == 0:
+                assert len(got) == 3    # x^2 lies in a quadratic subfield
+
+
 # -- the bisection replay against sympy's own refinement ---------------------
 #
 # `algebraic._BisectionPath` replays the path of sympy's

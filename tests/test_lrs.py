@@ -417,10 +417,11 @@ def _resultant_oracle(root, rho):
 
 @pytest.mark.parametrize("coeffs", [(1, 1), (-3, 2), (-2, 0, 1), (-3, -1, 0)])
 def test_ratio_to_rho_candidates_match_resultant(monkeypatch, coeffs):
-    """With an irrational dominant modulus the unit-ratio candidates are the
-    composed product of M with reversed P_rho, equal after normalization
-    to the hand-built resultant (x^2 - x - 1, x^2 - 2x + 3, x^3 - x^2 + 2,
-    x^3 + x + 3)."""
+    """With an irrational dominant modulus, a root outside rho's field takes
+    the general path: its unit-ratio candidates are the composed product of
+    M with reversed P_rho, equal after normalization to the hand-built
+    resultant.  Roots that rho's field holds (both roots of x^2 - x - 1, the
+    root -1 of x^3 - x^2 + 2) build no candidates."""
     from robustlrs import lrs
     from robustlrs.poly import int_normalize
     spec = spectral(Lrr(tuple(Q(a) for a in coeffs)))
@@ -428,10 +429,71 @@ def test_ratio_to_rho_candidates_match_resultant(monkeypatch, coeffs):
     built = []
     monkeypatch.setattr(lrs, "_locate_as_root",
                         lambda cands, refiner, what: built.append(cands))
+    general = 0
     for root, _ in spec.roots:
+        before = len(built)
         lrs._ratio_to_rho(root, spec.rho)
+        if root.is_rational or root.elem.field.minpoly == spec.rho.elem.field.minpoly:
+            assert len(built) == before
+            continue
+        general += 1
         assert int_normalize(built[-1]) == _resultant_oracle(root, spec.rho)
-    assert len(built) == len(spec.roots)
+    assert general == len(built) == {(1, 1): 0, (-3, 2): 2, (-2, 0, 1): 2,
+                                     (-3, -1, 0): 3}[coeffs]
+
+
+def _composed_product_ratio(root, rho):
+    """root/rho as the one root of the composed product of M with reversed
+    P_rho whose box meets root's box over rho's: the general path of
+    `_ratio_to_rho`, the reference for the quotient in rho's field."""
+    from robustlrs import lrs
+    from robustlrs.poly import composed_product, preverse
+    cands = composed_product([Q(v) for v in root._defining_ints()],
+                             preverse([Q(v) for v in rho._defining_ints()]))
+    return lrs._locate_as_root(
+        cands, lambda bits: root.box(bits) * rho.box(bits).re.inverse(),
+        "unit ratio reference")
+
+
+@pytest.mark.parametrize("coeffs", [
+    (1, 1),       # x^2 - x - 1
+    (1, -1),      # x^2 + x - 1, negative dominant root
+    (2, 0),       # x^2 - 2, both +-sqrt(2) dominant
+    (-1, 3),      # x^2 - 3x + 1
+    (-2, 0, 1),   # x^3 - x^2 + 2, root -1 under rho = sqrt(2)
+])
+def test_ratio_to_rho_in_field_matches_composed_product(coeffs):
+    """Every root that rho's field holds is divided by rho inside that
+    field, and the quotient is the number the composed product names."""
+    from robustlrs import lrs
+    spec = spectral(Lrr(tuple(Q(a) for a in coeffs)))
+    rho = spec.rho
+    assert not rho.is_rational
+    for root, _ in spec.roots:
+        if not root.is_rational and root.elem.field.minpoly != rho.elem.field.minpoly:
+            continue
+        got = lrs._ratio_to_rho(root, rho)
+        assert got.is_rational or got.elem.field is rho.elem.field
+        want = _composed_product_ratio(root, rho)
+        assert got.equals(want) and want.equals(got)
+        assert not got.box(128).disjoint(want.box(128))
+
+
+def test_normalize_fibonacci_builds_no_composed_product(monkeypatch):
+    """Both roots of x^2 - x - 1 lie in rho's field, so normalizing builds
+    no composed product."""
+    from robustlrs import poly
+    built = []
+    real = poly.composed_product
+    monkeypatch.setattr(poly, "composed_product",
+                        lambda p, q: built.append((p, q)) or real(p, q))
+    form, res = normalize(FIB, cfg(0, 1))
+    assert not built
+    assert [g.as_rational() for _, g in form.terms] == [1]
+    (term,) = res.terms
+    assert not term.base.is_rational
+    b = term.base.box(128).re          # -1/phi^2 = -0.3819...
+    assert Q(-382, 1000) < b.lo <= b.hi < Q(-381, 1000)
 
 
 def test_conjugate_closure_imaginary_part():

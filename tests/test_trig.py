@@ -121,6 +121,54 @@ def _point_hull(point_fn, t, bits, top, bottom):
     return out
 
 
+def _has_point_mod1_fraction(lo, hi, frac):
+    """The least x = frac (mod 1) with x >= lo, compared with hi in
+    `Fraction`s: the reference for the integer test."""
+    k = (lo - frac).numerator // (lo - frac).denominator
+    candidate = frac + k
+    if candidate < lo:
+        candidate += 1
+    return candidate <= hi
+
+
+def test_has_point_mod1_matches_fraction_oracle():
+    """Dyadic endpoints at, just off and around 0, 1/4, 1/2 and 3/4 (mod 1),
+    widths from 0 to just under and over 1, against the Fraction version."""
+    rng = random.Random(13)
+    fracs = [Q(0), Q(1, 4), Q(1, 2), Q(3, 4)]
+    offsets = [Q(0), Q(1, 1 << 60), -Q(1, 1 << 60), Q(1, 1 << 3), -Q(1, 1 << 5)]
+    widths = [Q(0), Q(1, 1 << 40), Q(1, 4), Q(1, 2),
+              1 - Q(1, 1 << 50), Q(1), 1 + Q(1, 1 << 50)]
+    cases = hits = 0
+    for base in fracs:
+        for shift in range(-2, 3):
+            for off in offsets:
+                lo = base + shift + off
+                for w in widths:
+                    for frac in fracs:
+                        want = _has_point_mod1_fraction(lo, lo + w, frac)
+                        assert trig._has_point_mod1(lo, lo + w, frac) == want
+                        hits += want
+                        # the same with the point at the upper endpoint
+                        hi = lo
+                        want = _has_point_mod1_fraction(hi - w, hi, frac)
+                        assert trig._has_point_mod1(hi - w, hi, frac) == want
+                        cases += 1
+    for _ in range(2000):
+        den = 1 << rng.randint(0, 64)
+        lo = Q(rng.randint(-3 * den, 3 * den), den)
+        hi = lo + Q(rng.randint(0, 2 * den), den)
+        frac = rng.choice(fracs)
+        assert trig._has_point_mod1(lo, hi, frac) == \
+            _has_point_mod1_fraction(lo, hi, frac)
+    # both outcomes are exercised, equality at an endpoint included
+    assert 0 < hits < cases
+    assert trig._has_point_mod1(Q(1, 4), Q(1, 4), Q(1, 4))
+    assert trig._has_point_mod1(Q(-3, 4), Q(0), Q(1, 4))
+    assert not trig._has_point_mod1(Q(-1, 2) + Q(1, 1 << 60), Q(1, 4) - Q(1, 1 << 60),
+                                    Q(1, 4))
+
+
 def test_interval_turns_match_point_hull():
     """cos_turn and sin_turn read their endpoints from the turn table; the
     enclosures are the hull of cos_turn_point / sin_turn_point."""
