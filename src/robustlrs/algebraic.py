@@ -257,7 +257,7 @@ class NumberField:
         self._box_bits = 0
         self._box: Box | None = None
         self._deriv = pderiv(self.minpoly_q)
-        self._power_sums: list[Fraction] | None = None
+        self._power_sums: list[Fraction] = [Q(self.degree)]  # p_0, p_1, ...
 
     @staticmethod
     def get(minpoly: tuple[int, ...], root_index: int) -> "NumberField":
@@ -320,11 +320,12 @@ class NumberField:
                 return _field_cache(self.minpoly, hits[0])
 
     def power_sums(self, count: int) -> list[Fraction]:
-        """Newton power sums p_k = sum of k-th powers of all roots."""
+        """Newton power sums p_k = sum of k-th powers of all roots, k <
+        count (at least p_0), extending the field's memo as far as asked."""
         d = self.degree
         c = self.minpoly_q  # monic: x^d + c[d-1] x^(d-1) + ... + c[0]
-        ps = [Q(d)]
-        for k in range(1, count):
+        ps = self._power_sums
+        for k in range(len(ps), count):
             if k <= d:
                 acc = -k * c[d - k]
                 for i in range(1, k):
@@ -334,7 +335,7 @@ class NumberField:
                 for i in range(1, d + 1):
                     acc -= c[d - i] * ps[k - i]
             ps.append(acc)
-        return ps
+        return ps[:max(count, 1)]
 
 
 class FieldElement:
@@ -509,21 +510,17 @@ def _unit_modulus_primitive(field: NumberField) -> bool:
     return _same_root_of(mp, conj_refiner, inv_refiner)
 
 
-def _root_fields(intpoly: tuple[int, ...]) -> list[NumberField]:
-    """One NumberField per distinct root of the (squarefree part of the)
-    integer polynomial, boxes refined to pairwise disjoint."""
-    fields = []
-    for fac, _ in P.factor_int([Q(c) for c in intpoly]):
-        if len(fac) == 1:
-            continue
-        for idx in range(len(fac) - 1):
-            fields.append(_field_cache(fac, idx))
+def _root_fields(minpoly: tuple[int, ...]) -> list[NumberField]:
+    """One NumberField per root of the irreducible, primitive integer
+    polynomial `minpoly`, boxes refined to pairwise disjoint."""
+    fields = [_field_cache(minpoly, idx) for idx in range(len(minpoly) - 1)]
     _separate(lambda bits: [f.root_box(bits) for f in fields], 32)
     return fields
 
 
 def _same_root_of(intpoly, refine_a, refine_b) -> bool:
-    """Decide equality of two numbers known to both be roots of intpoly.
+    """Decide equality of two numbers known to both be roots of intpoly, an
+    irreducible, primitive integer polynomial (a minimal polynomial).
 
     `refine_a`/`refine_b` map a bit count to enclosing boxes.  Terminates:
     either the boxes separate, or each eventually fits inside the unique
@@ -686,17 +683,18 @@ class AlgebraicNumber:
         return _same_root_of(self._defining_ints(), self.box, other.box)
 
 
-def isolate_roots(p) -> list[tuple[AlgebraicNumber, int]]:
+def isolate_roots(p, factors=None) -> list[tuple[AlgebraicNumber, int]]:
     """Isolate all complex roots of a rational polynomial.
 
     Returns (root, multiplicity) pairs; multiplicities sum to deg(p) and
-    the isolating disks are pairwise disjoint.
+    the isolating disks are pairwise disjoint.  `factors` is
+    `poly.factor_int(p)` when the caller already holds it.
     """
     coeffs = p.coefficients if isinstance(p, PolyRat) else pnorm(p)
     if not coeffs:
         raise ValueError("cannot isolate roots of the zero polynomial")
     out = []
-    for fac, mult in P.factor_int(coeffs):
+    for fac, mult in factors if factors is not None else P.factor_int(coeffs):
         if len(fac) == 1:
             continue
         if len(fac) == 2:

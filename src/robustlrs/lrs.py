@@ -5,8 +5,11 @@ The exponential polynomial coefficients live in each root's own number
 field Q[x]/(M), and conjugate roots share one coefficient polynomial, so
     u_n = sum over factors of Trace( A_f(n) * root^n ).
 Written in trace form, the first k terms give one rational linear system
-in the coordinates of the A_f; the same identity, evaluated in the fields,
-is an exact rational check of the solution.
+in the coordinates of the A_f.  The characteristic polynomial is factored
+once, by `spectral`, and `SpectralData.factors` serves the solve; the
+system is inverted on integers (`mat_inv`, fraction-free Gauss-Jordan).
+Its exact check uses one table of traces of powers per factor, formed by
+field multiplication, against which every start is checked.
 """
 
 from __future__ import annotations
@@ -86,13 +89,17 @@ def _check_config(lrr: Lrr, c: InitialConfig):
 
 
 def eval_terms(lrr: Lrr, c: InitialConfig, n_max: int) -> list[Fraction]:
-    """Exact terms u_0 .. u_{n_max} by direct recursion."""
+    """Exact terms u_0 .. u_{n_max}: w_n / (E * D^n) on the scaled integer
+    recurrence."""
     _check_config(lrr, c)
-    k = lrr.order
-    terms = list(c.entries)
-    for n in range(len(terms), n_max + 1):
-        terms.append(sum((a * terms[n - k + j] for j, a in enumerate(lrr.coeffs)),
-                         ZERO))
+    coeffs, init, D, E = _scaled_integer_recurrence(lrr, c)
+    terms, scale = [], E
+    # never fewer than the k initial terms, so that the slice below cuts
+    # the same prefix for every n_max, a negative one included
+    for w in itertools.islice(_scaled_terms(coeffs, init),
+                              max(n_max + 1, lrr.order)):
+        terms.append(Q(w, scale))
+        scale *= D
     return terms[:n_max + 1]
 
 
@@ -110,24 +117,36 @@ def mat_pow(m, n: int):
 
 
 def mat_inv(m):
-    """Exact inverse of a square Fraction matrix by Gauss-Jordan
-    elimination.  Every caller's matrix is nonsingular by construction, so
-    a singular one is an internal fault."""
+    """Exact inverse of a square rational matrix.
+
+    Row i of [M | I] is scaled by the lcm s_i of its denominators, so the
+    rows are integers [DM | D].  A fraction-free Gauss-Jordan elimination
+    (pivot p, row r <- p * r - f * pivot row, then r divided by the gcd of
+    its entries) leaves [Delta | X] with Delta diagonal and X = L D, where
+    L (DM) = Delta; so M^-1 = (DM)^-1 D = Delta^-1 X, whose entries are
+    the only `Fraction`s formed.  Every caller's matrix is nonsingular by
+    construction, so a singular one is an internal fault."""
     n = len(m)
-    a = [list(row) + [ONE if i == j else ZERO for j in range(n)]
-         for i, row in enumerate(m)]
+    a = []
+    for i, row in enumerate(m):
+        q = [Q(v) for v in row]
+        s = math.lcm(*(v.denominator for v in q))
+        a.append([v.numerator * (s // v.denominator) for v in q]
+                 + [s if j == i else 0 for j in range(n)])
     for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
+        piv = next((r for r in range(col, n) if a[r][col]), None)
         if piv is None:
             raise RuntimeError("singular matrix")
         a[col], a[piv] = a[piv], a[col]
-        inv = 1 / a[col][col]
-        a[col] = [v * inv for v in a[col]]
+        prow = a[col]
+        p = prow[col]
         for r in range(n):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [v - f * w for v, w in zip(a[r], a[col])]
-    return [row[n:] for row in a]
+            f = a[r][col]
+            if r != col and f:
+                row = [p * v - f * w for v, w in zip(a[r], prow)]
+                g = math.gcd(*row)
+                a[r] = [v // g for v in row]
+    return [[Q(v, row[i]) for v in row[n:]] for i, row in enumerate(a)]
 
 
 # ---------------------------------------------------------------------------
@@ -140,6 +159,7 @@ class SpectralData:
     rho: AlgebraicNumber
     dominant_indices: list[int]
     m: int
+    factors: list[tuple[tuple[int, ...], int]]  # factor_int(char poly)
 
     def __post_init__(self):
         if not self.dominant_indices:
@@ -221,7 +241,8 @@ def spectral(lrr: Lrr) -> SpectralData:
     (conjugates and unit-modulus roots are cheap; the general case goes
     through a composed-product polynomial)."""
     char = lrr.char_poly()
-    roots = isolate_roots(PolyRat(char))
+    factors = P.factor_int(char)
+    roots = isolate_roots(PolyRat(char), factors)
     r = len(roots)
     parent = list(range(r))
 
@@ -253,7 +274,8 @@ def spectral(lrr: Lrr) -> SpectralData:
     dominant = sorted(i for i in range(r) if find(i) == find(top))
     m = max(roots[i][1] for i in dominant) - 1
     rho = _rho_of(roots[dominant[0]][0])
-    return SpectralData(roots=roots, rho=rho, dominant_indices=dominant, m=m)
+    return SpectralData(roots=roots, rho=rho, dominant_indices=dominant, m=m,
+                        factors=factors)
 
 
 def _rho_of(rep: AlgebraicNumber) -> AlgebraicNumber:
@@ -326,17 +348,25 @@ def exp_poly_solutions(lrr: Lrr, starts: list[InitialConfig],
     alpha_{f,j} = sum_i a_{f,j,i} xi_f^i (j < mult f, i < deg f), k of
     them in all.  Tr(alpha_{f,j} n^j xi_f^n) = n^j sum_i a_{f,j,i}
     p_f(n + i), with p_f the power sums of the roots of f, so the terms
-    u_0 .. u_{k-1} give a k x k rational system (a confluent Vandermonde
-    system in trace form).  It is nonsingular: the k initial terms
-    determine the sequence, and distinct coefficients give distinct
+    u_0 .. u_{k-1} give a k x k rational system M a = u (a confluent
+    Vandermonde system in trace form).  It is nonsingular: the k initial
+    terms determine the sequence, and distinct coefficients give distinct
     sequences.  The matrix depends on the recurrence only, so one inverse
-    serves every start."""
+    serves every start.
+
+    The check is exact and runs for every start: M's power sums are the
+    traces of xi_f^t formed by field multiplication (once per call), and
+    then M a = u, which by linearity of the trace is the identity
+    u_n = sum over f of Tr(A_f(n) xi_f^n) for n < k."""
     for c in starts:
         _check_config(lrr, c)
-    char = lrr.char_poly()
-    roots = spec.roots if spec is not None else isolate_roots(PolyRat(char))
+    if spec is None:
+        char = lrr.char_poly()
+        factors = P.factor_int(char)
+        roots = isolate_roots(PolyRat(char), factors)
+    else:
+        factors, roots = spec.factors, spec.roots
     k = lrr.order
-    factors = P.factor_int(char)
     columns = []  # per unknown, in the order (f, j, i): its k coefficients
     for fac, mult in factors:
         d = len(fac) - 1
@@ -344,58 +374,49 @@ def exp_poly_solutions(lrr: Lrr, starts: list[InitialConfig],
             root_val = Q(-fac[0], fac[1])
             ps = [root_val ** t for t in range(k)]
         else:
-            ps = NumberField.get(fac, 0).power_sums(k + d - 1)
+            fld = NumberField.get(fac, 0)
+            ps = fld.power_sums(k + d - 1)
+            if ps != _trace_table(fld, k + d - 1):
+                raise RuntimeError("power sums differ from the traces of "
+                                   "the generator's powers")
         for j in range(mult):
             for i in range(d):
                 columns.append([n ** j * ps[n + i] for n in range(k)])
-    inv = mat_inv([list(row) for row in zip(*columns)])
+    mat = [list(row) for row in zip(*columns)]
+    inv = mat_inv(mat)
     solutions = []
     for c in starts:
-        coords = iter([sum((a * u for a, u in zip(row, c.entries)), ZERO)
-                       for row in inv])
+        coords = [sum((a * u for a, u in zip(row, c.entries)), ZERO)
+                  for row in inv]
+        if any(sum((a * x for a, x in zip(row, coords)), ZERO) != u
+               for row, u in zip(mat, c.entries)):
+            raise RuntimeError("exponential polynomial reconstruction failed")
+        it = iter(coords)
         factor_solutions = []
         for fac, mult in factors:
             d = len(fac) - 1
             if d == 1:
-                alphas = [next(coords) for _ in range(mult)]
+                alphas = [next(it) for _ in range(mult)]
             else:
                 fld = NumberField.get(fac, 0)
-                alphas = [FieldElement(fld, [next(coords) for _ in range(d)])
+                alphas = [FieldElement(fld, [next(it) for _ in range(d)])
                           for _ in range(mult)]
             factor_solutions.append(_FactorSolution(minpoly=fac, mult=mult,
                                                     alphas=alphas))
-
-        # exact validation: u_n == sum of traces for n = 0..k-1
-        for n in range(k):
-            if _reconstruct_exact(factor_solutions, n) != c.entries[n]:
-                raise AssertionError(
-                    "exponential polynomial reconstruction failed")
         solutions.append(ExpPolySolution(
             factors=factor_solutions, roots=roots,
             alpha=_alpha_per_embedding(factor_solutions, roots)))
     return solutions
 
 
-def _reconstruct_exact(factor_solutions, n: int) -> Fraction:
-    """u_n as sum over factors of Trace(A_f(n) * xi^n): exact rational."""
-    total = ZERO
-    for fs in factor_solutions:
-        d = len(fs.minpoly) - 1
-        if d == 1:
-            root_val = Q(-fs.minpoly[0], fs.minpoly[1])
-            a_of_n = sum((a * n**j for j, a in enumerate(fs.alphas)), ZERO)
-            total += a_of_n * root_val**n
-        else:
-            if all(a == 0 for a in fs.alphas):
-                continue
-            fld = fs.alphas[0].field
-            a_of_n = FieldElement.const(fld, ZERO)
-            for j, a in enumerate(fs.alphas):
-                if a != 0:
-                    a_of_n = a_of_n + a * Q(n**j)
-            xi_n = FieldElement.generator(fld).pow(n)
-            total += (a_of_n * xi_n).trace()
-    return total
+def _trace_table(fld: NumberField, count: int) -> list[Fraction]:
+    """Tr(xi^t) for t < count, xi^t by field multiplication."""
+    xi = FieldElement.generator(fld)
+    power, out = FieldElement.const(fld, ONE), []
+    for _ in range(count):
+        out.append(power.trace())
+        power = power * xi
+    return out
 
 
 def _alpha_per_embedding(factor_solutions, roots) -> dict:

@@ -295,6 +295,45 @@ def test_defining_ints_matches_resultant(minpoly):
                 assert len(got) == 3    # x^2 lies in a quadratic subfield
 
 
+@pytest.mark.parametrize("minpoly", [
+    (-2, 0, 1), (1, 1, 1), (5, -6, 5),            # degree 2
+    (-2, 0, 0, 1), (3, 1, 0, 1),                  # degree 3
+    (1, 0, 0, 0, 1), (1, -1, -1, -1, 1),          # degree 4
+])
+def test_root_fields_match_factor_int_route(minpoly, monkeypatch):
+    """`_root_fields` of a minimal polynomial takes its fields by root index
+    with no factorization; they are the very fields the factorization of
+    the polynomial names, in the same order, with disjoint boxes."""
+    want = [algebraic._field_cache(fac, idx)
+            for fac, _ in factor_int([Q(c) for c in minpoly]) if len(fac) > 1
+            for idx in range(len(fac) - 1)]
+
+    def no_factoring(p):
+        raise AssertionError("factor_int called")
+
+    monkeypatch.setattr(algebraic.P, "factor_int", no_factoring)
+    got = algebraic._root_fields(minpoly)
+    assert len(got) == len(want) == len(minpoly) - 1
+    assert all(g is w for g, w in zip(got, want))
+    boxes = [f.root_box(32) for f in got]
+    assert all(boxes[i].disjoint(boxes[j])
+               for i in range(len(boxes)) for j in range(i + 1, len(boxes)))
+
+
+def test_power_sums_memo_extends_and_keeps_prefixes():
+    """The power sums of x^2 - x - 1 are the Lucas numbers; a longer
+    request extends the field's memo and a shorter one reads its prefix."""
+    f = NumberField((-1, -1, 1), 0)
+    lucas = [2, 1, 3, 4, 7, 11, 18, 29, 47]
+    assert f.power_sums(1) == lucas[:1]
+    assert f.power_sums(4) == lucas[:4]
+    assert f.power_sums(9) == lucas
+    assert f.power_sums(2) == lucas[:2]
+    assert FieldElement(f, (Q(3), Q(2))).trace() == 3 * 2 + 2 * 1
+    f.power_sums(5).append(Q(0))             # a caller's list is its own
+    assert f.power_sums(9) == lucas
+
+
 # -- the bisection replay against sympy's own refinement ---------------------
 #
 # `algebraic._BisectionPath` replays the path of sympy's

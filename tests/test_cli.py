@@ -379,3 +379,24 @@ def test_bad_setting_exit3(tmp_path, monkeypatch, capsys, flags, config):
     code, doc, err = _decide_fib(tmp_path, monkeypatch, capsys, flags, config)
     assert code == 3 and doc is None
     assert "must be" in err
+
+
+# sha256 of `robustlrs eval --n-max 40` as the `Fraction` recursion wrote it,
+# for Fibonacci and for the order-6 family at p = 3/5
+EVAL_BYTES = {
+    '{"coeffs":["1","1"],"init":["0","1"]}':
+        "ac8e547fffe56381ffaf9547dc3ab820c2381ec6778457be74935c15849b9542",
+    '{"coeffs":["-1","22/5","-231/25","292/25","-231/25","22/5"],'
+    '"init":["1","-2","3/2","0","5","-1/3"]}':
+        "df3ba9578fd0fdf0cb58ef036117f55066f002a1d90d69a27a9472c809d9f1b7",
+}
+
+
+@pytest.mark.parametrize("problem", list(EVAL_BYTES),
+                         ids=["fibonacci", "order6"])
+def test_eval_bytes_pinned(problem, tmp_path):
+    path = tmp_path / "problem.json"
+    path.write_text(problem, encoding="utf-8")
+    out = run_cli(["eval", "--problem", str(path), "--n-max", "40"])
+    assert out.returncode == 0, out.stderr
+    assert hashlib.sha256(out.stdout.encode()).hexdigest() == EVAL_BYTES[problem]

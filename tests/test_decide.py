@@ -149,6 +149,25 @@ def test_open_ball_inverts_the_trace_form_matrix_at_most_twice(monkeypatch):
     assert 1 <= len(calls) <= 2
 
 
+def test_open_ball_factors_the_characteristic_polynomial_once(monkeypatch):
+    """`spectral` factors the characteristic polynomial and its analysis,
+    exp-poly solves and the unit starts all read that one factor list."""
+    from robustlrs import poly
+    factored = []
+    real = poly.factor_int
+
+    def counting(p):
+        factored.append(tuple(p))
+        return real(p)
+
+    monkeypatch.setattr(poly, "factor_int", counting)
+    lrr = hard_lrr(Q(3, 5))
+    c = coeff_config(Q(3, 5), Q(4, 5), Q(3), Q(1), Q(0), Q(0), Q(0), Q(0))
+    d = robust_nonuniform_ultpos_open_ball(lrr, Ball(c, Q(1, 100)))
+    assert d.verdict in ("YES", "NO")
+    assert factored.count(lrr.char_poly()) == 1
+
+
 def test_prefix_margin_zero_after_exact_confirmation(monkeypatch):
     """A term whose scan bound is not positive is confirmed by term_sign;
     its value may lie below every earlier bound, so the margin is 0."""

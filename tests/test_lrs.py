@@ -52,6 +52,36 @@ def test_eval_terms_order6_matches_naive():
     assert got == u
 
 
+def _fraction_terms(lrr, c, n_max):
+    """u_0 .. u_{n_max} by the `Fraction` recursion: the reference for
+    `eval_terms` on the scaled integer recurrence."""
+    k = lrr.order
+    terms = list(c.entries)
+    for n in range(len(terms), n_max + 1):
+        terms.append(sum((a * terms[n - k + j]
+                          for j, a in enumerate(lrr.coeffs)), Q(0)))
+    return terms[:n_max + 1]
+
+
+def test_eval_terms_matches_fraction_recursion():
+    rng = random.Random(9)
+    cases = [(FIB, cfg(0, 1)), (ALT, cfg(Q(-2, 3))),
+             (HARD6, cfg(1, -2, Q(3, 2), 0, 5, Q(-1, 3))),
+             (Lrr((Q(-1), Q(22, 5), Q(-231, 25), Q(292, 25), Q(-231, 25),
+                   Q(22, 5))), cfg(2, 0, -1, Q(7, 4), 1, 3))]
+    for _ in range(20):
+        k = rng.randint(1, 5)
+        coeffs = [Q(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 6))
+                  for _ in range(k)]
+        init = [Q(rng.randint(-9, 9), rng.randint(1, 8)) for _ in range(k)]
+        cases.append((Lrr(tuple(coeffs)), InitialConfig(tuple(init))))
+    for lrr, c in cases:
+        for n_max in (-3, -1, 0, lrr.order - 2, 60):
+            got = eval_terms(lrr, c, n_max)
+            assert got == _fraction_terms(lrr, c, n_max)
+            assert all(type(v) is Q for v in got)
+
+
 def test_companion_consistency():
     rng = random.Random(3)
     for lrr, c in [(FIB, cfg(1, 1)), (ALT, cfg(1)),
