@@ -719,10 +719,6 @@ def _separate(boxes_at, start: int):
             return
 
 
-def refine(a: AlgebraicNumber, width) -> Box:
-    return a.refine(Q(width))
-
-
 def identify_root_of_unity(a: AlgebraicNumber) -> tuple[int, int] | None:
     """(k, n) with value = e^(2 pi i k/n), gcd(k, n) = 1, when the number is
     a root of unity; None otherwise.  Found once per object and kept."""

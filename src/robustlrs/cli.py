@@ -53,6 +53,10 @@ def _write_out(text: str, out_path: str | None):
         sys.stdout.write(text)
 
 
+def _write_json(doc, out_path: str | None):
+    _write_out(json.dumps(doc, indent=2, sort_keys=True) + "\n", out_path)
+
+
 def _provenance(tol, prefix_cap, height_bound, lattice_complete) -> dict:
     return {
         "version": __version__,
@@ -105,6 +109,8 @@ def run(spec: ProblemSpec, question: str, tol: Fraction, prefix_cap: int,
 def emit_plot_data(spec: ProblemSpec, kind: str, count: int) -> str:
     """Deterministic CSV for the geometric figures: orbit values, cone
     sections (tangency directions), hyperplane-trace offsets."""
+    if count < 0:
+        raise ValueError(f"plot range must be >= 0, got {count}")
     buf = io.StringIO()
     if kind == "orbit":
         terms = eval_terms(spec.lrr, spec.init, count)
@@ -322,7 +328,7 @@ def _dispatch(args, defaults) -> int:
         spec = _read_problem(args)
         roots = isolate_roots(PolyRat(spec.lrr.char_poly()))
         doc = [dict(algebraic_json(a), multiplicity=m) for a, m in roots]
-        _write_out(json.dumps(doc, indent=2, sort_keys=True) + "\n", args.out)
+        _write_json(doc, args.out)
         return EXIT_YES
 
     if args.command == "torus":
@@ -340,7 +346,7 @@ def _dispatch(args, defaults) -> int:
             "finite_part": [[algebraic_json(v) for v in coset]
                             for coset in par.finite_part],
         }
-        _write_out(json.dumps(doc, indent=2, sort_keys=True) + "\n", args.out)
+        _write_json(doc, args.out)
         return EXIT_YES
 
     if args.command == "mu":
@@ -349,8 +355,7 @@ def _dispatch(args, defaults) -> int:
         analysis = Analysis.build(spec.lrr, spec.init, hb)
         out = (nu_op if args.absolute else mu_op)(analysis.form,
                                                   analysis.torus, tol)
-        _write_out(json.dumps(sign_outcome_json(out), indent=2,
-                              sort_keys=True) + "\n", args.out)
+        _write_json(sign_outcome_json(out), args.out)
         return EXIT_YES
 
     if args.command == "plot":
@@ -363,49 +368,51 @@ def _dispatch(args, defaults) -> int:
     raise ValueError(f"unhandled command {args.command}")
 
 
+def _rotation_args(args):
+    """The rotation point of a lab command: --p, and --q when given."""
+    return (parse_rational(args.p),
+            parse_rational(args.q) if args.q else None)
+
+
 def _dispatch_lab(args) -> int:
     if args.lab_command == "build":
-        p = parse_rational(args.p)
-        q = parse_rational(args.q) if args.q else None
+        p, q = _rotation_args(args)
         lrr = build_hardness_lrr(p, q)
         doc = {"coeffs": [format_rational(a) for a in lrr.coeffs],
                "char_poly_factored": "(x-1)^2 (x^2 - 2px + 1)^2",
                "p": format_rational(p)}
-        _write_out(json.dumps(doc, indent=2, sort_keys=True) + "\n", args.out)
+        _write_json(doc, args.out)
         return EXIT_YES
     if args.lab_command == "cone":
         z, x, y = (parse_rational(args.z), parse_rational(args.x),
                    parse_rational(args.y))
         inside, margin = cone_contains(z, x, y)
         doc = {"inside": inside, "margin": ival_json(margin)}
-        _write_out(json.dumps(doc, indent=2, sort_keys=True) + "\n", args.out)
+        _write_json(doc, args.out)
         return EXIT_YES if inside else EXIT_NO
     if args.lab_command == "ball-term":
-        p = parse_rational(args.p)
-        q = parse_rational(args.q) if args.q else None
+        p, q = _rotation_args(args)
         params = compute_params(parse_rational(args.ell),
                                 parse_rational(args.eps), p, q)
         iv = min_ball_term(args.n, params)
         doc = {"n": args.n, "term": ival_json(iv),
                "psi": format_rational(params.psi),
                "n2": params.n2}
-        _write_out(json.dumps(doc, indent=2, sort_keys=True) + "\n", args.out)
+        _write_json(doc, args.out)
         return EXIT_YES
     if args.lab_command == "approx-L":
-        p = parse_rational(args.p)
-        q = parse_rational(args.q) if args.q else None
+        p, q = _rotation_args(args)
         est = approximate_L(p, q, parse_rational(args.eps), args.horizon)
         doc = {"interval": ival_json(est.interval), "horizon": est.horizon,
                "probes": est.probes, "horizon_exhausted": est.horizon_exhausted,
                "note": est.note}
-        _write_out(json.dumps(doc, indent=2, sort_keys=True) + "\n", args.out)
+        _write_json(doc, args.out)
         return EXIT_YES
     if args.lab_command == "prefix-L":
-        p = parse_rational(args.p)
-        q = parse_rational(args.q) if args.q else None
+        p, q = _rotation_args(args)
         iv = lagrange_prefix(p, q, args.n)
         doc = {"interval": ival_json(iv), "n": args.n}
-        _write_out(json.dumps(doc, indent=2, sort_keys=True) + "\n", args.out)
+        _write_json(doc, args.out)
         return EXIT_YES
     raise ValueError(f"unhandled lab command {args.lab_command}")
 

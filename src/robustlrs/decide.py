@@ -1,5 +1,5 @@
 """The four robustness decision procedures, with machine-checkable
-certificates, plus a sampling oracle for cross-validation.
+certificates.
 
 Each start is analysed once (`Analysis`: spectral data, exp-poly
 solution, normal form, relation lattice) and every procedure runs the
@@ -11,18 +11,17 @@ lower bound, so a NO degrades to UNKNOWN rather than risk an unsound
 certificate.  For positivity and Skolem a positive minimum goes on to the
 tail stage: a certified residual threshold, the prefix cap, and an exact
 scan of the finite prefix.
+
+The float-screen sampling oracle that cross-checks these verdicts is not
+part of the package; it lives with the tests, in `tests/oracles.py`.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
-
-import numpy as np
 
 from .qmath import Q, ZERO, ONE
 from .lrs import (Lrr, InitialConfig, Ball, spectral, exp_poly_solutions,
@@ -230,104 +229,3 @@ def exists_robust_skolem(lrr: Lrr, c: InitialConfig,
         return _optimum_stage(out, ("ZERO",),
                               "absolute dominant minimum unresolved")
     return _tail_stage(a, out, prefix_cap, skolem=True)
-
-
-# ---------------------------------------------------------------------------
-# sampling oracle
-
-
-@dataclass
-class BruteForceReport:
-    mode: str
-    horizon: int
-    samples: int
-    violation: Optional[tuple[int, tuple[Fraction, ...]]]
-    violation_sign: Optional[int] = None
-    min_scaled_value: float = float("inf")
-    notes: str = ""
-
-
-def _ball_samples(ball: Ball, count: int, seed: int) -> list[tuple[Fraction, ...]]:
-    """Deterministic rational sample points: center, boundary-biased, and
-    uniform-ish interior; all strictly inside for open balls."""
-    rng = random.Random(seed)
-    k = len(ball.center.entries)
-    pts = [ball.center.entries]
-    D = 1 << 12
-    shrink = Q(4095, 4096)
-    while len(pts) < count:
-        v = [rng.randint(-D, D) for _ in range(k)]
-        nv2 = sum(x * x for x in v)
-        if nv2 == 0 or nv2 > D * D:
-            continue
-        boundary = len(pts) % 2 == 0
-        # lambda <= radius * shrink / sqrt(nv2), rounded down
-        inv = Q(1 << 20, math.isqrt(nv2 << 40) + 1)
-        lam = ball.radius * shrink * inv
-        if not boundary:
-            lam = lam * Q(rng.randint(1, 1 << 12), 1 << 12)
-        pts.append(tuple(cj + lam * vj
-                         for cj, vj in zip(ball.center.entries, v)))
-    return pts[:count]
-
-
-def brute_force_check(lrr: Lrr, region, horizon: int = 10**4,
-                      samples: int = 10**3, mode: str = "positivity",
-                      seed: int = 0) -> BruteForceReport:
-    """Sampling oracle: exact-confirmed first violation or none found.
-
-    A float screen (renormalized power iteration over all samples at once)
-    flags every term whose scaled value falls below a small float
-    threshold (or whose magnitude does, for Skolem mode) as a candidate;
-    each candidate's sign is then decided exactly, and the first exactly
-    confirmed violation is reported.  'none found' means every candidate
-    was exactly refuted; terms the screen saw above its threshold are not
-    checked exactly, so it is evidence, not a proof.  The screen stops
-    early once it holds more than 50 000 candidates.  `min_scaled_value`
-    is the screen's least float margin.
-    """
-    if mode not in ("positivity", "skolem", "ultpos"):
-        raise ValueError(f"unknown mode {mode!r}")
-    if isinstance(region, Ball):
-        pts = _ball_samples(region, samples, seed)
-    else:
-        pts = [region.entries]
-    k = lrr.order
-    M = np.array([[float(x) for x in row]
-                  for row in lrr.companion_matrix()], dtype=float)
-    W = np.array([[float(p[j]) for p in pts] for j in range(k)], dtype=float)
-    candidates: list[tuple[int, int]] = []   # (n, sample index)
-    min_scaled = float("inf")
-    threshold = 1e-7
-    for n in range(horizon + 1):
-        vals = W[0]
-        scale = np.max(np.abs(W), axis=0)
-        scale[scale == 0] = 1.0
-        scaled = vals / scale
-        if mode == "skolem":
-            hits = np.nonzero(np.abs(scaled) < threshold)[0]
-        else:
-            hits = np.nonzero(scaled < threshold)[0]
-        min_scaled = min(min_scaled, float(np.min(np.abs(scaled))
-                                           if mode == "skolem"
-                                           else np.min(scaled)))
-        candidates.extend((n, int(i)) for i in hits)
-        if len(candidates) > 50_000:
-            break
-        W = np.vstack([W[1:], (M[-1] @ W)[None, :]])
-        W = W / np.max(np.abs(W), axis=0, keepdims=True).clip(min=1e-300)
-    candidates.sort(key=lambda t: (t[0], pts[t[1]]))
-    for n, i in candidates:
-        cfg = InitialConfig(pts[i])
-        s = term_sign(lrr, cfg, n)
-        bad = (s == 0) if mode == "skolem" else (s <= 0)
-        if bad:
-            return BruteForceReport(mode=mode, horizon=horizon,
-                                    samples=len(pts),
-                                    violation=(n, pts[i]), violation_sign=s,
-                                    min_scaled_value=min_scaled,
-                                    notes="violation exactly confirmed")
-    return BruteForceReport(mode=mode, horizon=horizon, samples=len(pts),
-                            violation=None, min_scaled_value=min_scaled,
-                            notes="none found (screened; candidates exactly "
-                                  "refuted)" if candidates else "none found")

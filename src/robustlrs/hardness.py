@@ -30,11 +30,10 @@ from typing import Optional
 from .qmath import (Q, ZERO, ONE, sqrt_down, sqrt_up, is_perfect_square,
                     exact_sqrt, floor_frac, ceil_frac)
 from .interval import Ival
-from .trig import (pi_ival, make_rot_scan, rotation_order, rotation_power,
-                   angle_from_cos, ExactRotScan)
+from .trig import (pi_ival, RotScan, niven_rotation, rotation_order,
+                   rotation_power, angle_from_cos)
 from .poly import pmul
 from .lrs import Lrr, InitialConfig, mat_inv
-from .algebraic import NumberField, FieldElement
 
 COEFF_AXES = ("z_dom", "x_dom", "y_dom", "z_res", "x_res", "y_res")
 
@@ -120,64 +119,6 @@ def cone_contains(z, x, y) -> tuple[bool, Ival]:
     else:
         margin = Ival(z - sqrt_up(rad_sq, 128), z - sqrt_down(rad_sq, 128))
     return inside, margin
-
-
-@dataclass
-class RotationReport:
-    is_rotation: bool
-    orthogonal: bool
-    determinant_one: bool
-    order: Optional[int]            # finite order of the composition, if any
-
-
-def rotation_check(p, q) -> RotationReport:
-    """Exact verification that the dominant-block action is the rotation
-    (z, x, y) -> (z, x p + y q, y p - x q) around the z axis."""
-    p = Q(p)
-    if q is not None:
-        q = Q(q)
-    if q is not None and p * p + q * q == 1:
-        # rational case: plain Fraction matrix
-        rows = [[ONE, ZERO, ZERO], [ZERO, p, q], [ZERO, -q, p]]
-        mt_m = [[sum(rows[k][i] * rows[k][j] for k in range(3))
-                 for j in range(3)] for i in range(3)]
-        orth = mt_m == [[ONE, ZERO, ZERO], [ZERO, ONE, ZERO], [ZERO, ZERO, ONE]]
-        det = p * p + q * q
-        order = rotation_order(p)
-        return RotationReport(is_rotation=orth and det == 1, orthogonal=orth,
-                              determinant_one=det == 1, order=order)
-    # algebraic sine: q^2 = 1 - p^2, work in Q[x]/(x^2 - (1 - p^2))
-    q2 = 1 - p * p
-    if q2 < 0:
-        raise ValueError("p out of range")
-    if is_perfect_square(q2):
-        return rotation_check(p, exact_sqrt(q2))
-    from .poly import int_normalize
-    mp = int_normalize((-q2, ZERO, ONE))
-    # pick the positive real root
-    f0, f1 = NumberField.get(mp, 0), NumberField.get(mp, 1)
-    fld = f1 if f1.root_box(64).re.lo > 0 else f0
-    qe = FieldElement.generator(fld)
-    pe = FieldElement.const(fld, p)
-    one = FieldElement.const(fld, ONE)
-    zero = FieldElement.const(fld, ZERO)
-    rows = [[one, zero, zero], [zero, pe, qe], [zero, -qe, pe]]
-    mt_m = [[sum((rows[k][i] * rows[k][j] for k in range(3)),
-                 zero) for j in range(3)] for i in range(3)]
-    ident = [[one, zero, zero], [zero, one, zero], [zero, zero, one]]
-    orth = mt_m == ident
-    det = pe * pe + qe * qe
-    order = rotation_order(p)
-    if order is not None:
-        # compose order times exactly and check identity
-        acc = ident
-        for _ in range(order):
-            acc = [[sum((acc[i][k] * rows[k][j] for k in range(3)), zero)
-                    for j in range(3)] for i in range(3)]
-        if acc != ident:
-            order = None
-    return RotationReport(is_rotation=orth and det == one, orthogonal=orth,
-                          determinant_one=det == one, order=order)
 
 
 # ---------------------------------------------------------------------------
@@ -335,13 +276,15 @@ def min_ball_term(n: int, params: HardnessParams, bits: int = 160) -> Ival:
 
 
 def _rotation_ivals(p, q, n: int, bits: int, exact: bool):
-    """Enclosures of cos and sin of n*theta: exact rational powers when
-    `exact` and the angle is irrational with rational q; otherwise the
-    root-of-unity table or a dyadic scan of `bits` bits."""
-    if exact and q is not None and rotation_order(p) is None:
+    """Enclosures of cos and sin of n*theta: exact for a root-of-unity
+    angle (`niven_rotation`); for an irrational one, exact rational powers
+    when `exact` and q is given, otherwise a dyadic scan of `bits` bits."""
+    if rotation_order(p) is not None:
+        return niven_rotation(p, q, n, bits)
+    if exact and q is not None:
         c, s = rotation_power(p, q, n)
         return Ival.point(c), Ival.point(s)
-    sc = make_rot_scan(p, q, bits)
+    sc = RotScan(p, q, bits)
     sc.advance(n)
     return sc.cos_ival(), sc.sin_ival()
 
@@ -379,7 +322,7 @@ class _TailWalk:
 
     def __init__(self, p, q, n_start: int, lam_max: Fraction,
                  psi_max: Fraction, bits: int = 160):
-        self.sc = make_rot_scan(p, q, bits)
+        self.sc = RotScan(p, q, bits)
         self.sc.advance(n_start)
         self.n_start = n_start
         self.lam_max, self.psi_max = lam_max, psi_max
@@ -445,15 +388,14 @@ def scan_ball_terms(params: HardnessParams, n_from: int, n_to: int,
     Root-of-unity angles are periodic, and at every multiple of the order
     (cos = 1, sin = 0) the term is -2 psi (sqrt(n^2+1)-n), certified
     negative.  So only the at most `order` terms after n_from are
-    evaluated, from the exact `ExactRotScan` table, with no stepping."""
+    evaluated, exactly by `niven_rotation`, with no stepping."""
     psi, lam = params.psi, params.two_pi_ell
     ambiguous = []
-    if rotation_order(params.p) is not None:
-        sc = make_rot_scan(params.p, params.q, bits)
-        for n in range(n_from + 1, min(n_to, n_from + sc.order) + 1):
-            sc.advance(n)
-            iv = _ball_term(n, params, sc.cos_ival(), sc.sin_ival(),
-                            _root_tail(n, psi))
+    order = rotation_order(params.p)
+    if order is not None:
+        for n in range(n_from + 1, min(n_to, n_from + order) + 1):
+            cos_iv, sin_iv = niven_rotation(params.p, params.q, n, bits)
+            iv = _ball_term(n, params, cos_iv, sin_iv, _root_tail(n, psi))
             if iv.lo >= 0:
                 continue
             if iv.hi < 0:
@@ -524,20 +466,19 @@ def lagrange_prefix(p, q, N: int, bits: int = 192) -> Ival:
 
     Root-of-unity angles are periodic: n = order brings the rotation back
     to 1, so the minimum is exactly 0 once N >= order, and below that it
-    is the minimum over the at most 5 exact `ExactRotScan` values."""
+    is the minimum over the at most 5 exact `niven_rotation` values."""
     p, q = _rotation_point(p, q)
     if N < 1:
         raise ValueError("N >= 1 required")
     pi_iv = pi_ival(bits)
-    sc = make_rot_scan(p, q, bits)
-    if isinstance(sc, ExactRotScan):
-        if N >= sc.order:
+    order = rotation_order(p)
+    if order is not None:
+        if N >= order:
             return Ival.point(0)
-        final = []
-        for n in range(1, N + 1):
-            sc.advance(n)
-            final.append((n, sc.cos_ival()))
+        final = [(n, niven_rotation(p, q, n, bits)[0])
+                 for n in range(1, N + 1)]
     else:
+        sc = RotScan(p, q, bits)
         # pi^2/2 upper bound as an integer ratio (for the crude upper values)
         pi_sq_hi = (pi_iv.hi * pi_iv.hi / 2).limit_denominator(1 << 48)
         if pi_sq_hi < pi_iv.hi * pi_iv.hi / 2:

@@ -60,11 +60,6 @@ def identity(n: int) -> Matrix:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    return [[sum(a[i][k] * b[k][j] for k in range(len(b)))
-             for j in range(len(b[0]))] for i in range(len(a))]
-
-
 def snf(mat: Matrix) -> tuple[Matrix, Matrix, Matrix]:
     """Smith normal form: returns (D, U, V) with D = U * mat * V,
     U and V unimodular, D diagonal with d1 | d2 | ... positive.

@@ -23,7 +23,6 @@ from .qmath import Q, ZERO, ONE, precisions
 from .interval import Ival, Box
 from . import poly as P
 from .poly import pnorm, PolyRat
-from .intmat import mat_mul
 from .algebraic import (AlgebraicNumber, FieldElement, NumberField,
                         isolate_roots)
 
@@ -48,14 +47,6 @@ class Lrr:
     def char_poly(self) -> tuple[Fraction, ...]:
         """x^k - sum a_j x^j, lowest degree first."""
         return pnorm([-c for c in self.coeffs] + [ONE])
-
-    def companion_matrix(self) -> list[list[Fraction]]:
-        k = self.order
-        m = [[ZERO] * k for _ in range(k)]
-        for i in range(k - 1):
-            m[i][i + 1] = ONE
-        m[k - 1] = list(self.coeffs)
-        return m
 
 
 @dataclass(frozen=True)
@@ -92,28 +83,14 @@ def eval_terms(lrr: Lrr, c: InitialConfig, n_max: int) -> list[Fraction]:
     """Exact terms u_0 .. u_{n_max}: w_n / (E * D^n) on the scaled integer
     recurrence."""
     _check_config(lrr, c)
+    if n_max < 0:
+        raise ValueError(f"n_max must be >= 0, got {n_max}")
     coeffs, init, D, E = _scaled_integer_recurrence(lrr, c)
     terms, scale = [], E
-    # never fewer than the k initial terms, so that the slice below cuts
-    # the same prefix for every n_max, a negative one included
-    for w in itertools.islice(_scaled_terms(coeffs, init),
-                              max(n_max + 1, lrr.order)):
+    for w in itertools.islice(_scaled_terms(coeffs, init), n_max + 1):
         terms.append(Q(w, scale))
         scale *= D
-    return terms[:n_max + 1]
-
-
-def mat_pow(m, n: int):
-    k = len(m)
-    result = [[ONE if i == j else ZERO for j in range(k)] for i in range(k)]
-    base = m
-    while n:
-        if n & 1:
-            result = mat_mul(result, base)
-        n >>= 1
-        if n:
-            base = mat_mul(base, base)
-    return result
+    return terms
 
 
 def mat_inv(m):
@@ -456,12 +433,6 @@ class DominantForm:
     conjugate_closed: bool = True
     rho: AlgebraicNumber | None = None  # dominant modulus (exactness helper)
 
-    def value_box(self, point_boxes: list[Box], bits: int = 128) -> Box:
-        acc = Box.point(0)
-        for (a, _), tb in zip(self.terms, point_boxes):
-            acc = (acc + a.box(bits) * tb).round_out(bits + 16)
-        return acc
-
 
 @dataclass
 class _ResidualTerm:
@@ -696,40 +667,6 @@ def _dyadic_pow(bn: int, bd: int, n: int):
         if n:
             blo, bhi = mul(blo, blo, False), mul(bhi, bhi, True)
     return lo, hi
-
-
-# ---------------------------------------------------------------------------
-# hyperplane distance (Claim: distance(c, H_n) <= C |v_n(c)|)
-
-
-def hyperplane_distance(lrr: Lrr, c: InitialConfig, n: int,
-                        bits: int = 128) -> Ival:
-    """Enclosure of distance(c, H_n) = |u_n(c)| / ||first row of M^n||."""
-    _check_config(lrr, c)
-    mp = mat_pow(lrr.companion_matrix(), n)
-    row = mp[0]
-    norm_sq = sum((v * v for v in row), ZERO)
-    u_n = sum((row[j] * c.entries[j] for j in range(lrr.order)), ZERO)
-    if norm_sq == 0:
-        raise ArithmeticError("zero row in companion power")
-    return (Ival.point(abs(u_n)) / Ival.point(norm_sq).sqrt(bits))
-
-
-def hyperplane_constant(lrr: Lrr, spec: SpectralData | None = None,
-                        bits: int = 128) -> Fraction:
-    """Upper bound C with distance(c, H_n) <= C * |v_n(c)| for n >= 1:
-    C = Frobenius norm of the generalized Vandermonde V[n,(i,j)] = n^j g_i^n."""
-    if spec is None:
-        spec = spectral(lrr)
-    k = spec.order
-    total = Ival.point(0)
-    for n in range(k):
-        for i, (root, mult) in enumerate(spec.roots):
-            gb = root.box(bits).pow(n, bits + 16)
-            for j in range(mult):
-                entry = gb * Q(n**j)
-                total = total + entry.abs_sq()
-    return total.sqrt(bits).hi
 
 
 # ---------------------------------------------------------------------------

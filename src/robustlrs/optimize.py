@@ -67,22 +67,6 @@ class SignOutcome:
             raise RuntimeError(f"{v} outcome with enclosure {self.enclosure}")
 
 
-def dominant_value(form: DominantForm, t, torus: TorusParam | None = None,
-                   bits: int = 96) -> Box:
-    """Enclosure of dominant(c, t) = sum alpha_j t_j; t is a TorusPoint or
-    a tuple of exact unit-modulus values (membership checked)."""
-    if isinstance(t, TorusPoint):
-        if torus is None:
-            raise ValueError("TorusPoint evaluation needs the parametrization")
-        boxes = torus.point_boxes(t, bits)
-    else:
-        values = tuple(t)
-        if torus is not None and not torus.contains_values(values):
-            raise ValueError("point does not satisfy the lattice relations")
-        boxes = [v.box(bits) for v in values]
-    return form.value_box(boxes, bits)
-
-
 # ---------------------------------------------------------------------------
 # exact evaluation helpers
 

@@ -18,7 +18,6 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .qmath import Q, ZERO, precisions
-from .interval import Box
 from .trig import unit_box
 from .intmat import hnf_rows, snf, kernel_basis, lll_reduce
 from .poly import cyclotomic
@@ -67,9 +66,6 @@ class TorusParam:
                 t += self.embedding[j][b] * ang
             out.append(t - (t.numerator // t.denominator))
         return tuple(out)
-
-    def point_boxes(self, pt: TorusPoint, bits: int = 96) -> list[Box]:
-        return [unit_box(t, bits) for t in self.point_turns(pt)]
 
     def point_values(self, pt: TorusPoint) -> tuple[AlgebraicNumber, ...]:
         """Exact values (all parametrization points have rational turns)."""
@@ -288,14 +284,3 @@ def parametrize(lat: RelationLattice) -> TorusParam:
                     for t in coset) for coset in cosets]
     return TorusParam(finite_part=finite, free_rank=free, embedding=embedding,
                       coset_turns=cosets, lattice=lat)
-
-
-def orbit_point(gammas: list[AlgebraicNumber], n: int) -> tuple[AlgebraicNumber, ...]:
-    """Exact n-th powers (e^(i n theta_1), ..., e^(i n theta_k))."""
-    out = []
-    for g in gammas:
-        if g.is_rational:
-            out.append(AlgebraicNumber.from_rational(g.as_rational() ** n))
-        else:
-            out.append(AlgebraicNumber.from_element(g.elem.pow(n)))
-    return tuple(out)

@@ -26,7 +26,8 @@ of steps (naive interval iteration would blow up exponentially).  It is
 the one stepper of the dyadic rotation: the hardness lab's integer scans
 (`hardness.scan_ball_terms`, `hardness.lagrange_prefix`) consume its
 `walk`.  `rotation_power` gives the same powers exactly, and
-`ExactRotScan` tables the periodic root-of-unity angles.
+`niven_rotation` gives the periodic root-of-unity angles exactly, with no
+stepping.
 """
 
 from __future__ import annotations
@@ -316,7 +317,10 @@ class RotScan:
     all go through `walk`.
     """
 
-    def __init__(self, p: Fraction, q: Fraction, bits: int = 128):
+    def __init__(self, p: Fraction, q: Fraction | None, bits: int = 128):
+        if q is None:
+            raise ValueError("irrational-angle scan needs the exact sine "
+                             "value q")
         if p * p + q * q != 1:
             raise ValueError("(p, q) must lie exactly on the unit circle")
         den = p.denominator * q.denominator // math.gcd(p.denominator, q.denominator)
@@ -371,53 +375,29 @@ class RotScan:
         return self.ival(self.s, self.err)
 
 
-class ExactRotScan:
-    """Rotation scan for root-of-unity angles (rational p per Niven).
-
-    cos values are exact rationals; sin values are exact or tight
-    square-root enclosures.
-    """
-
-    def __init__(self, p: Fraction, q_sign: int = 1, bits: int = 128):
-        order = rotation_order(p)
-        if order is None:
-            raise ValueError(f"cos = {p} is not a root-of-unity angle")
-        self.order = order
-        self.bits = bits
-        cos_vals = []
-        sin_vals = []
-        # walk k / order turns
-        for k in range(order):
-            t = Q(k, order)
-            c = _exact_cos_turn(t)
-            s2 = 1 - c * c
-            s_sign = 1 if (t != 0 and t < Q(1, 2)) else (-1 if t > Q(1, 2) else 0)
-            if q_sign < 0:
-                s_sign = -s_sign
-            cos_vals.append(c)
-            sin_vals.append((s2, s_sign))
-        self.cos_vals = cos_vals
-        self.sin_vals = sin_vals
-        self.n = 0
-
-    def step(self):
-        self.n += 1
-
-    def advance(self, n_to: int):
-        """Jump to index n_to: the table is periodic, nothing is stepped."""
-        self.n = n_to
-
-    def cos_ival(self) -> Ival:
-        return Ival.point(self.cos_vals[self.n % self.order])
-
-    def sin_ival(self) -> Ival:
-        s2, sign = self.sin_vals[self.n % self.order]
-        if sign == 0:
-            return Ival.point(0)
-        if is_perfect_square(s2):
-            return Ival.point(sign * exact_sqrt(s2))
-        mag = Ival(sqrt_down(s2, self.bits), sqrt_up(s2, self.bits))
-        return mag if sign > 0 else -mag
+def niven_rotation(p: Fraction, q: Fraction | None, n: int,
+                   bits: int = 128) -> tuple[Ival, Ival]:
+    """Exact (cos, sin) enclosures of n * theta for a root-of-unity angle
+    (rational p per Niven): theta is 1/order of a turn, and the sign of q
+    (None: positive) gives the direction.  cos is an exact rational; sin
+    is exact or a square-root enclosure of `bits` bits."""
+    order = rotation_order(p)
+    if order is None:
+        raise ValueError(f"cos = {p} is not a root-of-unity angle")
+    k = n % order
+    c = _exact_cos_turn(Q(k, order))
+    sign = 0 if 2 * k in (0, order) else (1 if 2 * k < order else -1)
+    if q is not None and q < 0:
+        sign = -sign
+    s2 = 1 - c * c
+    if sign == 0:
+        sin = Ival.point(0)
+    elif is_perfect_square(s2):
+        sin = Ival.point(sign * exact_sqrt(s2))
+    else:
+        mag = Ival(sqrt_down(s2, bits), sqrt_up(s2, bits))
+        sin = mag if sign > 0 else -mag
+    return Ival.point(c), sin
 
 
 def _exact_cos_turn(t: Fraction) -> Fraction:
@@ -428,14 +408,3 @@ def _exact_cos_turn(t: Fraction) -> Fraction:
     if t in table:
         return table[t]
     raise ValueError(f"no exact rational cos for turn {t}")
-
-
-def make_rot_scan(p: Fraction, q: Fraction | None, bits: int = 128):
-    """Best scanner for the angle with cos = p: exact table when the point
-    is a root of unity, ball-error dyadic iteration otherwise (q required).
-    """
-    if rotation_order(p) is not None:
-        return ExactRotScan(p, 1 if (q is None or q >= 0) else -1, bits)
-    if q is None:
-        raise ValueError("irrational-angle scan needs the exact sine value q")
-    return RotScan(p, q, bits)

@@ -18,18 +18,18 @@ from robustlrs.poly import PolyRat, pmul
 from robustlrs.algebraic import isolate_roots, power_product_is_one
 from robustlrs.lrs import (Lrr, InitialConfig, Ball, eval_terms, spectral,
                            exp_poly_solution, normalize)
-from robustlrs.torus import relation_lattice, parametrize, orbit_point
+from robustlrs.torus import relation_lattice, parametrize
 from robustlrs.optimize import mu, nu, min_over_ball, DominantFamily
 from robustlrs.decide import (exists_robust_positivity, exists_robust_skolem,
                               exists_robust_ultimate_positivity,
-                              robust_nonuniform_ultpos_open_ball,
-                              brute_force_check, Analysis)
+                              robust_nonuniform_ultpos_open_ball, Analysis)
 from robustlrs.hardness import (build_hardness_lrr, compute_params,
                                 HardnessParams, ball_gadget, min_ball_term,
                                 scan_ball_terms, _exact_ball_term,
                                 lagrange_prefix, approximate_L,
-                                config_from_coeffs, CoefficientBasisPoint,
-                                rotation_check)
+                                config_from_coeffs, CoefficientBasisPoint)
+
+from oracles import brute_force_check, orbit_point, rotation_check
 
 P35, Q45 = Q(3, 5), Q(4, 5)
 FIB = Lrr((Q(1), Q(1)))

@@ -12,7 +12,7 @@ from robustlrs.poly import (PolyRat, peval, pmul, pnorm, separation_bound,
                             factor_int, cyclotomic)
 from robustlrs.torus import root_of_unity_alg
 from robustlrs.algebraic import (AlgebraicNumber, FieldElement, NumberField,
-                                 isolate_roots, refine, power_product_is_one,
+                                 isolate_roots, power_product_is_one,
                                  identify_root_of_unity)
 
 
@@ -64,25 +64,25 @@ def test_isolate_rejects_zero():
 
 def test_refine_sqrt2():
     a = next(a for a, _ in isolate_roots(poly(-2, 0, 1)) if a.box(32).re.lo > 0)
-    b = refine(a, Q(1, 1000))
+    b = a.refine(Q(1, 1000))
     assert b.width <= Q(1, 1000)
     assert b.re.contains(Q(14142135623730951, 10**16)) or \
         b.re.lo <= Q(14142135623730951, 10**16) <= b.re.hi + Q(1, 10**15)
     # idempotent under further refinement
-    b2 = refine(a, Q(1, 10**9))
+    b2 = a.refine(Q(1, 10**9))
     assert b.re.lo <= b2.re.lo and b2.re.hi <= b.re.hi
 
 
 def test_refine_rational_point():
     a = AlgebraicNumber.from_rational(Q(1))
-    b = refine(a, Q(1, 7))
+    b = a.refine(Q(1, 7))
     assert b.re.lo == b.re.hi == 1 and b.im.lo == b.im.hi == 0
 
 
 def test_refine_sixth_root_of_unity():
     p = poly(1, -1, 1)  # x^2 - x + 1, roots e^{+-i pi/3}
     a = next(a for a, _ in isolate_roots(p) if a.box(64).im.lo > 0)
-    b = refine(a, Q(1, 10**6))
+    b = a.refine(Q(1, 10**6))
     assert b.re.contains(Q(1, 2))
     assert abs(float(b.im.mid) - 0.8660254037844386) < 1e-6
 

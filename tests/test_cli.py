@@ -141,6 +141,20 @@ def test_eval_csv():
     assert lines[1:] == ["0,1", "1,1", "2,2", "3,3", "4,5", "5,8", "6,13"]
 
 
+@pytest.mark.parametrize("args", [
+    ["eval", "--n-max", "-3"],
+    ["plot", "--kind", "orbit", "--range", "-2"],
+], ids=["eval", "plot-orbit"])
+def test_negative_count_exit3(args):
+    # an order-6 start: a negative count once printed some initial terms
+    p = run_cli([*args, "--problem", "-"],
+                stdin='{"coeffs":["-1","4","-8","10","-8","4"],'
+                      '"init":["1","0","0","0","0","0"]}')
+    assert p.returncode == 3, p.stdout + p.stderr
+    assert "must be >= 0" in p.stderr
+    assert p.stdout == ""
+
+
 def test_roots_json():
     p = run_cli(["roots", "--problem", "-"],
                 stdin='{"coeffs":["-1","4","-8","10","-8","4"],'
@@ -196,6 +210,13 @@ def test_lab_off_circle_exit3(args):
     p = run_cli(["lab", *args])
     assert p.returncode == 3, p.stdout + p.stderr
     assert "unit circle" in p.stderr
+    assert p.stdout == ""
+
+
+def test_lab_prefix_L_irrational_angle_needs_q_exit3():
+    p = run_cli(["lab", "prefix-L", "--p", "3/5", "--n", "5"])
+    assert p.returncode == 3, p.stdout + p.stderr
+    assert "exact sine value q" in p.stderr
     assert p.stdout == ""
 
 

@@ -10,10 +10,11 @@ from robustlrs.lrs import Lrr, InitialConfig, Ball, eval_terms
 from robustlrs.decide import (exists_robust_ultimate_positivity,
                               exists_robust_positivity, exists_robust_skolem,
                               robust_nonuniform_ultpos_open_ball,
-                              brute_force_check, Analysis, Certificate,
-                              Decision)
+                              Analysis, Certificate, Decision)
 from robustlrs.interval import Ival
 from robustlrs.optimize import SignOutcome
+
+from oracles import brute_force_check
 
 FIB = Lrr((Q(1), Q(1)))
 ALT = Lrr((Q(-1),))

@@ -9,9 +9,11 @@ from robustlrs.lrs import Lrr, InitialConfig, eval_terms, spectral
 from robustlrs.hardness import (build_hardness_lrr, basis_change,
                                 config_from_coeffs, coeffs_from_config,
                                 CoefficientBasisPoint, cone_contains,
-                                rotation_check, compute_params, HardnessParams,
+                                compute_params, HardnessParams,
                                 ball_gadget, min_ball_term, scan_ball_terms,
                                 lagrange_prefix, approximate_L)
+
+from oracles import ball_samples, rotation_check
 
 P, QSIN = Q(3, 5), Q(4, 5)
 
@@ -286,9 +288,8 @@ def test_interior_ball_verdict_flavors_coincide():
     center = config_from_coeffs(P, QSIN, CoefficientBasisPoint(
         Q(3), Q(1), Q(0), Q(1), Q(0), Q(0)))
     from robustlrs.lrs import Ball, eval_terms, InitialConfig
-    from robustlrs.decide import _ball_samples
     ball = Ball(center, Q(1, 20))
-    for pt in _ball_samples(ball, 40, seed=2):
+    for pt in ball_samples(ball, 40, seed=2):
         terms = eval_terms(lrr, InitialConfig(pt), 400)
         for n in range(1, 401):
             assert terms[n] > 0   # strict positivity == positivity == nonzero

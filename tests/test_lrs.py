@@ -8,10 +8,12 @@ from robustlrs import qmath
 from robustlrs.interval import Box, Ival
 from robustlrs.lrs import (Lrr, InitialConfig, Ball, eval_terms, spectral,
                            exp_poly_solution, normalize, residual_threshold,
-                           hyperplane_distance, hyperplane_constant,
                            OrbitScanner, exact_zeros_up_to, term_sign,
-                           scaled_term, mat_pow, _scaled_integer_recurrence,
+                           scaled_term, _scaled_integer_recurrence,
                            EXACT_TERMS)
+
+from oracles import (companion_matrix, mat_mul, mat_pow, hyperplane_distance,
+                     hyperplane_constant)
 
 FIB = Lrr((Q(1), Q(1)))
 ALT = Lrr((Q(-1),))
@@ -76,7 +78,10 @@ def test_eval_terms_matches_fraction_recursion():
         init = [Q(rng.randint(-9, 9), rng.randint(1, 8)) for _ in range(k)]
         cases.append((Lrr(tuple(coeffs)), InitialConfig(tuple(init))))
     for lrr, c in cases:
-        for n_max in (-3, -1, 0, lrr.order - 2, 60):
+        for n_max in (-3, -1):
+            with pytest.raises(ValueError):
+                eval_terms(lrr, c, n_max)
+        for n_max in (0, max(lrr.order - 2, 0), 60):
             got = eval_terms(lrr, c, n_max)
             assert got == _fraction_terms(lrr, c, n_max)
             assert all(type(v) is Q for v in got)
@@ -88,11 +93,10 @@ def test_companion_consistency():
                    (HARD6, cfg(*[Q(rng.randint(-3, 3), rng.randint(1, 4))
                                  for _ in range(6)]))]:
         terms = eval_terms(lrr, c, 500)
-        m = lrr.companion_matrix()
+        m = companion_matrix(lrr)
         # incremental exact powering for every n <= 500
         acc = [[Q(1) if i == j else Q(0) for j in range(lrr.order)]
                for i in range(lrr.order)]
-        from robustlrs.intmat import mat_mul
         for n in range(501):
             first = sum(acc[0][j] * c.entries[j] for j in range(lrr.order))
             assert first == terms[n], f"n={n}"
@@ -193,8 +197,9 @@ def test_normalize_identity_v_eq_dom_plus_res():
     terms = eval_terms(HARD6, c, 30)
     for n in (1, 3, 10, 30):
         vb = res.box(n, 192)
-        point_boxes = [g.box(192).pow(n, 224) for _, g in form.terms]
-        dom = form.value_box(point_boxes, 192)
+        dom = Box.point(0)
+        for a, g in form.terms:
+            dom = (dom + a.box(192) * g.box(192).pow(n, 224)).round_out(208)
         total = dom + vb
         v_n = terms[n] / (Q(n) ** spec.m * 1)  # rho = 1
         assert total.re.contains(v_n), f"n={n}"
@@ -253,7 +258,7 @@ def test_hyperplane_claim_constant():
     terms = eval_terms(FIB, cfg(1, 1), 1000)
     spec = spectral(FIB)
     rho_lo = spec.rho.box(256).re.lo
-    m = FIB.companion_matrix()
+    m = companion_matrix(FIB)
     start = cfg(1, 1)
     row = [Q(1), Q(0)]
     rho_pow = Q(1)

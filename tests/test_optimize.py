@@ -6,10 +6,9 @@ import pytest
 from robustlrs.interval import Box, Ival
 from robustlrs.lrs import Lrr, InitialConfig, normalize, spectral
 from robustlrs.torus import relation_lattice, parametrize, TorusPoint
-from robustlrs.optimize import (mu, nu, dominant_value, min_over_ball,
+from robustlrs.optimize import (mu, nu, min_over_ball,
                                 DominantFamily, DEFAULT_TOL, _Objective,
                                 _on_grid)
-from robustlrs.algebraic import AlgebraicNumber
 from robustlrs.trig import cos_turn, pi_ival, sin_turn, unit_box
 
 FIB = Lrr((Q(1), Q(1)))
@@ -53,21 +52,6 @@ def coeff_config(p: Q, zdom, xdom, ydom, zres, xres, yres):
                        + zres - xres * cos - yres * sin)
         cos, sin = p * cos - q * sin, q * cos + p * sin
     return InitialConfig(tuple(entries))
-
-
-def test_dominant_value_trivial():
-    form, torus = build_torus(ALT, cfg(1))
-    t = (AlgebraicNumber.from_rational(Q(-1)),)
-    v = dominant_value(form, t, torus)
-    assert v.re.lo == v.re.hi == -1
-    assert v.im.lo == v.im.hi == 0
-
-
-def test_dominant_value_rejects_non_member():
-    form, torus = build_torus(ALT, cfg(1))
-    bad = (AlgebraicNumber.from_rational(Q(1, 2)),)
-    with pytest.raises(ValueError):
-        dominant_value(form, bad, torus)
 
 
 def test_mu_alternating_sign():

@@ -4,8 +4,10 @@ import pytest
 
 from robustlrs.poly import PolyRat
 from robustlrs.algebraic import AlgebraicNumber, isolate_roots, power_product_is_one
-from robustlrs.torus import (relation_lattice, parametrize, orbit_point,
-                             TorusPoint, root_of_unity_alg)
+from robustlrs.torus import (relation_lattice, parametrize, TorusPoint,
+                             root_of_unity_alg)
+
+from oracles import orbit_point
 
 
 def poly(*coeffs):

@@ -13,8 +13,7 @@ from robustlrs import trig
 from robustlrs.interval import Box, Ival
 from robustlrs.trig import (pi_ival, cos_turn_point, sin_turn_point, cos_turn,
                             sin_turn, unit_box, atan_ival, angle_from_cos,
-                            RotScan, ExactRotScan, make_rot_scan,
-                            rotation_order)
+                            RotScan, niven_rotation, rotation_order)
 
 mpmath.mp.dps = 60
 
@@ -284,20 +283,30 @@ def test_rot_scan_tracks_true_angle():
     assert scan.cos_ival().width < Q(1, 1 << 70)
 
 
-def test_exact_rot_scan_period6():
-    scan = ExactRotScan(Q(1, 2))
-    seen = []
-    for _ in range(12):
-        scan.step()
-        seen.append(scan.cos_ival().lo)
-    assert seen[:6] == [Q(1, 2), Q(-1, 2), Q(-1), Q(-1, 2), Q(1, 2), Q(1)]
+def test_niven_rotation_period6():
+    seen = [tuple((iv.lo, iv.hi) for iv in niven_rotation(Q(1, 2), None, n))
+            for n in range(1, 13)]
+    assert all(lo == hi for (lo, hi), _ in seen)
+    assert [lo for (lo, _), _ in seen[:6]] == [Q(1, 2), Q(-1, 2), Q(-1),
+                                               Q(-1, 2), Q(1, 2), Q(1)]
     assert seen[:6] == seen[6:]
+    # sin(n pi/3) = +-sqrt(3)/2 or 0, negated for the other direction
+    for n in range(1, 13):
+        _, s = niven_rotation(Q(1, 2), None, n)
+        truth = math.sin(n * math.pi / 3)
+        assert s.lo - 1e-12 <= truth <= s.hi + 1e-12
+        assert s.width < Q(1, 1 << 120)
+        _, s_neg = niven_rotation(Q(1, 2), Q(-1), n)
+        assert (s_neg.lo, s_neg.hi) == (-s.hi, -s.lo)
 
 
-def test_make_rot_scan_dispatch():
-    assert isinstance(make_rot_scan(Q(1, 2), None), ExactRotScan)
-    assert isinstance(make_rot_scan(Q(3, 5), Q(4, 5)), RotScan)
+def test_niven_rotation_rejects_irrational_angle():
+    c, s = niven_rotation(Q(0), Q(1), 3)      # a quarter turn, three times
+    assert (c.lo, c.hi, s.lo, s.hi) == (0, 0, -1, -1)
     with pytest.raises(ValueError):
-        make_rot_scan(Q(3, 5), None)
+        niven_rotation(Q(3, 5), Q(4, 5), 1)
+    # the dyadic scan of an irrational angle needs the exact sine
+    with pytest.raises(ValueError):
+        RotScan(Q(3, 5), None)
     assert rotation_order(Q(1, 2)) == 6
     assert rotation_order(Q(3, 5)) is None
