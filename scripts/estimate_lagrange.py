@@ -11,8 +11,9 @@ import argparse
 import sys
 import time
 from fractions import Fraction as Q
+from pathlib import Path
 
-sys.path.insert(0, "src")
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from robustlrs.qmath import parse_rational
 from robustlrs.hardness import approximate_L, lagrange_prefix

@@ -5,8 +5,9 @@ orbit figures for an order-6 family problem."""
 import argparse
 import json
 import sys
+from pathlib import Path
 
-sys.path.insert(0, "src")
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from robustlrs.serialize import parse_problem
 from robustlrs.cli import emit_plot_data

@@ -9,8 +9,9 @@ ball gadget checks.
 
 import sys
 from fractions import Fraction as Q
+from pathlib import Path
 
-sys.path.insert(0, "src")
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from robustlrs.lrs import InitialConfig, spectral, normalize
 from robustlrs.torus import relation_lattice, parametrize

@@ -6,9 +6,10 @@ distinguished root of M.  sympy isolates the roots (`CRootOf`); the first
 box of a non-real root comes from replaying sympy's bisection of its
 isolating rectangle here (`_BisectionPath`, the same box sympy's
 `eval_rational` would return), and deeper refinement is the package's
-own interval Newton.  A real root's seed box is still sympy's.  Everything
-layered on top -- arithmetic, conjugation, zero tests, unit-modulus and
-root-of-unity decisions -- is exact rational computation here.
+own interval Newton.  A real root's seed box is still sympy's, and sympy
+factors.  Everything layered on top -- arithmetic, conjugation, zero tests,
+unit-modulus and root-of-unity decisions, minimal polynomials from power
+sums -- is exact rational computation here.
 
 Predicates are never decided by approximation alone: enclosures may
 *separate* two numbers, while equalities are certified through unique
@@ -257,7 +258,8 @@ class NumberField:
         self._box_bits = 0
         self._box: Box | None = None
         self._deriv = pderiv(self.minpoly_q)
-        self._power_sums: list[Fraction] = [Q(self.degree)]  # p_0, p_1, ...
+        # Tr(x^i), i < degree: the power sums of the roots
+        self._basis_traces = P.power_sums(self.minpoly_q, self.degree)
 
     @staticmethod
     def get(minpoly: tuple[int, ...], root_index: int) -> "NumberField":
@@ -318,24 +320,6 @@ class NumberField:
                     hits.append(idx)
             if len(hits) == 1:
                 return _field_cache(self.minpoly, hits[0])
-
-    def power_sums(self, count: int) -> list[Fraction]:
-        """Newton power sums p_k = sum of k-th powers of all roots, k <
-        count (at least p_0), extending the field's memo as far as asked."""
-        d = self.degree
-        c = self.minpoly_q  # monic: x^d + c[d-1] x^(d-1) + ... + c[0]
-        ps = self._power_sums
-        for k in range(len(ps), count):
-            if k <= d:
-                acc = -k * c[d - k]
-                for i in range(1, k):
-                    acc -= c[d - i] * ps[k - i]
-            else:
-                acc = ZERO
-                for i in range(1, d + 1):
-                    acc -= c[d - i] * ps[k - i]
-            ps.append(acc)
-        return ps[:max(count, 1)]
 
 
 class FieldElement:
@@ -440,8 +424,8 @@ class FieldElement:
         return result
 
     def trace(self) -> Fraction:
-        ps = self.field.power_sums(self.field.degree)
-        return sum((c * ps[i] for i, c in enumerate(self.coeffs)), ZERO)
+        traces = self.field._basis_traces
+        return sum((c * t for c, t in zip(self.coeffs, traces)), ZERO)
 
     def box(self, bits: int = 64) -> Box:
         if self.is_rational():
@@ -620,17 +604,12 @@ class AlgebraicNumber:
             self._defpoly = e.field.minpoly
             return self._defpoly
         # the characteristic polynomial of e is minpoly^k: its power sums are
-        # the traces of e^i, and Newton's identities give its coefficients
-        d = e.field.degree
-        ps, power = [], e
-        for _ in range(d):
+        # the traces of e^i
+        ps, power = [e.field.degree], e
+        for _ in range(e.field.degree):
             ps.append(power.trace())
             power = power * e
-        el = [ONE]  # elementary symmetric functions e_0..e_d of the conjugates
-        for k in range(1, d + 1):
-            el.append(sum(((-1) ** (i - 1) * el[k - i] * ps[i - 1]
-                           for i in range(1, k + 1)), ZERO) / k)
-        char = [(-1) ** (d - j) * el[d - j] for j in range(d + 1)]
+        char = P.from_power_sums(ps)
         (fac, _), = [f for f in P.factor_int(char) if len(f[0]) > 1]
         self._defpoly = fac
         return self._defpoly

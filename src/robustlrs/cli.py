@@ -272,19 +272,22 @@ def main(argv=None) -> int:
         return EXIT_INTERNAL
 
 
-def _resolve(args, defaults):
-    """(tol, prefix cap, height bound): the flag, else the defaults file,
-    else the built-in default.  A given 0 is a value, not a missing one."""
+def _resolve(args, spec, defaults):
+    """(tol, prefix cap, height bound): the flag, else the problem file,
+    else the defaults file, else the built-in default.  A given 0 is a
+    value, not a missing one."""
     def pick(name, fallback):
-        value = getattr(args, name, None)
-        if value is None:
-            value = defaults.get(name)
-        return fallback if value is None else value
+        for value in (getattr(args, name, None), getattr(spec, name),
+                      defaults.get(name)):
+            if value is not None:
+                return value
+        return fallback
 
-    tol = pick("tol", None)
-    if tol is not None and not isinstance(tol, str):
+    tol = pick("tol", DEFAULT_TOL)  # a problem file's tol is parsed already
+    if isinstance(tol, str):
+        tol = parse_rational(tol)
+    elif not isinstance(tol, Fraction):
         raise ValueError(f"tol must be a rational string p/q, got {tol!r}")
-    tol = DEFAULT_TOL if tol is None else parse_rational(tol)
     cap = pick("prefix_cap", DEFAULT_PREFIX_CAP)
     hb = pick("height_bound", 64)
     if not isinstance(cap, int) or cap < 0:
@@ -297,13 +300,7 @@ def _resolve(args, defaults):
 def _dispatch(args, defaults) -> int:
     if args.command == "decide":
         spec = _read_problem(args)
-        tol, cap, hb = _resolve(args, defaults)
-        if spec.tol is not None and args.tol is None:
-            tol = spec.tol
-        if spec.prefix_cap is not None and args.prefix_cap is None:
-            cap = spec.prefix_cap
-        if spec.height_bound is not None and args.height_bound is None:
-            hb = spec.height_bound
+        tol, cap, hb = _resolve(args, spec, defaults)
         question = args.question
         if spec.question is not None and spec.question != question:
             raise ProblemError("$.question", f"file says {spec.question!r} "
@@ -333,7 +330,7 @@ def _dispatch(args, defaults) -> int:
 
     if args.command == "torus":
         spec = _read_problem(args)
-        _, _, hb = _resolve(args, defaults)
+        _, _, hb = _resolve(args, spec, defaults)
         par = Analysis.build(spec.lrr, spec.init, hb).torus
         lat = par.lattice
         doc = {
@@ -351,7 +348,7 @@ def _dispatch(args, defaults) -> int:
 
     if args.command == "mu":
         spec = _read_problem(args)
-        tol, _, hb = _resolve(args, defaults)
+        tol, _, hb = _resolve(args, spec, defaults)
         analysis = Analysis.build(spec.lrr, spec.init, hb)
         out = (nu_op if args.absolute else mu_op)(analysis.form,
                                                   analysis.torus, tol)

@@ -10,7 +10,6 @@ soundness critical.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 Matrix = list[list[int]]

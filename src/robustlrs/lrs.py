@@ -347,15 +347,10 @@ def exp_poly_solutions(lrr: Lrr, starts: list[InitialConfig],
     columns = []  # per unknown, in the order (f, j, i): its k coefficients
     for fac, mult in factors:
         d = len(fac) - 1
-        if d == 1:
-            root_val = Q(-fac[0], fac[1])
-            ps = [root_val ** t for t in range(k)]
-        else:
-            fld = NumberField.get(fac, 0)
-            ps = fld.power_sums(k + d - 1)
-            if ps != _trace_table(fld, k + d - 1):
-                raise RuntimeError("power sums differ from the traces of "
-                                   "the generator's powers")
+        ps = P.power_sums(fac, k + d - 1)
+        if d > 1 and ps != _trace_table(NumberField.get(fac, 0), k + d - 1):
+            raise RuntimeError("power sums differ from the traces of "
+                               "the generator's powers")
         for j in range(mult):
             for i in range(d):
                 columns.append([n ** j * ps[n + i] for n in range(k)])

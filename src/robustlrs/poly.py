@@ -1,8 +1,8 @@
 """Polynomials over Q as coefficient tuples (lowest degree first).
 
-Thin exact layer: arithmetic, division and gcd are hand-rolled over
-`Fraction`; factorization into irreducibles, resultants and cyclotomic
-polynomials delegate to sympy's exact polynomial kernel.
+Thin exact layer: arithmetic, division, power sums and composed products
+are hand-rolled over `Fraction`.  sympy factors into irreducibles and
+builds cyclotomic polynomials; `resultant` also delegates to it.
 """
 
 from __future__ import annotations
@@ -160,14 +160,41 @@ def resultant(p: Coeffs, q: Coeffs) -> Fraction:
     return Q(r.p, r.q)
 
 
+def power_sums(p: Coeffs, count: int) -> list[Fraction]:
+    """Power sums s_k = sum of a^k over the roots a of p (with multiplicity),
+    k < count (at least s_0 = deg p), by Newton's identities."""
+    p = pnorm(p)
+    d = pdeg(p)
+    c = [v / p[-1] for v in p]  # monic: x^d + c[d-1] x^(d-1) + ... + c[0]
+    ps = [Q(d)]
+    for k in range(1, count):
+        acc = -k * c[d - k] if k <= d else ZERO
+        for i in range(1, min(k, d + 1)):
+            acc -= c[d - i] * ps[k - i]
+        ps.append(acc)
+    return ps
+
+
+def from_power_sums(ps) -> Coeffs:
+    """The monic polynomial of degree ps[0] whose roots have power sums
+    ps[1], ps[2], ...: Newton's identities solved for the elementary
+    symmetric functions e_k, k e_k = sum_i (-1)^(i-1) e_(k-i) ps[i]."""
+    d = int(ps[0])
+    el = [ONE]
+    for k in range(1, d + 1):
+        el.append(sum(((-1) ** (i - 1) * el[k - i] * ps[i]
+                       for i in range(1, k + 1)), ZERO) / k)
+    return tuple((-1) ** (d - j) * el[d - j] for j in range(d + 1))
+
+
 def composed_product(p: Coeffs, q: Coeffs) -> Coeffs:
-    """Polynomial whose roots include all products a*b, a root of p, b of q."""
-    y = sympy.Symbol("y")
-    sp = to_sympy(p).as_expr().subs(_x, y)
-    dq = pdeg(q)
-    sq = sympy.expand(to_sympy(q).as_expr().subs(_x, _x / y) * y ** dq)
-    res = sympy.Poly(sympy.resultant(sp, sq, y), _x)
-    return from_sympy(res)
+    """Monic polynomial whose roots are all products a*b, a a root of p and
+    b of q, with multiplicity: the power sums of the products are the
+    products of the power sums (Bostan, Flajolet, Salvy and Schost, "Fast
+    computation of special resultants", J. Symb. Comput. 41(1), 2006)."""
+    n = pdeg(p) * pdeg(q) + 1
+    return from_power_sums([a * b for a, b in
+                            zip(power_sums(p, n), power_sums(q, n))])
 
 
 @lru_cache(maxsize=None)

@@ -320,20 +320,6 @@ def test_root_fields_match_factor_int_route(minpoly, monkeypatch):
                for i in range(len(boxes)) for j in range(i + 1, len(boxes)))
 
 
-def test_power_sums_memo_extends_and_keeps_prefixes():
-    """The power sums of x^2 - x - 1 are the Lucas numbers; a longer
-    request extends the field's memo and a shorter one reads its prefix."""
-    f = NumberField((-1, -1, 1), 0)
-    lucas = [2, 1, 3, 4, 7, 11, 18, 29, 47]
-    assert f.power_sums(1) == lucas[:1]
-    assert f.power_sums(4) == lucas[:4]
-    assert f.power_sums(9) == lucas
-    assert f.power_sums(2) == lucas[:2]
-    assert FieldElement(f, (Q(3), Q(2))).trace() == 3 * 2 + 2 * 1
-    f.power_sums(5).append(Q(0))             # a caller's list is its own
-    assert f.power_sums(9) == lucas
-
-
 # -- the bisection replay against sympy's own refinement ---------------------
 #
 # `algebraic._BisectionPath` replays the path of sympy's

@@ -184,6 +184,33 @@ def test_mu_verb():
     assert doc["verdict"] == "POSITIVE"
 
 
+@pytest.mark.parametrize("verb,flags,config,key,want", [
+    (["mu"], [], None, "tolerance", "1/4"),
+    (["mu"], [], {"tol": "1/8"}, "tolerance", "1/4"),
+    (["mu"], ["--tol", "1/16"], None, "tolerance", "1/16"),
+    (["torus"], [], None, "height_bound", 3),
+    (["torus"], [], {"height_bound": 7}, "height_bound", 3),
+    (["torus"], ["--height-bound", "5"], None, "height_bound", 5),
+], ids=["mu-file", "mu-file-over-config", "mu-flag", "torus-file",
+        "torus-file-over-config", "torus-flag"])
+def test_settings_order_flag_file_config(tmp_path, monkeypatch, capsys, verb,
+                                         flags, config, key, want):
+    """`mu` and `torus` resolve tol and height bound as `decide` does: the
+    flag, else the problem file, else the defaults file."""
+    problem = tmp_path / "fib.json"
+    problem.write_text('{"coeffs":["1","1"],"init":["1","1"],'
+                       '"tol":"1/4","height_bound":3}')
+    monkeypatch.delenv("ROBUSTLRS_CONFIG", raising=False)
+    if config is not None:
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps(config))
+        monkeypatch.setenv("ROBUSTLRS_CONFIG", str(cfgfile))
+    code = main([*verb, "--problem", str(problem), *flags])
+    out, err = capsys.readouterr()
+    assert code == 0, err
+    assert json.loads(out)[key] == want
+
+
 def test_lab_build():
     p = run_cli(["lab", "build", "--p", "1/2"])
     assert p.returncode == 0, p.stderr

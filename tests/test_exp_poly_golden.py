@@ -19,10 +19,11 @@ from pathlib import Path
 
 import pytest
 
-from robustlrs.algebraic import FieldElement, NumberField
+from robustlrs.algebraic import FieldElement
 from robustlrs.hardness import build_hardness_lrr
 from robustlrs.lrs import (InitialConfig, Lrr, eval_terms, exp_poly_solution,
                            exp_poly_solutions, mat_inv)
+from robustlrs import poly
 from robustlrs.poly import pmul
 
 GOLDEN = json.loads((Path(__file__).with_name("exp_poly_golden.json"))
@@ -177,15 +178,15 @@ def test_solutions_match_per_start_reconstruction(key, lrr, start):
 def test_corrupted_power_sum_beyond_degree_raises(monkeypatch):
     """The trace-form matrix reads Newton power sums up to k + d - 2; one
     past the degree is wrong here, and the trace table catches it."""
-    real = NumberField.power_sums
+    real = poly.power_sums
 
-    def corrupted(self, count):
-        ps = real(self, count)
-        if count > self.degree + 1:
-            ps[self.degree + 1] += 1
+    def corrupted(p, count):
+        ps = real(p, count)
+        if count > len(p):
+            ps[len(p)] += 1
         return ps
 
-    monkeypatch.setattr(NumberField, "power_sums", corrupted)
+    monkeypatch.setattr(poly, "power_sums", corrupted)
     with pytest.raises(RuntimeError, match="power sums"):
         exp_poly_solution(build_hardness_lrr(Q(3, 5)),
                           InitialConfig((1, -2, Q(3, 2), 0, 5, Q(-1, 3))))

@@ -1,6 +1,7 @@
-"""sympy is used only where nothing else can do the job: root isolation in
-`algebraic`, factorization, resultants and cyclotomic polynomials in
-`poly`.  Every other module reaches it through those two.  numpy is a
+"""sympy is used only where nothing else can do the job: it isolates roots
+in `algebraic` and factors in `poly`, where it also builds cyclotomic
+polynomials and backs the uncalled `resultant`; composed products go by
+power sums.  Every other module reaches it through those two.  numpy is a
 test dependency only: no package module imports it, and loading the
 command line leaves it unloaded."""
 

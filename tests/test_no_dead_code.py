@@ -12,6 +12,11 @@ A method (dunders aside) counts as used when its name appears as an
 attribute or a plain name in the syntax tree of the package, the
 scripts, the benchmark or the tests; a definition is neither, so a
 method that nothing names is dead.
+
+A module-level import of a package module counts as used when the name
+it binds appears as a plain name in that module's syntax tree (an
+attribute access `math.gcd` names `math`).  `__init__.py` is left out:
+its imports are re-exports.
 """
 
 import ast
@@ -62,4 +67,24 @@ def test_no_unnamed_methods():
                        and not (fn.name.startswith("__")
                                 and fn.name.endswith("__"))
                        and fn.name not in named]
+    assert not unused
+
+
+def test_no_unused_module_level_imports():
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        bound = []
+        for node in tree.body:
+            if isinstance(node, ast.Import):
+                bound += [(a.asname or a.name).split(".")[0]
+                          for a in node.names]
+            elif (isinstance(node, ast.ImportFrom)
+                  and node.module != "__future__"):
+                bound += [a.asname or a.name for a in node.names]
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        unused += [f"{path.name}:{name}" for name in bound
+                   if name not in used]
     assert not unused

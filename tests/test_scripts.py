@@ -28,3 +28,17 @@ def test_script_runs(argv):
                        cwd=REPO_ROOT, env=env, timeout=300)
     assert p.returncode == 0, p.stderr
     assert p.stdout.strip(), p.stderr
+
+
+def test_script_runs_from_another_directory(tmp_path):
+    """A script finds the package from its own path: no PYTHONPATH, and
+    run from outside the checkout."""
+    env = dict(os.environ)
+    env.pop("ROBUSTLRS_CONFIG", None)
+    env.pop("PYTHONPATH", None)
+    p = subprocess.run([sys.executable,
+                        str(REPO_ROOT / "scripts" / "estimate_lagrange.py"),
+                        "--horizon", "200"], capture_output=True, text=True,
+                       cwd=tmp_path, env=env, timeout=300)
+    assert p.returncode == 0, p.stderr
+    assert p.stdout.strip(), p.stderr
