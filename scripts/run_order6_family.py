@@ -40,7 +40,7 @@ def main():
     form, _ = normalize(lrr, c, spec)
     torus = parametrize(relation_lattice([s for _, s in form.terms]))
     show("torus", f"free rank {torus.free_rank}, "
-         f"{len(torus.finite_part)} cosets")
+         f"{len(torus.coset_turns)} cosets")
     out = mu(form, torus)
     show("mu(c)", f"{out.verdict} in [{decimal_str(out.enclosure.lo, 12)}, "
          f"{decimal_str(out.enclosure.hi, 12)}]")

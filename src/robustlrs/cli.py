@@ -20,6 +20,7 @@ from .qmath import Q, parse_rational, format_rational
 from .poly import PolyRat
 from .algebraic import isolate_roots
 from .lrs import eval_terms, OrbitScanner
+from .torus import root_of_unity_alg
 from .optimize import mu as mu_op, nu as nu_op, DEFAULT_TOL
 from .decide import (exists_robust_positivity, exists_robust_skolem,
                      exists_robust_ultimate_positivity,
@@ -30,7 +31,7 @@ from .hardness import (build_hardness_lrr, cone_contains, compute_params,
                        coeffs_from_config)
 from .serialize import (ProblemSpec, ProblemError, parse_problem, report_json,
                         sign_outcome_json, algebraic_json, decimal_str,
-                        ival_json)
+                        ival_json, check_ball)
 
 CONFIG_ENV = "ROBUSTLRS_CONFIG"
 
@@ -92,8 +93,7 @@ def run(spec: ProblemSpec, question: str, tol: Fraction, prefix_cap: int,
     }.get(question)
     if decide is None:
         raise ProblemError("$.question", f"unknown question {question!r}")
-    if question == "robust-ultpos-open" and spec.ball is None:
-        raise ProblemError("$.ball", "robust-ultpos-open requires a ball")
+    check_ball(question, spec.ball)
     analysis = Analysis.build(spec.lrr, spec.init, height_bound)
     decision = decide(analysis)
     elapsed = time.monotonic() - t0
@@ -180,10 +180,9 @@ def _build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--version", action="version", version=__version__)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def add_common(p, problem=True):
-        if problem:
-            p.add_argument("--problem", required=True,
-                           help="problem JSON file ('-' for stdin)")
+    def add_common(p):
+        p.add_argument("--problem", required=True,
+                       help="problem JSON file ('-' for stdin)")
         p.add_argument("--tol", default=None, help="optimizer tolerance p/q")
         p.add_argument("--prefix-cap", type=int, default=None)
         p.add_argument("--height-bound", type=int, default=None)
@@ -305,10 +304,6 @@ def _dispatch(args, defaults) -> int:
         if spec.question is not None and spec.question != question:
             raise ProblemError("$.question", f"file says {spec.question!r} "
                                f"but the command asked {question!r}")
-        if question == "robust-ultpos-open" and spec.ball is None:
-            raise ProblemError("$.ball", "robust-ultpos-open requires a ball")
-        if question != "robust-ultpos-open" and spec.ball is not None:
-            raise ProblemError("$.ball", "existential variants take no ball")
         text, code = run(spec, question, tol, cap, hb, args.timing)
         _write_out(text, args.out)
         return code
@@ -340,8 +335,9 @@ def _dispatch(args, defaults) -> int:
             "height_bound": lat.height_bound,
             "free_rank": par.free_rank,
             "embedding": par.embedding,
-            "finite_part": [[algebraic_json(v) for v in coset]
-                            for coset in par.finite_part],
+            "finite_part": [[algebraic_json(root_of_unity_alg(
+                t.numerator, t.denominator)) for t in turns]
+                for turns in par.coset_turns],
         }
         _write_json(doc, args.out)
         return EXIT_YES

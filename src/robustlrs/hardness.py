@@ -261,8 +261,14 @@ def ball_gadget(params: HardnessParams, samples: int = 1000,
 # ---------------------------------------------------------------------------
 # the closed-form ball minimum and long certified scans
 
+# Bits of the dyadic rotation in the ball-term scans and `min_ball_term`.
+_SCAN_BITS = 160
+# Up to this index one ball term takes exact rational rotation powers.
+# Their numerators have O(n) digits, so past it a dyadic walk is cheaper.
+_EXACT_POWERS_UP_TO = 4000
 
-def min_ball_term(n: int, params: HardnessParams, bits: int = 160) -> Ival:
+
+def min_ball_term(n: int, params: HardnessParams) -> Ival:
     """Enclosure of the exact ball minimum at step n:
     n (2-psi)(1 - cos(2 pi n theta)) - 2 pi ell |sin(2 pi n theta)|
     - 2 psi (sqrt(n^2+1) - n)."""
@@ -270,8 +276,8 @@ def min_ball_term(n: int, params: HardnessParams, bits: int = 160) -> Ival:
         raise ValueError("n >= 1 required")
     if params.p is None:
         raise ValueError("params carry no rotation point")
-    cos_iv, sin_iv = _rotation_ivals(params.p, params.q, n, bits,
-                                     exact=n <= 4000)
+    cos_iv, sin_iv = _rotation_ivals(params.p, params.q, n, _SCAN_BITS,
+                                     exact=n <= _EXACT_POWERS_UP_TO)
     return _ball_term(n, params, cos_iv, sin_iv, _root_tail(n, params.psi))
 
 
@@ -321,8 +327,8 @@ class _TailWalk:
     """
 
     def __init__(self, p, q, n_start: int, lam_max: Fraction,
-                 psi_max: Fraction, bits: int = 160):
-        self.sc = RotScan(p, q, bits)
+                 psi_max: Fraction):
+        self.sc = RotScan(p, q, _SCAN_BITS)
         self.sc.advance(n_start)
         self.n_start = n_start
         self.lam_max, self.psi_max = lam_max, psi_max
@@ -368,7 +374,7 @@ class _TailWalk:
 
 
 def scan_ball_terms(params: HardnessParams, n_from: int, n_to: int,
-                    bits: int = 160, *, _tail: Optional[_TailWalk] = None):
+                    *, _tail: Optional[_TailWalk] = None):
     """Certified signs of min_ball_term over (n_from, n_to]: returns
     ('clean',) when every term is certified >= 0, else
     ('violation', n, enclosure) at the first certified-negative term.
@@ -394,7 +400,8 @@ def scan_ball_terms(params: HardnessParams, n_from: int, n_to: int,
     order = rotation_order(params.p)
     if order is not None:
         for n in range(n_from + 1, min(n_to, n_from + order) + 1):
-            cos_iv, sin_iv = niven_rotation(params.p, params.q, n, bits)
+            cos_iv, sin_iv = niven_rotation(params.p, params.q, n,
+                                            _SCAN_BITS)
             iv = _ball_term(n, params, cos_iv, sin_iv, _root_tail(n, psi))
             if iv.lo >= 0:
                 continue
@@ -402,7 +409,7 @@ def scan_ball_terms(params: HardnessParams, n_from: int, n_to: int,
                 return ("violation", n, iv)
             ambiguous.append(n)
         return _resolve_ambiguous(ambiguous, params)
-    tail = _tail or _TailWalk(params.p, params.q, n_from, lam, psi, bits)
+    tail = _tail or _TailWalk(params.p, params.q, n_from, lam, psi)
     scale = tail.sc.scale
     a = 2 - psi                      # Fractions
     L = math.lcm(a.denominator, lam.denominator, psi.denominator)
@@ -436,11 +443,13 @@ def _resolve_ambiguous(ambiguous: list[int], params: HardnessParams):
     return ("clean",)
 
 
-def _exact_ball_term(n: int, params: HardnessParams, bits: int = 512) -> Ival:
+def _exact_ball_term(n: int, params: HardnessParams) -> Ival:
     """High-precision resolution of one ball term.  The value can only be
     zero if sqrt(n^2+1) were rational, which it never is for n >= 1, so a
     finite precision always decides the sign."""
-    cos_iv, sin_iv = _rotation_ivals(params.p, params.q, n, bits, exact=True)
+    bits = 512
+    cos_iv, sin_iv = _rotation_ivals(params.p, params.q, n, bits,
+                                     exact=n <= _EXACT_POWERS_UP_TO)
     root = Ival.point(Q(n * n + 1)).sqrt(bits)
     return _ball_term(n, params, cos_iv, sin_iv,
                       (root - n) * (2 * params.psi))
@@ -450,7 +459,7 @@ def _exact_ball_term(n: int, params: HardnessParams, bits: int = 512) -> Ival:
 # Diophantine-type estimation
 
 
-def lagrange_prefix(p, q, N: int, bits: int = 192) -> Ival:
+def lagrange_prefix(p, q, N: int) -> Ival:
     """Enclosure of (1/2pi) min_{0 < n <= N} n [2 pi n theta].
 
     One certified scan over `RotScan.walk` proposes candidates via the
@@ -470,6 +479,7 @@ def lagrange_prefix(p, q, N: int, bits: int = 192) -> Ival:
     p, q = _rotation_point(p, q)
     if N < 1:
         raise ValueError("N >= 1 required")
+    bits = 192
     pi_iv = pi_ival(bits)
     order = rotation_order(p)
     if order is not None:

@@ -142,8 +142,9 @@ def kernel_basis(mat: Matrix) -> list[list[int]]:
     return [[v[r][j] for r in range(ncols)] for j in range(rank, ncols)]
 
 
-def lll_reduce(basis: list[list[int]], delta: Fraction = Fraction(3, 4)) -> list[list[int]]:
-    """Lenstra-Lenstra-Lovasz reduction over exact rationals.
+def lll_reduce(basis: list[list[int]]) -> list[list[int]]:
+    """Lenstra-Lenstra-Lovasz reduction over exact rationals, with the
+    Lovasz constant delta = 3/4.
 
     Candidate-generation helper only: downstream callers verify any
     relation extracted from the output exactly.
@@ -177,7 +178,7 @@ def lll_reduce(basis: list[list[int]], delta: Fraction = Fraction(3, 4)) -> list
             if q:
                 b[k] = [x - q * y for x, y in zip(b[k], b[j])]
                 mu, norms = gram_schmidt()
-        if norms[k] >= (delta - mu[k][k - 1] ** 2) * norms[k - 1]:
+        if norms[k] >= (Fraction(3, 4) - mu[k][k - 1] ** 2) * norms[k - 1]:
             k += 1
         else:
             b[k], b[k - 1] = b[k - 1], b[k]

@@ -425,7 +425,6 @@ class DominantForm:
     """v_n^dom = sum alpha_j * s_j^n with s_j the dominant unit roots."""
 
     terms: list[tuple[AlgebraicNumber, AlgebraicNumber]]  # (alpha_j, s_j)
-    conjugate_closed: bool = True
     rho: AlgebraicNumber | None = None  # dominant modulus (exactness helper)
 
 
@@ -438,37 +437,25 @@ class _ResidualTerm:
 
 
 class ResidualEvaluator:
-    """Certified enclosures of v_n^res and per-term decay bookkeeping."""
+    """The residual terms of v_n^res and their decay bookkeeping."""
 
     def __init__(self, terms: list[_ResidualTerm]):
         self.terms = terms
 
-    def __call__(self, n: int, bits: int = 128) -> Ival:
-        return self.box(n, bits).re
-
-    def box(self, n: int, bits: int = 128) -> Box:
-        if n < 1:
-            raise ValueError("residual evaluation starts at n = 1")
-        acc = Box.point(0)
-        for t in self.terms:
-            npow = Q(n) ** t.npow
-            term = t.alpha.box(bits) * t.base.box(bits).pow(n, bits + 32) * npow
-            acc = (acc + term).round_out(bits + 16)
-        return acc
-
     def is_zero(self) -> bool:
         return not self.terms
 
-    def term_bounds(self, bits: int = 96) -> list[tuple[Fraction, int, Fraction]]:
+    def term_bounds(self) -> list[tuple[Fraction, int, Fraction]]:
         """Per term (A, t, beta): |term(n)| <= A * n^t * beta^n with A, beta
-        rational upper bounds and beta < 1 unless the base is unit modulus."""
+        rational upper bounds (96-bit enclosures) and beta < 1 unless the
+        base is unit modulus."""
         out = []
         for t in self.terms:
-            a_hi = t.alpha.box(bits).abs(bits).hi
+            a_hi = t.alpha.box(96).abs(96).hi
             if t.base_is_unit:
                 beta = ONE
             else:
-                for b in precisions(bits, "certifying |base| < 1"):
+                for b in precisions(96, "certifying |base| < 1"):
                     beta = t.base.box(b).abs(b).hi
                     if beta < 1:
                         break
@@ -543,8 +530,7 @@ def _ratio_to_rho(root: AlgebraicNumber, rho: AlgebraicNumber) -> AlgebraicNumbe
                            "unit ratio identification")
 
 
-def residual_threshold(res: ResidualEvaluator, eps: Fraction,
-                       bits: int = 96) -> int:
+def residual_threshold(res: ResidualEvaluator, eps: Fraction) -> int:
     """Certified N with |v_n^res| < eps for all n > N.
 
     eps is split evenly over the residual terms, and each term's bound
@@ -558,7 +544,7 @@ def residual_threshold(res: ResidualEvaluator, eps: Fraction,
         raise ValueError("eps must be positive")
     if res.is_zero():
         return 0
-    bounds = res.term_bounds(bits)
+    bounds = res.term_bounds()
     per_term = eps / len(bounds)
     return max((_term_threshold(a_hi, t, beta, per_term)
                 for a_hi, t, beta in bounds if a_hi != 0), default=0)
@@ -682,7 +668,7 @@ class OrbitScanner:
     computed here when the caller holds none.
     """
 
-    def __init__(self, lrr: Lrr, c: InitialConfig, bits: int = 160,
+    def __init__(self, lrr: Lrr, c: InitialConfig, bits: int,
                  normal: tuple[DominantForm, ResidualEvaluator] | None = None):
         self.bits = bits
         form, res = normal or normalize(lrr, c)
@@ -716,10 +702,6 @@ class OrbitScanner:
 
     def v_box(self) -> Box:
         return _box_of(*self.enclosure())
-
-    def v_dom_box(self) -> Box:
-        return _box_of(*self._sum(self._track[:len(self.form.terms)],
-                                  max(self.n, 1)))
 
     def _sum(self, tracks, n: int):
         rl = rh = il = ih = 0

@@ -83,8 +83,7 @@ class ExactReal:
     @staticmethod
     def of_rational(v: Fraction) -> "ExactReal":
         v = Q(v)
-        return ExactReal(lambda bits: Ival.point(v),
-                         lambda: (v > 0) - (v < 0))
+        return ExactReal(lambda bits: Ival.point(v))
 
     def ival(self, bits: int) -> Ival:
         return self.refiner(bits)
@@ -170,7 +169,9 @@ def _cyclo_combo(terms, rho: AlgebraicNumber | None) -> ExactReal | None:
 
 
 def _quadratic_combo(terms) -> ExactReal | None:
-    """sum alpha_j * zeta_j inside one quadratic field (zeta in {1,-1})."""
+    """sum alpha_j * zeta_j inside one quadratic field (zeta in {1,-1}).
+    `_exact_combo` takes the all-rational case first, so some alpha is
+    irrational here."""
     base_field = None
     acc_rat = ZERO
     parts = []
@@ -187,8 +188,6 @@ def _quadratic_combo(terms) -> ExactReal | None:
         if base_field is None:
             base_field = f
         parts.append((alpha.elem, sign))
-    if base_field is None:
-        return ExactReal.of_rational(acc_rat)
     total = FieldElement.const(base_field, acc_rat)
     s_sum = -base_field.minpoly_q[1]  # rational sum of the two roots
     for elem, sign in parts:
@@ -461,7 +460,7 @@ def _bb_min(forms, torus, tol, value_of, method: str, **bnb) -> SignOutcome:
     bits = max(96, _work_bits(tol))
     best = None
     all_converged = True
-    for coset in range(len(torus.finite_part)):
+    for coset in range(len(torus.coset_turns)):
         obj = _Objective(forms, torus, coset, bits)
         encl, mids, conv = _branch_and_bound(
             lambda sbox, obj=obj: value_of(obj, sbox), torus.free_rank, tol,
@@ -488,7 +487,7 @@ def _bb_min(forms, torus, tol, value_of, method: str, **bnb) -> SignOutcome:
 
 def _finite_torus_min(form, torus, tol, absolute: bool):
     values = [_coset_exact_value(form, torus, i)
-              for i in range(len(torus.finite_part))]
+              for i in range(len(torus.coset_turns))]
     lat_ok = torus.lattice.complete
 
     def enclosure_at(width):
@@ -596,7 +595,7 @@ def _pair_closed_form(form, torus, tol, absolute: bool):
     mag2 = _abs_sq_exact(alpha)
     e_mult = torus.embedding[a][0]
     cosets = []
-    for coset in range(len(torus.finite_part)):
+    for coset in range(len(torus.coset_turns)):
         turns = torus.coset_turns[coset]
         S = _exact_combo([(form.terms[j][0], form.terms[j][1], turns[j])
                           for j in fixed_idx], getattr(form, "rho", None))

@@ -1,8 +1,8 @@
 """Polynomials over Q as coefficient tuples (lowest degree first).
 
-Thin exact layer: arithmetic, division, power sums and composed products
-are hand-rolled over `Fraction`.  sympy factors into irreducibles and
-builds cyclotomic polynomials; `resultant` also delegates to it.
+Thin exact layer: arithmetic, division, power sums, composed products and
+cyclotomic polynomials are hand-rolled over `Fraction`.  sympy only
+factors into irreducibles; the uncalled `resultant` also delegates to it.
 """
 
 from __future__ import annotations
@@ -197,10 +197,48 @@ def composed_product(p: Coeffs, q: Coeffs) -> Coeffs:
                             zip(power_sums(p, n), power_sums(q, n))])
 
 
+def _prime_factors(n: int) -> list[int]:
+    """The distinct primes dividing n >= 1, by trial division."""
+    out = []
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            out.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1
+    if n > 1:
+        out.append(n)
+    return out
+
+
+def _totient(n: int) -> int:
+    """Euler's phi(n) for n >= 1."""
+    for p in _prime_factors(n):
+        n = n // p * (p - 1)
+    return n
+
+
+def _spread(p: Coeffs, k: int) -> Coeffs:
+    """p(x^k)."""
+    out = [ZERO] * ((len(p) - 1) * k + 1)
+    out[::k] = p
+    return tuple(out)
+
+
 @lru_cache(maxsize=None)
 def cyclotomic(n: int) -> tuple[int, ...]:
-    sp = sympy.Poly(sympy.cyclotomic_poly(n, _x), _x)
-    return tuple(int(c) for c in from_sympy(sp))
+    """The n-th cyclotomic polynomial.  For a prime p not dividing m,
+    Phi_pm(x) = Phi_m(x^p) / Phi_m(x), an exact division; and
+    Phi_n(x) = Phi_r(x^(n/r)) with r the product of the primes of n."""
+    phi = (-ONE, ONE)
+    r = 1
+    for p in _prime_factors(n):
+        phi, rem = pdivmod(_spread(phi, p), phi)
+        if rem:
+            raise AssertionError("cyclotomic division left a remainder")
+        r *= p
+    return tuple(int(c) for c in _spread(phi, n // r))
 
 
 def cyclotomic_index(p) -> int | None:
@@ -211,7 +249,7 @@ def cyclotomic_index(p) -> int | None:
         return None
     # phi(n) = d forces n <= 2*d^2 + 2 comfortably (phi(n) >= sqrt(n/2))
     for n in range(1, 2 * d * d + 3):
-        if sympy.totient(n) == d and cyclotomic(n) == ints:
+        if _totient(n) == d and cyclotomic(n) == ints:
             return n
     return None
 

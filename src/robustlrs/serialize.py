@@ -76,23 +76,14 @@ class ProblemSpec:
     prefix_cap: Optional[int] = None
     height_bound: Optional[int] = None
 
-    def to_json(self) -> dict:
-        out = {
-            "coeffs": [format_rational(a) for a in self.lrr.coeffs],
-            "init": [format_rational(v) for v in self.init.entries],
-        }
-        if self.ball is not None:
-            out["ball"] = {"radius": format_rational(self.ball.radius),
-                           "topology": self.ball.topology}
-        if self.question is not None:
-            out["question"] = self.question
-        if self.tol is not None:
-            out["tol"] = format_rational(self.tol)
-        if self.prefix_cap is not None:
-            out["prefix_cap"] = self.prefix_cap
-        if self.height_bound is not None:
-            out["height_bound"] = self.height_bound
-        return out
+
+def check_ball(question: str, ball: Optional[Ball]):
+    """A ball is given exactly when the question is about a ball."""
+    if question in BALL_QUESTIONS and ball is None:
+        raise ProblemError("$.ball", f"{question} requires a ball")
+    if question not in BALL_QUESTIONS and ball is not None:
+        raise ProblemError("$.ball", f"{question} is an existential "
+                           "variant: the ball must be omitted")
 
 
 def _parse_rat_at(value, path: str) -> Fraction:
@@ -146,11 +137,7 @@ def parse_problem(text: str) -> ProblemSpec:
         if question not in QUESTIONS:
             raise ProblemError("$.question", f"unknown question {question!r}; "
                                f"expected one of {QUESTIONS}")
-        if question in BALL_QUESTIONS and ball is None:
-            raise ProblemError("$.ball", f"{question} requires a ball")
-        if question not in BALL_QUESTIONS and ball is not None:
-            raise ProblemError("$.ball", f"{question} is an existential "
-                               "variant: the ball must be omitted")
+        check_ball(question, ball)
     tol = _parse_rat_at(doc["tol"], "$.tol") if "tol" in doc else None
     if tol is not None and tol <= 0:
         raise ProblemError("$.tol", "tol > 0 required")

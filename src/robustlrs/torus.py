@@ -33,7 +33,6 @@ class RelationLattice:
     generators: list[list[int]]     # HNF rows, each an exact relation
     height_bound: int
     complete: bool
-    gammas: tuple[AlgebraicNumber, ...]
 
 
 @dataclass(frozen=True)
@@ -47,37 +46,18 @@ class TorusPoint:
 
 @dataclass
 class TorusParam:
-    finite_part: list[tuple[AlgebraicNumber, ...]]  # coset representatives
+    """The closure torus as torsion cosets times free angles: the point
+    of coset c at free angles a has turns coset_turns[c] + embedding * a
+    (mod 1) in each coordinate."""
+
     free_rank: int
     embedding: list[list[int]]      # k x free_rank integer matrix
-    coset_turns: list[tuple[Fraction, ...]]
+    coset_turns: list[tuple[Fraction, ...]]  # coset representatives
     lattice: RelationLattice
 
     @property
     def k(self) -> int:
         return self.lattice.k
-
-    def point_turns(self, pt: TorusPoint) -> tuple[Fraction, ...]:
-        base = self.coset_turns[pt.coset]
-        out = []
-        for j in range(self.k):
-            t = base[j]
-            for b, ang in enumerate(pt.angles):
-                t += self.embedding[j][b] * ang
-            out.append(t - (t.numerator // t.denominator))
-        return tuple(out)
-
-    def point_values(self, pt: TorusPoint) -> tuple[AlgebraicNumber, ...]:
-        """Exact values (all parametrization points have rational turns)."""
-        return tuple(root_of_unity_alg(t.numerator % t.denominator, t.denominator)
-                     for t in self.point_turns(pt))
-
-    def contains_values(self, values) -> bool:
-        """Exact membership test of a tuple of unit algebraic numbers."""
-        if len(values) != self.k:
-            return False
-        return all(power_product_is_one(list(values), list(gen))
-                   for gen in self.lattice.generators)
 
 
 @lru_cache(maxsize=None)
@@ -177,7 +157,7 @@ def relation_lattice(gammas: list[AlgebraicNumber],
         if not power_product_is_one(list(gammas), list(gen)):
             raise AssertionError("unsound relation generated")
     return RelationLattice(k=k, generators=gens, height_bound=height_bound,
-                           complete=complete, gammas=tuple(gammas))
+                           complete=complete)
 
 
 def _search_relations(gammas, known_rows, height_bound) -> list[list[int]]:
@@ -223,9 +203,7 @@ def parametrize(lat: RelationLattice) -> TorusParam:
     """Smith-normal-form parametrization of the solution torus."""
     k = lat.k
     if not lat.generators:
-        return TorusParam(finite_part=[tuple(AlgebraicNumber.from_rational(Q(1))
-                                              for _ in range(k))],
-                          free_rank=k,
+        return TorusParam(free_rank=k,
                           embedding=[[1 if i == j else 0 for j in range(k)]
                                      for i in range(k)],
                           coset_turns=[tuple(ZERO for _ in range(k))],
@@ -280,7 +258,5 @@ def parametrize(lat: RelationLattice) -> TorusParam:
             if lv[i] != 0:
                 raise AssertionError("parametrization invariant broken")
 
-    finite = [tuple(root_of_unity_alg(t.numerator % t.denominator, t.denominator)
-                    for t in coset) for coset in cosets]
-    return TorusParam(finite_part=finite, free_rank=free, embedding=embedding,
-                      coset_turns=cosets, lattice=lat)
+    return TorusParam(free_rank=free, embedding=embedding, coset_turns=cosets,
+                      lattice=lat)

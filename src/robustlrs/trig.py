@@ -245,20 +245,17 @@ def atan_ival(x: Ival, bits: int = 64) -> Ival:
                       _atan_nonneg(Ival(ZERO, x.hi), bits)])
 
 
-def angle_from_cos(c: Ival, bits: int = 64, crude: bool = False) -> Ival:
+def angle_from_cos(c: Ival, bits: int = 64) -> Ival:
     """Enclosure of arccos restricted to [0, pi]: the angle distance [x].
 
-    With `crude=True` only the square-root bounds
-    sqrt(2(1-c)) <= arccos(c) <= pi*sqrt((1-c)/2) are used (cheap; tight
-    within a factor pi/2).
+    The result lies within the square-root bounds
+    sqrt(2(1-c)) <= arccos(c) <= pi*sqrt((1-c)/2).
     """
     c = c.intersect(Ival(Q(-1), Q(1)))
     pi_hi = pi_ival(bits).hi
     lo = sqrt_down(2 * (1 - c.hi), bits) if c.hi < 1 else ZERO
     hi = min(pi_hi, pi_hi * sqrt_up((1 - c.lo) / 2, bits))
     crude_ival = Ival(lo, hi)
-    if crude:
-        return crude_ival
     if c.lo > Q(-1, 2):
         one_plus = Ival(1 + c.lo, 1 + c.hi)
         s2 = (1 - c.sq()).intersect(Ival(ZERO, ONE))
@@ -312,12 +309,12 @@ class RotScan:
     step the rounding adds at most one unit in the last place; the
     rotation itself is an isometry and adds nothing.
 
-    This is the only code that advances the dyadic rotation.  `step`,
-    `advance`, `hardness.scan_ball_terms` and `hardness.lagrange_prefix`
-    all go through `walk`.
+    This is the only code that advances the dyadic rotation.  `advance`,
+    `hardness.scan_ball_terms` and `hardness.lagrange_prefix` all go
+    through `walk`.
     """
 
-    def __init__(self, p: Fraction, q: Fraction | None, bits: int = 128):
+    def __init__(self, p: Fraction, q: Fraction | None, bits: int):
         if q is None:
             raise ValueError("irrational-angle scan needs the exact sine "
                              "value q")
@@ -353,9 +350,6 @@ class RotScan:
                 yield n, c, s, err
         finally:
             self.c, self.s, self.err, self.n = c, s, err, n
-
-    def step(self):
-        self.advance(self.n + 1)
 
     def advance(self, n_to: int):
         """Step until the index is n_to."""

@@ -2,8 +2,10 @@
 
 The package runs none of these: a float-screen sampling oracle for the
 decisions (`brute_force_check`), exact companion-matrix powers and
-hyperplane distances, exact orbit points of the closure torus, and the
-exact check of the order-6 rotation block.  The sampling screen is the
+hyperplane distances, exact orbit points and parametrization points of
+the closure torus, direct enclosures of the residual and of the
+scanner's dominant part, the exact check of the order-6 rotation block,
+and the problem document of a parsed spec.  The sampling screen is the
 only user of numpy, which is a test dependency, not a runtime one.
 """
 
@@ -17,12 +19,16 @@ from typing import Optional
 
 import numpy as np
 
-from robustlrs.qmath import Q, ZERO, ONE, is_perfect_square, exact_sqrt
-from robustlrs.interval import Ival
+from robustlrs.qmath import (Q, ZERO, ONE, is_perfect_square, exact_sqrt,
+                             format_rational)
+from robustlrs.interval import Ival, Box
 from robustlrs.poly import int_normalize
-from robustlrs.algebraic import AlgebraicNumber, NumberField, FieldElement
+from robustlrs.algebraic import (AlgebraicNumber, NumberField, FieldElement,
+                                 power_product_is_one)
 from robustlrs.lrs import (Lrr, InitialConfig, Ball, SpectralData, spectral,
-                           term_sign, _check_config)
+                           term_sign, _check_config, ResidualEvaluator,
+                           OrbitScanner, _box_of)
+from robustlrs.torus import TorusParam, TorusPoint, root_of_unity_alg
 from robustlrs.trig import rotation_order
 
 
@@ -98,6 +104,79 @@ def orbit_point(gammas: list[AlgebraicNumber], n: int) -> tuple[AlgebraicNumber,
         else:
             out.append(AlgebraicNumber.from_element(g.elem.pow(n)))
     return tuple(out)
+
+
+def point_turns(torus: TorusParam, pt: TorusPoint) -> tuple[Fraction, ...]:
+    """Turns in [0, 1) of each coordinate of a parametrization point."""
+    out = []
+    for j, t in enumerate(torus.coset_turns[pt.coset]):
+        for b, ang in enumerate(pt.angles):
+            t += torus.embedding[j][b] * ang
+        out.append(t - (t.numerator // t.denominator))
+    return tuple(out)
+
+
+def point_values(torus: TorusParam,
+                 pt: TorusPoint) -> tuple[AlgebraicNumber, ...]:
+    """Exact values of a parametrization point (its turns are rational)."""
+    return tuple(root_of_unity_alg(t.numerator, t.denominator)
+                 for t in point_turns(torus, pt))
+
+
+def contains_values(torus: TorusParam, values) -> bool:
+    """Exact membership of a tuple of unit algebraic numbers in the torus:
+    every generator of the relation lattice holds."""
+    if len(values) != torus.k:
+        return False
+    return all(power_product_is_one(list(values), list(gen))
+               for gen in torus.lattice.generators)
+
+
+# ---------------------------------------------------------------------------
+# direct enclosures of the residual and of the scanned dominant part
+
+
+def residual_box(res: ResidualEvaluator, n: int, bits: int = 128) -> Box:
+    """Enclosure of v_n^res, term by term with interval powers."""
+    if n < 1:
+        raise ValueError("residual evaluation starts at n = 1")
+    acc = Box.point(0)
+    for t in res.terms:
+        npow = Q(n) ** t.npow
+        term = t.alpha.box(bits) * t.base.box(bits).pow(n, bits + 32) * npow
+        acc = (acc + term).round_out(bits + 16)
+    return acc
+
+
+def dominant_box(sc: OrbitScanner) -> Box:
+    """The scanner's enclosure of v_n^dom at its current step: the sum over
+    its dominant tracks alone."""
+    return _box_of(*sc._sum(sc._track[:len(sc.form.terms)], max(sc.n, 1)))
+
+
+# ---------------------------------------------------------------------------
+# problem documents
+
+
+def problem_json(spec) -> dict:
+    """The problem document that `serialize.parse_problem` reads back as
+    `spec`."""
+    out = {
+        "coeffs": [format_rational(a) for a in spec.lrr.coeffs],
+        "init": [format_rational(v) for v in spec.init.entries],
+    }
+    if spec.ball is not None:
+        out["ball"] = {"radius": format_rational(spec.ball.radius),
+                       "topology": spec.ball.topology}
+    if spec.question is not None:
+        out["question"] = spec.question
+    if spec.tol is not None:
+        out["tol"] = format_rational(spec.tol)
+    if spec.prefix_cap is not None:
+        out["prefix_cap"] = spec.prefix_cap
+    if spec.height_bound is not None:
+        out["height_bound"] = spec.height_bound
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -430,8 +430,7 @@ def test_10_kronecker_density():
     from robustlrs.trig import RotScan
     sc = RotScan(P35, Q45, bits=96)
     n0 = hits[0]
-    for _ in range(n0):
-        sc.step()
+    sc.advance(n0)
     t_angle = (n0 * theta) % 1.0
     tx, ty = math.cos(2 * math.pi * t_angle), math.sin(2 * math.pi * t_angle)
     dist_sq = ((sc.cos_ival() - Q(tx).limit_denominator(10**12)).sq()

@@ -14,6 +14,8 @@ from robustlrs.lrs import Lrr, InitialConfig, scaled_term
 from robustlrs.serialize import parse_problem, ProblemError, decimal_str
 from robustlrs.cli import main, emit_plot_data
 
+from oracles import problem_json
+
 FIB_POS = '{"coeffs":["1","1"],"init":["1","1"],"question":"exists-robust-positivity"}'
 
 
@@ -49,7 +51,7 @@ def test_parse_problem_valid():
 
 def test_parse_problem_roundtrip():
     spec = parse_problem(FIB_POS)
-    again = parse_problem(json.dumps(spec.to_json()))
+    again = parse_problem(json.dumps(problem_json(spec)))
     assert again == spec
 
 
@@ -123,6 +125,25 @@ def test_open_ball_searches_at_the_given_height_bound(monkeypatch):
     assert code == 0
     assert seen == [5]
     assert json.loads(text)["provenance"]["height_bound"] == 5
+
+
+def test_run_checks_the_asked_question_against_the_ball(tmp_path):
+    """A ball with an existential question is a usage error whether the
+    question comes from the file or from the caller of `run`."""
+    from robustlrs import cli
+    doc = '{"coeffs":["1","1"],"init":["1","1"],"ball":{"radius":"1/10"}}'
+    spec = parse_problem(doc)
+    for question in ("exists-robust-positivity", "exists-robust-skolem",
+                     "exists-robust-ultpos"):
+        with pytest.raises(ProblemError, match="must be omitted"):
+            cli.run(spec, question, Q(1, 1 << 20), 100, 64)
+    no_ball = parse_problem('{"coeffs":["1","1"],"init":["1","1"]}')
+    with pytest.raises(ProblemError, match="requires a ball"):
+        cli.run(no_ball, "robust-ultpos-open", Q(1, 1 << 20), 100, 64)
+    path = tmp_path / "ball.json"
+    path.write_text(doc, encoding="utf-8")
+    assert main(["decide", "exists-robust-positivity",
+                 "--problem", str(path)]) == 3
 
 
 def test_decide_bad_problem_exit3():

@@ -4,6 +4,7 @@ from fractions import Fraction as Q
 
 import pytest
 
+from robustlrs import hardness
 from robustlrs.interval import Ival
 from robustlrs.lrs import Lrr, InitialConfig, eval_terms, spectral
 from robustlrs.hardness import (build_hardness_lrr, basis_change,
@@ -151,8 +152,34 @@ def test_min_ball_term_exact_vs_scan():
     params = compute_params(Q(1), Q(1, 20), P, QSIN)
     for n in (1, 7, 100, 999):
         exact = min_ball_term(n, params)          # rational powers
-        scan = min_ball_term(n + 0, params, bits=200)
+        cos_iv, sin_iv = hardness._rotation_ivals(P, QSIN, n, 200,
+                                                  exact=False)
+        scan = hardness._ball_term(n, params, cos_iv, sin_iv,
+                                   hardness._root_tail(n, params.psi))
         assert exact.overlaps(scan)
+
+
+def test_exact_ball_term_takes_no_exact_powers_past_4000(monkeypatch):
+    """Past n = 4000 the one-term resolution walks the dyadic rotation: the
+    exact rational powers would have numerators of O(n) digits."""
+    p, q = Q(29, 421), Q(420, 421)
+    params = compute_params(Q(1), Q(1, 20), p, q)
+    n = 4500
+    cos_iv, sin_iv = hardness._rotation_ivals(p, q, n, 512, exact=True)
+    root = Ival.point(Q(n * n + 1)).sqrt(512)
+    exact = hardness._ball_term(n, params, cos_iv, sin_iv,
+                                (root - n) * (2 * params.psi))
+    real = hardness.rotation_power
+
+    def bounded(p, q, n):
+        if n > 4000:
+            raise AssertionError(f"exact rotation power at n = {n}")
+        return real(p, q, n)
+
+    monkeypatch.setattr(hardness, "rotation_power", bounded)
+    got = hardness._exact_ball_term(n, params)
+    assert got.overlaps(exact)
+    assert got.width < Q(1, 1 << 400)
 
 
 def test_scan_ball_terms_finds_violation_for_p12():
@@ -209,12 +236,13 @@ def test_nonneg_gadget_forces_diophantine_bound():
     Diophantine quantity n [2 pi n theta] above 2 pi ell - eps."""
     params = compute_params(Q(1), Q(1, 20), P, QSIN)
     lam, eps = params.two_pi_ell, params.eps
-    from robustlrs.trig import RotScan, angle_from_cos
-    from robustlrs.interval import Ival
+    from robustlrs.trig import RotScan, pi_ival
+    from robustlrs.qmath import sqrt_up
     sc = RotScan(P, QSIN, bits=128)
+    pi_hi = pi_ival(64).hi
     checked = 0
     for n in range(1, 10**5 + 1):
-        sc.step()
+        sc.advance(n)
         if n <= params.n1:
             continue
         cos_iv, sin_iv = sc.cos_ival(), sc.sin_ival()
@@ -225,8 +253,9 @@ def test_nonneg_gadget_forces_diophantine_bound():
         if u_lo < 0:
             continue                     # hypothesis not certified
         checked += 1
-        alpha = angle_from_cos(cos_iv, 64, crude=True)
-        assert n * alpha.hi > lam - eps, f"implication failed at n={n}"
+        # arccos(c) <= pi sqrt((1 - c) / 2)
+        alpha_hi = pi_hi * sqrt_up((1 - cos_iv.lo) / 2, 64)
+        assert n * alpha_hi > lam - eps, f"implication failed at n={n}"
     assert checked > 10**4
 
 

@@ -101,9 +101,9 @@ def _recorded_candidates(monkeypatch, call):
     seen = []
     real = hardness.angle_from_cos
 
-    def spy(cos_iv, bits=64, crude=False):
+    def spy(cos_iv, bits=64):
         seen.append((cos_iv.lo, cos_iv.hi))
-        return real(cos_iv, bits, crude)
+        return real(cos_iv, bits)
 
     monkeypatch.setattr(hardness, "angle_from_cos", spy)
     out = call()
@@ -170,8 +170,8 @@ def test_shared_tail_walk_serves_probes_in_any_order(p, q):
 def test_approximate_L_shared_walk_matches_fresh_walks(monkeypatch, p, q):
     shared = approximate_L(p, q, Q(1, 20), 30000)
 
-    def fresh(params, n_from, n_to, bits=160, *, _tail=None):
-        return _scan_ball_terms_ref(params, n_from, n_to, bits)
+    def fresh(params, n_from, n_to, *, _tail=None):
+        return _scan_ball_terms_ref(params, n_from, n_to)
 
     monkeypatch.setattr(hardness, "scan_ball_terms", fresh)
     monkeypatch.setattr(hardness, "lagrange_prefix", _lagrange_prefix_ref)

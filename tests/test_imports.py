@@ -1,7 +1,7 @@
 """sympy is used only where nothing else can do the job: it isolates roots
-in `algebraic` and factors in `poly`, where it also builds cyclotomic
-polynomials and backs the uncalled `resultant`; composed products go by
-power sums.  Every other module reaches it through those two.  numpy is a
+in `algebraic` and factors in `poly`, where it also backs the uncalled
+`resultant`; composed products go by power sums and cyclotomic
+polynomials by exact division.  Every other module reaches it through those two.  numpy is a
 test dependency only: no package module imports it, and loading the
 command line leaves it unloaded."""
 

@@ -13,7 +13,7 @@ from robustlrs.lrs import (Lrr, InitialConfig, Ball, eval_terms, spectral,
                            EXACT_TERMS)
 
 from oracles import (companion_matrix, mat_mul, mat_pow, hyperplane_distance,
-                     hyperplane_constant)
+                     hyperplane_constant, residual_box, dominant_box)
 
 FIB = Lrr((Q(1), Q(1)))
 ALT = Lrr((Q(-1),))
@@ -183,9 +183,9 @@ def test_normalize_fibonacci():
     assert abs(float(alpha.box(96).re.mid) - 0.72360679775) < 1e-10
     # residual term (-psi/sqrt5)(psi/phi)^n -> 0
     assert not res.is_zero()
-    v5 = res(5, 128)
+    v5 = residual_box(res, 5).re
     assert abs(float(v5.mid)) < 0.05
-    v50 = res(50, 128)
+    v50 = residual_box(res, 50).re
     assert abs(float(v50.mid)) < 1e-10
 
 
@@ -196,7 +196,7 @@ def test_normalize_identity_v_eq_dom_plus_res():
     form, res = normalize(HARD6, c, spec)
     terms = eval_terms(HARD6, c, 30)
     for n in (1, 3, 10, 30):
-        vb = res.box(n, 192)
+        vb = residual_box(res, n, 192)
         dom = Box.point(0)
         for a, g in form.terms:
             dom = (dom + a.box(192) * g.box(192).pow(n, 224)).round_out(208)
@@ -215,7 +215,7 @@ def test_residual_threshold_fibonacci():
     n0 = residual_threshold(res, Q(1, 1000))
     assert 0 < n0 < 40
     for n in range(n0 + 1, n0 + 60):
-        assert abs(res(n, 160).mid) < Q(1, 1000)
+        assert abs(residual_box(res, n, 160).re.mid) < Q(1, 1000)
 
 
 def test_residual_threshold_one_over_n_family():
@@ -227,7 +227,7 @@ def test_residual_threshold_one_over_n_family():
     n_big = residual_threshold(res, Q(1, 100))
     assert n_big >= 5 * max(n_small, 1)
     for n in range(n_small + 1, n_small + 50):
-        assert abs(res(n, 192).mid) < Q(1, 10)
+        assert abs(residual_box(res, n, 192).re.mid) < Q(1, 10)
 
 
 def test_residual_zero_for_linear_orbit():
@@ -540,7 +540,7 @@ def test_conjugate_closure_imaginary_part():
     sc = OrbitScanner(HARD6, c, bits=160)
     for _ in range(200):
         sc.step()
-        vd = sc.v_dom_box()
+        vd = dominant_box(sc)
         assert vd.im.contains(Q(0))
     # pairing is structural: non-real unit roots come in conjugate fields
     non_real = [(a, g) for a, g in form.terms if not g.is_rational]
@@ -574,4 +574,4 @@ def test_mixed_multiplicity_dominance():
         assert total == terms[n]
     n0 = residual_threshold(res, Q(1, 100))
     for n in range(n0 + 1, n0 + 40):
-        assert abs(res(n, 160).mid) < Q(1, 100)
+        assert abs(residual_box(res, n, 160).re.mid) < Q(1, 100)

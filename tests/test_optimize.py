@@ -11,6 +11,8 @@ from robustlrs.optimize import (mu, nu, min_over_ball,
                                 _on_grid)
 from robustlrs.trig import cos_turn, pi_ival, sin_turn, unit_box
 
+from oracles import point_values, residual_box, dominant_box
+
 FIB = Lrr((Q(1), Q(1)))
 ALT = Lrr((Q(-1),))
 
@@ -60,7 +62,7 @@ def test_mu_alternating_sign():
     assert out.verdict == "NEGATIVE"
     assert out.enclosure.lo == out.enclosure.hi == -1
     assert out.witness is not None
-    vals = torus.point_values(out.witness)
+    vals = point_values(torus, out.witness)
     assert vals[0].as_rational() == -1
 
 
@@ -162,7 +164,7 @@ def test_mu_finite_torus_six_cosets():
     c = cfg(1, 0, 0, 0, 0, 0)
     form, torus = build_torus(lrr, c)
     assert torus.free_rank == 0
-    assert len(torus.finite_part) == 6
+    assert len(torus.coset_turns) == 6
     out = mu(form, torus)
     assert out.verdict in ("POSITIVE", "NEGATIVE", "ZERO")
     # orbit values v_n^dom must never dip below the certified minimum
@@ -170,7 +172,7 @@ def test_mu_finite_torus_six_cosets():
     sc = OrbitScanner(lrr, c, bits=128)
     for _ in range(500):
         sc.step()
-        vd = sc.v_dom_box().re
+        vd = dominant_box(sc).re
         assert vd.hi >= out.enclosure.lo - Q(1, 10**9)
 
 
@@ -272,14 +274,14 @@ def test_finite_torus_exact_matches_orbit_cycle():
     spec = spectral(lrr)
     form, res = normalize(lrr, c, spec)
     torus = parametrize(relation_lattice([s for _, s in form.terms]))
-    assert len(torus.finite_part) == 6
+    assert len(torus.coset_turns) == 6
     coset_vals = sorted(
         _coset_exact_value(form, torus, i).ival_width(Q(1, 10**15)).mid
         for i in range(6))
     terms = eval_terms(lrr, c, 6)
     orbit_vals = []
     for n in range(1, 7):
-        vres = res(n, 220)
+        vres = residual_box(res, n, 220).re
         v_dom = Q(terms[n], n) - vres.mid
         orbit_vals.append(v_dom)
     for a, b in zip(coset_vals, sorted(orbit_vals)):
@@ -409,7 +411,7 @@ def test_objective_matches_fraction_oracle(make, bits_list):
     assert torus.free_rank >= 1
     rng = random.Random(3)
     for bits in bits_list:
-        for coset in range(len(torus.finite_part)):
+        for coset in range(len(torus.coset_turns)):
             obj = _Objective(forms, torus, coset, bits)
             ref = _FractionObjective(forms, torus, coset, bits)
             for _ in range(12):

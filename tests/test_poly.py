@@ -1,5 +1,6 @@
 """Newton's identities in `poly`: power sums of the roots, the monic
-polynomial back from them, and composed products built from the two."""
+polynomial back from them, and composed products built from the two;
+and cyclotomic polynomials by exact division."""
 
 import random
 from fractions import Fraction as Q
@@ -82,3 +83,24 @@ def test_composed_product_makes_no_resultant_call(monkeypatch):
 
     monkeypatch.setattr(sympy, "resultant", no_resultant)
     assert int_normalize(composed_product(p, q)) == want
+
+
+def test_cyclotomic_and_totient_match_sympy():
+    x = sympy.Symbol("x")
+    for n in range(1, 301):
+        want = sympy.Poly(sympy.cyclotomic_poly(n, x), x).all_coeffs()
+        assert poly.cyclotomic(n) == tuple(int(c) for c in reversed(want)), n
+        assert poly._totient(n) == sympy.totient(n), n
+
+
+def test_cyclotomic_index_without_sympy(monkeypatch):
+    """The cyclotomic polynomials and the totient make no sympy call."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("sympy called")
+
+    monkeypatch.setattr(sympy, "cyclotomic_poly", refuse)
+    monkeypatch.setattr(sympy, "totient", refuse)
+    poly.cyclotomic.cache_clear()
+    assert poly.cyclotomic_index(poly.cyclotomic(210)) == 210
+    assert poly.cyclotomic_index((1, 1, 1, 1)) is None
+    assert poly.cyclotomic_index((1, 0, 1)) == 4

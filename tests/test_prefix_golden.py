@@ -25,6 +25,8 @@ from robustlrs.interval import Box, Ival
 from robustlrs.lrs import InitialConfig, Lrr, OrbitScanner, _term_threshold
 from robustlrs.poly import pmul
 
+from oracles import dominant_box
+
 
 def shape(terms):
     """(Lrr, start) with u_n = sum over (poly, root, mult) of
@@ -244,8 +246,8 @@ SCAN_CASES = {
 def test_scanner_enclosure_matches_fraction_formula(name):
     lrr, c = SCAN_CASES[name]
     sc = OrbitScanner(lrr, c, bits=160)
-    assert same_box(sc.v_dom_box(), fraction_enclosure(sc, True))
+    assert same_box(dominant_box(sc), fraction_enclosure(sc, True))
     for _ in range(300):
         sc.step()
         assert same_box(sc.v_box(), fraction_enclosure(sc)), sc.n
-        assert same_box(sc.v_dom_box(), fraction_enclosure(sc, True)), sc.n
+        assert same_box(dominant_box(sc), fraction_enclosure(sc, True)), sc.n

@@ -2,12 +2,13 @@ from fractions import Fraction as Q
 
 import pytest
 
+from robustlrs import torus
 from robustlrs.poly import PolyRat
 from robustlrs.algebraic import AlgebraicNumber, isolate_roots, power_product_is_one
 from robustlrs.torus import (relation_lattice, parametrize, TorusPoint,
                              root_of_unity_alg)
 
-from oracles import orbit_point
+from oracles import orbit_point, point_values, contains_values
 
 
 def poly(*coeffs):
@@ -82,29 +83,32 @@ def test_parametrize_pm_one():
     lat = relation_lattice([AlgebraicNumber.from_rational(Q(-1))])
     par = parametrize(lat)
     assert par.free_rank == 0
-    vals = sorted(v[0].as_rational() for v in par.finite_part)
+    assert sorted(t[0] for t in par.coset_turns) == [Q(0), Q(1, 2)]
+    vals = sorted(point_values(par, TorusPoint(c, ()))[0].as_rational()
+                  for c in range(len(par.coset_turns)))
     assert vals == [Q(-1), Q(1)]
 
 
 def test_parametrize_free_circle():
     par = parametrize(relation_lattice(pair_3_4_5()))
     assert par.free_rank == 1
-    assert len(par.finite_part) == 1
+    assert len(par.coset_turns) == 1
     # embedding maps the free angle to opposite coordinates
     col = [par.embedding[0][0], par.embedding[1][0]]
     assert sorted(col) == [-1, 1]
     # points satisfy the relation exactly
     pt = TorusPoint(0, (Q(1, 3),))
-    vals = par.point_values(pt)
+    vals = point_values(par, pt)
     assert power_product_is_one(list(vals), [1, 1])
-    assert par.contains_values(vals)
+    assert contains_values(par, vals)
 
 
 def test_parametrize_six_cosets():
     par = parametrize(relation_lattice(sixth_roots()))
     assert par.free_rank == 0
-    assert len(par.finite_part) == 6
-    for coset in par.finite_part:
+    assert len(par.coset_turns) == 6
+    for c in range(6):
+        coset = point_values(par, TorusPoint(c, ()))
         assert power_product_is_one(list(coset), [1, 1])
         # conjugate-paired coordinates
         prod = coset[0].box(96) * coset[1].box(96)
@@ -142,3 +146,23 @@ def test_root_of_unity_alg():
     z5 = root_of_unity_alg(2, 5)
     assert power_product_is_one([z5], [5])
     assert not power_product_is_one([z5], [3])
+
+
+def test_decisions_build_no_coset_values(monkeypatch):
+    """The torus holds its cosets as turns: building the analysis and
+    minimizing over a finite torus of six cosets computes no algebraic
+    root of unity."""
+    from robustlrs.decide import Analysis
+    from robustlrs.hardness import build_hardness_lrr
+    from robustlrs.lrs import InitialConfig
+    from robustlrs.optimize import mu, nu
+
+    def refuse(k, n):
+        raise AssertionError(f"root of unity {k}/{n} built")
+
+    monkeypatch.setattr(torus, "root_of_unity_alg", refuse)
+    init = InitialConfig((Q(1),) + (Q(0),) * 5)
+    a = Analysis.build(build_hardness_lrr(Q(1, 2)), init)
+    assert a.torus.free_rank == 0 and len(a.torus.coset_turns) == 6
+    assert mu(a.form, a.torus).method == "finite-exact"
+    assert nu(a.form, a.torus).method == "finite-exact"
