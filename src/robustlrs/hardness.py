@@ -276,18 +276,18 @@ def min_ball_term(n: int, params: HardnessParams) -> Ival:
         raise ValueError("n >= 1 required")
     if params.p is None:
         raise ValueError("params carry no rotation point")
-    cos_iv, sin_iv = _rotation_ivals(params.p, params.q, n, _SCAN_BITS,
-                                     exact=n <= _EXACT_POWERS_UP_TO)
+    cos_iv, sin_iv = _rotation_ivals(params.p, params.q, n, _SCAN_BITS)
     return _ball_term(n, params, cos_iv, sin_iv, _root_tail(n, params.psi))
 
 
-def _rotation_ivals(p, q, n: int, bits: int, exact: bool):
+def _rotation_ivals(p, q, n: int, bits: int):
     """Enclosures of cos and sin of n*theta: exact for a root-of-unity
     angle (`niven_rotation`); for an irrational one, exact rational powers
-    when `exact` and q is given, otherwise a dyadic scan of `bits` bits."""
+    when q is given and n <= _EXACT_POWERS_UP_TO, otherwise a dyadic scan
+    of `bits` bits."""
     if rotation_order(p) is not None:
         return niven_rotation(p, q, n, bits)
-    if exact and q is not None:
+    if n <= _EXACT_POWERS_UP_TO and q is not None:
         c, s = rotation_power(p, q, n)
         return Ival.point(c), Ival.point(s)
     sc = RotScan(p, q, bits)
@@ -448,8 +448,7 @@ def _exact_ball_term(n: int, params: HardnessParams) -> Ival:
     zero if sqrt(n^2+1) were rational, which it never is for n >= 1, so a
     finite precision always decides the sign."""
     bits = 512
-    cos_iv, sin_iv = _rotation_ivals(params.p, params.q, n, bits,
-                                     exact=n <= _EXACT_POWERS_UP_TO)
+    cos_iv, sin_iv = _rotation_ivals(params.p, params.q, n, bits)
     root = Ival.point(Q(n * n + 1)).sqrt(bits)
     return _ball_term(n, params, cos_iv, sin_iv,
                       (root - n) * (2 * params.psi))

@@ -554,24 +554,9 @@ def _term_threshold(a: Fraction, t: int, beta: Fraction,
                     eps: Fraction) -> int:
     """N with a * n^t * beta^n < eps for every n > N: doubling then
     bisection, from the n0 where the bound starts to decrease."""
-    if beta == 1:
-        # a * n^t with t <= -1: need n^|t| > a/eps
-        if t >= 0:
-            raise AssertionError("unit-modulus residual term must decay")
-        target = a / eps
-        n = 1
-        while Q(n) ** (-t) <= target:
-            n *= 2
-        lo, hi = n // 2, n
-        while lo + 1 < hi:
-            mid = (lo + hi) // 2
-            if Q(mid) ** (-t) <= target:
-                lo = mid
-            else:
-                hi = mid
-        return lo
-    # geometric decay: find n0 from which the term decreases, i.e.
-    # beta * ((n+1)/n)^t < 1 for n >= n0, then push below eps
+    if beta == 1 and t >= 0:
+        raise AssertionError("unit-modulus residual term must decay")
+    # the term decreases for n >= n0, where beta * ((n+1)/n)^t < 1
     n0 = 1
     if t > 0:
         while beta * Q(n0 + 1, n0) ** t >= 1:
@@ -586,12 +571,9 @@ def _term_threshold(a: Fraction, t: int, beta: Fraction,
             return _pow_ge(x * n ** t, y, bn, bd, n)
         return _pow_ge(x, y * n ** -t, bn, bd, n)
 
-    if not above(n0):
-        return n0 - 1
-    n = n0
-    while above(n):
-        n *= 2
-    lo, hi = n // 2, n  # term(lo) >= eps > term(hi), lo >= n0
+    lo, hi = n0 - 1, n0     # term(lo) >= eps > term(hi), or lo = n0 - 1
+    while above(hi):
+        lo, hi = hi, 2 * hi
     while lo + 1 < hi:
         mid = (lo + hi) // 2
         if above(mid):
@@ -605,7 +587,7 @@ _POW_BITS = 128
 
 
 def _pow_ge(x: int, y: int, bn: int, bd: int, n: int) -> bool:
-    """x * (bn/bd)^n >= y for integers x, y, bn >= 0, bd > bn, n >= 1.
+    """x * (bn/bd)^n >= y for integers x, y, bn >= 0, bd >= bn, n >= 1.
 
     Decided from floor/ceiling dyadic bounds of (bn/bd)^n with
     `_POW_BITS`-bit mantissas; only when they straddle y does the exact
@@ -637,7 +619,7 @@ def _dyadic_pow(bn: int, bd: int, n: int):
             e += sh
         return m, e
 
-    s = _POW_BITS + bd.bit_length() - bn.bit_length()  # > 0: bn < bd
+    s = _POW_BITS + bd.bit_length() - bn.bit_length()  # > 0: bn <= bd
     blo = ((bn << s) // bd, -s)
     bhi = (-(-(bn << s) // bd), -s)
     lo = hi = (1, 0)

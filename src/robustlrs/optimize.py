@@ -2,8 +2,7 @@
 
 Replaces quantifier elimination with three routes, chosen by structure:
 
-* finite torus (free rank 0): exact algebraic evaluation at every coset,
-  with zero tests in a cyclotomic ring or a shared quadratic field;
+* finite torus (free rank 0): exact algebraic evaluation at every coset;
 * a single free conjugate pair: the closed-form range
   S + [-2|w|, +2|w|] of S + w z + conj(w z), |z| = 1;
 * general: deterministic interval branch-and-bound over the free angles.
@@ -15,6 +14,12 @@ Replaces quantifier elimination with three routes, chosen by structure:
   2^bits, cos/sin on the 2^-(bits + 2) grid, products exact at scale
   2^(2 bits + 2), sums rounded out to `bits` by shifts.  Its `Fraction`
   enclosures are those of the same operations on `Fraction` intervals.
+
+The two closed-form routes share one exact finish (`_exact_min`): the
+least of one exact real per coset decides the sign.  A value that its
+enclosures leave straddling 0 uses its own zero test where it has one:
+the remainder modulo the cyclotomic polynomial, or for the pair with
+rational S and |w|^2 a comparison of S^2 with 4|w|^2.
 
 A ZERO verdict is only ever issued with an exact certificate; when
 intervals alone cannot separate the minimum from zero the verdict is
@@ -72,13 +77,13 @@ class SignOutcome:
 
 
 class ExactReal:
-    """Real quantity with a certified refiner and (optionally) an exact
-    sign decision procedure."""
+    """Real quantity with a certified refiner and, where one is known, an
+    exact zero test."""
 
     def __init__(self, refiner: Callable[[int], Ival],
-                 exact_sign: Callable[[], int] | None = None):
+                 is_zero: Callable[[], bool] | None = None):
         self.refiner = refiner
-        self.exact_sign = exact_sign
+        self.is_zero = is_zero
 
     @staticmethod
     def of_rational(v: Fraction) -> "ExactReal":
@@ -98,19 +103,25 @@ class ExactReal:
             if bits > _MAX_BITS:
                 return iv
 
-    def sign(self) -> int | None:
-        """Certified sign, or None.  A straddling enclosure goes to the
-        exact zero test when there is one; otherwise the precision climbs,
-        up to _SIGN_MAX_BITS."""
-        bits = 96
-        while bits <= _SIGN_MAX_BITS:
-            s = self.refiner(bits).sign()
-            if s is not None:
-                return s
-            if self.exact_sign is not None:
-                return self.exact_sign()
+    def abs(self) -> "ExactReal":
+        return ExactReal(lambda bits: self.refiner(bits).abs(), self.is_zero)
+
+    def sign(self) -> tuple[int | None, Ival]:
+        """Certified sign and the enclosure that shows it, or None and the
+        last enclosure tried.  A straddling enclosure goes to the exact zero
+        test where there is one, and a value it finds nonzero is refined
+        until it separates from 0 (up to _MAX_BITS); without a zero test
+        the precision climbs up to _SIGN_MAX_BITS."""
+        bits, top = 96, _SIGN_MAX_BITS
+        iv = self.refiner(bits)
+        if iv.sign() is None and self.is_zero is not None:
+            if self.is_zero():
+                return 0, Ival.point(0)
+            top = _MAX_BITS
+        while iv.sign() is None and bits * 2 <= top:
             bits *= 2
-        return None
+            iv = self.refiner(bits)
+        return iv.sign(), iv
 
 
 def _work_bits(tol: Fraction) -> int:
@@ -165,7 +176,7 @@ def _cyclo_combo(terms, rho: AlgebraicNumber | None) -> ExactReal | None:
                 acc = acc + unit_box(Q(t, N), bits) * c
         return acc.re
 
-    return ExactReal(refiner, lambda: 0 if is_zero() else None)
+    return ExactReal(refiner, is_zero)
 
 
 def _quadratic_combo(terms) -> ExactReal | None:
@@ -199,13 +210,8 @@ def _quadratic_combo(terms) -> ExactReal | None:
         else:
             return None
         total = total + (e if sign == 1 else -e)
-
-    def exact_sign() -> int | None:
-        if total.is_zero():
-            return 0
-        return None  # nonzero: the refiner will separate
-
-    return ExactReal(lambda bits: total.box(bits).re, exact_sign)
+    # a zero total is rational, so its box is the point 0: no zero test
+    return ExactReal(lambda bits: total.box(bits).re)
 
 
 def _exact_combo(terms, rho: AlgebraicNumber | None) -> ExactReal:
@@ -235,7 +241,7 @@ def _coset_exact_value(form: DominantForm, torus: TorusParam,
     turns = torus.coset_turns[coset]
     return _exact_combo([(alpha, s, turns[j])
                          for j, (alpha, s) in enumerate(form.terms)],
-                        getattr(form, "rho", None))
+                        form.rho)
 
 
 # ---------------------------------------------------------------------------
@@ -485,107 +491,57 @@ def _bb_min(forms, torus, tol, value_of, method: str, **bnb) -> SignOutcome:
 # public minimizers
 
 
+def _exact_min(values: list[ExactReal], first: list[Ival],
+               witnesses: list[TorusPoint], tol, lat_ok: bool,
+               method: str) -> SignOutcome:
+    """Certified sign of the least of `values`, one per coset.  The least
+    value is negative when one value is, zero when one value is exactly 0
+    and none can lie below it, and positive when all values are.  The
+    enclosures `first` decide this when they can; otherwise every value
+    they leave straddling 0 climbs `ExactReal.sign`."""
+    ivs, signs = list(first), [iv.sign() for iv in first]
+
+    def least() -> SignOutcome:
+        encl = Ival(min(iv.lo for iv in ivs), min(iv.hi for iv in ivs))
+        best = witnesses[min(range(len(ivs)), key=lambda i: (ivs[i].lo, i))]
+        if -1 in signs:
+            return SignOutcome("NEGATIVE", encl, best, tol, lat_ok, method)
+        if signs.count(1) == len(signs):
+            return SignOutcome("POSITIVE", encl, best, tol, lat_ok, method)
+        if 0 in signs and all(s is not None or iv.lo >= 0
+                              for s, iv in zip(signs, ivs)):
+            return SignOutcome("ZERO", Ival.point(0),
+                               witnesses[signs.index(0)], tol, lat_ok, method)
+        # After the climb, an undecided value straddles 0 at every
+        # precision an escalated tolerance would use, so escalating would
+        # only repeat this pass.
+        return SignOutcome("UNKNOWN", encl, best, tol, lat_ok, method,
+                           converged=False)
+
+    out = least()
+    if out.verdict == "UNKNOWN":
+        for i, v in enumerate(values):
+            if signs[i] is None:
+                signs[i], ivs[i] = v.sign()
+        out = least()
+    return out
+
+
 def _finite_torus_min(form, torus, tol, absolute: bool):
     values = [_coset_exact_value(form, torus, i)
               for i in range(len(torus.coset_turns))]
-    lat_ok = torus.lattice.complete
-
-    def enclosure_at(width):
-        ivs = [v.ival_width(width) for v in values]
-        if absolute:
-            ivs = [iv.abs() for iv in ivs]
-        return ivs
-
-    ivals = enclosure_at(tol / 2)
-    enclosure = Ival(min(iv.lo for iv in ivals), min(iv.hi for iv in ivals))
-    best = min(range(len(ivals)), key=lambda i: (ivals[i].lo, i))
-    witness = TorusPoint(best, ())
-    if enclosure.lo > 0:
-        return SignOutcome("POSITIVE", enclosure, witness, tol, lat_ok,
-                           "finite-exact")
-    if enclosure.hi < 0:
-        return SignOutcome("NEGATIVE", enclosure, witness, tol, lat_ok,
-                           "finite-exact")
-    signs = [v.sign() for v in values]
+    first = [v.ival_width(tol / 2) for v in values]
     if absolute:
-        signs = [None if s is None else abs(s) for s in signs]
-    if all(s is not None for s in signs):
-        m = min(signs)
-        if m == 0:
-            zi = signs.index(0)
-            return SignOutcome("ZERO", Ival.point(0), TorusPoint(zi, ()), tol,
-                               lat_ok, "finite-exact")
-        # every coset value is nonzero with known sign: refine until the
-        # interval verdict agrees (terminates, the values are nonzero)
-        width = tol / 2
-        while width > Q(1, 1 << _MAX_BITS):
-            ivals = enclosure_at(width)
-            enclosure = Ival(min(iv.lo for iv in ivals),
-                             min(iv.hi for iv in ivals))
-            if m > 0 and enclosure.lo > 0:
-                return SignOutcome("POSITIVE", enclosure, witness, tol,
-                                   lat_ok, "finite-exact")
-            if m < 0 and enclosure.hi < 0:
-                neg = min(i for i, s in enumerate(signs) if s < 0)
-                return SignOutcome("NEGATIVE", enclosure,
-                                   TorusPoint(neg, ()), tol, lat_ok,
-                                   "finite-exact")
-            width = width * width if width < 1 else width / 2
-    # A coset with no exact zero test that still straddles 0 at the capped
-    # climb straddles it at every escalated tolerance too, so POSITIVE is
-    # out of reach; unless another coset may be negative, so is NEGATIVE,
-    # and escalating would only repeat this pass.
-    stuck = any(s is None and v.exact_sign is None
-                for v, s in zip(values, signs))
-    open_neg = any((s is None and v.exact_sign is not None)
-                   or (s is not None and s < 0)
-                   for v, s in zip(values, signs))
-    return SignOutcome("UNKNOWN", enclosure, witness, tol, lat_ok,
-                       "finite-exact", converged=not (stuck and not open_neg))
-
-
-@dataclass
-class _PairCoset:
-    """Closed-form data for one coset: the dominant value ranges exactly
-    over [S - 2|w|, S + 2|w|] as the free angle sweeps the circle."""
-
-    S: ExactReal
-    s_rat: Optional[Fraction]
-    mag2: Optional[Fraction]        # |w|^2 exact, when available
-    coset: int
-    witness_turn: Fraction
-    alpha: AlgebraicNumber          # w's coefficient, for |w| when mag2 is None
-
-    def lo_ival(self, bits: int) -> Ival:
-        return self.S.ival(bits) - self._two_mag(bits)
-
-    def hi_ival(self, bits: int) -> Ival:
-        return self.S.ival(bits) + self._two_mag(bits)
-
-    def _two_mag(self, bits: int) -> Ival:
-        if self.mag2 is not None:
-            if is_perfect_square(self.mag2):
-                return Ival.point(2 * exact_sqrt(self.mag2))
-            return Ival.point(self.mag2).sqrt(bits) * 2
-        return self.alpha.box(bits).abs_sq().sqrt(bits) * 2
-
-    def exact_min_sign(self) -> Optional[int]:
-        """Sign of S - 2|w| decided exactly when S, |w|^2 are rational."""
-        if self.s_rat is None or self.mag2 is None:
-            return None
-        d = self.s_rat * self.s_rat - 4 * self.mag2
-        if self.s_rat < 0:
-            return -1
-        return (d > 0) - (d < 0)
-
-    def exact_zero_in_range(self) -> Optional[bool]:
-        """Whether 0 lies in [S - 2|w|, S + 2|w|], exactly: S^2 <= 4|w|^2."""
-        if self.s_rat is None or self.mag2 is None:
-            return None
-        return self.s_rat * self.s_rat <= 4 * self.mag2
+        values, first = [v.abs() for v in values], [iv.abs() for iv in first]
+    return _exact_min(values, first,
+                      [TorusPoint(i, ()) for i in range(len(values))], tol,
+                      torus.lattice.complete, "finite-exact")
 
 
 def _pair_closed_form(form, torus, tol, absolute: bool):
+    """On each coset the value S + w z + conj(w z) sweeps exactly
+    [S - 2|w|, S + 2|w|] as the free angle turns z, so its least value is
+    S - 2|w| and its least |value| max(|S| - 2|w|, 0)."""
     pair = _pair_structure(form, torus)
     if pair is None:
         return None
@@ -594,92 +550,50 @@ def _pair_closed_form(form, torus, tol, absolute: bool):
     fixed_idx = [j for j in range(torus.k) if j not in (a, b)]
     mag2 = _abs_sq_exact(alpha)
     e_mult = torus.embedding[a][0]
-    cosets = []
-    for coset in range(len(torus.coset_turns)):
-        turns = torus.coset_turns[coset]
+
+    def two_mag(bits: int) -> Ival:
+        if mag2 is None:
+            return alpha.box(bits).abs_sq().sqrt(bits) * 2
+        if is_perfect_square(mag2):
+            return Ival.point(2 * exact_sqrt(mag2))
+        return Ival.point(mag2).sqrt(bits) * 2
+
+    values, witnesses = [], []
+    for coset, turns in enumerate(torus.coset_turns):
         S = _exact_combo([(form.terms[j][0], form.terms[j][1], turns[j])
-                          for j in fixed_idx], getattr(form, "rho", None))
-        iv = S.ival(96)
-        s_rat = iv.lo if iv.lo == iv.hi else None
-        pc = _PairCoset(S=S, s_rat=s_rat, mag2=mag2, coset=coset,
-                        witness_turn=_minimizer_turn(alpha, turns[a], e_mult),
-                        alpha=alpha)
-        cosets.append(pc)
-    lat_ok = torus.lattice.complete
+                          for j in fixed_idx], form.rho)
+        values.append(_pair_value(S, two_mag, mag2, absolute))
+        witnesses.append(TorusPoint(
+            coset, (_minimizer_turn(alpha, turns[a], e_mult),)))
     bits = max(128, _work_bits(tol))
-    if absolute:
-        return _pair_nu(cosets, bits, tol, lat_ok)
-    return _pair_mu(cosets, bits, tol, lat_ok)
+    return _exact_min(values, [v.ival(bits) for v in values], witnesses,
+                      tol, torus.lattice.complete, "pair-closed-form")
 
 
-def _pair_mu(cosets: list[_PairCoset], bits, tol, lat_ok) -> SignOutcome:
-    los = [pc.lo_ival(bits) for pc in cosets]
-    encl = Ival(min(v.lo for v in los), min(v.hi for v in los))
-    best = min(range(len(cosets)), key=lambda i: (los[i].lo, i))
-    witness = TorusPoint(cosets[best].coset, (cosets[best].witness_turn,))
-    if encl.hi < 0:
-        return SignOutcome("NEGATIVE", encl, witness, tol, lat_ok,
-                           "pair-closed-form")
-    if encl.lo > 0:
-        return SignOutcome("POSITIVE", encl, witness, tol, lat_ok,
-                           "pair-closed-form")
-    signs = [pc.exact_min_sign() for pc in cosets]
-    if all(s is not None for s in signs):
-        m = min(signs)
-        # exact verdict: refine the enclosure until it matches the sign
-        b = bits
-        while b <= _MAX_BITS:
-            los = [pc.lo_ival(b) for pc in cosets]
-            encl = Ival(min(v.lo for v in los), min(v.hi for v in los))
-            if m > 0 and encl.lo > 0:
-                return SignOutcome("POSITIVE", encl, witness, tol, lat_ok,
-                                   "pair-closed-form")
-            if m < 0 and encl.hi < 0:
-                return SignOutcome("NEGATIVE", encl, witness, tol, lat_ok,
-                                   "pair-closed-form")
-            if m == 0:
-                zi = signs.index(0)
-                return SignOutcome("ZERO", Ival.point(0),
-                                   TorusPoint(cosets[zi].coset,
-                                              (cosets[zi].witness_turn,)),
-                                   tol, lat_ok, "pair-closed-form")
-            b *= 2
-    return SignOutcome("UNKNOWN", encl, witness, tol, lat_ok,
-                       "pair-closed-form")
+def _pair_value(S: ExactReal, two_mag: Callable[[int], Ival],
+                mag2: Fraction | None, absolute: bool) -> ExactReal:
+    """S - 2|w|, or max(|S| - 2|w|, 0) when `absolute`, with an exact zero
+    test when S and |w|^2 are rational."""
+    iv = S.ival(96)
+    s = iv.lo if iv.lo == iv.hi and mag2 is not None else None
+    if not absolute:
+        return ExactReal(lambda bits: S.ival(bits) - two_mag(bits),
+                         None if s is None else
+                         lambda: s >= 0 and s * s == 4 * mag2)
 
+    def refiner(bits: int) -> Ival:
+        s_iv, m = S.ival(bits), two_mag(bits)
+        lo, hi = s_iv - m, s_iv + m
+        if lo.hi <= 0 <= hi.lo:
+            return Ival.point(0)    # the range certainly brackets 0
+        if lo.lo > 0:
+            return lo
+        if hi.hi < 0:
+            return -hi
+        return Ival(ZERO, min(lo.abs().hi, hi.abs().hi))
 
-def _pair_nu(cosets: list[_PairCoset], bits, tol, lat_ok) -> SignOutcome:
-    per = []
-    for pc in cosets:
-        lo_iv, hi_iv = pc.lo_ival(bits), pc.hi_ival(bits)
-        zero_in = pc.exact_zero_in_range()
-        if lo_iv.hi <= 0 and hi_iv.lo >= 0:
-            zero_in = True  # certified: the continuous range brackets 0
-        if zero_in:
-            per.append((Ival.point(0), True, pc))
-        elif lo_iv.lo > 0:
-            per.append((lo_iv, False, pc))
-        elif hi_iv.hi < 0:
-            per.append((-hi_iv, False, pc))
-        elif zero_in is False:
-            # 0 certainly outside the range but the endpoint enclosures
-            # straddle: |min| = min(|S - 2w|, |S + 2w|) via the hull
-            per.append((Ival(ZERO, min(lo_iv.abs().hi, hi_iv.abs().hi)),
-                        False, pc))
-        else:
-            per.append((Ival(ZERO, min(lo_iv.abs().hi, hi_iv.abs().hi)),
-                        None, pc))
-    encl = Ival(min(c.lo for c, _, _ in per), min(c.hi for c, _, _ in per))
-    best = min(range(len(per)), key=lambda i: (per[i][0].lo, i))
-    witness = TorusPoint(per[best][2].coset, (per[best][2].witness_turn,))
-    if any(flag is True for _, flag, _ in per):
-        return SignOutcome("ZERO", Ival.point(0), witness, tol, lat_ok,
-                           "pair-closed-form")
-    if encl.lo > 0:
-        return SignOutcome("POSITIVE", encl, witness, tol, lat_ok,
-                           "pair-closed-form")
-    return SignOutcome("UNKNOWN", encl, witness, tol, lat_ok,
-                       "pair-closed-form")
+    return ExactReal(refiner, None if s is None else
+                     lambda: s * s <= 4 * mag2)
 
 
 def _minimize(forms, torus, tol, absolute: bool):

@@ -23,8 +23,9 @@ REPO_ROOT = Path(__file__).resolve().parents[1]
 SRC = REPO_ROOT / "src"
 
 
-def run_cli(args, stdin=None, env=None):
-    """Run ``python -m robustlrs`` on this checkout's ``src``.
+def run_cli(args, stdin=None, env=None, python=("-m", "robustlrs")):
+    """Run ``python -m robustlrs`` (or ``python *python``) on this
+    checkout's ``src``.
 
     The child runs in the repo root with ``src`` first on ``PYTHONPATH``,
     so it imports this checkout whatever the caller's cwd. An inherited
@@ -37,7 +38,7 @@ def run_cli(args, stdin=None, env=None):
     child_env["PYTHONPATH"] = (str(SRC) + os.pathsep + inherited
                                if inherited else str(SRC))
     child_env.update(env or {})
-    return subprocess.run([sys.executable, "-m", "robustlrs", *args],
+    return subprocess.run([sys.executable, *python, *args],
                           capture_output=True, text=True, input=stdin,
                           cwd=REPO_ROOT, env=child_env, timeout=300)
 
@@ -288,6 +289,42 @@ def test_decide_zero_coset_unknown_in_time():
     assert p.returncode == 2, p.stderr
     assert json.loads(p.stdout)["verdict"] == "UNKNOWN"
     assert elapsed < 60, f"took {elapsed:.1f} s"
+
+
+# Three problems whose root fields meet: the order-6 family at p = 1/2
+# and at p = 3/5, then the pair x^2 - 6/5 x + 1 of the p = 3/5 member.
+SHARED_FIELDS = (
+    ("exists-robust-ultpos",
+     '{"coeffs":["-1","4","-8","10","-8","4"],'
+     '"init":["3","1","0","2","1","5"]}'),
+    ("exists-robust-ultpos",
+     '{"coeffs":["-1","22/5","-231/25","292/25","-231/25","22/5"],'
+     '"init":["3","1","0","2","1","5"]}'),
+    ("exists-robust-skolem", '{"coeffs":["-1","6/5"],"init":["1","0"]}'),
+)
+
+
+def test_decide_reports_independent_of_earlier_problems(tmp_path):
+    """A field refines its cached root box in place, so a report could
+    depend on what the same process decided before.  Decided one after
+    another in one interpreter, each problem gives the bytes it gives in
+    an interpreter of its own."""
+    args = []
+    for i, (question, doc) in enumerate(SHARED_FIELDS):
+        (tmp_path / f"p{i}.json").write_text(doc, encoding="utf-8")
+        args += [question, str(tmp_path / f"p{i}.json"),
+                 str(tmp_path / f"r{i}.json")]
+    script = ("import sys\n"
+              "from robustlrs.cli import main\n"
+              "for q, path, out in zip(*[iter(sys.argv[1:])] * 3):\n"
+              "    main(['decide', q, '--problem', path, '--out', out])\n")
+    p = run_cli(args, python=("-c", script))
+    assert p.returncode == 0 and p.stderr == "", p.stderr
+    for i, (question, doc) in enumerate(SHARED_FIELDS):
+        alone = run_cli(["decide", question, "--problem", "-"], stdin=doc)
+        assert alone.stdout
+        assert (tmp_path / f"r{i}.json").read_text(encoding="utf-8") \
+            == alone.stdout
 
 
 @pytest.mark.parametrize("tol", [f"1/{10**400}", str(10**400)])

@@ -13,6 +13,7 @@ from robustlrs.hardness import (build_hardness_lrr, basis_change,
                                 compute_params, HardnessParams,
                                 ball_gadget, min_ball_term, scan_ball_terms,
                                 lagrange_prefix, approximate_L)
+from robustlrs.trig import RotScan
 
 from oracles import ball_samples, rotation_check
 
@@ -152,8 +153,9 @@ def test_min_ball_term_exact_vs_scan():
     params = compute_params(Q(1), Q(1, 20), P, QSIN)
     for n in (1, 7, 100, 999):
         exact = min_ball_term(n, params)          # rational powers
-        cos_iv, sin_iv = hardness._rotation_ivals(P, QSIN, n, 200,
-                                                  exact=False)
+        sc = RotScan(P, QSIN, 200)                # the dyadic scan
+        sc.advance(n)
+        cos_iv, sin_iv = sc.cos_ival(), sc.sin_ival()
         scan = hardness._ball_term(n, params, cos_iv, sin_iv,
                                    hardness._root_tail(n, params.psi))
         assert exact.overlaps(scan)
@@ -165,7 +167,8 @@ def test_exact_ball_term_takes_no_exact_powers_past_4000(monkeypatch):
     p, q = Q(29, 421), Q(420, 421)
     params = compute_params(Q(1), Q(1, 20), p, q)
     n = 4500
-    cos_iv, sin_iv = hardness._rotation_ivals(p, q, n, 512, exact=True)
+    c, s = hardness.rotation_power(p, q, n)      # the exact reference
+    cos_iv, sin_iv = Ival.point(c), Ival.point(s)
     root = Ival.point(Q(n * n + 1)).sqrt(512)
     exact = hardness._ball_term(n, params, cos_iv, sin_iv,
                                 (root - n) * (2 * params.psi))

@@ -3,12 +3,13 @@ from fractions import Fraction as Q
 
 import pytest
 
+from robustlrs import optimize
 from robustlrs.interval import Box, Ival
 from robustlrs.lrs import Lrr, InitialConfig, normalize, spectral
 from robustlrs.torus import relation_lattice, parametrize, TorusPoint
 from robustlrs.optimize import (mu, nu, min_over_ball,
-                                DominantFamily, DEFAULT_TOL, _Objective,
-                                _on_grid)
+                                DominantFamily, DEFAULT_TOL, ExactReal,
+                                _Objective, _exact_min, _on_grid)
 from robustlrs.trig import cos_turn, pi_ival, sin_turn, unit_box
 
 from oracles import point_values, residual_box, dominant_box
@@ -305,6 +306,61 @@ def test_degenerate_all_ones_start():
     assert d_sko.verdict == "NO"
     assert d_sko.certificate.optimum.verdict == "ZERO"
 
+
+
+def test_nu_finite_zero_by_cyclotomic_test(monkeypatch):
+    """x^2 + x + 1 from 0, 1: the orbit 0, 1, -1 repeats, so one coset value
+    of the finite torus is exactly zero.  Cube roots of unity are
+    irrational, so its enclosure straddles 0 at every precision and only
+    the remainder modulo Phi_3 certifies the ZERO."""
+    from robustlrs.decide import exists_robust_skolem
+    calls, real = [], optimize.pdivmod
+
+    def counted(a, b):
+        calls.append(b)
+        return real(a, b)
+
+    monkeypatch.setattr(optimize, "pdivmod", counted)
+    lrr, c = Lrr((Q(-1), Q(-1))), cfg(0, 1)
+    form, torus = build_torus(lrr, c)
+    out = nu(form, torus)
+    assert (out.verdict, out.method) == ("ZERO", "finite-exact")
+    assert out.witness == TorusPoint(0, ())
+    assert len(calls) == 1
+    d = exists_robust_skolem(lrr, c)
+    assert d.verdict == "NO"
+    assert d.certificate.optimum.verdict == "ZERO"
+
+
+def _near(v, is_zero=None):
+    """The exact real v, enclosed at `bits` with radius 2^-bits."""
+    return ExactReal(lambda bits: Ival(v - Q(1, 1 << bits),
+                                       v + Q(1, 1 << bits)), is_zero)
+
+
+TINY = Q(1, 1 << 100)   # straddles 0 at 96 bits, not at 192
+
+
+@pytest.mark.parametrize("values,verdict,converged", [
+    # nonzero by its zero test, or unresolved at 96 bits: refined until
+    # it separates from 0
+    ([_near(TINY, lambda: False), _near(Q(1))], "POSITIVE", True),
+    ([_near(Q(1)), _near(-TINY)], "NEGATIVE", True),
+    # exactly 0 by its zero test, and no other value can lie below 0
+    ([_near(Q(1)), _near(Q(0), lambda: True),
+      ExactReal(lambda bits: Ival(Q(0), Q(1, 1 << bits)))], "ZERO", True),
+    # no zero test: an exact 0 never separates, at any tolerance
+    ([_near(Q(1)), _near(Q(0))], "UNKNOWN", False),
+    # an exact 0 beside a value that may lie below it
+    ([_near(Q(0), lambda: True), _near(Q(0))], "UNKNOWN", False),
+])
+def test_exact_min_climbs_straddling_values(values, verdict, converged):
+    out = _exact_min(values, [v.ival(96) for v in values],
+                     [TorusPoint(i, ()) for i in range(len(values))],
+                     DEFAULT_TOL, True, "finite-exact")
+    assert (out.verdict, out.converged) == (verdict, converged)
+    if verdict == "ZERO":
+        assert out.witness == TorusPoint(1, ())
 
 class _FractionObjective:
     """The branch-and-bound objective on `Fraction` boxes, as it was before

@@ -17,6 +17,10 @@ escalation, 17 passes from tol 2^-40 to 2^-200, on a torus with two free
 angles (the relation lattice of its conjugate pair is incomplete); it was
 recorded before the optimizer's products and Taylor series moved to
 integers.
+
+The pair cases run the closed form of one free conjugate pair: beside the
+torsion root -1 it takes the least of two cosets, and beside the root 1
+one start puts S + 2|w| below zero, so the least |value| is -(S + 2|w|).
 """
 
 import json
@@ -48,6 +52,9 @@ TWO_PAIR_TOL = Q(1, 4)
 # unit roots are sixth roots of unity, so the torus is finite (six cosets)
 P12 = Lrr((Q(-1), Q(4), Q(-8), Q(10), Q(-8), Q(4)))
 RHO2 = Lrr((Q(-4), Q(-1, 2)))
+# (x + 1)(x^2 - 6/5 x + 1) and (x - 1)(x^2 - 6/5 x + 1)
+PAIR_M1 = Lrr((Q(-1), Q(1, 5), Q(1, 5)))
+PAIR_P1 = Lrr((Q(1), Q(-11, 5), Q(11, 5)))
 
 
 def cfg(*vals):
@@ -90,6 +97,11 @@ def _p12_mu(init):
     return mu(a.form, a.torus)
 
 
+def _pair(lrr, init, absolute):
+    a = Analysis.build(lrr, cfg(*init))
+    return (nu if absolute else mu)(a.form, a.torus)
+
+
 def _p35_ball(init):
     d = robust_nonuniform_ultpos_open_ball(P35, Ball(cfg(*init), Q(1, 20)))
     return d.certificate.optimum
@@ -109,6 +121,14 @@ def _cases():
                lambda i=init: _p35_ball(i))
     for init in ((3, 1, 0, 2, 1, 5), (5, -3, 2, 0, 1, -1), (0, 1, 0, 0, 0, 0)):
         yield f"mu p=1/2 {init} finite", lambda i=init: _p12_mu(i)
+    for root, lrr, init in ((-1, PAIR_M1, (4, "-12/5", "68/25")),
+                            (-1, PAIR_M1, (1, 0, 0)),
+                            (1, PAIR_P1, (-2, "-12/5", "-68/25"))):
+        start = ",".join(map(str, init))
+        for absolute in (False, True):
+            name = "nu" if absolute else "mu"
+            yield (f"{name} pair beside {root} init {start}",
+                   lambda a=(lrr, init, absolute): _pair(*a))
 
 
 @pytest.mark.parametrize("key,thunk", list(_cases()),

@@ -133,7 +133,8 @@ def test_shapes_as_built():
 
 
 def reference_term_threshold(a, t, beta, eps):
-    """The geometric branch with an exact Fraction term a * n^t * beta^n."""
+    """The doubling and bisection with an exact Fraction term
+    a * n^t * beta^n."""
     n0 = 1
     if t > 0:
         while beta * Q(n0 + 1, n0) ** t >= 1:
@@ -190,6 +191,18 @@ def test_residual_threshold_matches_fraction_term():
         a, t, beta, eps = random_case(rng, kinds[i % 4])
         assert _term_threshold(a, t, beta, eps) == \
             reference_term_threshold(a, t, beta, eps), (a, t, beta, eps)
+
+
+def test_residual_threshold_unit_modulus():
+    # beta = 1 leaves a * n^t with t < 0; a/eps up to 300^|t| and exact
+    # ties n^|t| = a/eps among them
+    rng = random.Random(8)
+    for _ in range(60):
+        a = Q(rng.randint(1, 10**6), rng.randint(1, 10**6))
+        t = rng.randint(-3, -1)
+        eps = a / Q(rng.randint(1, 300) ** -t, rng.choice((1, 1, 2, 7)))
+        assert _term_threshold(a, t, Q(1), eps) == \
+            reference_term_threshold(a, t, Q(1), eps), (a, t, eps)
 
 
 def test_residual_threshold_exact_ties():
