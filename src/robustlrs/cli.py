@@ -20,7 +20,7 @@ from .qmath import Q, parse_rational, format_rational
 from .poly import PolyRat
 from .algebraic import isolate_roots
 from .lrs import eval_terms, OrbitScanner
-from .torus import root_of_unity_alg
+from .torus import DEFAULT_HEIGHT_BOUND, root_of_unity_alg
 from .optimize import mu as mu_op, nu as nu_op, DEFAULT_TOL
 from .decide import (exists_robust_positivity, exists_robust_skolem,
                      exists_robust_ultimate_positivity,
@@ -288,7 +288,7 @@ def _resolve(args, spec, defaults):
     elif not isinstance(tol, Fraction):
         raise ValueError(f"tol must be a rational string p/q, got {tol!r}")
     cap = pick("prefix_cap", DEFAULT_PREFIX_CAP)
-    hb = pick("height_bound", 64)
+    hb = pick("height_bound", DEFAULT_HEIGHT_BOUND)
     if not isinstance(cap, int) or cap < 0:
         raise ValueError(f"prefix cap must be an integer >= 0, got {cap!r}")
     if not isinstance(hb, int) or hb < 1:

@@ -29,7 +29,8 @@ from .lrs import (Lrr, InitialConfig, Ball, spectral, exp_poly_solutions,
                   exact_zeros_up_to, OrbitScanner, DominantForm,
                   ResidualEvaluator, _scaled_integer_recurrence,
                   _scaled_terms, EXACT_TERMS)
-from .torus import relation_lattice, parametrize, TorusParam
+from .torus import (DEFAULT_HEIGHT_BOUND, relation_lattice, parametrize,
+                    TorusParam)
 from .optimize import (mu, nu, min_over_ball, DominantFamily, SignOutcome,
                        DEFAULT_TOL)
 
@@ -80,7 +81,8 @@ class Analysis:
     torus: TorusParam
 
     @staticmethod
-    def build(lrr: Lrr, c: InitialConfig, height_bound: int = 64) -> "Analysis":
+    def build(lrr: Lrr, c: InitialConfig,
+              height_bound: int = DEFAULT_HEIGHT_BOUND) -> "Analysis":
         spec = spectral(lrr)
         form, res = normalize(lrr, c, spec)
         lat = relation_lattice([s for _, s in form.terms], height_bound)

@@ -9,29 +9,31 @@ The square-root term in the ball minimum is handled through the algebraic
 bounds 1/(2n+1) < sqrt(n^2+1) - n < 1/(2n), so long scans need no
 square-root extraction at all.
 
-The long scans step the rotation only through `trig.RotScan.walk`, on
-scaled integers.  Both skip a step far from a return to 1 with one integer
+`lagrange_prefix` steps the rotation through `trig.RotScan.walk`, on
+scaled integers.  It skips a step far from a return to 1 with one integer
 comparison against a threshold that is sound over a block of `_BLOCK`
-steps, and run their full test on every other step, so they report what a
-plain per-step scan reports.  The probes of one `approximate_L` call share
-one `_TailWalk`: the orbit past the prefix is walked once, and each probe
-replays its exact test on the few steps a worst-case probe leaves
-uncertified.
+steps, and runs its full test on every other step, so it reports what a
+plain per-step scan reports.  `scan_ball_terms`, which every probe of
+`approximate_L` runs up to the horizon, steps nothing: a ball term can be
+negative only at a near return of the rotation, where n ||n theta|| is
+below a constant, and `_near_returns` lists those n by Euclid-style
+searches on a dyadic enclosure of theta.  So a probe costs O(log horizon)
+term evaluations, each read off that enclosure.
 """
 
 from __future__ import annotations
 
 import math
-from contextlib import closing
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional
 
 from .qmath import (Q, ZERO, ONE, sqrt_down, sqrt_up, is_perfect_square,
                     exact_sqrt, floor_frac, ceil_frac)
 from .interval import Ival
 from .trig import (pi_ival, RotScan, niven_rotation, rotation_order,
-                   rotation_power, angle_from_cos)
+                   rotation_power, angle_from_cos, cos_turn, sin_turn)
 from .poly import pmul
 from .lrs import Lrr, InitialConfig, mat_inv
 
@@ -282,17 +284,26 @@ def min_ball_term(n: int, params: HardnessParams) -> Ival:
 
 def _rotation_ivals(p, q, n: int, bits: int):
     """Enclosures of cos and sin of n*theta: exact for a root-of-unity
-    angle (`niven_rotation`); for an irrational one, exact rational powers
-    when q is given and n <= _EXACT_POWERS_UP_TO, otherwise a dyadic scan
-    of `bits` bits."""
+    angle (`niven_rotation`); for an irrational one, which needs q, exact
+    rational powers up to n = _EXACT_POWERS_UP_TO, past it `cos_turn` and
+    `sin_turn` of n times an enclosure of theta fine enough for `bits`."""
     if rotation_order(p) is not None:
         return niven_rotation(p, q, n, bits)
-    if n <= _EXACT_POWERS_UP_TO and q is not None:
+    if q is None:
+        raise ValueError("irrational-angle scan needs the exact sine value q")
+    if n <= _EXACT_POWERS_UP_TO:
         c, s = rotation_power(p, q, n)
         return Ival.point(c), Ival.point(s)
-    sc = RotScan(p, q, bits)
-    sc.advance(n)
-    return sc.cos_ival(), sc.sin_ival()
+    t = _turn(p, q, bits + n.bit_length() + 8) * n
+    return cos_turn(t, bits), sin_turn(t, bits)
+
+
+@lru_cache(maxsize=64)
+def _turn(p: Fraction, q: Fraction, bits: int) -> Ival:
+    """Dyadic enclosure of theta in turns, e^(i theta) = p + qi with q
+    nonzero, of width at most 2^-bits."""
+    half = angle_from_cos(Ival.point(p), bits + 8) / (pi_ival(bits + 8) * 2)
+    return (half if q > 0 else 1 - half).round_out(bits + 4)
 
 
 def _root_tail(n: int, psi: Fraction) -> Ival:
@@ -306,130 +317,93 @@ def _ball_term(n: int, params: HardnessParams, cos_iv: Ival, sin_iv: Ival,
             - Ival.point(params.two_pi_ell) * sin_iv.abs() - tail)
 
 
-# Steps per prefilter block: the skip threshold of both scan loops is
+# Steps per prefilter block: the skip threshold of `lagrange_prefix` is
 # refreshed at least this often, from bounds on n and the error valid over
 # the whole block.
 _BLOCK = 1024
 
 
-class _TailWalk:
-    """One dyadic walk of the rotation orbit past n_start, shared by the
-    probes of one `approximate_L` call (a standalone `scan_ball_terms`
-    builds its own).
-
-    A step is kept when its ball term is not certified >= 0 under the worst
-    case lam <= lam_max, psi <= psi_max.  That certificate covers every
-    probe within those bounds: with X = scale - C - E - 1 >= 0, the scaled
-    lower bound T_lo falls as lam and psi grow and rises as a = 2 - psi
-    grows, and for X < 0 the worst case fails too, so the step is kept.
-    A probe therefore only needs its exact test on the kept steps; the
-    walk is extended lazily, as far as some probe needs it.
-    """
-
-    def __init__(self, p, q, n_start: int, lam_max: Fraction,
-                 psi_max: Fraction):
-        self.sc = RotScan(p, q, _SCAN_BITS)
-        self.sc.advance(n_start)
-        self.n_start = n_start
-        self.lam_max, self.psi_max = lam_max, psi_max
-        a = 2 - psi_max
-        L = math.lcm(a.denominator, lam_max.denominator, psi_max.denominator)
-        self._worst = (int(a * L), int(lam_max * L), int(psi_max * L))
-        self.kept = []                  # (n, C, S, E), increasing n
-
-    def steps(self, params: HardnessParams, n_from: int, n_to: int):
-        """Yield the kept steps in (n_from, n_to], walking on as needed.
-        Close the generator on an early exit so the walk's state is saved."""
-        if (params.two_pi_ell > self.lam_max or params.psi > self.psi_max
-                or n_from < self.n_start):
-            raise RuntimeError("probe outside the shared tail walk's bounds")
-        for step in self.kept:
-            if step[0] > n_to:
-                return
-            if step[0] > n_from:
-                yield step
-        sc, kept = self.sc, self.kept
-        scale = sc.scale
-        aW, lamW, psiW = self._worst
-        while sc.n < n_to:
-            end = min(n_to, sc.n + _BLOCK)
-            e_hi = sc.err + end - sc.n
-            # Prefilter: |S| <= scale + E + 1, so X >= ceil((lamW (scale +
-            # 2 e_hi + 2) + psiW scale) / (n aW)) certifies the worst case;
-            # C < thr gives that X over the block (n > sc.n, E <= e_hi).
-            need = -(-(lamW * (scale + 2 * e_hi + 2) + psiW * scale)
-                     // ((sc.n + 1) * aW))
-            thr = scale - e_hi - need
-            with closing(sc.walk(end)) as walk:
-                for n, C, S, E in walk:
-                    if C < thr:
-                        continue
-                    if (2 * n * n * aW * (scale - C - E - 1)
-                            - 2 * n * lamW * (abs(S) + E + 1)
-                            - 2 * psiW * scale) >= 0:
-                        continue
-                    kept.append((n, C, S, E))
-                    if n > n_from:
-                        yield n, C, S, E
+def _first_multiple_in(a: int, m: int, lo: int, hi: int) -> Optional[int]:
+    """Least k >= 1 with lo <= (a k mod m) <= hi, for 0 < lo <= hi < m, or
+    None.  Euclid-style: if the first multiple of a past lo overshoots hi,
+    no multiple of a lies in [lo, hi], and the number j of wraps past m is
+    the least with (m j mod a) in [a - hi mod a, a - lo mod a]: the same
+    question modulo a."""
+    a %= m
+    if a == 0:
+        return None
+    k = -(-lo // a)
+    if a * k <= hi:
+        return k
+    j = _first_multiple_in(m % a, a, a - hi % a, a - lo % a)
+    return None if j is None else -(-(lo + m * j) // a)
 
 
-def scan_ball_terms(params: HardnessParams, n_from: int, n_to: int,
-                    *, _tail: Optional[_TailWalk] = None):
+def _near_returns(params: HardnessParams, n_from: int, n_to: int):
+    """Yield, increasing, every n in (n_from, n_to] at which a ball term
+    can be negative (see `scan_ball_terms`), and a few more.
+
+    With alpha = A/2^b a dyadic point within w = 2^(1-b) of theta (turns),
+    the n of a block (lo, hi] with n ||n theta|| < c satisfy
+    ||n alpha|| <= c/(lo+1) + hi w, that is (A n + R) mod 2^b <= 2R for
+    R = 2^b (c/(lo+1) + hi w); each next such n is one Euclid search."""
+    a, lam, psi = 2 - params.psi, params.two_pi_ell, params.psi
+    c = (lam + sqrt_up(lam * lam + 2 * a * psi, 64)) / (4 * a)
+    b = 2 * n_to.bit_length() + 64
+    m = 1 << b
+    A = floor_frac(_turn(params.p, params.q, b).lo * m) % m
+    lo = n_from
+    while lo < n_to:
+        hi = min(n_to, 2 * lo + 1)
+        R = floor_frac(c * m / (lo + 1)) + 2 * hi
+        h = min(2 * R, m - 1)
+        n = lo + 1
+        while n <= hi:
+            B = (A * n + R) % m
+            k = 0 if B <= h else _first_multiple_in(A, m, m - B, m - B + h)
+            if k is None or n + k > hi:
+                break
+            yield n + k
+            n += k + 1
+        lo = hi
+
+
+def scan_ball_terms(params: HardnessParams, n_from: int, n_to: int):
     """Certified signs of min_ball_term over (n_from, n_to]: returns
     ('clean',) when every term is certified >= 0, else
     ('violation', n, enclosure) at the first certified-negative term.
-    Ambiguous steps are resolved exactly via rational rotation powers.
+    Ambiguous terms are resolved at higher precision.
 
-    The steps come from a `_TailWalk` over `RotScan.walk` on scaled
-    integers: with cos/sin tracked as a dyadic point + error ball, the
-    inequality n(2-psi)(1-cos) - 2pi ell |sin| - 2 psi (sqrt(n^2+1)-n) >= 0
-    is decided after clearing denominators (the root term is bracketed by
-    1/(2n+1) < sqrt(n^2+1)-n < 1/(2n)).  The walk skips a step with one
-    integer comparison C < thr when the term is certified >= 0 far from a
-    return to 1, and keeps the few steps its worst-case test cannot
-    certify; only those reach the exact test here.  `approximate_L` passes
-    one walk to all its probes through `_tail`, so the orbit is walked once
-    per call; without it the worst case is `params` itself.
+    Only a few terms are evaluated, each as `min_ball_term` does.  For an
+    irrational angle they are the near returns of the rotation: with
+    t = ||n theta|| (turns), u = sin(pi t), a = 2 - psi and
+    lam = 2 pi ell, one has 1 - cos(2 pi n theta) = 2u^2,
+    |sin(2 pi n theta)| <= 2u and 2 psi (sqrt(n^2+1) - n) < psi/n, so
+
+        term(n) > 2 n a u^2 - 2 lam u - psi/n.
+
+    A negative term thus forces n u < (lam + sqrt(lam^2 + 2 a psi))/(2a),
+    and since u >= 2t, n ||n theta|| < c = (lam + sqrt(lam^2 + 2 a psi))
+    / (4a).  `_near_returns` lists those n from a dyadic enclosure of theta,
+    block by block over (M, 2M + 1], one Euclid search per candidate.
 
     Root-of-unity angles are periodic, and at every multiple of the order
     (cos = 1, sin = 0) the term is -2 psi (sqrt(n^2+1)-n), certified
     negative.  So only the at most `order` terms after n_from are
     evaluated, exactly by `niven_rotation`, with no stepping."""
-    psi, lam = params.psi, params.two_pi_ell
-    ambiguous = []
     order = rotation_order(params.p)
     if order is not None:
-        for n in range(n_from + 1, min(n_to, n_from + order) + 1):
-            cos_iv, sin_iv = niven_rotation(params.p, params.q, n,
-                                            _SCAN_BITS)
-            iv = _ball_term(n, params, cos_iv, sin_iv, _root_tail(n, psi))
-            if iv.lo >= 0:
-                continue
-            if iv.hi < 0:
-                return ("violation", n, iv)
-            ambiguous.append(n)
-        return _resolve_ambiguous(ambiguous, params)
-    tail = _tail or _TailWalk(params.p, params.q, n_from, lam, psi)
-    scale = tail.sc.scale
-    a = 2 - psi                      # Fractions
-    L = math.lcm(a.denominator, lam.denominator, psi.denominator)
-    aL, lamL, psiL = int(a * L), int(lam * L), int(psi * L)
-    with closing(tail.steps(params, n_from, n_to)) as steps:
-        for n, C, S, E in steps:
-            Sa = abs(S)
-            # term_lo * (2 n^2 scale L) >= T_lo with the worst-case rounding
-            T_lo = (2 * n * n * aL * (scale - C - E - 1)
-                    - 2 * n * lamL * (Sa + E + 1) - 2 * psiL * scale)
-            if T_lo >= 0:
-                continue
-            T_hi = (2 * n * n * aL * (scale - C + E + 1)
-                    - 2 * n * lamL * max(Sa - E - 1, 0)
-                    - 4 * n * psiL * scale // (2 * n + 1))
-            if T_hi < 0:
-                f = 2 * n * scale * L
-                lo, hi = Q(T_lo, f), Q(T_hi, f)
-                return ("violation", n, Ival(min(lo, hi), max(lo, hi)))
-            ambiguous.append(n)
+        candidates = range(n_from + 1, min(n_to, n_from + order) + 1)
+    else:
+        candidates = _near_returns(params, n_from, n_to)
+    ambiguous = []
+    for n in candidates:
+        iv = min_ball_term(n, params)
+        if iv.lo >= 0:
+            continue
+        if iv.hi < 0:
+            return ("violation", n, iv)
+        ambiguous.append(n)
     return _resolve_ambiguous(ambiguous, params)
 
 
@@ -549,9 +523,9 @@ def approximate_L(p, q, eps, horizon_cap: int = 10**6) -> LEstimate:
     (and the prefix is scanned directly); a certified-negative ball term
     witnesses n [2 pi n theta] < 2 pi ell + eps_a.
 
-    The orbit is walked once per call: all probes share one `_TailWalk`,
-    bounded by the largest 2 pi ell a probe can reach and psi <= 1/6, and
-    the prefix scan of each distinct n2 is computed once."""
+    A probe's tail scan evaluates only the rotation's near returns, so it
+    costs O(log horizon) terms; the prefix scan of each distinct n2 is
+    computed once."""
     p, q = _rotation_point(p, q)
     eps = Q(eps)
     if eps <= 0:
@@ -563,9 +537,6 @@ def approximate_L(p, q, eps, horizon_cap: int = 10**6) -> LEstimate:
     lo = ZERO
     hi = sqrt_up(Q(1, 5), 48)
     eps_a = pi_iv.lo * eps / 2      # angle-scale slack: eps_a/(2 pi) <= eps/4
-    # every probe has q' <= pi_hi * hi + 2^-24 (rounding) and psi <= 1/6
-    lam_max = 2 * (pi_iv.hi * hi + Q(1, 1 << 24))
-    tail = None
     prefixes = {}
     probes = 0
     exhausted = False
@@ -586,11 +557,7 @@ def approximate_L(p, q, eps, horizon_cap: int = 10**6) -> LEstimate:
             prefixes[params.n2] = lagrange_prefix(p, q, params.n2)
         prefix = prefixes[params.n2]
         hi = min(hi, max(prefix.hi, ZERO))
-        if tail is None and rotation_order(p) is None:
-            # the least q' gives the least n2, so the walk covers every probe
-            n_start = compute_params(Q(1, 1 << 24), eps_a, p, q).n2
-            tail = _TailWalk(p, q, n_start, lam_max, Q(1, 6))
-        res = scan_ball_terms(params, params.n2, horizon_cap, _tail=tail)
+        res = scan_ball_terms(params, params.n2, horizon_cap)
         if res[0] == "clean":
             # min over the tail of n[2 pi n theta] > 2 q' - eps_a
             tail_lo = (2 * qprime - eps_a) / (2 * pi_iv.hi)

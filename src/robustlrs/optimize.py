@@ -596,20 +596,18 @@ def _pair_value(S: ExactReal, two_mag: Callable[[int], Ival],
                      lambda: s * s <= 4 * mag2)
 
 
-def _minimize(forms, torus, tol, absolute: bool):
-    form = forms[0]
-    if torus.free_rank == 0 and len(forms) == 1:
+def _minimize(form, torus, tol, absolute: bool):
+    if torus.free_rank == 0:
         return _finite_torus_min(form, torus, tol, absolute)
-    if len(forms) == 1:
-        got = _pair_closed_form(form, torus, tol, absolute)
-        if got is not None:
-            return got
+    got = _pair_closed_form(form, torus, tol, absolute)
+    if got is not None:
+        return got
 
     def value_of(obj, sbox):
         (iv,), (at_mid,) = obj.evaluate(sbox)
         return (iv.abs(), at_mid.abs()) if absolute else (iv, at_mid)
 
-    return _bb_min(forms, torus, tol, value_of, "branch-and-bound")
+    return _bb_min([form], torus, tol, value_of, "branch-and-bound")
 
 
 def _with_escalation(run, tol):
@@ -630,7 +628,7 @@ def mu(form: DominantForm, torus: TorusParam,
     tol = Q(tol)
     if tol <= 0:
         raise ValueError("tol must be positive")
-    return _with_escalation(lambda t: _minimize([form], torus, t, False), tol)
+    return _with_escalation(lambda t: _minimize(form, torus, t, False), tol)
 
 
 def nu(form: DominantForm, torus: TorusParam,
@@ -639,7 +637,7 @@ def nu(form: DominantForm, torus: TorusParam,
     tol = Q(tol)
     if tol <= 0:
         raise ValueError("tol must be positive")
-    return _with_escalation(lambda t: _minimize([form], torus, t, True), tol)
+    return _with_escalation(lambda t: _minimize(form, torus, t, True), tol)
 
 
 @dataclass

@@ -99,8 +99,13 @@ def _rou_congruence_lattice(rous: list[tuple[int, int]]) -> list[list[int]]:
     return [vec[:-1] for vec in ker]
 
 
+# Bound on the height of the relations `relation_lattice` searches for,
+# when neither a flag nor a problem file gives one.
+DEFAULT_HEIGHT_BOUND = 64
+
+
 def relation_lattice(gammas: list[AlgebraicNumber],
-                     height_bound: int = 64) -> RelationLattice:
+                     height_bound: int = DEFAULT_HEIGHT_BOUND) -> RelationLattice:
     """Generators of {lambda in Z^k : prod gamma_j^lambda_j = 1}."""
     k = len(gammas)
     for g in gammas:

@@ -23,11 +23,10 @@ build new boxes from them and never change them.
 unit circle as a dyadic point plus an error ball.  Rotations are
 isometries, so the Euclidean error grows only additively with the number
 of steps (naive interval iteration would blow up exponentially).  It is
-the one stepper of the dyadic rotation: the hardness lab's integer scans
-(`hardness.scan_ball_terms`, `hardness.lagrange_prefix`) consume its
-`walk`.  `rotation_power` gives the same powers exactly, and
-`niven_rotation` gives the periodic root-of-unity angles exactly, with no
-stepping.
+the one stepper of the dyadic rotation: the integer scan of
+`hardness.lagrange_prefix` consumes its `walk`.  `rotation_power` gives
+the same powers exactly, and `niven_rotation` gives the periodic
+root-of-unity angles exactly, with no stepping.
 """
 
 from __future__ import annotations
@@ -112,18 +111,12 @@ def _taylor_series(x: Ival, bits: int, odd: int) -> Ival:
     return Ival(Q(max(out_lo, -one), one), Q(min(out_hi, one), one))
 
 
-def _cos2pi_quarter(r: Fraction, bits: int) -> Ival:
-    """cos(2 pi r) for 0 <= r <= 1/4."""
-    if r <= Q(1, 8):
-        return _taylor_series(pi_ival(bits + 8) * (2 * r), bits, 0)
-    return _taylor_series(pi_ival(bits + 8) * (2 * (Q(1, 4) - r)), bits, 1)
-
-
-def _sin2pi_quarter(r: Fraction, bits: int) -> Ival:
-    """sin(2 pi r) for 0 <= r <= 1/4."""
-    if r <= Q(1, 8):
-        return _taylor_series(pi_ival(bits + 8) * (2 * r), bits, 1)
-    return _taylor_series(pi_ival(bits + 8) * (2 * (Q(1, 4) - r)), bits, 0)
+def _quarter(r: Fraction, bits: int, odd: int) -> Ival:
+    """cos (odd = 0) or sin (odd = 1) of 2 pi r for 0 <= r <= 1/4.  Past
+    r = 1/8 it is the other series at the complement 1/4 - r."""
+    if r > Q(1, 8):
+        r, odd = Q(1, 4) - r, 1 - odd
+    return _taylor_series(pi_ival(bits + 8) * (2 * r), bits, odd)
 
 
 def cos_turn_point(r: Fraction, bits: int = 64) -> Ival:
@@ -132,8 +125,8 @@ def cos_turn_point(r: Fraction, bits: int = 64) -> Ival:
     if r > Q(1, 2):
         r = 1 - r
     if r <= Q(1, 4):
-        return _cos2pi_quarter(r, bits)
-    return -_cos2pi_quarter(Q(1, 2) - r, bits)
+        return _quarter(r, bits, 0)
+    return -_quarter(Q(1, 2) - r, bits, 0)
 
 
 def sin_turn_point(r: Fraction, bits: int = 64) -> Ival:
@@ -145,7 +138,7 @@ def sin_turn_point(r: Fraction, bits: int = 64) -> Ival:
         sign = -1
     if r > Q(1, 4):
         r = Q(1, 2) - r
-    v = _sin2pi_quarter(r, bits)
+    v = _quarter(r, bits, 1)
     return v if sign == 1 else -v
 
 
@@ -309,9 +302,10 @@ class RotScan:
     step the rounding adds at most one unit in the last place; the
     rotation itself is an isometry and adds nothing.
 
-    This is the only code that advances the dyadic rotation.  `advance`,
-    `hardness.scan_ball_terms` and `hardness.lagrange_prefix` all go
-    through `walk`.
+    Only `hardness.lagrange_prefix` steps it, through `walk`: its minimum
+    needs every step.  `hardness.scan_ball_terms` evaluates single far
+    terms instead, from `cos_turn` and `sin_turn` of n times an enclosure
+    of the angle.
     """
 
     def __init__(self, p: Fraction, q: Fraction | None, bits: int):
@@ -351,22 +345,11 @@ class RotScan:
         finally:
             self.c, self.s, self.err, self.n = c, s, err, n
 
-    def advance(self, n_to: int):
-        """Step until the index is n_to."""
-        for _ in self.walk(n_to):
-            pass
-
     def ival(self, v: int, err: int) -> Ival:
         """Enclosure of a coordinate held as v / 2^bits with error err."""
         e = Q(err + 1, self.scale)
         x = Q(v, self.scale)
         return Ival(max(x - e, Q(-1)), min(x + e, Q(1)))
-
-    def cos_ival(self) -> Ival:
-        return self.ival(self.c, self.err)
-
-    def sin_ival(self) -> Ival:
-        return self.ival(self.s, self.err)
 
 
 def niven_rotation(p: Fraction, q: Fraction | None, n: int,

@@ -5,7 +5,8 @@ decisions (`brute_force_check`), exact companion-matrix powers and
 hyperplane distances, exact orbit points and parametrization points of
 the closure torus, direct enclosures of the residual and of the
 scanner's dominant part, the exact check of the order-6 rotation block,
-and the problem document of a parsed spec.  The sampling screen is the
+the per-step scans of the hardness lab, and the problem document of a
+parsed spec.  The sampling screen is the
 only user of numpy, which is a test dependency, not a runtime one.
 """
 
@@ -29,7 +30,8 @@ from robustlrs.lrs import (Lrr, InitialConfig, Ball, SpectralData, spectral,
                            term_sign, _check_config, ResidualEvaluator,
                            OrbitScanner, _box_of)
 from robustlrs.torus import TorusParam, TorusPoint, root_of_unity_alg
-from robustlrs.trig import rotation_order
+from robustlrs.trig import RotScan, pi_ival, rotation_order
+from robustlrs import hardness
 
 
 # ---------------------------------------------------------------------------
@@ -237,6 +239,86 @@ def rotation_check(p, q) -> RotationReport:
             order = None
     return RotationReport(is_rotation=orth and det == one, orthogonal=orth,
                           determinant_one=det == one, order=order)
+
+
+# ---------------------------------------------------------------------------
+# per-step rotation scans of the hardness lab
+
+
+def walk_to(sc: RotScan, n: int) -> tuple[Ival, Ival]:
+    """Step `sc` up to index n; the enclosures of cos and sin there."""
+    for _ in sc.walk(n):
+        pass
+    return sc.ival(sc.c, sc.err), sc.ival(sc.s, sc.err)
+
+
+def ball_term_steps(params, n_from: int, n_to: int, bits: int = 160):
+    """Every step of (n_from, n_to] whose ball term the integer T_lo / T_hi
+    test on a `bits`-bit walk does not certify >= 0, as (n, enclosure):
+    the enclosure when the term is certified negative, else None."""
+    psi, lam = params.psi, params.two_pi_ell
+    sc = RotScan(params.p, params.q, bits)
+    scale = sc.scale
+    a = 2 - psi
+    L = math.lcm(a.denominator, lam.denominator, psi.denominator)
+    aL, lamL, psiL = int(a * L), int(lam * L), int(psi * L)
+    walk_to(sc, n_from)
+    for n, C, S, E in sc.walk(n_to):
+        Sa = abs(S)
+        T_lo = (2 * n * n * aL * (scale - C - E - 1)
+                - 2 * n * lamL * (Sa + E + 1) - 2 * psiL * scale)
+        if T_lo >= 0:
+            continue
+        T_hi = (2 * n * n * aL * (scale - C + E + 1)
+                - 2 * n * lamL * max(Sa - E - 1, 0)
+                - 4 * n * psiL * scale // (2 * n + 1))
+        if T_hi < 0:
+            f = 2 * n * scale * L
+            lo, hi = Q(T_lo, f), Q(T_hi, f)
+            yield n, Ival(min(lo, hi), max(lo, hi))
+        else:
+            yield n, None
+
+
+def scan_ball_terms_ref(params, n_from: int, n_to: int):
+    """`hardness.scan_ball_terms` as a plain per-step scan."""
+    ambiguous = []
+    for n, iv in ball_term_steps(params, n_from, n_to):
+        if iv is not None:
+            return ("violation", n, iv)
+        ambiguous.append(n)
+    return hardness._resolve_ambiguous(ambiguous, params)
+
+
+def lagrange_prefix_ref(p, q, N: int, bits: int = 192) -> Ival:
+    """`hardness.lagrange_prefix` as a plain per-step scan: every step of
+    (0, N] through the squared-angle bounds."""
+    pi_iv = pi_ival(bits)
+    sc = RotScan(p, q, bits)
+    pi_sq_hi = (pi_iv.hi * pi_iv.hi / 2).limit_denominator(1 << 48)
+    if pi_sq_hi < pi_iv.hi * pi_iv.hi / 2:
+        pi_sq_hi += Q(1, 1 << 40)
+    ka, kb = pi_sq_hi.numerator, pi_sq_hi.denominator
+    scale = sc.scale
+    upper = None
+    candidates = []
+    for n, C, _, E in sc.walk(N):
+        hi_sq = n * n * ka * (scale - C + E + 1)
+        lo_sq = 2 * n * n * kb * max(scale - C - E - 1, 0)
+        if upper is None or hi_sq < upper:
+            upper = hi_sq
+        if lo_sq <= upper:
+            candidates.append((lo_sq, n, C, E))
+    best = None
+    for lo_sq, n, C, E in candidates:
+        if lo_sq <= upper:
+            precise = hardness.angle_from_cos(sc.ival(C, E), bits) * n
+            best = precise if best is None else Ival(min(best.lo, precise.lo),
+                                                     min(best.hi, precise.hi))
+    out = best / (pi_iv * 2)
+    if out.lo < 0:
+        out = Ival(ZERO, max(out.hi, ZERO))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ from robustlrs.hardness import (build_hardness_lrr, compute_params,
                                 lagrange_prefix, approximate_L,
                                 config_from_coeffs, CoefficientBasisPoint)
 
-from oracles import brute_force_check, orbit_point, rotation_check
+from oracles import brute_force_check, orbit_point, rotation_check, walk_to
 
 P35, Q45 = Q(3, 5), Q(4, 5)
 FIB = Lrr((Q(1), Q(1)))
@@ -428,13 +428,12 @@ def test_10_kronecker_density():
         hits.append(n_best)
     # exact anchor for the first hit: certified distance below eps
     from robustlrs.trig import RotScan
-    sc = RotScan(P35, Q45, bits=96)
     n0 = hits[0]
-    sc.advance(n0)
+    cos_iv, sin_iv = walk_to(RotScan(P35, Q45, bits=96), n0)
     t_angle = (n0 * theta) % 1.0
     tx, ty = math.cos(2 * math.pi * t_angle), math.sin(2 * math.pi * t_angle)
-    dist_sq = ((sc.cos_ival() - Q(tx).limit_denominator(10**12)).sq()
-               + (sc.sin_ival() - Q(ty).limit_denominator(10**12)).sq()) * 2
+    dist_sq = ((cos_iv - Q(tx).limit_denominator(10**12)).sq()
+               + (sin_iv - Q(ty).limit_denominator(10**12)).sq()) * 2
     assert dist_sq.hi < Q(1, 10**4) * 2  # comfortably below eps^2 * 2
     elapsed = time.time() - t0
     assert elapsed < 600

@@ -269,6 +269,33 @@ def test_lab_prefix_L_irrational_angle_needs_q_exit3():
     assert p.stdout == ""
 
 
+@pytest.mark.parametrize("args", [
+    ["ball-term", "--p", "3/5", "--ell", "1", "--eps", "1/20",
+     "--n", "5000"],
+    ["approx-L", "--p", "3/5", "--eps", "1/20", "--horizon", "20000"],
+], ids=["ball-term", "approx-L"])
+def test_lab_irrational_angle_needs_q_exit3(args):
+    """Past the exact powers, a term is read off an enclosure of the angle,
+    which arccos alone would give; the exact sine is still required."""
+    p = run_cli(["lab", *args])
+    assert p.returncode == 3, p.stdout + p.stderr
+    assert "exact sine value q" in p.stderr
+    assert p.stdout == ""
+
+
+def test_lab_approx_L_horizon_of_10_to_12():
+    """The tail scans visit only near returns, so a horizon of 10^12 costs
+    about what 10^5 does."""
+    t0 = time.perf_counter()
+    p = run_cli(["lab", "approx-L", "--p", "3/5", "--q", "4/5",
+                 "--eps", "1/20", "--horizon", "1000000000000"])
+    elapsed = time.perf_counter() - t0
+    assert p.returncode == 0, p.stdout + p.stderr
+    doc = json.loads(p.stdout)
+    assert doc["horizon"] == 10**12 and not doc["horizon_exhausted"]
+    assert elapsed < 10
+
+
 @pytest.mark.parametrize("horizon", ["0", "-5"])
 def test_lab_approx_L_horizon_below_one_exit3(horizon):
     p = run_cli(["lab", "approx-L", "--p", "3/5", "--q", "4/5",

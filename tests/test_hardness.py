@@ -15,7 +15,7 @@ from robustlrs.hardness import (build_hardness_lrr, basis_change,
                                 lagrange_prefix, approximate_L)
 from robustlrs.trig import RotScan
 
-from oracles import ball_samples, rotation_check
+from oracles import ball_samples, rotation_check, walk_to
 
 P, QSIN = Q(3, 5), Q(4, 5)
 
@@ -151,19 +151,18 @@ def test_min_ball_term_period_hit():
 
 def test_min_ball_term_exact_vs_scan():
     params = compute_params(Q(1), Q(1, 20), P, QSIN)
-    for n in (1, 7, 100, 999):
-        exact = min_ball_term(n, params)          # rational powers
-        sc = RotScan(P, QSIN, 200)                # the dyadic scan
-        sc.advance(n)
-        cos_iv, sin_iv = sc.cos_ival(), sc.sin_ival()
+    for n in (1, 7, 100, 999, 4001, 60000):
+        exact = min_ball_term(n, params)  # rational powers, past 4000 turns
+        cos_iv, sin_iv = walk_to(RotScan(P, QSIN, 200), n)  # dyadic scan
         scan = hardness._ball_term(n, params, cos_iv, sin_iv,
                                    hardness._root_tail(n, params.psi))
         assert exact.overlaps(scan)
 
 
 def test_exact_ball_term_takes_no_exact_powers_past_4000(monkeypatch):
-    """Past n = 4000 the one-term resolution walks the dyadic rotation: the
-    exact rational powers would have numerators of O(n) digits."""
+    """Past n = 4000 the one-term resolution reads n*theta off an enclosure
+    of theta: the exact rational powers would have numerators of O(n)
+    digits."""
     p, q = Q(29, 421), Q(420, 421)
     params = compute_params(Q(1), Q(1, 20), p, q)
     n = 4500
@@ -239,16 +238,15 @@ def test_nonneg_gadget_forces_diophantine_bound():
     Diophantine quantity n [2 pi n theta] above 2 pi ell - eps."""
     params = compute_params(Q(1), Q(1, 20), P, QSIN)
     lam, eps = params.two_pi_ell, params.eps
-    from robustlrs.trig import RotScan, pi_ival
+    from robustlrs.trig import pi_ival
     from robustlrs.qmath import sqrt_up
     sc = RotScan(P, QSIN, bits=128)
     pi_hi = pi_ival(64).hi
     checked = 0
     for n in range(1, 10**5 + 1):
-        sc.advance(n)
+        cos_iv, sin_iv = walk_to(sc, n)
         if n <= params.n1:
             continue
-        cos_iv, sin_iv = sc.cos_ival(), sc.sin_ival()
         if sin_iv.lo < 0:
             continue                     # need the [0, pi] half certified
         # u_n(d) = 2n(1-cos) - 2 pi ell sin

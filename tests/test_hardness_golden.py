@@ -1,10 +1,11 @@
 """Exact outputs of the hardness lab, pinned byte for byte.
 
-`hardness_golden.json` holds the values these calls returned before the
-rotation scans were folded into `trig.RotScan`.  Every value here is
-either exact rational arithmetic or a dyadic scan with a fixed rounding
-sequence, so a refactor of the scan loops must reproduce them exactly.
-CLI outputs are pinned by the sha256 of their stdout.
+`hardness_golden.json` holds the values these calls return.  Every value
+here is exact rational arithmetic, a dyadic scan with a fixed rounding
+sequence, or a Taylor enclosure at a fixed precision, so a refactor of the
+scan loops must reproduce them exactly.  The terms past n = 4000 (the
+ball term at 5000, the violation at 13843) are read off an enclosure of
+the angle.  CLI outputs are pinned by the sha256 of their stdout.
 """
 
 import hashlib
@@ -64,7 +65,7 @@ def _cases():
             yield (f"scan_ball_terms {p} None ell=1 +{width}",
                    lambda p=p, width=width: _scan_window(Q(1), p, None,
                                                          width))
-    for n in (100, 5000):       # exact rational powers; dyadic scan
+    for n in (100, 5000):       # exact rational powers; angle enclosure
         yield (f"min_ball_term 3/5 4/5 {n}",
                lambda n=n: _ival(min_ball_term(n, _params(Q(1), *p35))))
         yield (f"min_ball_term 1/2 None {n}",

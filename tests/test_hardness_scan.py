@@ -1,13 +1,16 @@
-"""The hardness lab's scan loops against their per-step reference loops.
+"""The hardness lab's scans against their per-step reference scans.
 
-`lagrange_prefix` and `scan_ball_terms` skip most steps with one integer
-comparison, and the probes of one `approximate_L` call share one walk of
-the orbit.  The reference loops below are the plain per-step scans those
-replace: every step runs the full test.  Enclosures, violation indices and
-the candidate list must come out identical.
+`lagrange_prefix` skips most steps of its walk with one integer
+comparison; its candidates and enclosure must equal those of the plain
+per-step scan.  `scan_ball_terms` evaluates, for an irrational angle, only
+the near returns of the rotation that `_near_returns` lists: every index at
+which the per-step scan finds a ball term negative or ambiguous must be
+among them, and the status and index of the first certified-negative term
+must agree, with overlapping enclosures.  The reference scans live in
+`oracles`.
 """
 
-import math
+import random
 from collections import Counter
 from contextlib import closing
 from fractions import Fraction as Q
@@ -16,9 +19,12 @@ import pytest
 
 from robustlrs import hardness
 from robustlrs.hardness import (approximate_L, compute_params,
-                                lagrange_prefix, scan_ball_terms, _TailWalk)
+                                lagrange_prefix, scan_ball_terms,
+                                _near_returns)
 from robustlrs.interval import Ival
-from robustlrs.trig import RotScan, pi_ival
+from robustlrs.trig import RotScan
+
+from oracles import ball_term_steps, lagrange_prefix_ref, scan_ball_terms_ref
 
 
 def _pyth(m, n):
@@ -26,64 +32,6 @@ def _pyth(m, n):
 
 
 POINTS = [_pyth(2, 1), _pyth(3, 2), _pyth(12, 11), _pyth(7, 4), _pyth(5, 2)]
-
-
-def _scan_ball_terms_ref(params, n_from, n_to, bits=160):
-    """Every step of (n_from, n_to] through the exact T_lo / T_hi test."""
-    psi, lam = params.psi, params.two_pi_ell
-    sc = RotScan(params.p, params.q, bits)
-    scale = sc.scale
-    a = 2 - psi
-    L = math.lcm(a.denominator, lam.denominator, psi.denominator)
-    aL, lamL, psiL = int(a * L), int(lam * L), int(psi * L)
-    ambiguous = []
-    sc.advance(n_from)
-    with closing(sc.walk(n_to)) as walk:
-        for n, C, S, E in walk:
-            Sa = abs(S)
-            T_lo = (2 * n * n * aL * (scale - C - E - 1)
-                    - 2 * n * lamL * (Sa + E + 1) - 2 * psiL * scale)
-            if T_lo >= 0:
-                continue
-            T_hi = (2 * n * n * aL * (scale - C + E + 1)
-                    - 2 * n * lamL * max(Sa - E - 1, 0)
-                    - 4 * n * psiL * scale // (2 * n + 1))
-            if T_hi < 0:
-                f = 2 * n * scale * L
-                lo, hi = Q(T_lo, f), Q(T_hi, f)
-                return ("violation", n, Ival(min(lo, hi), max(lo, hi)))
-            ambiguous.append(n)
-    return hardness._resolve_ambiguous(ambiguous, params)
-
-
-def _lagrange_prefix_ref(p, q, N, bits=192):
-    """Every step of (0, N] through the squared-angle bounds."""
-    pi_iv = pi_ival(bits)
-    sc = RotScan(p, q, bits)
-    pi_sq_hi = (pi_iv.hi * pi_iv.hi / 2).limit_denominator(1 << 48)
-    if pi_sq_hi < pi_iv.hi * pi_iv.hi / 2:
-        pi_sq_hi += Q(1, 1 << 40)
-    ka, kb = pi_sq_hi.numerator, pi_sq_hi.denominator
-    scale = sc.scale
-    upper = None
-    candidates = []
-    for n, C, _, E in sc.walk(N):
-        hi_sq = n * n * ka * (scale - C + E + 1)
-        lo_sq = 2 * n * n * kb * max(scale - C - E - 1, 0)
-        if upper is None or hi_sq < upper:
-            upper = hi_sq
-        if lo_sq <= upper:
-            candidates.append((lo_sq, n, C, E))
-    best = None
-    for lo_sq, n, C, E in candidates:
-        if lo_sq <= upper:
-            precise = hardness.angle_from_cos(sc.ival(C, E), bits) * n
-            best = precise if best is None else Ival(min(best.lo, precise.lo),
-                                                     min(best.hi, precise.hi))
-    out = best / (pi_iv * 2)
-    if out.lo < 0:
-        out = Ival(Q(0), max(out.hi, Q(0)))
-    return out
 
 
 def _key(res):
@@ -94,6 +42,13 @@ def _key(res):
     if isinstance(res, Ival):
         return res.lo, res.hi
     return tuple(_key(v) for v in res) if isinstance(res, tuple) else res
+
+
+def _assert_agrees(new, ref, where):
+    """Same status and index; the negative enclosures overlap."""
+    assert new[:2] == ref[:2], where
+    if new[0] == "violation":
+        assert new[2].hi < 0 and new[2].overlaps(ref[2]), where
 
 
 def _recorded_candidates(monkeypatch, call):
@@ -117,7 +72,7 @@ def test_lagrange_prefix_matches_per_step_scan(monkeypatch, p, q, N):
     new, new_cands = _recorded_candidates(
         monkeypatch, lambda: lagrange_prefix(p, q, N))
     ref, ref_cands = _recorded_candidates(
-        monkeypatch, lambda: _lagrange_prefix_ref(p, q, N))
+        monkeypatch, lambda: lagrange_prefix_ref(p, q, N))
     assert _key(new) == _key(ref)
     assert new_cands == ref_cands
 
@@ -133,9 +88,9 @@ def _windows(params):
 def test_scan_ball_terms_matches_per_step_scan(p, q, ell):
     params = compute_params(ell, Q(1, 20), p, q)
     for n_from, n_to in _windows(params):
-        assert (_key(scan_ball_terms(params, n_from, n_to))
-                == _key(_scan_ball_terms_ref(params, n_from, n_to))), \
-            (n_from, n_to)
+        _assert_agrees(scan_ball_terms(params, n_from, n_to),
+                       scan_ball_terms_ref(params, n_from, n_to),
+                       (n_from, n_to))
 
 
 def test_scan_ball_terms_cases_cover_clean_and_violation():
@@ -148,39 +103,67 @@ def test_scan_ball_terms_cases_cover_clean_and_violation():
     assert outcomes["clean"] >= 5 and outcomes["violation"] >= 5
 
 
-@pytest.mark.parametrize("p,q", POINTS[:3])
-def test_shared_tail_walk_serves_probes_in_any_order(p, q):
-    """One walk, probes of growing and shrinking ell over shifting windows:
-    kept steps are replayed, the walk is extended lazily."""
-    eps = Q(1, 20)
-    first = compute_params(Q(1, 4), eps, p, q)
-    tail = _TailWalk(p, q, first.n2, Q(7), Q(1, 6))
-    plan = [(Q(1, 4), 0, 30000), (Q(3), 0, 30000), (Q(1), 500, 30000),
-            (Q(3, 2), 0, 10000), (Q(2), 12000, 60000), (Q(1, 2), 0, 60000),
-            (Q(3), 40000, 60000)]
-    for ell, off, to in plan:
-        params = compute_params(ell, eps, p, q)
-        n_from = params.n2 + off
-        assert (_key(scan_ball_terms(params, n_from, to, _tail=tail))
-                == _key(_scan_ball_terms_ref(params, n_from, to))), \
-            (ell, off, to)
+def test_first_multiple_in_matches_brute_force():
+    rng = random.Random(5)
+    for _ in range(3000):
+        m = rng.choice([rng.randint(2, 60), 1 << rng.randint(1, 9)])
+        a = rng.randrange(m)
+        lo = rng.randint(1, m - 1)
+        hi = rng.randint(lo, m - 1)
+        want = next((k for k in range(1, m + 1) if lo <= a * k % m <= hi),
+                    None)
+        assert hardness._first_multiple_in(a, m, lo, hi) == want, \
+            (a, m, lo, hi)
+
+
+def test_near_returns_cover_every_negative_or_ambiguous_term():
+    """Seeded points, ell in [1/4, 8] (the bound c on n ||n theta|| goes
+    past 1 at the top), windows from 0, one-step windows and long ones."""
+    rng = random.Random(19)
+    flagged = big_c = 0
+    for _ in range(12):
+        m = rng.randint(2, 24)
+        n = rng.choice([k for k in range(1, m)
+                        if (m - k) % 2 and Q(k, m).denominator == m])
+        p, q = _pyth(m, n)
+        if rng.random() < 0.5:
+            q = -q
+        ell = Q(rng.randint(8, 256), 32)
+        params = compute_params(ell, Q(1, 20), p, q)
+        a, lam = 2 - params.psi, params.two_pi_ell
+        big_c += lam / (2 * a) > 1           # c > lam / (2a)
+        ref_all = [k for k, _ in ball_term_steps(params, 0, 12000)]
+        starts = [0, rng.randint(1, 6000), *rng.sample(ref_all or [1], 1)]
+        windows = [(0, 12000), (0, rng.randint(1, 40))]
+        windows += [(s - 1, s) for s in starts if s >= 1]
+        windows += [(s, s + rng.randint(1, 6000)) for s in starts]
+        for n_from, n_to in windows:
+            near = list(_near_returns(params, n_from, n_to))
+            assert near == sorted(set(near))
+            assert all(n_from < k <= n_to for k in near)
+            ref = [k for k in ref_all if n_from < k <= n_to]
+            assert set(ref) <= set(near), (p, q, ell, n_from, n_to)
+            flagged += len(ref)
+            _assert_agrees(scan_ball_terms(params, n_from, n_to),
+                           scan_ball_terms_ref(params, n_from, n_to),
+                           (p, q, ell, n_from, n_to))
+    assert flagged >= 20 and big_c >= 2
 
 
 @pytest.mark.parametrize("p,q", POINTS)
 def test_approximate_L_shared_walk_matches_fresh_walks(monkeypatch, p, q):
+    """The estimate from near-return scans, which share one enclosure of
+    the angle, equals the one from fresh per-step walks."""
     shared = approximate_L(p, q, Q(1, 20), 30000)
-
-    def fresh(params, n_from, n_to, *, _tail=None):
-        return _scan_ball_terms_ref(params, n_from, n_to)
-
-    monkeypatch.setattr(hardness, "scan_ball_terms", fresh)
-    monkeypatch.setattr(hardness, "lagrange_prefix", _lagrange_prefix_ref)
+    monkeypatch.setattr(hardness, "scan_ball_terms", scan_ball_terms_ref)
+    monkeypatch.setattr(hardness, "lagrange_prefix", lagrange_prefix_ref)
     ref = approximate_L(p, q, Q(1, 20), 30000)
     assert _key(shared) == _key(ref)
 
 
 @pytest.mark.parametrize("p,q", POINTS[:3])
 def test_approximate_L_steps_each_index_once(monkeypatch, p, q):
+    """Only the prefix scan walks the orbit, once per index, up to n2."""
     stepped = Counter()
     real_walk = RotScan.walk
 
@@ -194,18 +177,5 @@ def test_approximate_L_steps_each_index_once(monkeypatch, p, q):
     est = approximate_L(p, q, Q(1, 20), 30000)
     assert est.probes >= 1
     assert stepped and max(stepped.values()) == 1
-    assert max(n for bits, n in stepped if bits == 160) <= 30000
-
-
-def test_tail_walk_rejects_probe_beyond_its_bounds():
-    p, q = POINTS[0]
-    params = compute_params(Q(1), Q(1, 20), p, q)
-    lam, n2 = params.two_pi_ell, params.n2
-    for tail in (_TailWalk(p, q, n2, lam / 2, Q(1, 6)),        # lam too big
-                 _TailWalk(p, q, n2, lam, params.psi / 2),     # psi too big
-                 _TailWalk(p, q, n2 + 1, lam, Q(1, 6))):       # starts late
-        with pytest.raises(RuntimeError, match="bounds"):
-            scan_ball_terms(params, n2, n2 + 100, _tail=tail)
-    ok = _TailWalk(p, q, n2, lam, params.psi)
-    assert (_key(scan_ball_terms(params, n2, n2 + 100, _tail=ok))
-            == _key(_scan_ball_terms_ref(params, n2, n2 + 100)))
+    assert {bits for bits, _ in stepped} == {192}
+    assert max(n for _, n in stepped) < 30000

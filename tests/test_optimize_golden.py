@@ -73,7 +73,7 @@ def _outcome(out):
 def _two_pair(absolute):
     a = Analysis.build(TWO_PAIR, cfg(1, 0, 0, 0))
     if absolute:
-        return _minimize([a.form], a.torus, TWO_PAIR_TOL, True)
+        return _minimize(a.form, a.torus, TWO_PAIR_TOL, True)
     return mu(a.form, a.torus, TWO_PAIR_TOL)
 
 

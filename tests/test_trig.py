@@ -15,6 +15,8 @@ from robustlrs.trig import (pi_ival, cos_turn_point, sin_turn_point, cos_turn,
                             sin_turn, unit_box, atan_ival, angle_from_cos,
                             RotScan, niven_rotation, rotation_order)
 
+from oracles import walk_to
+
 mpmath.mp.dps = 60
 
 
@@ -274,11 +276,10 @@ def test_rot_scan_tracks_true_angle():
     scan = RotScan(Q(3, 5), Q(4, 5), bits=96)
     theta = math.atan2(4, 3)
     for n in range(1, 2000):
-        scan.advance(n)
-        c = scan.cos_ival()
+        c, _ = walk_to(scan, n)
         truth = math.cos(n * theta)
         assert c.lo - 1e-12 <= truth <= c.hi + 1e-12
-    assert scan.cos_ival().width < Q(1, 1 << 70)
+    assert c.width < Q(1, 1 << 70)
 
 
 def test_niven_rotation_period6():
