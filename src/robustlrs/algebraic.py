@@ -52,8 +52,8 @@ def _eval_rational(r, bits: int) -> tuple[Fraction, Fraction]:
 
 
 def _sympy_expr_box(expr, bits: int) -> Box:
-    """Certified box for the affine CRootOf expressions sympy's root
-    preprocessing can produce (rational multiples/shifts of a CRootOf)."""
+    """Certified box for what sympy's `CRootOf(...)` returns: a Rational, a
+    CRootOf, or a rational multiple of a CRootOf."""
     if expr.is_Rational:
         return Box.point(Q(expr.p, expr.q))
     if isinstance(expr, rootoftools.ComplexRootOf):
@@ -63,11 +63,6 @@ def _sympy_expr_box(expr, bits: int) -> Box:
             re, im = _bisection_path(expr).centre(bits)
         eps = Q(1, 1 << (bits + 1))
         return Box(Ival(re - eps, re + eps), Ival(im - eps, im + eps))
-    if expr.is_Add:
-        acc = Box.point(0)
-        for arg in expr.args:
-            acc = acc + _sympy_expr_box(arg, bits + 4)
-        return acc
     if expr.is_Mul:
         acc = Box.point(1)
         for arg in expr.args:

@@ -172,6 +172,16 @@ def _angle_turns(cos: Fraction, sin: Fraction) -> Fraction:
     return Q(t).limit_denominator(10**12)
 
 
+# The settings a verb may read, each declared only on the verbs that read it.
+_SETTINGS = {
+    "tol": dict(default=None, help="optimizer tolerance p/q"),
+    "prefix-cap": dict(type=int, default=None),
+    "height-bound": dict(type=int, default=None),
+    "timing": dict(action="store_true",
+                   help="include wall-clock timing in the report"),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="robustlrs",
@@ -180,21 +190,18 @@ def _build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--version", action="version", version=__version__)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    def add_common(p, *settings):
         p.add_argument("--problem", required=True,
                        help="problem JSON file ('-' for stdin)")
-        p.add_argument("--tol", default=None, help="optimizer tolerance p/q")
-        p.add_argument("--prefix-cap", type=int, default=None)
-        p.add_argument("--height-bound", type=int, default=None)
+        for name in settings:
+            p.add_argument(f"--{name}", **_SETTINGS[name])
         p.add_argument("--out", default=None, help="output file (default stdout)")
-        p.add_argument("--timing", action="store_true",
-                       help="include wall-clock timing in the report")
 
     dec = sub.add_parser("decide", help="run a robustness decision procedure")
     dec.add_argument("question", choices=[
         "exists-robust-positivity", "exists-robust-skolem",
         "exists-robust-ultpos", "robust-ultpos-open"])
-    add_common(dec)
+    add_common(dec, *_SETTINGS)
 
     ev = sub.add_parser("eval", help="dump exact terms as CSV")
     ev.add_argument("--n-max", type=int, default=20)
@@ -204,12 +211,12 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common(rt)
 
     tor = sub.add_parser("torus", help="relation lattice and parametrization")
-    add_common(tor)
+    add_common(tor, "height-bound")
 
     muv = sub.add_parser("mu", help="certified dominant minimum over the torus")
     muv.add_argument("--absolute", action="store_true",
                      help="minimize |dominant| (the Skolem objective)")
-    add_common(muv)
+    add_common(muv, "tol", "height-bound")
 
     pl = sub.add_parser("plot", help="CSV export of figure data")
     pl.add_argument("--kind", required=True,
@@ -259,7 +266,14 @@ def main(argv=None) -> int:
     # exact certificates and terms print integers of any length
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)
-    args = _build_parser().parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 on a usage error, which is UNKNOWN here;
+        # --help and --version exit 0
+        if exc.code == 2:
+            return EXIT_USAGE
+        raise
     defaults = _load_defaults()
     try:
         return _dispatch(args, defaults)

@@ -19,6 +19,11 @@ negative only at a near return of the rotation, where n ||n theta|| is
 below a constant, and `_near_returns` lists those n by Euclid-style
 searches on a dyadic enclosure of theta.  So a probe costs O(log horizon)
 term evaluations, each read off that enclosure.
+
+A single term reads cos and sin of n theta by one of two routes: the
+exact Chebyshev pair of `trig.rotation_power` at n mod the order for a
+root-of-unity angle, and `cos_turn`/`sin_turn` of n times the enclosure
+of theta for an irrational one, whatever n.
 """
 
 from __future__ import annotations
@@ -32,8 +37,8 @@ from typing import Optional
 from .qmath import (Q, ZERO, ONE, sqrt_down, sqrt_up, is_perfect_square,
                     exact_sqrt, floor_frac, ceil_frac)
 from .interval import Ival
-from .trig import (pi_ival, RotScan, niven_rotation, rotation_order,
-                   rotation_power, angle_from_cos, cos_turn, sin_turn)
+from .trig import (pi_ival, RotScan, rotation_order, rotation_power,
+                   angle_from_cos, cos_turn, sin_turn)
 from .poly import pmul
 from .lrs import Lrr, InitialConfig, mat_inv
 
@@ -91,7 +96,8 @@ def basis_change(p, q):
         raise ValueError("degenerate rotation: q must be nonzero")
     c_inv = []
     for j in range(6):
-        cos_j, sin_j = rotation_power(p, q, j)
+        cos_j, u_j = rotation_power(p, j)
+        sin_j = q * u_j
         c_inv.append([Q(j), -j * cos_j, -j * sin_j, ONE, -cos_j, -sin_j])
     c_mat = mat_inv(c_inv)
     return c_mat, c_inv
@@ -263,11 +269,8 @@ def ball_gadget(params: HardnessParams, samples: int = 1000,
 # ---------------------------------------------------------------------------
 # the closed-form ball minimum and long certified scans
 
-# Bits of the dyadic rotation in the ball-term scans and `min_ball_term`.
+# Bits of the rotation enclosures in the ball-term scans and `min_ball_term`.
 _SCAN_BITS = 160
-# Up to this index one ball term takes exact rational rotation powers.
-# Their numerators have O(n) digits, so past it a dyadic walk is cheaper.
-_EXACT_POWERS_UP_TO = 4000
 
 
 def min_ball_term(n: int, params: HardnessParams) -> Ival:
@@ -283,17 +286,21 @@ def min_ball_term(n: int, params: HardnessParams) -> Ival:
 
 
 def _rotation_ivals(p, q, n: int, bits: int):
-    """Enclosures of cos and sin of n*theta: exact for a root-of-unity
-    angle (`niven_rotation`); for an irrational one, which needs q, exact
-    rational powers up to n = _EXACT_POWERS_UP_TO, past it `cos_turn` and
-    `sin_turn` of n times an enclosure of theta fine enough for `bits`."""
-    if rotation_order(p) is not None:
-        return niven_rotation(p, q, n, bits)
+    """Enclosures of cos and sin of n*theta.  A root-of-unity angle takes
+    the exact Chebyshev pair (c, u) at n mod its order: cos = c and
+    sin = u q, or u times a `bits`-bit enclosure of sqrt(1 - p^2) when q is
+    not given (then sin theta > 0).  An irrational angle, which needs q,
+    takes `cos_turn` and `sin_turn` of n times an enclosure of theta fine
+    enough for `bits`."""
+    order = rotation_order(p)
+    if order is not None:
+        c, u = rotation_power(p, n % order)
+        if q is not None:
+            return Ival.point(c), Ival.point(u * q)
+        s2 = 1 - p * p
+        return Ival.point(c), Ival(sqrt_down(s2, bits), sqrt_up(s2, bits)) * u
     if q is None:
         raise ValueError("irrational-angle scan needs the exact sine value q")
-    if n <= _EXACT_POWERS_UP_TO:
-        c, s = rotation_power(p, q, n)
-        return Ival.point(c), Ival.point(s)
     t = _turn(p, q, bits + n.bit_length() + 8) * n
     return cos_turn(t, bits), sin_turn(t, bits)
 
@@ -390,7 +397,7 @@ def scan_ball_terms(params: HardnessParams, n_from: int, n_to: int):
     Root-of-unity angles are periodic, and at every multiple of the order
     (cos = 1, sin = 0) the term is -2 psi (sqrt(n^2+1)-n), certified
     negative.  So only the at most `order` terms after n_from are
-    evaluated, exactly by `niven_rotation`, with no stepping."""
+    evaluated, from the exact Chebyshev pair at n mod the order."""
     order = rotation_order(params.p)
     if order is not None:
         candidates = range(n_from + 1, min(n_to, n_from + order) + 1)
@@ -448,7 +455,8 @@ def lagrange_prefix(p, q, N: int) -> Ival:
 
     Root-of-unity angles are periodic: n = order brings the rotation back
     to 1, so the minimum is exactly 0 once N >= order, and below that it
-    is the minimum over the at most 5 exact `niven_rotation` values."""
+    is the minimum over the at most 5 exact cosines `rotation_power`
+    gives."""
     p, q = _rotation_point(p, q)
     if N < 1:
         raise ValueError("N >= 1 required")
@@ -458,7 +466,7 @@ def lagrange_prefix(p, q, N: int) -> Ival:
     if order is not None:
         if N >= order:
             return Ival.point(0)
-        final = [(n, niven_rotation(p, q, n, bits)[0])
+        final = [(n, Ival.point(rotation_power(p, n)[0]))
                  for n in range(1, N + 1)]
     else:
         sc = RotScan(p, q, bits)

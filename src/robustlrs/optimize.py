@@ -541,7 +541,9 @@ def _finite_torus_min(form, torus, tol, absolute: bool):
 def _pair_closed_form(form, torus, tol, absolute: bool):
     """On each coset the value S + w z + conj(w z) sweeps exactly
     [S - 2|w|, S + 2|w|] as the free angle turns z, so its least value is
-    S - 2|w| and its least |value| max(|S| - 2|w|, 0)."""
+    S - 2|w| and its least |value| max(|S| - 2|w|, 0).  The witness is the
+    angle of S - 2|w|, or for |value| with S + 2|w| < 0 the opposite angle,
+    where S + 2|w| is attained."""
     pair = _pair_structure(form, torus)
     if pair is None:
         return None
@@ -558,14 +560,17 @@ def _pair_closed_form(form, torus, tol, absolute: bool):
             return Ival.point(2 * exact_sqrt(mag2))
         return Ival.point(mag2).sqrt(bits) * 2
 
+    bits = max(128, _work_bits(tol))
     values, witnesses = [], []
     for coset, turns in enumerate(torus.coset_turns):
         S = _exact_combo([(form.terms[j][0], form.terms[j][1], turns[j])
                           for j in fixed_idx], form.rho)
         values.append(_pair_value(S, two_mag, mag2, absolute))
-        witnesses.append(TorusPoint(
-            coset, (_minimizer_turn(alpha, turns[a], e_mult),)))
-    bits = max(128, _work_bits(tol))
+        t = _minimizer_turn(alpha, turns[a], e_mult)
+        if absolute and (S.ival(bits) + two_mag(bits)).hi < 0:
+            t += Q(1, 2 * e_mult)
+            t -= t.numerator // t.denominator
+        witnesses.append(TorusPoint(coset, (t,)))
     return _exact_min(values, [v.ival(bits) for v in values], witnesses,
                       tol, torus.lattice.complete, "pair-closed-form")
 

@@ -24,9 +24,12 @@ unit circle as a dyadic point plus an error ball.  Rotations are
 isometries, so the Euclidean error grows only additively with the number
 of steps (naive interval iteration would blow up exponentially).  It is
 the one stepper of the dyadic rotation: the integer scan of
-`hardness.lagrange_prefix` consumes its `walk`.  `rotation_power` gives
-the same powers exactly, and `niven_rotation` gives the periodic
-root-of-unity angles exactly, with no stepping.
+`hardness.lagrange_prefix` consumes its `walk`.
+
+`rotation_power` gives the same powers exactly, as the Chebyshev pair
+(cos n theta, sin n theta / sin theta), which is rational whenever cos
+theta is; the hardness lab reads its basis change and its root-of-unity
+angles (at n mod the order) off it, with no stepping.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .qmath import Q, ZERO, ONE, exact_sqrt, is_perfect_square, sqrt_down, sqrt_up
+from .qmath import Q, ZERO, ONE, sqrt_down, sqrt_up
 from .interval import Ival, Box
 
 _PI_CACHE: dict[int, Ival] = {}
@@ -64,7 +67,7 @@ def _atan_inv_int(m: int, bits: int) -> Ival:
     return Ival(acc_lo, acc_hi).round_out(bits + 4)
 
 
-def pi_ival(bits: int = 128) -> Ival:
+def pi_ival(bits: int) -> Ival:
     """Rational enclosure of pi with width below 2^-bits (Machin's formula)."""
     if bits not in _PI_CACHE:
         a = _atan_inv_int(5, bits + 8)
@@ -119,7 +122,7 @@ def _quarter(r: Fraction, bits: int, odd: int) -> Ival:
     return _taylor_series(pi_ival(bits + 8) * (2 * r), bits, odd)
 
 
-def cos_turn_point(r: Fraction, bits: int = 64) -> Ival:
+def cos_turn_point(r: Fraction, bits: int) -> Ival:
     """Enclosure of cos(2 pi r) for rational r (r in turns)."""
     r = r - (r.numerator // r.denominator)  # reduce mod 1 into [0, 1)
     if r > Q(1, 2):
@@ -129,7 +132,7 @@ def cos_turn_point(r: Fraction, bits: int = 64) -> Ival:
     return -_quarter(Q(1, 2) - r, bits, 0)
 
 
-def sin_turn_point(r: Fraction, bits: int = 64) -> Ival:
+def sin_turn_point(r: Fraction, bits: int) -> Ival:
     """Enclosure of sin(2 pi r) for rational r (r in turns)."""
     r = r - (r.numerator // r.denominator)
     sign = 1
@@ -151,7 +154,7 @@ def _has_point_mod1(lo: Fraction, hi: Fraction, frac: Fraction) -> bool:
             <= (hi.numerator * b - a * hd) // (hd * b))
 
 
-def cos_turn(t: Ival, bits: int = 64) -> Ival:
+def cos_turn(t: Ival, bits: int) -> Ival:
     """Enclosure of cos(2 pi x) for x in t (turns)."""
     if t.width >= 1:
         return Ival(Q(-1), Q(1))
@@ -165,7 +168,7 @@ def cos_turn(t: Ival, bits: int = 64) -> Ival:
     return out
 
 
-def sin_turn(t: Ival, bits: int = 64) -> Ival:
+def sin_turn(t: Ival, bits: int) -> Ival:
     """Enclosure of sin(2 pi x) for x in t (turns)."""
     if t.width >= 1:
         return Ival(Q(-1), Q(1))
@@ -187,7 +190,7 @@ def _unit_point_box(t: Fraction, bits: int) -> Box:
     return Box(cos_turn_point(t, bits), sin_turn_point(t, bits))
 
 
-def unit_box(t: Ival | Fraction, bits: int = 64) -> Box:
+def unit_box(t: Ival | Fraction, bits: int) -> Box:
     """Box enclosing e^(2 pi i x) for x in t (turns).
 
     A rational turn reads the shared table, so the returned `Box` must not
@@ -229,7 +232,7 @@ def _atan_nonneg(x: Ival, bits: int) -> Ival:
     return (acc * (1 << doublings)).round_out(bits + 2)
 
 
-def atan_ival(x: Ival, bits: int = 64) -> Ival:
+def atan_ival(x: Ival, bits: int) -> Ival:
     if x.lo >= 0:
         return _atan_nonneg(x, bits)
     if x.hi <= 0:
@@ -238,7 +241,7 @@ def atan_ival(x: Ival, bits: int = 64) -> Ival:
                       _atan_nonneg(Ival(ZERO, x.hi), bits)])
 
 
-def angle_from_cos(c: Ival, bits: int = 64) -> Ival:
+def angle_from_cos(c: Ival, bits: int) -> Ival:
     """Enclosure of arccos restricted to [0, pi]: the angle distance [x].
 
     The result lies within the square-root bounds
@@ -279,18 +282,21 @@ def rotation_order(p: Fraction) -> int | None:
     return _NIVEN_ORDER.get(p)
 
 
-def rotation_power(p: Fraction, q: Fraction, n: int) -> tuple[Fraction, Fraction]:
-    """Exact (cos, sin) of n * theta for e^(i theta) = p + qi, q rational,
-    by binary powering."""
-    c, s = ONE, ZERO
-    bc, bs = p, q
+def rotation_power(p: Fraction, n: int) -> tuple[Fraction, Fraction]:
+    """The Chebyshev pair (T_n(p), U_(n-1)(p)) = (cos n theta,
+    sin n theta / sin theta) for cos theta = p and n >= 0, by binary
+    powering: (c, u) stands for c + u i sin theta, and
+    (c, u)(c', u') = (c c' - (1 - p^2) u u', c u' + u c')."""
+    s2 = 1 - p * p
+    c, u = ONE, ZERO
+    bc, bu = p, ONE
     while n:
         if n & 1:
-            c, s = c * bc - s * bs, c * bs + s * bc
+            c, u = c * bc - s2 * u * bu, c * bu + u * bc
         n >>= 1
         if n:
-            bc, bs = bc * bc - bs * bs, 2 * bc * bs
-    return c, s
+            bc, bu = bc * bc - s2 * bu * bu, 2 * bc * bu
+    return c, u
 
 
 class RotScan:
@@ -303,9 +309,9 @@ class RotScan:
     rotation itself is an isometry and adds nothing.
 
     Only `hardness.lagrange_prefix` steps it, through `walk`: its minimum
-    needs every step.  `hardness.scan_ball_terms` evaluates single far
-    terms instead, from `cos_turn` and `sin_turn` of n times an enclosure
-    of the angle.
+    needs every step.  A single ball term of an irrational angle is read
+    instead from `cos_turn` and `sin_turn` of n times an enclosure of the
+    angle.
     """
 
     def __init__(self, p: Fraction, q: Fraction | None, bits: int):
@@ -350,38 +356,3 @@ class RotScan:
         e = Q(err + 1, self.scale)
         x = Q(v, self.scale)
         return Ival(max(x - e, Q(-1)), min(x + e, Q(1)))
-
-
-def niven_rotation(p: Fraction, q: Fraction | None, n: int,
-                   bits: int = 128) -> tuple[Ival, Ival]:
-    """Exact (cos, sin) enclosures of n * theta for a root-of-unity angle
-    (rational p per Niven): theta is 1/order of a turn, and the sign of q
-    (None: positive) gives the direction.  cos is an exact rational; sin
-    is exact or a square-root enclosure of `bits` bits."""
-    order = rotation_order(p)
-    if order is None:
-        raise ValueError(f"cos = {p} is not a root-of-unity angle")
-    k = n % order
-    c = _exact_cos_turn(Q(k, order))
-    sign = 0 if 2 * k in (0, order) else (1 if 2 * k < order else -1)
-    if q is not None and q < 0:
-        sign = -sign
-    s2 = 1 - c * c
-    if sign == 0:
-        sin = Ival.point(0)
-    elif is_perfect_square(s2):
-        sin = Ival.point(sign * exact_sqrt(s2))
-    else:
-        mag = Ival(sqrt_down(s2, bits), sqrt_up(s2, bits))
-        sin = mag if sign > 0 else -mag
-    return Ival.point(c), sin
-
-
-def _exact_cos_turn(t: Fraction) -> Fraction:
-    """Exact cos(2 pi t); defined for the Niven turns (denominator | 6 or 4)."""
-    t = t - (t.numerator // t.denominator)
-    table = {Q(0): Q(1), Q(1, 6): Q(1, 2), Q(1, 4): Q(0), Q(1, 3): Q(-1, 2),
-             Q(1, 2): Q(-1), Q(2, 3): Q(-1, 2), Q(3, 4): Q(0), Q(5, 6): Q(1, 2)}
-    if t in table:
-        return table[t]
-    raise ValueError(f"no exact rational cos for turn {t}")

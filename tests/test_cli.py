@@ -177,6 +177,40 @@ def test_negative_count_exit3(args):
     assert p.stdout == ""
 
 
+@pytest.mark.parametrize("args", [
+    ["decide", "exists-robust-positivity", "--problem", "-", "--bogus"],
+    ["eval", "--problem", "-", "--n-max", "x"],
+    ["eval", "--problem", "-", "--tol", "1/2"],
+    ["roots", "--problem", "-", "--height-bound", "5"],
+    ["plot", "--kind", "orbit", "--problem", "-", "--timing"],
+    ["torus", "--problem", "-", "--prefix-cap", "10"],
+    ["mu", "--problem", "-", "--timing"],
+], ids=["unknown-flag", "bad-int", "eval-tol", "roots-height-bound",
+        "plot-timing", "torus-prefix-cap", "mu-timing"])
+def test_usage_error_exit3(args, capsys):
+    """argparse's own usage errors exit 3, not 2 (UNKNOWN), and each verb
+    takes only the settings it reads."""
+    assert main(args) == 3
+    assert "usage:" in capsys.readouterr().err
+
+
+def test_unknown_flag_process_exit3():
+    p = run_cli(["decide", "exists-robust-positivity", "--problem", "-",
+                 "--bogus"], stdin=FIB_POS)
+    assert p.returncode == 3, p.stderr
+    assert "unrecognized arguments: --bogus" in p.stderr
+    assert p.stdout == ""
+
+
+@pytest.mark.parametrize("args", [["--help"], ["--version"],
+                                  ["decide", "--help"]])
+def test_help_and_version_exit0(args, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    assert exc.value.code == 0
+    assert capsys.readouterr().out
+
+
 def test_roots_json():
     p = run_cli(["roots", "--problem", "-"],
                 stdin='{"coeffs":["-1","4","-8","10","-8","4"],'
@@ -275,7 +309,7 @@ def test_lab_prefix_L_irrational_angle_needs_q_exit3():
     ["approx-L", "--p", "3/5", "--eps", "1/20", "--horizon", "20000"],
 ], ids=["ball-term", "approx-L"])
 def test_lab_irrational_angle_needs_q_exit3(args):
-    """Past the exact powers, a term is read off an enclosure of the angle,
+    """A term of an irrational angle is read off an enclosure of the angle,
     which arccos alone would give; the exact sine is still required."""
     p = run_cli(["lab", *args])
     assert p.returncode == 3, p.stdout + p.stderr
@@ -303,6 +337,17 @@ def test_lab_approx_L_horizon_below_one_exit3(horizon):
     assert p.returncode == 3, p.stdout + p.stderr
     assert "horizon" in p.stderr
     assert p.stdout == ""
+
+
+def test_lab_ball_term_output_under_1kb(capsys):
+    """A term of an irrational angle prints rounded endpoints, not exact
+    powers whose denominators grow like 5^n (8 842 bytes here once)."""
+    code = main(["lab", "ball-term", "--p", "3/5", "--q", "4/5", "--ell", "3",
+                 "--eps", "1/20", "--n", "3083"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert json.loads(out)["term"]["hi_decimal"].startswith("-0.000605")
+    assert len(out.encode("utf-8")) < 1024
 
 
 def test_decide_zero_coset_unknown_in_time():

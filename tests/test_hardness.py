@@ -152,36 +152,37 @@ def test_min_ball_term_period_hit():
 def test_min_ball_term_exact_vs_scan():
     params = compute_params(Q(1), Q(1, 20), P, QSIN)
     for n in (1, 7, 100, 999, 4001, 60000):
-        exact = min_ball_term(n, params)  # rational powers, past 4000 turns
+        turn = min_ball_term(n, params)   # n times an enclosure of theta
         cos_iv, sin_iv = walk_to(RotScan(P, QSIN, 200), n)  # dyadic scan
         scan = hardness._ball_term(n, params, cos_iv, sin_iv,
                                    hardness._root_tail(n, params.psi))
-        assert exact.overlaps(scan)
+        assert turn.overlaps(scan)
 
 
-def test_exact_ball_term_takes_no_exact_powers_past_4000(monkeypatch):
-    """Past n = 4000 the one-term resolution reads n*theta off an enclosure
+def test_exact_ball_term_takes_no_exact_powers(monkeypatch):
+    """An irrational angle reads every term, near or far, off an enclosure
     of theta: the exact rational powers would have numerators of O(n)
     digits."""
     p, q = Q(29, 421), Q(420, 421)
     params = compute_params(Q(1), Q(1, 20), p, q)
-    n = 4500
-    c, s = hardness.rotation_power(p, q, n)      # the exact reference
-    cos_iv, sin_iv = Ival.point(c), Ival.point(s)
-    root = Ival.point(Q(n * n + 1)).sqrt(512)
-    exact = hardness._ball_term(n, params, cos_iv, sin_iv,
-                                (root - n) * (2 * params.psi))
     real = hardness.rotation_power
 
-    def bounded(p, q, n):
-        if n > 4000:
+    def roots_of_unity_only(p, n):
+        if hardness.rotation_order(p) is None:
             raise AssertionError(f"exact rotation power at n = {n}")
-        return real(p, q, n)
+        return real(p, n)
 
-    monkeypatch.setattr(hardness, "rotation_power", bounded)
-    got = hardness._exact_ball_term(n, params)
-    assert got.overlaps(exact)
-    assert got.width < Q(1, 1 << 400)
+    for n in (997, 4500):
+        c, u = real(p, n)               # the exact reference
+        root = Ival.point(Q(n * n + 1)).sqrt(512)
+        exact = hardness._ball_term(n, params, Ival.point(c),
+                                    Ival.point(q * u),
+                                    (root - n) * (2 * params.psi))
+        with monkeypatch.context() as m:
+            m.setattr(hardness, "rotation_power", roots_of_unity_only)
+            got = hardness._exact_ball_term(n, params)
+        assert got.overlaps(exact)
+        assert got.width < Q(1, 1 << 400)
 
 
 def test_scan_ball_terms_finds_violation_for_p12():

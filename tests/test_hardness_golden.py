@@ -3,9 +3,10 @@
 `hardness_golden.json` holds the values these calls return.  Every value
 here is exact rational arithmetic, a dyadic scan with a fixed rounding
 sequence, or a Taylor enclosure at a fixed precision, so a refactor of the
-scan loops must reproduce them exactly.  The terms past n = 4000 (the
-ball term at 5000, the violation at 13843) are read off an enclosure of
-the angle.  CLI outputs are pinned by the sha256 of their stdout.
+scan loops must reproduce them exactly.  Every term of an irrational
+angle is read off an enclosure of the angle; a root-of-unity angle's
+terms are exact Chebyshev values.  CLI outputs are pinned by the sha256
+of their stdout.
 """
 
 import hashlib
@@ -65,7 +66,7 @@ def _cases():
             yield (f"scan_ball_terms {p} None ell=1 +{width}",
                    lambda p=p, width=width: _scan_window(Q(1), p, None,
                                                          width))
-    for n in (100, 5000):       # exact rational powers; angle enclosure
+    for n in (100, 5000):
         yield (f"min_ball_term 3/5 4/5 {n}",
                lambda n=n: _ival(min_ball_term(n, _params(Q(1), *p35))))
         yield (f"min_ball_term 1/2 None {n}",

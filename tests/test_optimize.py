@@ -12,7 +12,7 @@ from robustlrs.optimize import (mu, nu, min_over_ball,
                                 _Objective, _exact_min, _on_grid)
 from robustlrs.trig import cos_turn, pi_ival, sin_turn, unit_box
 
-from oracles import point_values, residual_box, dominant_box
+from oracles import point_turns, point_values, residual_box, dominant_box
 
 FIB = Lrr((Q(1), Q(1)))
 ALT = Lrr((Q(-1),))
@@ -157,6 +157,31 @@ def test_nu_pair_positive():
     assert out.verdict == "POSITIVE"
     # nu = 3 - 1 = 2
     assert out.enclosure.contains(Q(2))
+
+
+@pytest.mark.parametrize("coeffs,init", [
+    # (x - 1)(x^2 - 6/5 x + 1): S + 2|w| < 0, the least |value| is at the
+    # angle where the value is largest
+    (("1", "-11/5", "11/5"), (-2, "-12/5", "-68/25")),
+    # (x + 1)(x^2 - 6/5 x + 1) and the p = 3/5 family: S - 2|w| > 0
+    (("-1", "1/5", "1/5"), (4, "-12/5", "68/25")),
+    (None, None),
+], ids=["beside-1-negative", "beside-minus-1", "p35-family"])
+def test_nu_pair_witness_attains_minimum(coeffs, init):
+    if coeffs is None:
+        lrr = hard_lrr(P35)
+        c = coeff_config(P35, Q(3), Q(1), Q(0), Q(0), Q(0), Q(0))
+    else:
+        lrr, c = Lrr(tuple(Q(a) for a in coeffs)), cfg(*init)
+    form, torus = build_torus(lrr, c)
+    out = nu(form, torus)
+    assert out.verdict == "POSITIVE" and out.method == "pair-closed-form"
+    acc = Box.point(0)
+    for (alpha, _), t in zip(form.terms, point_turns(torus, out.witness)):
+        acc = acc + alpha.box(128) * unit_box(t, 128)
+    at_witness = acc.re.abs()
+    assert out.enclosure.lo - out.tol <= at_witness.lo
+    assert at_witness.hi <= out.enclosure.hi + out.tol
 
 
 def test_mu_finite_torus_six_cosets():

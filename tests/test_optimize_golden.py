@@ -20,7 +20,9 @@ integers.
 
 The pair cases run the closed form of one free conjugate pair: beside the
 torsion root -1 it takes the least of two cosets, and beside the root 1
-one start puts S + 2|w| below zero, so the least |value| is -(S + 2|w|).
+one start puts S + 2|w| below zero, so the least |value| is -(S + 2|w|),
+and its witness is the angle opposite the least value's (re-recorded when
+the witness moved there).
 """
 
 import json

@@ -13,7 +13,9 @@ from robustlrs import trig
 from robustlrs.interval import Box, Ival
 from robustlrs.trig import (pi_ival, cos_turn_point, sin_turn_point, cos_turn,
                             sin_turn, unit_box, atan_ival, angle_from_cos,
-                            RotScan, niven_rotation, rotation_order)
+                            RotScan, rotation_order, rotation_power)
+from robustlrs.hardness import _rotation_ivals
+from robustlrs.qmath import exact_sqrt, is_perfect_square, sqrt_down, sqrt_up
 
 from oracles import walk_to
 
@@ -282,28 +284,80 @@ def test_rot_scan_tracks_true_angle():
     assert c.width < Q(1, 1 << 70)
 
 
+# cos of the Niven turns k/order, the reference the Chebyshev pair must meet
+_NIVEN_COS = {Q(0): Q(1), Q(1, 6): Q(1, 2), Q(1, 4): Q(0), Q(1, 3): Q(-1, 2),
+              Q(1, 2): Q(-1), Q(2, 3): Q(-1, 2), Q(3, 4): Q(0),
+              Q(5, 6): Q(1, 2)}
+
+
+def _niven_reference(p, q, n, bits):
+    """(cos, sin) of n theta from the Niven table: cos exact, sin exact or
+    a square-root enclosure, signed by the half-turn and the sign of q."""
+    order = rotation_order(p)
+    k = n % order
+    c = _NIVEN_COS[Q(k, order)]
+    sign = 0 if 2 * k in (0, order) else (1 if 2 * k < order else -1)
+    if q is not None and q < 0:
+        sign = -sign
+    s2 = 1 - c * c
+    if sign == 0:
+        sin = Ival.point(0)
+    elif is_perfect_square(s2):
+        sin = Ival.point(sign * exact_sqrt(s2))
+    else:
+        mag = Ival(sqrt_down(s2, bits), sqrt_up(s2, bits))
+        sin = mag if sign > 0 else -mag
+    return Ival.point(c), sin
+
+
+@pytest.mark.parametrize("p", [Q(1), Q(1, 2), Q(0), Q(-1, 2), Q(-1)])
+def test_rotation_power_matches_niven_values(p):
+    qs = [None] + ([exact_sqrt(1 - p * p), -exact_sqrt(1 - p * p)]
+                   if is_perfect_square(1 - p * p) else [])
+    for n in range(25):
+        c, _ = rotation_power(p, n)
+        assert c == _NIVEN_COS[Q(n % rotation_order(p), rotation_order(p))]
+        for q in qs:
+            got = _rotation_ivals(p, q, n, 128)
+            want = _niven_reference(p, q, n, 128)
+            assert [(iv.lo, iv.hi) for iv in got] == \
+                [(iv.lo, iv.hi) for iv in want], (p, q, n)
+
+
+@pytest.mark.parametrize("p,q", [(Q(3, 5), Q(4, 5)), (Q(5, 13), Q(-12, 13)),
+                                 (Q(-7, 25), Q(24, 25)),
+                                 (Q(-8, 17), Q(-15, 17))])
+def test_rotation_power_is_exact_complex_power(p, q):
+    re, im = Q(1), Q(0)
+    for n in range(41):
+        assert rotation_power(p, n) == (re, im / q)
+        re, im = re * p - im * q, re * q + im * p
+
+
 def test_niven_rotation_period6():
-    seen = [tuple((iv.lo, iv.hi) for iv in niven_rotation(Q(1, 2), None, n))
+    seen = [tuple((iv.lo, iv.hi) for iv in _rotation_ivals(Q(1, 2), None, n,
+                                                            128))
             for n in range(1, 13)]
     assert all(lo == hi for (lo, hi), _ in seen)
     assert [lo for (lo, _), _ in seen[:6]] == [Q(1, 2), Q(-1, 2), Q(-1),
                                                Q(-1, 2), Q(1, 2), Q(1)]
     assert seen[:6] == seen[6:]
-    # sin(n pi/3) = +-sqrt(3)/2 or 0, negated for the other direction
+    # sin(n pi/3) = +-sqrt(3)/2 or 0
     for n in range(1, 13):
-        _, s = niven_rotation(Q(1, 2), None, n)
+        _, s = _rotation_ivals(Q(1, 2), None, n, 128)
         truth = math.sin(n * math.pi / 3)
         assert s.lo - 1e-12 <= truth <= s.hi + 1e-12
         assert s.width < Q(1, 1 << 120)
-        _, s_neg = niven_rotation(Q(1, 2), Q(-1), n)
-        assert (s_neg.lo, s_neg.hi) == (-s.hi, -s.lo)
 
 
 def test_niven_rotation_rejects_irrational_angle():
-    c, s = niven_rotation(Q(0), Q(1), 3)      # a quarter turn, three times
+    c, s = _rotation_ivals(Q(0), Q(1), 3, 128)   # a quarter turn, 3 times
     assert (c.lo, c.hi, s.lo, s.hi) == (0, 0, -1, -1)
+    # an irrational angle takes the turn route, which needs the exact sine
+    c, s = _rotation_ivals(Q(3, 5), Q(4, 5), 1, 128)
+    assert c.contains(Q(3, 5)) and s.contains(Q(4, 5)) and c.width > 0
     with pytest.raises(ValueError):
-        niven_rotation(Q(3, 5), Q(4, 5), 1)
+        _rotation_ivals(Q(3, 5), None, 1, 128)
     # the dyadic scan of an irrational angle needs the exact sine
     with pytest.raises(ValueError):
         RotScan(Q(3, 5), None, 128)
