@@ -561,13 +561,13 @@ class AlgebraicNumber:
 
     def as_rational(self) -> Fraction:
         if self._rat is None:
-            raise ValueError("not rational")
+            raise RuntimeError("not rational")
         return self._rat
 
     @property
     def elem(self) -> FieldElement:
         if self._elem is None:
-            raise ValueError("rational value has no field element")
+            raise RuntimeError("rational value has no field element")
         return self._elem
 
     def box(self, bits: int = 64) -> Box:
@@ -761,10 +761,10 @@ def power_product_is_one(gammas: list[AlgebraicNumber],
                          exponents: list[int]) -> bool:
     """Exact decision of prod gamma_j^(lambda_j) == 1 for unit-modulus inputs."""
     if len(gammas) != len(exponents):
-        raise ValueError("gammas and exponents must have equal length")
+        raise RuntimeError("gammas and exponents must have equal length")
     for g in gammas:
         if not g.is_unit_modulus():
-            raise ValueError("power_product_is_one requires unit-modulus inputs")
+            raise RuntimeError("power_product_is_one requires unit-modulus inputs")
     common = _as_common_field(gammas)
     if common is not None:
         field, elems, rous = common

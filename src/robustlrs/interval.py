@@ -1,8 +1,12 @@
 """Rational interval arithmetic: real intervals and complex boxes.
 
-All endpoints are `Fraction`s and every operation is outward rounded
-(containment preserving).  `round_out` coarsens endpoints to dyadics so
-denominators stay bounded in long computations.
+`Ival` and `Box` hold `Fraction` endpoints and every operation is outward
+rounded (containment preserving).  `round_out` coarsens endpoints to
+dyadics so denominators stay bounded in long computations.
+
+Hot loops run on integer numerators instead: `mul_ends` is the box
+product on endpoints (re lo, re hi, im lo, im hi) over fixed
+denominators, exactly what `Box.__mul__` gives on the same values.
 """
 
 from __future__ import annotations
@@ -202,3 +206,19 @@ class Box:
 
     def disjoint(self, other: "Box") -> bool:
         return not (self.re.overlaps(other.re) and self.im.overlaps(other.im))
+
+
+def mul_ends(a: tuple, b: tuple) -> tuple:
+    """The product of two boxes given as integer endpoints (re lo, re hi,
+    im lo, im hi) over denominators A and B, as endpoints over A*B.  Each
+    interval product is the min and max of four as in `Ival.__mul__`, so
+    the values are those `Box.__mul__` gives."""
+    ar, Ar, ai, Ai = a
+    cr, Cr, ci, Ci = b
+    # re = a.re b.re - a.im b.im, im = a.re b.im + a.im b.re
+    rr = (ar * cr, ar * Cr, Ar * cr, Ar * Cr)
+    ii = (ai * ci, ai * Ci, Ai * ci, Ai * Ci)
+    ri = (ar * ci, ar * Ci, Ar * ci, Ar * Ci)
+    ir = (ai * cr, ai * Cr, Ai * cr, Ai * Cr)
+    return (min(rr) - max(ii), max(rr) - min(ii),
+            min(ri) + min(ir), max(ri) + max(ir))

@@ -36,7 +36,7 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 from .qmath import Q, ZERO, ONE, is_perfect_square, exact_sqrt
-from .interval import Ival, Box
+from .interval import Ival, Box, mul_ends
 from .trig import unit_box, cos_turn, sin_turn, pi_ival
 from .poly import cyclotomic, pnorm, pdivmod
 from .algebraic import AlgebraicNumber, FieldElement, identify_root_of_unity
@@ -327,24 +327,25 @@ class _Objective:
     (re lo, re hi, im lo, im hi) at scale 2^bits, and the cos/sin
     enclosures lie on the 2^-(bits + 2) grid, so w_j e^{2 pi i phi_j} and
     the sums of its real parts are exact at scale 2^(2 bits + 2), each
-    interval product the min and max of four as in `Ival.__mul__`.  Sums
-    are rounded out to `bits` by shifts.  Only `evaluate` builds `Fraction`
-    intervals, with the endpoints the same operations on `Fraction`
-    intervals give."""
+    box product `interval.mul_ends`.  Sums are rounded out to `bits` by
+    shifts.  Only `evaluate` builds `Fraction` intervals, with the
+    endpoints the same operations on `Fraction` intervals give."""
 
-    def __init__(self, forms: list[DominantForm], torus: TorusParam,
+    def __init__(self, alpha_boxes: list[list[Box]], torus: TorusParam,
                  coset: int, bits: int):
+        """`alpha_boxes[f][j]` is `alpha.box(bits)` of form f's term j,
+        built once for all cosets."""
         self.bits = bits
         self.k = torus.k
         self.embed = torus.embedding
         self.free = torus.free_rank
         # per form, per coordinate: w_j = alpha_j * zeta_j, scale 2^bits
         self.weights = []
-        for form in forms:
+        for boxes in alpha_boxes:
             row = []
-            for j, (alpha, _s) in enumerate(form.terms):
+            for j, ab in enumerate(boxes):
                 zb = unit_box(torus.coset_turns[coset][j], bits)
-                w = (alpha.box(bits) * zb).round_out(bits)
+                w = (ab * zb).round_out(bits)
                 row.append((_on_grid(w.re.lo, bits), _on_grid(w.re.hi, bits),
                             _on_grid(w.im.lo, bits), _on_grid(w.im.hi, bits)))
             self.weights.append(row)
@@ -365,19 +366,8 @@ class _Objective:
             c, s = cos_turn(t, self.bits), sin_turn(t, self.bits)
             zs.append((_on_grid(c.lo, zbits), _on_grid(c.hi, zbits),
                        _on_grid(s.lo, zbits), _on_grid(s.hi, zbits)))
-        out = []
-        for row in self.weights:
-            prods = []
-            for (ar, Ar, ai, Ai), (cr, Cr, ci, Ci) in zip(row, zs):
-                # re = w.re z.re - w.im z.im, im = w.re z.im + w.im z.re
-                rr = (ar * cr, ar * Cr, Ar * cr, Ar * Cr)
-                ii = (ai * ci, ai * Ci, Ai * ci, Ai * Ci)
-                ri = (ar * ci, ar * Ci, Ar * ci, Ar * Ci)
-                ir = (ai * cr, ai * Cr, Ai * cr, Ai * Cr)
-                prods.append((min(rr) - max(ii), max(rr) - min(ii),
-                              min(ri) + min(ir), max(ri) + max(ir)))
-            out.append(prods)
-        return out
+        return [[mul_ends(w, z) for w, z in zip(row, zs)]
+                for row in self.weights]
 
     def _values(self, terms: list[list[tuple]]) -> list[Ival]:
         """Sum of the real parts per form, rounded out to `bits`."""
@@ -464,10 +454,12 @@ def _bb_min(forms, torus, tol, value_of, method: str, **bnb) -> SignOutcome:
     """Branch and bound of `value_of(objective, box)` on every torsion
     coset; the least enclosure decides the sign."""
     bits = max(96, _work_bits(tol))
+    alpha_boxes = [[alpha.box(bits) for alpha, _s in form.terms]
+                   for form in forms]
     best = None
     all_converged = True
     for coset in range(len(torus.coset_turns)):
-        obj = _Objective(forms, torus, coset, bits)
+        obj = _Objective(alpha_boxes, torus, coset, bits)
         encl, mids, conv = _branch_and_bound(
             lambda sbox, obj=obj: value_of(obj, sbox), torus.free_rank, tol,
             **bnb)

@@ -1,8 +1,11 @@
 """Polynomials over Q as coefficient tuples (lowest degree first).
 
 Thin exact layer: arithmetic, division, power sums, composed products and
-cyclotomic polynomials are hand-rolled over `Fraction`.  sympy only
-factors into irreducibles; the uncalled `resultant` also delegates to it.
+cyclotomic polynomials are hand-rolled over `Fraction`.  `peval_box`, the
+box evaluation under root refinement and field-element boxes, runs its
+Horner steps on integer numerators and builds `Fraction`s only for the
+result.  sympy only factors into irreducibles; the uncalled `resultant`
+also delegates to it.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from functools import lru_cache
 import sympy
 
 from .qmath import Q, ZERO, ONE
-from .interval import Box
+from .interval import Box, Ival, mul_ends
 
 _x = sympy.Symbol("x")
 
@@ -95,10 +98,24 @@ def peval(p: Coeffs, x: Fraction) -> Fraction:
 
 
 def peval_box(p: Coeffs, z: Box, bits: int = 256) -> Box:
-    acc = Box.point(0)
+    """Horner enclosure of p(z), rounded out to the 2^-bits grid at every
+    step: the endpoints `(acc * z + c).round_out(bits)` gives on `Fraction`
+    boxes, computed on integers.  z's endpoints share one denominator D and
+    acc's are integers over 2^bits, so acc * z is exact over 2^bits * D;
+    adding c = cn/cd and rounding out is one floor or ceiling division."""
+    ends = (z.re.lo, z.re.hi, z.im.lo, z.im.hi)
+    D = math.lcm(*(e.denominator for e in ends))
+    zs = tuple(e.numerator * (D // e.denominator) for e in ends)
+    one = 1 << bits
+    acc = (0, 0, 0, 0)
     for c in reversed(p):
-        acc = (acc * z + c).round_out(bits)
-    return acc
+        re_lo, re_hi, im_lo, im_hi = mul_ends(acc, zs)
+        cd = c.denominator
+        shift, den = c.numerator * one * D, cd * D
+        acc = ((re_lo * cd + shift) // den, -((-re_hi * cd - shift) // den),
+               im_lo // D, -(-im_hi // D))
+    return Box(Ival(Q(acc[0], one), Q(acc[1], one)),
+               Ival(Q(acc[2], one), Q(acc[3], one)))
 
 
 def pderiv(p: Coeffs) -> Coeffs:

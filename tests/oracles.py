@@ -5,9 +5,10 @@ decisions (`brute_force_check`), exact companion-matrix powers and
 hyperplane distances, exact orbit points and parametrization points of
 the closure torus, direct enclosures of the residual and of the
 scanner's dominant part, the exact check of the order-6 rotation block,
-the per-step scans of the hardness lab, and the problem document of a
-parsed spec.  The sampling screen is the
-only user of numpy, which is a test dependency, not a runtime one.
+the per-step scans of the hardness lab, the `Fraction` Horner loop of
+box evaluation, and the problem document of a parsed spec.  The sampling
+screen is the only user of numpy, which is a test dependency, not a
+runtime one.
 """
 
 from __future__ import annotations
@@ -27,11 +28,24 @@ from robustlrs.poly import int_normalize
 from robustlrs.algebraic import (AlgebraicNumber, NumberField, FieldElement,
                                  power_product_is_one)
 from robustlrs.lrs import (Lrr, InitialConfig, Ball, SpectralData, spectral,
-                           term_sign, _check_config, ResidualEvaluator,
-                           OrbitScanner, _box_of)
+                           _check_config, ResidualEvaluator, OrbitScanner,
+                           _box_of, _scaled_integer_recurrence, _scaled_terms)
 from robustlrs.torus import TorusParam, TorusPoint, root_of_unity_alg
 from robustlrs.trig import RotScan, pi_ival, rotation_order
 from robustlrs import hardness
+
+
+# ---------------------------------------------------------------------------
+# box evaluation of a polynomial
+
+
+def peval_box_ref(p, z: Box, bits: int) -> Box:
+    """Horner on `Fraction` boxes, rounded out to `bits` after every step:
+    the reference of `poly.peval_box`'s integer loop."""
+    acc = Box.point(0)
+    for c in reversed(p):
+        acc = (acc * z + c).round_out(bits)
+    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -369,11 +383,13 @@ def brute_force_check(lrr: Lrr, region, horizon: int = 10**4,
     flags every term whose scaled value falls below a small float
     threshold (or whose magnitude does, for Skolem mode) as a candidate;
     each candidate's sign is then decided exactly, and the first exactly
-    confirmed violation is reported.  'none found' means every candidate
-    was exactly refuted; terms the screen saw above its threshold are not
-    checked exactly, so it is evidence, not a proof.  The screen stops
-    early once it holds more than 50 000 candidates.  `min_scaled_value`
-    is the screen's least float margin.
+    confirmed violation is reported.  The exact signs are those of the
+    scaled integer recurrence, one per sample, advanced from candidate to
+    candidate.  'none found' means every candidate was exactly refuted;
+    terms the screen saw above its threshold are not checked exactly, so
+    it is evidence, not a proof.  The screen stops early once it holds
+    more than 50 000 candidates.  `min_scaled_value` is the screen's
+    least float margin.
     """
     if mode not in ("positivity", "skolem", "ultpos"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -406,8 +422,16 @@ def brute_force_check(lrr: Lrr, region, horizon: int = 10**4,
         W = np.vstack([W[1:], (M[-1] @ W)[None, :]])
         W = W / np.max(np.abs(W), axis=0, keepdims=True).clip(min=1e-300)
     candidates.sort(key=lambda t: (t[0], pts[t[1]]))
+    # each sample's candidates come in increasing n: one scaled integer
+    # recurrence per sample, advanced from its last candidate
+    walks = {}      # sample index -> its (n, w_n), consumed in order
     for n, i in candidates:
-        s = term_sign(lrr, InitialConfig(pts[i]), n)
+        if i not in walks:
+            coeffs, init, _, _ = _scaled_integer_recurrence(
+                lrr, InitialConfig(pts[i]))
+            walks[i] = enumerate(_scaled_terms(coeffs, init))
+        w = next(w for m, w in walks[i] if m == n)
+        s = (w > 0) - (w < 0)
         bad = (s == 0) if mode == "skolem" else (s <= 0)
         if bad:
             return BruteForceReport(mode=mode, horizon=horizon,

@@ -17,7 +17,7 @@ from robustlrs.interval import Ival, Box
 from robustlrs.poly import PolyRat, pmul
 from robustlrs.algebraic import isolate_roots, power_product_is_one
 from robustlrs.lrs import (Lrr, InitialConfig, Ball, eval_terms, spectral,
-                           exp_poly_solution, normalize)
+                           exp_poly_solution, normalize, term_sign)
 from robustlrs.torus import relation_lattice, parametrize
 from robustlrs.optimize import mu, nu, min_over_ball, DominantFamily
 from robustlrs.decide import (exists_robust_positivity, exists_robust_skolem,
@@ -233,6 +233,10 @@ def test_06_decision_suite():
                                 mode="positivity")
     assert rep_out.violation is not None
     assert rep_out.violation[0] > 0
+    # the oracle's per-sample integer walk reports term_sign's first violation
+    n_out = rep_out.violation[0]
+    assert rep_out.violation_sign == term_sign(HARD35, outside, n_out) == -1
+    assert all(term_sign(HARD35, outside, n) > 0 for n in range(n_out))
     results.append("cone-surface point: exists-robust-ultpos NO (mu = 0 "
                    f"exact); perturbation violated at n={rep_out.violation[0]}")
 

@@ -143,7 +143,7 @@ def test_power_product_conjugate_pair():
 def test_power_product_rejects_non_unit():
     phi = next(a for a, _ in isolate_roots(poly(-1, -1, 1))
                if a.box(32).re.lo > 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(RuntimeError):
         power_product_is_one([phi], [1])
 
 

@@ -482,6 +482,22 @@ def test_precision_exhausted_exits_internal(tmp_path, monkeypatch, capsys,
     assert "PrecisionExhausted" in err and "undecided at 32 bits" in err
 
 
+def test_broken_invariant_exits_internal(tmp_path, monkeypatch, capsys):
+    # a relation search that hands power_product_is_one one exponent too
+    # few breaks its invariant: an internal error (4), not a usage one (3)
+    from robustlrs import algebraic, torus
+    problem = tmp_path / "pair.json"
+    problem.write_text('{"coeffs":["-1","6/5"],"init":["1","0"],'
+                       '"question":"exists-robust-positivity"}')
+    monkeypatch.setattr(torus, "power_product_is_one",
+                        lambda g, e: algebraic.power_product_is_one(g, e[:-1]))
+    code = main(["decide", "exists-robust-positivity", "--problem", str(problem)])
+    assert code == 4
+    err = capsys.readouterr().err
+    assert err == ("internal error: RuntimeError: gammas and exponents must "
+                   "have equal length\n")
+
+
 def test_plot_cone_section_requires_family():
     p = run_cli(["plot", "--kind", "cone-section", "--problem", "-"],
                 stdin='{"coeffs":["1","1"],"init":["1","1"]}')

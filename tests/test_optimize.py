@@ -493,7 +493,9 @@ def test_objective_matches_fraction_oracle(make, bits_list):
     rng = random.Random(3)
     for bits in bits_list:
         for coset in range(len(torus.coset_turns)):
-            obj = _Objective(forms, torus, coset, bits)
+            alpha_boxes = [[alpha.box(bits) for alpha, _s in form.terms]
+                           for form in forms]
+            obj = _Objective(alpha_boxes, torus, coset, bits)
             ref = _FractionObjective(forms, torus, coset, bits)
             for _ in range(12):
                 sbox = _random_subbox(rng, torus.free_rank,

@@ -1,6 +1,7 @@
 """Newton's identities in `poly`: power sums of the roots, the monic
 polynomial back from them, and composed products built from the two;
-and cyclotomic polynomials by exact division."""
+cyclotomic polynomials by exact division; and the integer Horner loop of
+box evaluation against its `Fraction` reference."""
 
 import random
 from fractions import Fraction as Q
@@ -10,8 +11,11 @@ import sympy
 
 from robustlrs import poly
 from robustlrs.algebraic import FieldElement, NumberField
+from robustlrs.interval import Box, Ival
 from robustlrs.poly import (composed_product, from_power_sums, int_normalize,
-                            pmul, pnorm, power_sums)
+                            peval_box, pmul, pnorm, power_sums)
+
+from oracles import peval_box_ref
 
 
 def _random_poly(rng, degree):
@@ -104,3 +108,44 @@ def test_cyclotomic_index_without_sympy(monkeypatch):
     assert poly.cyclotomic_index(poly.cyclotomic(210)) == 210
     assert poly.cyclotomic_index((1, 1, 1, 1)) is None
     assert poly.cyclotomic_index((1, 0, 1)) == 4
+
+
+def _random_ival(rng, straddle):
+    """Non-dyadic endpoints; across 0 when `straddle`, else on one side
+    or a point."""
+    a = Q(rng.randint(-10**6, 10**6), rng.randint(1, 10**6))
+    w = Q(rng.randint(0, 10**4), rng.randint(1, 10**7))
+    if straddle:
+        return Ival(-abs(a) - w, abs(a) + w)
+    return Ival(a, a + w) if rng.random() < 0.8 else Ival.point(a)
+
+
+def _seed_box(rng, bits):
+    """A root seed as `algebraic` makes it: a rational centre
+    +- 2^-(bits + 1)."""
+    eps = Q(1, 1 << (bits + 1))
+    re = Q(rng.randint(-300, 300), rng.randint(1, 97))
+    im = Q(rng.randint(-300, 300), rng.randint(1, 97))
+    return Box(Ival(re - eps, re + eps), Ival(im - eps, im + eps))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_peval_box_matches_fraction_horner(seed):
+    """The integer Horner loop gives the `Fraction` loop's endpoints,
+    equal, not merely enclosing."""
+    rng = random.Random(2100 + seed)
+    for case in range(60):
+        bits = rng.choice((64, 96, 128, 160, 224, 256, 320))
+        degree = case % 10 - 1          # -1 is the empty tuple
+        p = tuple(Q(rng.randint(-10**5, 10**5), rng.randint(1, 999))
+                  for _ in range(degree + 1))
+        kind = case % 3
+        if kind == 0:
+            z = Box(_random_ival(rng, True), _random_ival(rng, True))
+        elif kind == 1:
+            z = Box(_random_ival(rng, False), _random_ival(rng, rng.random() < 0.5))
+        else:
+            z = _seed_box(rng, bits)
+        got, want = peval_box(p, z, bits), peval_box_ref(p, z, bits)
+        assert (got.re.lo, got.re.hi, got.im.lo, got.im.hi) == \
+            (want.re.lo, want.re.hi, want.im.lo, want.im.hi), (p, z, bits)
