@@ -10,7 +10,6 @@ transcendental angles.
 import argparse
 import sys
 import time
-from fractions import Fraction as Q
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))

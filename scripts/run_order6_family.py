@@ -15,9 +15,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from robustlrs.lrs import InitialConfig, spectral, normalize
 from robustlrs.torus import relation_lattice, parametrize
-from robustlrs.optimize import mu, nu
-from robustlrs.decide import (exists_robust_ultimate_positivity,
-                              exists_robust_positivity, Analysis)
+from robustlrs.optimize import mu
+from robustlrs.decide import exists_robust_ultimate_positivity, Analysis
 from robustlrs.hardness import (build_hardness_lrr, ball_gadget,
                                 compute_params, config_from_coeffs,
                                 CoefficientBasisPoint)

@@ -26,8 +26,9 @@ from functools import lru_cache
 import sympy
 from sympy.polys import rootoftools
 
-from .qmath import Q, ZERO, ONE, precisions
+from .qmath import Q, ZERO, ONE, precisions, sqrt_up
 from .interval import Ival, Box
+from . import trig
 from . import poly as P
 from .poly import (pnorm, pdeg, padd, psub, pmul, pmod, pdivmod, pscale,
                    peval, peval_box, pderiv, int_normalize, preverse,
@@ -617,7 +618,6 @@ class AlgebraicNumber:
         b = self.refine(sep / 8)
         center_re, center_im = b.re.mid, b.im.mid
         # half-diagonal upper bound
-        from .qmath import sqrt_up
         radius = sqrt_up((b.re.width / 2) ** 2 + (b.im.width / 2) ** 2, 64)
         return center_re, center_im, max(radius, Q(1, 1 << 200))
 
@@ -712,11 +712,11 @@ def _root_of_unity_index(a: AlgebraicNumber) -> tuple[int, int] | None:
     n = cyclotomic_index(mp)
     if n is None:
         return None
-    from .trig import unit_box
     cands = [k for k in range(n) if math.gcd(k, n) == 1]
     for bits in precisions(64, "root-of-unity identification"):
         b = a.box(bits)
-        alive = [k for k in cands if not b.disjoint(unit_box(Q(k, n), bits))]
+        alive = [k for k in cands
+                 if not b.disjoint(trig.unit_box(Q(k, n), bits))]
         if len(alive) == 1:
             return (alive[0], n)
 
@@ -787,11 +787,10 @@ def power_product_is_one(gammas: list[AlgebraicNumber],
         # product == zeta^(-turn) requires product^n == 1 in the field
         if prod.pow(n).coeffs != (ONE,):
             return False
-        from .trig import unit_box
         target = -turn
         for bits in precisions(64, "root-of-unity comparison"):
             b = prod.box(bits)
-            tb = unit_box(target, bits)
+            tb = trig.unit_box(target, bits)
             if b.disjoint(tb):
                 return False
             if max(b.width, tb.width) < Q(1, 4 * n):

@@ -10,13 +10,15 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import math
 import os
 import sys
 import time
 from fractions import Fraction
 
 from . import __version__
-from .qmath import Q, parse_rational, format_rational
+from .qmath import (Q, parse_rational, format_rational, is_perfect_square,
+                    exact_sqrt)
 from .poly import PolyRat
 from .algebraic import isolate_roots
 from .lrs import eval_terms, OrbitScanner
@@ -121,7 +123,8 @@ def emit_plot_data(spec: ProblemSpec, kind: str, count: int) -> str:
                 buf.write(f"0,{format_rational(u)},{decimal_str(u, 12)}\n")
                 continue
             sc.step()
-            v_mid = sc.v_box().re.mid
+            lo, hi, den = sc.enclosure()
+            v_mid = Q(lo + hi, 2 * den)
             buf.write(f"{n},{format_rational(u)},{decimal_str(v_mid, 12)}\n")
         return buf.getvalue()
     # cone kinds need the order-6 family: recover p from a_1 = 4p + 2
@@ -134,7 +137,6 @@ def emit_plot_data(spec: ProblemSpec, kind: str, count: int) -> str:
         raise ProblemError("$.coeffs", f"{kind} export needs the order-6 "
                            "family (x-1)^2 (x^2-2px+1)^2")
     q_sq = 1 - p * p
-    from .qmath import is_perfect_square, exact_sqrt
     if not is_perfect_square(q_sq):
         raise ProblemError("$.coeffs", "plot export needs rational sine "
                            "(p, q) on the unit circle")
@@ -165,7 +167,6 @@ def emit_plot_data(spec: ProblemSpec, kind: str, count: int) -> str:
 
 
 def _angle_turns(cos: Fraction, sin: Fraction) -> Fraction:
-    import math
     t = math.atan2(float(sin), float(cos)) / (2 * math.pi)
     if t < 0:
         t += 1.0
@@ -372,7 +373,7 @@ def _dispatch(args, defaults) -> int:
 
     if args.command == "lab":
         return _dispatch_lab(args)
-    raise ValueError(f"unhandled command {args.command}")
+    raise RuntimeError(f"unhandled command {args.command}")
 
 
 def _rotation_args(args):
@@ -421,7 +422,7 @@ def _dispatch_lab(args) -> int:
         doc = {"interval": ival_json(iv), "n": args.n}
         _write_json(doc, args.out)
         return EXIT_YES
-    raise ValueError(f"unhandled lab command {args.lab_command}")
+    raise RuntimeError(f"unhandled lab command {args.lab_command}")
 
 
 if __name__ == "__main__":

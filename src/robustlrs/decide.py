@@ -186,15 +186,15 @@ def _prefix_scan(lrr: Lrr, c: InitialConfig, n_thr: int, normal):
                 return n, Q(w, E * D**n), None
             best = w if best is None else min(best * D, w)
         return None, None, None if best is None else Q(best, E * D**n_thr)
-    # the least lower bound is kept as an integer pair (numerator, denominator)
-    low = None
-    sc = OrbitScanner(lrr, c, 192, normal)
     v0 = c.entries[0]
     if v0 <= 0:
         return 0, v0, None
+    # the least lower bound is kept as an integer pair (numerator, denominator)
+    low = None
+    sc = OrbitScanner(lrr, c, 192, normal)
     for n in range(1, n_thr + 1):
         sc.step()
-        lo, hi, _, _, den = sc.enclosure()
+        lo, hi, den = sc.enclosure()
         if lo > 0:
             if low is None or lo * low[1] < low[0] * den:
                 low = (lo, den)

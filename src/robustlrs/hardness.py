@@ -10,10 +10,11 @@ bounds 1/(2n+1) < sqrt(n^2+1) - n < 1/(2n), so long scans need no
 square-root extraction at all.
 
 `lagrange_prefix` steps the rotation through `trig.RotScan.walk`, on
-scaled integers.  It skips a step far from a return to 1 with one integer
-comparison against a threshold that is sound over a block of `_BLOCK`
-steps, and runs its full test on every other step, so it reports what a
-plain per-step scan reports.  `scan_ball_terms`, which every probe of
+scaled integers whose error after n steps is n + 1 ulps.  It skips a
+step far from a return to 1 with one integer comparison against a
+threshold that is sound over a block of `_BLOCK` steps, and runs its
+full test on every other step, so it reports what a plain per-step scan
+reports.  `scan_ball_terms`, which every probe of
 `approximate_L` runs up to the horizon, steps nothing: a ball term can be
 negative only at a near return of the rotation, where n ||n theta|| is
 below a constant, and `_near_returns` lists those n by Euclid-style
@@ -29,6 +30,7 @@ of theta for an irrational one, whatever n.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -236,7 +238,6 @@ def ball_gadget(params: HardnessParams, samples: int = 1000,
     inside_d, margin_d = cone_contains(d[0], d[1], d[2])
     margin_zero = inside_d and margin_d.lo == margin_d.hi == 0
 
-    import random
     rng = random.Random(seed)
     all_ok = True
     bad = None
@@ -482,24 +483,23 @@ def lagrange_prefix(p, q, N: int) -> Ival:
         candidates = []
         while sc.n < N:
             end = min(N, sc.n + _BLOCK)
-            e_hi = sc.err + end - sc.n
-            # Prefilter: lo_sq > upper once scale - C - E - 1 exceeds
+            # Prefilter: lo_sq > upper once scale - C - n - 1 exceeds
             # upper / (2 n^2 kb), and then hi_sq > upper too (ka >= 2 kb),
             # so the step changes nothing; C < thr gives that over the rest
-            # of the block (n >= its first index, E <= e_hi).
+            # of the block (n between its first index and end).
             thr = (-math.inf if upper is None else
-                   scale - e_hi - 1 - upper // (2 * (sc.n + 1) ** 2 * kb))
-            for n, C, _, E in sc.walk(end):
+                   scale - end - 1 - upper // (2 * (sc.n + 1) ** 2 * kb))
+            for n, C, _ in sc.walk(end):
                 if C < thr:
                     continue
-                hi_sq = n * n * ka * (scale - C + E + 1)
-                lo_sq = 2 * n * n * kb * max(scale - C - E - 1, 0)
+                hi_sq = n * n * ka * (scale - C + n + 1)
+                lo_sq = 2 * n * n * kb * max(scale - C - n - 1, 0)
                 if upper is None or hi_sq < upper:
                     upper = hi_sq
-                    thr = scale - e_hi - 1 - upper // (2 * n * n * kb)
+                    thr = scale - end - 1 - upper // (2 * n * n * kb)
                 if lo_sq <= upper:
-                    candidates.append((lo_sq, n, C, E))
-        final = [(n, sc.ival(C, E)) for lo_sq, n, C, E in candidates
+                    candidates.append((lo_sq, n, C))
+        final = [(n, sc.ival(C, n)) for lo_sq, n, C in candidates
                  if lo_sq <= upper]
     best: Ival | None = None
     for n, cos_iv in final:

@@ -10,6 +10,11 @@ once, by `spectral`, and `SpectralData.factors` serves the solve; the
 system is inverted on integers (`mat_inv`, fraction-free Gauss-Jordan).
 Its exact check uses one table of traces of powers per factor, formed by
 field multiplication, against which every start is checked.
+
+Past `EXACT_TERMS`, the sign of a term comes from `OrbitScanner`, a
+certified scan of the real number v_n = u_n/(n^m rho^n): per term it
+holds only the alpha endpoints, the exponent of n, the base point and the
+power point, and one error count serves every term.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .qmath import Q, ZERO, ONE, precisions
+from .qmath import Q, ZERO, ONE, precisions, is_perfect_square, exact_sqrt
 from .interval import Ival, Box
 from . import poly as P
 from .poly import pnorm, PolyRat
@@ -159,7 +164,6 @@ def _alg_sqrt(t: AlgebraicNumber, refiner) -> AlgebraicNumber:
     maps a bit count to a box enclosing the root."""
     if t.is_rational:
         v = t.as_rational()
-        from .qmath import is_perfect_square, exact_sqrt
         if is_perfect_square(v):
             return AlgebraicNumber.from_rational(exact_sqrt(v))
         coeffs = (-v, ZERO, ONE)
@@ -637,17 +641,21 @@ def _dyadic_pow(bn: int, bd: int, n: int):
 
 
 class OrbitScanner:
-    """Sequential certified enclosures of v_n = v_n^dom + v_n^res.
+    """Sequential certified enclosures of the real number
+    v_n = v_n^dom + v_n^res.
 
-    Unit-root powers are tracked as dyadic points with additive error
-    (multiplication by a unit-modulus number is an isometry up to the
-    approximation of the base itself), so enclosure widths grow only
-    linearly in n.  Every track's alpha enclosure is held as integer
-    endpoints over one common denominator, so the enclosure of v_n is
-    computed on integers, over `den * 2^bits * n^P` with P the largest
-    -npow (`enclosure`); `v_box` turns it into a `Box` of `Fraction`s.
-    `normal` is the start's (form, residual) pair from `normalize`; it is
-    computed here when the caller holds none.
+    Each term's base^n is tracked as a dyadic point (c + d i)/2^bits with
+    additive error: multiplication by a unit-modulus number is an isometry
+    up to the approximation of the base itself, so enclosure widths grow
+    only linearly in n.  Every term starts from the same point 1 and steps
+    with the same `bits` and the same base error, so one error count, in
+    ulps of 2^-bits, serves them all.  Every term's alpha enclosure is held
+    as integer endpoints over one common denominator, so the enclosure of
+    v_n is computed on integers, over `den * 2^bits * n^P` with P the
+    largest -npow (`enclosure`).  v_n is real, so only the real part of
+    each alpha * base^n is summed.  `normal` is the start's (form,
+    residual) pair from `normalize`; it is computed here when the caller
+    holds none.
     """
 
     def __init__(self, lrr: Lrr, c: InitialConfig, bits: int,
@@ -657,94 +665,60 @@ class OrbitScanner:
         self.form, self.res = form, res
         triples = [(a, b, 0) for a, b in form.terms] + \
                   [(t.alpha, t.base, t.npow) for t in res.terms]
+        # every alpha is refined before any base: root boxes are cached at
+        # the deepest precision asked for, so the order fixes the boxes
         ends = []
         for a, _, _ in triples:
             ab = a.refine(Q(1, 1 << bits))
             ends.append((ab.re.lo, ab.re.hi, ab.im.lo, ab.im.hi))
         den = math.lcm(*(x.denominator for e in ends for x in e))
-        self._track = [
-            _PowerTrack(tuple(x.numerator * (den // x.denominator) for x in e),
-                        b, npow, bits)
-            for e, (_, b, npow) in zip(ends, triples)]
+        self._alpha = [tuple(x.numerator * (den // x.denominator) for x in e)
+                       for e in ends]
+        self._npow = [npow for _, _, npow in triples]
+        scale = 1 << bits
+        self._base = []
+        for _, b, _ in triples:
+            bb = b.refine(Q(1, scale * 4))
+            self._base.append((int(bb.re.mid * scale), int(bb.im.mid * scale)))
+        self._power = [(scale, 0)] * len(triples)
+        self.err = 0  # ulps of euclidean error on every base^n
         self._den = den << bits
-        self._npow_max = max([0] + [-t.npow for t in self._track])
+        self._npow_max = max([0] + [-t for t in self._npow])
         self.n = 0
 
     def step(self):
-        for t in self._track:
-            t.step()
+        s = self.bits
+        self._power = [((vr * br - vi * bi) >> s, (vr * bi + vi * br) >> s)
+                       for (vr, vi), (br, bi) in zip(self._power, self._base)]
+        # |v| <= 1 + err; multiplying by the approximate base adds its own
+        # error (3 ulps: box mid to true value) plus truncation; keep an
+        # integral, safely-rounded-up bound
+        self.err += 7 + (self.err >> (s - 8))
         self.n += 1
 
-    def enclosure(self) -> tuple[int, int, int, int, int]:
-        """(re_lo, re_hi, im_lo, im_hi, den): integers with v_n in
-        [re_lo, re_hi]/den + i [im_lo, im_hi]/den, den > 0."""
-        if self.n < 1:
-            raise ValueError("scan value defined for n >= 1")
-        return self._sum(self._track, self.n)
-
-    def v_box(self) -> Box:
-        return _box_of(*self.enclosure())
-
-    def _sum(self, tracks, n: int):
-        rl = rh = il = ih = 0
-        for t in tracks:
-            e = t.err + 2
-            pr_lo, pr_hi, pi_lo, pi_hi = t.vr - e, t.vr + e, t.vi - e, t.vi + e
-            ar_lo, ar_hi, ai_lo, ai_hi = t.alpha
-            # (alpha box) * (power box): re = ar pr - ai pi, im = ar pi + ai pr
-            re_lo, re_hi = _imul(ar_lo, ar_hi, pr_lo, pr_hi)
-            im_lo, im_hi = _imul(ar_lo, ar_hi, pi_lo, pi_hi)
-            if ai_lo or ai_hi:  # else both ai products are the point 0
-                b_lo, b_hi = _imul(ai_lo, ai_hi, pi_lo, pi_hi)
-                d_lo, d_hi = _imul(ai_lo, ai_hi, pr_lo, pr_hi)
+    def enclosure(self) -> tuple[int, int, int]:
+        """(lo, hi, den): integers with lo/den <= v_n <= hi/den, den > 0."""
+        n = self.n
+        if n < 1:
+            raise RuntimeError("scan value defined for n >= 1")
+        e = self.err + 2
+        lo = hi = 0
+        for (ar_lo, ar_hi, ai_lo, ai_hi), (vr, vi), npow in zip(
+                self._alpha, self._power, self._npow):
+            # re(alpha box * power box) = ar pr - ai pi
+            re_lo, re_hi = _imul(ar_lo, ar_hi, vr - e, vr + e)
+            if ai_lo or ai_hi:  # else the ai product is the point 0
+                b_lo, b_hi = _imul(ai_lo, ai_hi, vi - e, vi + e)
                 re_lo, re_hi = re_lo - b_hi, re_hi - b_lo
-                im_lo, im_hi = im_lo + d_lo, im_hi + d_hi
-            s = n ** (t.npow + self._npow_max)
-            rl += re_lo * s
-            rh += re_hi * s
-            il += im_lo * s
-            ih += im_hi * s
-        return rl, rh, il, ih, self._den * n ** self._npow_max
+            s = n ** (npow + self._npow_max)
+            lo += re_lo * s
+            hi += re_hi * s
+        return lo, hi, self._den * n ** self._npow_max
 
 
 def _imul(a_lo: int, a_hi: int, b_lo: int, b_hi: int) -> tuple[int, int]:
     p = (a_lo * b_lo, a_lo * b_hi, a_hi * b_lo, a_hi * b_hi)
     return min(p), max(p)
-
-
-def _box_of(rl: int, rh: int, il: int, ih: int, den: int) -> Box:
-    return Box(Ival(Q(rl, den), Q(rh, den)), Ival(Q(il, den), Q(ih, den)))
-
-
-class _PowerTrack:
-    """base^n as a dyadic point with certified error; `alpha` holds the
-    integer numerators (re_lo, re_hi, im_lo, im_hi) of the coefficient's
-    enclosure over the scanner's common denominator."""
-
-    __slots__ = ("alpha", "npow", "bits", "scale", "br", "bi", "berr",
-                 "vr", "vi", "err")
-
-    def __init__(self, alpha: tuple[int, int, int, int],
-                 base: AlgebraicNumber, npow: int, bits: int):
-        self.bits = bits
-        self.scale = 1 << bits
-        self.npow = npow
-        self.alpha = alpha
-        bb = base.refine(Q(1, self.scale * 4))
-        self.br = int(bb.re.mid * self.scale)
-        self.bi = int(bb.im.mid * self.scale)
-        self.berr = 3  # ulps: box mid to true value
-        self.vr, self.vi = self.scale, 0
-        self.err = 0  # ulps of euclidean error on base^n
-
-    def step(self):
-        s = self.bits
-        vr, vi, br, bi = self.vr, self.vi, self.br, self.bi
-        self.vr = (vr * br - vi * bi) >> s
-        self.vi = (vr * bi + vi * br) >> s
-        # |v| <= 1 + err; multiplying by the approximate base adds its own
-        # error plus truncation; keep an integral, safely-rounded-up bound
-        self.err = self.err + self.berr + 4 + (self.err >> (s - 8))
 
 
 def _scaled_integer_recurrence(lrr: Lrr, c: InitialConfig):
@@ -809,12 +783,17 @@ def term_sign(lrr: Lrr, c: InitialConfig, n: int) -> int:
         w, _ = scaled_term(lrr, c, n)
         return (w > 0) - (w < 0)
     normal = normalize(lrr, c)
+    zero_scanned = False
     for bits in precisions(192, "term sign"):
         sc = OrbitScanner(lrr, c, bits, normal)
         for _ in range(n):
             sc.step()
-        s = sc.v_box().re.sign()
-        if s is not None:
-            return s
-        if n in exact_zeros_up_to(lrr, c, n):
+        lo, hi, _ = sc.enclosure()
+        if lo > 0:
+            return 1
+        if hi < 0:
+            return -1
+        # an enclosure holding 0 at every precision may be an exact zero
+        if not zero_scanned and n in exact_zeros_up_to(lrr, c, n):
             return 0
+        zero_scanned = True

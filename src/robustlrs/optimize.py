@@ -38,7 +38,7 @@ from typing import Callable, Optional
 from .qmath import Q, ZERO, ONE, is_perfect_square, exact_sqrt
 from .interval import Ival, Box, mul_ends
 from .trig import unit_box, cos_turn, sin_turn, pi_ival
-from .poly import cyclotomic, pnorm, pdivmod
+from .poly import cyclotomic, pnorm, pdivmod, pcompose
 from .algebraic import AlgebraicNumber, FieldElement, identify_root_of_unity
 from .lrs import DominantForm
 from .torus import TorusParam, TorusPoint
@@ -205,7 +205,6 @@ def _quadratic_combo(terms) -> ExactReal | None:
         if elem.field is base_field:
             e = elem
         elif elem.field.minpoly == base_field.minpoly:
-            from .poly import pcompose
             e = FieldElement(base_field, pcompose(elem.coeffs, (s_sum, Q(-1))))
         else:
             return None

@@ -12,6 +12,8 @@ only enlarges the torus, so downstream minima become sound lower bounds.
 
 from __future__ import annotations
 
+import cmath
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -128,34 +130,28 @@ def relation_lattice(gammas: list[AlgebraicNumber],
             row[j] = vec[pos]
         rows.append(row)
 
-    complete = False
-    if not irr_idx:
-        complete = True
-    elif len(irr_idx) == 1:
-        # gamma^m * zeta = 1 forces gamma^m to be a root of unity, hence m=0
-        complete = True
-    elif len(irr_idx) == 2:
-        a, b = irr_idx
-        if power_product_is_one([gammas[a], gammas[b]], [1, 1]):
+    # provable sub-relations: inverse pairs among the irrational block,
+    # each pair tested once; a miss is passed on so the search skips it
+    used, misses = set(), []
+    for ai in range(len(irr_idx)):
+        for bi in range(ai + 1, len(irr_idx)):
+            a, b = irr_idx[ai], irr_idx[bi]
+            if a in used or b in used:
+                continue
             row = [0] * k
             row[a] = row[b] = 1
-            rows.append(row)
-            complete = True
-
+            if power_product_is_one([gammas[a], gammas[b]], [1, 1]):
+                rows.append(row)
+                used.update((a, b))
+            else:
+                misses.append(row)
+    # complete with no irrational root, with one (gamma^m * zeta = 1
+    # forces gamma^m to be a root of unity, hence m = 0), or with one
+    # inverse pair (any further relation would make the base a root of
+    # unity)
+    complete = len(irr_idx) <= 1 or (len(irr_idx) == 2 and bool(used))
     if not complete:
-        # provable sub-relations: inverse pairs among the irrational block
-        used = set()
-        for ai in range(len(irr_idx)):
-            for bi in range(ai + 1, len(irr_idx)):
-                a, b = irr_idx[ai], irr_idx[bi]
-                if a in used or b in used:
-                    continue
-                if power_product_is_one([gammas[a], gammas[b]], [1, 1]):
-                    row = [0] * k
-                    row[a] = row[b] = 1
-                    rows.append(row)
-                    used.update((a, b))
-        rows.extend(_search_relations(gammas, rows, height_bound))
+        rows.extend(_search_relations(gammas, rows + misses, height_bound))
 
     gens = hnf_rows(rows)
     for gen in gens:
@@ -165,17 +161,17 @@ def relation_lattice(gammas: list[AlgebraicNumber],
                            complete=complete)
 
 
-def _search_relations(gammas, known_rows, height_bound) -> list[list[int]]:
-    """LLL-assisted bounded search for extra relations; exact verification."""
+def _search_relations(gammas, tested, height_bound) -> list[list[int]]:
+    """LLL-assisted bounded search for extra relations; exact verification.
+    A candidate in `tested`, or its negative, is not tested again."""
     k = len(gammas)
-    import cmath
     angles = []
     for g in gammas:
         b = g.box(96)
         angles.append(cmath.phase(complex(float(b.re.mid), float(b.im.mid)))
                       / (2 * math.pi))
     out = []
-    seen = {tuple(r) for r in known_rows}
+    seen = {tuple(r) for r in tested}
 
     def try_candidate(cand):
         cand = list(cand)
@@ -198,7 +194,6 @@ def _search_relations(gammas, known_rows, height_bound) -> list[list[int]]:
     # small exhaustive net as a safety margin
     span = range(-3, 4)
     if k <= 3:
-        import itertools
         for cand in itertools.product(span, repeat=k):
             try_candidate(cand)
     return out

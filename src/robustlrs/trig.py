@@ -22,9 +22,10 @@ build new boxes from them and never change them.
 `RotScan` iterates the exact rotation by a rational point (p, q) on the
 unit circle as a dyadic point plus an error ball.  Rotations are
 isometries, so the Euclidean error grows only additively with the number
-of steps (naive interval iteration would blow up exponentially).  It is
-the one stepper of the dyadic rotation: the integer scan of
-`hardness.lagrange_prefix` consumes its `walk`.
+of steps, one ulp per step, and the step count bounds it (naive interval
+iteration would blow up exponentially).  It is the one stepper of the
+dyadic rotation: the integer scan of `hardness.lagrange_prefix` consumes
+its `walk`.
 
 `rotation_power` gives the same powers exactly, as the Chebyshev pair
 (cos n theta, sin n theta / sin theta), which is rational whenever cos
@@ -304,9 +305,10 @@ class RotScan:
     the unit circle, as a dyadic point with a certified error ball.
 
     The state is integers: cos ~ c / 2^bits, sin ~ s / 2^bits, with the
-    Euclidean error at most err + 1 units of 2^-bits after n steps.  Per
+    Euclidean error at most n + 1 units of 2^-bits after n steps.  Per
     step the rounding adds at most one unit in the last place; the
-    rotation itself is an isometry and adds nothing.
+    rotation itself is an isometry and adds nothing.  So the step count
+    is the error count, and no other state varies.
 
     Only `hardness.lagrange_prefix` steps it, through `walk`: its minimum
     needs every step.  A single ball term of an irrational angle is read
@@ -328,16 +330,15 @@ class RotScan:
         self.scale = 1 << bits
         self.c = self.scale
         self.s = 0
-        self.err = 0  # euclidean error in ulps (2^-bits)
         self.n = 0
 
     def walk(self, n_to: int):
-        """Step up to index n_to, yielding (n, c, s, err) after each step.
+        """Step up to index n_to, yielding (n, c, s) after each step.
 
         The loop runs on locals; the attributes are written back once, when
         the generator finishes or is closed, so read them only after that.
         """
-        c, s, err, n = self.c, self.s, self.err, self.n
+        c, s, n = self.c, self.s, self.n
         pn, qn, den = self.pn, self.qn, self.den
         d2 = 2 * den
         try:
@@ -345,14 +346,13 @@ class RotScan:
                 # round to nearest: (2x + den) // (2 den) = floor(x/den + 1/2)
                 c, s = ((2 * (pn * c - qn * s) + den) // d2,
                         (2 * (qn * c + pn * s) + den) // d2)
-                err += 1
                 n += 1
-                yield n, c, s, err
+                yield n, c, s
         finally:
-            self.c, self.s, self.err, self.n = c, s, err, n
+            self.c, self.s, self.n = c, s, n
 
-    def ival(self, v: int, err: int) -> Ival:
-        """Enclosure of a coordinate held as v / 2^bits with error err."""
-        e = Q(err + 1, self.scale)
+    def ival(self, v: int, n: int) -> Ival:
+        """Enclosure of a coordinate held as v / 2^bits after n steps."""
+        e = Q(n + 1, self.scale)
         x = Q(v, self.scale)
         return Ival(max(x - e, Q(-1)), min(x + e, Q(1)))

@@ -3,10 +3,10 @@
 The package runs none of these: a float-screen sampling oracle for the
 decisions (`brute_force_check`), exact companion-matrix powers and
 hyperplane distances, exact orbit points and parametrization points of
-the closure torus, direct enclosures of the residual and of the
-scanner's dominant part, the exact check of the order-6 rotation block,
-the per-step scans of the hardness lab, the `Fraction` Horner loop of
-box evaluation, and the problem document of a parsed spec.  The sampling
+the closure torus, a direct enclosure of the residual, the orbit scan's
+`Fraction` formula, the exact check of the order-6 rotation block, the
+per-step scans of the hardness lab, the `Fraction` Horner loop of box
+evaluation, and the problem document of a parsed spec.  The sampling
 screen is the only user of numpy, which is a test dependency, not a
 runtime one.
 """
@@ -29,7 +29,7 @@ from robustlrs.algebraic import (AlgebraicNumber, NumberField, FieldElement,
                                  power_product_is_one)
 from robustlrs.lrs import (Lrr, InitialConfig, Ball, SpectralData, spectral,
                            _check_config, ResidualEvaluator, OrbitScanner,
-                           _box_of, _scaled_integer_recurrence, _scaled_terms)
+                           _scaled_integer_recurrence, _scaled_terms)
 from robustlrs.torus import TorusParam, TorusPoint, root_of_unity_alg
 from robustlrs.trig import RotScan, pi_ival, rotation_order
 from robustlrs import hardness
@@ -149,7 +149,7 @@ def contains_values(torus: TorusParam, values) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# direct enclosures of the residual and of the scanned dominant part
+# direct enclosures of the residual and of the orbit scan
 
 
 def residual_box(res: ResidualEvaluator, n: int, bits: int = 128) -> Box:
@@ -164,10 +164,25 @@ def residual_box(res: ResidualEvaluator, n: int, bits: int = 128) -> Box:
     return acc
 
 
-def dominant_box(sc: OrbitScanner) -> Box:
-    """The scanner's enclosure of v_n^dom at its current step: the sum over
-    its dominant tracks alone."""
-    return _box_of(*sc._sum(sc._track[:len(sc.form.terms)], max(sc.n, 1)))
+def fraction_enclosure(sc: OrbitScanner, dominant_only: bool = False) -> Box:
+    """The `Fraction` interval formula over the scanner's state at its
+    current step n >= 1: the sum over its terms of alpha_box * (base^n box)
+    * n^npow, real and imaginary parts, with base^n the dyadic point
+    widened by err + 2 ulps.  With `dominant_only`, the sum over the
+    dominant terms alone."""
+    n = sc.n
+    terms = [(a, 0) for a, _ in sc.form.terms]
+    if not dominant_only:
+        terms += [(t.alpha, t.npow) for t in sc.res.terms]
+    scale = 1 << sc.bits
+    e = Q(sc.err + 2, scale)
+    acc = Box.point(0)
+    for (alpha, npow), (vr, vi) in zip(terms, sc._power):
+        ab = alpha.refine(Q(1, scale))
+        pr, pi = Q(vr, scale), Q(vi, scale)
+        pw = Box(Ival(pr - e, pr + e), Ival(pi - e, pi + e))
+        acc = acc + ab * pw * (Q(n) ** npow)
+    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +278,7 @@ def walk_to(sc: RotScan, n: int) -> tuple[Ival, Ival]:
     """Step `sc` up to index n; the enclosures of cos and sin there."""
     for _ in sc.walk(n):
         pass
-    return sc.ival(sc.c, sc.err), sc.ival(sc.s, sc.err)
+    return sc.ival(sc.c, sc.n), sc.ival(sc.s, sc.n)
 
 
 def ball_term_steps(params, n_from: int, n_to: int, bits: int = 160):
@@ -277,14 +292,14 @@ def ball_term_steps(params, n_from: int, n_to: int, bits: int = 160):
     L = math.lcm(a.denominator, lam.denominator, psi.denominator)
     aL, lamL, psiL = int(a * L), int(lam * L), int(psi * L)
     walk_to(sc, n_from)
-    for n, C, S, E in sc.walk(n_to):
+    for n, C, S in sc.walk(n_to):
         Sa = abs(S)
-        T_lo = (2 * n * n * aL * (scale - C - E - 1)
-                - 2 * n * lamL * (Sa + E + 1) - 2 * psiL * scale)
+        T_lo = (2 * n * n * aL * (scale - C - n - 1)
+                - 2 * n * lamL * (Sa + n + 1) - 2 * psiL * scale)
         if T_lo >= 0:
             continue
-        T_hi = (2 * n * n * aL * (scale - C + E + 1)
-                - 2 * n * lamL * max(Sa - E - 1, 0)
+        T_hi = (2 * n * n * aL * (scale - C + n + 1)
+                - 2 * n * lamL * max(Sa - n - 1, 0)
                 - 4 * n * psiL * scale // (2 * n + 1))
         if T_hi < 0:
             f = 2 * n * scale * L
@@ -316,17 +331,17 @@ def lagrange_prefix_ref(p, q, N: int, bits: int = 192) -> Ival:
     scale = sc.scale
     upper = None
     candidates = []
-    for n, C, _, E in sc.walk(N):
-        hi_sq = n * n * ka * (scale - C + E + 1)
-        lo_sq = 2 * n * n * kb * max(scale - C - E - 1, 0)
+    for n, C, _ in sc.walk(N):
+        hi_sq = n * n * ka * (scale - C + n + 1)
+        lo_sq = 2 * n * n * kb * max(scale - C - n - 1, 0)
         if upper is None or hi_sq < upper:
             upper = hi_sq
         if lo_sq <= upper:
-            candidates.append((lo_sq, n, C, E))
+            candidates.append((lo_sq, n, C))
     best = None
-    for lo_sq, n, C, E in candidates:
+    for lo_sq, n, C in candidates:
         if lo_sq <= upper:
-            precise = hardness.angle_from_cos(sc.ival(C, E), bits) * n
+            precise = hardness.angle_from_cos(sc.ival(C, n), bits) * n
             best = precise if best is None else Ival(min(best.lo, precise.lo),
                                                      min(best.hi, precise.hi))
     out = best / (pi_iv * 2)

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -9,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from robustlrs import qmath
+from robustlrs import cli, qmath
 from robustlrs.lrs import Lrr, InitialConfig, scaled_term
 from robustlrs.serialize import parse_problem, ProblemError, decimal_str
 from robustlrs.cli import main, emit_plot_data
@@ -496,6 +497,22 @@ def test_broken_invariant_exits_internal(tmp_path, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert err == ("internal error: RuntimeError: gammas and exponents must "
                    "have equal length\n")
+
+
+@pytest.mark.parametrize("ns", [{"command": "bogus"},
+                                {"command": "lab", "lab_command": "bogus"}])
+def test_unhandled_command_exits_internal(monkeypatch, capsys, ns):
+    # argparse admits only known commands, so reaching the last branch of
+    # _dispatch or _dispatch_lab is an internal fault (4), not a usage one
+    class Parser:
+        def parse_args(self, argv):
+            return argparse.Namespace(**ns)
+
+    with pytest.raises(RuntimeError, match="unhandled"):
+        cli._dispatch(argparse.Namespace(**ns), {})
+    monkeypatch.setattr(cli, "_build_parser", Parser)
+    assert main([]) == 4
+    assert "internal error: RuntimeError: unhandled" in capsys.readouterr().err
 
 
 def test_plot_cone_section_requires_family():

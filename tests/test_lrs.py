@@ -4,7 +4,7 @@ from fractions import Fraction as Q
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from robustlrs import qmath
+from robustlrs import lrs, qmath
 from robustlrs.interval import Box, Ival
 from robustlrs.lrs import (Lrr, InitialConfig, Ball, eval_terms, spectral,
                            exp_poly_solution, normalize, residual_threshold,
@@ -13,7 +13,7 @@ from robustlrs.lrs import (Lrr, InitialConfig, Ball, eval_terms, spectral,
                            EXACT_TERMS)
 
 from oracles import (companion_matrix, mat_mul, mat_pow, hyperplane_distance,
-                     hyperplane_constant, residual_box, dominant_box)
+                     hyperplane_constant, residual_box, fraction_enclosure)
 
 FIB = Lrr((Q(1), Q(1)))
 ALT = Lrr((Q(-1),))
@@ -281,12 +281,13 @@ def test_orbit_scanner_matches_exact():
     rho = spectral(FIB).rho
     for n in range(1, 300):
         sc.step()
-        vb = sc.v_box()
+        lo, hi, den = sc.enclosure()
+        vb = Ival(Q(lo, den), Q(hi, den))
         # v_n = u_n / rho^n: check containment via rho box powering
         rb = rho.box(200).pow(n, 224)
         prod = vb * rb.re
-        assert prod.re.lo <= terms[n] <= prod.re.hi, f"n={n}"
-    assert sc.v_box().width < Q(1, 1 << 130)
+        assert prod.lo <= terms[n] <= prod.hi, f"n={n}"
+    assert vb.width < Q(1, 1 << 130)
 
 
 def test_exact_zeros():
@@ -378,16 +379,20 @@ def test_term_sign_matches_eval_terms():
 def test_term_sign_past_the_exact_prefix(monkeypatch):
     """Past EXACT_TERMS the sign comes from the orbit scan on the precision
     ladder, an exact zero from the zero scan; a sign that never separates
-    ends in PrecisionExhausted."""
+    ends in PrecisionExhausted, after one zero scan."""
     n = EXACT_TERMS + 4
     lin = Lrr((Q(-1), Q(2)))                    # u_t = t - n: zero at n
     c = cfg(-n, 1 - n)
     assert [term_sign(lin, c, t) for t in (n - 1, n, n + 1)] == [-1, 0, 1]
-    monkeypatch.setattr(OrbitScanner, "v_box",
-                        lambda self: Box(Ival(Q(-1), Q(1)), Ival.point(0)))
+    monkeypatch.setattr(OrbitScanner, "enclosure", lambda self: (-1, 1, 1))
     monkeypatch.setattr(qmath, "MAX_BITS", 384)
+    scans = []
+    real = lrs.exact_zeros_up_to
+    monkeypatch.setattr(lrs, "exact_zeros_up_to",
+                        lambda *a: scans.append(a) or real(*a))
     with pytest.raises(qmath.PrecisionExhausted, match="term sign"):
         term_sign(lin, c, n + 1)
+    assert len(scans) == 1
 
 
 def test_filter_prime():
@@ -540,7 +545,7 @@ def test_conjugate_closure_imaginary_part():
     sc = OrbitScanner(HARD6, c, bits=160)
     for _ in range(200):
         sc.step()
-        vd = dominant_box(sc)
+        vd = fraction_enclosure(sc, dominant_only=True)
         assert vd.im.contains(Q(0))
     # pairing is structural: non-real unit roots come in conjugate fields
     non_real = [(a, g) for a, g in form.terms if not g.is_rational]

@@ -13,10 +13,11 @@ attribute or a plain name in the syntax tree of the package, the
 scripts or the benchmark; a definition is neither, so a method that
 nothing names is dead.  Tests do not count here either.
 
-A module-level import of a package module counts as used when the name
-it binds appears as a plain name in that module's syntax tree (an
-attribute access `math.gcd` names `math`).  `__init__.py` is left out:
-its imports are re-exports.
+A module-level import of a package module or a script counts as used
+when the name it binds appears as a plain name in that module's syntax
+tree (an attribute access `math.gcd` names `math`).  `__init__.py` is
+left out: its imports are re-exports.  The package imports nothing
+inside a function.
 """
 
 import ast
@@ -72,7 +73,8 @@ def test_no_unnamed_methods():
 
 def test_no_unused_module_level_imports():
     unused = []
-    for path in sorted(PACKAGE.glob("*.py")):
+    for path in [*sorted(PACKAGE.glob("*.py")),
+                 *sorted((ROOT / "scripts").glob("*.py"))]:
         if path.name == "__init__.py":
             continue
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -85,6 +87,20 @@ def test_no_unused_module_level_imports():
                   and node.module != "__future__"):
                 bound += [a.asname or a.name for a in node.names]
         used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
-        unused += [f"{path.name}:{name}" for name in bound
+        unused += [f"{path.parent.name}/{path.name}:{name}" for name in bound
                    if name not in used]
     assert not unused
+
+
+def test_no_function_level_imports_in_package():
+    """No package import cycle needs a deferred import, so every import
+    sits at module level, where a reader sees what a module depends on."""
+    nested = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                nested += [f"{path.name}:{node.lineno}"
+                           for node in ast.walk(fn)
+                           if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert not nested

@@ -12,7 +12,8 @@ from robustlrs.optimize import (mu, nu, min_over_ball,
                                 _Objective, _exact_min, _on_grid)
 from robustlrs.trig import cos_turn, pi_ival, sin_turn, unit_box
 
-from oracles import point_turns, point_values, residual_box, dominant_box
+from oracles import (point_turns, point_values, residual_box,
+                     fraction_enclosure)
 
 FIB = Lrr((Q(1), Q(1)))
 ALT = Lrr((Q(-1),))
@@ -198,7 +199,7 @@ def test_mu_finite_torus_six_cosets():
     sc = OrbitScanner(lrr, c, bits=128)
     for _ in range(500):
         sc.step()
-        vd = dominant_box(sc).re
+        vd = fraction_enclosure(sc, dominant_only=True).re
         assert vd.hi >= out.enclosure.lo - Q(1, 10**9)
 
 

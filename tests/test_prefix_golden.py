@@ -11,8 +11,9 @@ root, which gives residual terms with negative powers of n.
 
 The two oracle tests keep those `Fraction` formulas as references:
 `_term_threshold` against a `Fraction` term a * n^t * beta^n, and the
-integer orbit-scan enclosure against the `Fraction` interval product
-alpha_box * (base^n box) * n^npow summed over the tracks.
+integer orbit-scan enclosure of v_n against the real part of the
+`Fraction` interval product alpha_box * (base^n box) * n^npow summed over
+the terms (`oracles.fraction_enclosure`).
 """
 
 import random
@@ -21,11 +22,10 @@ from fractions import Fraction as Q
 import pytest
 
 from robustlrs.decide import exists_robust_positivity, exists_robust_skolem
-from robustlrs.interval import Box, Ival
 from robustlrs.lrs import InitialConfig, Lrr, OrbitScanner, _term_threshold
 from robustlrs.poly import pmul
 
-from oracles import dominant_box
+from oracles import fraction_enclosure
 
 
 def shape(terms):
@@ -224,26 +224,6 @@ def test_residual_threshold_exact_ties():
 # integer orbit-scan enclosure against the Fraction interval formula
 
 
-def fraction_enclosure(sc, dominant_only=False):
-    n = max(sc.n, 1)
-    triples = [(a, 0) for a, _ in sc.form.terms]
-    if not dominant_only:
-        triples += [(t.alpha, t.npow) for t in sc.res.terms]
-    acc = Box.point(0)
-    for (alpha, npow), tr in zip(triples, sc._track):
-        ab = alpha.refine(Q(1, 1 << sc.bits))
-        e = Q(tr.err + 2, tr.scale)
-        pr, pi = Q(tr.vr, tr.scale), Q(tr.vi, tr.scale)
-        pw = Box(Ival(pr - e, pr + e), Ival(pi - e, pi + e))
-        acc = acc + ab * pw * (Q(n) ** npow)
-    return acc
-
-
-def same_box(x, y):
-    return (x.re.lo, x.re.hi, x.im.lo, x.im.hi) == \
-        (y.re.lo, y.re.hi, y.im.lo, y.im.hi)
-
-
 SCAN_CASES = {
     "fibonacci": (Lrr((Q(1), Q(1))), InitialConfig((Q(1), Q(1)))),
     # (x^2 - 6/5 x + 1)(x - 1/2): a dominant complex pair, complex alphas
@@ -259,8 +239,14 @@ SCAN_CASES = {
 def test_scanner_enclosure_matches_fraction_formula(name):
     lrr, c = SCAN_CASES[name]
     sc = OrbitScanner(lrr, c, bits=160)
-    assert same_box(dominant_box(sc), fraction_enclosure(sc, True))
     for _ in range(300):
         sc.step()
-        assert same_box(sc.v_box(), fraction_enclosure(sc)), sc.n
-        assert same_box(dominant_box(sc), fraction_enclosure(sc, True)), sc.n
+        lo, hi, den = sc.enclosure()
+        v = fraction_enclosure(sc).re
+        assert (Q(lo, den), Q(hi, den)) == (v.lo, v.hi), sc.n
+
+
+def test_enclosure_before_the_first_step_is_an_internal_fault():
+    sc = OrbitScanner(*SCAN_CASES["fibonacci"], bits=160)
+    with pytest.raises(RuntimeError, match="n >= 1"):
+        sc.enclosure()

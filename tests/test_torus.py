@@ -166,3 +166,19 @@ def test_decisions_build_no_coset_values(monkeypatch):
     assert a.torus.free_rank == 0 and len(a.torus.coset_turns) == 6
     assert mu(a.form, a.torus).method == "finite-exact"
     assert nu(a.form, a.torus).method == "finite-exact"
+
+
+def test_lattice_tests_each_inverse_pair_once(monkeypatch):
+    """Two irrational unit roots of x^2 - x + 4: the inverse-pair pass
+    tests (1, 1), and neither the completeness case nor the relation search
+    tests it again."""
+    from robustlrs.lrs import Lrr, InitialConfig, normalize
+    form, _ = normalize(Lrr((Q(-4), Q(1))), InitialConfig((Q(1), Q(1))))
+    gammas = [g for _, g in form.terms]
+    assert len(gammas) == 2
+    tested = []
+    real = torus.power_product_is_one
+    monkeypatch.setattr(torus, "power_product_is_one",
+                        lambda g, e: tested.append(tuple(e)) or real(g, e))
+    relation_lattice(gammas)
+    assert tested.count((1, 1)) + tested.count((-1, -1)) == 1
