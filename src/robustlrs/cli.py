@@ -33,7 +33,7 @@ from .hardness import (build_hardness_lrr, cone_contains, compute_params,
                        coeffs_from_config)
 from .serialize import (ProblemSpec, ProblemError, parse_problem, report_json,
                         sign_outcome_json, algebraic_json, decimal_str,
-                        ival_json, check_ball)
+                        ival_json, check_ball, check_count)
 
 CONFIG_ENV = "ROBUSTLRS_CONFIG"
 
@@ -304,10 +304,8 @@ def _resolve(args, spec, defaults):
         raise ValueError(f"tol must be a rational string p/q, got {tol!r}")
     cap = pick("prefix_cap", DEFAULT_PREFIX_CAP)
     hb = pick("height_bound", DEFAULT_HEIGHT_BOUND)
-    if not isinstance(cap, int) or cap < 0:
-        raise ValueError(f"prefix cap must be an integer >= 0, got {cap!r}")
-    if not isinstance(hb, int) or hb < 1:
-        raise ValueError(f"height bound must be an integer >= 1, got {hb!r}")
+    check_count(cap, 0, "prefix cap")
+    check_count(hb, 1, "height bound")
     return tol, cap, hb
 
 

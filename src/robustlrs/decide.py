@@ -10,7 +10,10 @@ When the lattice is incomplete the torus is a superset and the minimum a
 lower bound, so a NO degrades to UNKNOWN rather than risk an unsound
 certificate.  For positivity and Skolem a positive minimum goes on to the
 tail stage: a certified residual threshold, the prefix cap, and an exact
-scan of the finite prefix.
+scan of the finite prefix.  The scans are `lrs`'s: `exact_zeros_up_to`
+for Skolem and `prefix_scan` for positivity, which alone knows how the
+prefix is evaluated (the scaled integer recurrence, then the certified
+orbit scan).
 
 The float-screen sampling oracle that cross-checks these verdicts is not
 part of the package; it lives with the tests, in `tests/oracles.py`.
@@ -18,17 +21,14 @@ part of the package; it lives with the tests, in `tests/oracles.py`.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .qmath import Q, ZERO, ONE
+from .qmath import ZERO, ONE
 from .lrs import (Lrr, InitialConfig, Ball, spectral, exp_poly_solutions,
-                  normalize, residual_threshold, term_sign, scaled_term,
-                  exact_zeros_up_to, OrbitScanner, DominantForm,
-                  ResidualEvaluator, _scaled_integer_recurrence,
-                  _scaled_terms, EXACT_TERMS)
+                  normalize, residual_threshold, exact_zeros_up_to,
+                  prefix_scan, DominantForm, ResidualEvaluator)
 from .torus import (DEFAULT_HEIGHT_BOUND, relation_lattice, parametrize,
                     TorusParam)
 from .optimize import (mu, nu, min_over_ball, DominantFamily, SignOutcome,
@@ -44,10 +44,9 @@ class Certificate:
     violating_value: Optional[Fraction] = None
     optimum: Optional[SignOutcome] = None
     threshold: Optional[int] = None
-    # least prefix value: min u_n over n <= threshold when the prefix is
-    # evaluated exactly (threshold <= EXACT_TERMS); past that, the least
-    # certified lower bound of v_n = u_n/(n^m rho^n) from the orbit scan,
-    # or 0 once a term had to be confirmed positive by an exact sign test
+    # the prefix margin of `lrs.prefix_scan`: min u_n over n <= threshold
+    # for a prefix short enough to evaluate exactly, else the least
+    # certified lower bound of v_n = u_n/(n^m rho^n) from the orbit scan
     prefix_margin: Optional[Fraction] = None
     witness_radius: Optional[Fraction] = None
     reason: Optional[str] = None
@@ -123,7 +122,7 @@ def _tail_stage(a: Analysis, out: SignOutcome, prefix_cap: int,
         zeros = exact_zeros_up_to(a.lrr, a.c, n_thr)
         viol, value, margin = (zeros[0], ZERO, None) if zeros else (None,) * 3
     else:
-        viol, value, margin = _prefix_scan(a.lrr, a.c, n_thr, (a.form, a.res))
+        viol, value, margin = prefix_scan(a.lrr, a.c, n_thr, (a.form, a.res))
     if viol is not None:
         return Decision("NO", Certificate(kind="violation",
                                           violating_index=viol,
@@ -165,46 +164,6 @@ def robust_nonuniform_ultpos_open_ball(lrr: Lrr, ball: Ball,
                           "ball minimum straddles zero at tolerance",
                           yes=("POSITIVE", "ZERO"),
                           witness_radius=ball.radius)
-
-
-def _prefix_scan(lrr: Lrr, c: InitialConfig, n_thr: int, normal):
-    """Scan u_0..u_{n_thr} for a term u_n <= 0: returns (violation_n,
-    value, margin); `normal` is the (form, residual) pair of the start.
-
-    Up to EXACT_TERMS terms the scan runs on the scaled integer recurrence
-    w_n = E * D^n * u_n, which has the signs of u_n.  The running minimum
-    is kept as best = w_m * D^(n-m), so that comparing it with w_n compares
-    u_m with u_n; it becomes a `Fraction` once, at the end.  Past that the
-    certified orbit scan runs: an enclosure below zero is a violation, and
-    only an enclosure holding 0 needs an exact sign test."""
-    if n_thr <= EXACT_TERMS:
-        coeffs, init, D, E = _scaled_integer_recurrence(lrr, c)
-        best = None
-        terms = itertools.islice(_scaled_terms(coeffs, init), n_thr + 1)
-        for n, w in enumerate(terms):
-            if w <= 0:
-                return n, Q(w, E * D**n), None
-            best = w if best is None else min(best * D, w)
-        return None, None, None if best is None else Q(best, E * D**n_thr)
-    v0 = c.entries[0]
-    if v0 <= 0:
-        return 0, v0, None
-    # the least lower bound is kept as an integer pair (numerator, denominator)
-    low = None
-    sc = OrbitScanner(lrr, c, 192, normal)
-    for n in range(1, n_thr + 1):
-        sc.step()
-        lo, hi, den = sc.enclosure()
-        if lo > 0:
-            if low is None or lo * low[1] < low[0] * den:
-                low = (lo, den)
-            continue
-        if hi < 0 or term_sign(lrr, c, n) <= 0:
-            val = Q(*scaled_term(lrr, c, n)) if n <= EXACT_TERMS else None
-            return n, val, None
-        # u_n > 0 exactly, but no positive lower bound of v_n is certified
-        low = (0, 1)
-    return None, None, None if low is None else Q(*low)
 
 
 def exists_robust_positivity(lrr: Lrr, c: InitialConfig,

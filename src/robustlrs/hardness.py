@@ -9,12 +9,12 @@ The square-root term in the ball minimum is handled through the algebraic
 bounds 1/(2n+1) < sqrt(n^2+1) - n < 1/(2n), so long scans need no
 square-root extraction at all.
 
-`lagrange_prefix` steps the rotation through `trig.RotScan.walk`, on
-scaled integers whose error after n steps is n + 1 ulps.  It skips a
-step far from a return to 1 with one integer comparison against a
-threshold that is sound over a block of `_BLOCK` steps, and runs its
-full test on every other step, so it reports what a plain per-step scan
-reports.  `scan_ball_terms`, which every probe of
+`lagrange_prefix` steps the rotation itself, on scaled integers whose
+error after n steps is n + 1 ulps: the package's one dyadic rotation
+walk.  It skips a step far from a return to 1 with one integer
+comparison against a threshold that is sound over a block of `_BLOCK`
+steps, and runs its full test on every other step, so it reports what a
+plain per-step scan reports.  `scan_ball_terms`, which every probe of
 `approximate_L` runs up to the horizon, steps nothing: a ball term can be
 negative only at a near return of the rotation, where n ||n theta|| is
 below a constant, and `_near_returns` lists those n by Euclid-style
@@ -39,7 +39,7 @@ from typing import Optional
 from .qmath import (Q, ZERO, ONE, sqrt_down, sqrt_up, is_perfect_square,
                     exact_sqrt, floor_frac, ceil_frac)
 from .interval import Ival
-from .trig import (pi_ival, RotScan, rotation_order, rotation_power,
+from .trig import (pi_ival, rotation_order, rotation_power,
                    angle_from_cos, cos_turn, sin_turn)
 from .poly import pmul
 from .lrs import Lrr, InitialConfig, mat_inv
@@ -443,10 +443,14 @@ def _exact_ball_term(n: int, params: HardnessParams) -> Ival:
 def lagrange_prefix(p, q, N: int) -> Ival:
     """Enclosure of (1/2pi) min_{0 < n <= N} n [2 pi n theta].
 
-    One certified scan over `RotScan.walk` proposes candidates via the
+    One certified scan of the rotation proposes candidates via the
     square-root bounds sqrt(2(1-c)) <= [x] <= pi sqrt((1-c)/2); candidates
-    are then resolved with certified arccos enclosures.  The scan compares
-    the *squares* n^2 * 2(1-cos), as integers over the one denominator
+    are then resolved with certified arccos enclosures.  The rotation by
+    p + qi is stepped on integers: (cos, sin) of n theta is (C, S)/2^bits,
+    each step rounded to nearest, so the Euclidean error after n steps is
+    at most n + 1 ulps (a rotation is an isometry and adds none; naive
+    interval iteration would grow exponentially).  The scan compares the
+    *squares* n^2 * 2(1-cos), as integers over the one denominator
     kb * 2^bits, so the hot loop is integer-only.  Far from a return to 1 a
     step is skipped by one comparison C < thr: a step whose lower bound
     lo_sq exceeds the running bound `upper` can neither be a candidate nor
@@ -470,26 +474,34 @@ def lagrange_prefix(p, q, N: int) -> Ival:
         final = [(n, Ival.point(rotation_power(p, n)[0]))
                  for n in range(1, N + 1)]
     else:
-        sc = RotScan(p, q, bits)
+        if q is None:
+            raise ValueError("irrational-angle scan needs the exact sine "
+                             "value q")
+        den = math.lcm(p.denominator, q.denominator)
+        pn, qn, d2 = int(p * den), int(q * den), 2 * den
+        scale = 1 << bits
         # pi^2/2 upper bound as an integer ratio (for the crude upper values)
         pi_sq_hi = (pi_iv.hi * pi_iv.hi / 2).limit_denominator(1 << 48)
         if pi_sq_hi < pi_iv.hi * pi_iv.hi / 2:
             pi_sq_hi += Q(1, 1 << 40)
         ka, kb = pi_sq_hi.numerator, pi_sq_hi.denominator
-        scale = sc.scale
         # squared angle bounds times kb * scale:
         # 2(1-c) <= alpha^2 <= pi^2 (1-c)/2
         upper = None                       # bound on (min n [..])^2
         candidates = []
-        while sc.n < N:
-            end = min(N, sc.n + _BLOCK)
+        C, S, n = scale, 0, 0
+        while n < N:
+            end = min(N, n + _BLOCK)
             # Prefilter: lo_sq > upper once scale - C - n - 1 exceeds
             # upper / (2 n^2 kb), and then hi_sq > upper too (ka >= 2 kb),
             # so the step changes nothing; C < thr gives that over the rest
             # of the block (n between its first index and end).
             thr = (-math.inf if upper is None else
-                   scale - end - 1 - upper // (2 * (sc.n + 1) ** 2 * kb))
-            for n, C, _ in sc.walk(end):
+                   scale - end - 1 - upper // (2 * (n + 1) ** 2 * kb))
+            for n in range(n + 1, end + 1):
+                # round to nearest: (2x + den) // (2 den) = floor(x/den + 1/2)
+                C, S = ((2 * (pn * C - qn * S) + den) // d2,
+                        (2 * (qn * C + pn * S) + den) // d2)
                 if C < thr:
                     continue
                 hi_sq = n * n * ka * (scale - C + n + 1)
@@ -499,8 +511,10 @@ def lagrange_prefix(p, q, N: int) -> Ival:
                     thr = scale - end - 1 - upper // (2 * n * n * kb)
                 if lo_sq <= upper:
                     candidates.append((lo_sq, n, C))
-        final = [(n, sc.ival(C, n)) for lo_sq, n, C in candidates
-                 if lo_sq <= upper]
+        # cos n theta within (n + 1)/2^bits of C/2^bits, clamped to [-1, 1]
+        final = [(n, Ival(max(Q(C - n - 1, scale), Q(-1)),
+                          min(Q(C + n + 1, scale), ONE)))
+                 for lo_sq, n, C in candidates if lo_sq <= upper]
     best: Ival | None = None
     for n, cos_iv in final:
         precise = angle_from_cos(cos_iv, bits) * n

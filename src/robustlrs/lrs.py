@@ -11,10 +11,15 @@ system is inverted on integers (`mat_inv`, fraction-free Gauss-Jordan).
 Its exact check uses one table of traces of powers per factor, formed by
 field multiplication, against which every start is checked.
 
-Past `EXACT_TERMS`, the sign of a term comes from `OrbitScanner`, a
-certified scan of the real number v_n = u_n/(n^m rho^n): per term it
-holds only the alpha endpoints, the exponent of n, the base point and the
-power point, and one error count serves every term.
+Terms up to `EXACT_TERMS` are exact, on the scaled integer recurrence
+w_n = E * D^n * u_n.  Past it, the sign of a term comes from
+`OrbitScanner`, a certified scan of the real number v_n = u_n/(n^m
+rho^n): per term it holds only the alpha endpoints, the exponent of n,
+the base point and the power point, and one error count serves every
+term.  Both representations stay in this module: `term_sign` gives one
+exact sign, `prefix_scan` the positivity check of a whole prefix, and an
+orbit enclosure that holds 0 is settled for both by the same precision
+ladder from the start's normal form.
 """
 
 from __future__ import annotations
@@ -168,10 +173,10 @@ def _alg_sqrt(t: AlgebraicNumber, refiner) -> AlgebraicNumber:
             return AlgebraicNumber.from_rational(exact_sqrt(v))
         coeffs = (-v, ZERO, ONE)
     else:
-        ints = t._defining_ints()
-        coeffs = [ZERO] * (2 * len(ints) - 1)
-        for i, co in enumerate(ints):
-            coeffs[2 * i] = Q(co)
+        poly = t.defining_poly.coefficients
+        coeffs = [ZERO] * (2 * len(poly) - 1)
+        for i, co in enumerate(poly):
+            coeffs[2 * i] = co
     return _locate_as_root(coeffs, refiner, "square root identification")
 
 
@@ -527,8 +532,8 @@ def _ratio_to_rho(root: AlgebraicNumber, rho: AlgebraicNumber) -> AlgebraicNumbe
     if num is not None:
         return AlgebraicNumber.from_element(num / rho.elem)
     # the composed product of M and reversed P_rho has the roots root_i/rho_j
-    cands = P.composed_product([Q(v) for v in root._defining_ints()],
-                               P.preverse([Q(v) for v in rho._defining_ints()]))
+    cands = P.composed_product(root.defining_poly.coefficients,
+                               P.preverse(rho.defining_poly.coefficients))
     return _locate_as_root(cands,
                            lambda bits: root.box(bits) * rho.box(bits).re.inverse(),
                            "unit ratio identification")
@@ -782,7 +787,14 @@ def term_sign(lrr: Lrr, c: InitialConfig, n: int) -> int:
     if n <= EXACT_TERMS:
         w, _ = scaled_term(lrr, c, n)
         return (w > 0) - (w < 0)
-    normal = normalize(lrr, c)
+    return _orbit_sign(lrr, c, n, normalize(lrr, c))
+
+
+def _orbit_sign(lrr: Lrr, c: InitialConfig, n: int,
+                normal: tuple[DominantForm, ResidualEvaluator]) -> int:
+    """Exact sign of u_n past `EXACT_TERMS`: the orbit scan from the
+    start's normal form, on the precision ladder, with one exact zero scan
+    once an enclosure holds 0."""
     zero_scanned = False
     for bits in precisions(192, "term sign"):
         sc = OrbitScanner(lrr, c, bits, normal)
@@ -797,3 +809,51 @@ def term_sign(lrr: Lrr, c: InitialConfig, n: int) -> int:
         if not zero_scanned and n in exact_zeros_up_to(lrr, c, n):
             return 0
         zero_scanned = True
+
+
+def prefix_scan(lrr: Lrr, c: InitialConfig, n_thr: int, normal):
+    """Scan u_0..u_{n_thr} for a term u_n <= 0: returns (violation_n,
+    value, margin); `normal` is the start's (form, residual) pair from
+    `normalize`, or None.
+
+    Up to `EXACT_TERMS` terms the scan runs on the scaled integer
+    recurrence w_n = E * D^n * u_n, which has the signs of u_n.  The
+    running minimum is kept as best = w_m * D^(n-m), so that comparing it
+    with w_n compares u_m with u_n; it becomes a `Fraction` once, at the
+    end, and is the margin.  Past that the certified orbit scan of
+    v_n = u_n/(n^m rho^n) runs: an enclosure below zero is a violation,
+    and only an enclosure holding 0 needs an exact sign test.  The margin
+    is then the least certified lower bound of v_n, or 0 once a term had
+    to be confirmed positive exactly; the value of a violation past
+    `EXACT_TERMS` is not formed (None)."""
+    if n_thr <= EXACT_TERMS:
+        coeffs, init, D, E = _scaled_integer_recurrence(lrr, c)
+        best = None
+        terms = itertools.islice(_scaled_terms(coeffs, init), n_thr + 1)
+        for n, w in enumerate(terms):
+            if w <= 0:
+                return n, Q(w, E * D**n), None
+            best = w if best is None else min(best * D, w)
+        return None, None, None if best is None else Q(best, E * D**n_thr)
+    v0 = c.entries[0]
+    if v0 <= 0:
+        return 0, v0, None
+    # the least lower bound is kept as an integer pair (numerator, denominator)
+    low = None
+    sc = OrbitScanner(lrr, c, 192, normal)
+    for n in range(1, n_thr + 1):
+        sc.step()
+        lo, hi, den = sc.enclosure()
+        if lo > 0:
+            if low is None or lo * low[1] < low[0] * den:
+                low = (lo, den)
+            continue
+        if n <= EXACT_TERMS:
+            w, s = scaled_term(lrr, c, n)
+            if w <= 0:
+                return n, Q(w, s), None
+        elif hi < 0 or _orbit_sign(lrr, c, n, (sc.form, sc.res)) <= 0:
+            return n, None, None
+        # u_n > 0 exactly, but no positive lower bound of v_n is certified
+        low = (0, 1)
+    return None, None, None if low is None else Q(*low)

@@ -107,6 +107,10 @@ def parse_problem(text: str) -> ProblemSpec:
         raise ProblemError("$.coeffs", "missing")
     if "init" not in doc:
         raise ProblemError("$.init", "missing")
+    for key in ("coeffs", "init"):
+        if not isinstance(doc[key], list):
+            raise ProblemError(f"$.{key}", "must be an array of rational "
+                               f"strings, got {doc[key]!r}")
     coeffs = [_parse_rat_at(v, f"$.coeffs[{i}]")
               for i, v in enumerate(doc["coeffs"])]
     init = [_parse_rat_at(v, f"$.init[{i}]") for i, v in enumerate(doc["init"])]
@@ -142,16 +146,23 @@ def parse_problem(text: str) -> ProblemSpec:
     if tol is not None and tol <= 0:
         raise ProblemError("$.tol", "tol > 0 required")
     prefix_cap = doc.get("prefix_cap")
-    if prefix_cap is not None and (not isinstance(prefix_cap, int)
-                                   or prefix_cap < 0):
-        raise ProblemError("$.prefix_cap", "must be a nonnegative integer")
+    if prefix_cap is not None:
+        check_count(prefix_cap, 0, "$.prefix_cap")
     height_bound = doc.get("height_bound")
-    if height_bound is not None and (not isinstance(height_bound, int)
-                                     or height_bound < 1):
-        raise ProblemError("$.height_bound", "must be a positive integer")
+    if height_bound is not None:
+        check_count(height_bound, 1, "$.height_bound")
     return ProblemSpec(lrr=lrr, init=cfg, ball=ball, question=question,
                        tol=tol, prefix_cap=prefix_cap,
                        height_bound=height_bound)
+
+
+def check_count(value, least: int, path: str):
+    """A count setting (prefix cap, height bound) from a problem file or
+    the defaults file: an integer >= least.  JSON's true and false load as
+    Python bools, which are ints, so they are refused by name."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+        raise ProblemError(path, f"must be an integer >= {least}, "
+                           f"got {value!r}")
 
 
 def sign_outcome_json(out) -> dict:

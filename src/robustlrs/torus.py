@@ -212,38 +212,20 @@ def parametrize(lat: RelationLattice) -> TorusParam:
     rank = sum(1 for i in range(min(len(d), k)) if d[i][i] != 0)
     divisors = [d[i][i] for i in range(rank)]
     free = k - rank
-    count = 1
-    for dv in divisors:
-        count *= dv
+    count = math.prod(divisors)
     if count > _TORSION_CAP:
         raise ValueError(f"torsion part too large ({count} cosets)")
 
-    # torsion combinations w_i in {0..d_i-1}/d_i, then s = V w (mod 1)
+    # torsion combinations w_i in {0..d_i-1}/d_i, the first varying
+    # fastest (coset indices appear in witnesses), then s = V w (mod 1)
     cosets: list[tuple[Fraction, ...]] = []
-    combo = [0] * rank
-
-    def emit():
-        w = [Q(combo[i], divisors[i]) for i in range(rank)]
+    for combo in itertools.product(*(range(dv) for dv in reversed(divisors))):
+        w = [Q(a, dv) for a, dv in zip(reversed(combo), divisors)]
         s = []
         for j in range(k):
             t = sum((v[j][i] * w[i] for i in range(rank)), ZERO)
             s.append(t - (t.numerator // t.denominator))
         cosets.append(tuple(s))
-
-    if rank == 0:
-        cosets.append(tuple(ZERO for _ in range(k)))
-    else:
-        while True:
-            emit()
-            pos = 0
-            while pos < rank:
-                combo[pos] += 1
-                if combo[pos] < divisors[pos]:
-                    break
-                combo[pos] = 0
-                pos += 1
-            if pos == rank:
-                break
 
     embedding = [[v[j][rank + b] for b in range(free)] for j in range(k)]
 

@@ -19,23 +19,16 @@ branch-and-bound child box, whose endpoints are its parent's endpoints
 or midpoint, costs about one new point.  Entries are shared, so callers
 build new boxes from them and never change them.
 
-`RotScan` iterates the exact rotation by a rational point (p, q) on the
-unit circle as a dyadic point plus an error ball.  Rotations are
-isometries, so the Euclidean error grows only additively with the number
-of steps, one ulp per step, and the step count bounds it (naive interval
-iteration would blow up exponentially).  It is the one stepper of the
-dyadic rotation: the integer scan of `hardness.lagrange_prefix` consumes
-its `walk`.
-
-`rotation_power` gives the same powers exactly, as the Chebyshev pair
-(cos n theta, sin n theta / sin theta), which is rational whenever cos
-theta is; the hardness lab reads its basis change and its root-of-unity
-angles (at n mod the order) off it, with no stepping.
+`rotation_power` gives the powers of a rotation whose cosine p is
+rational exactly, as the Chebyshev pair (cos n theta, sin n theta /
+sin theta); the hardness lab reads its basis change and its
+root-of-unity angles (at n mod the order) off it, with no stepping.  The
+module steps no orbit: the one dyadic rotation walk of the package is
+`hardness.lagrange_prefix`'s own.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from functools import lru_cache
 
@@ -299,60 +292,3 @@ def rotation_power(p: Fraction, n: int) -> tuple[Fraction, Fraction]:
             bc, bu = bc * bc - s2 * bu * bu, 2 * bc * bu
     return c, u
 
-
-class RotScan:
-    """Iterates (cos, sin) of n * theta for e^(i theta) = p + qi exactly on
-    the unit circle, as a dyadic point with a certified error ball.
-
-    The state is integers: cos ~ c / 2^bits, sin ~ s / 2^bits, with the
-    Euclidean error at most n + 1 units of 2^-bits after n steps.  Per
-    step the rounding adds at most one unit in the last place; the
-    rotation itself is an isometry and adds nothing.  So the step count
-    is the error count, and no other state varies.
-
-    Only `hardness.lagrange_prefix` steps it, through `walk`: its minimum
-    needs every step.  A single ball term of an irrational angle is read
-    instead from `cos_turn` and `sin_turn` of n times an enclosure of the
-    angle.
-    """
-
-    def __init__(self, p: Fraction, q: Fraction | None, bits: int):
-        if q is None:
-            raise ValueError("irrational-angle scan needs the exact sine "
-                             "value q")
-        if p * p + q * q != 1:
-            raise ValueError("(p, q) must lie exactly on the unit circle")
-        den = p.denominator * q.denominator // math.gcd(p.denominator, q.denominator)
-        self.pn = int(p * den)
-        self.qn = int(q * den)
-        self.den = den
-        self.bits = bits
-        self.scale = 1 << bits
-        self.c = self.scale
-        self.s = 0
-        self.n = 0
-
-    def walk(self, n_to: int):
-        """Step up to index n_to, yielding (n, c, s) after each step.
-
-        The loop runs on locals; the attributes are written back once, when
-        the generator finishes or is closed, so read them only after that.
-        """
-        c, s, n = self.c, self.s, self.n
-        pn, qn, den = self.pn, self.qn, self.den
-        d2 = 2 * den
-        try:
-            while n < n_to:
-                # round to nearest: (2x + den) // (2 den) = floor(x/den + 1/2)
-                c, s = ((2 * (pn * c - qn * s) + den) // d2,
-                        (2 * (qn * c + pn * s) + den) // d2)
-                n += 1
-                yield n, c, s
-        finally:
-            self.c, self.s, self.n = c, s, n
-
-    def ival(self, v: int, n: int) -> Ival:
-        """Enclosure of a coordinate held as v / 2^bits after n steps."""
-        e = Q(n + 1, self.scale)
-        x = Q(v, self.scale)
-        return Ival(max(x - e, Q(-1)), min(x + e, Q(1)))

@@ -5,8 +5,9 @@ decisions (`brute_force_check`), exact companion-matrix powers and
 hyperplane distances, exact orbit points and parametrization points of
 the closure torus, a direct enclosure of the residual, the orbit scan's
 `Fraction` formula, the exact check of the order-6 rotation block, the
-per-step scans of the hardness lab, the `Fraction` Horner loop of box
-evaluation, and the problem document of a parsed spec.  The sampling
+per-step rotation walk (`RotScan`) and scans of the hardness lab, the
+`Fraction` Horner loop of box evaluation, and the problem document of a
+parsed spec.  The sampling
 screen is the only user of numpy, which is a test dependency, not a
 runtime one.
 """
@@ -31,7 +32,7 @@ from robustlrs.lrs import (Lrr, InitialConfig, Ball, SpectralData, spectral,
                            _check_config, ResidualEvaluator, OrbitScanner,
                            _scaled_integer_recurrence, _scaled_terms)
 from robustlrs.torus import TorusParam, TorusPoint, root_of_unity_alg
-from robustlrs.trig import RotScan, pi_ival, rotation_order
+from robustlrs.trig import pi_ival, rotation_order
 from robustlrs import hardness
 
 
@@ -272,6 +273,60 @@ def rotation_check(p, q) -> RotationReport:
 
 # ---------------------------------------------------------------------------
 # per-step rotation scans of the hardness lab
+
+
+class RotScan:
+    """Iterates (cos, sin) of n * theta for e^(i theta) = p + qi exactly on
+    the unit circle, as a dyadic point with a certified error ball: the
+    per-step reference of the rotation walk in `hardness.lagrange_prefix`.
+
+    The state is integers: cos ~ c / 2^bits, sin ~ s / 2^bits, with the
+    Euclidean error at most n + 1 units of 2^-bits after n steps.  Per
+    step the rounding adds at most one unit in the last place; the
+    rotation itself is an isometry and adds nothing.  So the step count
+    is the error count, and no other state varies.
+    """
+
+    def __init__(self, p: Fraction, q: Fraction | None, bits: int):
+        if q is None:
+            raise ValueError("irrational-angle scan needs the exact sine "
+                             "value q")
+        if p * p + q * q != 1:
+            raise ValueError("(p, q) must lie exactly on the unit circle")
+        den = math.lcm(p.denominator, q.denominator)
+        self.pn = int(p * den)
+        self.qn = int(q * den)
+        self.den = den
+        self.bits = bits
+        self.scale = 1 << bits
+        self.c = self.scale
+        self.s = 0
+        self.n = 0
+
+    def walk(self, n_to: int):
+        """Step up to index n_to, yielding (n, c, s) after each step.
+
+        The loop runs on locals; the attributes are written back once, when
+        the generator finishes or is closed, so read them only after that.
+        """
+        c, s, n = self.c, self.s, self.n
+        pn, qn, den = self.pn, self.qn, self.den
+        d2 = 2 * den
+        try:
+            while n < n_to:
+                # round to nearest: (2x + den) // (2 den) = floor(x/den + 1/2)
+                c, s = ((2 * (pn * c - qn * s) + den) // d2,
+                        (2 * (qn * c + pn * s) + den) // d2)
+                n += 1
+                yield n, c, s
+        finally:
+            self.c, self.s, self.n = c, s, n
+
+    def ival(self, v: int, n: int) -> Ival:
+        """Enclosure of a coordinate held as v / 2^bits after n steps."""
+        e = Q(n + 1, self.scale)
+        x = Q(v, self.scale)
+        return Ival(max(x - e, Q(-1)), min(x + e, Q(1)))
 
 
 def walk_to(sc: RotScan, n: int) -> tuple[Ival, Ival]:

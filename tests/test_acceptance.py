@@ -29,7 +29,8 @@ from robustlrs.hardness import (build_hardness_lrr, compute_params,
                                 lagrange_prefix, approximate_L,
                                 config_from_coeffs, CoefficientBasisPoint)
 
-from oracles import brute_force_check, orbit_point, rotation_check, walk_to
+from oracles import (RotScan, brute_force_check, orbit_point, rotation_check,
+                     walk_to)
 
 P35, Q45 = Q(3, 5), Q(4, 5)
 FIB = Lrr((Q(1), Q(1)))
@@ -431,7 +432,6 @@ def test_10_kronecker_density():
         assert diff[n_best - 1] < gap_needed, f"target {target} missed"
         hits.append(n_best)
     # exact anchor for the first hit: certified distance below eps
-    from robustlrs.trig import RotScan
     n0 = hits[0]
     cos_iv, sin_iv = walk_to(RotScan(P35, Q45, bits=96), n0)
     t_angle = (n0 * theta) % 1.0

@@ -73,6 +73,39 @@ def test_parse_problem_length_mismatch():
         parse_problem('{"coeffs":["1","1"],"init":["1"]}')
 
 
+@pytest.mark.parametrize("doc,path", [
+    ('{"coeffs":"11","init":["1","1"]}', "$.coeffs"),
+    ('{"coeffs":["1","1"],"init":"11"}', "$.init"),
+    ('{"coeffs":"11","init":"11"}', "$.coeffs"),
+    ('{"coeffs":["1","1"],"init":{"1":"a","2":"b"}}', "$.init"),
+], ids=["coeffs", "init", "both", "init-object"])
+def test_parse_problem_rejects_non_array_terms(doc, path):
+    """A string is not read character by character, nor an object key by
+    key, as a list of rationals."""
+    with pytest.raises(ProblemError, match=r"must be an array") as exc:
+        parse_problem(doc)
+    assert exc.value.path == path
+
+
+@pytest.mark.parametrize("key,value", [
+    ("prefix_cap", "true"), ("prefix_cap", "false"),
+    ("height_bound", "true"),
+])
+def test_parse_problem_rejects_non_integer_counts(key, value):
+    """JSON booleans load as Python bools, which are ints: still refused."""
+    with pytest.raises(ProblemError, match="must be an integer") as exc:
+        parse_problem(f'{{"coeffs":["1","1"],"init":["1","1"],'
+                      f'"{key}":{value}}}')
+    assert exc.value.path == f"$.{key}"
+
+
+def test_decide_string_terms_exit3():
+    p = run_cli(["decide", "exists-robust-positivity", "--problem", "-"],
+                stdin='{"coeffs":"11","init":"11"}')
+    assert p.returncode == 3 and not p.stdout
+    assert "$.coeffs" in p.stderr
+
+
 def test_parse_problem_ball_question_compat():
     with pytest.raises(ProblemError, match="requires a ball"):
         parse_problem('{"coeffs":["1","1"],"init":["1","1"],'
@@ -582,8 +615,11 @@ def test_zero_prefix_cap_is_kept(tmp_path, monkeypatch, capsys, flags,
     ([], {"height_bound": 0}),
     ([], {"prefix_cap": "5"}),
     ([], {"tol": 0.001}),
+    ([], {"prefix_cap": True}),
+    ([], {"height_bound": True}),
 ], ids=["cap-flag", "height-flag", "cap-config", "height-config",
-        "cap-string-config", "tol-float-config"])
+        "cap-string-config", "tol-float-config", "cap-bool-config",
+        "height-bool-config"])
 def test_bad_setting_exit3(tmp_path, monkeypatch, capsys, flags, config):
     """A cap below 0, a height bound below 1 or a setting of the wrong type
     in the defaults file is a usage error (exit 3), not an internal one."""

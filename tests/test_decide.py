@@ -170,8 +170,8 @@ def test_open_ball_factors_the_characteristic_polynomial_once(monkeypatch):
 
 
 def test_prefix_margin_zero_after_exact_confirmation(monkeypatch):
-    """A term whose scan bound is not positive is confirmed by term_sign;
-    its value may lie below every earlier bound, so the margin is 0."""
+    """A term whose scan bound is not positive is confirmed exactly; its
+    value may lie below every earlier bound, so the margin is 0."""
     from robustlrs.lrs import OrbitScanner
     r = 1 - Q(1, 1301)
     lrr = Lrr((-r, 1 + r))                      # roots 1 and r
@@ -344,8 +344,7 @@ def test_short_prefix_scan_matches_fraction_terms():
     the margin of the Fraction recursion; the first zero of
     `exact_zeros_up_to` (Skolem's prefix) is the Fraction recursion's."""
     import random
-    from robustlrs.decide import _prefix_scan
-    from robustlrs.lrs import exact_zeros_up_to
+    from robustlrs.lrs import exact_zeros_up_to, prefix_scan
     rng = random.Random(11)
     rat = lambda: Q(rng.randint(-9, 9), rng.choice((1, 2, 3, 7, 10)))
     cases = [(Lrr((Q(-1), Q(2))), InitialConfig((Q(-5), Q(-4))), 12),
@@ -360,7 +359,7 @@ def test_short_prefix_scan_matches_fraction_terms():
             for _ in range(k))), rng.randint(0, 60)))
     seen = set()
     for lrr, c, n_thr in cases:
-        got = _prefix_scan(lrr, c, n_thr, None)
+        got = prefix_scan(lrr, c, n_thr, None)
         assert got == _prefix_scan_ref(lrr, c, n_thr, False), \
             (lrr.coeffs, c.entries, n_thr)
         zeros = exact_zeros_up_to(lrr, c, n_thr)

@@ -13,9 +13,8 @@ from robustlrs.hardness import (build_hardness_lrr, basis_change,
                                 compute_params, HardnessParams,
                                 ball_gadget, min_ball_term, scan_ball_terms,
                                 lagrange_prefix, approximate_L)
-from robustlrs.trig import RotScan
 
-from oracles import ball_samples, rotation_check, walk_to
+from oracles import RotScan, ball_samples, rotation_check, walk_to
 
 P, QSIN = Q(3, 5), Q(4, 5)
 

@@ -12,7 +12,6 @@ must agree, with overlapping enclosures.  The reference scans live in
 
 import random
 from collections import Counter
-from contextlib import closing
 from fractions import Fraction as Q
 
 import pytest
@@ -22,7 +21,6 @@ from robustlrs.hardness import (approximate_L, compute_params,
                                 lagrange_prefix, scan_ball_terms,
                                 _near_returns)
 from robustlrs.interval import Ival
-from robustlrs.trig import RotScan
 
 from oracles import ball_term_steps, lagrange_prefix_ref, scan_ball_terms_ref
 
@@ -163,19 +161,23 @@ def test_approximate_L_shared_walk_matches_fresh_walks(monkeypatch, p, q):
 
 @pytest.mark.parametrize("p,q", POINTS[:3])
 def test_approximate_L_steps_each_index_once(monkeypatch, p, q):
-    """Only the prefix scan walks the orbit, once per index, up to n2."""
-    stepped = Counter()
-    real_walk = RotScan.walk
+    """Only the prefix scan walks the orbit: one `lagrange_prefix` per
+    distinct n2 of the probes, each below the horizon."""
+    prefixes, n2s = Counter(), set()
+    real_prefix, real_params = hardness.lagrange_prefix, hardness.compute_params
 
-    def counted(self, n_to):
-        with closing(real_walk(self, n_to)) as walk:
-            for step in walk:
-                stepped[self.bits, step[0]] += 1
-                yield step
+    def counted_prefix(p, q, N):
+        prefixes[N] += 1
+        return real_prefix(p, q, N)
 
-    monkeypatch.setattr(RotScan, "walk", counted)
+    def recorded_params(*args):
+        params = real_params(*args)
+        n2s.add(params.n2)
+        return params
+
+    monkeypatch.setattr(hardness, "lagrange_prefix", counted_prefix)
+    monkeypatch.setattr(hardness, "compute_params", recorded_params)
     est = approximate_L(p, q, Q(1, 20), 30000)
     assert est.probes >= 1
-    assert stepped and max(stepped.values()) == 1
-    assert {bits for bits, _ in stepped} == {192}
-    assert max(n for _, n in stepped) < 30000
+    assert prefixes and max(prefixes.values()) == 1
+    assert set(prefixes) == {n2 for n2 in n2s if n2 < 30000}

@@ -17,7 +17,8 @@ A module-level import of a package module or a script counts as used
 when the name it binds appears as a plain name in that module's syntax
 tree (an attribute access `math.gcd` names `math`).  `__init__.py` is
 left out: its imports are re-exports.  The package imports nothing
-inside a function.
+inside a function, and no package module imports another's private
+(`_`-prefixed) name: a name another module needs is public.
 """
 
 import ast
@@ -104,3 +105,17 @@ def test_no_function_level_imports_in_package():
                            for node in ast.walk(fn)
                            if isinstance(node, (ast.Import, ast.ImportFrom))]
     assert not nested
+
+
+def test_no_private_names_imported_across_package_modules():
+    private = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (
+                    node.level or (node.module or "").startswith("robustlrs")):
+                private += [f"{path.name}:{node.lineno}:{a.name}"
+                            for a in node.names if a.name.startswith("_")
+                            and not (a.name.startswith("__")
+                                     and a.name.endswith("__"))]
+    assert not private

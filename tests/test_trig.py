@@ -13,11 +13,11 @@ from robustlrs import trig
 from robustlrs.interval import Box, Ival
 from robustlrs.trig import (pi_ival, cos_turn_point, sin_turn_point, cos_turn,
                             sin_turn, unit_box, atan_ival, angle_from_cos,
-                            RotScan, rotation_order, rotation_power)
-from robustlrs.hardness import _rotation_ivals
+                            rotation_order, rotation_power)
+from robustlrs.hardness import _rotation_ivals, lagrange_prefix
 from robustlrs.qmath import exact_sqrt, is_perfect_square, sqrt_down, sqrt_up
 
-from oracles import walk_to
+from oracles import RotScan, walk_to
 
 mpmath.mp.dps = 60
 
@@ -359,7 +359,7 @@ def test_niven_rotation_rejects_irrational_angle():
     with pytest.raises(ValueError):
         _rotation_ivals(Q(3, 5), None, 1, 128)
     # the dyadic scan of an irrational angle needs the exact sine
-    with pytest.raises(ValueError):
-        RotScan(Q(3, 5), None, 128)
+    with pytest.raises(ValueError, match="exact sine"):
+        lagrange_prefix(Q(3, 5), None, 10)
     assert rotation_order(Q(1, 2)) == 6
     assert rotation_order(Q(3, 5)) is None
