@@ -55,7 +55,7 @@ def main():
             zxy[0], zxy[1], zxy[2], Q(0), Q(0), Q(0)))
         analysis = Analysis.build(lrr, c)
         m = mu(analysis.form, analysis.torus)
-        d = exists_robust_ultimate_positivity(lrr, c, analysis=analysis)
+        d = exists_robust_ultimate_positivity(analysis)
         show(f"mu at {label} (z,x,y)={tuple(map(str, zxy))}",
              f"{m.verdict}; exists-robust-ultpos: {d.verdict}")
 

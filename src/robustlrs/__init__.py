@@ -6,7 +6,6 @@ ball positivity to Diophantine approximation.
 
 from .qmath import Q, parse_rational, format_rational
 from .interval import Ival, Box
-from .poly import PolyRat
 from .algebraic import (AlgebraicNumber, NumberField, FieldElement,
                         isolate_roots, power_product_is_one,
                         identify_root_of_unity)

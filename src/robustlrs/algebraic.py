@@ -32,7 +32,7 @@ from . import trig
 from . import poly as P
 from .poly import (pnorm, pdeg, padd, psub, pmul, pmod, pdivmod, pscale,
                    peval, peval_box, pderiv, int_normalize, preverse,
-                   separation_bound, cyclotomic_index, PolyRat)
+                   separation_bound, cyclotomic_index)
 
 _x = sympy.Symbol("x")
 
@@ -428,15 +428,6 @@ class FieldElement:
             return Box.point(self.as_rational())
         return peval_box(self.coeffs, self.field.root_box(bits), bits + 32)
 
-    def box_width(self, width: Fraction) -> Box:
-        """Enclosure of guaranteed width at most `width`."""
-        if self.is_rational():
-            return Box.point(self.as_rational())
-        for bits in precisions(64, "refinement to a given width"):
-            b = self.box(bits)
-            if b.width <= width:
-                return b
-
     def root_exchanged(self, field: NumberField) -> "FieldElement":
         """The same number in `field`, a quadratic field on the same minimal
         polynomial at the other root (or, for a complex root, at its own
@@ -581,13 +572,15 @@ class AlgebraicNumber:
         width = Q(width)
         if width <= 0:
             raise ValueError("width must be positive")
-        if self._rat is not None:
-            return Box.point(self._rat)
-        return self._elem.box_width(width)
+        for bits in precisions(64, "refinement to a given width"):
+            b = self.box(bits)
+            if b.width <= width:
+                return b
 
     @property
-    def defining_poly(self) -> PolyRat:
-        return PolyRat(tuple(Q(c) for c in self._defining_ints()))
+    def defining_poly(self) -> tuple[Fraction, ...]:
+        """The minimal polynomial's coefficients, lowest degree first."""
+        return tuple(Q(c) for c in self._defining_ints())
 
     def _defining_ints(self) -> tuple[int, ...]:
         if self._defpoly is not None:
@@ -661,10 +654,11 @@ def isolate_roots(p, factors=None) -> list[tuple[AlgebraicNumber, int]]:
     """Isolate all complex roots of a rational polynomial.
 
     Returns (root, multiplicity) pairs; multiplicities sum to deg(p) and
-    the isolating disks are pairwise disjoint.  `factors` is
-    `poly.factor_int(p)` when the caller already holds it.
+    the isolating disks are pairwise disjoint.  `p` is a coefficient
+    tuple, lowest degree first; `factors` is `poly.factor_int(p)` when the
+    caller already holds it.
     """
-    coeffs = p.coefficients if isinstance(p, PolyRat) else pnorm(p)
+    coeffs = pnorm(p)
     if not coeffs:
         raise ValueError("cannot isolate roots of the zero polynomial")
     out = []

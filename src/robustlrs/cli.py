@@ -19,9 +19,8 @@ from fractions import Fraction
 from . import __version__
 from .qmath import (Q, parse_rational, format_rational, is_perfect_square,
                     exact_sqrt)
-from .poly import PolyRat
 from .algebraic import isolate_roots
-from .lrs import eval_terms, OrbitScanner
+from .lrs import eval_terms, normalize, OrbitScanner
 from .torus import DEFAULT_HEIGHT_BOUND, root_of_unity_alg
 from .optimize import mu as mu_op, nu as nu_op, DEFAULT_TOL
 from .decide import (exists_robust_positivity, exists_robust_skolem,
@@ -41,11 +40,19 @@ EXIT_YES, EXIT_NO, EXIT_UNKNOWN, EXIT_USAGE, EXIT_INTERNAL = 0, 1, 2, 3, 4
 
 
 def _load_defaults() -> dict:
+    """The defaults file named by `ROBUSTLRS_CONFIG`: a JSON object, else
+    a usage error."""
     path = os.environ.get(CONFIG_ENV)
-    if path and os.path.exists(path):
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    return {}
+    if not (path and os.path.exists(path)):
+        return {}
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ProblemError(CONFIG_ENV, f"invalid JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise ProblemError(CONFIG_ENV, "top-level value must be an object")
+    return doc
 
 
 def _write_out(text: str, out_path: str | None):
@@ -85,13 +92,13 @@ def run(spec: ProblemSpec, question: str, tol: Fraction, prefix_cap: int,
     t0 = time.monotonic()
     decide = {
         "exists-robust-positivity": lambda a: exists_robust_positivity(
-            spec.lrr, spec.init, prefix_cap, tol, a),
+            a, prefix_cap, tol),
         "exists-robust-skolem": lambda a: exists_robust_skolem(
-            spec.lrr, spec.init, prefix_cap, tol, a),
+            a, prefix_cap, tol),
         "exists-robust-ultpos": lambda a: exists_robust_ultimate_positivity(
-            spec.lrr, spec.init, tol, a),
+            a, tol),
         "robust-ultpos-open": lambda a: robust_nonuniform_ultpos_open_ball(
-            spec.lrr, spec.ball, tol, a),
+            a, spec.ball, tol),
     }.get(question)
     if decide is None:
         raise ProblemError("$.question", f"unknown question {question!r}")
@@ -117,7 +124,7 @@ def emit_plot_data(spec: ProblemSpec, kind: str, count: int) -> str:
     if kind == "orbit":
         terms = eval_terms(spec.lrr, spec.init, count)
         buf.write("n,u_n,v_n\n")
-        sc = OrbitScanner(spec.lrr, spec.init, bits=128)
+        sc = OrbitScanner(normalize(spec.lrr, spec.init), 128)
         for n, u in enumerate(terms):
             if n == 0:
                 buf.write(f"0,{format_rational(u)},{decimal_str(u, 12)}\n")
@@ -275,9 +282,8 @@ def main(argv=None) -> int:
         if exc.code == 2:
             return EXIT_USAGE
         raise
-    defaults = _load_defaults()
     try:
-        return _dispatch(args, defaults)
+        return _dispatch(args, _load_defaults())
     except (ProblemError, ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
@@ -331,7 +337,7 @@ def _dispatch(args, defaults) -> int:
 
     if args.command == "roots":
         spec = _read_problem(args)
-        roots = isolate_roots(PolyRat(spec.lrr.char_poly()))
+        roots = isolate_roots(spec.lrr.char_poly())
         doc = [dict(algebraic_json(a), multiplicity=m) for a, m in roots]
         _write_json(doc, args.out)
         return EXIT_YES

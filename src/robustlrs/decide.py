@@ -2,18 +2,19 @@
 certificates.
 
 Each start is analysed once (`Analysis`: spectral data, exp-poly
-solution, normal form, relation lattice) and every procedure runs the
-same two stages on it.  The optimum stage reads the minimum of the
-dominant form over the closure torus (over ball x torus for a given open
-ball): it gives NO, YES or UNKNOWN from the optimizer's verdict alone.
-When the lattice is incomplete the torus is a superset and the minimum a
+solution, normal form, relation lattice), and each procedure takes that
+`Analysis` (of the ball's centre, for a given ball) and runs the same
+two stages on it.  The optimum stage reads the minimum of the dominant
+form over the closure torus (over ball x torus for a given open ball):
+it gives NO, YES or UNKNOWN from the optimizer's verdict alone.  When
+the lattice is incomplete the torus is a superset and the minimum a
 lower bound, so a NO degrades to UNKNOWN rather than risk an unsound
-certificate.  For positivity and Skolem a positive minimum goes on to the
-tail stage: a certified residual threshold, the prefix cap, and an exact
-scan of the finite prefix.  The scans are `lrs`'s: `exact_zeros_up_to`
-for Skolem and `prefix_scan` for positivity, which alone knows how the
-prefix is evaluated (the scaled integer recurrence, then the certified
-orbit scan).
+certificate.  For positivity and Skolem a positive minimum goes on to
+the tail stage: a certified residual threshold, the prefix cap, and an
+exact scan of the finite prefix.  The scans are `lrs`'s:
+`exact_zeros_up_to` for Skolem and `prefix_scan` for positivity, which
+alone knows how the prefix is evaluated (the scaled integer recurrence,
+then the certified orbit scan).
 
 The float-screen sampling oracle that cross-checks these verdicts is not
 part of the package; it lives with the tests, in `tests/oracles.py`.
@@ -28,7 +29,7 @@ from typing import Optional
 from .qmath import ZERO, ONE
 from .lrs import (Lrr, InitialConfig, Ball, spectral, exp_poly_solutions,
                   normalize, residual_threshold, exact_zeros_up_to,
-                  prefix_scan, DominantForm, ResidualEvaluator)
+                  prefix_scan, DominantForm, ResidualTerm)
 from .torus import (DEFAULT_HEIGHT_BOUND, relation_lattice, parametrize,
                     TorusParam)
 from .optimize import (mu, nu, min_over_ball, DominantFamily, SignOutcome,
@@ -76,7 +77,7 @@ class Analysis:
     c: InitialConfig
     spec: object
     form: DominantForm
-    res: ResidualEvaluator
+    res: list[ResidualTerm]
     torus: TorusParam
 
     @staticmethod
@@ -132,31 +133,30 @@ def _tail_stage(a: Analysis, out: SignOutcome, prefix_cap: int,
                                        prefix_margin=margin))
 
 
-def exists_robust_ultimate_positivity(lrr: Lrr, c: InitialConfig,
-                                      tol: Fraction = DEFAULT_TOL,
-                                      analysis: Analysis | None = None) -> Decision:
+def exists_robust_ultimate_positivity(a: Analysis,
+                                      tol: Fraction = DEFAULT_TOL
+                                      ) -> Decision:
     """YES iff the dominant minimum is strictly positive."""
-    a = analysis or Analysis.build(lrr, c)
     return _optimum_stage(mu(a.form, a.torus, tol), ("NEGATIVE", "ZERO"),
                           "optimizer tolerance exhausted without a sign")
 
 
-def robust_nonuniform_ultpos_open_ball(lrr: Lrr, ball: Ball,
-                                       tol: Fraction = DEFAULT_TOL,
-                                       analysis: Analysis | None = None
+def robust_nonuniform_ultpos_open_ball(a: Analysis, ball: Ball,
+                                       tol: Fraction = DEFAULT_TOL
                                        ) -> Decision:
     """Open-ball non-uniform ultimate positivity: ball inside the dominant
-    nonnegativity set iff the closed-ball minimum is >= 0.  `analysis` is
-    that of the centre; the unit starts' forms come from one solve."""
+    nonnegativity set iff the closed-ball minimum is >= 0.  `a` is the
+    analysis of the ball's centre, and `ball` gives the radius; the unit
+    starts' forms come from one solve."""
     if ball.topology == "closed":
         raise ValueError("closed given balls are out of scope "
                          "(Diophantine-hard); only open balls are decided")
-    a = analysis or Analysis.build(lrr, ball.center)
-    k = lrr.order
+    k = a.lrr.order
     units = [InitialConfig(tuple(ONE if j == i else ZERO for j in range(k)))
              for i in range(k)]
-    basis = [normalize(lrr, e, a.spec, sol)[0]
-             for e, sol in zip(units, exp_poly_solutions(lrr, units, a.spec))]
+    basis = [normalize(a.lrr, e, a.spec, sol)[0]
+             for e, sol in zip(units, exp_poly_solutions(a.lrr, units,
+                                                         a.spec))]
     out = min_over_ball(DominantFamily(center=a.form, basis=basis),
                         ball.radius, a.torus, tol)
     # closed-ball min >= 0 certifies the open ball is inside P_dom
@@ -166,12 +166,10 @@ def robust_nonuniform_ultpos_open_ball(lrr: Lrr, ball: Ball,
                           witness_radius=ball.radius)
 
 
-def exists_robust_positivity(lrr: Lrr, c: InitialConfig,
+def exists_robust_positivity(a: Analysis,
                              prefix_cap: int = DEFAULT_PREFIX_CAP,
-                             tol: Fraction = DEFAULT_TOL,
-                             analysis: Analysis | None = None) -> Decision:
+                             tol: Fraction = DEFAULT_TOL) -> Decision:
     """Dominant minimum positive + exact strictly-positive prefix."""
-    a = analysis or Analysis.build(lrr, c)
     out = mu(a.form, a.torus, tol)
     if out.verdict != "POSITIVE":
         return _optimum_stage(out, ("NEGATIVE", "ZERO"),
@@ -179,12 +177,10 @@ def exists_robust_positivity(lrr: Lrr, c: InitialConfig,
     return _tail_stage(a, out, prefix_cap, skolem=False)
 
 
-def exists_robust_skolem(lrr: Lrr, c: InitialConfig,
+def exists_robust_skolem(a: Analysis,
                          prefix_cap: int = DEFAULT_PREFIX_CAP,
-                         tol: Fraction = DEFAULT_TOL,
-                         analysis: Analysis | None = None) -> Decision:
+                         tol: Fraction = DEFAULT_TOL) -> Decision:
     """Nonzero dominant minimum in absolute value + zero-free exact prefix."""
-    a = analysis or Analysis.build(lrr, c)
     out = nu(a.form, a.torus, tol)
     if out.verdict != "POSITIVE":
         return _optimum_stage(out, ("ZERO",),

@@ -44,9 +44,6 @@ from .trig import (pi_ival, rotation_order, rotation_power,
 from .poly import pmul
 from .lrs import Lrr, InitialConfig, mat_inv
 
-COEFF_AXES = ("z_dom", "x_dom", "y_dom", "z_res", "x_res", "y_res")
-
-
 @dataclass(frozen=True)
 class CoefficientBasisPoint:
     z_dom: Fraction
@@ -67,8 +64,12 @@ def _check_circle(p: Fraction, q: Fraction):
 
 
 def _rotation_point(p, q):
-    """(p, q) as Fractions; a given q must put p + qi on the unit circle."""
+    """(p, q) as Fractions: p is a cosine, in [-1, 1], and a given q must
+    put p + qi on the unit circle."""
     p = Q(p)
+    if not -1 <= p <= 1:
+        raise ValueError(f"p = {p} is the cosine of the rotation: "
+                         "-1 <= p <= 1 required")
     if q is None:
         return p, None
     q = Q(q)
@@ -140,7 +141,7 @@ class HardnessParams:
     """Gadget constants.  ell = ell_qprime / pi, so 2*pi*ell = 2*ell_qprime
     is exactly rational; eps compares against n*[2 pi n theta]."""
 
-    p: Optional[Fraction]
+    p: Fraction
     q: Optional[Fraction]
     ell_qprime: Fraction
     eps: Fraction
@@ -174,7 +175,7 @@ class HardnessParams:
                 raise ValueError(f"gadget constraint violated: {name}")
 
 
-def compute_params(ell, eps, p=None, q=None) -> HardnessParams:
+def compute_params(ell, eps, p, q=None) -> HardnessParams:
     """Derive (alpha0, n1, tau1, psi, n2) from ell = ell/pi (given as the
     rational q') and eps, per the tangent-ball construction.
 
@@ -183,8 +184,7 @@ def compute_params(ell, eps, p=None, q=None) -> HardnessParams:
     sin a >= a(1 - a^2/6), whence a nonneg gadget term forces
     n a > 2 pi ell (1 - a^2/6) > 2 pi ell - eps once a^2 <= 3 eps/(pi ell).
     """
-    if q is not None:
-        _check_circle(Q(p), Q(q))
+    p, q = _rotation_point(p, q)
     qprime = Q(ell)
     eps = Q(eps)
     if qprime <= 0 or eps <= 0:
@@ -199,9 +199,7 @@ def compute_params(ell, eps, p=None, q=None) -> HardnessParams:
     n2 = max(n1 + 1, ceil_frac(n2_bound))
     while (36 * pi_hi) ** 3 / Q(n2) ** 2 > 4 * eps:
         n2 += 1
-    params = HardnessParams(p=Q(p) if p is not None else None,
-                            q=Q(q) if q is not None else None,
-                            ell_qprime=qprime, eps=eps, psi=psi,
+    params = HardnessParams(p=p, q=q, ell_qprime=qprime, eps=eps, psi=psi,
                             alpha0=alpha0, n1=n1, tau1=tau1, n2=n2)
     params.validate()
     return params
@@ -280,8 +278,6 @@ def min_ball_term(n: int, params: HardnessParams) -> Ival:
     - 2 psi (sqrt(n^2+1) - n)."""
     if n < 1:
         raise ValueError("n >= 1 required")
-    if params.p is None:
-        raise ValueError("params carry no rotation point")
     cos_iv, sin_iv = _rotation_ivals(params.p, params.q, n, _SCAN_BITS)
     return _ball_term(n, params, cos_iv, sin_iv, _root_tail(n, params.psi))
 

@@ -59,14 +59,14 @@ def identity(n: int) -> Matrix:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def snf(mat: Matrix) -> tuple[Matrix, Matrix, Matrix]:
-    """Smith normal form: returns (D, U, V) with D = U * mat * V,
-    U and V unimodular, D diagonal with d1 | d2 | ... positive.
+def snf(mat: Matrix) -> tuple[Matrix, Matrix]:
+    """Smith normal form: returns (D, V) with D = U * mat * V for some
+    unimodular U (not formed: no caller reads it), V unimodular, D
+    diagonal with d1 | d2 | ... positive.
     """
     a = [list(r) for r in mat]
     nrows = len(a)
     ncols = len(a[0]) if a else 0
-    u = identity(nrows)
     v = identity(ncols)
 
     def swap_cols(m, i, j):
@@ -93,7 +93,7 @@ def snf(mat: Matrix) -> tuple[Matrix, Matrix, Matrix]:
                 break
         if pr is None:
             break
-        _swap_rows(a, t, pr), _swap_rows(u, t, pr)
+        _swap_rows(a, t, pr)
         swap_cols(a, t, pc), swap_cols(v, t, pc)
         while True:
             # clear column t
@@ -101,9 +101,9 @@ def snf(mat: Matrix) -> tuple[Matrix, Matrix, Matrix]:
             for i in range(t + 1, nrows):
                 if a[i][t] != 0:
                     q = a[i][t] // a[t][t]
-                    add_row(a, i, t, q), add_row(u, i, t, q)
+                    add_row(a, i, t, q)
                     if a[i][t] != 0:
-                        _swap_rows(a, t, i), _swap_rows(u, t, i)
+                        _swap_rows(a, t, i)
                         dirty = True
             for j in range(t + 1, ncols):
                 if a[t][j] != 0:
@@ -119,7 +119,7 @@ def snf(mat: Matrix) -> tuple[Matrix, Matrix, Matrix]:
         for i in range(t + 1, nrows):
             for j in range(t + 1, ncols):
                 if a[i][j] % a[t][t] != 0:
-                    add_row(a, t, i, -1), add_row(u, t, i, -1)
+                    add_row(a, t, i, -1)
                     fixed = False
                     break
             if not fixed:
@@ -127,16 +127,15 @@ def snf(mat: Matrix) -> tuple[Matrix, Matrix, Matrix]:
         if fixed:
             if a[t][t] < 0:
                 a[t] = [-x for x in a[t]]
-                u[t] = [-x for x in u[t]]
             t += 1
-    return a, u, v
+    return a, v
 
 
 def kernel_basis(mat: Matrix) -> list[list[int]]:
     """Basis of the right integer kernel {x : mat @ x = 0}."""
     if not mat:
         return []
-    d, _, v = snf(mat)
+    d, v = snf(mat)
     ncols = len(mat[0])
     rank = sum(1 for i in range(min(len(d), ncols)) if d[i][i] != 0)
     return [[v[r][j] for r in range(ncols)] for j in range(rank, ncols)]

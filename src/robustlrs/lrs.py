@@ -11,6 +11,11 @@ system is inverted on integers (`mat_inv`, fraction-free Gauss-Jordan).
 Its exact check uses one table of traces of powers per factor, formed by
 field multiplication, against which every start is checked.
 
+A start's normal form is `normalize`'s pair: the dominant form and the
+list of residual terms (`ResidualTerm`), empty when v_n is its dominant
+part.  `residual_threshold` reads that list, and the orbit scan is built
+from the pair, which its caller computes once per start.
+
 Terms up to `EXACT_TERMS` are exact, on the scaled integer recurrence
 w_n = E * D^n * u_n.  Past it, the sign of a term comes from
 `OrbitScanner`, a certified scan of the real number v_n = u_n/(n^m
@@ -32,7 +37,7 @@ from fractions import Fraction
 from .qmath import Q, ZERO, ONE, precisions, is_perfect_square, exact_sqrt
 from .interval import Ival, Box
 from . import poly as P
-from .poly import pnorm, PolyRat
+from .poly import pnorm
 from .algebraic import (AlgebraicNumber, FieldElement, NumberField,
                         isolate_roots)
 
@@ -159,10 +164,6 @@ class SpectralData:
         elif not self.rho.box(64).re.lo >= 0:
             raise RuntimeError("dominant modulus enclosure is not nonnegative")
 
-    @property
-    def order(self) -> int:
-        return sum(mult for _, mult in self.roots)
-
 
 def _alg_sqrt(t: AlgebraicNumber, refiner) -> AlgebraicNumber:
     """Positive square root of a positive real algebraic number; `refiner`
@@ -173,7 +174,7 @@ def _alg_sqrt(t: AlgebraicNumber, refiner) -> AlgebraicNumber:
             return AlgebraicNumber.from_rational(exact_sqrt(v))
         coeffs = (-v, ZERO, ONE)
     else:
-        poly = t.defining_poly.coefficients
+        poly = t.defining_poly
         coeffs = [ZERO] * (2 * len(poly) - 1)
         for i, co in enumerate(poly):
             coeffs[2 * i] = co
@@ -228,7 +229,7 @@ def spectral(lrr: Lrr) -> SpectralData:
     through a composed-product polynomial)."""
     char = lrr.char_poly()
     factors = P.factor_int(char)
-    roots = isolate_roots(PolyRat(char), factors)
+    roots = isolate_roots(char, factors)
     r = len(roots)
     parent = list(range(r))
 
@@ -349,7 +350,7 @@ def exp_poly_solutions(lrr: Lrr, starts: list[InitialConfig],
     if spec is None:
         char = lrr.char_poly()
         factors = P.factor_int(char)
-        roots = isolate_roots(PolyRat(char), factors)
+        roots = isolate_roots(char, factors)
     else:
         factors, roots = spec.factors, spec.roots
     k = lrr.order
@@ -426,7 +427,7 @@ def _root_matches_factor(root: AlgebraicNumber, minpoly: tuple[int, ...]) -> boo
 
 
 # ---------------------------------------------------------------------------
-# normalization: dominant form + residual evaluator
+# normalization: dominant form + residual terms
 
 
 @dataclass
@@ -438,45 +439,21 @@ class DominantForm:
 
 
 @dataclass
-class _ResidualTerm:
+class ResidualTerm:
+    """One term alpha * n^npow * base^n of v_n^res."""
+
     alpha: AlgebraicNumber
     npow: int                      # exponent of n (negative or zero here)
     base: AlgebraicNumber          # (gamma/rho), modulus <= 1
     base_is_unit: bool
 
 
-class ResidualEvaluator:
-    """The residual terms of v_n^res and their decay bookkeeping."""
-
-    def __init__(self, terms: list[_ResidualTerm]):
-        self.terms = terms
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def term_bounds(self) -> list[tuple[Fraction, int, Fraction]]:
-        """Per term (A, t, beta): |term(n)| <= A * n^t * beta^n with A, beta
-        rational upper bounds (96-bit enclosures) and beta < 1 unless the
-        base is unit modulus."""
-        out = []
-        for t in self.terms:
-            a_hi = t.alpha.box(96).abs(96).hi
-            if t.base_is_unit:
-                beta = ONE
-            else:
-                for b in precisions(96, "certifying |base| < 1"):
-                    beta = t.base.box(b).abs(b).hi
-                    if beta < 1:
-                        break
-            out.append((a_hi, t.npow, beta))
-        return out
-
-
 def normalize(lrr: Lrr, c: InitialConfig,
               spec: SpectralData | None = None,
               sol: ExpPolySolution | None = None
-              ) -> tuple[DominantForm, ResidualEvaluator]:
-    """Split v_n = u_n/(n^m rho^n) into dominant and residual parts."""
+              ) -> tuple[DominantForm, list[ResidualTerm]]:
+    """Split v_n = u_n/(n^m rho^n) into the dominant form and the list of
+    residual terms (empty when v_n is its dominant part)."""
     if spec is None:
         spec = spectral(lrr)
     if sol is None:
@@ -496,10 +473,9 @@ def normalize(lrr: Lrr, c: InitialConfig,
             if alpha.is_rational and alpha.as_rational() == 0:
                 continue
             base = unit if is_dom else _ratio_to_rho(root, rho)
-            res_terms.append(_ResidualTerm(alpha=alpha, npow=j - m, base=base,
-                                           base_is_unit=is_dom))
-    form = DominantForm(terms=dom_terms, rho=rho)
-    return form, ResidualEvaluator(res_terms)
+            res_terms.append(ResidualTerm(alpha=alpha, npow=j - m, base=base,
+                                          base_is_unit=is_dom))
+    return DominantForm(terms=dom_terms, rho=rho), res_terms
 
 
 def _unit_ratio(root: AlgebraicNumber, rho: AlgebraicNumber) -> AlgebraicNumber:
@@ -532,31 +508,45 @@ def _ratio_to_rho(root: AlgebraicNumber, rho: AlgebraicNumber) -> AlgebraicNumbe
     if num is not None:
         return AlgebraicNumber.from_element(num / rho.elem)
     # the composed product of M and reversed P_rho has the roots root_i/rho_j
-    cands = P.composed_product(root.defining_poly.coefficients,
-                               P.preverse(rho.defining_poly.coefficients))
+    cands = P.composed_product(root.defining_poly,
+                               P.preverse(rho.defining_poly))
     return _locate_as_root(cands,
                            lambda bits: root.box(bits) * rho.box(bits).re.inverse(),
                            "unit ratio identification")
 
 
-def residual_threshold(res: ResidualEvaluator, eps: Fraction) -> int:
+def residual_threshold(res: list[ResidualTerm], eps: Fraction) -> int:
     """Certified N with |v_n^res| < eps for all n > N.
 
     eps is split evenly over the residual terms, and each term's bound
-    A * n^t * beta^n is pushed below its share by doubling then bisection
-    (`_term_threshold`); N is the largest per-term index.  A probe
-    compares floor/ceiling 128-bit dyadic bounds of beta^n with the share
-    and multiplies out the exact integer powers only when they straddle
-    it, so N is exactly the index the rational comparison gives."""
+    A * n^t * beta^n (`_term_bound`) is pushed below its share by doubling
+    then bisection (`_term_threshold`); N is the largest per-term index.
+    A probe compares floor/ceiling 128-bit dyadic bounds of beta^n with
+    the share and multiplies out the exact integer powers only when they
+    straddle it, so N is exactly the index the rational comparison
+    gives."""
     eps = Q(eps)
     if eps <= 0:
         raise ValueError("eps must be positive")
-    if res.is_zero():
+    if not res:
         return 0
-    bounds = res.term_bounds()
-    per_term = eps / len(bounds)
+    per_term = eps / len(res)
     return max((_term_threshold(a_hi, t, beta, per_term)
-                for a_hi, t, beta in bounds if a_hi != 0), default=0)
+                for a_hi, t, beta in map(_term_bound, res) if a_hi != 0),
+               default=0)
+
+
+def _term_bound(t: ResidualTerm) -> tuple[Fraction, int, Fraction]:
+    """(A, t, beta) with |term(n)| <= A * n^t * beta^n: A and beta rational
+    upper bounds (96-bit enclosures), beta < 1 unless the base is unit
+    modulus."""
+    a_hi = t.alpha.box(96).abs(96).hi
+    if t.base_is_unit:
+        return a_hi, t.npow, ONE
+    for b in precisions(96, "certifying |base| < 1"):
+        beta = t.base.box(b).abs(b).hi
+        if beta < 1:
+            return a_hi, t.npow, beta
 
 
 def _term_threshold(a: Fraction, t: int, beta: Fraction,
@@ -659,17 +649,15 @@ class OrbitScanner:
     v_n is computed on integers, over `den * 2^bits * n^P` with P the
     largest -npow (`enclosure`).  v_n is real, so only the real part of
     each alpha * base^n is summed.  `normal` is the start's (form,
-    residual) pair from `normalize`; it is computed here when the caller
-    holds none.
+    residual terms) pair from `normalize`.
     """
 
-    def __init__(self, lrr: Lrr, c: InitialConfig, bits: int,
-                 normal: tuple[DominantForm, ResidualEvaluator] | None = None):
+    def __init__(self, normal: tuple[DominantForm, list[ResidualTerm]],
+                 bits: int):
         self.bits = bits
-        form, res = normal or normalize(lrr, c)
-        self.form, self.res = form, res
+        form, res = normal
         triples = [(a, b, 0) for a, b in form.terms] + \
-                  [(t.alpha, t.base, t.npow) for t in res.terms]
+                  [(t.alpha, t.base, t.npow) for t in res]
         # every alpha is refined before any base: root boxes are cached at
         # the deepest precision asked for, so the order fixes the boxes
         ends = []
@@ -791,13 +779,13 @@ def term_sign(lrr: Lrr, c: InitialConfig, n: int) -> int:
 
 
 def _orbit_sign(lrr: Lrr, c: InitialConfig, n: int,
-                normal: tuple[DominantForm, ResidualEvaluator]) -> int:
+                normal: tuple[DominantForm, list[ResidualTerm]]) -> int:
     """Exact sign of u_n past `EXACT_TERMS`: the orbit scan from the
     start's normal form, on the precision ladder, with one exact zero scan
     once an enclosure holds 0."""
     zero_scanned = False
     for bits in precisions(192, "term sign"):
-        sc = OrbitScanner(lrr, c, bits, normal)
+        sc = OrbitScanner(normal, bits)
         for _ in range(n):
             sc.step()
         lo, hi, _ = sc.enclosure()
@@ -813,8 +801,8 @@ def _orbit_sign(lrr: Lrr, c: InitialConfig, n: int,
 
 def prefix_scan(lrr: Lrr, c: InitialConfig, n_thr: int, normal):
     """Scan u_0..u_{n_thr} for a term u_n <= 0: returns (violation_n,
-    value, margin); `normal` is the start's (form, residual) pair from
-    `normalize`, or None.
+    value, margin); `normal` is the start's (form, residual terms) pair
+    from `normalize`.
 
     Up to `EXACT_TERMS` terms the scan runs on the scaled integer
     recurrence w_n = E * D^n * u_n, which has the signs of u_n.  The
@@ -840,7 +828,7 @@ def prefix_scan(lrr: Lrr, c: InitialConfig, n_thr: int, normal):
         return 0, v0, None
     # the least lower bound is kept as an integer pair (numerator, denominator)
     low = None
-    sc = OrbitScanner(lrr, c, 192, normal)
+    sc = OrbitScanner(normal, 192)
     for n in range(1, n_thr + 1):
         sc.step()
         lo, hi, den = sc.enclosure()
@@ -852,7 +840,7 @@ def prefix_scan(lrr: Lrr, c: InitialConfig, n_thr: int, normal):
             w, s = scaled_term(lrr, c, n)
             if w <= 0:
                 return n, Q(w, s), None
-        elif hi < 0 or _orbit_sign(lrr, c, n, (sc.form, sc.res)) <= 0:
+        elif hi < 0 or _orbit_sign(lrr, c, n, normal) <= 0:
             return n, None, None
         # u_n > 0 exactly, but no positive lower bound of v_n is certified
         low = (0, 1)

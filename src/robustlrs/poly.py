@@ -1,7 +1,11 @@
 """Polynomials over Q as coefficient tuples (lowest degree first).
 
-Thin exact layer: arithmetic, division, power sums, composed products and
-cyclotomic polynomials are hand-rolled over `Fraction`.  `peval_box`, the
+The tuple is the one form a polynomial takes in the package: every
+function here reads and returns it, and so do `algebraic.isolate_roots`
+and `AlgebraicNumber.defining_poly`.
+
+Thin exact layer: arithmetic, division, power sums, composed products
+and cyclotomic polynomials are hand-rolled over `Fraction`.  `peval_box`, the
 box evaluation under root refinement and field-element boxes, runs its
 Horner steps on integer numerators and builds `Fraction`s only for the
 result.  sympy only factors into irreducibles; the uncalled `resultant`
@@ -11,7 +15,6 @@ also delegates to it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -291,22 +294,3 @@ def separation_bound(intpoly) -> Fraction:
     # sqrt(6) > 2.449 > 49/20... use 2 as a safe lower bound on sqrt(6)
     return Q(2, denom)
 
-
-@dataclass(frozen=True)
-class PolyRat:
-    """Public polynomial value: rational coefficients, lowest degree first."""
-
-    coefficients: Coeffs
-
-    def __post_init__(self):
-        object.__setattr__(self, "coefficients", pnorm(self.coefficients))
-
-    @property
-    def degree(self) -> int:
-        return pdeg(self.coefficients)
-
-    def is_zero(self) -> bool:
-        return not self.coefficients
-
-    def __call__(self, x: Fraction) -> Fraction:
-        return peval(self.coefficients, x)

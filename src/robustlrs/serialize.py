@@ -59,7 +59,7 @@ def ival_json(iv: Ival) -> dict:
 def algebraic_json(a: AlgebraicNumber) -> dict:
     cre, cim, rad = a.isolating_disk()
     return {
-        "poly": [format_rational(c) for c in a.defining_poly.coefficients],
+        "poly": [format_rational(c) for c in a.defining_poly],
         "re": format_rational(cre),
         "im": format_rational(cim),
         "radius": format_rational(rad),

@@ -208,7 +208,7 @@ def parametrize(lat: RelationLattice) -> TorusParam:
                                      for i in range(k)],
                           coset_turns=[tuple(ZERO for _ in range(k))],
                           lattice=lat)
-    d, u, v = snf(lat.generators)
+    d, v = snf(lat.generators)
     rank = sum(1 for i in range(min(len(d), k)) if d[i][i] != 0)
     divisors = [d[i][i] for i in range(rank)]
     free = k - rank

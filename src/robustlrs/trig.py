@@ -9,15 +9,20 @@ The Taylor series runs on integers at scale 2^(bits + 8), rounding each
 term outward as `Ival.round_out` would, so its enclosures are those of
 the same series on `Fraction` intervals, endpoint for endpoint.
 
-`unit_box` at a rational turn reads a bounded table keyed by (turn mod 1,
-bits), so the enclosure of each root of unity at each precision is
-computed once per process: the finite-torus path of the optimizer and
-the root-of-unity tests of `algebraic` and `torus` ask for the same few
-constants at every coset and every term.  `cos_turn` and `sin_turn` read
-the endpoints of an interval turn from the same table, so a
-branch-and-bound child box, whose endpoints are its parent's endpoints
-or midpoint, costs about one new point.  Entries are shared, so callers
-build new boxes from them and never change them.
+`unit_box` takes a rational turn, the one form its callers hold (an
+interval turn goes through `cos_turn` and `sin_turn`), and reads a
+bounded table keyed by (turn mod 1, bits), so the enclosure of each root
+of unity at each precision is computed once per process: the
+finite-torus path of the optimizer and the root-of-unity tests of
+`algebraic` and `torus` ask for the same few constants at every coset
+and every term.  `cos_turn` and `sin_turn` read the endpoints of an
+interval turn from the same table, so a branch-and-bound child box,
+whose endpoints are its parent's endpoints or midpoint, costs about one
+new point.  Entries are shared, so callers build new boxes from them and
+never change them.
+
+`angle_from_cos` reads arccos off `atan_ival` at tan(theta/2) >= 0, the
+only argument sign `atan_ival` takes.
 
 `rotation_power` gives the powers of a rotation whose cosine p is
 rational exactly, as the Chebyshev pair (cos n theta, sin n theta /
@@ -184,26 +189,27 @@ def _unit_point_box(t: Fraction, bits: int) -> Box:
     return Box(cos_turn_point(t, bits), sin_turn_point(t, bits))
 
 
-def unit_box(t: Ival | Fraction, bits: int) -> Box:
-    """Box enclosing e^(2 pi i x) for x in t (turns).
+def unit_box(t: Fraction, bits: int) -> Box:
+    """Box enclosing e^(2 pi i t) for a rational turn t.
 
-    A rational turn reads the shared table, so the returned `Box` must not
-    be changed."""
-    if isinstance(t, Fraction):
-        return _unit_point_box(t - (t.numerator // t.denominator), bits)
-    return Box(cos_turn(t, bits), sin_turn(t, bits))
+    It reads the shared table, so the returned `Box` must not be
+    changed."""
+    return _unit_point_box(t - (t.numerator // t.denominator), bits)
 
 
-def _atan_nonneg(x: Ival, bits: int) -> Ival:
-    """atan on an interval with x.lo >= 0."""
+def atan_ival(x: Ival, bits: int) -> Ival:
+    """atan on an interval with x.lo >= 0 (`angle_from_cos` passes
+    tan(theta/2) >= 0)."""
+    if x.lo < 0:
+        raise ValueError(f"atan_ival needs x >= 0, got lower end {x.lo}")
     if x.hi > 1:
         # atan(x) = pi/2 - atan(1/x); split at 1 if needed
         if x.lo < 1:
-            lo_part = _atan_nonneg(Ival(x.lo, ONE), bits)
-            hi_part = _atan_nonneg(Ival(ONE, x.hi), bits)
+            lo_part = atan_ival(Ival(x.lo, ONE), bits)
+            hi_part = atan_ival(Ival(ONE, x.hi), bits)
             return Ival.hull([lo_part, hi_part])
         half_pi = pi_ival(bits + 4) * Q(1, 2)
-        return half_pi - _atan_nonneg(x.inverse(), bits)
+        return half_pi - atan_ival(x.inverse(), bits)
     # halve the argument until it is at most 1/4
     doublings = 0
     while x.hi > Q(1, 4):
@@ -226,20 +232,13 @@ def _atan_nonneg(x: Ival, bits: int) -> Ival:
     return (acc * (1 << doublings)).round_out(bits + 2)
 
 
-def atan_ival(x: Ival, bits: int) -> Ival:
-    if x.lo >= 0:
-        return _atan_nonneg(x, bits)
-    if x.hi <= 0:
-        return -_atan_nonneg(-x, bits)
-    return Ival.hull([-_atan_nonneg(Ival(ZERO, -x.lo), bits),
-                      _atan_nonneg(Ival(ZERO, x.hi), bits)])
-
-
 def angle_from_cos(c: Ival, bits: int) -> Ival:
     """Enclosure of arccos restricted to [0, pi]: the angle distance [x].
 
     The result lies within the square-root bounds
-    sqrt(2(1-c)) <= arccos(c) <= pi*sqrt((1-c)/2).
+    sqrt(2(1-c)) <= arccos(c) <= pi*sqrt((1-c)/2), which are returned
+    as they are for an interval wider than both reflections below serve
+    (the package passes a point or an interval far narrower).
     """
     c = c.intersect(Ival(Q(-1), Q(1)))
     pi_hi = pi_ival(bits).hi
@@ -255,10 +254,7 @@ def angle_from_cos(c: Ival, bits: int) -> Ival:
     if c.hi < Q(1, 2):
         reflected = angle_from_cos(-c, bits)
         return (pi_ival(bits) - reflected).intersect(crude_ival)
-    # wide interval straddling both reflections: fall back to the hull
-    left = angle_from_cos(Ival(c.lo, Q(0)), bits)
-    right = angle_from_cos(Ival(Q(0), c.hi), bits)
-    return Ival.hull([left, right]).intersect(crude_ival)
+    return crude_ival
 
 
 # Rational cosines of roots of unity (Niven) and the orders of their angles

@@ -29,7 +29,7 @@ from robustlrs.poly import int_normalize
 from robustlrs.algebraic import (AlgebraicNumber, NumberField, FieldElement,
                                  power_product_is_one)
 from robustlrs.lrs import (Lrr, InitialConfig, Ball, SpectralData, spectral,
-                           _check_config, ResidualEvaluator, OrbitScanner,
+                           _check_config, ResidualTerm, OrbitScanner,
                            _scaled_integer_recurrence, _scaled_terms)
 from robustlrs.torus import TorusParam, TorusPoint, root_of_unity_alg
 from robustlrs.trig import pi_ival, rotation_order
@@ -100,7 +100,7 @@ def hyperplane_constant(lrr: Lrr, spec: SpectralData | None = None,
     if spec is None:
         spec = spectral(lrr)
     total = Ival.point(0)
-    for n in range(spec.order):
+    for n in range(lrr.order):
         for root, mult in spec.roots:
             gb = root.box(bits).pow(n, bits + 16)
             for j in range(mult):
@@ -153,28 +153,31 @@ def contains_values(torus: TorusParam, values) -> bool:
 # direct enclosures of the residual and of the orbit scan
 
 
-def residual_box(res: ResidualEvaluator, n: int, bits: int = 128) -> Box:
+def residual_box(res: list[ResidualTerm], n: int, bits: int = 128) -> Box:
     """Enclosure of v_n^res, term by term with interval powers."""
     if n < 1:
         raise ValueError("residual evaluation starts at n = 1")
     acc = Box.point(0)
-    for t in res.terms:
+    for t in res:
         npow = Q(n) ** t.npow
         term = t.alpha.box(bits) * t.base.box(bits).pow(n, bits + 32) * npow
         acc = (acc + term).round_out(bits + 16)
     return acc
 
 
-def fraction_enclosure(sc: OrbitScanner, dominant_only: bool = False) -> Box:
+def fraction_enclosure(sc: OrbitScanner, normal,
+                       dominant_only: bool = False) -> Box:
     """The `Fraction` interval formula over the scanner's state at its
-    current step n >= 1: the sum over its terms of alpha_box * (base^n box)
-    * n^npow, real and imaginary parts, with base^n the dyadic point
-    widened by err + 2 ulps.  With `dominant_only`, the sum over the
-    dominant terms alone."""
+    current step n >= 1: the sum over the terms of `normal`, the (form,
+    residual terms) pair the scanner was built from, of alpha_box *
+    (base^n box) * n^npow, real and imaginary parts, with base^n the
+    dyadic point widened by err + 2 ulps.  With `dominant_only`, the sum
+    over the dominant terms alone."""
     n = sc.n
-    terms = [(a, 0) for a, _ in sc.form.terms]
+    form, res = normal
+    terms = [(a, 0) for a, _ in form.terms]
     if not dominant_only:
-        terms += [(t.alpha, t.npow) for t in sc.res.terms]
+        terms += [(t.alpha, t.npow) for t in res]
     scale = 1 << sc.bits
     e = Q(sc.err + 2, scale)
     acc = Box.point(0)

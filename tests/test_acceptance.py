@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from robustlrs.interval import Ival, Box
-from robustlrs.poly import PolyRat, pmul
+from robustlrs.poly import pmul
 from robustlrs.algebraic import isolate_roots, power_product_is_one
 from robustlrs.lrs import (Lrr, InitialConfig, Ball, eval_terms, spectral,
                            exp_poly_solution, normalize, term_sign)
@@ -166,11 +166,11 @@ def test_05_torus_correctness():
     lat = relation_lattice(minus_one)
     assert lat.generators == [[2]] and lat.complete
 
-    sixth = [a for a, _ in isolate_roots(PolyRat((Q(1), Q(-1), Q(1))))]
+    sixth = [a for a, _ in isolate_roots((Q(1), Q(-1), Q(1)))]
     lat6 = relation_lattice(sixth)
     assert lat6.generators == [[1, 1], [0, 6]] and lat6.complete
 
-    pair = [a for a, _ in isolate_roots(PolyRat((Q(5), Q(-6), Q(5))))]
+    pair = [a for a, _ in isolate_roots((Q(5), Q(-6), Q(5)))]
     latp = relation_lattice(pair)
     assert latp.generators == [[1, 1]] and latp.complete
 
@@ -191,9 +191,9 @@ def test_06_decision_suite():
     results = []
 
     fib_a = Analysis.build(FIB, cfg(1, 1))
-    d_pos = exists_robust_positivity(FIB, cfg(1, 1), analysis=fib_a)
-    d_sko = exists_robust_skolem(FIB, cfg(1, 1), analysis=fib_a)
-    d_ult = exists_robust_ultimate_positivity(FIB, cfg(1, 1), analysis=fib_a)
+    d_pos = exists_robust_positivity(fib_a)
+    d_sko = exists_robust_skolem(fib_a)
+    d_ult = exists_robust_ultimate_positivity(fib_a)
     assert (d_pos.verdict, d_sko.verdict, d_ult.verdict) == ("YES",) * 3
     results.append("fibonacci (1,1): YES/YES/YES")
 
@@ -206,14 +206,14 @@ def test_06_decision_suite():
     assert rep_sk.violation is None
     results.append("fibonacci ball 1/10: no violation at horizon 1e4")
 
-    d0 = exists_robust_positivity(FIB, cfg(0, 1))
+    d0 = exists_robust_positivity(Analysis.build(FIB, cfg(0, 1)))
     assert d0.verdict == "NO"
     assert d0.certificate.violating_index == 0
     assert eval_terms(FIB, cfg(0, 1), 0)[0] == 0   # exact confirmation
     results.append("fibonacci (0,1): positivity NO at n=0")
 
-    d_alt_u = exists_robust_ultimate_positivity(ALT, cfg(1))
-    d_alt_s = exists_robust_skolem(ALT, cfg(1))
+    d_alt_u = exists_robust_ultimate_positivity(Analysis.build(ALT, cfg(1)))
+    d_alt_s = exists_robust_skolem(Analysis.build(ALT, cfg(1)))
     assert d_alt_u.verdict == "NO" and d_alt_s.verdict == "YES"
     rep_alt = brute_force_check(ALT, cfg(1), horizon=10**4, mode="positivity")
     assert rep_alt.violation is not None and rep_alt.violation[0] == 1
@@ -222,7 +222,8 @@ def test_06_decision_suite():
     results.append("alternating: ultpos NO, skolem YES (confirmed)")
 
     surface = family_config(Q(2), Q(2), Q(0))
-    d_surf = exists_robust_ultimate_positivity(HARD35, surface)
+    d_surf = exists_robust_ultimate_positivity(
+        Analysis.build(HARD35, surface))
     assert d_surf.verdict == "NO"
     assert d_surf.certificate.optimum.verdict == "ZERO"
     # exact certificate: z^2 = x^2 + y^2 on the nose

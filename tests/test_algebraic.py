@@ -8,7 +8,7 @@ from sympy.polys import rootoftools
 from robustlrs import algebraic, trig
 from robustlrs.interval import Box
 from robustlrs.lrs import Lrr
-from robustlrs.poly import (PolyRat, peval, pmul, pnorm, separation_bound,
+from robustlrs.poly import (peval, pmul, pnorm, separation_bound,
                             factor_int, cyclotomic)
 from robustlrs.torus import root_of_unity_alg
 from robustlrs.algebraic import (AlgebraicNumber, FieldElement, NumberField,
@@ -17,7 +17,7 @@ from robustlrs.algebraic import (AlgebraicNumber, FieldElement, NumberField,
 
 
 def poly(*coeffs):
-    return PolyRat(tuple(Q(c) for c in coeffs))
+    return tuple(Q(c) for c in coeffs)
 
 
 def test_isolate_symmetric_integer_roots():
@@ -100,7 +100,7 @@ def test_reconstruction_product_of_factors():
                 new[i + 1] = new[i + 1] + c
                 new[i] = new[i] + c * (-1) * Box(b.re, b.im)
             acc = new
-    for i, c in enumerate(p.coefficients):
+    for i, c in enumerate(p):
         assert acc[i].re.contains(c), f"coefficient {i}"
         assert acc[i].im.contains(Q(0))
 
@@ -242,7 +242,7 @@ def test_defining_poly_of_derived_element():
     e = FieldElement(f, (Q(1), Q(1)))  # 1 + sqrt(2)
     a = AlgebraicNumber.from_element(e)
     # minimal polynomial of 1 + sqrt2 is x^2 - 2x - 1
-    assert a.defining_poly.coefficients == (Q(-1), Q(-2), Q(1))
+    assert a.defining_poly == (Q(-1), Q(-2), Q(1))
 
 
 def _defining_ints_by_resultant(a):

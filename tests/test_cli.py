@@ -338,6 +338,19 @@ def test_lab_prefix_L_irrational_angle_needs_q_exit3():
 
 
 @pytest.mark.parametrize("args", [
+    ["prefix-L", "--p", "2", "--n", "5"],
+    ["ball-term", "--n", "1", "--p", "2", "--ell", "1", "--eps", "1/20"],
+    ["approx-L", "--p=-3/2", "--eps", "1/20", "--horizon", "2000"],
+], ids=["prefix-L", "ball-term", "approx-L"])
+def test_lab_cosine_outside_unit_interval_exit3(args, capsys):
+    """p is the cosine of the rotation: outside [-1, 1] the message says
+    so, with or without q."""
+    assert main(["lab", *args]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and "-1 <= p <= 1" in err
+
+
+@pytest.mark.parametrize("args", [
     ["ball-term", "--p", "3/5", "--ell", "1", "--eps", "1/20",
      "--n", "5000"],
     ["approx-L", "--p", "3/5", "--eps", "1/20", "--horizon", "20000"],
@@ -626,6 +639,24 @@ def test_bad_setting_exit3(tmp_path, monkeypatch, capsys, flags, config):
     code, doc, err = _decide_fib(tmp_path, monkeypatch, capsys, flags, config)
     assert code == 3 and doc is None
     assert "must be" in err
+
+
+@pytest.mark.parametrize("text,message", [
+    ("{bad", "invalid JSON"),
+    ("[]", "top-level value must be an object"),
+], ids=["invalid-json", "not-an-object"])
+def test_bad_config_file_exit3(tmp_path, monkeypatch, capsys, text, message):
+    """A defaults file that is not a JSON object is a usage error (exit 3):
+    not a traceback with exit 1, the NO code, nor an internal error."""
+    problem = tmp_path / "fib.json"
+    problem.write_text(FIB_POS)
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(text)
+    monkeypatch.setenv("ROBUSTLRS_CONFIG", str(cfgfile))
+    code = main(["decide", "exists-robust-ultpos", "--problem", str(problem)])
+    out, err = capsys.readouterr()
+    assert code == 3 and out == ""
+    assert "ROBUSTLRS_CONFIG" in err and message in err
 
 
 # sha256 of `robustlrs eval --n-max 40` as the `Fraction` recursion wrote it,

@@ -43,13 +43,13 @@ def coeff_config(p, q, zdom, xdom, ydom, zres, xres, yres):
 
 
 def test_ultpos_fibonacci_yes():
-    d = exists_robust_ultimate_positivity(FIB, cfg(1, 1))
+    d = exists_robust_ultimate_positivity(Analysis.build(FIB, cfg(1, 1)))
     assert d.verdict == "YES"
     assert d.certificate.optimum.verdict == "POSITIVE"
 
 
 def test_ultpos_alternating_no():
-    d = exists_robust_ultimate_positivity(ALT, cfg(1))
+    d = exists_robust_ultimate_positivity(Analysis.build(ALT, cfg(1)))
     assert d.verdict == "NO"
     assert d.certificate.optimum.verdict == "NEGATIVE"
 
@@ -57,13 +57,13 @@ def test_ultpos_alternating_no():
 def test_ultpos_surface_point_no():
     lrr = hard_lrr(Q(3, 5))
     c = coeff_config(Q(3, 5), Q(4, 5), Q(2), Q(2), Q(0), Q(0), Q(0), Q(0))
-    d = exists_robust_ultimate_positivity(lrr, c)
+    d = exists_robust_ultimate_positivity(Analysis.build(lrr, c))
     assert d.verdict == "NO"
     assert d.certificate.optimum.verdict == "ZERO"
 
 
 def test_positivity_fibonacci_yes():
-    d = exists_robust_positivity(FIB, cfg(1, 1))
+    d = exists_robust_positivity(Analysis.build(FIB, cfg(1, 1)))
     assert d.verdict == "YES"
     cert = d.certificate
     assert cert.kind == "tail"
@@ -72,7 +72,7 @@ def test_positivity_fibonacci_yes():
 
 
 def test_positivity_zero_start_no():
-    d = exists_robust_positivity(FIB, cfg(0, 1))
+    d = exists_robust_positivity(Analysis.build(FIB, cfg(0, 1)))
     assert d.verdict == "NO"
     assert d.certificate.kind == "violation"
     assert d.certificate.violating_index == 0
@@ -80,20 +80,20 @@ def test_positivity_zero_start_no():
 
 
 def test_positivity_alternating_no_at_mu():
-    d = exists_robust_positivity(ALT, cfg(1))
+    d = exists_robust_positivity(Analysis.build(ALT, cfg(1)))
     assert d.verdict == "NO"
     assert d.certificate.kind == "optimum"
 
 
 def test_skolem_powers_of_two_yes():
-    d = exists_robust_skolem(DOUBLE, cfg(1))
+    d = exists_robust_skolem(Analysis.build(DOUBLE, cfg(1)))
     assert d.verdict == "YES"
 
 
 def test_skolem_zero_vector_no():
     # algorithm order: the all-zero start already has nu = 0, so the NO
     # certificate is the optimum (u_0 = 0 follows a fortiori)
-    d = exists_robust_skolem(FIB, cfg(0, 0))
+    d = exists_robust_skolem(Analysis.build(FIB, cfg(0, 0)))
     assert d.verdict == "NO"
     cert = d.certificate
     assert cert.violating_index == 0 or cert.optimum.verdict == "ZERO"
@@ -101,32 +101,36 @@ def test_skolem_zero_vector_no():
 
 
 def test_skolem_alternating_yes():
-    d = exists_robust_skolem(ALT, cfg(1))
+    d = exists_robust_skolem(Analysis.build(ALT, cfg(1)))
     assert d.verdict == "YES"
     # nu = 1 on the finite torus {1, -1}
     assert d.certificate.optimum.enclosure.contains(Q(1))
 
 
 def test_open_ball_ultpos_fibonacci_yes():
-    d = robust_nonuniform_ultpos_open_ball(FIB, Ball(cfg(1, 1), Q(1, 10)))
+    d = robust_nonuniform_ultpos_open_ball(
+        Analysis.build(FIB, cfg(1, 1)), Ball(cfg(1, 1), Q(1, 10)))
     assert d.verdict == "YES"
 
 
 def test_open_ball_ultpos_alternating_no():
-    d = robust_nonuniform_ultpos_open_ball(ALT, Ball(cfg(1), Q(1, 4)))
+    d = robust_nonuniform_ultpos_open_ball(
+        Analysis.build(ALT, cfg(1)), Ball(cfg(1), Q(1, 4)))
     assert d.verdict == "NO"
 
 
 def test_open_ball_rejects_closed():
     with pytest.raises(ValueError):
         robust_nonuniform_ultpos_open_ball(
-            FIB, Ball(cfg(1, 1), Q(1, 10), "closed"))
+            Analysis.build(FIB, cfg(1, 1)),
+            Ball(cfg(1, 1), Q(1, 10), "closed"))
 
 
 def test_open_ball_surface_center_no():
     lrr = hard_lrr(Q(3, 5))
     c = coeff_config(Q(3, 5), Q(4, 5), Q(2), Q(2), Q(0), Q(0), Q(0), Q(0))
-    d = robust_nonuniform_ultpos_open_ball(lrr, Ball(c, Q(1, 100)))
+    d = robust_nonuniform_ultpos_open_ball(
+        Analysis.build(lrr, c), Ball(c, Q(1, 100)))
     assert d.verdict == "NO"
 
 
@@ -145,7 +149,8 @@ def test_open_ball_inverts_the_trace_form_matrix_at_most_twice(monkeypatch):
     monkeypatch.setattr(lrs, "mat_inv", counting)
     lrr = hard_lrr(Q(3, 5))
     c = coeff_config(Q(3, 5), Q(4, 5), Q(3), Q(1), Q(0), Q(0), Q(0), Q(0))
-    d = robust_nonuniform_ultpos_open_ball(lrr, Ball(c, Q(1, 100)))
+    d = robust_nonuniform_ultpos_open_ball(
+        Analysis.build(lrr, c), Ball(c, Q(1, 100)))
     assert d.verdict in ("YES", "NO")
     assert 1 <= len(calls) <= 2
 
@@ -164,7 +169,8 @@ def test_open_ball_factors_the_characteristic_polynomial_once(monkeypatch):
     monkeypatch.setattr(poly, "factor_int", counting)
     lrr = hard_lrr(Q(3, 5))
     c = coeff_config(Q(3, 5), Q(4, 5), Q(3), Q(1), Q(0), Q(0), Q(0), Q(0))
-    d = robust_nonuniform_ultpos_open_ball(lrr, Ball(c, Q(1, 100)))
+    d = robust_nonuniform_ultpos_open_ball(
+        Analysis.build(lrr, c), Ball(c, Q(1, 100)))
     assert d.verdict in ("YES", "NO")
     assert factored.count(lrr.char_poly()) == 1
 
@@ -182,9 +188,10 @@ def test_prefix_margin_zero_after_exact_confirmation(monkeypatch):
         out = real(self)
         return (0,) + out[1:] if self.n == 3000 else out
 
-    assert exists_robust_positivity(lrr, c).certificate.prefix_margin > 0
+    a = Analysis.build(lrr, c)
+    assert exists_robust_positivity(a).certificate.prefix_margin > 0
     monkeypatch.setattr(OrbitScanner, "enclosure", no_bound_at_3000)
-    d = exists_robust_positivity(lrr, c)
+    d = exists_robust_positivity(Analysis.build(lrr, c))
     assert d.verdict == "YES" and d.certificate.threshold > 4096
     assert d.certificate.prefix_margin == 0
 
@@ -227,9 +234,9 @@ def test_trichotomy_exercised():
     pos = coeff_config(Q(3, 5), Q(4, 5), Q(3), Q(1), Q(0), Q(0), Q(0), Q(0))
     zero = coeff_config(Q(3, 5), Q(4, 5), Q(2), Q(2), Q(0), Q(0), Q(0), Q(0))
     neg = coeff_config(Q(3, 5), Q(4, 5), Q(1), Q(2), Q(0), Q(0), Q(0), Q(0))
-    d_pos = exists_robust_ultimate_positivity(lrr, pos)
-    d_zero = exists_robust_ultimate_positivity(lrr, zero)
-    d_neg = exists_robust_ultimate_positivity(lrr, neg)
+    d_pos = exists_robust_ultimate_positivity(Analysis.build(lrr, pos))
+    d_zero = exists_robust_ultimate_positivity(Analysis.build(lrr, zero))
+    d_neg = exists_robust_ultimate_positivity(Analysis.build(lrr, neg))
     assert d_pos.verdict == "YES"
     assert d_pos.certificate.optimum.verdict == "POSITIVE"
     assert d_zero.verdict == "NO"
@@ -240,8 +247,8 @@ def test_trichotomy_exercised():
 
 def test_shared_analysis_reuse():
     a = Analysis.build(FIB, cfg(1, 1))
-    d1 = exists_robust_positivity(FIB, cfg(1, 1), analysis=a)
-    d2 = exists_robust_skolem(FIB, cfg(1, 1), analysis=a)
+    d1 = exists_robust_positivity(a)
+    d2 = exists_robust_skolem(a)
     assert d1.verdict == "YES" and d2.verdict == "YES"
 
 
@@ -255,7 +262,8 @@ def test_open_closed_coherence_enclosure():
     from robustlrs.qmath import Q as QQ
 
     ball = Ball(cfg(1, 1), Q(1, 10))
-    d = robust_nonuniform_ultpos_open_ball(FIB, ball)
+    d = robust_nonuniform_ultpos_open_ball(
+        Analysis.build(FIB, ball.center), ball)
     assert d.verdict == "YES"
     spec = spectral(FIB)
     center_form, _ = normalize(FIB, cfg(1, 1), spec)
@@ -271,7 +279,7 @@ def test_open_closed_coherence_enclosure():
 def test_positivity_yes_survives_smaller_ball():
     """Monotonicity spot check: a certified-positive start stays clean under
     sampling on a smaller ball."""
-    d = exists_robust_positivity(FIB, cfg(1, 1))
+    d = exists_robust_positivity(Analysis.build(FIB, cfg(1, 1)))
     assert d.verdict == "YES"
     rep = brute_force_check(FIB, Ball(cfg(1, 1), Q(1, 50)), horizon=3000,
                             samples=200, seed=9)
@@ -291,7 +299,8 @@ def test_incomplete_lattice_downgrades_no_to_unknown():
     assert a.torus.lattice.generators == [[1, 1, 0, 0], [0, 0, 1, 1]]
     verdicts = []
     for c in (cfg(1, 0, 0, 0), cfg(-1, 0, 0, 0)):
-        d = exists_robust_ultimate_positivity(lrr, c, tol=Q(1, 1 << 8))
+        d = exists_robust_ultimate_positivity(
+            Analysis.build(lrr, c), tol=Q(1, 1 << 8))
         verdicts.append(d.verdict)
         assert d.verdict != "NO"   # never an unsound NO on a coarse lattice
         if d.verdict == "UNKNOWN":

@@ -1,7 +1,9 @@
-"""Every top-level function and class of the package has a caller, and
-every method of a package class is named somewhere.
+"""Every top-level function, class and module-level constant of the
+package has a reader, and every method of a package class is named
+somewhere.
 
-A top-level name counts as used when it appears, as a whole word,
+A top-level name (a function, a class, or a name bound by a module-level
+assignment) counts as used when it appears, as a whole word,
 anywhere in the package, the scripts or the benchmark other than at its
 own definition; the benchmark names the functions it traces in strings,
 so plain text is searched rather than the syntax tree.  Tests do not
@@ -32,9 +34,17 @@ SEARCHED = ("src", "scripts", "perfbench")
 
 def _top_level_names(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
-    return [node.name for node in tree.body
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                 ast.ClassDef))]
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target])
+            names += [n.id for t in targets for n in ast.walk(t)
+                      if isinstance(n, ast.Name)]
+    return names
 
 
 def test_no_uncalled_top_level_definitions():

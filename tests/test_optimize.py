@@ -196,10 +196,11 @@ def test_mu_finite_torus_six_cosets():
     assert out.verdict in ("POSITIVE", "NEGATIVE", "ZERO")
     # orbit values v_n^dom must never dip below the certified minimum
     from robustlrs.lrs import OrbitScanner
-    sc = OrbitScanner(lrr, c, bits=128)
+    normal = normalize(lrr, c)
+    sc = OrbitScanner(normal, 128)
     for _ in range(500):
         sc.step()
-        vd = fraction_enclosure(sc, dominant_only=True).re
+        vd = fraction_enclosure(sc, normal, dominant_only=True).re
         assert vd.hi >= out.enclosure.lo - Q(1, 10**9)
 
 
@@ -319,16 +320,16 @@ def test_degenerate_all_ones_start():
     """u_n = 1 identically: every dominant coefficient vanishes, the
     dominant minimum is exactly zero, and both robustness questions
     answer NO (perturbations break constancy)."""
-    from robustlrs.decide import (exists_robust_ultimate_positivity,
-                                  exists_robust_skolem)
+    from robustlrs.decide import (Analysis, exists_robust_skolem,
+                                  exists_robust_ultimate_positivity)
     lrr = hard_lrr(Q(1, 2))
     c = cfg(1, 1, 1, 1, 1, 1)
     from robustlrs.lrs import eval_terms
     assert eval_terms(lrr, c, 10) == [Q(1)] * 11
-    d_ult = exists_robust_ultimate_positivity(lrr, c)
+    d_ult = exists_robust_ultimate_positivity(Analysis.build(lrr, c))
     assert d_ult.verdict == "NO"
     assert d_ult.certificate.optimum.verdict == "ZERO"
-    d_sko = exists_robust_skolem(lrr, c)
+    d_sko = exists_robust_skolem(Analysis.build(lrr, c))
     assert d_sko.verdict == "NO"
     assert d_sko.certificate.optimum.verdict == "ZERO"
 
@@ -339,7 +340,7 @@ def test_nu_finite_zero_by_cyclotomic_test(monkeypatch):
     of the finite torus is exactly zero.  Cube roots of unity are
     irrational, so its enclosure straddles 0 at every precision and only
     the remainder modulo Phi_3 certifies the ZERO."""
-    from robustlrs.decide import exists_robust_skolem
+    from robustlrs.decide import Analysis, exists_robust_skolem
     calls, real = [], optimize.pdivmod
 
     def counted(a, b):
@@ -353,7 +354,7 @@ def test_nu_finite_zero_by_cyclotomic_test(monkeypatch):
     assert (out.verdict, out.method) == ("ZERO", "finite-exact")
     assert out.witness == TorusPoint(0, ())
     assert len(calls) == 1
-    d = exists_robust_skolem(lrr, c)
+    d = exists_robust_skolem(Analysis.build(lrr, c))
     assert d.verdict == "NO"
     assert d.certificate.optimum.verdict == "ZERO"
 

@@ -105,7 +105,8 @@ def _pair(lrr, init, absolute):
 
 
 def _p35_ball(init):
-    d = robust_nonuniform_ultpos_open_ball(P35, Ball(cfg(*init), Q(1, 20)))
+    d = robust_nonuniform_ultpos_open_ball(
+        Analysis.build(P35, cfg(*init)), Ball(cfg(*init), Q(1, 20)))
     return d.certificate.optimum
 
 

@@ -21,8 +21,10 @@ from fractions import Fraction as Q
 
 import pytest
 
-from robustlrs.decide import exists_robust_positivity, exists_robust_skolem
-from robustlrs.lrs import InitialConfig, Lrr, OrbitScanner, _term_threshold
+from robustlrs.decide import (Analysis, exists_robust_positivity,
+                              exists_robust_skolem)
+from robustlrs.lrs import (InitialConfig, Lrr, OrbitScanner, _term_threshold,
+                           normalize)
 from robustlrs.poly import pmul
 
 from oracles import fraction_enclosure
@@ -72,7 +74,7 @@ GOLDEN = [
     "repeated-positivity", "repeated-skolem"])
 def test_long_prefix_golden(case):
     (lrr, c), decide, verdict, threshold, margin, violation = case
-    d = decide(lrr, c)
+    d = decide(Analysis.build(lrr, c))
     cert = d.certificate
     assert d.verdict == verdict
     assert cert.threshold == threshold
@@ -85,7 +87,7 @@ def test_long_prefix_violation_value():
     # exact term there: u_n = 1/10 - r^n + 2 s^n
     r, s = 1 - Q(1, 3900), 1 - Q(2, 3900)
     lrr, c = shape([([Q(1, 10)], Q(1), 1), ([Q(-1)], r, 1), ([Q(2)], s, 1)])
-    cert = exists_robust_positivity(lrr, c).certificate
+    cert = exists_robust_positivity(Analysis.build(lrr, c)).certificate
     assert cert.kind == "violation" and cert.violating_index == 3963
     assert cert.violating_value == Q(1, 10) - r ** 3963 + 2 * s ** 3963
 
@@ -114,7 +116,7 @@ def test_long_positivity_analyses_the_start_once(monkeypatch, shape_,
         if hasattr(decide, name):
             monkeypatch.setattr(decide, name, wrapped)
     lrr, c = shape_
-    assert exists_robust_positivity(lrr, c).verdict == verdict
+    assert exists_robust_positivity(Analysis.build(lrr, c)).verdict == verdict
     assert calls["spectral"] == 1
     if shape_ is M4201:
         assert calls["_orbit_sign"] == 0
@@ -239,15 +241,16 @@ SCAN_CASES = {
 @pytest.mark.parametrize("name", list(SCAN_CASES))
 def test_scanner_enclosure_matches_fraction_formula(name):
     lrr, c = SCAN_CASES[name]
-    sc = OrbitScanner(lrr, c, bits=160)
+    normal = normalize(lrr, c)
+    sc = OrbitScanner(normal, 160)
     for _ in range(300):
         sc.step()
         lo, hi, den = sc.enclosure()
-        v = fraction_enclosure(sc).re
+        v = fraction_enclosure(sc, normal).re
         assert (Q(lo, den), Q(hi, den)) == (v.lo, v.hi), sc.n
 
 
 def test_enclosure_before_the_first_step_is_an_internal_fault():
-    sc = OrbitScanner(*SCAN_CASES["fibonacci"], bits=160)
+    sc = OrbitScanner(normalize(*SCAN_CASES["fibonacci"]), 160)
     with pytest.raises(RuntimeError, match="n >= 1"):
         sc.enclosure()

@@ -3,7 +3,6 @@ from fractions import Fraction as Q
 import pytest
 
 from robustlrs import torus
-from robustlrs.poly import PolyRat
 from robustlrs.algebraic import AlgebraicNumber, isolate_roots, power_product_is_one
 from robustlrs.torus import (relation_lattice, parametrize, TorusPoint,
                              root_of_unity_alg)
@@ -12,7 +11,7 @@ from oracles import orbit_point, point_values, contains_values
 
 
 def poly(*coeffs):
-    return PolyRat(tuple(Q(c) for c in coeffs))
+    return tuple(Q(c) for c in coeffs)
 
 
 def sixth_roots():

@@ -258,12 +258,17 @@ def test_no_code_assigns_to_box_or_ival_fields():
     assert not found, found
 
 
-@given(st.fractions(min_value=-50, max_value=50, max_denominator=100))
+@given(st.fractions(min_value=0, max_value=50, max_denominator=100))
 @settings(max_examples=40)
 def test_atan_point(x):
     v = atan_ival(Ival.point(x), 64)
     assert _inside(v, mpmath.atan(mpmath.mpf(x.numerator) / x.denominator))
     assert v.width < Q(1, 1 << 50)
+
+
+def test_atan_rejects_negative_arguments():
+    with pytest.raises(ValueError, match="x >= 0"):
+        atan_ival(Ival(Q(-1, 2), Q(1, 2)), 64)
 
 
 @given(st.fractions(min_value=-1, max_value=1, max_denominator=512))
@@ -272,6 +277,14 @@ def test_angle_from_cos(c):
     a = angle_from_cos(Ival.point(c), 64)
     truth = mpmath.acos(mpmath.mpf(c.numerator) / c.denominator)
     assert _inside(a, truth)
+
+
+def test_angle_from_cos_wide_interval():
+    # a cosine interval reaching past both reflections gets the
+    # square-root bounds, which still hold arccos over the whole interval
+    a = angle_from_cos(Ival(Q(-9, 10), Q(9, 10)), 64)
+    for c in ("-0.9", "0", "0.9"):
+        assert _inside(a, mpmath.acos(mpmath.mpf(c)))
 
 
 def test_rot_scan_tracks_true_angle():
