@@ -41,9 +41,10 @@ EXIT_YES, EXIT_NO, EXIT_UNKNOWN, EXIT_USAGE, EXIT_INTERNAL = 0, 1, 2, 3, 4
 
 def _load_defaults() -> dict:
     """The defaults file named by `ROBUSTLRS_CONFIG`: a JSON object, else
-    a usage error."""
+    a usage error.  Only an unset or empty variable means no file; a path
+    that cannot be read fails in `open`, a usage error too."""
     path = os.environ.get(CONFIG_ENV)
-    if not (path and os.path.exists(path)):
+    if not path:
         return {}
     with open(path, "r", encoding="utf-8") as fh:
         try:

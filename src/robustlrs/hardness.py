@@ -288,7 +288,8 @@ def _rotation_ivals(p, q, n: int, bits: int):
     sin = u q, or u times a `bits`-bit enclosure of sqrt(1 - p^2) when q is
     not given (then sin theta > 0).  An irrational angle, which needs q,
     takes `cos_turn` and `sin_turn` of n times an enclosure of theta fine
-    enough for `bits`."""
+    enough for `bits`, whose endpoints lie on the 2^-(b + 4) grid of
+    `_turn` at b bits."""
     order = rotation_order(p)
     if order is not None:
         c, u = rotation_power(p, n % order)
@@ -298,8 +299,14 @@ def _rotation_ivals(p, q, n: int, bits: int):
         return Ival.point(c), Ival(sqrt_down(s2, bits), sqrt_up(s2, bits)) * u
     if q is None:
         raise ValueError("irrational-angle scan needs the exact sine value q")
-    t = _turn(p, q, bits + n.bit_length() + 8) * n
-    return cos_turn(t, bits), sin_turn(t, bits)
+    b = bits + n.bit_length() + 8
+    t, scale = _turn(p, q, b), 1 << (b + 4)
+    lo, hi = floor_frac(t.lo * scale) * n, ceil_frac(t.hi * scale) * n
+    one = 1 << (bits + 2)
+    (c_lo, c_hi), (s_lo, s_hi) = (cos_turn(lo, hi, b + 4, bits),
+                                  sin_turn(lo, hi, b + 4, bits))
+    return (Ival(Q(c_lo, one), Q(c_hi, one)),
+            Ival(Q(s_lo, one), Q(s_hi, one)))
 
 
 @lru_cache(maxsize=64)

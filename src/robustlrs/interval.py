@@ -4,13 +4,15 @@
 rounded (containment preserving).  `round_out` coarsens endpoints to
 dyadics so denominators stay bounded in long computations.
 
-Hot loops run on integer numerators instead: `mul_ends` is the box
-product on endpoints (re lo, re hi, im lo, im hi) over fixed
-denominators, exactly what `Box.__mul__` gives on the same values.
+Hot loops run on integer numerators instead: `box_ends` writes a box as
+endpoints (re lo, re hi, im lo, im hi) over one denominator, and
+`mul_ends` is the box product on such endpoints, exactly what
+`Box.__mul__` gives on the same values.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable
 
@@ -206,6 +208,14 @@ class Box:
 
     def disjoint(self, other: "Box") -> bool:
         return not (self.re.overlaps(other.re) and self.im.overlaps(other.im))
+
+
+def box_ends(z: Box) -> tuple[tuple, int]:
+    """z's endpoints (re lo, re hi, im lo, im hi) as integers over their
+    least common denominator D, and D."""
+    ends = (z.re.lo, z.re.hi, z.im.lo, z.im.hi)
+    D = math.lcm(*(e.denominator for e in ends))
+    return tuple(e.numerator * (D // e.denominator) for e in ends), D
 
 
 def mul_ends(a: tuple, b: tuple) -> tuple:

@@ -10,10 +10,12 @@ Replaces quantifier elimination with three routes, chosen by structure:
   midpoint; the plain enclosure, the first-order centered (mean-value)
   form and the midpoint upper bound all come from those two passes.
   `min_over_ball` runs the same objective and the same per-coset loop.
-  The objective's products and sums run on integers: weights at scale
-  2^bits, cos/sin on the 2^-(bits + 2) grid, products exact at scale
-  2^(2 bits + 2), sums rounded out to `bits` by shifts.  Its `Fraction`
-  enclosures are those of the same operations on `Fraction` intervals.
+  The objective runs on integers at power-of-two scales: turn sums over
+  the box's 2^d, weights over 2^bits, cos/sin on the 2^-(bits + 2) grid,
+  products exact over 2^(2 bits + 2), sums rounded out to `bits` by
+  shifts, and the centered form exact.  Only the box it reads and the
+  enclosures it returns are `Fraction` intervals, with the endpoints the
+  same operations on `Fraction` intervals give.
 
 The two closed-form routes share one exact finish (`_exact_min`): the
 least of one exact real per coset decides the sign.  A value that its
@@ -35,8 +37,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
 
-from .qmath import Q, ZERO, ONE, is_perfect_square, exact_sqrt
-from .interval import Ival, Box, mul_ends
+from .qmath import Q, ZERO, ONE, is_perfect_square, exact_sqrt, ceil_frac
+from .interval import Ival, Box, box_ends, mul_ends
 from .trig import unit_box, cos_turn, sin_turn, pi_ival
 from .poly import cyclotomic, pnorm, pdivmod, pcompose
 from .algebraic import AlgebraicNumber, FieldElement, identify_root_of_unity
@@ -307,28 +309,24 @@ def _minimizer_turn(alpha: AlgebraicNumber, coset_turn: Fraction,
 # branch and bound
 
 
-def _on_grid(x: Fraction, bits: int) -> int:
-    """x * 2^bits for a dyadic x on the 2^-bits grid.  Anything else
-    would be truncated and lose the enclosure, so it raises."""
-    den = x.denominator
-    shift = bits - den.bit_length() + 1
-    if den & (den - 1) or shift < 0:
-        raise RuntimeError(f"{x} is not on the 2^-{bits} grid")
-    return x.numerator << shift
-
-
 class _Objective:
     """Interval objective over the free angles for one torsion coset.
 
     `evaluate` costs one cos/sin pass over a box's angles and one over its
-    midpoint, whatever the number of forms.  The products and sums run on
-    integers.  Each weight w_j = alpha_j zeta_j is kept as the endpoints
-    (re lo, re hi, im lo, im hi) at scale 2^bits, and the cos/sin
-    enclosures lie on the 2^-(bits + 2) grid, so w_j e^{2 pi i phi_j} and
-    the sums of its real parts are exact at scale 2^(2 bits + 2), each
-    box product `interval.mul_ends`.  Sums are rounded out to `bits` by
-    shifts.  Only `evaluate` builds `Fraction` intervals, with the
-    endpoints the same operations on `Fraction` intervals give."""
+    midpoint, whatever the number of forms.  Between its `Ival` input and
+    output everything runs on integers at power-of-two scales:
+
+    * box endpoints over 2^d, midpoints over 2^(d + 1), and the turn sums
+      phi_j = sum_b e_jb s_b over the same;
+    * each weight w_j = alpha_j zeta_j as (re lo, re hi, im lo, im hi)
+      over 2^bits, and `cos_turn`/`sin_turn` over 2^(bits + 2), so each
+      w_j e^{2 pi i phi_j} (`interval.mul_ends`) and the sums of their real
+      parts are exact over 2^(2 bits + 2), then rounded out to `bits` by
+      shifts;
+    * the centered form over 2^(3 bits + 5 + d).
+
+    The endpoints are those the same operations on `Fraction` intervals
+    give."""
 
     def __init__(self, alpha_boxes: list[list[Box]], torus: TorusParam,
                  coset: int, bits: int):
@@ -338,57 +336,73 @@ class _Objective:
         self.k = torus.k
         self.embed = torus.embedding
         self.free = torus.free_rank
-        # per form, per coordinate: w_j = alpha_j * zeta_j, scale 2^bits
+        # per form, per coordinate: w_j = alpha_j * zeta_j rounded out to
+        # the 2^-bits grid, one floor or ceiling per endpoint
+        zetas = [box_ends(unit_box(t, bits))
+                 for t in torus.coset_turns[coset]]
         self.weights = []
         for boxes in alpha_boxes:
             row = []
-            for j, ab in enumerate(boxes):
-                zb = unit_box(torus.coset_turns[coset][j], bits)
-                w = (ab * zb).round_out(bits)
-                row.append((_on_grid(w.re.lo, bits), _on_grid(w.re.hi, bits),
-                            _on_grid(w.im.lo, bits), _on_grid(w.im.hi, bits)))
+            for ab, (z, zden) in zip(boxes, zetas):
+                a, aden = box_ends(ab)
+                den = aden * zden
+                re_lo, re_hi, im_lo, im_hi = mul_ends(a, z)
+                row.append(((re_lo << bits) // den,
+                            -((-re_hi << bits) // den),
+                            (im_lo << bits) // den,
+                            -((-im_hi << bits) // den)))
             self.weights.append(row)
-        self.two_pi = pi_ival(bits) * 2
+        # upper end of 2 pi over 2^(bits + 2); pi_ival rounds to that grid
+        self.two_pi_hi = ceil_frac(pi_ival(bits).hi * (1 << (bits + 3)))
 
-    def _terms(self, sbox: list[Ival]) -> list[list[tuple]]:
-        """w_j e^{2 pi i phi_j} per form and coordinate over sbox, as
-        (re lo, re hi, im lo, im hi) at scale 2^(2 bits + 2): one cos/sin
-        pass over the angles phi_j."""
-        zbits = self.bits + 2
+    def _terms(self, los: list[int], his: list[int],
+               d: int) -> list[list[tuple]]:
+        """w_j e^{2 pi i phi_j} per form and coordinate over the box
+        [los, his] / 2^d, as (re lo, re hi, im lo, im hi) over
+        2^(2 bits + 2): one cos/sin pass over the angles phi_j."""
         zs = []
-        for j in range(self.k):
-            t = Ival.point(0)
-            for b in range(self.free):
-                e = self.embed[j][b]
-                if e:
-                    t = t + sbox[b] * e
-            c, s = cos_turn(t, self.bits), sin_turn(t, self.bits)
-            zs.append((_on_grid(c.lo, zbits), _on_grid(c.hi, zbits),
-                       _on_grid(s.lo, zbits), _on_grid(s.hi, zbits)))
+        for row in self.embed:
+            lo = hi = 0
+            for e, a, b in zip(row, los, his):
+                if e > 0:
+                    lo, hi = lo + e * a, hi + e * b
+                elif e < 0:
+                    lo, hi = lo + e * b, hi + e * a
+            zs.append(cos_turn(lo, hi, d, self.bits)
+                      + sin_turn(lo, hi, d, self.bits))
         return [[mul_ends(w, z) for w, z in zip(row, zs)]
                 for row in self.weights]
 
-    def _values(self, terms: list[list[tuple]]) -> list[Ival]:
+    def _values(self, terms: list[list[tuple]]) -> list[tuple[int, int]]:
         """Sum of the real parts per form, rounded out to `bits`."""
-        shift, den = self.bits + 2, 1 << self.bits
-        return [Ival(Q(sum(p[0] for p in row) >> shift, den),
-                     Q(-(-sum(p[1] for p in row) >> shift), den))
-                for row in terms]
+        shift = self.bits + 2
+        return [(sum(p[0] for p in row) >> shift,
+                 -(-sum(p[1] for p in row) >> shift)) for row in terms]
 
     def evaluate(self, sbox: list[Ival]) -> tuple[list[Ival], list[Ival]]:
         """(enclosures over sbox, enclosures at its midpoint), one per form.
 
-        Form 0's box enclosure is the plain one intersected with the
-        centered form f(m) + f'(sbox) (sbox - m), whose derivative reuses
-        the box's trig pass."""
-        mid = [Ival.point(s.mid) for s in sbox]
-        terms = self._terms(sbox)
+        The box's endpoints are dyadic, as the halvings of the branch and
+        bound leave them.  Form 0's box enclosure is the plain one
+        intersected with the centered form f(m) + f'(sbox) 2 pi (sbox - m),
+        whose derivative reuses the box's trig pass."""
+        bits = self.bits
+        d = max((max(s.lo.denominator, s.hi.denominator) for s in sbox),
+                default=1).bit_length() - 1
+        los = [s.lo.numerator << (d + 1 - s.lo.denominator.bit_length())
+               for s in sbox]
+        his = [s.hi.numerator << (d + 1 - s.hi.denominator.bit_length())
+               for s in sbox]
+        terms = self._terms(los, his, d)
         plain = self._values(terms)
-        at_mid = self._values(self._terms(mid))
-        acc = at_mid[0]
-        den = 1 << (2 * self.bits + 2)
+        mids = [lo + hi for lo, hi in zip(los, his)]
+        at_mid = self._values(self._terms(mids, mids, d + 1))
+        # d/ds_b sum Re(w e^{2 pi i phi}) = -2 pi sum e_jb Im(w e^{..}).
+        # sbox_b - m_b is [-h, h] with h = (hi - lo) / 2^(d + 1), so the
+        # term of angle b is [-r, r], r = h max|f'_b| (2 pi).hi, over
+        # 2^s with s = (2 bits + 2) + (bits + 2) + (d + 1).
+        r = 0
         for b in range(self.free):
-            # d/ds_b sum Re(w e^{2 pi i phi}) = -2 pi sum e_jb Im(w e^{..})
             lo = hi = 0
             for j in range(self.k):
                 e = self.embed[j][b]
@@ -396,11 +410,20 @@ class _Objective:
                     im_lo, im_hi = terms[0][j][2:]
                     lo, hi = ((lo - e * im_hi, hi - e * im_lo) if e > 0 else
                               (lo - e * im_lo, hi - e * im_hi))
-            deriv = Ival(Q(lo, den), Q(hi, den))
-            acc = acc + deriv * self.two_pi * (sbox[b] - mid[b])
-        centered = (acc.intersect(plain[0]) if acc.overlaps(plain[0])
-                    else plain[0])
-        return [centered] + plain[1:], at_mid
+            r += (his[b] - los[b]) * max(-lo, hi)
+        r *= self.two_pi_hi
+        s, up = 3 * bits + 5 + d, 2 * bits + 5 + d
+        acc_lo, acc_hi = (at_mid[0][0] << up) - r, (at_mid[0][1] << up) + r
+        p_lo, p_hi = plain[0][0] << up, plain[0][1] << up
+        one, top = 1 << bits, 1 << s
+        if acc_lo <= p_hi and p_lo <= acc_hi:
+            centered = Ival(Q(max(acc_lo, p_lo), top),
+                            Q(min(acc_hi, p_hi), top))
+        else:
+            centered = Ival(Q(plain[0][0], one), Q(plain[0][1], one))
+        return ([centered] + [Ival(Q(lo, one), Q(hi, one))
+                              for lo, hi in plain[1:]],
+                [Ival(Q(lo, one), Q(hi, one)) for lo, hi in at_mid])
 
 
 def _branch_and_bound(value_fn, free: int, tol: Fraction,

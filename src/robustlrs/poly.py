@@ -21,7 +21,7 @@ from functools import lru_cache
 import sympy
 
 from .qmath import Q, ZERO, ONE
-from .interval import Box, Ival, mul_ends
+from .interval import Box, Ival, box_ends, mul_ends
 
 _x = sympy.Symbol("x")
 
@@ -106,9 +106,7 @@ def peval_box(p: Coeffs, z: Box, bits: int = 256) -> Box:
     boxes, computed on integers.  z's endpoints share one denominator D and
     acc's are integers over 2^bits, so acc * z is exact over 2^bits * D;
     adding c = cn/cd and rounding out is one floor or ceiling division."""
-    ends = (z.re.lo, z.re.hi, z.im.lo, z.im.hi)
-    D = math.lcm(*(e.denominator for e in ends))
-    zs = tuple(e.numerator * (D // e.denominator) for e in ends)
+    zs, D = box_ends(z)
     one = 1 << bits
     acc = (0, 0, 0, 0)
     for c in reversed(p):

@@ -108,15 +108,20 @@ DEFAULT_HEIGHT_BOUND = 64
 
 def relation_lattice(gammas: list[AlgebraicNumber],
                      height_bound: int = DEFAULT_HEIGHT_BOUND) -> RelationLattice:
-    """Generators of {lambda in Z^k : prod gamma_j^lambda_j = 1}."""
+    """Generators of {lambda in Z^k : prod gamma_j^lambda_j = 1}.
+
+    The gammas are pairwise distinct and of modulus 1, as the normalized
+    dominant roots `decide.Analysis.build` passes are; input that breaks
+    this is a broken invariant, so the guards raise RuntimeError (an
+    internal error, exit 4), not a usage error."""
     k = len(gammas)
     for g in gammas:
         if not g.is_unit_modulus():
-            raise ValueError("relation lattice requires unit-modulus inputs")
+            raise RuntimeError("relation lattice requires unit-modulus inputs")
     for i in range(k):
         for j in range(i + 1, k):
             if gammas[i].equals(gammas[j]):
-                raise ValueError("gammas must be pairwise distinct")
+                raise RuntimeError("gammas must be pairwise distinct")
 
     rous = [identify_root_of_unity(g) for g in gammas]
     rou_idx = [j for j, r in enumerate(rous) if r is not None]

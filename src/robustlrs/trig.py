@@ -15,11 +15,18 @@ bounded table keyed by (turn mod 1, bits), so the enclosure of each root
 of unity at each precision is computed once per process: the
 finite-torus path of the optimizer and the root-of-unity tests of
 `algebraic` and `torus` ask for the same few constants at every coset
-and every term.  `cos_turn` and `sin_turn` read the endpoints of an
-interval turn from the same table, so a branch-and-bound child box,
-whose endpoints are its parent's endpoints or midpoint, costs about one
-new point.  Entries are shared, so callers build new boxes from them and
-never change them.
+and every term.  Entries are shared, so callers build new boxes from
+them and never change them.
+
+`cos_turn` and `sin_turn` take one form: a dyadic interval turn as
+integer endpoints over 2^d, as the branch and bound and the hardness lab
+hold it.  They return integer endpoints on the 2^-(bits + 2) grid of the
+point enclosures, read from a second bounded table of integers keyed by
+the endpoint reduced mod 1 to lowest terms, so a branch-and-bound child
+box, whose endpoints are its parent's endpoints or midpoint, costs about
+one new point.  Whether the turn reaches an extremum is a comparison of
+shifted integers.  The enclosures are those of the hull of the point
+enclosures on `Fraction` intervals, endpoint for endpoint.
 
 `angle_from_cos` reads arccos off `atan_ival` at tan(theta/2) >= 0, the
 only argument sign `atan_ival` takes.
@@ -37,7 +44,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .qmath import Q, ZERO, ONE, sqrt_down, sqrt_up
+from .qmath import Q, ZERO, ONE, sqrt_down, sqrt_up, floor_frac, ceil_frac
 from .interval import Ival, Box
 
 _PI_CACHE: dict[int, Ival] = {}
@@ -144,45 +151,81 @@ def sin_turn_point(r: Fraction, bits: int) -> Ival:
     return v if sign == 1 else -v
 
 
-def _has_point_mod1(lo: Fraction, hi: Fraction, frac: Fraction) -> bool:
-    """Is there an x in [lo, hi] with x = frac (mod 1)?  That is, is
-    ceil(lo - frac) <= floor(hi - frac), on numerators and denominators."""
-    a, b = frac.numerator, frac.denominator
-    ld, hd = lo.denominator, hi.denominator
-    return (-((a * ld - lo.numerator * b) // (ld * b))
-            <= (hi.numerator * b - a * hd) // (hd * b))
+def _has_point_mod1(lo: int, hi: int, d: int, q: int) -> bool:
+    """Is there an x in [lo, hi] / 2^d with x = q/4 (mod 1)?  That is, is
+    ceil((4 lo - q 2^d) / 2^(d + 2)) <= floor((4 hi - q 2^d) / 2^(d + 2)),
+    both by shifts."""
+    off, s = q << d, d + 2
+    return -((off - (lo << 2)) >> s) <= ((hi << 2) - off) >> s
 
 
-def cos_turn(t: Ival, bits: int) -> Ival:
-    """Enclosure of cos(2 pi x) for x in t (turns)."""
-    if t.width >= 1:
-        return Ival(Q(-1), Q(1))
-    # endpoints read the turn table; a point interval (a box midpoint) is
-    # read once
-    out = Ival.hull([unit_box(x, bits).re for x in {t.lo, t.hi}])
-    if _has_point_mod1(t.lo, t.hi, ZERO):
-        out = Ival(out.lo, ONE)
-    if _has_point_mod1(t.lo, t.hi, Q(1, 2)):
-        out = Ival(Q(-1), out.hi)
-    return out
+def _turn_ends(n: int, d: int, bits: int) -> tuple[int, int, int, int]:
+    """The table entry of the turn n / 2^d: (cos lo, cos hi, sin lo,
+    sin hi) over 2^(bits + 2).  The turn is reduced mod 1 to lowest terms
+    first, so one angle is one entry whatever the box depth it comes
+    from."""
+    n &= (1 << d) - 1
+    if n:
+        z = (n & -n).bit_length() - 1
+        n, d = n >> z, d - z
+    else:
+        d = 0
+    return _turn_table(n, d, bits)
 
 
-def sin_turn(t: Ival, bits: int) -> Ival:
-    """Enclosure of sin(2 pi x) for x in t (turns)."""
-    if t.width >= 1:
-        return Ival(Q(-1), Q(1))
-    out = Ival.hull([unit_box(x, bits).im for x in {t.lo, t.hi}])
-    if _has_point_mod1(t.lo, t.hi, Q(1, 4)):
-        out = Ival(out.lo, ONE)
-    if _has_point_mod1(t.lo, t.hi, Q(3, 4)):
-        out = Ival(Q(-1), out.hi)
-    return out
+# Keys are the endpoints and midpoints of the branch-and-bound boxes, and
+# a hardness-lab turn per step: a child box's endpoints are its parent's
+# endpoints or midpoint, read shortly before.  Entries are four integers
+# of about `bits` bits each.
+@lru_cache(maxsize=256)
+def _turn_table(n: int, d: int, bits: int) -> tuple[int, int, int, int]:
+    """`_turn_ends` of a reduced turn: `cos_turn_point` and
+    `sin_turn_point` at n / 2^d, whose endpoints lie on the 2^-(bits + 2)
+    grid, so the floors and ceilings are exact."""
+    t, one = Q(n, 1 << d), 1 << (bits + 2)
+    c, s = cos_turn_point(t, bits), sin_turn_point(t, bits)
+    return (floor_frac(c.lo * one), ceil_frac(c.hi * one),
+            floor_frac(s.lo * one), ceil_frac(s.hi * one))
 
 
-# Keys are the few root-of-unity turns of a problem and the endpoints of
-# the branch-and-bound boxes: a child box's endpoints are its parent's
-# endpoints or midpoint, read shortly before.  The bound matters because a
-# precision climb can reach 2^15 bits, where one entry holds tens of kB.
+def _turn_range(lo: int, hi: int, d: int, bits: int,
+                odd: int) -> tuple[int, int]:
+    """cos (odd = 0) or sin (odd = 1) of 2 pi x for x in [lo, hi] / 2^d:
+    the hull of the table entries at the endpoints (a point, such as a box
+    midpoint, is read once), widened to 1 and -1 where the turn reaches
+    odd/4 and (odd + 2)/4 (mod 1)."""
+    one = 1 << (bits + 2)
+    if hi - lo >= 1 << d:
+        return -one, one
+    ends = _turn_ends(lo, d, bits)
+    out_lo, out_hi = ends[2 * odd], ends[2 * odd + 1]
+    if hi != lo:
+        ends = _turn_ends(hi, d, bits)
+        out_lo = min(out_lo, ends[2 * odd])
+        out_hi = max(out_hi, ends[2 * odd + 1])
+    if _has_point_mod1(lo, hi, d, odd):
+        out_hi = one
+    if _has_point_mod1(lo, hi, d, odd + 2):
+        out_lo = -one
+    return out_lo, out_hi
+
+
+def cos_turn(lo: int, hi: int, d: int, bits: int) -> tuple[int, int]:
+    """Enclosure of cos(2 pi x) for x in [lo, hi] / 2^d (turns), as integer
+    endpoints over 2^(bits + 2)."""
+    return _turn_range(lo, hi, d, bits, 0)
+
+
+def sin_turn(lo: int, hi: int, d: int, bits: int) -> tuple[int, int]:
+    """Enclosure of sin(2 pi x) for x in [lo, hi] / 2^d (turns), as integer
+    endpoints over 2^(bits + 2)."""
+    return _turn_range(lo, hi, d, bits, 1)
+
+
+# Keys are the few root-of-unity turns of a problem: the coset turns of the
+# optimizer and the root-of-unity tests of `algebraic` and `torus`.  The
+# bound matters because a precision climb can reach 2^15 bits, where one
+# entry holds tens of kB.
 @lru_cache(maxsize=256)
 def _unit_point_box(t: Fraction, bits: int) -> Box:
     """The table entry of `unit_box` for a turn reduced into [0, 1)."""

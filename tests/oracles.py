@@ -6,8 +6,9 @@ hyperplane distances, exact orbit points and parametrization points of
 the closure torus, a direct enclosure of the residual, the orbit scan's
 `Fraction` formula, the exact check of the order-6 rotation block, the
 per-step rotation walk (`RotScan`) and scans of the hardness lab, the
-`Fraction` Horner loop of box evaluation, and the problem document of a
-parsed spec.  The sampling
+`Fraction` Horner loop of box evaluation, the `Fraction` interval forms
+of `cos_turn` and `sin_turn`, and the problem document of a parsed
+spec.  The sampling
 screen is the only user of numpy, which is a test dependency, not a
 runtime one.
 """
@@ -32,7 +33,7 @@ from robustlrs.lrs import (Lrr, InitialConfig, Ball, SpectralData, spectral,
                            _check_config, ResidualTerm, OrbitScanner,
                            _scaled_integer_recurrence, _scaled_terms)
 from robustlrs.torus import TorusParam, TorusPoint, root_of_unity_alg
-from robustlrs.trig import pi_ival, rotation_order
+from robustlrs.trig import pi_ival, rotation_order, unit_box
 from robustlrs import hardness
 
 
@@ -47,6 +48,48 @@ def peval_box_ref(p, z: Box, bits: int) -> Box:
     for c in reversed(p):
         acc = (acc * z + c).round_out(bits)
     return acc
+
+
+# ---------------------------------------------------------------------------
+# cos and sin of an interval turn on `Fraction` intervals
+
+
+def has_point_mod1_ref(lo: Fraction, hi: Fraction, frac: Fraction) -> bool:
+    """Is there an x in [lo, hi] with x = frac (mod 1)?  The least such x
+    with x >= lo, compared with hi."""
+    k = (lo - frac).numerator // (lo - frac).denominator
+    candidate = frac + k
+    if candidate < lo:
+        candidate += 1
+    return candidate <= hi
+
+
+def cos_turn_ival(t: Ival, bits: int) -> Ival:
+    """Enclosure of cos(2 pi x) for x in t (turns) on `Fraction` intervals:
+    the hull of the table entries at the endpoints, widened to 1 and -1 at
+    the turns 0 and 1/2.  The reference of `trig.cos_turn`, which runs the
+    same on integer endpoints."""
+    if t.width >= 1:
+        return Ival(Q(-1), ONE)
+    out = Ival.hull([unit_box(x, bits).re for x in {t.lo, t.hi}])
+    if has_point_mod1_ref(t.lo, t.hi, ZERO):
+        out = Ival(out.lo, ONE)
+    if has_point_mod1_ref(t.lo, t.hi, Q(1, 2)):
+        out = Ival(Q(-1), out.hi)
+    return out
+
+
+def sin_turn_ival(t: Ival, bits: int) -> Ival:
+    """`cos_turn_ival` for sin(2 pi x), whose extrema sit at 1/4 and 3/4:
+    the reference of `trig.sin_turn`."""
+    if t.width >= 1:
+        return Ival(Q(-1), ONE)
+    out = Ival.hull([unit_box(x, bits).im for x in {t.lo, t.hi}])
+    if has_point_mod1_ref(t.lo, t.hi, Q(1, 4)):
+        out = Ival(out.lo, ONE)
+    if has_point_mod1_ref(t.lo, t.hi, Q(3, 4)):
+        out = Ival(Q(-1), out.hi)
+    return out
 
 
 # ---------------------------------------------------------------------------

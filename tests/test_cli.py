@@ -659,6 +659,15 @@ def test_bad_config_file_exit3(tmp_path, monkeypatch, capsys, text, message):
     assert "ROBUSTLRS_CONFIG" in err and message in err
 
 
+def test_missing_config_file_exit3():
+    """A `ROBUSTLRS_CONFIG` naming a file that does not exist is a usage
+    error (exit 3), not a silent run on the built-in defaults."""
+    p = run_cli(["decide", "exists-robust-ultpos", "--problem", "-"],
+                stdin=FIB_POS, env={"ROBUSTLRS_CONFIG": "/no/such/file.json"})
+    assert p.returncode == 3 and p.stdout == ""
+    assert "file.json" in p.stderr
+
+
 # sha256 of `robustlrs eval --n-max 40` as the `Fraction` recursion wrote it,
 # for Fibonacci and for the order-6 family at p = 3/5
 EVAL_BYTES = {

@@ -1,5 +1,7 @@
+import itertools
 import random
 from fractions import Fraction as Q
+from types import SimpleNamespace
 
 import pytest
 
@@ -9,11 +11,12 @@ from robustlrs.lrs import Lrr, InitialConfig, normalize, spectral
 from robustlrs.torus import relation_lattice, parametrize, TorusPoint
 from robustlrs.optimize import (mu, nu, min_over_ball,
                                 DominantFamily, DEFAULT_TOL, ExactReal,
-                                _Objective, _exact_min, _on_grid)
-from robustlrs.trig import cos_turn, pi_ival, sin_turn, unit_box
+                                _Objective, _exact_min)
+from robustlrs.trig import pi_ival, unit_box
 
 from oracles import (point_turns, point_values, residual_box,
-                     fraction_enclosure)
+                     fraction_enclosure, cos_turn_ival, sin_turn_ival,
+                     has_point_mod1_ref)
 
 FIB = Lrr((Q(1), Q(1)))
 ALT = Lrr((Q(-1),))
@@ -391,8 +394,7 @@ def test_exact_min_climbs_straddling_values(values, verdict, converged):
 
 class _FractionObjective:
     """The branch-and-bound objective on `Fraction` boxes, as it was before
-    its products and sums moved to integers: the reference oracle of
-    `optimize._Objective`."""
+    it moved to integers: the reference oracle of `optimize._Objective`."""
 
     def __init__(self, forms, torus, coset, bits):
         self.bits = bits
@@ -416,7 +418,8 @@ class _FractionObjective:
                 e = self.embed[j][b]
                 if e:
                     t = t + sbox[b] * e
-            zbs.append(Box(cos_turn(t, self.bits), sin_turn(t, self.bits)))
+            zbs.append(Box(cos_turn_ival(t, self.bits),
+                           sin_turn_ival(t, self.bits)))
         return [[w * zb for w, zb in zip(row, zbs)] for row in self.weights]
 
     def _values(self, terms):
@@ -484,7 +487,7 @@ def _p35_ball_forms():
 
 @pytest.mark.parametrize("make,bits_list", [
     (_two_pair_forms, (96,)),
-    (_rho2_forms, (96, 232)),
+    (_rho2_forms, (96, 232, 320)),
     (_p35_ball_forms, (96,)),
 ], ids=["two-pair", "rho2", "p35-ball"])
 def test_objective_matches_fraction_oracle(make, bits_list):
@@ -507,12 +510,75 @@ def test_objective_matches_fraction_oracle(make, bits_list):
                     [[(v.lo, v.hi) for v in part] for part in want], sbox
 
 
-def test_on_grid_rejects_off_grid_endpoints():
-    """The objective maps dyadic endpoints to integers on the 2^-bits grid;
-    an endpoint off that grid raises rather than being truncated."""
-    assert _on_grid(Q(3, 8), 4) == 6
-    assert _on_grid(Q(-5), 3) == -40
-    assert _on_grid(Q(1, 1 << 64), 64) == 1
-    for x, bits in ((Q(1, 3), 64), (Q(1, 1 << 65), 64), (Q(5, 12), 100)):
-        with pytest.raises(RuntimeError, match="grid"):
-            _on_grid(x, bits)
+def _chosen_boxes(free):
+    """Depth-0 boxes, the eighths of [0, 1]^free, and narrow boxes around
+    the quarter turns, where cos or sin reaches -1, 0 or 1: narrow in one
+    angle, and narrow in every angle, where the centered form is the
+    tighter enclosure."""
+    eighths = [Ival(Q(i, 8), Q(i + 1, 8)) for i in range(8)]
+    narrow = [Ival(Q(q, 4) - Q(1, 1 << m), Q(q, 4) + Q(1, 1 << m))
+              for q in (1, 2, 3) for m in (3, 40, 200)]
+    narrow += [Ival(Q(0), Q(1, 1 << 60)), Ival(Q(1) - Q(1, 1 << 60), Q(1))]
+    boxes = [[Ival(Q(0), Q(1))] * free]
+    for b in range(free):
+        for part in eighths + narrow:
+            for other in (Ival(Q(0), Q(1)), Ival(Q(1, 2), Q(3, 4))):
+                box = [other] * free
+                box[b] = part
+                boxes.append(box)
+    boxes += [[part] * free for part in narrow]
+    # every pair of quarter turns at width 2^-39
+    boxes += [list(box) for box in itertools.product(narrow[1:9:3],
+                                                     repeat=free)]
+    return boxes
+
+
+@pytest.mark.parametrize("bits", (96, 160, 232, 320))
+def test_objective_matches_fraction_oracle_on_chosen_boxes(bits):
+    """Endpoint for endpoint as above, on a torus whose embedding has
+    entries of both signs, 0 and magnitude > 1, one coset at nonzero turns,
+    and boxes whose turn sums cross 0, 1/4, 1/2 and 3/4 (mod 1)."""
+    forms, real = _two_pair_forms()
+    torus = SimpleNamespace(
+        k=real.k, free_rank=2,
+        embedding=[[2, -3], [0, 1], [-1, 0], [3, 2]],
+        coset_turns=[real.coset_turns[0],
+                     (Q(1, 3), Q(1, 4), Q(1, 2), Q(5, 6))])
+    boxes = _chosen_boxes(torus.free_rank)
+    crossed, tighter = set(), 0
+    for box in boxes:
+        for row in torus.embedding:
+            t = Ival.point(0)
+            for e, s in zip(row, box):
+                t = t + s * e
+            crossed |= {q for q in range(4)
+                        if has_point_mod1_ref(t.lo, t.hi, Q(q, 4))}
+    assert crossed == {0, 1, 2, 3}
+    alpha_boxes = [[alpha.box(bits) for alpha, _s in form.terms]
+                   for form in forms]
+    for coset in range(len(torus.coset_turns)):
+        obj = _Objective(alpha_boxes, torus, coset, bits)
+        ref = _FractionObjective(forms, torus, coset, bits)
+        for sbox in boxes:
+            got, want = obj.evaluate(sbox), ref.evaluate(sbox)
+            assert [[(v.lo, v.hi) for v in part] for part in got] == \
+                [[(v.lo, v.hi) for v in part] for part in want], sbox
+            plain = ref._values(ref._terms(sbox))[0]
+            tighter += got[0][0].width < plain.width
+    # the centered form sets endpoints, not only the plain enclosure
+    assert tighter > 0
+
+
+def test_objective_on_no_free_angles():
+    """With no free angle, as `min_over_ball` on a finite torus asks, the
+    objective is the exact coset value's enclosure, as on the oracle."""
+    forms, real = _p35_ball_forms()
+    torus = SimpleNamespace(k=real.k, free_rank=0,
+                            embedding=[[] for _ in range(real.k)],
+                            coset_turns=[(Q(0), Q(1, 3), Q(2, 3))])
+    alpha_boxes = [[alpha.box(96) for alpha, _s in form.terms]
+                   for form in forms]
+    got = _Objective(alpha_boxes, torus, 0, 96).evaluate([])
+    want = _FractionObjective(forms, torus, 0, 96).evaluate([])
+    assert [[(v.lo, v.hi) for v in part] for part in got] == \
+        [[(v.lo, v.hi) for v in part] for part in want]

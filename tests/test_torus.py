@@ -71,10 +71,10 @@ def test_lattice_mixed_pair_with_one():
 def test_lattice_rejects_bad_input():
     phi = next(a for a, _ in isolate_roots(poly(-1, -1, 1))
                if a.box(32).re.lo > 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(RuntimeError, match="unit-modulus"):
         relation_lattice([phi])
     one = AlgebraicNumber.from_rational(Q(1))
-    with pytest.raises(ValueError):
+    with pytest.raises(RuntimeError, match="pairwise distinct"):
         relation_lattice([one, one])
 
 

@@ -17,7 +17,8 @@ from robustlrs.trig import (pi_ival, cos_turn_point, sin_turn_point, cos_turn,
 from robustlrs.hardness import _rotation_ivals, lagrange_prefix
 from robustlrs.qmath import exact_sqrt, is_perfect_square, sqrt_down, sqrt_up
 
-from oracles import RotScan, walk_to
+from oracles import (RotScan, walk_to, cos_turn_ival, sin_turn_ival,
+                     has_point_mod1_ref)
 
 mpmath.mp.dps = 60
 
@@ -46,14 +47,29 @@ def test_cos_sin_point_vs_mpmath(r):
     assert total.contains(Q(1))
 
 
+def _dyadic(t: Ival) -> tuple[int, int, int]:
+    """A dyadic turn interval as integer endpoints over one 2^d, and d."""
+    d = max(t.lo.denominator, t.hi.denominator).bit_length() - 1
+    return (t.lo.numerator << (d + 1 - t.lo.denominator.bit_length()),
+            t.hi.numerator << (d + 1 - t.hi.denominator.bit_length()), d)
+
+
+def _turn_ival(fn, t: Ival, bits: int) -> Ival:
+    """`cos_turn` or `sin_turn` on a dyadic `Ival` turn, as an `Ival`."""
+    lo, hi = fn(*_dyadic(t), bits)
+    one = 1 << (bits + 2)
+    return Ival(Q(lo, one), Q(hi, one))
+
+
 def test_cos_turn_interval_extrema():
-    t = Ival(Q(-1, 8), Q(1, 8))
-    c = cos_turn(t, 64)
+    c = _turn_ival(cos_turn, Ival(Q(-1, 8), Q(1, 8)), 64)
     assert c.hi == 1  # contains the max at angle 0
-    s = sin_turn(Ival(Q(1, 8), Q(3, 8)), 64)
+    s = _turn_ival(sin_turn, Ival(Q(1, 8), Q(3, 8)), 64)
     assert s.hi == 1  # max at quarter turn
-    wide = cos_turn(Ival(Q(0), Q(2)), 64)
+    wide = _turn_ival(cos_turn, Ival(Q(0), Q(2)), 64)
     assert wide.lo == -1 and wide.hi == 1
+    assert cos_turn(0, 1, 0, 64) == sin_turn(-3, -2, 0, 64) == \
+        (-(1 << 66), 1 << 66)
 
 
 def _endpoints(box):
@@ -117,59 +133,67 @@ def _point_hull(point_fn, t, bits, top, bottom):
     if t.width >= 1:
         return Ival(Q(-1), Q(1))
     out = Ival.hull([point_fn(t.lo, bits), point_fn(t.hi, bits)])
-    if trig._has_point_mod1(t.lo, t.hi, top):
+    if has_point_mod1_ref(t.lo, t.hi, top):
         out = Ival(out.lo, Q(1))
-    if trig._has_point_mod1(t.lo, t.hi, bottom):
+    if has_point_mod1_ref(t.lo, t.hi, bottom):
         out = Ival(Q(-1), out.hi)
     return out
 
 
-def _has_point_mod1_fraction(lo, hi, frac):
-    """The least x = frac (mod 1) with x >= lo, compared with hi in
-    `Fraction`s: the reference for the integer test."""
-    k = (lo - frac).numerator // (lo - frac).denominator
-    candidate = frac + k
-    if candidate < lo:
-        candidate += 1
-    return candidate <= hi
+def _has_point_mod1(lo, hi, q):
+    """`trig._has_point_mod1` on dyadic `Fraction` endpoints, over 2^64."""
+    d = 64
+    return trig._has_point_mod1(int(lo * (1 << d)), int(hi * (1 << d)), d, q)
 
 
 def test_has_point_mod1_matches_fraction_oracle():
     """Dyadic endpoints at, just off and around 0, 1/4, 1/2 and 3/4 (mod 1),
     widths from 0 to just under and over 1, against the Fraction version."""
     rng = random.Random(13)
-    fracs = [Q(0), Q(1, 4), Q(1, 2), Q(3, 4)]
     offsets = [Q(0), Q(1, 1 << 60), -Q(1, 1 << 60), Q(1, 1 << 3), -Q(1, 1 << 5)]
     widths = [Q(0), Q(1, 1 << 40), Q(1, 4), Q(1, 2),
               1 - Q(1, 1 << 50), Q(1), 1 + Q(1, 1 << 50)]
     cases = hits = 0
-    for base in fracs:
+    for base in range(4):
         for shift in range(-2, 3):
             for off in offsets:
-                lo = base + shift + off
+                lo = Q(base, 4) + shift + off
                 for w in widths:
-                    for frac in fracs:
-                        want = _has_point_mod1_fraction(lo, lo + w, frac)
-                        assert trig._has_point_mod1(lo, lo + w, frac) == want
+                    for q in range(4):
+                        frac = Q(q, 4)
+                        want = has_point_mod1_ref(lo, lo + w, frac)
+                        assert _has_point_mod1(lo, lo + w, q) == want
                         hits += want
                         # the same with the point at the upper endpoint
                         hi = lo
-                        want = _has_point_mod1_fraction(hi - w, hi, frac)
-                        assert trig._has_point_mod1(hi - w, hi, frac) == want
+                        want = has_point_mod1_ref(hi - w, hi, frac)
+                        assert _has_point_mod1(hi - w, hi, q) == want
                         cases += 1
     for _ in range(2000):
-        den = 1 << rng.randint(0, 64)
-        lo = Q(rng.randint(-3 * den, 3 * den), den)
-        hi = lo + Q(rng.randint(0, 2 * den), den)
-        frac = rng.choice(fracs)
-        assert trig._has_point_mod1(lo, hi, frac) == \
-            _has_point_mod1_fraction(lo, hi, frac)
+        d = rng.randint(0, 64)
+        lo = rng.randint(-3 << d, 3 << d)
+        hi = lo + rng.randint(0, 2 << d)
+        q = rng.randrange(4)
+        assert trig._has_point_mod1(lo, hi, d, q) == \
+            has_point_mod1_ref(Q(lo, 1 << d), Q(hi, 1 << d), Q(q, 4))
     # both outcomes are exercised, equality at an endpoint included
     assert 0 < hits < cases
-    assert trig._has_point_mod1(Q(1, 4), Q(1, 4), Q(1, 4))
-    assert trig._has_point_mod1(Q(-3, 4), Q(0), Q(1, 4))
-    assert not trig._has_point_mod1(Q(-1, 2) + Q(1, 1 << 60), Q(1, 4) - Q(1, 1 << 60),
-                                    Q(1, 4))
+    assert trig._has_point_mod1(1, 1, 2, 1)
+    assert trig._has_point_mod1(-3, 0, 2, 1)
+    assert trig._has_point_mod1(0, 0, 0, 0)
+    assert not trig._has_point_mod1(0, 0, 1, 1)
+    assert not _has_point_mod1(Q(-1, 2) + Q(1, 1 << 60), Q(1, 4) - Q(1, 1 << 60),
+                               1)
+
+
+def _random_dyadic_turn(rng) -> Ival:
+    """A dyadic turn of either sign, of width 0 to just over 1, at depths
+    the branch and bound and the hardness lab reach."""
+    d = rng.choice((0, 1, 2, 3, rng.randint(4, 64), rng.randint(65, 340)))
+    lo = rng.randint(-3 << d, 3 << d)
+    width = rng.choice((0, 1, rng.randint(0, 1 << d), (1 << d) - 1,
+                        1 << d, (1 << d) + rng.randint(0, 1 << d)))
+    return Ival(Q(lo, 1 << d), Q(lo + width, 1 << d))
 
 
 def test_interval_turns_match_point_hull():
@@ -178,16 +202,30 @@ def test_interval_turns_match_point_hull():
     rng = random.Random(10)
     for _ in range(150):
         bits = rng.choice((64, 96, 232))
-        if rng.random() < 0.5:
-            den = 1 << rng.randint(1, 40)
-        else:
-            den = rng.randint(1, 10 ** 6)
-        lo = Q(rng.randint(-2 * den, 2 * den), den)
-        t = Ival(lo, lo + Q(rng.randint(0, den), den) / rng.choice((1, 7, 64)))
-        assert _endpoints(Box(cos_turn(t, bits), sin_turn(t, bits))) == \
+        t = _random_dyadic_turn(rng)
+        assert _endpoints(Box(_turn_ival(cos_turn, t, bits),
+                              _turn_ival(sin_turn, t, bits))) == \
             _endpoints(Box(_point_hull(cos_turn_point, t, bits, Q(0), Q(1, 2)),
                            _point_hull(sin_turn_point, t, bits, Q(1, 4),
                                        Q(3, 4)))), (t, bits)
+
+
+@pytest.mark.parametrize("bits", (64, 96, 160, 232, 320))
+def test_integer_turns_match_ival_forms(bits):
+    """cos_turn and sin_turn on integer endpoints give the endpoints of
+    their `Fraction` interval forms, whatever the depth d the turn is
+    written at (the table reduces it to lowest terms)."""
+    rng = random.Random(bits)
+    one = 1 << (bits + 2)
+    for _ in range(300):
+        t = _random_dyadic_turn(rng)
+        lo, hi, d = _dyadic(t)
+        extra = rng.choice((0, 0, 1, 7))
+        lo, hi, d = lo << extra, hi << extra, d + extra
+        want = (cos_turn_ival(t, bits), sin_turn_ival(t, bits))
+        got = (cos_turn(lo, hi, d, bits), sin_turn(lo, hi, d, bits))
+        assert [(Q(a, one), Q(b, one)) for a, b in got] == \
+            [(iv.lo, iv.hi) for iv in want], (t, d, bits)
 
 
 def test_unit_box_table_matches_point_enclosures():
