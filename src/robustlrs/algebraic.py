@@ -15,6 +15,15 @@ Predicates are never decided by approximation alone: enclosures may
 *separate* two numbers, while equalities are certified through unique
 representations (field elements), separation bounds, or membership in an
 explicitly isolated root set.
+
+Each of the three exact steps under the decisions has one path.  A
+change of embedding is one substitution, `FieldElement.at`: the root
+exchange of a quadratic field puts s - xi for the generator xi, and the
+conjugate of a unit-modulus generator is its inverse.  |z| = 1 is one
+test, `_on_unit_circle` (1/z must be a root, then conj z and 1/z must be
+the same root), cached per field for a generator.  Naming the root that
+a box holds is one precision ladder, `_sole_hit`: the conjugate field,
+the root of unity and `locate_root` all ask it.
 """
 
 from __future__ import annotations
@@ -306,16 +315,13 @@ class NumberField:
         """The field embedding at the complex-conjugate root."""
         if self.is_real_root:
             return self
-        # conjugate root is the unique root of minpoly in the mirrored box
-        for bits in precisions(32, "conjugate root identification"):
-            target = self.root_box(bits).conj()
-            hits = []
-            for idx in range(self.degree):
-                other = _field_cache(self.minpoly, idx)
-                if not other.root_box(bits).disjoint(target):
-                    hits.append(idx)
-            if len(hits) == 1:
-                return _field_cache(self.minpoly, hits[0])
+        # the conjugate root is the unique root of minpoly in the mirrored
+        # box; each field is built inside its own box call, in index order
+        idx = _sole_hit(lambda bits: self.root_box(bits).conj(),
+                        range(self.degree),
+                        lambda i, bits: _field_cache(self.minpoly, i).root_box(bits),
+                        32, "conjugate root identification")
+        return _field_cache(self.minpoly, idx)
 
 
 class FieldElement:
@@ -428,12 +434,22 @@ class FieldElement:
             return Box.point(self.as_rational())
         return peval_box(self.coeffs, self.field.root_box(bits), bits + 32)
 
+    def at(self, x: "FieldElement") -> "FieldElement":
+        """The element's polynomial in the generator evaluated at x, by
+        Horner, in x's field: every change of embedding is this one
+        substitution."""
+        f, acc = x.field, ()
+        for c in reversed(self.coeffs):
+            acc = padd(pmul(acc, x.coeffs), (c,))
+            if pdeg(acc) >= f.degree:
+                acc = pmod(acc, f.minpoly_q)
+        return FieldElement(f, acc)
+
     def root_exchanged(self, field: NumberField) -> "FieldElement":
         """The same number in `field`, a quadratic field on the same minimal
         polynomial at the other root (or, for a complex root, at its own
         conjugate): the roots are r and s - r with s the rational root sum."""
-        return FieldElement(field, P.pcompose(self.coeffs,
-                                              (-field.minpoly_q[1], Q(-1))))
+        return self.at(FieldElement(field, (-field.minpoly_q[1], Q(-1))))
 
     def conj_in_field(self) -> "FieldElement | None":
         """Complex conjugate as an element of the same field, when expressible:
@@ -444,41 +460,27 @@ class FieldElement:
             return self
         if f.degree == 2:
             return self.root_exchanged(f)
-        gen = FieldElement.generator(f)
-        if _unit_modulus_primitive(f):
-            inv = gen.inverse()
-            acc = FieldElement.const(f, ZERO)
-            for i, c in enumerate(self.coeffs):
-                acc = acc + inv.pow(i) * c
-            return acc
+        if _unit_modulus_minpoly(f.minpoly, f.root_index):
+            return self.at(FieldElement.generator(f).inverse())
         return None
 
 
 @lru_cache(maxsize=None)
 def _unit_modulus_minpoly(minpoly: tuple[int, ...], index: int) -> bool:
+    """Exact |root| == 1 test for the distinguished root of the field; a
+    real root of degree >= 2 cannot be +-1."""
     field = _field_cache(minpoly, index)
-    return _unit_modulus_primitive(field)
+    return not field.is_real_root and _on_unit_circle(minpoly, field.root_box)
 
 
-def _unit_modulus_primitive(field: NumberField) -> bool:
-    """Exact |root| == 1 test for the distinguished root of the field."""
-    mp = field.minpoly
-    if len(mp) == 2:  # rational root -q0/q1
-        val = Q(-mp[0], mp[1])
-        return abs(val) == 1
-    rev = int_normalize(preverse([Q(c) for c in mp]))
-    if rev != mp:
-        return False  # 1/root is not a root of minpoly, so |root| != 1
-    if field.is_real_root:
-        return False  # real root of degree >= 2 cannot be +-1
-    # both conj(root) and 1/root are roots of minpoly; |root|=1 iff equal
-    def conj_refiner(bits):
-        return field.root_box(bits).conj()
-
-    def inv_refiner(bits):
-        return field.root_box(bits).inverse()
-
-    return _same_root_of(mp, conj_refiner, inv_refiner)
+def _on_unit_circle(mp: tuple[int, ...], box_at) -> bool:
+    """Exact |z| == 1 for the root z of `mp` (irreducible, primitive) that
+    the box `box_at(bits)` encloses: 1/z must be a root of mp, and then
+    |z| = 1 iff conj(z) and 1/z are the same root."""
+    if int_normalize(preverse([Q(c) for c in mp])) != mp:
+        return False  # 1/z is not a root of mp, so |z| != 1
+    return _same_root_of(mp, lambda bits: box_at(bits).conj(),
+                         lambda bits: box_at(bits).inverse())
 
 
 def _root_fields(minpoly: tuple[int, ...]) -> list[NumberField]:
@@ -624,12 +626,7 @@ class AlgebraicNumber:
         cj = e.conj_in_field()
         if cj is not None:
             return (e * cj).coeffs == (ONE,)
-        mp = self._defining_ints()
-        rev = int_normalize(preverse([Q(c) for c in mp]))
-        if rev != mp:
-            return False
-        return _same_root_of(mp, lambda b: self.box(b).conj(),
-                             lambda b: self.box(b).inverse())
+        return _on_unit_circle(self._defining_ints(), self.box)
 
     def equals(self, other: "AlgebraicNumber") -> bool:
         if self._rat is not None and other._rat is not None:
@@ -677,6 +674,25 @@ def isolate_roots(p, factors=None) -> list[tuple[AlgebraicNumber, int]]:
     return out
 
 
+def locate_root(coeffs, box_at, what: str) -> AlgebraicNumber:
+    """The one root of the polynomial `coeffs` whose box meets the box
+    `box_at(bits)` enclosing the wanted number, refined until one does."""
+    cands = [a for a, _ in isolate_roots(coeffs)]
+    return _sole_hit(box_at, cands, lambda a, bits: a.box(bits), 64, what)
+
+
+def _sole_hit(target_at, cands, box_at, start: int, what: str):
+    """The one candidate c whose box `box_at(c, bits)` meets the target box
+    `target_at(bits)`, climbing the precision ladder from `start` until
+    exactly one does.  At each rung the target is refined first, then
+    every candidate in order."""
+    for bits in precisions(start, what):
+        target = target_at(bits)
+        hits = [c for c in cands if not box_at(c, bits).disjoint(target)]
+        if len(hits) == 1:
+            return hits[0]
+
+
 def _separate(boxes_at, start: int):
     """Climb the precision ladder from `start` until the boxes
     `boxes_at(bits)` are pairwise disjoint."""
@@ -706,13 +722,10 @@ def _root_of_unity_index(a: AlgebraicNumber) -> tuple[int, int] | None:
     n = cyclotomic_index(mp)
     if n is None:
         return None
-    cands = [k for k in range(n) if math.gcd(k, n) == 1]
-    for bits in precisions(64, "root-of-unity identification"):
-        b = a.box(bits)
-        alive = [k for k in cands
-                 if not b.disjoint(trig.unit_box(Q(k, n), bits))]
-        if len(alive) == 1:
-            return (alive[0], n)
+    k = _sole_hit(a.box, [k for k in range(n) if math.gcd(k, n) == 1],
+                  lambda k, bits: trig.unit_box(Q(k, n), bits),
+                  64, "root-of-unity identification")
+    return (k, n)
 
 
 def _as_common_field(gammas: list[AlgebraicNumber]):
@@ -741,11 +754,8 @@ def _as_common_field(gammas: list[AlgebraicNumber]):
             # embedding of a unit-modulus root (conjugate = inverse)
             conj = field.conjugate_field()
             if e.field is conj or e.field.root_index == conj.root_index:
-                inv_gen = FieldElement.generator(field).inverse()
-                acc = FieldElement.const(field, ZERO)
-                for i, c in enumerate(e.coeffs):
-                    acc = acc + inv_gen.pow(i) * c
-                elems.append(acc)
+                # 1/xi is the conjugate only when |xi| = 1 (ROADMAP item 1)
+                elems.append(e.at(FieldElement.generator(field).inverse()))
                 continue
         return None
     return field, elems, rous

@@ -30,9 +30,9 @@ from .decide import (exists_robust_positivity, exists_robust_skolem,
 from .hardness import (build_hardness_lrr, cone_contains, compute_params,
                        min_ball_term, approximate_L, lagrange_prefix,
                        coeffs_from_config)
-from .serialize import (ProblemSpec, ProblemError, parse_problem, report_json,
-                        sign_outcome_json, algebraic_json, decimal_str,
-                        ival_json, check_ball, check_count)
+from .serialize import (QUESTIONS, ProblemSpec, ProblemError, parse_problem,
+                        report_json, sign_outcome_json, algebraic_json,
+                        decimal_str, ival_json, check_ball, check_count)
 
 CONFIG_ENV = "ROBUSTLRS_CONFIG"
 
@@ -207,9 +207,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="output file (default stdout)")
 
     dec = sub.add_parser("decide", help="run a robustness decision procedure")
-    dec.add_argument("question", choices=[
-        "exists-robust-positivity", "exists-robust-skolem",
-        "exists-robust-ultpos", "robust-ultpos-open"])
+    dec.add_argument("question", choices=QUESTIONS)
     add_common(dec, *_SETTINGS)
 
     ev = sub.add_parser("eval", help="dump exact terms as CSV")
@@ -309,6 +307,8 @@ def _resolve(args, spec, defaults):
         tol = parse_rational(tol)
     elif not isinstance(tol, Fraction):
         raise ValueError(f"tol must be a rational string p/q, got {tol!r}")
+    if tol <= 0:
+        raise ProblemError("tol", f"must be > 0, got {format_rational(tol)}")
     cap = pick("prefix_cap", DEFAULT_PREFIX_CAP)
     hb = pick("height_bound", DEFAULT_HEIGHT_BOUND)
     check_count(cap, 0, "prefix cap")

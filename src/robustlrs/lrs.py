@@ -39,7 +39,7 @@ from .interval import Ival, Box
 from . import poly as P
 from .poly import pnorm
 from .algebraic import (AlgebraicNumber, FieldElement, NumberField,
-                        isolate_roots)
+                        isolate_roots, locate_root)
 
 
 @dataclass(frozen=True)
@@ -178,7 +178,7 @@ def _alg_sqrt(t: AlgebraicNumber, refiner) -> AlgebraicNumber:
         coeffs = [ZERO] * (2 * len(poly) - 1)
         for i, co in enumerate(poly):
             coeffs[2 * i] = co
-    return _locate_as_root(coeffs, refiner, "square root identification")
+    return locate_root(coeffs, refiner, "square root identification")
 
 
 def _conjugate_partners(roots) -> list[int]:
@@ -206,9 +206,9 @@ def _abs_sq_alg(a: AlgebraicNumber) -> AlgebraicNumber:
     if cj is not None:
         return AlgebraicNumber.from_element(a.elem * cj)
     mp = [Q(c) for c in a.elem.field.minpoly]
-    return _locate_as_root(P.composed_product(mp, mp),
-                           lambda bits: Box(a.box(bits).abs_sq(), Ival.point(0)),
-                           "squared modulus identification")
+    return locate_root(P.composed_product(mp, mp),
+                       lambda bits: Box(a.box(bits).abs_sq(), Ival.point(0)),
+                       "squared modulus identification")
 
 
 def _same_modulus_exact(a: AlgebraicNumber, b: AlgebraicNumber) -> bool:
@@ -283,17 +283,6 @@ def _rho_of(rep: AlgebraicNumber) -> AlgebraicNumber:
         return Box(rep.box(bits).abs_sq().sqrt(bits), Ival.point(0))
 
     return _alg_sqrt(_abs_sq_alg(rep), rho_box)
-
-
-def _locate_as_root(coeffs, refiner, what: str) -> AlgebraicNumber:
-    """The one root of the polynomial `coeffs` whose box meets the box
-    `refiner(bits)` enclosing the wanted number, refined until one does."""
-    cands = isolate_roots(coeffs)
-    for bits in precisions(64, what):
-        b = refiner(bits)
-        alive = [a for a, _ in cands if not a.box(bits).disjoint(b)]
-        if len(alive) == 1:
-            return alive[0]
 
 
 # ---------------------------------------------------------------------------
@@ -402,28 +391,20 @@ def _trace_table(fld: NumberField, count: int) -> list[Fraction]:
 
 
 def _alpha_per_embedding(factor_solutions, roots) -> dict:
-    """Map (root_index, power) to the embedded coefficient value."""
+    """Map (root_index, power) to the embedded coefficient value.
+    `isolate_roots` lists each factor's roots in turn, in factor order, so
+    the roots are walked beside the factors."""
     table = {}
-    for i, (root, mult) in enumerate(roots):
-        fs = next(f for f in factor_solutions
-                  if _root_matches_factor(root, f.minpoly))
-        for j in range(mult):
-            a = fs.alphas[j]
-            if isinstance(a, Fraction):
-                table[(i, j)] = AlgebraicNumber.from_rational(a)
-            elif root.is_rational:
-                table[(i, j)] = AlgebraicNumber.from_rational(a.as_rational())
-            else:
-                emb_field = root.elem.field
-                table[(i, j)] = AlgebraicNumber.from_element(
-                    FieldElement(emb_field, a.coeffs))
+    embeddings = iter(enumerate(roots))
+    for fs in factor_solutions:
+        for i, (root, mult) in itertools.islice(embeddings, len(fs.minpoly) - 1):
+            for j in range(mult):
+                a = fs.alphas[j]
+                table[(i, j)] = (
+                    AlgebraicNumber.from_rational(a) if isinstance(a, Fraction)
+                    else AlgebraicNumber.from_element(
+                        FieldElement(root.elem.field, a.coeffs)))
     return table
-
-
-def _root_matches_factor(root: AlgebraicNumber, minpoly: tuple[int, ...]) -> bool:
-    if root.is_rational:
-        return len(minpoly) == 2 and Q(-minpoly[0], minpoly[1]) == root.as_rational()
-    return root.elem.field.minpoly == tuple(minpoly)
 
 
 # ---------------------------------------------------------------------------
@@ -481,7 +462,7 @@ def normalize(lrr: Lrr, c: InitialConfig,
 def _unit_ratio(root: AlgebraicNumber, rho: AlgebraicNumber) -> AlgebraicNumber:
     s = _ratio_to_rho(root, rho)
     if not s.is_unit_modulus():
-        raise AssertionError("dominant ratio is not unit modulus")
+        raise RuntimeError("dominant ratio is not unit modulus")
     return s
 
 
@@ -510,9 +491,9 @@ def _ratio_to_rho(root: AlgebraicNumber, rho: AlgebraicNumber) -> AlgebraicNumbe
     # the composed product of M and reversed P_rho has the roots root_i/rho_j
     cands = P.composed_product(root.defining_poly,
                                P.preverse(rho.defining_poly))
-    return _locate_as_root(cands,
-                           lambda bits: root.box(bits) * rho.box(bits).re.inverse(),
-                           "unit ratio identification")
+    return locate_root(cands,
+                       lambda bits: root.box(bits) * rho.box(bits).re.inverse(),
+                       "unit ratio identification")
 
 
 def residual_threshold(res: list[ResidualTerm], eps: Fraction) -> int:
@@ -554,7 +535,7 @@ def _term_threshold(a: Fraction, t: int, beta: Fraction,
     """N with a * n^t * beta^n < eps for every n > N: doubling then
     bisection, from the n0 where the bound starts to decrease."""
     if beta == 1 and t >= 0:
-        raise AssertionError("unit-modulus residual term must decay")
+        raise RuntimeError("unit-modulus residual term must decay")
     # the term decreases for n >= n0, where beta * ((n+1)/n)^t < 1
     n0 = 1
     if t > 0:

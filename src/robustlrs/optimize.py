@@ -40,7 +40,7 @@ from typing import Callable, Optional
 from .qmath import Q, ZERO, ONE, is_perfect_square, exact_sqrt, ceil_frac
 from .interval import Ival, Box, box_ends, mul_ends
 from .trig import unit_box, cos_turn, sin_turn, pi_ival
-from .poly import cyclotomic, pnorm, pdivmod, pcompose
+from .poly import cyclotomic, pnorm, pdivmod
 from .algebraic import AlgebraicNumber, FieldElement, identify_root_of_unity
 from .lrs import DominantForm
 from .torus import TorusParam, TorusPoint
@@ -202,12 +202,11 @@ def _quadratic_combo(terms) -> ExactReal | None:
             base_field = f
         parts.append((alpha.elem, sign))
     total = FieldElement.const(base_field, acc_rat)
-    s_sum = -base_field.minpoly_q[1]  # rational sum of the two roots
     for elem, sign in parts:
         if elem.field is base_field:
             e = elem
         elif elem.field.minpoly == base_field.minpoly:
-            e = FieldElement(base_field, pcompose(elem.coeffs, (s_sum, Q(-1))))
+            e = elem.root_exchanged(base_field)
         else:
             return None
         total = total + (e if sign == 1 else -e)

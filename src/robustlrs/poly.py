@@ -123,14 +123,6 @@ def pderiv(p: Coeffs) -> Coeffs:
     return pnorm([i * p[i] for i in range(1, len(p))])
 
 
-def pcompose(p: Coeffs, q: Coeffs) -> Coeffs:
-    """p(q(x))."""
-    acc: Coeffs = ()
-    for c in reversed(p):
-        acc = padd(pmul(acc, q), (c,))
-    return acc
-
-
 def preverse(p: Coeffs) -> Coeffs:
     """x^deg * p(1/x)."""
     return pnorm(tuple(reversed(p)))
@@ -254,7 +246,7 @@ def cyclotomic(n: int) -> tuple[int, ...]:
     for p in _prime_factors(n):
         phi, rem = pdivmod(_spread(phi, p), phi)
         if rem:
-            raise AssertionError("cyclotomic division left a remainder")
+            raise RuntimeError("cyclotomic division left a remainder")
         r *= p
     return tuple(int(c) for c in _spread(phi, n // r))
 

@@ -161,7 +161,7 @@ def relation_lattice(gammas: list[AlgebraicNumber],
     gens = hnf_rows(rows)
     for gen in gens:
         if not power_product_is_one(list(gammas), list(gen)):
-            raise AssertionError("unsound relation generated")
+            raise RuntimeError("unsound relation generated")
     return RelationLattice(k=k, generators=gens, height_bound=height_bound,
                            complete=complete)
 
@@ -240,10 +240,10 @@ def parametrize(lat: RelationLattice) -> TorusParam:
         lv = [sum(gen[j] * v[j][i] for j in range(k)) for i in range(k)]
         for i in range(rank):
             if lv[i] % divisors[i] != 0:
-                raise AssertionError("parametrization invariant broken")
+                raise RuntimeError("parametrization invariant broken")
         for i in range(rank, k):
             if lv[i] != 0:
-                raise AssertionError("parametrization invariant broken")
+                raise RuntimeError("parametrization invariant broken")
 
     return TorusParam(free_rank=free, embedding=embedding, coset_turns=cosets,
                       lattice=lat)

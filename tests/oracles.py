@@ -6,11 +6,11 @@ hyperplane distances, exact orbit points and parametrization points of
 the closure torus, a direct enclosure of the residual, the orbit scan's
 `Fraction` formula, the exact check of the order-6 rotation block, the
 per-step rotation walk (`RotScan`) and scans of the hardness lab, the
-`Fraction` Horner loop of box evaluation, the `Fraction` interval forms
-of `cos_turn` and `sin_turn`, and the problem document of a parsed
-spec.  The sampling
-screen is the only user of numpy, which is a test dependency, not a
-runtime one.
+`Fraction` Horner loop of box evaluation, polynomial composition (the
+root exchange of a quadratic field), the `Fraction` interval forms of
+`cos_turn` and `sin_turn`, and the problem document of a parsed spec.
+The sampling screen is the only user of numpy, which is a test
+dependency, not a runtime one.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import numpy as np
 from robustlrs.qmath import (Q, ZERO, ONE, is_perfect_square, exact_sqrt,
                              format_rational)
 from robustlrs.interval import Ival, Box
-from robustlrs.poly import int_normalize
+from robustlrs.poly import int_normalize, padd, pmul
 from robustlrs.algebraic import (AlgebraicNumber, NumberField, FieldElement,
                                  power_product_is_one)
 from robustlrs.lrs import (Lrr, InitialConfig, Ball, SpectralData, spectral,
@@ -47,6 +47,15 @@ def peval_box_ref(p, z: Box, bits: int) -> Box:
     acc = Box.point(0)
     for c in reversed(p):
         acc = (acc * z + c).round_out(bits)
+    return acc
+
+
+def pcompose(p, q):
+    """p(q(x)) as a coefficient tuple: with q = s - x, the reference of
+    `FieldElement.root_exchanged`."""
+    acc = ()
+    for c in reversed(p):
+        acc = padd(pmul(acc, q), (c,))
     return acc
 
 

@@ -13,7 +13,7 @@ from fractions import Fraction as Q
 import numpy as np
 import pytest
 
-from robustlrs.interval import Ival, Box
+from robustlrs.interval import Ival, Box, box_ends, mul_ends
 from robustlrs.poly import pmul
 from robustlrs.algebraic import isolate_roots, power_product_is_one
 from robustlrs.lrs import (Lrr, InitialConfig, Ball, eval_terms, spectral,
@@ -127,6 +127,55 @@ def _random_lrr(rng):
             return Lrr(coeffs)
 
 
+def _fraction_reconstruction(sol, bases, alphas, count, bits=320):
+    """Per n < count, the endpoints (re lo, re hi, im lo, im hi) of
+    sum alpha_ij n^j gamma_i^n with `Fraction` boxes: incremental powers
+    gamma^n, rounded out to 2^-bits after each step, so widths grow only
+    linearly.  The reference for `_integer_reconstruction`."""
+    powers = [Box.point(1) for _ in sol.roots]
+    out = []
+    for n in range(count):
+        acc_re, acc_im = Ival.point(0), Ival.point(0)
+        for i, (root, mult) in enumerate(sol.roots):
+            for j in range(mult):
+                t = alphas[(i, j)] * powers[i] * Q(n**j)
+                acc_re = acc_re + t.re
+                acc_im = acc_im + t.im
+        out.append((acc_re.lo, acc_re.hi, acc_im.lo, acc_im.hi))
+        powers = [(pw * b).round_out(bits) for pw, b in zip(powers, bases)]
+    return out
+
+
+def _integer_reconstruction(sol, bases, alphas, count, bits=320):
+    """The same enclosures on integer endpoints: the alphas over one
+    common denominator DA, the powers over 1 and then 2^bits (each step
+    floors the low ends and ceils the high ones, as `round_out` does), so
+    term n is over DA times the powers' denominator.  Yields (endpoints,
+    denominator) per n."""
+    ends = [box_ends(a) for a in alphas.values()]
+    DA = math.lcm(*(d for _, d in ends))
+    alpha = {key: tuple(e * (DA // d) for e in es)
+             for key, (es, d) in zip(alphas, ends)}
+    base = [box_ends(b) for b in bases]
+    powers, P = [(1, 1, 0, 0) for _ in sol.roots], 1
+    for n in range(count):
+        acc = [0, 0, 0, 0]
+        for i, (root, mult) in enumerate(sol.roots):
+            for j in range(mult):
+                t = mul_ends(alpha[(i, j)], powers[i])
+                nj = n ** j
+                for k in range(4):
+                    acc[k] += t[k] * nj
+        yield tuple(acc), DA * P
+        stepped = []
+        for pw, (b, D) in zip(powers, base):
+            rlo, rhi, ilo, ihi = (e << bits for e in mul_ends(pw, b))
+            den = P * D
+            stepped.append((rlo // den, -(-rhi // den),
+                            ilo // den, -(-ihi // den)))
+        powers, P = stepped, 1 << bits
+
+
 def test_04_exp_poly_consistency():
     t0 = time.time()
     rng = random.Random(7)
@@ -136,22 +185,17 @@ def test_04_exp_poly_consistency():
                                 for _ in range(lrr.order)))
         sol = exp_poly_solution(lrr, c)
         terms = eval_terms(lrr, c, 500)
-        # incremental powers: gamma^n boxes, widths grow only linearly
-        powers = [Box.point(1) for _ in sol.roots]
         bases = [root.box(256) for root, _ in sol.roots]
         alphas = {key: a.box(256) for key, a in sol.alpha.items()}
-        for n in range(501):
-            acc_re, acc_im = Ival.point(0), Ival.point(0)
-            for i, (root, mult) in enumerate(sol.roots):
-                for j in range(mult):
-                    t = alphas[(i, j)] * powers[i] * Q(n**j)
-                    acc_re = acc_re + t.re
-                    acc_im = acc_im + t.im
-            assert acc_re.contains(terms[n]), f"trial {trial} n={n}"
-            assert acc_im.contains(Q(0))
-            if n < 500:
-                powers = [(pw * b).round_out(320)
-                          for pw, b in zip(powers, bases)]
+        ends = list(_integer_reconstruction(sol, bases, alphas, 501))
+        if trial == 0:
+            assert [tuple(Q(e, D) for e in es) for es, D in ends] == \
+                _fraction_reconstruction(sol, bases, alphas, 501)
+        for n, ((re_lo, re_hi, im_lo, im_hi), D) in enumerate(ends):
+            u = terms[n]
+            assert re_lo * u.denominator <= u.numerator * D \
+                <= re_hi * u.denominator, f"trial {trial} n={n}"
+            assert im_lo <= 0 <= im_hi
     elapsed = time.time() - t0
     assert elapsed < 120
     print(f"\nACCEPTANCE 4 PASS: 50 random recurrences, interval "

@@ -6,7 +6,7 @@ import pytest
 from sympy.polys import rootoftools
 
 from robustlrs import algebraic, trig
-from robustlrs.interval import Box
+from robustlrs.interval import Box, Ival
 from robustlrs.lrs import Lrr
 from robustlrs.poly import (peval, pmul, pnorm, separation_bound,
                             factor_int, cyclotomic)
@@ -14,6 +14,8 @@ from robustlrs.torus import root_of_unity_alg
 from robustlrs.algebraic import (AlgebraicNumber, FieldElement, NumberField,
                                  isolate_roots, power_product_is_one,
                                  identify_root_of_unity)
+
+from oracles import pcompose
 
 
 def poly(*coeffs):
@@ -235,6 +237,109 @@ def test_field_element_arithmetic():
     assert tr == Q(6, 5)  # sum of (3+-4i)/5
     c = g.conj_in_field()
     assert (g * c).coeffs == (Q(1),)  # unit modulus exactly
+
+
+def _inverse_substitution(e, x):
+    """sum c_i x^i from the powers of x: the former loop of `conj_in_field`
+    and `_as_common_field`, the reference for `FieldElement.at`."""
+    acc = FieldElement.const(x.field, Q(0))
+    for i, c in enumerate(e.coeffs):
+        acc = acc + x.pow(i) * c
+    return acc
+
+
+def _sample_elements(field, rng):
+    d = field.degree
+    out = [FieldElement.const(field, Q(0)), FieldElement.const(field, Q(-3, 7)),
+           FieldElement.generator(field)]
+    out += [FieldElement(field, [Q(rng.randint(-9, 9), rng.randint(1, 6))
+                                 for _ in range(d)]) for _ in range(4)]
+    return out
+
+
+# minimal polynomial: whether its complex roots are of modulus 1
+SHARED_PATH_FIELDS = {
+    (1, -1, 1): True,               # x^2 - x + 1, primitive sixth roots
+    (5, -6, 5): True,               # (3 +- 4i)/5
+    (1, 0, 0, 0, 1): True,          # x^4 + 1
+    (1, 0, -1, 0, 1): True,         # x^4 - x^2 + 1
+    (1, -1, -1, -1, 1): True,       # Salem quartic: two real roots, one unit pair
+    (2, 0, 0, 0, 1): False,         # x^4 + 2, modulus 2^(1/4)
+}
+
+
+@pytest.mark.parametrize("minpoly", list(SHARED_PATH_FIELDS))
+def test_change_of_embedding_matches_former_formulas(minpoly):
+    """`at`, `root_exchanged` and `conj_in_field` give, element for element,
+    what the former loops gave: sum c_i x^i from powers, `pcompose` with
+    s - x, and the inverse substitution for a unit-modulus generator; and
+    the conjugate's box meets the mirrored box of the element."""
+    rng = random.Random(sum(minpoly) + len(minpoly))
+    d = len(minpoly) - 1
+    fields = [NumberField.get(minpoly, i) for i in range(d)]
+    for f in fields:
+        gen = FieldElement.generator(f)
+        points = [gen.inverse(), gen * gen + 1] + _sample_elements(f, rng)[3:5]
+        for e in _sample_elements(f, rng):
+            for x in points:
+                assert e.at(x) == _inverse_substitution(e, x)
+            if d == 2:
+                for g in fields:
+                    s = -g.minpoly_q[1]
+                    assert e.root_exchanged(g) == FieldElement(
+                        g, pcompose(e.coeffs, (s, Q(-1))))
+            if f.is_real_root:
+                expected = e
+            elif d == 2:
+                expected = FieldElement(f, pcompose(e.coeffs,
+                                                    (-f.minpoly_q[1], Q(-1))))
+            elif SHARED_PATH_FIELDS[minpoly]:
+                expected = _inverse_substitution(e, gen.inverse())
+            else:
+                expected = None
+            cj = e.conj_in_field()
+            assert (cj is None) if expected is None else cj == expected
+            if cj is not None:
+                for bits in (64, 128):
+                    assert not cj.box(bits).disjoint(e.box(bits).conj())
+
+
+def test_conj_in_field_decides_unit_modulus_once_per_field(monkeypatch):
+    """A complex field of degree 4 asks the unit-circle test through the
+    cached generator case: one `_same_root_of` per field, however many
+    conjugates are taken.  2x^4 + x^3 + 2x^2 + x + 2 has its four roots on
+    the unit circle and is not cyclotomic."""
+    calls = []
+    same_root_of = algebraic._same_root_of
+    monkeypatch.setattr(algebraic, "_same_root_of",
+                        lambda *args: calls.append(args[0]) or same_root_of(*args))
+    rng = random.Random(4)
+    minpoly = (2, 1, 2, 1, 2)
+    for idx in (0, 2):
+        f = NumberField.get(minpoly, idx)
+        for e in _sample_elements(f, rng)[1:] * 2:
+            cj = e.conj_in_field()
+            assert not cj.box(64).disjoint(e.box(64).conj())
+        assert AlgebraicNumber.from_root(f).is_unit_modulus()
+    assert calls == [minpoly, minpoly]
+
+
+def test_locate_root_climbs_until_one_root_meets_the_box():
+    """`locate_root` answers only when one candidate meets the target: the
+    roots 1 +- 2^-40 both meet a box of radius 2^-32 around the lower one
+    (64 bits), and only the lower one meets the 128-bit box."""
+    e = Q(1, 1 << 40)
+    lower = 1 - e
+    seen = []
+
+    def box_at(bits):
+        seen.append(bits)
+        r = Q(1, 1 << (bits // 2))
+        return Box(Ival(lower - r, lower + r), Ival(-r, r))
+
+    got = algebraic.locate_root(poly(1 - e * e, -2, 1), box_at, "test")
+    assert got.is_rational and got.as_rational() == lower
+    assert seen == [64, 128]
 
 
 def test_defining_poly_of_derived_element():

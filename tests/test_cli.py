@@ -12,7 +12,8 @@ import pytest
 
 from robustlrs import cli, qmath
 from robustlrs.lrs import Lrr, InitialConfig, scaled_term
-from robustlrs.serialize import parse_problem, ProblemError, decimal_str
+from robustlrs.serialize import (parse_problem, ProblemError, decimal_str,
+                                 QUESTIONS, BALL_QUESTIONS)
 from robustlrs.cli import main, emit_plot_data
 
 from oracles import problem_json
@@ -639,6 +640,32 @@ def test_bad_setting_exit3(tmp_path, monkeypatch, capsys, flags, config):
     code, doc, err = _decide_fib(tmp_path, monkeypatch, capsys, flags, config)
     assert code == 3 and doc is None
     assert "must be" in err
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("tol", ["0", "-1"])
+@pytest.mark.parametrize("question", QUESTIONS)
+def test_nonpositive_tol_exit3(tmp_path, monkeypatch, capsys, question, tol,
+                               source):
+    """A tol <= 0, from the flag or the defaults file, is a usage error
+    (exit 3) for every question, found before the question runs: the
+    open-ball question would otherwise answer YES on Fibonacci."""
+    ball = (',"ball":{"radius":"1/10","topology":"open"}'
+            if question in BALL_QUESTIONS else "")
+    problem = tmp_path / "fib.json"
+    problem.write_text('{"coeffs":["1","1"],"init":["1","1"]' + ball + "}")
+    monkeypatch.delenv("ROBUSTLRS_CONFIG", raising=False)
+    flags = []
+    if source == "flag":
+        flags = ["--tol", tol]
+    else:
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"tol": tol}))
+        monkeypatch.setenv("ROBUSTLRS_CONFIG", str(cfgfile))
+    code = main(["decide", question, "--problem", str(problem), *flags])
+    out, err = capsys.readouterr()
+    assert code == 3 and out == ""
+    assert f"tol: must be > 0, got {tol}" in err
 
 
 @pytest.mark.parametrize("text,message", [

@@ -467,7 +467,7 @@ def test_ratio_to_rho_candidates_match_resultant(monkeypatch, coeffs):
     spec = spectral(Lrr(tuple(Q(a) for a in coeffs)))
     assert not spec.rho.is_rational
     built = []
-    monkeypatch.setattr(lrs, "_locate_as_root",
+    monkeypatch.setattr(lrs, "locate_root",
                         lambda cands, refiner, what: built.append(cands))
     general = 0
     for root, _ in spec.roots:
@@ -486,11 +486,11 @@ def _composed_product_ratio(root, rho):
     """root/rho as the one root of the composed product of M with reversed
     P_rho whose box meets root's box over rho's: the general path of
     `_ratio_to_rho`, the reference for the quotient in rho's field."""
-    from robustlrs import lrs
+    from robustlrs.algebraic import locate_root
     from robustlrs.poly import composed_product, preverse
     cands = composed_product([Q(v) for v in root._defining_ints()],
                              preverse([Q(v) for v in rho._defining_ints()]))
-    return lrs._locate_as_root(
+    return locate_root(
         cands, lambda bits: root.box(bits) * rho.box(bits).re.inverse(),
         "unit ratio reference")
 

@@ -78,6 +78,15 @@ def test_lattice_rejects_bad_input():
         relation_lattice([one, one])
 
 
+def test_lattice_unsound_generator_raises_runtime_error(monkeypatch):
+    """A generator that is not a relation is a broken invariant: the final
+    exact check raises RuntimeError (an internal error, exit 4), also under
+    `python -O`."""
+    monkeypatch.setattr(torus, "hnf_rows", lambda rows: [[1, 0]])
+    with pytest.raises(RuntimeError, match="unsound relation generated"):
+        relation_lattice(pair_3_4_5())
+
+
 def test_parametrize_pm_one():
     lat = relation_lattice([AlgebraicNumber.from_rational(Q(-1))])
     par = parametrize(lat)
