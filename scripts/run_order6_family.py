@@ -13,8 +13,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from robustlrs.lrs import InitialConfig, spectral, normalize
-from robustlrs.torus import relation_lattice, parametrize
+from robustlrs.lrs import InitialConfig
 from robustlrs.optimize import mu
 from robustlrs.decide import exists_robust_ultimate_positivity, Analysis
 from robustlrs.hardness import (build_hardness_lrr, ball_gadget,
@@ -31,16 +30,15 @@ def main():
     print("== p = 1/2 (family member with a rational angle)")
     lrr = build_hardness_lrr(Q(1, 2))
     show("coefficients", [str(a) for a in lrr.coeffs])
-    spec = spectral(lrr)
+    c = InitialConfig((Q(1), Q(0), Q(0), Q(0), Q(0), Q(0)))
+    analysis = Analysis.build(lrr, c)
+    spec, torus = analysis.rec.spec, analysis.torus
     show("dominant modulus rho", spec.rho.as_rational())
     show("max multiplicity - 1 (m)", spec.m)
     show("dominant roots", len(spec.dominant_indices))
-    c = InitialConfig((Q(1), Q(0), Q(0), Q(0), Q(0), Q(0)))
-    form, _ = normalize(lrr, c, spec)
-    torus = parametrize(relation_lattice([s for _, s in form.terms]))
     show("torus", f"free rank {torus.free_rank}, "
          f"{len(torus.coset_turns)} cosets")
-    out = mu(form, torus)
+    out = mu(analysis.form, torus)
     show("mu(c)", f"{out.verdict} in [{decimal_str(out.enclosure.lo, 12)}, "
          f"{decimal_str(out.enclosure.hi, 12)}]")
 

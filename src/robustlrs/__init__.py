@@ -10,13 +10,14 @@ from .algebraic import (AlgebraicNumber, NumberField, FieldElement,
                         isolate_roots, power_product_is_one,
                         identify_root_of_unity)
 from .lrs import (Lrr, InitialConfig, Ball, SpectralData, ExpPolySolution,
-                  DominantForm, eval_terms, spectral, exp_poly_solution,
-                  normalize, residual_threshold, OrbitScanner)
+                  DominantForm, Recurrence, eval_terms, spectral, recurrence,
+                  exp_poly_solution, normalize, residual_threshold,
+                  OrbitScanner)
 from .torus import (RelationLattice, TorusParam, TorusPoint,
                     relation_lattice, parametrize)
 from .optimize import (SignOutcome, DominantFamily, mu, nu, min_over_ball,
                        DEFAULT_TOL)
-from .decide import (Decision, Certificate, Analysis,
+from .decide import (Decision, Certificate, Analysis, closure_torus,
                      exists_robust_positivity, exists_robust_skolem,
                      exists_robust_ultimate_positivity,
                      robust_nonuniform_ultpos_open_ball)

@@ -519,7 +519,7 @@ class AlgebraicNumber:
     radius) is derived lazily and certified via the separation bound.
     """
 
-    __slots__ = ("_rat", "_elem", "_defpoly", "_rou")
+    __slots__ = ("_rat", "_elem", "_defpoly", "_rou", "_unit")
 
     def __init__(self, rat: Fraction | None = None, elem: FieldElement | None = None):
         if (rat is None) == (elem is None):
@@ -530,6 +530,7 @@ class AlgebraicNumber:
         self._elem = elem
         self._defpoly: tuple[int, ...] | None = None
         self._rou = _UNSET      # identify_root_of_unity's answer, once found
+        self._unit = _UNSET     # is_unit_modulus's answer, once found
 
     @staticmethod
     def from_rational(q) -> "AlgebraicNumber":
@@ -617,7 +618,12 @@ class AlgebraicNumber:
         return center_re, center_im, max(radius, Q(1, 1 << 200))
 
     def is_unit_modulus(self) -> bool:
-        """Exact test |value| == 1."""
+        """Exact test |value| == 1, found once per object and kept."""
+        if self._unit is _UNSET:
+            self._unit = self._unit_modulus()
+        return self._unit
+
+    def _unit_modulus(self) -> bool:
         if self._rat is not None:
             return abs(self._rat) == 1
         e = self._elem

@@ -291,10 +291,12 @@ def main(argv=None) -> int:
         return EXIT_INTERNAL
 
 
-def _resolve(args, spec, defaults):
-    """(tol, prefix cap, height bound): the flag, else the problem file,
-    else the defaults file, else the built-in default.  A given 0 is a
-    value, not a missing one."""
+def _resolve(args, spec, defaults, *names):
+    """The settings `names` (of "tol", "prefix_cap", "height_bound"), in
+    that order: the flag, else the problem file, else the defaults file,
+    else the built-in default.  A given 0 is a value, not a missing one.
+    Only the settings named are read and checked, so a verb is not refused
+    for a setting it does not take."""
     def pick(name, fallback):
         for value in (getattr(args, name, None), getattr(spec, name),
                       defaults.get(name)):
@@ -302,24 +304,32 @@ def _resolve(args, spec, defaults):
                 return value
         return fallback
 
-    tol = pick("tol", DEFAULT_TOL)  # a problem file's tol is parsed already
-    if isinstance(tol, str):
-        tol = parse_rational(tol)
-    elif not isinstance(tol, Fraction):
-        raise ValueError(f"tol must be a rational string p/q, got {tol!r}")
-    if tol <= 0:
-        raise ProblemError("tol", f"must be > 0, got {format_rational(tol)}")
-    cap = pick("prefix_cap", DEFAULT_PREFIX_CAP)
-    hb = pick("height_bound", DEFAULT_HEIGHT_BOUND)
-    check_count(cap, 0, "prefix cap")
-    check_count(hb, 1, "height bound")
-    return tol, cap, hb
+    out = []
+    if "tol" in names:
+        tol = pick("tol", DEFAULT_TOL)  # a problem file's tol is parsed
+        if isinstance(tol, str):
+            tol = parse_rational(tol)
+        elif not isinstance(tol, Fraction):
+            raise ValueError(f"tol must be a rational string p/q, got {tol!r}")
+        if tol <= 0:
+            raise ProblemError("tol", f"must be > 0, got {format_rational(tol)}")
+        out.append(tol)
+    if "prefix_cap" in names:
+        cap = pick("prefix_cap", DEFAULT_PREFIX_CAP)
+        check_count(cap, 0, "prefix cap")
+        out.append(cap)
+    if "height_bound" in names:
+        hb = pick("height_bound", DEFAULT_HEIGHT_BOUND)
+        check_count(hb, 1, "height bound")
+        out.append(hb)
+    return out
 
 
 def _dispatch(args, defaults) -> int:
     if args.command == "decide":
         spec = _read_problem(args)
-        tol, cap, hb = _resolve(args, spec, defaults)
+        tol, cap, hb = _resolve(args, spec, defaults, "tol", "prefix_cap",
+                                "height_bound")
         question = args.question
         if spec.question is not None and spec.question != question:
             raise ProblemError("$.question", f"file says {spec.question!r} "
@@ -345,7 +355,7 @@ def _dispatch(args, defaults) -> int:
 
     if args.command == "torus":
         spec = _read_problem(args)
-        _, _, hb = _resolve(args, spec, defaults)
+        hb, = _resolve(args, spec, defaults, "height_bound")
         par = Analysis.build(spec.lrr, spec.init, hb).torus
         lat = par.lattice
         doc = {
@@ -364,7 +374,7 @@ def _dispatch(args, defaults) -> int:
 
     if args.command == "mu":
         spec = _read_problem(args)
-        tol, _, hb = _resolve(args, spec, defaults)
+        tol, hb = _resolve(args, spec, defaults, "tol", "height_bound")
         analysis = Analysis.build(spec.lrr, spec.init, hb)
         out = (nu_op if args.absolute else mu_op)(analysis.form,
                                                   analysis.torus, tol)

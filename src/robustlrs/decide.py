@@ -1,8 +1,16 @@
 """The four robustness decision procedures, with machine-checkable
 certificates.
 
-Each start is analysed once (`Analysis`: spectral data, exp-poly
-solution, normal form, relation lattice), and each procedure takes that
+The analysis splits as the paper's objects do.  The closure torus and
+the dominant ratios depend on the recurrence alone, and the start enters
+only through the linear coefficients alpha(c).  So the recurrence half
+(`lrs.trace_system`: factors, roots, the trace-form matrix and its
+inverse; `lrs.recurrence`: spectral data, each root's ratio to rho, the
+unit starts' dominant forms; and `closure_torus`: the relation lattice
+and its parametrization at one height bound) is found once per
+recurrence and shared by every start and question, and only the start
+half (exp-poly solution and normal form) runs per start.
+`Analysis` holds both halves for one start, and each procedure takes that
 `Analysis` (of the ball's centre, for a given ball) and runs the same
 two stages on it.  The optimum stage reads the minimum of the dominant
 form over the closure torus (over ball x torus for a given open ball):
@@ -24,10 +32,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional
 
-from .qmath import ZERO, ONE
-from .lrs import (Lrr, InitialConfig, Ball, spectral, exp_poly_solutions,
+from .qmath import ZERO
+from .lrs import (Lrr, InitialConfig, Ball, Recurrence, recurrence,
                   normalize, residual_threshold, exact_zeros_up_to,
                   prefix_scan, DominantForm, ResidualTerm)
 from .torus import (DEFAULT_HEIGHT_BOUND, relation_lattice, parametrize,
@@ -69,13 +78,24 @@ class Decision:
                                f"{self.certificate.kind!r} certificate")
 
 
+@lru_cache(maxsize=256)
+def closure_torus(lrr: Lrr, height_bound: int) -> TorusParam:
+    """The closure torus of the recurrence's dominant unit roots, from the
+    relation lattice searched at `height_bound`; kept for the 256 pairs
+    used last, since it depends on no start."""
+    return parametrize(relation_lattice(recurrence(lrr).gammas,
+                                        height_bound))
+
+
 @dataclass
 class Analysis:
-    """Shared pipeline data for one (lrr, c)."""
+    """Pipeline data for one (lrr, c): the recurrence half `rec` and
+    `torus`, shared with every start of the recurrence, and the start's
+    own normal form."""
 
     lrr: Lrr
     c: InitialConfig
-    spec: object
+    rec: Recurrence
     form: DominantForm
     res: list[ResidualTerm]
     torus: TorusParam
@@ -83,11 +103,9 @@ class Analysis:
     @staticmethod
     def build(lrr: Lrr, c: InitialConfig,
               height_bound: int = DEFAULT_HEIGHT_BOUND) -> "Analysis":
-        spec = spectral(lrr)
-        form, res = normalize(lrr, c, spec)
-        lat = relation_lattice([s for _, s in form.terms], height_bound)
-        return Analysis(lrr=lrr, c=c, spec=spec, form=form, res=res,
-                        torus=parametrize(lat))
+        form, res = normalize(lrr, c)
+        return Analysis(lrr=lrr, c=c, rec=recurrence(lrr), form=form,
+                        res=res, torus=closure_torus(lrr, height_bound))
 
 
 def _optimum_stage(out: SignOutcome, no: tuple[str, ...], reason: str,
@@ -146,18 +164,12 @@ def robust_nonuniform_ultpos_open_ball(a: Analysis, ball: Ball,
                                        ) -> Decision:
     """Open-ball non-uniform ultimate positivity: ball inside the dominant
     nonnegativity set iff the closed-ball minimum is >= 0.  `a` is the
-    analysis of the ball's centre, and `ball` gives the radius; the unit
-    starts' forms come from one solve."""
+    analysis of the ball's centre, and `ball` gives the radius; the basis
+    of directions is the recurrence's unit starts' forms."""
     if ball.topology == "closed":
         raise ValueError("closed given balls are out of scope "
                          "(Diophantine-hard); only open balls are decided")
-    k = a.lrr.order
-    units = [InitialConfig(tuple(ONE if j == i else ZERO for j in range(k)))
-             for i in range(k)]
-    basis = [normalize(a.lrr, e, a.spec, sol)[0]
-             for e, sol in zip(units, exp_poly_solutions(a.lrr, units,
-                                                         a.spec))]
-    out = min_over_ball(DominantFamily(center=a.form, basis=basis),
+    out = min_over_ball(DominantFamily(center=a.form, basis=a.rec.units),
                         ball.radius, a.torus, tol)
     # closed-ball min >= 0 certifies the open ball is inside P_dom
     return _optimum_stage(out, ("NEGATIVE",),

@@ -5,16 +5,22 @@ The exponential polynomial coefficients live in each root's own number
 field Q[x]/(M), and conjugate roots share one coefficient polynomial, so
     u_n = sum over factors of Trace( A_f(n) * root^n ).
 Written in trace form, the first k terms give one rational linear system
-in the coordinates of the A_f.  The characteristic polynomial is factored
-once, by `spectral`, and `SpectralData.factors` serves the solve; the
-system is inverted on integers (`mat_inv`, fraction-free Gauss-Jordan).
-Its exact check uses one table of traces of powers per factor, formed by
-field multiplication, against which every start is checked.
+in the coordinates of the A_f.
 
-A start's normal form is `normalize`'s pair: the dominant form and the
-list of residual terms (`ResidualTerm`), empty when v_n is its dominant
-part.  `residual_threshold` reads that list, and the orbit scan is built
-from the pair, which its caller computes once per start.
+The work splits in two halves.  What depends on the recurrence alone is
+found once per recurrence and kept in two bounded memos.
+`trace_system` factors the characteristic polynomial once, isolates its
+roots, forms the system's matrix M, checked once against a table of
+traces of powers formed by field multiplication, and inverts it
+(`mat_inv`, fraction-free Gauss-Jordan on integers).  `recurrence` adds
+the spectral data, each root's exact ratio to rho and the dominant forms
+of the unit starts.  A start enters only through its coefficients:
+`exp_poly_solution` multiplies out the inverse and checks M a = u
+exactly, reading the trace system alone, and `normalize` gives the
+start's normal form, the dominant form and the list of residual terms
+(`ResidualTerm`), empty when v_n is its dominant part.
+`residual_threshold` reads that list, and the orbit scan is built from
+the pair, which its caller computes once per start.
 
 Terms up to `EXACT_TERMS` are exact, on the scaled integer recurrence
 w_n = E * D^n * u_n.  Past it, the sign of a term comes from
@@ -33,6 +39,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .qmath import Q, ZERO, ONE, precisions, is_perfect_square, exact_sqrt
 from .interval import Ival, Box
@@ -151,7 +158,6 @@ class SpectralData:
     rho: AlgebraicNumber
     dominant_indices: list[int]
     m: int
-    factors: list[tuple[tuple[int, ...], int]]  # factor_int(char poly)
 
     def __post_init__(self):
         if not self.dominant_indices:
@@ -226,10 +232,9 @@ def spectral(lrr: Lrr) -> SpectralData:
     Dominance classes are built by refining |root|^2 enclosures; pairs
     that refuse to separate are resolved by an exact equal-modulus test
     (conjugates and unit-modulus roots are cheap; the general case goes
-    through a composed-product polynomial)."""
-    char = lrr.char_poly()
-    factors = P.factor_int(char)
-    roots = isolate_roots(char, factors)
+    through a composed-product polynomial).  The roots are those of the
+    recurrence's `trace_system`."""
+    roots = trace_system(lrr).roots
     r = len(roots)
     parent = list(range(r))
 
@@ -261,8 +266,7 @@ def spectral(lrr: Lrr) -> SpectralData:
     dominant = sorted(i for i in range(r) if find(i) == find(top))
     m = max(roots[i][1] for i in dominant) - 1
     rho = _rho_of(roots[dominant[0]][0])
-    return SpectralData(roots=roots, rho=rho, dominant_indices=dominant, m=m,
-                        factors=factors)
+    return SpectralData(roots=roots, rho=rho, dominant_indices=dominant, m=m)
 
 
 def _rho_of(rep: AlgebraicNumber) -> AlgebraicNumber:
@@ -308,17 +312,23 @@ class ExpPolySolution:
     alpha: dict  # (root_index, j) -> AlgebraicNumber
 
 
-def exp_poly_solution(lrr: Lrr, c: InitialConfig,
-                      spec: SpectralData | None = None) -> ExpPolySolution:
-    """u_n = sum over irreducible factors f of Tr(A_f(n) xi_f^n): the
-    one-start case of `exp_poly_solutions`."""
-    return exp_poly_solutions(lrr, [c], spec)[0]
+@dataclass
+class TraceSystem:
+    """The initial-terms system M a = u of a recurrence in trace form, with
+    the factors and roots it is written in and its inverse; found once
+    per `Lrr` by `trace_system`, shared by every start, and never changed
+    after it is built."""
+
+    factors: list[tuple[tuple[int, ...], int]]  # factor_int(char poly)
+    roots: list[tuple[AlgebraicNumber, int]]
+    mat: list[list[Fraction]]
+    inv: list[list[Fraction]]
 
 
-def exp_poly_solutions(lrr: Lrr, starts: list[InitialConfig],
-                       spec: SpectralData | None = None
-                       ) -> list[ExpPolySolution]:
-    """The exponential polynomial solution of each start, from one inverse.
+@lru_cache(maxsize=256)
+def trace_system(lrr: Lrr) -> TraceSystem:
+    """The recurrence's `TraceSystem`, kept for the 256 recurrences used
+    last.
 
     The unknowns are the rational coordinates a_{f,j,i} of each
     alpha_{f,j} = sum_i a_{f,j,i} xi_f^i (j < mult f, i < deg f), k of
@@ -327,21 +337,11 @@ def exp_poly_solutions(lrr: Lrr, starts: list[InitialConfig],
     u_0 .. u_{k-1} give a k x k rational system M a = u (a confluent
     Vandermonde system in trace form).  It is nonsingular: the k initial
     terms determine the sequence, and distinct coefficients give distinct
-    sequences.  The matrix depends on the recurrence only, so one inverse
-    serves every start.
-
-    The check is exact and runs for every start: M's power sums are the
-    traces of xi_f^t formed by field multiplication (once per call), and
-    then M a = u, which by linearity of the trace is the identity
-    u_n = sum over f of Tr(A_f(n) xi_f^n) for n < k."""
-    for c in starts:
-        _check_config(lrr, c)
-    if spec is None:
-        char = lrr.char_poly()
-        factors = P.factor_int(char)
-        roots = isolate_roots(char, factors)
-    else:
-        factors, roots = spec.factors, spec.roots
+    sequences.  M's power sums are checked here, once, against the traces
+    of xi_f^t formed by field multiplication."""
+    char = lrr.char_poly()
+    factors = P.factor_int(char)
+    roots = isolate_roots(char, factors)
     k = lrr.order
     columns = []  # per unknown, in the order (f, j, i): its k coefficients
     for fac, mult in factors:
@@ -354,30 +354,82 @@ def exp_poly_solutions(lrr: Lrr, starts: list[InitialConfig],
             for i in range(d):
                 columns.append([n ** j * ps[n + i] for n in range(k)])
     mat = [list(row) for row in zip(*columns)]
-    inv = mat_inv(mat)
-    solutions = []
-    for c in starts:
-        coords = [sum((a * u for a, u in zip(row, c.entries)), ZERO)
-                  for row in inv]
-        if any(sum((a * x for a, x in zip(row, coords)), ZERO) != u
-               for row, u in zip(mat, c.entries)):
-            raise RuntimeError("exponential polynomial reconstruction failed")
-        it = iter(coords)
-        factor_solutions = []
-        for fac, mult in factors:
-            d = len(fac) - 1
-            if d == 1:
-                alphas = [next(it) for _ in range(mult)]
-            else:
-                fld = NumberField.get(fac, 0)
-                alphas = [FieldElement(fld, [next(it) for _ in range(d)])
-                          for _ in range(mult)]
-            factor_solutions.append(_FactorSolution(minpoly=fac, mult=mult,
-                                                    alphas=alphas))
-        solutions.append(ExpPolySolution(
-            factors=factor_solutions, roots=roots,
-            alpha=_alpha_per_embedding(factor_solutions, roots)))
-    return solutions
+    return TraceSystem(factors=factors, roots=roots, mat=mat,
+                       inv=mat_inv(mat))
+
+
+@dataclass
+class Recurrence:
+    """What the analysis of a start reads of its recurrence beyond its
+    `TraceSystem`: found once per `Lrr` by `recurrence`, shared by every
+    start and question, and never changed after it is built.
+
+    `bases[i]` is root i over rho, exact: of modulus 1 for a dominant
+    root.  `units[i]` is the dominant form of the unit start e_i; the
+    dominant form is linear in the start, so these are its basis."""
+
+    spec: SpectralData
+    bases: list[AlgebraicNumber]
+    units: list[DominantForm]
+
+    @property
+    def gammas(self) -> list[AlgebraicNumber]:
+        """The dominant unit roots s_j of every start's dominant form, in
+        its order."""
+        spec = self.spec
+        return [self.bases[i] for i in spec.dominant_indices
+                if spec.roots[i][1] == spec.m + 1]
+
+
+@lru_cache(maxsize=256)
+def recurrence(lrr: Lrr) -> Recurrence:
+    """The recurrence's `Recurrence` record, kept for the 256 recurrences
+    used last."""
+    spec = spectral(lrr)
+    rho = spec.rho
+    bases = [_unit_ratio(root, rho) if i in spec.dominant_indices
+             else _ratio_to_rho(root, rho)
+             for i, (root, _) in enumerate(spec.roots)]
+    rec = Recurrence(spec=spec, bases=bases, units=[])
+    system, k = trace_system(lrr), lrr.order
+    for i in range(k):
+        e = InitialConfig(tuple(ONE if j == i else ZERO for j in range(k)))
+        rec.units.append(_normal(rec, _solve(system, e))[0])
+    return rec
+
+
+def exp_poly_solution(lrr: Lrr, c: InitialConfig) -> ExpPolySolution:
+    """u_n = sum over irreducible factors f of Tr(A_f(n) xi_f^n): the
+    coordinates of the A_f are inv u, from the recurrence's one inverse
+    (`trace_system`)."""
+    _check_config(lrr, c)
+    return _solve(trace_system(lrr), c)
+
+
+def _solve(system: TraceSystem, c: InitialConfig) -> ExpPolySolution:
+    """The solution a = inv u of one start, checked exactly: M a = u, which
+    by linearity of the trace is the identity u_n = sum over f of
+    Tr(A_f(n) xi_f^n) for n < k."""
+    coords = [sum((a * u for a, u in zip(row, c.entries)), ZERO)
+              for row in system.inv]
+    if any(sum((a * x for a, x in zip(row, coords)), ZERO) != u
+           for row, u in zip(system.mat, c.entries)):
+        raise RuntimeError("exponential polynomial reconstruction failed")
+    it = iter(coords)
+    factor_solutions = []
+    for fac, mult in system.factors:
+        d = len(fac) - 1
+        if d == 1:
+            alphas = [next(it) for _ in range(mult)]
+        else:
+            fld = NumberField.get(fac, 0)
+            alphas = [FieldElement(fld, [next(it) for _ in range(d)])
+                      for _ in range(mult)]
+        factor_solutions.append(_FactorSolution(minpoly=fac, mult=mult,
+                                                alphas=alphas))
+    return ExpPolySolution(factors=factor_solutions, roots=system.roots,
+                           alpha=_alpha_per_embedding(factor_solutions,
+                                                      system.roots))
 
 
 def _trace_table(fld: NumberField, count: int) -> list[Fraction]:
@@ -429,34 +481,33 @@ class ResidualTerm:
     base_is_unit: bool
 
 
-def normalize(lrr: Lrr, c: InitialConfig,
-              spec: SpectralData | None = None,
-              sol: ExpPolySolution | None = None
+def normalize(lrr: Lrr, c: InitialConfig
               ) -> tuple[DominantForm, list[ResidualTerm]]:
     """Split v_n = u_n/(n^m rho^n) into the dominant form and the list of
     residual terms (empty when v_n is its dominant part)."""
-    if spec is None:
-        spec = spectral(lrr)
-    if sol is None:
-        sol = exp_poly_solution(lrr, c, spec)
+    sol = exp_poly_solution(lrr, c)
+    return _normal(recurrence(lrr), sol)
+
+
+def _normal(rec: Recurrence, sol: ExpPolySolution
+            ) -> tuple[DominantForm, list[ResidualTerm]]:
+    spec = rec.spec
     m = spec.m
-    rho = spec.rho
     dom_terms = []
     res_terms = []
-    for i, (root, mult) in enumerate(spec.roots):
+    for i, (_, mult) in enumerate(spec.roots):
         is_dom = i in spec.dominant_indices
-        unit = _unit_ratio(root, rho) if is_dom else None
         for j in range(mult):
             alpha = sol.alpha[(i, j)]
             if is_dom and j == m:
-                dom_terms.append((alpha, unit))
+                dom_terms.append((alpha, rec.bases[i]))
                 continue
             if alpha.is_rational and alpha.as_rational() == 0:
                 continue
-            base = unit if is_dom else _ratio_to_rho(root, rho)
-            res_terms.append(ResidualTerm(alpha=alpha, npow=j - m, base=base,
+            res_terms.append(ResidualTerm(alpha=alpha, npow=j - m,
+                                          base=rec.bases[i],
                                           base_is_unit=is_dom))
-    return DominantForm(terms=dom_terms, rho=rho), res_terms
+    return DominantForm(terms=dom_terms, rho=spec.rho), res_terms
 
 
 def _unit_ratio(root: AlgebraicNumber, rho: AlgebraicNumber) -> AlgebraicNumber:

@@ -111,7 +111,7 @@ def relation_lattice(gammas: list[AlgebraicNumber],
     """Generators of {lambda in Z^k : prod gamma_j^lambda_j = 1}.
 
     The gammas are pairwise distinct and of modulus 1, as the normalized
-    dominant roots `decide.Analysis.build` passes are; input that breaks
+    dominant roots `decide.closure_torus` passes are; input that breaks
     this is a broken invariant, so the guards raise RuntimeError (an
     internal error, exit 4), not a usage error."""
     k = len(gammas)

@@ -8,7 +8,8 @@ the closure torus, a direct enclosure of the residual, the orbit scan's
 per-step rotation walk (`RotScan`) and scans of the hardness lab, the
 `Fraction` Horner loop of box evaluation, polynomial composition (the
 root exchange of a quadratic field), the `Fraction` interval forms of
-`cos_turn` and `sin_turn`, and the problem document of a parsed spec.
+`cos_turn` and `sin_turn`, the problem document of a parsed spec, and
+the emptying of the recurrence-level memos.
 The sampling screen is the only user of numpy, which is a test
 dependency, not a runtime one.
 """
@@ -34,7 +35,20 @@ from robustlrs.lrs import (Lrr, InitialConfig, Ball, SpectralData, spectral,
                            _scaled_integer_recurrence, _scaled_terms)
 from robustlrs.torus import TorusParam, TorusPoint, root_of_unity_alg
 from robustlrs.trig import pi_ival, rotation_order, unit_box
-from robustlrs import hardness
+from robustlrs import decide, hardness, lrs
+
+
+# ---------------------------------------------------------------------------
+# the recurrence-level memos
+
+
+def clear_analysis_memos():
+    """Empty `lrs.trace_system`, `lrs.recurrence` and
+    `decide.closure_torus`, so that the next analysis of any recurrence
+    builds its shared records afresh."""
+    lrs.trace_system.cache_clear()
+    lrs.recurrence.cache_clear()
+    decide.closure_torus.cache_clear()
 
 
 # ---------------------------------------------------------------------------

@@ -46,7 +46,6 @@ def family_config(z, x, y, zr=Q(0), xr=Q(0), yr=Q(0)):
 
 
 HARD35 = build_hardness_lrr(P35, Q45)
-SPEC35 = spectral(HARD35)
 
 
 def torus_for(form):
@@ -85,7 +84,7 @@ def test_02_cone_formula_enclosures():
         y = Q(rng.randint(-50, 50), rng.randint(1, 9))
         zr = Q(rng.randint(-10, 10), rng.randint(1, 5))
         c = family_config(z, x, y, zr)
-        form, _ = normalize(HARD35, c, SPEC35)
+        form, _ = normalize(HARD35, c)
         if torus is None:
             torus = torus_for(form)
         out = mu(form, torus)

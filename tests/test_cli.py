@@ -16,7 +16,7 @@ from robustlrs.serialize import (parse_problem, ProblemError, decimal_str,
                                  QUESTIONS, BALL_QUESTIONS)
 from robustlrs.cli import main, emit_plot_data
 
-from oracles import problem_json
+from oracles import clear_analysis_memos, problem_json
 
 FIB_POS = '{"coeffs":["1","1"],"init":["1","1"],"question":"exists-robust-positivity"}'
 
@@ -155,6 +155,7 @@ def test_open_ball_searches_at_the_given_height_bound(monkeypatch):
         return real(units, height_bound)
 
     monkeypatch.setattr(decide, "relation_lattice", spy)
+    clear_analysis_memos()
     spec = parse_problem('{"coeffs":["1","1"],"init":["1","1"],'
                          '"ball":{"radius":"1/10","topology":"open"}}')
     text, code = cli.run(spec, "robust-ultpos-open", Q(1, 1 << 20), 100, 5)
@@ -524,6 +525,7 @@ def test_precision_exhausted_exits_internal(tmp_path, monkeypatch, capsys,
     problem = tmp_path / "fib.json"
     problem.write_text(FIB_POS)
     monkeypatch.setattr(qmath, "MAX_BITS", 32)
+    clear_analysis_memos()
     code = main(["decide", "exists-robust-positivity", "--problem", str(problem)])
     assert code == 4
     err = capsys.readouterr().err
@@ -539,6 +541,7 @@ def test_broken_invariant_exits_internal(tmp_path, monkeypatch, capsys):
                        '"question":"exists-robust-positivity"}')
     monkeypatch.setattr(torus, "power_product_is_one",
                         lambda g, e: algebraic.power_product_is_one(g, e[:-1]))
+    clear_analysis_memos()
     code = main(["decide", "exists-robust-positivity", "--problem", str(problem)])
     assert code == 4
     err = capsys.readouterr().err
@@ -640,6 +643,31 @@ def test_bad_setting_exit3(tmp_path, monkeypatch, capsys, flags, config):
     code, doc, err = _decide_fib(tmp_path, monkeypatch, capsys, flags, config)
     assert code == 3 and doc is None
     assert "must be" in err
+
+
+@pytest.mark.parametrize("verb,config,want", [
+    (["torus"], {"prefix_cap": -1}, 0),
+    (["torus"], {"tol": "0"}, 0),
+    (["mu"], {"prefix_cap": -1}, 0),
+    (["decide", "exists-robust-positivity"], {"prefix_cap": -1}, 3),
+    (["mu"], {"height_bound": 0}, 3),
+    (["decide", "exists-robust-positivity"], {"tol": "0"}, 3),
+], ids=["torus-cap", "torus-tol", "mu-cap", "decide-cap", "mu-height",
+        "decide-tol"])
+def test_verb_checks_only_the_settings_it_reads(tmp_path, monkeypatch,
+                                                capsys, verb, config, want):
+    """A bad setting in the defaults file refuses only the verbs that read
+    it: `torus` takes the height bound, `mu` tol and the height bound,
+    `decide` all three."""
+    problem = tmp_path / "fib.json"
+    problem.write_text('{"coeffs":["1","1"],"init":["1","1"]}')
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps(config))
+    monkeypatch.setenv("ROBUSTLRS_CONFIG", str(cfgfile))
+    code = main([*verb, "--problem", str(problem)])
+    out, err = capsys.readouterr()
+    assert code == want, err
+    assert (out == "" and "must be" in err) if want == 3 else err == ""
 
 
 @pytest.mark.parametrize("source", ["flag", "config"])

@@ -14,7 +14,7 @@ from robustlrs.decide import (exists_robust_ultimate_positivity,
 from robustlrs.interval import Ival
 from robustlrs.optimize import SignOutcome
 
-from oracles import brute_force_check
+from oracles import brute_force_check, clear_analysis_memos
 
 FIB = Lrr((Q(1), Q(1)))
 ALT = Lrr((Q(-1),))
@@ -136,8 +136,7 @@ def test_open_ball_surface_center_no():
 
 def test_open_ball_inverts_the_trace_form_matrix_at_most_twice(monkeypatch):
     """The centre and the k unit starts of an order-6 ball share the
-    trace-form matrix: one inverse for the centre's analysis and one for
-    the unit starts."""
+    trace-form matrix: the recurrence's record holds its one inverse."""
     from robustlrs import lrs
     calls = []
     real = lrs.mat_inv
@@ -147,6 +146,7 @@ def test_open_ball_inverts_the_trace_form_matrix_at_most_twice(monkeypatch):
         return real(m)
 
     monkeypatch.setattr(lrs, "mat_inv", counting)
+    clear_analysis_memos()
     lrr = hard_lrr(Q(3, 5))
     c = coeff_config(Q(3, 5), Q(4, 5), Q(3), Q(1), Q(0), Q(0), Q(0), Q(0))
     d = robust_nonuniform_ultpos_open_ball(
@@ -167,6 +167,7 @@ def test_open_ball_factors_the_characteristic_polynomial_once(monkeypatch):
         return real(p)
 
     monkeypatch.setattr(poly, "factor_int", counting)
+    clear_analysis_memos()
     lrr = hard_lrr(Q(3, 5))
     c = coeff_config(Q(3, 5), Q(4, 5), Q(3), Q(1), Q(0), Q(0), Q(0), Q(0))
     d = robust_nonuniform_ultpos_open_ball(
@@ -256,7 +257,7 @@ def test_open_closed_coherence_enclosure():
     """The open-ball decision consumes the closed-ball minimum: the
     enclosure in its certificate equals a directly computed ball minimum
     (identical inputs, deterministic optimizer)."""
-    from robustlrs.lrs import spectral, normalize, InitialConfig
+    from robustlrs.lrs import normalize, InitialConfig
     from robustlrs.torus import relation_lattice, parametrize
     from robustlrs.optimize import min_over_ball, DominantFamily
     from robustlrs.qmath import Q as QQ
@@ -265,10 +266,9 @@ def test_open_closed_coherence_enclosure():
     d = robust_nonuniform_ultpos_open_ball(
         Analysis.build(FIB, ball.center), ball)
     assert d.verdict == "YES"
-    spec = spectral(FIB)
-    center_form, _ = normalize(FIB, cfg(1, 1), spec)
-    basis = [normalize(FIB, cfg(1, 0), spec)[0],
-             normalize(FIB, cfg(0, 1), spec)[0]]
+    center_form, _ = normalize(FIB, cfg(1, 1))
+    basis = [normalize(FIB, cfg(1, 0))[0],
+             normalize(FIB, cfg(0, 1))[0]]
     torus = parametrize(relation_lattice([s for _, s in center_form.terms]))
     direct = min_over_ball(DominantFamily(center_form, basis), Q(1, 10), torus)
     got = d.certificate.optimum

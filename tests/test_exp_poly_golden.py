@@ -22,9 +22,11 @@ import pytest
 from robustlrs.algebraic import FieldElement
 from robustlrs.hardness import build_hardness_lrr
 from robustlrs.lrs import (InitialConfig, Lrr, eval_terms, exp_poly_solution,
-                           exp_poly_solutions, mat_inv)
+                           mat_inv)
 from robustlrs import poly
 from robustlrs.poly import pmul
+
+from oracles import clear_analysis_memos
 
 GOLDEN = json.loads((Path(__file__).with_name("exp_poly_golden.json"))
                     .read_text(encoding="utf-8"))
@@ -139,7 +141,7 @@ def test_mat_inv_matches_fraction_gauss_jordan():
 def _reconstruct_exact(factor_solutions, n):
     """u_n as the sum over factors of Tr(A_f(n) xi^n), with xi^n by field
     powering: the per-start, per-n reference for the check that
-    `exp_poly_solutions` makes through the trace table."""
+    `trace_system` makes through the trace table."""
     total = Q(0)
     for fs in factor_solutions:
         d = len(fs.minpoly) - 1
@@ -164,13 +166,15 @@ def _reconstruct_exact(factor_solutions, n):
                          ids=[key for key, *_ in _cases()])
 def test_solutions_match_per_start_reconstruction(key, lrr, start):
     """Every golden case and three random starts of its recurrence, from
-    one call: the per-start trace identity holds for n < 2k."""
+    the recurrence's one inverse: the per-start trace identity holds for
+    n < 2k."""
     rng = random.Random(key)
     k = lrr.order
     starts = [InitialConfig(start)] + [
         InitialConfig(tuple(Q(rng.randint(-20, 20), rng.randint(1, 9))
                             for _ in range(k))) for _ in range(3)]
-    for c, sol in zip(starts, exp_poly_solutions(lrr, starts)):
+    for c in starts:
+        sol = exp_poly_solution(lrr, c)
         for n, u in enumerate(eval_terms(lrr, c, 2 * k - 1)):
             assert _reconstruct_exact(sol.factors, n) == u
 
@@ -187,6 +191,7 @@ def test_corrupted_power_sum_beyond_degree_raises(monkeypatch):
         return ps
 
     monkeypatch.setattr(poly, "power_sums", corrupted)
+    clear_analysis_memos()   # the check runs when the system is built
     with pytest.raises(RuntimeError, match="power sums"):
         exp_poly_solution(build_hardness_lrr(Q(3, 5)),
                           InitialConfig((1, -2, Q(3, 2), 0, 5, Q(-1, 3))))
@@ -203,9 +208,15 @@ def test_corrupted_inverse_entry_raises(monkeypatch):
 
     monkeypatch.setattr(lrs, "mat_inv", corrupted)
     lrr = build_hardness_lrr(Q(1, 2))
-    with pytest.raises(RuntimeError, match="reconstruction failed"):
-        exp_poly_solutions(lrr, [InitialConfig((0,) * 6),
-                                 InitialConfig((2, 0, -1, Q(7, 4), 1, 3))])
+    clear_analysis_memos()   # the inverse is formed when the system is built
+    try:
+        with pytest.raises(RuntimeError, match="reconstruction failed"):
+            for c in (InitialConfig((0,) * 6),
+                      InitialConfig((2, 0, -1, Q(7, 4), 1, 3))):
+                exp_poly_solution(lrr, c)
+    finally:
+        # the zero start passed its check, so the system was kept
+        clear_analysis_memos()
 
 
 def test_corrupted_inverse_raises_under_python_O():

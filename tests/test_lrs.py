@@ -13,7 +13,8 @@ from robustlrs.lrs import (Lrr, InitialConfig, Ball, eval_terms, spectral,
                            EXACT_TERMS)
 
 from oracles import (companion_matrix, mat_mul, mat_pow, hyperplane_distance,
-                     hyperplane_constant, residual_box, fraction_enclosure)
+                     hyperplane_constant, residual_box, fraction_enclosure,
+                     clear_analysis_memos)
 
 FIB = Lrr((Q(1), Q(1)))
 ALT = Lrr((Q(-1),))
@@ -193,7 +194,7 @@ def test_normalize_identity_v_eq_dom_plus_res():
     rng = random.Random(5)
     c = cfg(*[Q(rng.randint(-4, 4)) for _ in range(6)])
     spec = spectral(HARD6)
-    form, res = normalize(HARD6, c, spec)
+    form, res = normalize(HARD6, c)
     terms = eval_terms(HARD6, c, 30)
     for n in (1, 3, 10, 30):
         vb = residual_box(res, n, 192)
@@ -425,14 +426,15 @@ def test_alpha_linearity():
 
 
 def test_one_inverse_serves_every_start():
-    """`exp_poly_solutions` gives each start the coefficients that its own
-    one-start solve gives."""
-    from robustlrs.lrs import exp_poly_solutions
+    """The recurrence's one inverse gives each start the coefficients that
+    a record built afresh for that start gives."""
     for lrr in (FIB, HARD6):
         k = lrr.order
         starts = [cfg(*[int(i == j) for j in range(k)]) for i in range(k)]
         starts.append(cfg(*range(3, 3 + k)))
-        for c, got in zip(starts, exp_poly_solutions(lrr, starts)):
+        shared = [exp_poly_solution(lrr, c) for c in starts]
+        for c, got in zip(starts, shared):
+            clear_analysis_memos()
             want = exp_poly_solution(lrr, c).alpha
             assert got.alpha.keys() == want.keys()
             for key, a in want.items():
@@ -563,13 +565,13 @@ def test_mixed_multiplicity_dominance():
     assert spec.rho.as_rational() == 1
     assert len(spec.dominant_indices) == 2
     c = cfg(1, 0, 0)
-    form, res = normalize(lrr, c, spec)
+    form, res = normalize(lrr, c)
     assert len(form.terms) == 1        # only the multiplicity-2 root 1
     assert form.terms[0][1].as_rational() == 1
     assert res
     # u_n = a + b n + d (-1)^n reconstructs exactly
     terms = eval_terms(lrr, c, 30)
-    sol = exp_poly_solution(lrr, c, spec)
+    sol = exp_poly_solution(lrr, c)
     for n in range(10):
         total = Q(0)
         for i, (root, mult) in enumerate(spec.roots):

@@ -7,7 +7,7 @@ import pytest
 
 from robustlrs import optimize
 from robustlrs.interval import Box, Ival
-from robustlrs.lrs import Lrr, InitialConfig, normalize, spectral
+from robustlrs.lrs import Lrr, InitialConfig, normalize
 from robustlrs.torus import relation_lattice, parametrize, TorusPoint
 from robustlrs.optimize import (mu, nu, min_over_ball,
                                 DominantFamily, DEFAULT_TOL, ExactReal,
@@ -38,8 +38,7 @@ def hard_lrr(p: Q) -> Lrr:
 
 
 def build_torus(lrr, c):
-    spec = spectral(lrr)
-    form, res = normalize(lrr, c, spec)
+    form, res = normalize(lrr, c)
     lat = relation_lattice([s for _, s in form.terms])
     return form, parametrize(lat)
 
@@ -208,9 +207,8 @@ def test_mu_finite_torus_six_cosets():
 
 
 def test_min_over_ball_fibonacci():
-    spec = spectral(FIB)
-    center_form, _ = normalize(FIB, cfg(1, 1), spec)
-    basis = [normalize(FIB, cfg(1, 0), spec)[0], normalize(FIB, cfg(0, 1), spec)[0]]
+    center_form, _ = normalize(FIB, cfg(1, 1))
+    basis = [normalize(FIB, cfg(1, 0))[0], normalize(FIB, cfg(0, 1))[0]]
     lat = relation_lattice([s for _, s in center_form.terms])
     torus = parametrize(lat)
     fam = DominantFamily(center=center_form, basis=basis)
@@ -223,9 +221,8 @@ def test_min_over_ball_fibonacci():
 
 
 def test_min_over_ball_negative_center():
-    spec = spectral(ALT)
-    center_form, _ = normalize(ALT, cfg(1), spec)
-    basis = [normalize(ALT, cfg(1), spec)[0]]
+    center_form, _ = normalize(ALT, cfg(1))
+    basis = [normalize(ALT, cfg(1))[0]]
     lat = relation_lattice([s for _, s in center_form.terms])
     torus = parametrize(lat)
     fam = DominantFamily(center=center_form, basis=basis)
@@ -302,8 +299,7 @@ def test_finite_torus_exact_matches_orbit_cycle():
     from robustlrs.optimize import _coset_exact_value
     lrr = hard_lrr(Q(1, 2))
     c = cfg(1, 0, 0, 0, 0, 0)
-    spec = spectral(lrr)
-    form, res = normalize(lrr, c, spec)
+    form, res = normalize(lrr, c)
     torus = parametrize(relation_lattice([s for _, s in form.terms]))
     assert len(torus.coset_turns) == 6
     coset_vals = sorted(
@@ -477,9 +473,8 @@ def _rho2_forms():
 def _p35_ball_forms():
     """The center and basis forms of the open-ball objective at p = 3/5."""
     lrr = hard_lrr(P35)
-    spec = spectral(lrr)
-    center, _ = normalize(lrr, cfg(3, 1, 0, 2, 1, 5), spec)
-    basis = [normalize(lrr, cfg(*(int(i == j) for j in range(6))), spec)[0]
+    center, _ = normalize(lrr, cfg(3, 1, 0, 2, 1, 5))
+    basis = [normalize(lrr, cfg(*(int(i == j) for j in range(6))))[0]
              for i in range(6)]
     torus = parametrize(relation_lattice([s for _, s in center.terms]))
     return [center] + basis, torus

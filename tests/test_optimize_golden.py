@@ -32,7 +32,7 @@ from pathlib import Path
 import pytest
 
 from robustlrs.decide import Analysis, robust_nonuniform_ultpos_open_ball
-from robustlrs.lrs import Ball, InitialConfig, Lrr, normalize, spectral
+from robustlrs.lrs import Ball, InitialConfig, Lrr, normalize
 from robustlrs.optimize import (DominantFamily, _minimize, min_over_ball, mu,
                                 nu)
 from robustlrs.poly import pmul
@@ -80,10 +80,9 @@ def _two_pair(absolute):
 
 
 def _fib_ball(center, radius):
-    spec = spectral(FIB)
-    center_form, _ = normalize(FIB, cfg(*center), spec)
-    basis = [normalize(FIB, cfg(1, 0), spec)[0],
-             normalize(FIB, cfg(0, 1), spec)[0]]
+    center_form, _ = normalize(FIB, cfg(*center))
+    basis = [normalize(FIB, cfg(1, 0))[0],
+             normalize(FIB, cfg(0, 1))[0]]
     torus = parametrize(relation_lattice([s for _, s in center_form.terms]))
     return min_over_ball(DominantFamily(center_form, basis), radius, torus)
 

@@ -27,7 +27,7 @@ from robustlrs.lrs import (InitialConfig, Lrr, OrbitScanner, _term_threshold,
                            normalize)
 from robustlrs.poly import pmul
 
-from oracles import fraction_enclosure
+from oracles import clear_analysis_memos, fraction_enclosure
 
 
 def shape(terms):
@@ -116,6 +116,7 @@ def test_long_positivity_analyses_the_start_once(monkeypatch, shape_,
         if hasattr(decide, name):
             monkeypatch.setattr(decide, name, wrapped)
     lrr, c = shape_
+    clear_analysis_memos()
     assert exists_robust_positivity(Analysis.build(lrr, c)).verdict == verdict
     assert calls["spectral"] == 1
     if shape_ is M4201:
