@@ -355,7 +355,7 @@ class FieldElement:
 
     def as_rational(self) -> Fraction:
         if not self.is_rational():
-            raise ValueError("not a rational element")
+            raise RuntimeError("not a rational element")
         return self.coeffs[0] if self.coeffs else ZERO
 
     def _same(self, other) -> "FieldElement":
@@ -523,7 +523,7 @@ class AlgebraicNumber:
 
     def __init__(self, rat: Fraction | None = None, elem: FieldElement | None = None):
         if (rat is None) == (elem is None):
-            raise ValueError("exactly one of rat/elem required")
+            raise RuntimeError("exactly one of rat/elem required")
         if elem is not None and elem.is_rational():
             rat, elem = elem.as_rational() if elem.coeffs else ZERO, None
         self._rat = rat
@@ -574,7 +574,7 @@ class AlgebraicNumber:
         """Enclosure of width at most `width` (idempotent under shrinking)."""
         width = Q(width)
         if width <= 0:
-            raise ValueError("width must be positive")
+            raise RuntimeError("width must be positive")
         for bits in precisions(64, "refinement to a given width"):
             b = self.box(bits)
             if b.width <= width:

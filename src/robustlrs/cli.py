@@ -1,6 +1,13 @@
 """Command line interface: problem parsing, pipeline orchestration, report
 emission and plot-data export.  The only module with side effects.
 
+Each verb is declared once, by one `_verb` call in `_build_parser`: its own
+arguments, --problem when it reads a problem file, the settings it reads
+and --out.  Rational flags are parsed by argparse, which names the flag on
+a malformed value.  `_dispatch` reads the problem, resolves exactly the
+declared settings, runs the verb's handler, which returns (text, exit
+code), and writes the text.
+
 Exit codes: 0 = YES, 1 = NO, 2 = UNKNOWN, 3 = usage/schema error,
 4 = internal error.
 """
@@ -22,6 +29,7 @@ from .qmath import (Q, parse_rational, format_rational, is_perfect_square,
 from .algebraic import isolate_roots
 from .lrs import eval_terms, normalize, OrbitScanner
 from .torus import DEFAULT_HEIGHT_BOUND, root_of_unity_alg
+from .trig import rotation_power
 from .optimize import mu as mu_op, nu as nu_op, DEFAULT_TOL
 from .decide import (exists_robust_positivity, exists_robust_skolem,
                      exists_robust_ultimate_positivity,
@@ -32,7 +40,8 @@ from .hardness import (build_hardness_lrr, cone_contains, compute_params,
                        coeffs_from_config)
 from .serialize import (QUESTIONS, ProblemSpec, ProblemError, parse_problem,
                         report_json, sign_outcome_json, algebraic_json,
-                        decimal_str, ival_json, check_ball, check_count)
+                        decimal_str, ival_json, check_ball, check_count,
+                        parse_rat_at)
 
 CONFIG_ENV = "ROBUSTLRS_CONFIG"
 
@@ -64,8 +73,8 @@ def _write_out(text: str, out_path: str | None):
         sys.stdout.write(text)
 
 
-def _write_json(doc, out_path: str | None):
-    _write_out(json.dumps(doc, indent=2, sort_keys=True) + "\n", out_path)
+def _json(doc) -> str:
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 def _provenance(tol, prefix_cap, height_bound, lattice_complete) -> dict:
@@ -78,34 +87,38 @@ def _provenance(tol, prefix_cap, height_bound, lattice_complete) -> dict:
     }
 
 
-def _read_problem(args) -> ProblemSpec:
-    if args.problem == "-":
+def _read_problem(path: str) -> ProblemSpec:
+    if path == "-":
         text = sys.stdin.read()
     else:
-        with open(args.problem, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     return parse_problem(text)
+
+
+# The decision procedure of each question, on (analysis, ball, prefix cap, tol).
+_DECIDE = {
+    "exists-robust-positivity": lambda a, ball, cap, tol:
+        exists_robust_positivity(a, cap, tol),
+    "exists-robust-skolem": lambda a, ball, cap, tol:
+        exists_robust_skolem(a, cap, tol),
+    "exists-robust-ultpos": lambda a, ball, cap, tol:
+        exists_robust_ultimate_positivity(a, tol),
+    "robust-ultpos-open": lambda a, ball, cap, tol:
+        robust_nonuniform_ultpos_open_ball(a, ball, tol),
+}
 
 
 def run(spec: ProblemSpec, question: str, tol: Fraction, prefix_cap: int,
         height_bound: int, timing: bool = False) -> tuple[str, int]:
     """Dispatch one decision problem; returns (report text, exit code)."""
     t0 = time.monotonic()
-    decide = {
-        "exists-robust-positivity": lambda a: exists_robust_positivity(
-            a, prefix_cap, tol),
-        "exists-robust-skolem": lambda a: exists_robust_skolem(
-            a, prefix_cap, tol),
-        "exists-robust-ultpos": lambda a: exists_robust_ultimate_positivity(
-            a, tol),
-        "robust-ultpos-open": lambda a: robust_nonuniform_ultpos_open_ball(
-            a, spec.ball, tol),
-    }.get(question)
+    decide = _DECIDE.get(question)
     if decide is None:
         raise ProblemError("$.question", f"unknown question {question!r}")
     check_ball(question, spec.ball)
     analysis = Analysis.build(spec.lrr, spec.init, height_bound)
-    decision = decide(analysis)
+    decision = decide(analysis, spec.ball, prefix_cap, tol)
     elapsed = time.monotonic() - t0
     text = report_json(decision.verdict, decision.certificate,
                        _provenance(tol, prefix_cap, height_bound,
@@ -150,22 +163,23 @@ def emit_plot_data(spec: ProblemSpec, kind: str, count: int) -> str:
                            "(p, q) on the unit circle")
     q = exact_sqrt(q_sq)
     pt = coeffs_from_config(p, q, spec.init)
-    cos, sin = Q(1), Q(0)
     if kind == "cone-section":
         z = pt.z_dom
         buf.write("n,angle_turns,x,y,margin\n")
         for n in range(count + 1):
+            cos, u = rotation_power(p, n)
+            sin = u * q
             x, y = z * cos, z * sin
             _, margin = cone_contains(z, x, y)
             angle = _angle_turns(cos, sin)
             buf.write(f"{n},{decimal_str(angle, 12)},{decimal_str(x, 12)},"
                       f"{decimal_str(y, 12)},{decimal_str(margin.mid, 12)}\n")
-            cos, sin = p * cos - q * sin, q * cos + p * sin
         return buf.getvalue()
     if kind == "hyperplane-trace":
         buf.write("n,angle_turns,offset\n")
         for n in range(1, count + 1):
-            cos, sin = p * cos - q * sin, q * cos + p * sin
+            cos, u = rotation_power(p, n)
+            sin = u * q
             offset = (pt.z_res + pt.x_res * cos + pt.y_res * sin) / n
             angle = _angle_turns(cos, sin)
             buf.write(f"{n},{decimal_str(angle, 12)},"
@@ -181,14 +195,147 @@ def _angle_turns(cos: Fraction, sin: Fraction) -> Fraction:
     return Q(t).limit_denominator(10**12)
 
 
-# The settings a verb may read, each declared only on the verbs that read it.
+def _tol(value) -> Fraction:
+    """A flag's or problem file's tol is parsed already; the defaults
+    file's is the JSON value, parsed here."""
+    tol = value if isinstance(value, Fraction) else parse_rat_at(value, "tol")
+    if tol <= 0:
+        raise ProblemError("tol", f"must be > 0, got {format_rational(tol)}")
+    return tol
+
+
+# The settings a verb may read: the flag's options, the built-in default
+# and the check of a resolved value.
 _SETTINGS = {
-    "tol": dict(default=None, help="optimizer tolerance p/q"),
-    "prefix-cap": dict(type=int, default=None),
-    "height-bound": dict(type=int, default=None),
-    "timing": dict(action="store_true",
-                   help="include wall-clock timing in the report"),
+    "tol": (dict(type=parse_rational, help="optimizer tolerance p/q"),
+            DEFAULT_TOL, _tol),
+    "prefix_cap": (dict(type=int), DEFAULT_PREFIX_CAP,
+                   lambda cap: check_count(cap, 0, "prefix cap")),
+    "height_bound": (dict(type=int), DEFAULT_HEIGHT_BOUND,
+                     lambda hb: check_count(hb, 1, "height bound")),
 }
+
+
+def _resolve(args, spec, defaults) -> list:
+    """The verb's declared settings, in their declared order: the flag,
+    else the problem file, else the defaults file, else the built-in
+    default.  A given 0 is a value, not a missing one.  Only the declared
+    settings are read and checked, so a verb is not refused for a setting
+    it does not take."""
+    values = []
+    for name in args.settings:
+        _, fallback, check = _SETTINGS[name]
+        value = next((v for v in (getattr(args, name), getattr(spec, name),
+                                  defaults.get(name)) if v is not None),
+                     fallback)
+        values.append(check(value))
+    return values
+
+
+def _decide(args, spec, tol, prefix_cap, height_bound):
+    if spec.question is not None and spec.question != args.question:
+        raise ProblemError("$.question", f"file says {spec.question!r} "
+                           f"but the command asked {args.question!r}")
+    return run(spec, args.question, tol, prefix_cap, height_bound,
+               args.timing)
+
+
+def _eval(args, spec):
+    terms = eval_terms(spec.lrr, spec.init, args.n_max)
+    return "n,u_n\n" + "".join(f"{n},{format_rational(u)}\n"
+                               for n, u in enumerate(terms)), EXIT_YES
+
+
+def _roots(args, spec):
+    roots = isolate_roots(spec.lrr.char_poly())
+    return _json([dict(algebraic_json(a), multiplicity=m)
+                  for a, m in roots]), EXIT_YES
+
+
+def _torus(args, spec, height_bound):
+    par = Analysis.build(spec.lrr, spec.init, height_bound).torus
+    lat = par.lattice
+    return _json({
+        "k": lat.k,
+        "generators": lat.generators,
+        "complete": lat.complete,
+        "height_bound": lat.height_bound,
+        "free_rank": par.free_rank,
+        "embedding": par.embedding,
+        "finite_part": [[algebraic_json(root_of_unity_alg(
+            t.numerator, t.denominator)) for t in turns]
+            for turns in par.coset_turns],
+    }), EXIT_YES
+
+
+def _mu(args, spec, tol, height_bound):
+    analysis = Analysis.build(spec.lrr, spec.init, height_bound)
+    out = (nu_op if args.absolute else mu_op)(analysis.form,
+                                              analysis.torus, tol)
+    return _json(sign_outcome_json(out)), EXIT_YES
+
+
+def _plot(args, spec):
+    return emit_plot_data(spec, args.kind, args.range), EXIT_YES
+
+
+def _lab_build(args):
+    lrr = build_hardness_lrr(args.p, args.q)
+    return _json({"coeffs": [format_rational(a) for a in lrr.coeffs],
+                  "char_poly_factored": "(x-1)^2 (x^2 - 2px + 1)^2",
+                  "p": format_rational(args.p)}), EXIT_YES
+
+
+def _lab_cone(args):
+    inside, margin = cone_contains(args.z, args.x, args.y)
+    return (_json({"inside": inside, "margin": ival_json(margin)}),
+            EXIT_YES if inside else EXIT_NO)
+
+
+def _lab_ball_term(args):
+    params = compute_params(args.ell, args.eps, args.p, args.q)
+    iv = min_ball_term(args.n, params)
+    return _json({"n": args.n, "term": ival_json(iv),
+                  "psi": format_rational(params.psi),
+                  "n2": params.n2}), EXIT_YES
+
+
+def _lab_approx_L(args):
+    est = approximate_L(args.p, args.q, args.eps, args.horizon)
+    return _json({"interval": ival_json(est.interval),
+                  "horizon": est.horizon, "probes": est.probes,
+                  "horizon_exhausted": est.horizon_exhausted,
+                  "note": est.note}), EXIT_YES
+
+
+def _lab_prefix_L(args):
+    iv = lagrange_prefix(args.p, args.q, args.n)
+    return _json({"interval": ival_json(iv), "n": args.n}), EXIT_YES
+
+
+def _verb(parent, name, help, handler, *arguments, problem=True,
+          settings=()):
+    """Declare one verb: its own `arguments` as (flag, options) pairs,
+    --problem when it reads a problem file, the `settings` it reads and
+    --out.  `_dispatch` runs `handler`."""
+    verb = parent.add_parser(name, help=help)
+    for flag, options in arguments:
+        verb.add_argument(flag, **options)
+    if problem:
+        verb.add_argument("--problem", required=True,
+                          help="problem JSON file ('-' for stdin)")
+    for setting in settings:
+        verb.add_argument("--" + setting.replace("_", "-"),
+                          **_SETTINGS[setting][0])
+    verb.add_argument("--out", default=None,
+                      help="output file (default stdout)")
+    verb.set_defaults(handler=handler, settings=settings)
+
+
+_RATIONAL = dict(type=parse_rational, required=True)
+# the rotation of a lab verb: its cosine p, and its sine q when given
+_ROTATION = (("--p", _RATIONAL),
+             ("--q", dict(type=parse_rational, default=None)))
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -198,74 +345,41 @@ def _build_parser() -> argparse.ArgumentParser:
                     "(ultimate) positivity of rational linear recurrences")
     ap.add_argument("--version", action="version", version=__version__)
     sub = ap.add_subparsers(dest="command", required=True)
-
-    def add_common(p, *settings):
-        p.add_argument("--problem", required=True,
-                       help="problem JSON file ('-' for stdin)")
-        for name in settings:
-            p.add_argument(f"--{name}", **_SETTINGS[name])
-        p.add_argument("--out", default=None, help="output file (default stdout)")
-
-    dec = sub.add_parser("decide", help="run a robustness decision procedure")
-    dec.add_argument("question", choices=QUESTIONS)
-    add_common(dec, *_SETTINGS)
-
-    ev = sub.add_parser("eval", help="dump exact terms as CSV")
-    ev.add_argument("--n-max", type=int, default=20)
-    add_common(ev)
-
-    rt = sub.add_parser("roots", help="isolate the characteristic roots")
-    add_common(rt)
-
-    tor = sub.add_parser("torus", help="relation lattice and parametrization")
-    add_common(tor, "height-bound")
-
-    muv = sub.add_parser("mu", help="certified dominant minimum over the torus")
-    muv.add_argument("--absolute", action="store_true",
-                     help="minimize |dominant| (the Skolem objective)")
-    add_common(muv, "tol", "height-bound")
-
-    pl = sub.add_parser("plot", help="CSV export of figure data")
-    pl.add_argument("--kind", required=True,
-                    choices=["orbit", "cone-section", "hyperplane-trace"])
-    pl.add_argument("--range", type=int, default=100)
-    add_common(pl)
+    _verb(sub, "decide", "run a robustness decision procedure", _decide,
+          ("question", dict(choices=QUESTIONS)),
+          ("--timing", dict(action="store_true",
+                            help="include wall-clock timing in the report")),
+          settings=("tol", "prefix_cap", "height_bound"))
+    _verb(sub, "eval", "dump exact terms as CSV", _eval,
+          ("--n-max", dict(type=int, default=20)))
+    _verb(sub, "roots", "isolate the characteristic roots", _roots)
+    _verb(sub, "torus", "relation lattice and parametrization", _torus,
+          settings=("height_bound",))
+    _verb(sub, "mu", "certified dominant minimum over the torus", _mu,
+          ("--absolute", dict(action="store_true", help="minimize "
+                              "|dominant| (the Skolem objective)")),
+          settings=("tol", "height_bound"))
+    _verb(sub, "plot", "CSV export of figure data", _plot,
+          ("--kind", dict(required=True, choices=[
+              "orbit", "cone-section", "hyperplane-trace"])),
+          ("--range", dict(type=int, default=100)))
 
     lab = sub.add_parser("lab", help="order-6 construction lab")
     lab_sub = lab.add_subparsers(dest="lab_command", required=True)
-
-    lb = lab_sub.add_parser("build", help="emit the order-6 relation for p")
-    lb.add_argument("--p", required=True)
-    lb.add_argument("--q", default=None)
-    lb.add_argument("--out", default=None)
-
-    lc = lab_sub.add_parser("cone", help="exact cone membership and margin")
-    lc.add_argument("--z", required=True)
-    lc.add_argument("--x", required=True)
-    lc.add_argument("--y", required=True)
-    lc.add_argument("--out", default=None)
-
-    lt = lab_sub.add_parser("ball-term", help="closed-form ball minimum at n")
-    lt.add_argument("--n", type=int, required=True)
-    lt.add_argument("--p", required=True)
-    lt.add_argument("--q", default=None)
-    lt.add_argument("--ell", required=True,
-                    help="rational q' with ell = q'/pi")
-    lt.add_argument("--eps", required=True)
-    lt.add_argument("--out", default=None)
-
-    la = lab_sub.add_parser("approx-L", help="bracket the Diophantine type")
-    la.add_argument("--p", required=True)
-    la.add_argument("--q", default=None)
-    la.add_argument("--eps", required=True)
-    la.add_argument("--horizon", type=int, default=10**6)
-    la.add_argument("--out", default=None)
-
-    lp = lab_sub.add_parser("prefix-L", help="direct prefix minimum")
-    lp.add_argument("--p", required=True)
-    lp.add_argument("--q", default=None)
-    lp.add_argument("--n", type=int, required=True)
-    lp.add_argument("--out", default=None)
+    _verb(lab_sub, "build", "emit the order-6 relation for p", _lab_build,
+          *_ROTATION, problem=False)
+    _verb(lab_sub, "cone", "exact cone membership and margin", _lab_cone,
+          ("--z", _RATIONAL), ("--x", _RATIONAL), ("--y", _RATIONAL),
+          problem=False)
+    _verb(lab_sub, "ball-term", "closed-form ball minimum at n",
+          _lab_ball_term, ("--n", dict(type=int, required=True)), *_ROTATION,
+          ("--ell", dict(_RATIONAL, help="rational q' with ell = q'/pi")),
+          ("--eps", _RATIONAL), problem=False)
+    _verb(lab_sub, "approx-L", "bracket the Diophantine type",
+          _lab_approx_L, *_ROTATION, ("--eps", _RATIONAL),
+          ("--horizon", dict(type=int, default=10**6)), problem=False)
+    _verb(lab_sub, "prefix-L", "direct prefix minimum", _lab_prefix_L,
+          *_ROTATION, ("--n", dict(type=int, required=True)), problem=False)
     return ap
 
 
@@ -291,153 +405,16 @@ def main(argv=None) -> int:
         return EXIT_INTERNAL
 
 
-def _resolve(args, spec, defaults, *names):
-    """The settings `names` (of "tol", "prefix_cap", "height_bound"), in
-    that order: the flag, else the problem file, else the defaults file,
-    else the built-in default.  A given 0 is a value, not a missing one.
-    Only the settings named are read and checked, so a verb is not refused
-    for a setting it does not take."""
-    def pick(name, fallback):
-        for value in (getattr(args, name, None), getattr(spec, name),
-                      defaults.get(name)):
-            if value is not None:
-                return value
-        return fallback
-
-    out = []
-    if "tol" in names:
-        tol = pick("tol", DEFAULT_TOL)  # a problem file's tol is parsed
-        if isinstance(tol, str):
-            tol = parse_rational(tol)
-        elif not isinstance(tol, Fraction):
-            raise ValueError(f"tol must be a rational string p/q, got {tol!r}")
-        if tol <= 0:
-            raise ProblemError("tol", f"must be > 0, got {format_rational(tol)}")
-        out.append(tol)
-    if "prefix_cap" in names:
-        cap = pick("prefix_cap", DEFAULT_PREFIX_CAP)
-        check_count(cap, 0, "prefix cap")
-        out.append(cap)
-    if "height_bound" in names:
-        hb = pick("height_bound", DEFAULT_HEIGHT_BOUND)
-        check_count(hb, 1, "height bound")
-        out.append(hb)
-    return out
-
-
 def _dispatch(args, defaults) -> int:
-    if args.command == "decide":
-        spec = _read_problem(args)
-        tol, cap, hb = _resolve(args, spec, defaults, "tol", "prefix_cap",
-                                "height_bound")
-        question = args.question
-        if spec.question is not None and spec.question != question:
-            raise ProblemError("$.question", f"file says {spec.question!r} "
-                               f"but the command asked {question!r}")
-        text, code = run(spec, question, tol, cap, hb, args.timing)
-        _write_out(text, args.out)
-        return code
-
-    if args.command == "eval":
-        spec = _read_problem(args)
-        terms = eval_terms(spec.lrr, spec.init, args.n_max)
-        csv = "n,u_n\n" + "".join(f"{n},{format_rational(u)}\n"
-                                  for n, u in enumerate(terms))
-        _write_out(csv, args.out)
-        return EXIT_YES
-
-    if args.command == "roots":
-        spec = _read_problem(args)
-        roots = isolate_roots(spec.lrr.char_poly())
-        doc = [dict(algebraic_json(a), multiplicity=m) for a, m in roots]
-        _write_json(doc, args.out)
-        return EXIT_YES
-
-    if args.command == "torus":
-        spec = _read_problem(args)
-        hb, = _resolve(args, spec, defaults, "height_bound")
-        par = Analysis.build(spec.lrr, spec.init, hb).torus
-        lat = par.lattice
-        doc = {
-            "k": lat.k,
-            "generators": lat.generators,
-            "complete": lat.complete,
-            "height_bound": lat.height_bound,
-            "free_rank": par.free_rank,
-            "embedding": par.embedding,
-            "finite_part": [[algebraic_json(root_of_unity_alg(
-                t.numerator, t.denominator)) for t in turns]
-                for turns in par.coset_turns],
-        }
-        _write_json(doc, args.out)
-        return EXIT_YES
-
-    if args.command == "mu":
-        spec = _read_problem(args)
-        tol, hb = _resolve(args, spec, defaults, "tol", "height_bound")
-        analysis = Analysis.build(spec.lrr, spec.init, hb)
-        out = (nu_op if args.absolute else mu_op)(analysis.form,
-                                                  analysis.torus, tol)
-        _write_json(sign_outcome_json(out), args.out)
-        return EXIT_YES
-
-    if args.command == "plot":
-        spec = _read_problem(args)
-        _write_out(emit_plot_data(spec, args.kind, args.range), args.out)
-        return EXIT_YES
-
-    if args.command == "lab":
-        return _dispatch_lab(args)
-    raise RuntimeError(f"unhandled command {args.command}")
-
-
-def _rotation_args(args):
-    """The rotation point of a lab command: --p, and --q when given."""
-    return (parse_rational(args.p),
-            parse_rational(args.q) if args.q else None)
-
-
-def _dispatch_lab(args) -> int:
-    if args.lab_command == "build":
-        p, q = _rotation_args(args)
-        lrr = build_hardness_lrr(p, q)
-        doc = {"coeffs": [format_rational(a) for a in lrr.coeffs],
-               "char_poly_factored": "(x-1)^2 (x^2 - 2px + 1)^2",
-               "p": format_rational(p)}
-        _write_json(doc, args.out)
-        return EXIT_YES
-    if args.lab_command == "cone":
-        z, x, y = (parse_rational(args.z), parse_rational(args.x),
-                   parse_rational(args.y))
-        inside, margin = cone_contains(z, x, y)
-        doc = {"inside": inside, "margin": ival_json(margin)}
-        _write_json(doc, args.out)
-        return EXIT_YES if inside else EXIT_NO
-    if args.lab_command == "ball-term":
-        p, q = _rotation_args(args)
-        params = compute_params(parse_rational(args.ell),
-                                parse_rational(args.eps), p, q)
-        iv = min_ball_term(args.n, params)
-        doc = {"n": args.n, "term": ival_json(iv),
-               "psi": format_rational(params.psi),
-               "n2": params.n2}
-        _write_json(doc, args.out)
-        return EXIT_YES
-    if args.lab_command == "approx-L":
-        p, q = _rotation_args(args)
-        est = approximate_L(p, q, parse_rational(args.eps), args.horizon)
-        doc = {"interval": ival_json(est.interval), "horizon": est.horizon,
-               "probes": est.probes, "horizon_exhausted": est.horizon_exhausted,
-               "note": est.note}
-        _write_json(doc, args.out)
-        return EXIT_YES
-    if args.lab_command == "prefix-L":
-        p, q = _rotation_args(args)
-        iv = lagrange_prefix(p, q, args.n)
-        doc = {"interval": ival_json(iv), "n": args.n}
-        _write_json(doc, args.out)
-        return EXIT_YES
-    raise RuntimeError(f"unhandled lab command {args.lab_command}")
+    """Read the verb's problem and settings, run its handler and write its
+    text."""
+    inputs = []
+    if "problem" in args:
+        spec = _read_problem(args.problem)
+        inputs = [spec, *_resolve(args, spec, defaults)]
+    text, code = args.handler(args, *inputs)
+    _write_out(text, args.out)
+    return code
 
 
 if __name__ == "__main__":

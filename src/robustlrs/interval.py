@@ -109,7 +109,7 @@ class Ival:
     def sqrt(self, bits: int = 128) -> "Ival":
         lo = self.lo if self.lo > 0 else ZERO
         if self.hi < 0:
-            raise ValueError("sqrt of negative interval")
+            raise RuntimeError("sqrt of negative interval")
         return Ival(sqrt_down(lo, bits), sqrt_up(self.hi, bits))
 
     def round_out(self, bits: int) -> "Ival":

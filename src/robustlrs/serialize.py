@@ -86,9 +86,12 @@ def check_ball(question: str, ball: Optional[Ball]):
                            "variant: the ball must be omitted")
 
 
-def _parse_rat_at(value, path: str) -> Fraction:
+def parse_rat_at(value, path: str) -> Fraction:
+    """A rational string p/q from a problem or defaults file; any fault is
+    a usage error at `path`."""
     if not isinstance(value, str):
-        raise ProblemError(path, f"expected a rational string, got {value!r}")
+        raise ProblemError(path, f"must be a rational string p/q, "
+                           f"got {value!r}")
     try:
         return parse_rational(value)
     except ValueError as exc:
@@ -111,9 +114,9 @@ def parse_problem(text: str) -> ProblemSpec:
         if not isinstance(doc[key], list):
             raise ProblemError(f"$.{key}", "must be an array of rational "
                                f"strings, got {doc[key]!r}")
-    coeffs = [_parse_rat_at(v, f"$.coeffs[{i}]")
+    coeffs = [parse_rat_at(v, f"$.coeffs[{i}]")
               for i, v in enumerate(doc["coeffs"])]
-    init = [_parse_rat_at(v, f"$.init[{i}]") for i, v in enumerate(doc["init"])]
+    init = [parse_rat_at(v, f"$.init[{i}]") for i, v in enumerate(doc["init"])]
     if not coeffs:
         raise ProblemError("$.coeffs", "order must be at least 1")
     if coeffs[0] == 0:
@@ -129,7 +132,7 @@ def parse_problem(text: str) -> ProblemSpec:
         b = doc["ball"]
         if not isinstance(b, dict):
             raise ProblemError("$.ball", "must be an object")
-        radius = _parse_rat_at(b.get("radius", "0"), "$.ball.radius")
+        radius = parse_rat_at(b.get("radius", "0"), "$.ball.radius")
         if radius <= 0:
             raise ProblemError("$.ball.radius", "radius > 0 required")
         topology = b.get("topology", "open")
@@ -142,7 +145,7 @@ def parse_problem(text: str) -> ProblemSpec:
             raise ProblemError("$.question", f"unknown question {question!r}; "
                                f"expected one of {QUESTIONS}")
         check_ball(question, ball)
-    tol = _parse_rat_at(doc["tol"], "$.tol") if "tol" in doc else None
+    tol = parse_rat_at(doc["tol"], "$.tol") if "tol" in doc else None
     if tol is not None and tol <= 0:
         raise ProblemError("$.tol", "tol > 0 required")
     prefix_cap = doc.get("prefix_cap")
@@ -157,12 +160,14 @@ def parse_problem(text: str) -> ProblemSpec:
 
 
 def check_count(value, least: int, path: str):
-    """A count setting (prefix cap, height bound) from a problem file or
-    the defaults file: an integer >= least.  JSON's true and false load as
-    Python bools, which are ints, so they are refused by name."""
+    """A count setting (prefix cap, height bound) from a flag, a problem
+    file or the defaults file: an integer >= least, returned.  JSON's true
+    and false load as Python bools, which are ints, so they are refused by
+    name."""
     if isinstance(value, bool) or not isinstance(value, int) or value < least:
         raise ProblemError(path, f"must be an integer >= {least}, "
                            f"got {value!r}")
+    return value
 
 
 def sign_outcome_json(out) -> dict:

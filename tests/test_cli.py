@@ -552,17 +552,102 @@ def test_broken_invariant_exits_internal(tmp_path, monkeypatch, capsys):
 @pytest.mark.parametrize("ns", [{"command": "bogus"},
                                 {"command": "lab", "lab_command": "bogus"}])
 def test_unhandled_command_exits_internal(monkeypatch, capsys, ns):
-    # argparse admits only known commands, so reaching the last branch of
-    # _dispatch or _dispatch_lab is an internal fault (4), not a usage one
+    # argparse admits only declared verbs, each with its handler, so a
+    # namespace without one is an internal fault (4), not a usage one
     class Parser:
         def parse_args(self, argv):
             return argparse.Namespace(**ns)
 
-    with pytest.raises(RuntimeError, match="unhandled"):
-        cli._dispatch(argparse.Namespace(**ns), {})
     monkeypatch.setattr(cli, "_build_parser", Parser)
     assert main([]) == 4
-    assert "internal error: RuntimeError: unhandled" in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith("internal error:")
+
+
+def test_broken_refinement_invariant_exits_internal(tmp_path):
+    """`AlgebraicNumber.refine` is only asked for a positive width; a
+    separation bound of 0 breaks that, an internal fault (4), not a usage
+    one (3)."""
+    problem = tmp_path / "fib.json"
+    problem.write_text('{"coeffs":["1","1"],"init":["1","1"]}')
+    script = ("import sys\n"
+              "from fractions import Fraction\n"
+              "from robustlrs import algebraic, cli\n"
+              "algebraic.separation_bound = lambda p: Fraction(0)\n"
+              "sys.exit(cli.main(sys.argv[1:]))\n")
+    p = run_cli(["roots", "--problem", str(problem)], python=("-c", script))
+    assert p.returncode == 4, p.stderr
+    assert p.stderr == ("internal error: RuntimeError: width must be "
+                        "positive\n")
+    assert p.stdout == ""
+
+
+@pytest.mark.parametrize("args,config,source", [
+    (["decide", "exists-robust-positivity", "--tol", "0.001"], None,
+     "argument --tol"),
+    (["lab", "cone", "--z", "x", "--x", "1", "--y", "1"], None,
+     "argument --z"),
+    (["decide", "exists-robust-positivity"], {"tol": "1.5"}, "tol: "),
+], ids=["tol-flag", "lab-flag", "tol-config"])
+def test_malformed_rational_names_its_source(tmp_path, monkeypatch, capsys,
+                                             args, config, source):
+    """A rational that does not parse is a usage error (exit 3) whose
+    message names the flag or the defaults-file key it came from."""
+    problem = tmp_path / "fib.json"
+    problem.write_text(FIB_POS)
+    monkeypatch.delenv("ROBUSTLRS_CONFIG", raising=False)
+    if config is not None:
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps(config))
+        monkeypatch.setenv("ROBUSTLRS_CONFIG", str(cfgfile))
+    if args[0] == "decide":
+        args = [*args, "--problem", str(problem)]
+    assert main(args) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and source in err
+
+
+VERBS = ("decide", "eval", "roots", "torus", "mu", "plot", "lab",
+         "lab build", "lab cone", "lab ball-term", "lab approx-L",
+         "lab prefix-L")
+
+
+@pytest.mark.parametrize("verb", VERBS)
+def test_every_verb_help_exit0(verb, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([*verb.split(), "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith(f"usage: robustlrs {verb} ")
+
+
+@pytest.mark.parametrize("group", ["", "lab"])
+def test_help_lists_every_verb(group, capsys):
+    """`VERBS` above is the whole command set, so every verb's help is
+    tested."""
+    with pytest.raises(SystemExit):
+        main([*group.split(), "--help"])
+    usage = capsys.readouterr().out
+    listed = usage[usage.index("{") + 1:usage.index("}")].split(",")
+    assert {f"{group} {v}".strip() for v in listed} == \
+        {v for v in VERBS if v.rpartition(" ")[0] == group}
+
+
+# sha256 of `robustlrs plot --range 60` on the order-6 family at p = 3/5,
+# as the per-step rotation wrote it
+PLOT_BYTES = {
+    "cone-section":
+        "71bec7cd308a9150e04cbfbeadaa0ed25fd17d1ff2c4b54a02fca735b8cc8456",
+    "hyperplane-trace":
+        "42d03d0f010f08ffff4523e644cd227aec63f4800875ab08f496bc8ad0ef2b28",
+}
+
+
+@pytest.mark.parametrize("kind", list(PLOT_BYTES))
+def test_plot_cone_bytes_pinned(kind):
+    p = run_cli(["plot", "--kind", kind, "--range", "60", "--problem", "-"],
+                stdin='{"coeffs":["-1","22/5","-231/25","292/25","-231/25",'
+                      '"22/5"],"init":["1","-2","3/2","0","5","-1/3"]}')
+    assert p.returncode == 0, p.stderr
+    assert hashlib.sha256(p.stdout.encode()).hexdigest() == PLOT_BYTES[kind]
 
 
 def test_plot_cone_section_requires_family():
