@@ -34,7 +34,7 @@ from .optimize import mu as mu_op, nu as nu_op, DEFAULT_TOL
 from .decide import (exists_robust_positivity, exists_robust_skolem,
                      exists_robust_ultimate_positivity,
                      robust_nonuniform_ultpos_open_ball, Analysis,
-                     DEFAULT_PREFIX_CAP)
+                     closure_torus, DEFAULT_PREFIX_CAP)
 from .hardness import (build_hardness_lrr, cone_contains, compute_params,
                        min_ball_term, approximate_L, lagrange_prefix,
                        coeffs_from_config)
@@ -253,7 +253,7 @@ def _roots(args, spec):
 
 
 def _torus(args, spec, height_bound):
-    par = Analysis.build(spec.lrr, spec.init, height_bound).torus
+    par = closure_torus(spec.lrr, height_bound)
     lat = par.lattice
     return _json({
         "k": lat.k,

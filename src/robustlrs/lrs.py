@@ -5,7 +5,8 @@ The exponential polynomial coefficients live in each root's own number
 field Q[x]/(M), and conjugate roots share one coefficient polynomial, so
     u_n = sum over factors of Trace( A_f(n) * root^n ).
 Written in trace form, the first k terms give one rational linear system
-in the coordinates of the A_f.
+in the coordinates of the A_f; the solve hands each root its coefficients
+as an element of its own field (`ExpPolySolution`).
 
 The work splits in two halves.  What depends on the recurrence alone is
 found once per recurrence and kept in two bounded memos.
@@ -294,22 +295,14 @@ def _rho_of(rep: AlgebraicNumber) -> AlgebraicNumber:
 
 
 @dataclass
-class _FactorSolution:
-    """Per irreducible factor: shared coefficient polynomials A_j in K_f."""
-
-    minpoly: tuple[int, ...]
-    mult: int
-    alphas: list  # alphas[j] is Fraction (degree-1 factor) or FieldElement
-
-
-@dataclass
 class ExpPolySolution:
-    """alpha table: per root embedding i and power j, the coefficient of
-    n^j gamma_i^n in u_n."""
+    """The exponential polynomial u_n = sum over i, j of alpha[i][j] *
+    n^j * gamma_i^n, gamma_i the i-th root of the recurrence's
+    `trace_system`.  alpha[i] has one entry per power of n below the
+    root's multiplicity; an irrational entry is an element of gamma_i's
+    own field."""
 
-    factors: list[_FactorSolution]
-    roots: list[tuple[AlgebraicNumber, int]]
-    alpha: dict  # (root_index, j) -> AlgebraicNumber
+    alpha: list[list[AlgebraicNumber]]
 
 
 @dataclass
@@ -415,21 +408,18 @@ def _solve(system: TraceSystem, c: InitialConfig) -> ExpPolySolution:
     if any(sum((a * x for a, x in zip(row, coords)), ZERO) != u
            for row, u in zip(system.mat, c.entries)):
         raise RuntimeError("exponential polynomial reconstruction failed")
-    it = iter(coords)
-    factor_solutions = []
+    # conjugate roots share one coordinate vector per power of n, and
+    # `isolate_roots` lists each factor's roots in turn, in factor order
+    it, roots, alpha = iter(coords), iter(system.roots), []
     for fac, mult in system.factors:
         d = len(fac) - 1
-        if d == 1:
-            alphas = [next(it) for _ in range(mult)]
-        else:
-            fld = NumberField.get(fac, 0)
-            alphas = [FieldElement(fld, [next(it) for _ in range(d)])
-                      for _ in range(mult)]
-        factor_solutions.append(_FactorSolution(minpoly=fac, mult=mult,
-                                                alphas=alphas))
-    return ExpPolySolution(factors=factor_solutions, roots=system.roots,
-                           alpha=_alpha_per_embedding(factor_solutions,
-                                                      system.roots))
+        vectors = [[next(it) for _ in range(d)] for _ in range(mult)]
+        for root, _ in itertools.islice(roots, d):
+            alpha.append([AlgebraicNumber.from_rational(v[0]) if d == 1
+                          else AlgebraicNumber.from_element(
+                              FieldElement(root.elem.field, v))
+                          for v in vectors])
+    return ExpPolySolution(alpha=alpha)
 
 
 def _trace_table(fld: NumberField, count: int) -> list[Fraction]:
@@ -440,23 +430,6 @@ def _trace_table(fld: NumberField, count: int) -> list[Fraction]:
         out.append(power.trace())
         power = power * xi
     return out
-
-
-def _alpha_per_embedding(factor_solutions, roots) -> dict:
-    """Map (root_index, power) to the embedded coefficient value.
-    `isolate_roots` lists each factor's roots in turn, in factor order, so
-    the roots are walked beside the factors."""
-    table = {}
-    embeddings = iter(enumerate(roots))
-    for fs in factor_solutions:
-        for i, (root, mult) in itertools.islice(embeddings, len(fs.minpoly) - 1):
-            for j in range(mult):
-                a = fs.alphas[j]
-                table[(i, j)] = (
-                    AlgebraicNumber.from_rational(a) if isinstance(a, Fraction)
-                    else AlgebraicNumber.from_element(
-                        FieldElement(root.elem.field, a.coeffs)))
-    return table
 
 
 # ---------------------------------------------------------------------------
@@ -495,10 +468,9 @@ def _normal(rec: Recurrence, sol: ExpPolySolution
     m = spec.m
     dom_terms = []
     res_terms = []
-    for i, (_, mult) in enumerate(spec.roots):
+    for i, alphas in enumerate(sol.alpha):
         is_dom = i in spec.dominant_indices
-        for j in range(mult):
-            alpha = sol.alpha[(i, j)]
+        for j, alpha in enumerate(alphas):
             if is_dom and j == m:
                 dom_terms.append((alpha, rec.bases[i]))
                 continue
@@ -801,9 +773,6 @@ EXACT_TERMS = 4096
 
 def term_sign(lrr: Lrr, c: InitialConfig, n: int) -> int:
     """Exact sign of u_n(c): -1, 0, or +1."""
-    if n < lrr.order:
-        v = c.entries[n]
-        return (v > 0) - (v < 0)
     if n <= EXACT_TERMS:
         w, _ = scaled_term(lrr, c, n)
         return (w > 0) - (w < 0)

@@ -629,8 +629,12 @@ def _minimize(form, torus, tol, absolute: bool):
 
 
 def _with_escalation(run, tol):
-    out = run(tol)
-    t = tol
+    """run(tol) for a positive tol, rerun at tighter tolerances down to
+    `TOL_FLOOR` while a converged run stays UNKNOWN."""
+    t = Q(tol)
+    if t <= 0:
+        raise ValueError("tol must be positive")
+    out = run(t)
     while out.verdict == "UNKNOWN" and t > TOL_FLOOR and out.converged:
         t = t * ESCALATION_FACTOR
         nxt = run(t)
@@ -643,18 +647,12 @@ def _with_escalation(run, tol):
 def mu(form: DominantForm, torus: TorusParam,
        tol: Fraction = DEFAULT_TOL) -> SignOutcome:
     """Certified min over the torus of dominant(c, t)."""
-    tol = Q(tol)
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     return _with_escalation(lambda t: _minimize(form, torus, t, False), tol)
 
 
 def nu(form: DominantForm, torus: TorusParam,
        tol: Fraction = DEFAULT_TOL) -> SignOutcome:
     """Certified min over the torus of |dominant(c, t)| (never NEGATIVE)."""
-    tol = Q(tol)
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     return _with_escalation(lambda t: _minimize(form, torus, t, True), tol)
 
 
@@ -675,7 +673,6 @@ def min_over_ball(family: DominantFamily, radius: Fraction,
     radius = Q(radius)
     if radius <= 0:
         raise ValueError("radius must be positive")
-    tol = Q(tol)
 
     def value_of(obj, sbox):
         out = []

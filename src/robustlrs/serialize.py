@@ -1,4 +1,5 @@
-"""JSON and CSV serialization: problems in, reports and plot data out.
+"""JSON serialization: problems in, reports out (`cli.emit_plot_data`
+writes the plot data).
 
 Rationals travel as canonical "p/q" strings; algebraic numbers as
 {poly, re, im, radius} records (defining polynomial plus isolating disk).

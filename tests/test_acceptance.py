@@ -17,7 +17,8 @@ from robustlrs.interval import Ival, Box, box_ends, mul_ends
 from robustlrs.poly import pmul
 from robustlrs.algebraic import isolate_roots, power_product_is_one
 from robustlrs.lrs import (Lrr, InitialConfig, Ball, eval_terms, spectral,
-                           exp_poly_solution, normalize, term_sign)
+                           exp_poly_solution, normalize, term_sign,
+                           trace_system)
 from robustlrs.torus import relation_lattice, parametrize
 from robustlrs.optimize import mu, nu, min_over_ball, DominantFamily
 from robustlrs.decide import (exists_robust_positivity, exists_robust_skolem,
@@ -126,18 +127,18 @@ def _random_lrr(rng):
             return Lrr(coeffs)
 
 
-def _fraction_reconstruction(sol, bases, alphas, count, bits=320):
+def _fraction_reconstruction(bases, alphas, count, bits=320):
     """Per n < count, the endpoints (re lo, re hi, im lo, im hi) of
     sum alpha_ij n^j gamma_i^n with `Fraction` boxes: incremental powers
     gamma^n, rounded out to 2^-bits after each step, so widths grow only
     linearly.  The reference for `_integer_reconstruction`."""
-    powers = [Box.point(1) for _ in sol.roots]
+    powers = [Box.point(1) for _ in bases]
     out = []
     for n in range(count):
         acc_re, acc_im = Ival.point(0), Ival.point(0)
-        for i, (root, mult) in enumerate(sol.roots):
-            for j in range(mult):
-                t = alphas[(i, j)] * powers[i] * Q(n**j)
+        for i, row in enumerate(alphas):
+            for j, a in enumerate(row):
+                t = a * powers[i] * Q(n**j)
                 acc_re = acc_re + t.re
                 acc_im = acc_im + t.im
         out.append((acc_re.lo, acc_re.hi, acc_im.lo, acc_im.hi))
@@ -145,23 +146,23 @@ def _fraction_reconstruction(sol, bases, alphas, count, bits=320):
     return out
 
 
-def _integer_reconstruction(sol, bases, alphas, count, bits=320):
+def _integer_reconstruction(bases, alphas, count, bits=320):
     """The same enclosures on integer endpoints: the alphas over one
     common denominator DA, the powers over 1 and then 2^bits (each step
     floors the low ends and ceils the high ones, as `round_out` does), so
     term n is over DA times the powers' denominator.  Yields (endpoints,
     denominator) per n."""
-    ends = [box_ends(a) for a in alphas.values()]
-    DA = math.lcm(*(d for _, d in ends))
-    alpha = {key: tuple(e * (DA // d) for e in es)
-             for key, (es, d) in zip(alphas, ends)}
+    ends = [[box_ends(a) for a in row] for row in alphas]
+    DA = math.lcm(*(d for row in ends for _, d in row))
+    alpha = [[tuple(e * (DA // d) for e in es) for es, d in row]
+             for row in ends]
     base = [box_ends(b) for b in bases]
-    powers, P = [(1, 1, 0, 0) for _ in sol.roots], 1
+    powers, P = [(1, 1, 0, 0) for _ in bases], 1
     for n in range(count):
         acc = [0, 0, 0, 0]
-        for i, (root, mult) in enumerate(sol.roots):
-            for j in range(mult):
-                t = mul_ends(alpha[(i, j)], powers[i])
+        for i, row in enumerate(alpha):
+            for j, a in enumerate(row):
+                t = mul_ends(a, powers[i])
                 nj = n ** j
                 for k in range(4):
                     acc[k] += t[k] * nj
@@ -184,12 +185,12 @@ def test_04_exp_poly_consistency():
                                 for _ in range(lrr.order)))
         sol = exp_poly_solution(lrr, c)
         terms = eval_terms(lrr, c, 500)
-        bases = [root.box(256) for root, _ in sol.roots]
-        alphas = {key: a.box(256) for key, a in sol.alpha.items()}
-        ends = list(_integer_reconstruction(sol, bases, alphas, 501))
+        bases = [root.box(256) for root, _ in trace_system(lrr).roots]
+        alphas = [[a.box(256) for a in row] for row in sol.alpha]
+        ends = list(_integer_reconstruction(bases, alphas, 501))
         if trial == 0:
             assert [tuple(Q(e, D) for e in es) for es, D in ends] == \
-                _fraction_reconstruction(sol, bases, alphas, 501)
+                _fraction_reconstruction(bases, alphas, 501)
         for n, ((re_lo, re_hi, im_lo, im_hi), D) in enumerate(ends):
             u = terms[n]
             assert re_lo * u.denominator <= u.numerator * D \

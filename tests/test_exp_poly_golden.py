@@ -1,10 +1,12 @@
 """Exponential-polynomial coefficients, pinned exactly.
 
 `exp_poly_golden.json` holds, per case, every irreducible factor of the
-characteristic polynomial as `exp_poly_solution` returned it when the
-coefficients came from partial fractions of the generating function: its
-minimal polynomial, its multiplicity and the rational coordinates of each
-alpha_j in the basis 1, xi, ..., xi^(d-1) of the factor's field.  The
+characteristic polynomial, recorded when the coefficients came from
+partial fractions of the generating function: its minimal polynomial,
+its multiplicity and the rational coordinates of each alpha_j in the
+basis 1, xi, ..., xi^(d-1) of the factor's field.  The per-root
+table of `exp_poly_solution` is read back into that record through each
+factor's first root, since conjugate roots share their coordinates.  The
 coefficients are the unique solution of the initial-terms system, so any
 way of computing them must reproduce these values exactly.
 """
@@ -22,7 +24,7 @@ import pytest
 from robustlrs.algebraic import FieldElement
 from robustlrs.hardness import build_hardness_lrr
 from robustlrs.lrs import (InitialConfig, Lrr, eval_terms, exp_poly_solution,
-                           mat_inv)
+                           mat_inv, trace_system)
 from robustlrs import poly
 from robustlrs.poly import pmul
 
@@ -63,17 +65,65 @@ def _coords(alpha, d):
     return [str(c) for c in coeffs + [Q(0)] * (d - len(coeffs))]
 
 
+def _in_field(alpha, root):
+    """A coefficient of `root` as a `Fraction` for a rational root, else as
+    an element of the root's field."""
+    if root.is_rational:
+        return alpha.as_rational()
+    if alpha.is_rational:
+        return FieldElement.const(root.elem.field, alpha.as_rational())
+    return alpha.elem
+
+
+def _factor_groups(lrr):
+    """Per irreducible factor: its minimal polynomial and the indices of
+    its roots in the solution's root order."""
+    groups, first = [], 0
+    for fac, _ in trace_system(lrr).factors:
+        d = len(fac) - 1
+        groups.append((fac, range(first, first + d)))
+        first += d
+    return groups
+
+
+def _per_factor(lrr, sol):
+    """(minimal polynomial, alphas) per factor, the alphas read at the
+    factor's first root."""
+    roots = trace_system(lrr).roots
+    return [(fac, [_in_field(a, roots[idx[0]][0]) for a in sol.alpha[idx[0]]])
+            for fac, idx in _factor_groups(lrr)]
+
+
 def solution_record(lrr, start):
     sol = exp_poly_solution(lrr, InitialConfig(start))
-    return [{"minpoly": list(f.minpoly), "mult": f.mult,
-             "alphas": [_coords(a, len(f.minpoly) - 1) for a in f.alphas]}
-            for f in sol.factors]
+    return [{"minpoly": list(fac), "mult": len(alphas),
+             "alphas": [_coords(a, len(fac) - 1) for a in alphas]}
+            for fac, alphas in _per_factor(lrr, sol)]
 
 
 @pytest.mark.parametrize("key,lrr,start", list(_cases()),
                          ids=[key for key, *_ in _cases()])
 def test_exp_poly_golden(key, lrr, start):
     assert solution_record(lrr, start) == GOLDEN[key]
+
+
+@pytest.mark.parametrize("key,lrr,start", list(_cases()),
+                         ids=[key for key, *_ in _cases()])
+def test_alpha_is_one_row_per_root(key, lrr, start):
+    """One row per root, one entry per power of n below its multiplicity,
+    each irrational entry in its root's field, and the same coordinates
+    at every root of one factor."""
+    alpha = exp_poly_solution(lrr, InitialConfig(start)).alpha
+    roots = trace_system(lrr).roots
+    assert len(alpha) == len(roots)
+    for row, (root, mult) in zip(alpha, roots):
+        assert len(row) == mult
+        for a in row:
+            assert a.is_rational or a.elem.field is root.elem.field
+    for fac, idx in _factor_groups(lrr):
+        coords = {tuple(tuple(_coords(_in_field(a, roots[i][0]), len(fac) - 1))
+                        for a in alpha[i]) for i in idx}
+        assert len(coords) == 1
 
 
 def test_golden_covers_every_case():
@@ -143,18 +193,18 @@ def _reconstruct_exact(factor_solutions, n):
     powering: the per-start, per-n reference for the check that
     `trace_system` makes through the trace table."""
     total = Q(0)
-    for fs in factor_solutions:
-        d = len(fs.minpoly) - 1
+    for minpoly, alphas in factor_solutions:
+        d = len(minpoly) - 1
         if d == 1:
-            root_val = Q(-fs.minpoly[0], fs.minpoly[1])
-            a_of_n = sum((a * n**j for j, a in enumerate(fs.alphas)), Q(0))
+            root_val = Q(-minpoly[0], minpoly[1])
+            a_of_n = sum((a * n**j for j, a in enumerate(alphas)), Q(0))
             total += a_of_n * root_val**n
         else:
-            if all(a == 0 for a in fs.alphas):
+            if all(a == 0 for a in alphas):
                 continue
-            fld = fs.alphas[0].field
+            fld = alphas[0].field
             a_of_n = FieldElement.const(fld, Q(0))
-            for j, a in enumerate(fs.alphas):
+            for j, a in enumerate(alphas):
                 if a != 0:
                     a_of_n = a_of_n + a * Q(n**j)
             xi_n = FieldElement.generator(fld).pow(n)
@@ -176,7 +226,7 @@ def test_solutions_match_per_start_reconstruction(key, lrr, start):
     for c in starts:
         sol = exp_poly_solution(lrr, c)
         for n, u in enumerate(eval_terms(lrr, c, 2 * k - 1)):
-            assert _reconstruct_exact(sol.factors, n) == u
+            assert _reconstruct_exact(_per_factor(lrr, sol), n) == u
 
 
 def test_corrupted_power_sum_beyond_degree_raises(monkeypatch):

@@ -13,6 +13,9 @@ from robustlrs.optimize import (mu, nu, min_over_ball,
                                 DominantFamily, DEFAULT_TOL, ExactReal,
                                 _Objective, _exact_min)
 from robustlrs.trig import pi_ival, unit_box
+from robustlrs.decide import Analysis
+from robustlrs.hardness import (build_hardness_lrr, config_from_coeffs,
+                                CoefficientBasisPoint)
 
 from oracles import (point_turns, point_values, residual_box,
                      fraction_enclosure, cos_turn_ival, sin_turn_ival,
@@ -228,6 +231,21 @@ def test_min_over_ball_negative_center():
     fam = DominantFamily(center=center_form, basis=basis)
     out = min_over_ball(fam, Q(1, 2), torus)
     assert out.verdict == "NEGATIVE"
+
+
+@pytest.mark.parametrize("tol", [Q(0), Q(-1)])
+def test_every_minimizer_refuses_nonpositive_tol(tol):
+    """mu, nu and min_over_ball share one tolerance check: before it,
+    min_over_ball returned POSITIVE with a tol of 0 or -1."""
+    q = Q(4, 5)
+    a = Analysis.build(build_hardness_lrr(P35, q), config_from_coeffs(
+        P35, q, CoefficientBasisPoint(3, 1, 0, 0, 0, 0)))
+    fam = DominantFamily(a.form, a.rec.units)
+    for run in (lambda: mu(a.form, a.torus, tol),
+                lambda: nu(a.form, a.torus, tol),
+                lambda: min_over_ball(fam, Q(1, 20), a.torus, tol)):
+        with pytest.raises(ValueError, match="tol must be positive"):
+            run()
 
 
 def test_monotone_refinement():
