@@ -135,7 +135,10 @@ class _BisectionPath:
     Newton enclosure, sharpened when it straddles the line, once sympy's
     own steps have shrunk the rectangle until a Newton step contracts.  A
     side this cannot decide (a root on a horizontal line, or a straddle
-    that persists at high precision) is left to sympy's `eval_rational`.
+    that persists at high precision) is left to sympy's `eval_rational`;
+    for a quadratic, whose root is known exactly, a centre whose box
+    misses the root is an internal fault (sympy 1.14 puts a root of
+    9x^2 - 12x + 8 at 4/3 + 4/3 i).
     """
 
     def __init__(self, r):
@@ -222,9 +225,26 @@ class _BisectionPath:
         # every rectangle here is on sympy's path and no deeper than the
         # request, so sympy's refinement reaches the same rectangle
         centre = _eval_rational(self.root, bits)
+        if self.im_sq is not None and not self._holds_root(centre, bits):
+            raise RuntimeError(
+                f"sympy puts a root of {[int(c) for c in self.poly]} at "
+                f"{centre[0]} + {centre[1]} i, off the exact root")
         self.iv = self.root._get_interval()
         self.rect = _corners(self.iv)
         return centre
+
+    def _holds_root(self, centre: tuple[Fraction, Fraction],
+                    bits: int) -> bool:
+        """Whether the box of half-side 2^-(bits+1) about `centre` holds the
+        quadratic's root: re exactly, and im^2 = im_sq with the sign of
+        this conjugate, by comparing squares."""
+        eps = Q(1, 1 << (bits + 1))
+        re, im = centre
+        if not re - eps <= self.re <= re + eps:
+            return False
+        lo, hi = (-im - eps, -im + eps) if self.conj else (im - eps, im + eps)
+        return (hi >= 0 and hi * hi >= self.im_sq
+                and (lo <= 0 or lo * lo <= self.im_sq))
 
 
 _PATHS: dict = {}

@@ -13,13 +13,14 @@ found once per recurrence and kept in two bounded memos.
 `trace_system` factors the characteristic polynomial once, isolates its
 roots, forms the system's matrix M, checked once against a table of
 traces of powers formed by field multiplication, and inverts it
-(`mat_inv`, fraction-free Gauss-Jordan on integers).  `recurrence` adds
-the spectral data, each root's exact ratio to rho and the dominant forms
-of the unit starts.  A start enters only through its coefficients:
+(`mat_inv`, fraction-free Gauss-Jordan on integers), keeping M and its
+inverse as integers over one denominator each.  `recurrence` adds the
+spectral data, each root's exact ratio to rho and the dominant forms of
+the unit starts.  A start enters only through its coefficients:
 `exp_poly_solution` multiplies out the inverse and checks M a = u
-exactly, reading the trace system alone, and `normalize` gives the
-start's normal form, the dominant form and the list of residual terms
-(`ResidualTerm`), empty when v_n is its dominant part.
+exactly on integers, reading the trace system alone, and `normalize`
+gives the start's normal form, the dominant form and the list of
+residual terms (`ResidualTerm`), empty when v_n is its dominant part.
 `residual_threshold` reads that list, and the orbit scan is built from
 the pair, which its caller computes once per start.
 
@@ -105,7 +106,6 @@ def _check_config(lrr: Lrr, c: InitialConfig):
 def eval_terms(lrr: Lrr, c: InitialConfig, n_max: int) -> list[Fraction]:
     """Exact terms u_0 .. u_{n_max}: w_n / (E * D^n) on the scaled integer
     recurrence."""
-    _check_config(lrr, c)
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
     coeffs, init, D, E = _scaled_integer_recurrence(lrr, c)
@@ -314,8 +314,10 @@ class TraceSystem:
 
     factors: list[tuple[tuple[int, ...], int]]  # factor_int(char poly)
     roots: list[tuple[AlgebraicNumber, int]]
-    mat: list[list[Fraction]]
-    inv: list[list[Fraction]]
+    mat: list[list[int]]            # M = mat / mat_den
+    mat_den: int
+    inv: list[list[int]]            # M^-1 = inv / inv_den
+    inv_den: int
 
 
 @lru_cache(maxsize=256)
@@ -347,8 +349,17 @@ def trace_system(lrr: Lrr) -> TraceSystem:
             for i in range(d):
                 columns.append([n ** j * ps[n + i] for n in range(k)])
     mat = [list(row) for row in zip(*columns)]
-    return TraceSystem(factors=factors, roots=roots, mat=mat,
-                       inv=mat_inv(mat))
+    mat_int, mat_den = _over_one_den(mat)
+    inv_int, inv_den = _over_one_den(mat_inv(mat))
+    return TraceSystem(factors=factors, roots=roots, mat=mat_int,
+                       mat_den=mat_den, inv=inv_int, inv_den=inv_den)
+
+
+def _over_one_den(m: list[list[Fraction]]) -> tuple[list[list[int]], int]:
+    """A rational matrix as integers over the lcm of its denominators."""
+    den = math.lcm(*(v.denominator for row in m for v in row))
+    return [[v.numerator * (den // v.denominator) for v in row]
+            for row in m], den
 
 
 @dataclass
@@ -402,12 +413,19 @@ def exp_poly_solution(lrr: Lrr, c: InitialConfig) -> ExpPolySolution:
 def _solve(system: TraceSystem, c: InitialConfig) -> ExpPolySolution:
     """The solution a = inv u of one start, checked exactly: M a = u, which
     by linearity of the trace is the identity u_n = sum over f of
-    Tr(A_f(n) xi_f^n) for n < k."""
-    coords = [sum((a * u for a, u in zip(row, c.entries)), ZERO)
-              for row in system.inv]
-    if any(sum((a * x for a, x in zip(row, coords)), ZERO) != u
-           for row, u in zip(system.mat, c.entries)):
+    Tr(A_f(n) xi_f^n) for n < k.  With u = U / E over the start's common
+    denominator, a = A / (inv_den E) for the integer vector A = inv U, and
+    the check is mat A = mat_den inv_den U, all on integers; only the
+    coordinates become `Fraction`s."""
+    E = math.lcm(*(u.denominator for u in c.entries))
+    U = [u.numerator * (E // u.denominator) for u in c.entries]
+    A = [sum(a * u for a, u in zip(row, U)) for row in system.inv]
+    scale = system.mat_den * system.inv_den
+    if any(sum(m * x for m, x in zip(row, A)) != scale * u
+           for row, u in zip(system.mat, U)):
         raise RuntimeError("exponential polynomial reconstruction failed")
+    den = system.inv_den * E
+    coords = [Q(x, den) for x in A]
     # conjugate roots share one coordinate vector per power of n, and
     # `isolate_roots` lists each factor's roots in turn, in factor order
     it, roots, alpha = iter(coords), iter(system.roots), []
@@ -720,9 +738,11 @@ def _imul(a_lo: int, a_hi: int, b_lo: int, b_hi: int) -> tuple[int, int]:
 
 def _scaled_integer_recurrence(lrr: Lrr, c: InitialConfig):
     """Integer sequence w_n = E * D^n * u_n with sign(w_n) = sign(u_n):
-    its coefficients, its first k terms, D and E."""
+    its coefficients, its first k terms, D and E.  A start whose length is
+    not the order raises `ValueError`."""
+    _check_config(lrr, c)
     D = math.lcm(*[a.denominator for a in lrr.coeffs])
-    E = math.lcm(*[v.denominator for v in c.entries]) if len(c) else 1
+    E = math.lcm(*[v.denominator for v in c.entries])
     k = lrr.order
     coeffs = [int(lrr.coeffs[j] * D ** (k - j)) for j in range(k)]
     init = [int(v * E * D**n) for n, v in enumerate(c.entries)]

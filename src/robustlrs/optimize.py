@@ -2,9 +2,15 @@
 
 Replaces quantifier elimination with three routes, chosen by structure:
 
-* finite torus (free rank 0): exact algebraic evaluation at every coset;
+* finite torus (free rank 0): exact algebraic evaluation at every coset.
+  When rho is rational and every root a root of unity, the form is
+  written once in cyclotomic fields (`_CycloForm`: root-of-unity
+  indices, the generator check, each coefficient as integers over one
+  denominator), and a coset's value is an index shift plus one integer
+  sum over the integer cos endpoints of the `unit_box` table;
 * a single free conjugate pair: the closed-form range
-  S + [-2|w|, +2|w|] of S + w z + conj(w z), |z| = 1;
+  S + [-2|w|, +2|w|] of S + w z + conj(w z), |z| = 1, with S, the sum of
+  the fixed terms, on the finite-torus route;
 * general: deterministic interval branch-and-bound over the free angles.
   Each box costs one cos/sin pass over its angles and one over its
   midpoint; the plain enclosure, the first-order centered (mean-value)
@@ -13,9 +19,11 @@ Replaces quantifier elimination with three routes, chosen by structure:
   The objective runs on integers at power-of-two scales: turn sums over
   the box's 2^d, weights over 2^bits, cos/sin on the 2^-(bits + 2) grid,
   products exact over 2^(2 bits + 2), sums rounded out to `bits` by
-  shifts, and the centered form exact.  Only the box it reads and the
-  enclosures it returns are `Fraction` intervals, with the endpoints the
-  same operations on `Fraction` intervals give.
+  shifts, and the centered form exact.  `min_over_ball`'s norm term
+  squares and sums those integers and takes `math.isqrt` floors and
+  ceilings.  Only the box the objective reads and the enclosures it
+  returns are `Fraction` intervals, with the endpoints the same
+  operations on `Fraction` intervals give.
 
 The two closed-form routes share one exact finish (`_exact_min`): the
 least of one exact real per coset decides the sign.  A value that its
@@ -34,6 +42,7 @@ import heapq
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Callable, Optional
 
@@ -135,50 +144,84 @@ def _work_bits(tol: Fraction) -> int:
     return k + 32
 
 
-def _cyclo_combo(terms, rho: AlgebraicNumber | None) -> ExactReal | None:
-    """sum alpha_j * zeta_j as an element of Q(zeta_N) when the alphas live
-    in fields generated by rho * (root of unity) with rho rational."""
-    if rho is None or not rho.is_rational:
-        return None
-    r = rho.as_rational()
-    datas = []
-    for alpha, s, zeta_turn in terms:
-        rou = identify_root_of_unity(s)
-        if rou is None:
+class _CycloForm:
+    """A form's terms (alpha_j, s_j) written in cyclotomic fields, found
+    once and read at every coset of a finite torus.
+
+    With rho = r rational, each s_j a root of unity zeta_n^k and r zeta_n^k
+    the generator of alpha_j's field, alpha_j = sum_i a_i r^i zeta_n^(k i)
+    is a vector over Q(zeta_n), indexed by k i mod n.  `vectors` holds
+    these as integers over one denominator D, or None when the form is not
+    of this kind; it is found on first use, since a form whose cosets are
+    all rational never needs it."""
+
+    def __init__(self, terms: list[tuple[AlgebraicNumber, AlgebraicNumber]],
+                 rho: AlgebraicNumber | None):
+        self.terms = terms
+        self.rho = rho
+
+    @cached_property
+    def vectors(self) -> tuple[int, list[tuple[int, list]]] | None:
+        """(D, [(n_j, [(index, numerator), ...]) per term])."""
+        rho = self.rho
+        if rho is None or not rho.is_rational:
             return None
-        datas.append((alpha, rou, zeta_turn))
-    n_all = [n for _, (_, n), _ in datas] + \
-            [t.denominator for _, _, t in datas]
-    N = math.lcm(*n_all) if n_all else 1
-    coeffs = [ZERO] * N
-    for alpha, (k, n), zt in datas:
-        shift = (zt.numerator * (N // zt.denominator)) % N
-        if alpha.is_rational:
-            coeffs[shift] += alpha.as_rational()
-            continue
-        w = (k * (N // n)) % N
-        # gamma = r * zeta_N^w must be the field generator of alpha
-        gb = alpha.elem.field.root_box(96)
-        target = unit_box(Q(w, N), 96) * r
-        if gb.disjoint(target):
+        r = rho.as_rational()
+        rous = []
+        for _alpha, s in self.terms:
+            rou = identify_root_of_unity(s)
+            if rou is None:
+                return None
+            rous.append(rou)
+        rows = []
+        for (alpha, _s), (k, n) in zip(self.terms, rous):
+            if alpha.is_rational:
+                rows.append((n, [(0, alpha.as_rational())]))
+                continue
+            # gamma = r * zeta_n^k must be the field generator of alpha
+            gb = alpha.elem.field.root_box(96)
+            if gb.disjoint(unit_box(Q(k, n), 96) * r):
+                return None
+            rows.append((n, [((k * i) % n, a * r**i)
+                             for i, a in enumerate(alpha.elem.coeffs) if a]))
+        D = math.lcm(*(a.denominator for _, vec in rows for _, a in vec))
+        return D, [(n, [(i, a.numerator * (D // a.denominator))
+                        for i, a in vec]) for n, vec in rows]
+
+    def value(self, turns: list[Fraction]) -> ExactReal | None:
+        """Re sum alpha_j zeta_j at the coset's turns, zeta_j = e^(2 pi i
+        turns[j]), as an element of Q(zeta_N): the coefficient of zeta_N^t
+        is an integer over D, and the refiner sums the integer cos
+        endpoints of `unit_box` at t/N, one `Fraction` per endpoint."""
+        if self.vectors is None:
             return None
-        for i, a in enumerate(alpha.elem.coeffs):
-            if a:
-                coeffs[(shift + w * i) % N] += a * r**i
-    phi_n = [Q(c) for c in cyclotomic(N)]
+        D, rows = self.vectors
+        N = math.lcm(*(n for n, _ in rows), *(t.denominator for t in turns))
+        coeffs = [0] * N
+        for (n, vec), t in zip(rows, turns):
+            shift, step = t.numerator * (N // t.denominator), N // n
+            for i, a in vec:
+                coeffs[(shift + step * i) % N] += a
+        nonzero = [(Q(t, N), c) for t, c in enumerate(coeffs) if c]
 
-    def is_zero() -> bool:
-        _, rem = pdivmod(pnorm(coeffs), phi_n)
-        return not rem
+        def is_zero() -> bool:
+            _, rem = pdivmod(pnorm([Q(c, D) for c in coeffs]),
+                             [Q(c) for c in cyclotomic(N)])
+            return not rem
 
-    def refiner(bits: int) -> Ival:
-        acc = Box.point(0)
-        for t, c in enumerate(coeffs):
-            if c:
-                acc = acc + unit_box(Q(t, N), bits) * c
-        return acc.re
+        def refiner(bits: int) -> Ival:
+            # cos endpoints lie on the 2^-(bits + 2) grid
+            one = 1 << (bits + 2)
+            lo = hi = 0
+            for t, c in nonzero:
+                re = unit_box(t, bits).re
+                a = re.lo.numerator * (one // re.lo.denominator)
+                b = re.hi.numerator * (one // re.hi.denominator)
+                lo, hi = (lo + c * a, hi + c * b) if c > 0 else \
+                    (lo + c * b, hi + c * a)
+            return Ival(Q(lo, D * one), Q(hi, D * one))
 
-    return ExactReal(refiner, is_zero)
+        return ExactReal(refiner, is_zero)
 
 
 def _quadratic_combo(terms) -> ExactReal | None:
@@ -214,15 +257,16 @@ def _quadratic_combo(terms) -> ExactReal | None:
     return ExactReal(lambda bits: total.box(bits).re)
 
 
-def _exact_combo(terms, rho: AlgebraicNumber | None) -> ExactReal:
-    """Re sum alpha_j * zeta_j over (alpha, s, zeta_turn) terms, as exact as
-    achievable: rational, then cyclotomic, then one quadratic field, else a
-    certified refiner with no exact zero test."""
+def _exact_combo(form: _CycloForm, turns: list[Fraction]) -> ExactReal:
+    """Re sum alpha_j * zeta_j over the form's terms at the coset's turns,
+    as exact as achievable: rational, then cyclotomic, then one quadratic
+    field, else a certified refiner with no exact zero test."""
+    terms = [(a, s, t) for (a, s), t in zip(form.terms, turns)]
     if all(a.is_rational and t.denominator <= 2 for a, _, t in terms):
         return ExactReal.of_rational(sum(
             (a.as_rational() * (1 if t == 0 else -1) for a, _, t in terms),
             ZERO))
-    got = _cyclo_combo(terms, rho) or _quadratic_combo(terms)
+    got = form.value(turns) or _quadratic_combo(terms)
     if got is not None:
         return got
 
@@ -233,15 +277,6 @@ def _exact_combo(terms, rho: AlgebraicNumber | None) -> ExactReal:
         return acc.re
 
     return ExactReal(refiner)
-
-
-def _coset_exact_value(form: DominantForm, torus: TorusParam,
-                       coset: int) -> ExactReal:
-    """dominant(c, coset point) on a finite torus, as exact as achievable."""
-    turns = torus.coset_turns[coset]
-    return _exact_combo([(alpha, s, turns[j])
-                         for j, (alpha, s) in enumerate(form.terms)],
-                        form.rho)
 
 
 # ---------------------------------------------------------------------------
@@ -379,7 +414,14 @@ class _Objective:
                  -(-sum(p[1] for p in row) >> shift)) for row in terms]
 
     def evaluate(self, sbox: list[Ival]) -> tuple[list[Ival], list[Ival]]:
-        """(enclosures over sbox, enclosures at its midpoint), one per form.
+        """`ends` as `Ival`s."""
+        return tuple([Ival(Q(lo, 1 << e), Q(hi, 1 << e)) for lo, hi, e in part]
+                     for part in self.ends(sbox))
+
+    def ends(self, sbox: list[Ival]) -> tuple[list[tuple], list[tuple]]:
+        """(enclosures over sbox, enclosures at its midpoint), one per form,
+        each as integers (lo, hi, e) for [lo, hi] / 2^e; e is `bits` except
+        for a centered form 0.
 
         The box's endpoints are dyadic, as the halvings of the branch and
         bound leave them.  Form 0's box enclosure is the plain one
@@ -414,15 +456,12 @@ class _Objective:
         s, up = 3 * bits + 5 + d, 2 * bits + 5 + d
         acc_lo, acc_hi = (at_mid[0][0] << up) - r, (at_mid[0][1] << up) + r
         p_lo, p_hi = plain[0][0] << up, plain[0][1] << up
-        one, top = 1 << bits, 1 << s
         if acc_lo <= p_hi and p_lo <= acc_hi:
-            centered = Ival(Q(max(acc_lo, p_lo), top),
-                            Q(min(acc_hi, p_hi), top))
+            centered = (max(acc_lo, p_lo), min(acc_hi, p_hi), s)
         else:
-            centered = Ival(Q(plain[0][0], one), Q(plain[0][1], one))
-        return ([centered] + [Ival(Q(lo, one), Q(hi, one))
-                              for lo, hi in plain[1:]],
-                [Ival(Q(lo, one), Q(hi, one)) for lo, hi in at_mid])
+            centered = plain[0] + (bits,)
+        return ([centered] + [(lo, hi, bits) for lo, hi in plain[1:]],
+                [(lo, hi, bits) for lo, hi in at_mid])
 
 
 def _branch_and_bound(value_fn, free: int, tol: Fraction,
@@ -541,8 +580,8 @@ def _exact_min(values: list[ExactReal], first: list[Ival],
 
 
 def _finite_torus_min(form, torus, tol, absolute: bool):
-    values = [_coset_exact_value(form, torus, i)
-              for i in range(len(torus.coset_turns))]
+    cyclo = _CycloForm(form.terms, form.rho)
+    values = [_exact_combo(cyclo, turns) for turns in torus.coset_turns]
     first = [v.ival_width(tol / 2) for v in values]
     if absolute:
         values, first = [v.abs() for v in values], [iv.abs() for iv in first]
@@ -574,10 +613,10 @@ def _pair_closed_form(form, torus, tol, absolute: bool):
         return Ival.point(mag2).sqrt(bits) * 2
 
     bits = max(128, _work_bits(tol))
+    fixed = _CycloForm([form.terms[j] for j in fixed_idx], form.rho)
     values, witnesses = [], []
     for coset, turns in enumerate(torus.coset_turns):
-        S = _exact_combo([(form.terms[j][0], form.terms[j][1], turns[j])
-                          for j in fixed_idx], form.rho)
+        S = _exact_combo(fixed, [turns[j] for j in fixed_idx])
         values.append(_pair_value(S, two_mag, mag2, absolute))
         t = _minimizer_turn(alpha, turns[a], e_mult)
         if absolute and (S.ival(bits) + two_mag(bits)).hi < 0:
@@ -665,6 +704,29 @@ class DominantFamily:
     basis: list[DominantForm]
 
 
+def _ball_value(ends: list[tuple], bits: int, radius: Fraction) -> Ival:
+    """value - radius * ||g|| from `_Objective.ends`: the center form's
+    value and the basis forms' gradient entries, the latter over 2^bits.
+    ||g||^2 is an integer over 2^(2 bits) whose square root is floored
+    (lower end) and ceiled (upper end) to 2^-bits, so the endpoints equal
+    those of `Ival.sq`, `Ival.sqrt(bits)` and the radius product on
+    `Fraction`s."""
+    sq_lo = sq_hi = 0
+    for lo, hi, _ in ends[1:]:
+        if lo >= 0:
+            sq_lo, sq_hi = sq_lo + lo * lo, sq_hi + hi * hi
+        elif hi <= 0:
+            sq_lo, sq_hi = sq_lo + hi * hi, sq_hi + lo * lo
+        else:
+            sq_hi += max(lo * lo, hi * hi)
+    r_lo, r_hi = math.isqrt(sq_lo), math.isqrt(sq_hi)
+    r_hi += r_hi * r_hi < sq_hi
+    v_lo, v_hi, e = ends[0]
+    p, q, sh = radius.numerator, radius.denominator, e - bits
+    return Ival(Q(v_lo * q - (r_hi * p << sh), q << e),
+                Q(v_hi * q - (r_lo * p << sh), q << e))
+
+
 def min_over_ball(family: DominantFamily, radius: Fraction,
                   torus: TorusParam, tol: Fraction = DEFAULT_TOL) -> SignOutcome:
     """Enclosure of min over the closed ball x torus of dominant(c + d, t):
@@ -675,14 +737,11 @@ def min_over_ball(family: DominantFamily, radius: Fraction,
         raise ValueError("radius must be positive")
 
     def value_of(obj, sbox):
-        out = []
-        for vals in obj.evaluate(sbox):   # the box, then its midpoint
-            norm_sq = Ival.point(0)
-            for v in vals[1:]:
-                norm_sq = norm_sq + v.sq()
-            out.append(vals[0] - norm_sq.sqrt(obj.bits) * radius)
-        return tuple(out)
+        # the box, then its midpoint
+        return tuple(_ball_value(part, obj.bits, radius)
+                     for part in obj.ends(sbox))
 
     return _with_escalation(
         lambda t: _bb_min([family.center] + family.basis, torus, t, value_of,
                           "ball-bnb", max_boxes=20_000, sign_exit=True), tol)
+

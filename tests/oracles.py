@@ -8,8 +8,10 @@ the closure torus, a direct enclosure of the residual, the orbit scan's
 per-step rotation walk (`RotScan`) and scans of the hardness lab, the
 `Fraction` Horner loop of box evaluation, polynomial composition (the
 root exchange of a quadratic field), the `Fraction` interval forms of
-`cos_turn` and `sin_turn`, the problem document of a parsed spec, and
-the emptying of the recurrence-level memos.
+`cos_turn` and `sin_turn`, the problem document of a parsed spec, the
+`Fraction` forms of the optimizer's finite-torus coset values and
+open-ball norm term and of the start solve, and the emptying of the
+recurrence-level memos.
 The sampling screen is the only user of numpy, which is a test
 dependency, not a runtime one.
 """
@@ -27,12 +29,15 @@ import numpy as np
 from robustlrs.qmath import (Q, ZERO, ONE, is_perfect_square, exact_sqrt,
                              format_rational)
 from robustlrs.interval import Ival, Box
-from robustlrs.poly import int_normalize, padd, pmul
+from robustlrs.poly import (int_normalize, padd, pmul, pnorm, pdivmod,
+                            cyclotomic)
 from robustlrs.algebraic import (AlgebraicNumber, NumberField, FieldElement,
-                                 power_product_is_one)
+                                 power_product_is_one, identify_root_of_unity)
 from robustlrs.lrs import (Lrr, InitialConfig, Ball, SpectralData, spectral,
                            _check_config, ResidualTerm, OrbitScanner,
-                           _scaled_integer_recurrence, _scaled_terms)
+                           _scaled_integer_recurrence, _scaled_terms,
+                           TraceSystem, mat_inv)
+from robustlrs.optimize import ExactReal
 from robustlrs.torus import TorusParam, TorusPoint, root_of_unity_alg
 from robustlrs.trig import pi_ival, rotation_order, unit_box
 from robustlrs import decide, hardness, lrs
@@ -71,6 +76,83 @@ def pcompose(p, q):
     for c in reversed(p):
         acc = padd(pmul(acc, q), (c,))
     return acc
+
+
+# ---------------------------------------------------------------------------
+# the optimizer's finite-torus coset values and open-ball norm term, and
+# the start solve, on `Fraction`s
+
+
+def cyclo_combo_ref(terms, rho: AlgebraicNumber | None) -> ExactReal | None:
+    """sum alpha_j * zeta_j over (alpha, s, zeta_turn) terms as an element
+    of Q(zeta_N), with `Fraction` coefficients and `Box` sums, everything
+    found again for each coset: the reference of
+    `optimize._CycloForm.value`."""
+    if rho is None or not rho.is_rational:
+        return None
+    r = rho.as_rational()
+    datas = []
+    for alpha, s, zeta_turn in terms:
+        rou = identify_root_of_unity(s)
+        if rou is None:
+            return None
+        datas.append((alpha, rou, zeta_turn))
+    n_all = [n for _, (_, n), _ in datas] + \
+            [t.denominator for _, _, t in datas]
+    N = math.lcm(*n_all) if n_all else 1
+    coeffs = [ZERO] * N
+    for alpha, (k, n), zt in datas:
+        shift = (zt.numerator * (N // zt.denominator)) % N
+        if alpha.is_rational:
+            coeffs[shift] += alpha.as_rational()
+            continue
+        w = (k * (N // n)) % N
+        # gamma = r * zeta_N^w must be the field generator of alpha
+        gb = alpha.elem.field.root_box(96)
+        target = unit_box(Q(w, N), 96) * r
+        if gb.disjoint(target):
+            return None
+        for i, a in enumerate(alpha.elem.coeffs):
+            if a:
+                coeffs[(shift + w * i) % N] += a * r**i
+    phi_n = [Q(c) for c in cyclotomic(N)]
+
+    def is_zero() -> bool:
+        _, rem = pdivmod(pnorm(coeffs), phi_n)
+        return not rem
+
+    def refiner(bits: int) -> Ival:
+        acc = Box.point(0)
+        for t, c in enumerate(coeffs):
+            if c:
+                acc = acc + unit_box(Q(t, N), bits) * c
+        return acc.re
+
+    return ExactReal(refiner, is_zero)
+
+
+def ball_value_ref(vals: list[Ival], bits: int, radius: Fraction) -> Ival:
+    """vals[0] - radius * sqrt(sum of vals[j]^2, j >= 1) on `Fraction`
+    intervals: the reference of `optimize._ball_value`."""
+    norm_sq = Ival.point(0)
+    for v in vals[1:]:
+        norm_sq = norm_sq + v.sq()
+    return vals[0] - norm_sq.sqrt(bits) * radius
+
+
+def solve_coords_ref(system: TraceSystem,
+                     c: InitialConfig) -> list[Fraction]:
+    """The coordinates a = M^-1 u of a start, with M and its inverse as
+    `Fraction` matrices (the inverse found again from M) and the check
+    M a = u on `Fraction`s: the reference of `lrs._solve`'s integer
+    products."""
+    mat = [[Q(v, system.mat_den) for v in row] for row in system.mat]
+    coords = [sum((a * u for a, u in zip(row, c.entries)), ZERO)
+              for row in mat_inv(mat)]
+    if any(sum((a * x for a, x in zip(row, coords)), ZERO) != u
+           for row, u in zip(mat, c.entries)):
+        raise RuntimeError("exponential polynomial reconstruction failed")
+    return coords
 
 
 # ---------------------------------------------------------------------------

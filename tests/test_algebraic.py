@@ -546,3 +546,47 @@ def test_replay_falls_back_to_sympy(fresh_roots, monkeypatch):
     replayed, reference = _replay_and_sympy(fresh_roots, monkeypatch, requests)
     assert fallbacks == [64]
     assert replayed == reference
+
+
+# 9x^2 - 12x + 8 has the roots 2/3 +- 2/3 i; sympy 1.14's own refinement
+# puts them at 4/3 +- 4/3 i.
+_NINE = (8, -12, 9)
+
+
+@pytest.mark.parametrize("index", [0, 1])
+def test_root_boxes_hold_the_exact_quadratic_root(fresh_roots, index):
+    fresh_roots()
+    field = NumberField(_NINE, index)
+    im = Q(2, 3) if index == 1 else Q(-2, 3)
+    for bits in (64, 128):
+        box = field.root_box(bits)
+        assert box.contains(Q(2, 3), im) and box.width <= Q(1, 1 << 63)
+
+
+@pytest.mark.parametrize("index", [0, 1])
+def test_fallback_checks_sympys_quadratic_root(fresh_roots, monkeypatch,
+                                               index):
+    """An undecided side hands the request to sympy's `eval_rational`; for
+    a quadratic its centre must hold the exact root, or the request is an
+    internal fault."""
+    fresh_roots()
+    r = algebraic._rootof(_NINE, index)
+    sign = -1 if algebraic._bisection_path(r).conj else 1
+    exact = (Q(2, 3), sign * Q(2, 3))
+    eps = Q(1, 1 << 65)
+    with monkeypatch.context() as m:
+        m.setattr(algebraic, "_eval_rational", lambda r, bits: exact)
+        assert algebraic._bisection_path(r)._fallback(64) == exact
+        for wrong in ((Q(4, 3), sign * Q(4, 3)), (Q(2, 3), -sign * Q(2, 3)),
+                      (Q(2, 3) + 2 * eps, exact[1]),
+                      (Q(2, 3), exact[1] + 2 * eps)):
+            m.setattr(algebraic, "_eval_rational", lambda r, bits: wrong)
+            with pytest.raises(RuntimeError, match="off the exact root"):
+                algebraic._bisection_path(r)._fallback(64)
+    # sympy's own answer is either right or refused
+    fresh_roots()
+    try:
+        re, im = algebraic._bisection_path(r)._fallback(64)
+    except RuntimeError:
+        return
+    assert abs(re - exact[0]) <= eps and abs(im - exact[1]) <= eps

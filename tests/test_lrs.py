@@ -583,3 +583,57 @@ def test_mixed_multiplicity_dominance():
     n0 = residual_threshold(res, Q(1, 100))
     for n in range(n0 + 1, n0 + 40):
         assert abs(residual_box(res, n, 160).re.mid) < Q(1, 100)
+
+
+@pytest.mark.parametrize("n", [3, EXACT_TERMS, EXACT_TERMS + 1, 5000])
+@pytest.mark.parametrize("start", [(1,), (1, 2, 3)], ids=["short", "long"])
+def test_start_length_checked_for_every_n(start, n):
+    """A start whose length is not the order is refused the same way on
+    the exact prefix and past it: before, the prefix returned a sign (or
+    an IndexError) for a start of the wrong length."""
+    c = cfg(*start)
+    for call in (lambda: term_sign(FIB, c, n),
+                 lambda: scaled_term(FIB, c, n),
+                 lambda: exact_zeros_up_to(FIB, c, n)):
+        with pytest.raises(ValueError, match="initial configuration length"):
+            call()
+
+
+def _solution_coords(system, sol):
+    """The coordinates of `sol` in the order of the trace system's
+    unknowns: per factor, per power of n, the field coordinates of its
+    first root's coefficient."""
+    out, row = [], 0
+    for fac, mult in system.factors:
+        d = len(fac) - 1
+        for alpha in sol.alpha[row]:
+            coeffs = ([alpha.as_rational()] if alpha.is_rational
+                      else list(alpha.elem.coeffs))
+            out += coeffs + [Q(0)] * (d - len(coeffs))
+        row += d
+    return out
+
+
+@pytest.mark.parametrize("coeffs", [
+    (Q(3, 2),),                                   # order 1
+    (Q(1), Q(1)),                                 # Fibonacci
+    (Q(1), Q(1), Q(0)),                           # x^3 - x - 1, irreducible
+    (Q(-1), Q(0), Q(-2), Q(0)),                   # (x^2 + 1)^2
+    (Q(-9, 4), Q(3), Q(-4), Q(3)),                # (x - 3/2)^2 (x^2 + 1)
+    (Q(-1), Q(4), Q(-8), Q(10), Q(-8), Q(4)),     # (x - 1)^2 (x^2 - x + 1)^2
+], ids=["order1", "order2", "order3", "order4", "order4-mixed", "order6"])
+def test_solve_matches_fraction_oracle(coeffs):
+    """The integer solve gives the coordinates of the `Fraction` solve,
+    exactly, on non-dyadic starts with zero and negative entries."""
+    from oracles import solve_coords_ref
+    lrr = Lrr(coeffs)
+    system = lrs.trace_system(lrr)
+    k = lrr.order
+    rng = random.Random(30 + k)
+    starts = [cfg(*[int(i == j) for j in range(k)]) for i in range(k)]
+    starts += [cfg(*[Q(rng.randint(-9, 9), rng.choice((1, 3, 5, 7, 12)))
+                     for _ in range(k)]) for _ in range(8)]
+    starts.append(cfg(*[0] * k))
+    for c in starts:
+        got = _solution_coords(system, lrs._solve(system, c))
+        assert got == solve_coords_ref(system, c), c

@@ -129,3 +129,16 @@ def test_no_private_names_imported_across_package_modules():
                             and not (a.name.startswith("__")
                                      and a.name.endswith("__"))]
     assert not private
+
+
+def test_every_oracle_has_a_test():
+    """A slow twin in `tests/oracles.py` stays only while a test uses it:
+    every top-level function there is named in some `tests/test_*.py`."""
+    tests = ROOT / "tests"
+    text = "\n".join(p.read_text(encoding="utf-8")
+                     for p in sorted(tests.glob("test_*.py")))
+    tree = ast.parse((tests / "oracles.py").read_text(encoding="utf-8"))
+    untested = [node.name for node in tree.body
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and not re.search(rf"\b{re.escape(node.name)}\b", text)]
+    assert not untested

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction as Q
 from types import SimpleNamespace
@@ -314,15 +315,16 @@ def test_finite_torus_exact_matches_orbit_cycle():
     """p = 1/2 family: the six exact coset values are exactly the six
     values of one orbit period of the dominant part (dual-route check)."""
     from robustlrs.lrs import eval_terms
-    from robustlrs.optimize import _coset_exact_value
+    from robustlrs.optimize import _CycloForm, _exact_combo
     lrr = hard_lrr(Q(1, 2))
     c = cfg(1, 0, 0, 0, 0, 0)
     form, res = normalize(lrr, c)
     torus = parametrize(relation_lattice([s for _, s in form.terms]))
     assert len(torus.coset_turns) == 6
+    cyclo = _CycloForm(form.terms, form.rho)
     coset_vals = sorted(
-        _coset_exact_value(form, torus, i).ival_width(Q(1, 10**15)).mid
-        for i in range(6))
+        _exact_combo(cyclo, turns).ival_width(Q(1, 10**15)).mid
+        for turns in torus.coset_turns)
     terms = eval_terms(lrr, c, 6)
     orbit_vals = []
     for n in range(1, 7):
@@ -595,3 +597,180 @@ def test_objective_on_no_free_angles():
     want = _FractionObjective(forms, torus, 0, 96).evaluate([])
     assert [[(v.lo, v.hi) for v in part] for part in got] == \
         [[(v.lo, v.hi) for v in part] for part in want]
+
+
+# -- the integer kernels of the finite torus and the open ball -------------
+
+
+def _lrr_of_char(*factors):
+    """The recurrence whose characteristic polynomial is the product of
+    the monic `factors` (coefficients lowest degree first)."""
+    from robustlrs.poly import pmul
+    char = (Q(1),)
+    for f in factors:
+        char = pmul(char, tuple(Q(c) for c in f))
+    return Lrr(tuple(-c for c in char[:-1]))
+
+
+# every dominant root is rho times a root of unity: 2 zeta_n for n = 1, 4,
+# 6; 3/2 zeta_n for n = 2, 3; zeta_8 (quartic fields); zeta_n for n = 1, 6
+# with multiplicity 2
+_CYCLO_LRRS = {
+    "rho=2": _lrr_of_char((-2, 1), (4, 0, 1), (4, -2, 1)),
+    "rho=3/2": _lrr_of_char((Q(3, 2), 1), (Q(9, 4), Q(3, 2), 1)),
+    "zeta8": _lrr_of_char((-1, 1), (1, 0, 0, 0, 1)),
+    "p=1/2": hard_lrr(Q(1, 2)),
+}
+
+
+def _random_turns(rng, k, ns):
+    """k turns whose denominators keep N = lcm(ns, denominators) <= 60."""
+    while True:
+        turns = [Q(rng.randrange(d), d)
+                 for d in (rng.randint(1, 60) for _ in range(k))]
+        if math.lcm(*ns, *(t.denominator for t in turns)) <= 60:
+            return turns
+
+
+def _cyclo_cases(name):
+    """(terms, rho, turns) triples: random non-dyadic starts with zero
+    and negative entries and the all-zero start, at the torus's own coset
+    turns and at random ones; the terms twice over at turns t and t + 1/2
+    (an exact zero); and conjugate roots swapped (no generator)."""
+    lrr = _CYCLO_LRRS[name]
+    k = lrr.order
+    rng = random.Random(name)
+    starts = [cfg(*[Q(rng.randint(-9, 9), rng.choice((1, 3, 5, 7)))
+                    for _ in range(k)]) for _ in range(3)]
+    starts += [cfg(*[0] * k), cfg(*[int(j == 1) for j in range(k)])]
+    for c in starts:
+        form, _ = normalize(lrr, c)
+        torus = parametrize(relation_lattice([s for _, s in form.terms]))
+        ns = [optimize.identify_root_of_unity(s)[1] for _, s in form.terms]
+        turn_sets = list(torus.coset_turns)
+        turn_sets += [_random_turns(rng, len(form.terms), ns)
+                      for _ in range(4)]
+        for turns in turn_sets:
+            yield form.terms, form.rho, list(turns)
+        turns = turn_sets[-1]
+        yield form.terms * 2, form.rho, turns + [t + Q(1, 2) for t in turns]
+        irr = [j for j, (a, _) in enumerate(form.terms) if not a.is_rational]
+        if len(irr) >= 2:
+            i, j = irr[:2]
+            swapped = list(form.terms)
+            swapped[i] = (form.terms[i][0], form.terms[j][1])
+            swapped[j] = (form.terms[j][0], form.terms[i][1])
+            yield swapped, form.rho, turns
+
+
+@pytest.mark.parametrize("name", sorted(_CYCLO_LRRS))
+def test_cyclo_values_match_fraction_oracle(name):
+    """The integer coset values give the endpoints and the zero test of
+    the `Fraction` form, found once per form instead of once per coset."""
+    from oracles import cyclo_combo_ref
+    seen = {"none": 0, "zero": 0, "negative": 0}
+    for terms, rho, turns in _cyclo_cases(name):
+        got = optimize._CycloForm(terms, rho).value(turns)
+        want = cyclo_combo_ref([(a, s, t) for (a, s), t in zip(terms, turns)],
+                               rho)
+        assert (got is None) == (want is None)
+        if got is None:
+            seen["none"] += 1
+            continue
+        for bits in (96, 160, 256, 384):
+            g, w = got.ival(bits), want.ival(bits)
+            assert (g.lo, g.hi) == (w.lo, w.hi), (turns, bits)
+        assert got.is_zero() == want.is_zero()
+        seen["zero"] += got.is_zero()
+        seen["negative"] += got.ival(96).hi < 0
+    assert all(seen.values()), seen
+
+
+def test_finite_torus_setup_once_per_form(monkeypatch):
+    """On the six cosets of the p = 1/2 torus, `mu` identifies each term's
+    root of unity and checks its field generator once, not per coset."""
+    from robustlrs.algebraic import NumberField
+    lrr = hard_lrr(Q(1, 2))
+    form, torus = build_torus(lrr, cfg(3, 1, 0, 2, 1, 5))
+    assert torus.free_rank == 0 and len(torus.coset_turns) == 6
+    irrational = sum(not a.is_rational for a, _ in form.terms)
+    assert irrational >= 1
+    calls = {"rou": 0, "root_box": 0}
+    identify, root_box = optimize.identify_root_of_unity, NumberField.root_box
+
+    def counting_identify(a):
+        calls["rou"] += 1
+        return identify(a)
+
+    def counting_root_box(self, bits):
+        calls["root_box"] += 1
+        return root_box(self, bits)
+
+    monkeypatch.setattr(optimize, "identify_root_of_unity", counting_identify)
+    monkeypatch.setattr(NumberField, "root_box", counting_root_box)
+    for _ in range(2):
+        calls.update(rou=0, root_box=0)
+        out = mu(form, torus)
+        assert out.method == "finite-exact"
+        assert calls == {"rou": len(form.terms), "root_box": irrational}
+
+
+def _ends_to_ivals(part):
+    return [Ival(Q(lo, 1 << e), Q(hi, 1 << e)) for lo, hi, e in part]
+
+
+@pytest.mark.parametrize("bits", (96, 232))
+def test_ball_value_matches_fraction_oracle_on_objective(bits):
+    """The integer norm term gives the `Fraction` one's endpoints on the
+    open-ball objective of p = 3/5, at the boxes and midpoints the branch
+    and bound reads."""
+    from oracles import ball_value_ref
+    forms, torus = _p35_ball_forms()
+    alpha_boxes = [[alpha.box(bits) for alpha, _s in form.terms]
+                   for form in forms]
+    rng = random.Random(bits)
+    for coset in range(len(torus.coset_turns)):
+        obj = _Objective(alpha_boxes, torus, coset, bits)
+        for _ in range(10):
+            sbox = _random_subbox(rng, torus.free_rank,
+                                  rng.randint(0, bits + 8))
+            for part in obj.ends(sbox):
+                for radius in (Q(1, 20), Q(7, 3), Q(1, 10**6), Q(5)):
+                    got = optimize._ball_value(part, bits, radius)
+                    want = ball_value_ref(_ends_to_ivals(part), bits, radius)
+                    assert (got.lo, got.hi) == (want.lo, want.hi)
+
+
+@pytest.mark.parametrize("bits", (96, 160, 256, 384))
+def test_ball_value_matches_fraction_oracle_on_random_ends(bits):
+    """As above on drawn endpoints: gradient entries above, below and
+    across 0, points, zeros, perfect and non-perfect squares, and a value
+    over 2^bits or over a finer power of two."""
+    from oracles import ball_value_ref
+    rng = random.Random(bits)
+    scale = 1 << bits
+    for case in range(300):
+        ends = []
+        e0 = bits + rng.choice((0, 0, 5, 2 * bits + 9))
+        v = rng.randint(-4 << e0, 4 << e0)
+        width = rng.randint(0, 1 << (e0 - rng.randint(0, 40)))
+        ends.append((v, v + width, e0))
+        for _ in range(rng.randint(0, 6)):
+            kind = rng.randrange(5)
+            a = rng.randint(0, 3 * scale)
+            b = a + rng.randint(0, scale >> rng.randint(0, bits))
+            if kind == 0:
+                ends.append((a, b, bits))
+            elif kind == 1:
+                ends.append((-b, -a, bits))
+            elif kind == 2:
+                ends.append((-a, b, bits))
+            elif kind == 3:
+                ends.append((a, a, bits))
+            else:
+                r = rng.randint(0, 1 << 40)
+                ends.append((r << (bits // 2), r << (bits // 2), bits))
+        radius = Q(rng.randint(1, 10**6), rng.randint(1, 10**6))
+        got = optimize._ball_value(ends, bits, radius)
+        want = ball_value_ref(_ends_to_ivals(ends), bits, radius)
+        assert (got.lo, got.hi) == (want.lo, want.hi), (case, ends, radius)
