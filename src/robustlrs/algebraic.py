@@ -135,19 +135,20 @@ class _BisectionPath:
     Newton enclosure, sharpened when it straddles the line, once sympy's
     own steps have shrunk the rectangle until a Newton step contracts.  A
     side this cannot decide (a root on a horizontal line, or a straddle
-    that persists at high precision) is left to sympy's `eval_rational`;
-    for a quadratic, whose root is known exactly, a centre whose box
-    misses the root is an internal fault (sympy 1.14 puts a root of
-    9x^2 - 12x + 8 at 4/3 + 4/3 i).
+    that persists at high precision) is left to sympy's `eval_rational`.
+    For a quadratic, whose root is known exactly, every rectangle taken
+    from sympy (the isolating one, a deeper cached one, the one after a
+    fallback) and every centre it returns is checked against the root, and
+    one that misses it is an internal fault: sympy 1.14 refines a root of
+    9x^2 - 12x + 8 to 4/3 + 4/3 i.
     """
 
     def __init__(self, r):
         self.root = r
         self.cache = rootoftools._complexes_cache
-        self.iv = r._get_interval()
-        self.conj = self.iv.conj
+        iv = r._get_interval()
+        self.conj = iv.conj
         self.imaginary = bool(r.is_imaginary)
-        self.rect = _corners(self.iv)
         coeffs = [int(c) for c in reversed(r.poly.all_coeffs())]
         self.poly = tuple(Q(c) for c in coeffs)
         self.deriv = pderiv(self.poly)
@@ -156,7 +157,20 @@ class _BisectionPath:
         if len(coeffs) == 3:
             c, b, a = coeffs
             self.re, self.im_sq = Q(-b, 2 * a), Q(4 * a * c - b * b, 4 * a * a)
+        self._adopt(iv)
         self.enc: Box | None = None
+
+    def _adopt(self, iv):
+        """Continue from sympy's rectangle `iv`; for a quadratic, whose
+        root is known exactly, a rectangle that misses the root is an
+        internal fault."""
+        self.iv = iv
+        self.rect = _corners(iv)
+        if self.im_sq is not None and not self._rect_holds_root():
+            u, v, s, t = self.rect
+            raise RuntimeError(
+                f"sympy isolates a root of {[int(c) for c in self.poly]} in "
+                f"[{u}, {s}] + [{v}, {t}] i, off the exact root")
 
     def centre(self, bits: int) -> tuple[Fraction, Fraction]:
         eps = Q(1, 1 << (bits + 1))
@@ -164,8 +178,8 @@ class _BisectionPath:
         iv = self.root._get_interval()
         if _frac(iv.dx) <= s - u and _frac(iv.dy) <= t - v:
             # sympy's cached rectangle is at least as deep: continue from it
-            self.iv = iv
-            u, v, s, t = self.rect = _corners(iv)
+            self._adopt(iv)
+            u, v, s, t = self.rect
         while not (s - u < eps and t - v < eps):
             if self.im_sq is None and self.enc is None:
                 self.iv = self.iv._inner_refine()
@@ -229,9 +243,16 @@ class _BisectionPath:
             raise RuntimeError(
                 f"sympy puts a root of {[int(c) for c in self.poly]} at "
                 f"{centre[0]} + {centre[1]} i, off the exact root")
-        self.iv = self.root._get_interval()
-        self.rect = _corners(self.iv)
+        self._adopt(self.root._get_interval())
         return centre
+
+    def _rect_holds_root(self) -> bool:
+        """Whether the rectangle (u, v)-(s, t) holds the quadratic's root:
+        re exactly, and im^2 = im_sq with im >= 0 in sympy's coordinates,
+        by comparing squares."""
+        u, v, s, t = self.rect
+        return (u <= self.re <= s and t >= 0 and t * t >= self.im_sq
+                and (v <= 0 or v * v <= self.im_sq))
 
     def _holds_root(self, centre: tuple[Fraction, Fraction],
                     bits: int) -> bool:

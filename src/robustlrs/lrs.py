@@ -28,17 +28,22 @@ Terms up to `EXACT_TERMS` are exact, on the scaled integer recurrence
 w_n = E * D^n * u_n.  Past it, the sign of a term comes from
 `OrbitScanner`, a certified scan of the real number v_n = u_n/(n^m
 rho^n): per term it holds only the alpha endpoints, the exponent of n,
-the base point and the power point, and one error count serves every
-term.  Both representations stay in this module: `term_sign` gives one
-exact sign, `prefix_scan` the positivity check of a whole prefix, and an
-orbit enclosure that holds 0 is settled for both by the same precision
-ladder from the start's normal form.
+the base point and the power point, one error count serves them all,
+and each term does only the integer work its shape needs.  Both
+representations stay in this module: `term_sign` gives one exact sign,
+`prefix_scan` the positivity check of a whole prefix, and an orbit
+enclosure that holds 0 is settled for both by one exact zero scan and
+the precision ladder above the scan's own precision, from the start's
+normal form.  The zero scan `exact_zeros_up_to` filters modulo a prime
+on a window of the last k terms.
 """
 
 from __future__ import annotations
 
+import collections
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -672,6 +677,15 @@ class OrbitScanner:
     largest -npow (`enclosure`).  v_n is real, so only the real part of
     each alpha * base^n is summed.  `normal` is the start's (form,
     residual terms) pair from `normalize`.
+
+    Each term's shape is fixed when the scanner is built, and each step
+    and enclosure does only the work it needs: a real base (its point
+    has imaginary part 0) keeps a real power, stepped with one product;
+    a real alpha forms no imaginary product; the product of two integer
+    intervals takes the two end products their signs pick (`_imul`); and
+    n^0 is never formed: a term whose power of n over the common
+    denominator is 0 is summed as it is, and a scan without negative
+    powers of n keeps one denominator.
     """
 
     def __init__(self, normal: tuple[DominantForm, list[ResidualTerm]],
@@ -689,7 +703,6 @@ class OrbitScanner:
         den = math.lcm(*(x.denominator for e in ends for x in e))
         self._alpha = [tuple(x.numerator * (den // x.denominator) for x in e)
                        for e in ends]
-        self._npow = [npow for _, _, npow in triples]
         scale = 1 << bits
         self._base = []
         for _, b, _ in triples:
@@ -698,12 +711,15 @@ class OrbitScanner:
         self._power = [(scale, 0)] * len(triples)
         self.err = 0  # ulps of euclidean error on every base^n
         self._den = den << bits
-        self._npow_max = max([0] + [-t for t in self._npow])
+        self._npow_max = max([0] + [-npow for _, _, npow in triples])
+        # the power of n that scales each term over the common denominator
+        self._nexp = [npow + self._npow_max for _, _, npow in triples]
         self.n = 0
 
     def step(self):
         s = self.bits
-        self._power = [((vr * br - vi * bi) >> s, (vr * bi + vi * br) >> s)
+        self._power = [((vr * br) >> s, 0) if not bi else
+                       ((vr * br - vi * bi) >> s, (vr * bi + vi * br) >> s)
                        for (vr, vi), (br, bi) in zip(self._power, self._base)]
         # |v| <= 1 + err; multiplying by the approximate base adds its own
         # error (3 ulps: box mid to true value) plus truncation; keep an
@@ -718,22 +734,43 @@ class OrbitScanner:
             raise RuntimeError("scan value defined for n >= 1")
         e = self.err + 2
         lo = hi = 0
-        for (ar_lo, ar_hi, ai_lo, ai_hi), (vr, vi), npow in zip(
-                self._alpha, self._power, self._npow):
+        for (ar_lo, ar_hi, ai_lo, ai_hi), (vr, vi), k in zip(
+                self._alpha, self._power, self._nexp):
             # re(alpha box * power box) = ar pr - ai pi
             re_lo, re_hi = _imul(ar_lo, ar_hi, vr - e, vr + e)
             if ai_lo or ai_hi:  # else the ai product is the point 0
                 b_lo, b_hi = _imul(ai_lo, ai_hi, vi - e, vi + e)
                 re_lo, re_hi = re_lo - b_hi, re_hi - b_lo
-            s = n ** (npow + self._npow_max)
-            lo += re_lo * s
-            hi += re_hi * s
-        return lo, hi, self._den * n ** self._npow_max
+            if k:
+                s = n ** k
+                re_lo, re_hi = re_lo * s, re_hi * s
+            lo += re_lo
+            hi += re_hi
+        if self._npow_max:
+            return lo, hi, self._den * n ** self._npow_max
+        return lo, hi, self._den
 
 
 def _imul(a_lo: int, a_hi: int, b_lo: int, b_hi: int) -> tuple[int, int]:
-    p = (a_lo * b_lo, a_lo * b_hi, a_hi * b_lo, a_hi * b_hi)
-    return min(p), max(p)
+    """[a_lo, a_hi] * [b_lo, b_hi]: the two of the four end products that
+    the factors' signs pick; only when both straddle 0 are all four formed."""
+    if a_lo >= 0:
+        if b_lo >= 0:
+            return a_lo * b_lo, a_hi * b_hi
+        if b_hi <= 0:
+            return a_hi * b_lo, a_lo * b_hi
+        return a_hi * b_lo, a_hi * b_hi
+    if a_hi <= 0:
+        if b_lo >= 0:
+            return a_lo * b_hi, a_hi * b_lo
+        if b_hi <= 0:
+            return a_hi * b_hi, a_lo * b_lo
+        return a_lo * b_hi, a_lo * b_lo
+    if b_lo >= 0:
+        return a_lo * b_hi, a_hi * b_hi
+    if b_hi <= 0:
+        return a_hi * b_lo, a_lo * b_lo
+    return min(a_lo * b_hi, a_hi * b_lo), max(a_lo * b_lo, a_hi * b_hi)
 
 
 def _scaled_integer_recurrence(lrr: Lrr, c: InitialConfig):
@@ -775,11 +812,14 @@ def exact_zeros_up_to(lrr: Lrr, c: InitialConfig, n_max: int) -> list[int]:
     among them (usually none); one exact pass up to the largest candidate
     keeps the true ones."""
     coeffs, init, _, _ = _scaled_integer_recurrence(lrr, c)
-    k, p = lrr.order, _FILTER_PRIME
-    seq = [v % p for v in init]
-    for n in range(k, n_max + 1):
-        seq.append(sum(coeffs[j] * seq[n - k + j] for j in range(k)) % p)
-    candidates = [n for n in range(min(n_max + 1, len(seq))) if seq[n] == 0]
+    p = _FILTER_PRIME
+    window = collections.deque((v % p for v in init), maxlen=len(init))
+    candidates = [n for n, v in enumerate(window) if v == 0 and n <= n_max]
+    for n in range(len(init), n_max + 1):
+        v = sum(map(operator.mul, coeffs, window)) % p
+        if v == 0:
+            candidates.append(n)
+        window.append(v)
     if not candidates:
         return []
     exact = itertools.islice(_scaled_terms(coeffs, init), candidates[-1] + 1)
@@ -787,8 +827,10 @@ def exact_zeros_up_to(lrr: Lrr, c: InitialConfig, n_max: int) -> list[int]:
 
 
 # Terms u_n with n <= EXACT_TERMS are evaluated exactly on the scaled
-# integer recurrence; past it, signs come from the certified orbit scan.
+# integer recurrence; past it, signs come from the certified orbit scan at
+# _SCAN_BITS, and up the precision ladder where its enclosure holds 0.
 EXACT_TERMS = 4096
+_SCAN_BITS = 192
 
 
 def term_sign(lrr: Lrr, c: InitialConfig, n: int) -> int:
@@ -796,28 +838,32 @@ def term_sign(lrr: Lrr, c: InitialConfig, n: int) -> int:
     if n <= EXACT_TERMS:
         w, _ = scaled_term(lrr, c, n)
         return (w > 0) - (w < 0)
-    return _orbit_sign(lrr, c, n, normalize(lrr, c))
+    normal = normalize(lrr, c)
+    sign = _scan_sign(normal, n, _SCAN_BITS)
+    return _orbit_sign(lrr, c, n, normal) if sign is None else sign
+
+
+def _scan_sign(normal, n: int, bits: int) -> int | None:
+    """The sign of v_n from one orbit scan of n steps at `bits`, or None
+    when its enclosure holds 0."""
+    sc = OrbitScanner(normal, bits)
+    for _ in range(n):
+        sc.step()
+    lo, hi, _ = sc.enclosure()
+    return 1 if lo > 0 else -1 if hi < 0 else None
 
 
 def _orbit_sign(lrr: Lrr, c: InitialConfig, n: int,
                 normal: tuple[DominantForm, list[ResidualTerm]]) -> int:
-    """Exact sign of u_n past `EXACT_TERMS`: the orbit scan from the
-    start's normal form, on the precision ladder, with one exact zero scan
-    once an enclosure holds 0."""
-    zero_scanned = False
-    for bits in precisions(192, "term sign"):
-        sc = OrbitScanner(normal, bits)
-        for _ in range(n):
-            sc.step()
-        lo, hi, _ = sc.enclosure()
-        if lo > 0:
-            return 1
-        if hi < 0:
-            return -1
-        # an enclosure holding 0 at every precision may be an exact zero
-        if not zero_scanned and n in exact_zeros_up_to(lrr, c, n):
-            return 0
-        zero_scanned = True
+    """Exact sign of u_n past `EXACT_TERMS` once its orbit enclosure at
+    `_SCAN_BITS` holds 0: the exact zero scan, then the orbit scan from the
+    start's normal form on the precision ladder from 2 * `_SCAN_BITS`."""
+    if n in exact_zeros_up_to(lrr, c, n):
+        return 0
+    for bits in precisions(2 * _SCAN_BITS, "term sign"):
+        sign = _scan_sign(normal, n, bits)
+        if sign is not None:
+            return sign
 
 
 def prefix_scan(lrr: Lrr, c: InitialConfig, n_thr: int, normal):
@@ -849,7 +895,7 @@ def prefix_scan(lrr: Lrr, c: InitialConfig, n_thr: int, normal):
         return 0, v0, None
     # the least lower bound is kept as an integer pair (numerator, denominator)
     low = None
-    sc = OrbitScanner(normal, 192)
+    sc = OrbitScanner(normal, _SCAN_BITS)
     for n in range(1, n_thr + 1):
         sc.step()
         lo, hi, den = sc.enclosure()

@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 from fractions import Fraction as Q
@@ -590,3 +591,59 @@ def test_fallback_checks_sympys_quadratic_root(fresh_roots, monkeypatch,
     except RuntimeError:
         return
     assert abs(re - exact[0]) <= eps and abs(im - exact[1]) <= eps
+
+
+def test_sympy_rectangle_off_the_quadratic_root_raises(fresh_roots,
+                                                       monkeypatch):
+    """After sympy's own refinement of a root of 9x^2 - 12x + 8 to a
+    rectangle about 4/3 + 4/3 i, a replay that would take that rectangle,
+    when it is built or as a deeper cached one in `centre`, raises
+    instead of seeding the field."""
+    import sympy
+    monkeypatch.setattr(algebraic, "_field_cache",
+                        functools.lru_cache(maxsize=None)(NumberField))
+    dx = sympy.Rational(1, 1 << 65)
+    fresh_roots()
+    algebraic._rootof(_NINE, 1).eval_rational(dx=dx, dy=dx)
+    with pytest.raises(RuntimeError, match="off the exact root"):
+        NumberField(_NINE, 1).root_box(64)
+    fresh_roots()
+    r = algebraic._rootof(_NINE, 1)
+    path = algebraic._bisection_path(r)
+    r.eval_rational(dx=dx, dy=dx)
+    with pytest.raises(RuntimeError, match="off the exact root"):
+        path.centre(64)
+
+
+def test_rectangle_check_on_every_side(fresh_roots):
+    """The rectangle check compares the exact root with each side: a
+    rectangle beside, below or above 2/3 + 2/3 i (sympy's coordinates)
+    misses it, one around it or with the root on its edge holds it."""
+    fresh_roots()
+    path = algebraic._bisection_path(algebraic._rootof(_NINE, 1))
+    h = Q(1, 1 << 20)
+    r = Q(2, 3)
+    for rect, holds in [((r - h, r - h, r + h, r + h), True),
+                        ((r, r, r + h, r + h), True),
+                        ((r - h, r - h, r, r), True),
+                        ((r + h, r - h, r + 2 * h, r + h), False),
+                        ((r - 2 * h, r - h, r - h, r + h), False),
+                        ((r - h, r + h, r + h, r + 2 * h), False),
+                        ((r - h, r - 2 * h, r + h, r - h), False),
+                        ((r - h, -r - h, r + h, -r + h), False)]:
+        path.rect = rect
+        assert path._rect_holds_root() is holds, rect
+
+
+@pytest.mark.parametrize("coeffs", [(Q(-8, 9), Q(4, 3)),
+                                    (Q(-18, 25), Q(6, 5))],
+                         ids=["9x^2-12x+8", "25x^2-30x+18"])
+def test_positivity_on_quadratics_sympy_misplaces(fresh_roots, coeffs):
+    # sympy's eval_rational puts these roots at twice their value; the
+    # replay's rectangles hold them, so the answer stands
+    from robustlrs.decide import Analysis, exists_robust_positivity
+    from robustlrs.lrs import InitialConfig
+    fresh_roots()
+    start = InitialConfig((Q(1), Q(0)))
+    assert exists_robust_positivity(
+        Analysis.build(Lrr(coeffs), start)).verdict == "NO"

@@ -483,6 +483,16 @@ def test_plot_orbit_bytes_pinned():
         "86c22a12fd013ef163f93f1b51300633a8d7e483568d1c22dde453c113543e34"
 
 
+def test_plot_orbit_bytes_pinned_alternating():
+    # u_n = 2 - (-1)^n - 3 (-1/4)^n: negative alphas on alternating real
+    # powers, the last sinking into the scan's error band
+    p = run_cli(["plot", "--kind", "orbit", "--range", "100", "--problem", "-"],
+                stdin='{"coeffs":["1/4","1","-1/4"],"init":["-2","15/4","13/16"]}')
+    assert p.returncode == 0, p.stderr
+    assert hashlib.sha256(p.stdout.encode()).hexdigest() == \
+        "49c0fe50b608291e89eb5a633aaed7906e1f4e11479dff02c207b56e38f580f7"
+
+
 @pytest.fixture
 def no_int_digit_limit():
     """Lift Python's int/str digit limit (3.11+) for the test, then restore it."""

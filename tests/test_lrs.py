@@ -397,6 +397,23 @@ def test_term_sign_past_the_exact_prefix(monkeypatch):
     assert len(scans) == 1
 
 
+def test_exact_sign_ladder_climbs_from_the_scan_precision(monkeypatch):
+    """An enclosure holding 0 at the scan's 192 bits goes on at 384, 768,
+    ...: no rung repeats a precision already scanned."""
+    n = EXACT_TERMS + 4
+    lin = Lrr((Q(-1), Q(2)))
+    c = cfg(-n, 1 - n)
+    monkeypatch.setattr(OrbitScanner, "enclosure", lambda self: (-1, 1, 1))
+    monkeypatch.setattr(qmath, "MAX_BITS", 768)
+    scanned = []
+    real = OrbitScanner.__init__
+    monkeypatch.setattr(OrbitScanner, "__init__", lambda self, normal, bits:
+                        scanned.append(bits) or real(self, normal, bits))
+    with pytest.raises(qmath.PrecisionExhausted, match="term sign"):
+        term_sign(lin, c, n + 1)
+    assert scanned == [192, 384, 768]
+
+
 def test_filter_prime():
     import sympy
     from robustlrs.lrs import _FILTER_PRIME

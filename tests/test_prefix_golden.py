@@ -123,6 +123,46 @@ def test_long_positivity_analyses_the_start_once(monkeypatch, shape_,
         assert calls["_orbit_sign"] == 0
 
 
+# (n - 5000)^2: u_5000 = 0 is the only term that is not positive
+SQUARE = (Lrr((Q(1), Q(-3), Q(3))),
+          InitialConfig((Q(25000000), Q(24990001), Q(24980004))))
+
+
+def _count_scan_calls(monkeypatch):
+    """Counts of `OrbitScanner.step` and `OrbitScanner.enclosure` calls."""
+    calls = {"step": 0, "enclosure": 0}
+    for name in calls:
+        real = getattr(OrbitScanner, name)
+
+        def counting(self, real=real, name=name):
+            calls[name] += 1
+            return real(self)
+        monkeypatch.setattr(OrbitScanner, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize("shape_, steps", [(M1301, 4860), (M4201, 4269),
+                                           (REPEATED, 6000)],
+                         ids=["m1301", "m4201", "repeated"])
+def test_long_positivity_scan_work(monkeypatch, shape_, steps):
+    """One step and one enclosure per term scanned: the count of
+    `OrbitScanner.step` calls is the benchmark's measure of this work."""
+    calls = _count_scan_calls(monkeypatch)
+    clear_analysis_memos()
+    exists_robust_positivity(Analysis.build(*shape_))
+    assert calls == {"step": steps, "enclosure": steps}
+
+
+def test_exact_sign_continues_from_the_prefix_scan(monkeypatch):
+    """A term past `EXACT_TERMS` whose scan enclosure holds 0 goes from the
+    scan straight to the zero scan, without scanning the same n steps
+    again at the same precision."""
+    calls = _count_scan_calls(monkeypatch)
+    d = exists_robust_positivity(Analysis.build(*SQUARE))
+    assert d.verdict == "NO" and d.certificate.violating_index == 5000
+    assert calls["step"] == 5000
+
+
 def test_shapes_as_built():
     # the golden values belong to exactly these recurrences
     assert M1301[0].coeffs == (Q(-1300, 1301), Q(2601, 1301))
@@ -236,6 +276,18 @@ SCAN_CASES = {
     "repeated-root": REPEATED,
     # (x - 1)(x - 1/2)^2: a residual term n * 2^-n, npow = +1
     "positive-npow": shape([([Q(1)], Q(1), 1), ([Q(2), Q(5)], Q(1, 2), 2)]),
+    # alpha -1 on the base r = 1 - 1/4201
+    "negative-alpha": M4201,
+    # 2 - (-1)^n + 3 (-9/10)^n: alternating powers, dominant and residual
+    "alternating": shape([([Q(2)], Q(1), 1), ([Q(-1)], Q(-1), 1),
+                          ([Q(3)], Q(-9, 10), 1)]),
+    # 1 - 3 (-1/4)^n + 2 (1/3)^n: powers that sink into the error band
+    "sinking": shape([([Q(1)], Q(1), 1), ([Q(-3)], Q(-1, 4), 1),
+                      ([Q(2)], Q(1, 3), 1)]),
+    # 1 + (r^n - conj(r)^n)/(r - conj(r)), r = (1 + i)/4: alphas with real
+    # part 0 on a sinking complex pair
+    "sinking-complex": (Lrr((Q(1, 8), Q(-5, 8), Q(3, 2))),
+                        InitialConfig((Q(1), Q(2), Q(3, 2)))),
 }
 
 
@@ -249,6 +301,26 @@ def test_scanner_enclosure_matches_fraction_formula(name):
         lo, hi, den = sc.enclosure()
         v = fraction_enclosure(sc, normal).re
         assert (Q(lo, den), Q(hi, den)) == (v.lo, v.hi), sc.n
+
+
+def _sign_case(lo, hi):
+    return "+" if lo >= 0 else "-" if hi <= 0 else "0"
+
+
+def test_scan_cases_reach_every_sign_case():
+    """Over the 300 steps above, the real products alpha_re * power_re of
+    `SCAN_CASES` meet all nine sign cases of `lrs._imul`: alpha's real
+    part >= 0, <= 0 or straddling 0, times a power box >= 0, <= 0 or
+    straddling 0 (a power sunk into the error band)."""
+    seen = set()
+    for lrr, c in SCAN_CASES.values():
+        sc = OrbitScanner(normalize(lrr, c), 160)
+        for _ in range(300):
+            sc.step()
+            e = sc.err + 2
+            for (ar_lo, ar_hi, _, _), (vr, _) in zip(sc._alpha, sc._power):
+                seen.add((_sign_case(ar_lo, ar_hi), _sign_case(vr - e, vr + e)))
+    assert len(seen) == 9
 
 
 def test_enclosure_before_the_first_step_is_an_internal_fault():
