@@ -143,8 +143,7 @@ def emit_plot_data(spec: ProblemSpec, kind: str, count: int) -> str:
             if n == 0:
                 buf.write(f"0,{format_rational(u)},{decimal_str(u, 12)}\n")
                 continue
-            sc.step()
-            lo, hi, den = sc.enclosure()
+            lo, hi, den = sc.step()
             v_mid = Q(lo + hi, 2 * den)
             buf.write(f"{n},{format_rational(u)},{decimal_str(v_mid, 12)}\n")
         return buf.getvalue()

@@ -27,9 +27,10 @@ the pair, which its caller computes once per start.
 Terms up to `EXACT_TERMS` are exact, on the scaled integer recurrence
 w_n = E * D^n * u_n.  Past it, the sign of a term comes from
 `OrbitScanner`, a certified scan of the real number v_n = u_n/(n^m
-rho^n): per term it holds only the alpha endpoints, the exponent of n,
-the base point and the power point, one error count serves them all,
-and each term does only the integer work its shape needs.  Both
+rho^n), one call of `step` per n: per term it holds one integer record of
+the alpha endpoints, the base point, the power point and the exponent of
+n, updated in place, one error count serves them all, each term does only
+the integer work its shape needs, and a base of 1 is never stepped.  Both
 representations stay in this module: `term_sign` gives one exact sign,
 `prefix_scan` the positivity check of a whole prefix, and an orbit
 enclosure that holds 0 is settled for both by one exact zero scan and
@@ -551,10 +552,11 @@ def residual_threshold(res: list[ResidualTerm], eps: Fraction) -> int:
     A probe compares floor/ceiling 128-bit dyadic bounds of beta^n with
     the share and multiplies out the exact integer powers only when they
     straddle it, so N is exactly the index the rational comparison
-    gives."""
+    gives.  Its caller passes half of a certified positive bound, so
+    eps <= 0 is an internal fault (`RuntimeError`)."""
     eps = Q(eps)
     if eps <= 0:
-        raise ValueError("eps must be positive")
+        raise RuntimeError("eps must be positive")
     if not res:
         return 0
     per_term = eps / len(res)
@@ -664,7 +666,7 @@ def _dyadic_pow(bn: int, bd: int, n: int):
 
 class OrbitScanner:
     """Sequential certified enclosures of the real number
-    v_n = v_n^dom + v_n^res.
+    v_n = v_n^dom + v_n^res, one call of `step` per n.
 
     Each term's base^n is tracked as a dyadic point (c + d i)/2^bits with
     additive error: multiplication by a unit-modulus number is an isometry
@@ -674,18 +676,21 @@ class OrbitScanner:
     ulps of 2^-bits, serves them all.  Every term's alpha enclosure is held
     as integer endpoints over one common denominator, so the enclosure of
     v_n is computed on integers, over `den * 2^bits * n^P` with P the
-    largest -npow (`enclosure`).  v_n is real, so only the real part of
-    each alpha * base^n is summed.  `normal` is the start's (form,
-    residual terms) pair from `normalize`.
+    largest -npow.  v_n is real, so only the real part of each
+    alpha * base^n is summed.  `normal` is the start's (form, residual
+    terms) pair from `normalize`.
 
-    Each term's shape is fixed when the scanner is built, and each step
-    and enclosure does only the work it needs: a real base (its point
-    has imaginary part 0) keeps a real power, stepped with one product;
-    a real alpha forms no imaginary product; the product of two integer
-    intervals takes the two end products their signs pick (`_imul`); and
-    n^0 is never formed: a term whose power of n over the common
-    denominator is 0 is summed as it is, and a scan without negative
-    powers of n keeps one denominator.
+    Each term is one mutable integer record, built once with its shape,
+    and `step` updates it in place and does only the work the shape needs:
+    a base of exactly 1 is never multiplied; a real base (its point has
+    imaginary part 0) keeps a real power, stepped with one product; a real
+    alpha forms no imaginary product, and when its sign is fixed and the
+    power lies above the error band its two end products are written out;
+    only the other products of two integer intervals go through `_imul`,
+    which takes the two end products the factors' signs pick; and n^0 is
+    never formed: a term whose power of n over the common denominator is 0
+    is summed as it is, and a scan without negative powers of n keeps one
+    denominator.
     """
 
     def __init__(self, normal: tuple[DominantForm, list[ResidualTerm]],
@@ -701,49 +706,61 @@ class OrbitScanner:
             ab = a.refine(Q(1, 1 << bits))
             ends.append((ab.re.lo, ab.re.hi, ab.im.lo, ab.im.hi))
         den = math.lcm(*(x.denominator for e in ends for x in e))
-        self._alpha = [tuple(x.numerator * (den // x.denominator) for x in e)
-                       for e in ends]
         scale = 1 << bits
-        self._base = []
-        for _, b, _ in triples:
+        npow_max = max([0] + [-npow for _, _, npow in triples])
+        # one record per term: alpha ends (re lo, re hi, im lo, im hi) over
+        # den, base point, power point, the power of n that scales the term
+        # over the common denominator, whether the base moves the power,
+        # and the sign of a real alpha (0 for a complex or straddling one)
+        self._terms = []
+        for e, (_, b, npow) in zip(ends, triples):
+            ar_lo, ar_hi, ai_lo, ai_hi = (x.numerator * (den // x.denominator)
+                                          for x in e)
             bb = b.refine(Q(1, scale * 4))
-            self._base.append((int(bb.re.mid * scale), int(bb.im.mid * scale)))
-        self._power = [(scale, 0)] * len(triples)
+            br, bi = int(bb.re.mid * scale), int(bb.im.mid * scale)
+            sign = 0 if ai_lo or ai_hi else \
+                1 if ar_lo >= 0 else -1 if ar_hi <= 0 else 0
+            self._terms.append([ar_lo, ar_hi, ai_lo, ai_hi, br, bi, scale, 0,
+                                npow + npow_max, (br, bi) != (scale, 0), sign])
         self.err = 0  # ulps of euclidean error on every base^n
         self._den = den << bits
-        self._npow_max = max([0] + [-npow for _, _, npow in triples])
-        # the power of n that scales each term over the common denominator
-        self._nexp = [npow + self._npow_max for _, _, npow in triples]
+        self._npow_max = npow_max
         self.n = 0
 
-    def step(self):
+    def step(self) -> tuple[int, int, int]:
+        """Advance every power to the next n and return (lo, hi, den):
+        integers with lo/den <= v_n <= hi/den, den > 0."""
         s = self.bits
-        self._power = [((vr * br) >> s, 0) if not bi else
-                       ((vr * br - vi * bi) >> s, (vr * bi + vi * br) >> s)
-                       for (vr, vi), (br, bi) in zip(self._power, self._base)]
         # |v| <= 1 + err; multiplying by the approximate base adds its own
         # error (3 ulps: box mid to true value) plus truncation; keep an
         # integral, safely-rounded-up bound
-        self.err += 7 + (self.err >> (s - 8))
-        self.n += 1
-
-    def enclosure(self) -> tuple[int, int, int]:
-        """(lo, hi, den): integers with lo/den <= v_n <= hi/den, den > 0."""
-        n = self.n
-        if n < 1:
-            raise RuntimeError("scan value defined for n >= 1")
-        e = self.err + 2
+        err = self.err = self.err + 7 + (self.err >> (s - 8))
+        n = self.n = self.n + 1
+        e = err + 2
         lo = hi = 0
-        for (ar_lo, ar_hi, ai_lo, ai_hi), (vr, vi), k in zip(
-                self._alpha, self._power, self._nexp):
+        for t in self._terms:
+            ar_lo, ar_hi, ai_lo, ai_hi, br, bi, vr, vi, k, moves, sign = t
+            if moves:
+                if bi:
+                    vr, vi = (vr * br - vi * bi) >> s, (vr * bi + vi * br) >> s
+                    t[7] = vi
+                else:
+                    vr = (vr * br) >> s
+                t[6] = vr
             # re(alpha box * power box) = ar pr - ai pi
-            re_lo, re_hi = _imul(ar_lo, ar_hi, vr - e, vr + e)
-            if ai_lo or ai_hi:  # else the ai product is the point 0
-                b_lo, b_hi = _imul(ai_lo, ai_hi, vi - e, vi + e)
-                re_lo, re_hi = re_lo - b_hi, re_hi - b_lo
+            if sign and vr > e:
+                if sign > 0:
+                    re_lo, re_hi = ar_lo * (vr - e), ar_hi * (vr + e)
+                else:
+                    re_lo, re_hi = ar_lo * (vr + e), ar_hi * (vr - e)
+            else:
+                re_lo, re_hi = _imul(ar_lo, ar_hi, vr - e, vr + e)
+                if ai_lo or ai_hi:  # else the ai product is the point 0
+                    b_lo, b_hi = _imul(ai_lo, ai_hi, vi - e, vi + e)
+                    re_lo, re_hi = re_lo - b_hi, re_hi - b_lo
             if k:
-                s = n ** k
-                re_lo, re_hi = re_lo * s, re_hi * s
+                m = n ** k
+                re_lo, re_hi = re_lo * m, re_hi * m
             lo += re_lo
             hi += re_hi
         if self._npow_max:
@@ -848,8 +865,7 @@ def _scan_sign(normal, n: int, bits: int) -> int | None:
     when its enclosure holds 0."""
     sc = OrbitScanner(normal, bits)
     for _ in range(n):
-        sc.step()
-    lo, hi, _ = sc.enclosure()
+        lo, hi, _ = sc.step()
     return 1 if lo > 0 else -1 if hi < 0 else None
 
 
@@ -893,14 +909,16 @@ def prefix_scan(lrr: Lrr, c: InitialConfig, n_thr: int, normal):
     v0 = c.entries[0]
     if v0 <= 0:
         return 0, v0, None
-    # the least lower bound is kept as an integer pair (numerator, denominator)
+    # the least lower bound is kept as an integer pair (numerator,
+    # denominator); while the denominator stays the same, the numerators
+    # alone are compared
     low = None
-    sc = OrbitScanner(normal, _SCAN_BITS)
+    step = OrbitScanner(normal, _SCAN_BITS).step
     for n in range(1, n_thr + 1):
-        sc.step()
-        lo, hi, den = sc.enclosure()
+        lo, hi, den = step()
         if lo > 0:
-            if low is None or lo * low[1] < low[0] * den:
+            if low is None or (lo < low[0] if den == low[1]
+                               else lo * low[1] < low[0] * den):
                 low = (lo, den)
             continue
         if n <= EXACT_TERMS:

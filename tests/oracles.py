@@ -4,8 +4,9 @@ The package runs none of these: a float-screen sampling oracle for the
 decisions (`brute_force_check`), exact companion-matrix powers and
 hyperplane distances, exact orbit points and parametrization points of
 the closure torus, a direct enclosure of the residual, the orbit scan's
-`Fraction` formula, the exact check of the order-6 rotation block, the
-per-step rotation walk (`RotScan`) and scans of the hardness lab, the
+`Fraction` formula and its two-call integer form (`OrbitScannerRef`), the
+exact check of the order-6 rotation block, the per-step rotation walk
+(`RotScan`) and scans of the hardness lab, the
 `Fraction` Horner loop of box evaluation, polynomial composition (the
 root exchange of a quadratic field), the `Fraction` interval forms of
 `cos_turn` and `sin_turn`, the problem document of a parsed spec, the
@@ -313,6 +314,12 @@ def residual_box(res: list[ResidualTerm], n: int, bits: int = 128) -> Box:
     return acc
 
 
+def scanner_powers(sc: OrbitScanner) -> list[tuple[int, int]]:
+    """Every term's power point (c, d), base^n ~ (c + d i)/2^bits, read
+    from the scanner's live term records."""
+    return [(t[6], t[7]) for t in sc._terms]
+
+
 def fraction_enclosure(sc: OrbitScanner, normal,
                        dominant_only: bool = False) -> Box:
     """The `Fraction` interval formula over the scanner's state at its
@@ -329,12 +336,73 @@ def fraction_enclosure(sc: OrbitScanner, normal,
     scale = 1 << sc.bits
     e = Q(sc.err + 2, scale)
     acc = Box.point(0)
-    for (alpha, npow), (vr, vi) in zip(terms, sc._power):
+    for (alpha, npow), (vr, vi) in zip(terms, scanner_powers(sc)):
         ab = alpha.refine(Q(1, scale))
         pr, pi = Q(vr, scale), Q(vi, scale)
         pw = Box(Ival(pr - e, pr + e), Ival(pi - e, pi + e))
         acc = acc + ab * pw * (Q(n) ** npow)
     return acc
+
+
+class OrbitScannerRef:
+    """The orbit scan with one call to advance and one to read: `step`
+    rebuilds the list of power points, `enclosure` sums every term through
+    `lrs._imul` and multiplies a base of 1 like any other.  The reference
+    of `lrs.OrbitScanner`, whose `step` returns the same (lo, hi, den) and
+    leaves the same power points (`scanner_powers`), `err` and `n`."""
+
+    def __init__(self, normal, bits: int):
+        self.bits = bits
+        form, res = normal
+        triples = [(a, b, 0) for a, b in form.terms] + \
+                  [(t.alpha, t.base, t.npow) for t in res]
+        ends = []
+        for a, _, _ in triples:
+            ab = a.refine(Q(1, 1 << bits))
+            ends.append((ab.re.lo, ab.re.hi, ab.im.lo, ab.im.hi))
+        den = math.lcm(*(x.denominator for e in ends for x in e))
+        self._alpha = [tuple(x.numerator * (den // x.denominator) for x in e)
+                       for e in ends]
+        scale = 1 << bits
+        self._base = []
+        for _, b, _ in triples:
+            bb = b.refine(Q(1, scale * 4))
+            self._base.append((int(bb.re.mid * scale), int(bb.im.mid * scale)))
+        self._power = [(scale, 0)] * len(triples)
+        self.err = 0
+        self._den = den << bits
+        self._npow_max = max([0] + [-npow for _, _, npow in triples])
+        self._nexp = [npow + self._npow_max for _, _, npow in triples]
+        self.n = 0
+
+    def step(self):
+        s = self.bits
+        self._power = [((vr * br) >> s, 0) if not bi else
+                       ((vr * br - vi * bi) >> s, (vr * bi + vi * br) >> s)
+                       for (vr, vi), (br, bi) in zip(self._power, self._base)]
+        self.err += 7 + (self.err >> (s - 8))
+        self.n += 1
+
+    def enclosure(self) -> tuple[int, int, int]:
+        n = self.n
+        if n < 1:
+            raise RuntimeError("scan value defined for n >= 1")
+        e = self.err + 2
+        lo = hi = 0
+        for (ar_lo, ar_hi, ai_lo, ai_hi), (vr, vi), k in zip(
+                self._alpha, self._power, self._nexp):
+            re_lo, re_hi = lrs._imul(ar_lo, ar_hi, vr - e, vr + e)
+            if ai_lo or ai_hi:
+                b_lo, b_hi = lrs._imul(ai_lo, ai_hi, vi - e, vi + e)
+                re_lo, re_hi = re_lo - b_hi, re_hi - b_lo
+            if k:
+                s = n ** k
+                re_lo, re_hi = re_lo * s, re_hi * s
+            lo += re_lo
+            hi += re_hi
+        if self._npow_max:
+            return lo, hi, self._den * n ** self._npow_max
+        return lo, hi, self._den
 
 
 # ---------------------------------------------------------------------------

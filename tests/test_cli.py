@@ -559,6 +559,23 @@ def test_broken_invariant_exits_internal(tmp_path, monkeypatch, capsys):
                    "have equal length\n")
 
 
+def test_nonpositive_threshold_eps_exits_internal(tmp_path, monkeypatch,
+                                                  capsys):
+    # the tail stage hands residual_threshold half of a certified positive
+    # minimum; a non-positive eps there is an internal fault (4), not a
+    # usage error (3)
+    from robustlrs import decide, lrs
+    problem = tmp_path / "fib.json"
+    problem.write_text(FIB_POS)
+    monkeypatch.setattr(decide, "residual_threshold",
+                        lambda res, eps: lrs.residual_threshold(res, -eps))
+    clear_analysis_memos()
+    code = main(["decide", "exists-robust-positivity", "--problem", str(problem)])
+    assert code == 4
+    assert capsys.readouterr().err == ("internal error: RuntimeError: eps "
+                                       "must be positive\n")
+
+
 @pytest.mark.parametrize("ns", [{"command": "bogus"},
                                 {"command": "lab", "lab_command": "bogus"}])
 def test_unhandled_command_exits_internal(monkeypatch, capsys, ns):

@@ -183,7 +183,7 @@ def test_prefix_margin_zero_after_exact_confirmation(monkeypatch):
     r = 1 - Q(1, 1301)
     lrr = Lrr((-r, 1 + r))                      # roots 1 and r
     c = cfg(1 + Q(1, 21), r + Q(1, 21))         # u_n = 1/21 + r^n
-    real = OrbitScanner.enclosure
+    real = OrbitScanner.step
 
     def no_bound_at_3000(self):
         out = real(self)
@@ -191,7 +191,7 @@ def test_prefix_margin_zero_after_exact_confirmation(monkeypatch):
 
     a = Analysis.build(lrr, c)
     assert exists_robust_positivity(a).certificate.prefix_margin > 0
-    monkeypatch.setattr(OrbitScanner, "enclosure", no_bound_at_3000)
+    monkeypatch.setattr(OrbitScanner, "step", no_bound_at_3000)
     d = exists_robust_positivity(Analysis.build(lrr, c))
     assert d.verdict == "YES" and d.certificate.threshold > 4096
     assert d.certificate.prefix_margin == 0

@@ -282,8 +282,7 @@ def test_orbit_scanner_matches_exact():
     terms = eval_terms(FIB, c, 300)
     rho = spectral(FIB).rho
     for n in range(1, 300):
-        sc.step()
-        lo, hi, den = sc.enclosure()
+        lo, hi, den = sc.step()
         vb = Ival(Q(lo, den), Q(hi, den))
         # v_n = u_n / rho^n: check containment via rho box powering
         rb = rho.box(200).pow(n, 224)
@@ -386,7 +385,7 @@ def test_term_sign_past_the_exact_prefix(monkeypatch):
     lin = Lrr((Q(-1), Q(2)))                    # u_t = t - n: zero at n
     c = cfg(-n, 1 - n)
     assert [term_sign(lin, c, t) for t in (n - 1, n, n + 1)] == [-1, 0, 1]
-    monkeypatch.setattr(OrbitScanner, "enclosure", lambda self: (-1, 1, 1))
+    monkeypatch.setattr(OrbitScanner, "step", lambda self: (-1, 1, 1))
     monkeypatch.setattr(qmath, "MAX_BITS", 384)
     scans = []
     real = lrs.exact_zeros_up_to
@@ -403,7 +402,7 @@ def test_exact_sign_ladder_climbs_from_the_scan_precision(monkeypatch):
     n = EXACT_TERMS + 4
     lin = Lrr((Q(-1), Q(2)))
     c = cfg(-n, 1 - n)
-    monkeypatch.setattr(OrbitScanner, "enclosure", lambda self: (-1, 1, 1))
+    monkeypatch.setattr(OrbitScanner, "step", lambda self: (-1, 1, 1))
     monkeypatch.setattr(qmath, "MAX_BITS", 768)
     scanned = []
     real = OrbitScanner.__init__

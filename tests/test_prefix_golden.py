@@ -27,7 +27,8 @@ from robustlrs.lrs import (InitialConfig, Lrr, OrbitScanner, _term_threshold,
                            normalize)
 from robustlrs.poly import pmul
 
-from oracles import clear_analysis_memos, fraction_enclosure
+from oracles import (OrbitScannerRef, clear_analysis_memos,
+                     fraction_enclosure, scanner_powers)
 
 
 def shape(terms):
@@ -129,15 +130,14 @@ SQUARE = (Lrr((Q(1), Q(-3), Q(3))),
 
 
 def _count_scan_calls(monkeypatch):
-    """Counts of `OrbitScanner.step` and `OrbitScanner.enclosure` calls."""
-    calls = {"step": 0, "enclosure": 0}
-    for name in calls:
-        real = getattr(OrbitScanner, name)
+    """Counts of `OrbitScanner.step` calls."""
+    calls = {"step": 0}
+    real = OrbitScanner.step
 
-        def counting(self, real=real, name=name):
-            calls[name] += 1
-            return real(self)
-        monkeypatch.setattr(OrbitScanner, name, counting)
+    def counting(self):
+        calls["step"] += 1
+        return real(self)
+    monkeypatch.setattr(OrbitScanner, "step", counting)
     return calls
 
 
@@ -145,12 +145,12 @@ def _count_scan_calls(monkeypatch):
                                            (REPEATED, 6000)],
                          ids=["m1301", "m4201", "repeated"])
 def test_long_positivity_scan_work(monkeypatch, shape_, steps):
-    """One step and one enclosure per term scanned: the count of
-    `OrbitScanner.step` calls is the benchmark's measure of this work."""
+    """One step, which returns the enclosure, per term scanned: the count
+    of `OrbitScanner.step` calls is the benchmark's measure of this work."""
     calls = _count_scan_calls(monkeypatch)
     clear_analysis_memos()
     exists_robust_positivity(Analysis.build(*shape_))
-    assert calls == {"step": steps, "enclosure": steps}
+    assert calls == {"step": steps}
 
 
 def test_exact_sign_continues_from_the_prefix_scan(monkeypatch):
@@ -297,8 +297,7 @@ def test_scanner_enclosure_matches_fraction_formula(name):
     normal = normalize(lrr, c)
     sc = OrbitScanner(normal, 160)
     for _ in range(300):
-        sc.step()
-        lo, hi, den = sc.enclosure()
+        lo, hi, den = sc.step()
         v = fraction_enclosure(sc, normal).re
         assert (Q(lo, den), Q(hi, den)) == (v.lo, v.hi), sc.n
 
@@ -309,21 +308,58 @@ def _sign_case(lo, hi):
 
 def test_scan_cases_reach_every_sign_case():
     """Over the 300 steps above, the real products alpha_re * power_re of
-    `SCAN_CASES` meet all nine sign cases of `lrs._imul`: alpha's real
-    part >= 0, <= 0 or straddling 0, times a power box >= 0, <= 0 or
-    straddling 0 (a power sunk into the error band)."""
+    `SCAN_CASES` meet all nine sign cases of an interval product, written
+    out or through `lrs._imul`: alpha's real part >= 0, <= 0 or straddling
+    0, times a power box >= 0, <= 0 or straddling 0 (a power sunk into the
+    error band)."""
     seen = set()
     for lrr, c in SCAN_CASES.values():
         sc = OrbitScanner(normalize(lrr, c), 160)
         for _ in range(300):
             sc.step()
             e = sc.err + 2
-            for (ar_lo, ar_hi, _, _), (vr, _) in zip(sc._alpha, sc._power):
+            for (ar_lo, ar_hi, *_), (vr, _) in zip(sc._terms,
+                                                   scanner_powers(sc)):
                 seen.add((_sign_case(ar_lo, ar_hi), _sign_case(vr - e, vr + e)))
     assert len(seen) == 9
 
 
-def test_enclosure_before_the_first_step_is_an_internal_fault():
-    sc = OrbitScanner(normalize(*SCAN_CASES["fibonacci"]), 160)
-    with pytest.raises(RuntimeError, match="n >= 1"):
-        sc.enclosure()
+# the shapes of `SCAN_CASES` and two more: 1 + 3/2^n, whose power sinks
+# below the error count, and -1/10 + 1/2^n, a negative alpha on a base of 1
+REF_CASES = {
+    **SCAN_CASES,
+    "half": shape([([Q(1)], Q(1), 1), ([Q(3)], Q(1, 2), 1)]),
+    "negative-alpha-on-1": shape([([Q(-1, 10)], Q(1), 1),
+                                  ([Q(1)], Q(1, 2), 1)]),
+}
+
+
+def test_scanner_steps_match_the_two_call_reference():
+    """Every step of `OrbitScanner` gives the (lo, hi, den) of
+    `oracles.OrbitScannerRef`'s step and enclosure, and leaves the same
+    power points, error count and n, for n <= 3000 at the scan's 192 bits.
+    Together the cases reach every path of a term: a base of 1, a real and
+    a complex base; a real alpha of either sign over a power above the
+    error band (written out) or sunk into it (`_imul`), and a complex
+    alpha."""
+    paths = set()
+    for name, (lrr, c) in REF_CASES.items():
+        normal = normalize(lrr, c)
+        sc, ref = OrbitScanner(normal, 192), OrbitScannerRef(normal, 192)
+        for _ in range(3000):
+            out = sc.step()
+            ref.step()
+            assert out == ref.enclosure(), (name, sc.n)
+            assert (scanner_powers(sc), sc.err, sc.n) == \
+                (ref._power, ref.err, ref.n)
+            e = sc.err + 2
+            for ar_lo, ar_hi, ai_lo, ai_hi, br, bi, vr, *_ in sc._terms:
+                paths.add(("base", "1" if (br, bi) == (1 << 192, 0)
+                           else "complex" if bi else "real"))
+                paths.add(("alpha", "complex" if ai_lo or ai_hi else
+                           "+" if ar_lo >= 0 else "-" if ar_hi <= 0 else "0",
+                           vr > e))
+    assert paths == {("base", "1"), ("base", "real"), ("base", "complex"),
+                     ("alpha", "+", True), ("alpha", "+", False),
+                     ("alpha", "-", True), ("alpha", "-", False),
+                     ("alpha", "complex", True), ("alpha", "complex", False)}
