@@ -41,7 +41,7 @@ from .hardness import (build_hardness_lrr, cone_contains, compute_params,
 from .serialize import (QUESTIONS, ProblemSpec, ProblemError, parse_problem,
                         report_json, sign_outcome_json, algebraic_json,
                         decimal_str, ival_json, check_ball, check_count,
-                        parse_rat_at)
+                        parse_rat_at, json_text)
 
 CONFIG_ENV = "ROBUSTLRS_CONFIG"
 
@@ -71,10 +71,6 @@ def _write_out(text: str, out_path: str | None):
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _json(doc) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 def _provenance(tol, prefix_cap, height_bound, lattice_complete) -> dict:
@@ -247,14 +243,14 @@ def _eval(args, spec):
 
 def _roots(args, spec):
     roots = isolate_roots(spec.lrr.char_poly())
-    return _json([dict(algebraic_json(a), multiplicity=m)
-                  for a, m in roots]), EXIT_YES
+    return json_text([dict(algebraic_json(a), multiplicity=m)
+                      for a, m in roots]), EXIT_YES
 
 
 def _torus(args, spec, height_bound):
     par = closure_torus(spec.lrr, height_bound)
     lat = par.lattice
-    return _json({
+    return json_text({
         "k": lat.k,
         "generators": lat.generators,
         "complete": lat.complete,
@@ -271,7 +267,7 @@ def _mu(args, spec, tol, height_bound):
     analysis = Analysis.build(spec.lrr, spec.init, height_bound)
     out = (nu_op if args.absolute else mu_op)(analysis.form,
                                               analysis.torus, tol)
-    return _json(sign_outcome_json(out)), EXIT_YES
+    return json_text(sign_outcome_json(out)), EXIT_YES
 
 
 def _plot(args, spec):
@@ -280,36 +276,36 @@ def _plot(args, spec):
 
 def _lab_build(args):
     lrr = build_hardness_lrr(args.p, args.q)
-    return _json({"coeffs": [format_rational(a) for a in lrr.coeffs],
-                  "char_poly_factored": "(x-1)^2 (x^2 - 2px + 1)^2",
-                  "p": format_rational(args.p)}), EXIT_YES
+    return json_text({"coeffs": [format_rational(a) for a in lrr.coeffs],
+                      "char_poly_factored": "(x-1)^2 (x^2 - 2px + 1)^2",
+                      "p": format_rational(args.p)}), EXIT_YES
 
 
 def _lab_cone(args):
     inside, margin = cone_contains(args.z, args.x, args.y)
-    return (_json({"inside": inside, "margin": ival_json(margin)}),
+    return (json_text({"inside": inside, "margin": ival_json(margin)}),
             EXIT_YES if inside else EXIT_NO)
 
 
 def _lab_ball_term(args):
     params = compute_params(args.ell, args.eps, args.p, args.q)
     iv = min_ball_term(args.n, params)
-    return _json({"n": args.n, "term": ival_json(iv),
-                  "psi": format_rational(params.psi),
-                  "n2": params.n2}), EXIT_YES
+    return json_text({"n": args.n, "term": ival_json(iv),
+                      "psi": format_rational(params.psi),
+                      "n2": params.n2}), EXIT_YES
 
 
 def _lab_approx_L(args):
     est = approximate_L(args.p, args.q, args.eps, args.horizon)
-    return _json({"interval": ival_json(est.interval),
-                  "horizon": est.horizon, "probes": est.probes,
-                  "horizon_exhausted": est.horizon_exhausted,
-                  "note": est.note}), EXIT_YES
+    return json_text({"interval": ival_json(est.interval),
+                      "horizon": est.horizon, "probes": est.probes,
+                      "horizon_exhausted": est.horizon_exhausted,
+                      "note": est.note}), EXIT_YES
 
 
 def _lab_prefix_L(args):
     iv = lagrange_prefix(args.p, args.q, args.n)
-    return _json({"interval": ival_json(iv), "n": args.n}), EXIT_YES
+    return json_text({"interval": ival_json(iv), "n": args.n}), EXIT_YES
 
 
 def _verb(parent, name, help, handler, *arguments, problem=True,

@@ -583,20 +583,20 @@ def approximate_L(p, q, eps, horizon_cap: int = 10**6) -> LEstimate:
         prefix = prefixes[params.n2]
         hi = min(hi, max(prefix.hi, ZERO))
         res = scan_ball_terms(params, params.n2, horizon_cap)
-        if res[0] == "clean":
+        clean = res[0] == "clean"
+        if clean:
             # min over the tail of n[2 pi n theta] > 2 q' - eps_a
             tail_lo = (2 * qprime - eps_a) / (2 * pi_iv.hi)
             lo = max(lo, min(prefix.lo, max(tail_lo, ZERO)))
-            if prefix.hi <= lo + eps:
-                break
         else:
-            bound = (2 * qprime + eps_a) / (2 * pi_iv.lo)
-            hi = min(hi, bound)
-        if hi < lo:
-            lo, hi = min(lo, hi), max(lo, hi)
-        if (lo, hi) == before:
-            break  # slack floor reached: more probes cannot tighten
-    return LEstimate(interval=Ival(lo, max(hi, lo)), horizon=horizon_cap,
+            hi = min(hi, (2 * qprime + eps_a) / (2 * pi_iv.lo))
+        if hi < lo:   # both ends are certified
+            raise RuntimeError(f"certified bounds crossed: [{lo}, {hi}]")
+        # stop at the prefix minimum, or at the slack floor, where more
+        # probes cannot tighten
+        if (clean and prefix.hi <= lo + eps) or (lo, hi) == before:
+            break
+    return LEstimate(interval=Ival(lo, hi), horizon=horizon_cap,
                      probes=probes, horizon_exhausted=exhausted)
 
 

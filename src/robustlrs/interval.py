@@ -4,10 +4,11 @@
 rounded (containment preserving).  `round_out` coarsens endpoints to
 dyadics so denominators stay bounded in long computations.
 
-Hot loops run on integer numerators instead: `box_ends` writes a box as
-endpoints (re lo, re hi, im lo, im hi) over one denominator, and
-`mul_ends` is the box product on such endpoints, exactly what
-`Box.__mul__` gives on the same values.
+Hot loops run on integer numerators, with this module's one integer
+interval product `imul` (per term in `lrs.OrbitScanner.step`): `box_ends`
+writes a box as endpoints (re lo, re hi, im lo, im hi) over one
+denominator, and `mul_ends`, four `imul`s, is the box product on such
+endpoints, exactly what `Box.__mul__` gives on the same values.
 """
 
 from __future__ import annotations
@@ -218,17 +219,39 @@ def box_ends(z: Box) -> tuple[tuple, int]:
     return tuple(e.numerator * (D // e.denominator) for e in ends), D
 
 
+def imul(a_lo: int, a_hi: int, b_lo: int, b_hi: int) -> tuple[int, int]:
+    """[a_lo, a_hi] * [b_lo, b_hi] on integer endpoints: the two of the four
+    end products that the factors' signs pick, which are their min and
+    max; only when both straddle 0 are all four formed."""
+    if a_lo >= 0:
+        if b_lo >= 0:
+            return a_lo * b_lo, a_hi * b_hi
+        if b_hi <= 0:
+            return a_hi * b_lo, a_lo * b_hi
+        return a_hi * b_lo, a_hi * b_hi
+    if a_hi <= 0:
+        if b_lo >= 0:
+            return a_lo * b_hi, a_hi * b_lo
+        if b_hi <= 0:
+            return a_hi * b_hi, a_lo * b_lo
+        return a_lo * b_hi, a_lo * b_lo
+    if b_lo >= 0:
+        return a_lo * b_hi, a_hi * b_hi
+    if b_hi <= 0:
+        return a_hi * b_lo, a_lo * b_lo
+    return min(a_lo * b_hi, a_hi * b_lo), max(a_lo * b_lo, a_hi * b_hi)
+
+
 def mul_ends(a: tuple, b: tuple) -> tuple:
     """The product of two boxes given as integer endpoints (re lo, re hi,
     im lo, im hi) over denominators A and B, as endpoints over A*B.  Each
-    interval product is the min and max of four as in `Ival.__mul__`, so
+    interval product is an `imul`, the min and max of `Ival.__mul__`, so
     the values are those `Box.__mul__` gives."""
     ar, Ar, ai, Ai = a
     cr, Cr, ci, Ci = b
     # re = a.re b.re - a.im b.im, im = a.re b.im + a.im b.re
-    rr = (ar * cr, ar * Cr, Ar * cr, Ar * Cr)
-    ii = (ai * ci, ai * Ci, Ai * ci, Ai * Ci)
-    ri = (ar * ci, ar * Ci, Ar * ci, Ar * Ci)
-    ir = (ai * cr, ai * Cr, Ai * cr, Ai * Cr)
-    return (min(rr) - max(ii), max(rr) - min(ii),
-            min(ri) + min(ir), max(ri) + max(ir))
+    rr_lo, rr_hi = imul(ar, Ar, cr, Cr)
+    ii_lo, ii_hi = imul(ai, Ai, ci, Ci)
+    ri_lo, ri_hi = imul(ar, Ar, ci, Ci)
+    ir_lo, ir_hi = imul(ai, Ai, cr, Cr)
+    return rr_lo - ii_hi, rr_hi - ii_lo, ri_lo + ir_lo, ri_hi + ir_hi

@@ -30,7 +30,8 @@ w_n = E * D^n * u_n.  Past it, the sign of a term comes from
 rho^n), one call of `step` per n: per term it holds one integer record of
 the alpha endpoints, the base point, the power point and the exponent of
 n, updated in place, one error count serves them all, each term does only
-the integer work its shape needs, and a base of 1 is never stepped.  Both
+the integer work its shape needs (its products by `interval.imul`), and a
+base of 1 is never stepped.  Both
 representations stay in this module: `term_sign` gives one exact sign,
 `prefix_scan` the positivity check of a whole prefix, and an orbit
 enclosure that holds 0 is settled for both by one exact zero scan and
@@ -50,7 +51,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .qmath import Q, ZERO, ONE, precisions, is_perfect_square, exact_sqrt
-from .interval import Ival, Box
+from .interval import Ival, Box, imul
 from . import poly as P
 from .poly import pnorm
 from .algebraic import (AlgebraicNumber, FieldElement, NumberField,
@@ -686,8 +687,9 @@ class OrbitScanner:
     imaginary part 0) keeps a real power, stepped with one product; a real
     alpha forms no imaginary product, and when its sign is fixed and the
     power lies above the error band its two end products are written out;
-    only the other products of two integer intervals go through `_imul`,
-    which takes the two end products the factors' signs pick; and n^0 is
+    only the other products of two integer intervals go through
+    `interval.imul`, which takes the two end products the factors' signs
+    pick; and n^0 is
     never formed: a term whose power of n over the common denominator is 0
     is summed as it is, and a scan without negative powers of n keeps one
     denominator.
@@ -754,9 +756,9 @@ class OrbitScanner:
                 else:
                     re_lo, re_hi = ar_lo * (vr + e), ar_hi * (vr - e)
             else:
-                re_lo, re_hi = _imul(ar_lo, ar_hi, vr - e, vr + e)
+                re_lo, re_hi = imul(ar_lo, ar_hi, vr - e, vr + e)
                 if ai_lo or ai_hi:  # else the ai product is the point 0
-                    b_lo, b_hi = _imul(ai_lo, ai_hi, vi - e, vi + e)
+                    b_lo, b_hi = imul(ai_lo, ai_hi, vi - e, vi + e)
                     re_lo, re_hi = re_lo - b_hi, re_hi - b_lo
             if k:
                 m = n ** k
@@ -766,28 +768,6 @@ class OrbitScanner:
         if self._npow_max:
             return lo, hi, self._den * n ** self._npow_max
         return lo, hi, self._den
-
-
-def _imul(a_lo: int, a_hi: int, b_lo: int, b_hi: int) -> tuple[int, int]:
-    """[a_lo, a_hi] * [b_lo, b_hi]: the two of the four end products that
-    the factors' signs pick; only when both straddle 0 are all four formed."""
-    if a_lo >= 0:
-        if b_lo >= 0:
-            return a_lo * b_lo, a_hi * b_hi
-        if b_hi <= 0:
-            return a_hi * b_lo, a_lo * b_hi
-        return a_hi * b_lo, a_hi * b_hi
-    if a_hi <= 0:
-        if b_lo >= 0:
-            return a_lo * b_hi, a_hi * b_lo
-        if b_hi <= 0:
-            return a_hi * b_hi, a_lo * b_lo
-        return a_lo * b_hi, a_lo * b_lo
-    if b_lo >= 0:
-        return a_lo * b_hi, a_hi * b_hi
-    if b_hi <= 0:
-        return a_hi * b_lo, a_lo * b_lo
-    return min(a_lo * b_hi, a_hi * b_lo), max(a_lo * b_lo, a_hi * b_hi)
 
 
 def _scaled_integer_recurrence(lrr: Lrr, c: InitialConfig):

@@ -7,7 +7,7 @@ Replaces quantifier elimination with three routes, chosen by structure:
   written once in cyclotomic fields (`_CycloForm`: root-of-unity
   indices, the generator check, each coefficient as integers over one
   denominator), and a coset's value is an index shift plus one integer
-  sum over the integer cos endpoints of the `unit_box` table;
+  sum over the integer cos endpoints of the `trig.unit_ends` table;
 * a single free conjugate pair: the closed-form range
   S + [-2|w|, +2|w|] of S + w z + conj(w z), |z| = 1, with S, the sum of
   the fixed terms, on the finite-torus route;
@@ -16,14 +16,15 @@ Replaces quantifier elimination with three routes, chosen by structure:
   midpoint; the plain enclosure, the first-order centered (mean-value)
   form and the midpoint upper bound all come from those two passes.
   `min_over_ball` runs the same objective and the same per-coset loop.
-  The objective runs on integers at power-of-two scales: turn sums over
-  the box's 2^d, weights over 2^bits, cos/sin on the 2^-(bits + 2) grid,
-  products exact over 2^(2 bits + 2), sums rounded out to `bits` by
-  shifts, and the centered form exact.  `min_over_ball`'s norm term
-  squares and sums those integers and takes `math.isqrt` floors and
-  ceilings.  Only the box the objective reads and the enclosures it
-  returns are `Fraction` intervals, with the endpoints the same
-  operations on `Fraction` intervals give.
+  The search and the objective run on integers at power-of-two scales:
+  box endpoints and turn sums over the box's 2^d, weights over 2^bits,
+  cos/sin on the 2^-(bits + 2) grid, products exact over 2^(2 bits + 2)
+  (`interval.mul_ends`), sums rounded out to `bits` by shifts, and the
+  centered form exact.
+  `min_over_ball`'s norm term squares and sums those integers and takes
+  `math.isqrt` floors and ceilings.  Only the enclosures the objective
+  returns, the heap keys and the witness are `Fraction`s, with the
+  endpoints the same operations on `Fraction` intervals give.
 
 The two closed-form routes share one exact finish (`_exact_min`): the
 least of one exact real per coset decides the sign.  A value that its
@@ -46,9 +47,9 @@ from functools import cached_property
 from fractions import Fraction
 from typing import Callable, Optional
 
-from .qmath import Q, ZERO, ONE, is_perfect_square, exact_sqrt, ceil_frac
+from .qmath import Q, ZERO, is_perfect_square, exact_sqrt, ceil_frac
 from .interval import Ival, Box, box_ends, mul_ends
-from .trig import unit_box, cos_turn, sin_turn, pi_ival
+from .trig import unit_box, unit_ends, cos_turn, sin_turn, pi_ival
 from .poly import cyclotomic, pnorm, pdivmod
 from .algebraic import AlgebraicNumber, FieldElement, identify_root_of_unity
 from .lrs import DominantForm
@@ -192,7 +193,7 @@ class _CycloForm:
         """Re sum alpha_j zeta_j at the coset's turns, zeta_j = e^(2 pi i
         turns[j]), as an element of Q(zeta_N): the coefficient of zeta_N^t
         is an integer over D, and the refiner sums the integer cos
-        endpoints of `unit_box` at t/N, one `Fraction` per endpoint."""
+        endpoints that `unit_ends` reads at t/N."""
         if self.vectors is None:
             return None
         D, rows = self.vectors
@@ -210,16 +211,12 @@ class _CycloForm:
             return not rem
 
         def refiner(bits: int) -> Ival:
-            # cos endpoints lie on the 2^-(bits + 2) grid
-            one = 1 << (bits + 2)
             lo = hi = 0
             for t, c in nonzero:
-                re = unit_box(t, bits).re
-                a = re.lo.numerator * (one // re.lo.denominator)
-                b = re.hi.numerator * (one // re.hi.denominator)
+                a, b, _, _ = unit_ends(t, bits)[0]
                 lo, hi = (lo + c * a, hi + c * b) if c > 0 else \
                     (lo + c * b, hi + c * a)
-            return Ival(Q(lo, D * one), Q(hi, D * one))
+            return Ival(Q(lo, D << (bits + 2)), Q(hi, D << (bits + 2)))
 
         return ExactReal(refiner, is_zero)
 
@@ -347,8 +344,9 @@ class _Objective:
     """Interval objective over the free angles for one torsion coset.
 
     `evaluate` costs one cos/sin pass over a box's angles and one over its
-    midpoint, whatever the number of forms.  Between its `Ival` input and
-    output everything runs on integers at power-of-two scales:
+    midpoint, whatever the number of forms.  It reads the branch and
+    bound's integer box, and up to its `Ival` output everything runs on
+    integers at power-of-two scales:
 
     * box endpoints over 2^d, midpoints over 2^(d + 1), and the turn sums
       phi_j = sum_b e_jb s_b over the same;
@@ -372,8 +370,7 @@ class _Objective:
         self.free = torus.free_rank
         # per form, per coordinate: w_j = alpha_j * zeta_j rounded out to
         # the 2^-bits grid, one floor or ceiling per endpoint
-        zetas = [box_ends(unit_box(t, bits))
-                 for t in torus.coset_turns[coset]]
+        zetas = [unit_ends(t, bits) for t in torus.coset_turns[coset]]
         self.weights = []
         for boxes in alpha_boxes:
             row = []
@@ -413,33 +410,28 @@ class _Objective:
         return [(sum(p[0] for p in row) >> shift,
                  -(-sum(p[1] for p in row) >> shift)) for row in terms]
 
-    def evaluate(self, sbox: list[Ival]) -> tuple[list[Ival], list[Ival]]:
+    def evaluate(self, box: tuple) -> tuple[list[Ival], list[Ival]]:
         """`ends` as `Ival`s."""
         return tuple([Ival(Q(lo, 1 << e), Q(hi, 1 << e)) for lo, hi, e in part]
-                     for part in self.ends(sbox))
+                     for part in self.ends(box))
 
-    def ends(self, sbox: list[Ival]) -> tuple[list[tuple], list[tuple]]:
-        """(enclosures over sbox, enclosures at its midpoint), one per form,
-        each as integers (lo, hi, e) for [lo, hi] / 2^e; e is `bits` except
-        for a centered form 0.
+    def ends(self, box: tuple) -> tuple[list[tuple], list[tuple]]:
+        """(enclosures over the box, enclosures at its midpoint), one per
+        form, each as integers (lo, hi, e) for [lo, hi] / 2^e; e is `bits`
+        except for a centered form 0.
 
-        The box's endpoints are dyadic, as the halvings of the branch and
-        bound leave them.  Form 0's box enclosure is the plain one
-        intersected with the centered form f(m) + f'(sbox) 2 pi (sbox - m),
+        The box is the branch and bound's (los, his, d): angle b spans
+        [los[b], his[b]] / 2^d.  Form 0's box enclosure is the plain one
+        intersected with the centered form f(m) + f'(box) 2 pi (box - m),
         whose derivative reuses the box's trig pass."""
         bits = self.bits
-        d = max((max(s.lo.denominator, s.hi.denominator) for s in sbox),
-                default=1).bit_length() - 1
-        los = [s.lo.numerator << (d + 1 - s.lo.denominator.bit_length())
-               for s in sbox]
-        his = [s.hi.numerator << (d + 1 - s.hi.denominator.bit_length())
-               for s in sbox]
+        los, his, d = box
         terms = self._terms(los, his, d)
         plain = self._values(terms)
         mids = [lo + hi for lo, hi in zip(los, his)]
         at_mid = self._values(self._terms(mids, mids, d + 1))
         # d/ds_b sum Re(w e^{2 pi i phi}) = -2 pi sum e_jb Im(w e^{..}).
-        # sbox_b - m_b is [-h, h] with h = (hi - lo) / 2^(d + 1), so the
+        # box_b - m_b is [-h, h] with h = (hi - lo) / 2^(d + 1), so the
         # term of angle b is [-r, r], r = h max|f'_b| (2 pi).hi, over
         # 2^s with s = (2 bits + 2) + (bits + 2) + (d + 1).
         r = 0
@@ -468,45 +460,47 @@ def _branch_and_bound(value_fn, free: int, tol: Fraction,
                       max_boxes: int = _MAX_BOXES, sign_exit: bool = False):
     """Minimize a certified interval objective over [0,1)^free.
 
-    `value_fn(box)` returns (enclosure over the box, enclosure at its
-    midpoint); the midpoint's upper end bounds the minimum from above.
+    A box is (los, his, d), angle b spanning [los[b], his[b]] / 2^d; a
+    split doubles every endpoint and cuts the widest angle at the sum of
+    its old ends.  `value_fn(box)` returns (enclosure over the box,
+    enclosure at its midpoint); the midpoint's upper end bounds the
+    minimum from above, and the witness is the midpoint that set it.
     Returns (enclosure, witness_angles, converged).  Deterministic: boxes
     are ordered by (lower bound, insertion counter).  With `sign_exit` the
     search stops as soon as the sign of the minimum is certified, even if
     the enclosure is wider than tol."""
     if free == 0:
-        return value_fn([])[0], (), True
-    start = [Ival(ZERO, ONE) for _ in range(free)]
+        return value_fn(((), (), 0))[0], (), True
+    start = best = ([0] * free, [1] * free, 0)
     counter = itertools.count()
     iv0 = value_fn(start)[0]
     heap = [(iv0.lo, next(counter), start)]
     upper = iv0.hi
-    best_mid = tuple(s.mid for s in start)
     boxes_done = 0
     converged = True
     while heap:
         lo, _, box = heapq.heappop(heap)
-        if upper - lo <= tol or (sign_exit and (upper < 0 or lo > 0)):
+        done = upper - lo <= tol or (sign_exit and (upper < 0 or lo > 0))
+        if done or boxes_done >= max_boxes:
             heapq.heappush(heap, (lo, next(counter), box))
-            break
-        if boxes_done >= max_boxes:
-            heapq.heappush(heap, (lo, next(counter), box))
-            converged = False
+            converged = done
             break
         boxes_done += 1
-        widths = [s.width for s in box]
+        los, his, d = box
+        widths = [b - a for a, b in zip(los, his)]
         dim = widths.index(max(widths))
-        mid = box[dim].mid
-        for part in (Ival(box[dim].lo, mid), Ival(mid, box[dim].hi)):
-            child = list(box)
-            child[dim] = part
+        mid = los[dim] + his[dim]
+        los, his = [a << 1 for a in los], [b << 1 for b in his]
+        for child in ((los, his[:dim] + [mid] + his[dim + 1:], d + 1),
+                      (los[:dim] + [mid] + los[dim + 1:], his, d + 1)):
             iv, at_mid = value_fn(child)
             if at_mid.hi < upper:
-                upper = at_mid.hi
-                best_mid = tuple(s.mid for s in child)
+                upper, best = at_mid.hi, child
             if iv.lo <= upper:
                 heapq.heappush(heap, (iv.lo, next(counter), child))
     global_lo = min((item[0] for item in heap), default=upper)
+    los, his, d = best
+    best_mid = tuple(Q(a + b, 2 << d) for a, b in zip(los, his))
     return Ival(min(global_lo, upper), upper), best_mid, converged
 
 
@@ -521,7 +515,7 @@ def _bb_min(forms, torus, tol, value_of, method: str, **bnb) -> SignOutcome:
     for coset in range(len(torus.coset_turns)):
         obj = _Objective(alpha_boxes, torus, coset, bits)
         encl, mids, conv = _branch_and_bound(
-            lambda sbox, obj=obj: value_of(obj, sbox), torus.free_rank, tol,
+            lambda box, obj=obj: value_of(obj, box), torus.free_rank, tol,
             **bnb)
         all_converged = all_converged and conv
         wit = TorusPoint(coset, mids)
@@ -660,8 +654,8 @@ def _minimize(form, torus, tol, absolute: bool):
     if got is not None:
         return got
 
-    def value_of(obj, sbox):
-        (iv,), (at_mid,) = obj.evaluate(sbox)
+    def value_of(obj, box):
+        (iv,), (at_mid,) = obj.evaluate(box)
         return (iv.abs(), at_mid.abs()) if absolute else (iv, at_mid)
 
     return _bb_min([form], torus, tol, value_of, "branch-and-bound")
@@ -736,10 +730,10 @@ def min_over_ball(family: DominantFamily, radius: Fraction,
     if radius <= 0:
         raise ValueError("radius must be positive")
 
-    def value_of(obj, sbox):
+    def value_of(obj, box):
         # the box, then its midpoint
         return tuple(_ball_value(part, obj.bits, radius)
-                     for part in obj.ends(sbox))
+                     for part in obj.ends(box))
 
     return _with_escalation(
         lambda t: _bb_min([family.center] + family.basis, torus, t, value_of,

@@ -217,4 +217,9 @@ def report_json(verdict: str, certificate, provenance: dict,
     }
     if timing is not None:
         doc["timing_seconds"] = round(timing, 3)
+    return json_text(doc)
+
+
+def json_text(doc) -> str:
+    """The one JSON writer: sorted keys, so its output is deterministic."""
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"

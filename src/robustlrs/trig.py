@@ -9,24 +9,24 @@ The Taylor series runs on integers at scale 2^(bits + 8), rounding each
 term outward as `Ival.round_out` would, so its enclosures are those of
 the same series on `Fraction` intervals, endpoint for endpoint.
 
-`unit_box` takes a rational turn, the one form its callers hold (an
+`unit_ends` takes a rational turn, the one form its callers hold (an
 interval turn goes through `cos_turn` and `sin_turn`), and reads a
-bounded table keyed by (turn mod 1, bits), so the enclosure of each root
-of unity at each precision is computed once per process: the
-finite-torus path of the optimizer and the root-of-unity tests of
-`algebraic` and `torus` ask for the same few constants at every coset
-and every term.  Entries are shared, so callers build new boxes from
-them and never change them.
+bounded table keyed by (turn mod 1, bits) of the integer endpoints of
+the point enclosures, so each root of unity at each precision is
+computed once per process: the finite-torus path of the optimizer and
+the root-of-unity tests of `algebraic` and `torus` ask for the same few
+constants at every coset and every term.  `unit_box` is its `Box` view.
 
 `cos_turn` and `sin_turn` take one form: a dyadic interval turn as
 integer endpoints over 2^d, as the branch and bound and the hardness lab
-hold it.  They return integer endpoints on the 2^-(bits + 2) grid of the
-point enclosures, read from a second bounded table of integers keyed by
+hold it.  They return integer endpoints on the same 2^-(bits + 2) grid,
+read from a second table, filled by the same computation and keyed by
 the endpoint reduced mod 1 to lowest terms, so a branch-and-bound child
 box, whose endpoints are its parent's endpoints or midpoint, costs about
-one new point.  Whether the turn reaches an extremum is a comparison of
-shifted integers.  The enclosures are those of the hull of the point
-enclosures on `Fraction` intervals, endpoint for endpoint.
+one new point, and its churn cannot evict a root of unity.  Whether the
+turn reaches an extremum is a comparison of shifted integers.  The
+enclosures are those of the hull of the point enclosures on `Fraction`
+intervals, endpoint for endpoint.
 
 `angle_from_cos` reads arccos off `atan_ival` at tan(theta/2) >= 0, the
 only argument sign `atan_ival` takes.
@@ -170,22 +170,26 @@ def _turn_ends(n: int, d: int, bits: int) -> tuple[int, int, int, int]:
         n, d = n >> z, d - z
     else:
         d = 0
-    return _turn_table(n, d, bits)
+    return _turn_table(n, 1 << d, bits)
 
 
-# Keys are the endpoints and midpoints of the branch-and-bound boxes, and
-# a hardness-lab turn per step: a child box's endpoints are its parent's
-# endpoints or midpoint, read shortly before.  Entries are four integers
-# of about `bits` bits each.
-@lru_cache(maxsize=256)
-def _turn_table(n: int, d: int, bits: int) -> tuple[int, int, int, int]:
-    """`_turn_ends` of a reduced turn: `cos_turn_point` and
-    `sin_turn_point` at n / 2^d, whose endpoints lie on the 2^-(bits + 2)
-    grid, so the floors and ceilings are exact."""
-    t, one = Q(n, 1 << d), 1 << (bits + 2)
+def _point_ends(n: int, q: int, bits: int) -> tuple[int, int, int, int]:
+    """(cos lo, cos hi, sin lo, sin hi) of the point enclosures at the turn
+    n/q, over 2^(bits + 2), the grid their endpoints lie on."""
+    t, one = Q(n, q), 1 << (bits + 2)
     c, s = cos_turn_point(t, bits), sin_turn_point(t, bits)
     return (floor_frac(c.lo * one), ceil_frac(c.hi * one),
             floor_frac(s.lo * one), ceil_frac(s.hi * one))
+
+
+# Two bounded tables of `_point_ends`.  `_turn_table` holds turns n / 2^d
+# in lowest terms: box endpoints and midpoints, a child's read shortly
+# after its parent's, and a hardness-lab turn per step.  `_unit_table`
+# holds the few root-of-unity turns of a problem, reduced into [0, 1); its
+# bound matters because a precision climb can reach 2^15 bits, where one
+# entry holds tens of kB.
+_turn_table = lru_cache(maxsize=256)(_point_ends)
+_unit_table = lru_cache(maxsize=256)(_point_ends)
 
 
 def _turn_range(lo: int, hi: int, d: int, bits: int,
@@ -222,22 +226,19 @@ def sin_turn(lo: int, hi: int, d: int, bits: int) -> tuple[int, int]:
     return _turn_range(lo, hi, d, bits, 1)
 
 
-# Keys are the few root-of-unity turns of a problem: the coset turns of the
-# optimizer and the root-of-unity tests of `algebraic` and `torus`.  The
-# bound matters because a precision climb can reach 2^15 bits, where one
-# entry holds tens of kB.
-@lru_cache(maxsize=256)
-def _unit_point_box(t: Fraction, bits: int) -> Box:
-    """The table entry of `unit_box` for a turn reduced into [0, 1)."""
-    return Box(cos_turn_point(t, bits), sin_turn_point(t, bits))
+def unit_ends(t: Fraction, bits: int) -> tuple[tuple, int]:
+    """e^(2 pi i t) for a rational turn t as `interval.box_ends` writes a
+    box: its endpoints (cos lo, cos hi, sin lo, sin hi) over one
+    denominator D = 2^(bits + 2), and D."""
+    q = t.denominator
+    return _unit_table(t.numerator % q, q, bits), 1 << (bits + 2)
 
 
 def unit_box(t: Fraction, bits: int) -> Box:
-    """Box enclosing e^(2 pi i t) for a rational turn t.
-
-    It reads the shared table, so the returned `Box` must not be
-    changed."""
-    return _unit_point_box(t - (t.numerator // t.denominator), bits)
+    """Box enclosing e^(2 pi i t) for a rational turn t (`unit_ends`)."""
+    (c_lo, c_hi, s_lo, s_hi), one = unit_ends(t, bits)
+    return Box(Ival(Q(c_lo, one), Q(c_hi, one)),
+               Ival(Q(s_lo, one), Q(s_hi, one)))
 
 
 def atan_ival(x: Ival, bits: int) -> Ival:

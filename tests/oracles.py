@@ -11,14 +11,16 @@ exact check of the order-6 rotation block, the per-step rotation walk
 root exchange of a quadratic field), the `Fraction` interval forms of
 `cos_turn` and `sin_turn`, the problem document of a parsed spec, the
 `Fraction` forms of the optimizer's finite-torus coset values and
-open-ball norm term and of the start solve, and the emptying of the
-recurrence-level memos.
+open-ball norm term, of its branch and bound and of the start solve, and
+the emptying of the recurrence-level memos.
 The sampling screen is the only user of numpy, which is a test
 dependency, not a runtime one.
 """
 
 from __future__ import annotations
 
+import heapq
+import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -29,7 +31,7 @@ import numpy as np
 
 from robustlrs.qmath import (Q, ZERO, ONE, is_perfect_square, exact_sqrt,
                              format_rational)
-from robustlrs.interval import Ival, Box
+from robustlrs.interval import Ival, Box, imul
 from robustlrs.poly import (int_normalize, padd, pmul, pnorm, pdivmod,
                             cyclotomic)
 from robustlrs.algebraic import (AlgebraicNumber, NumberField, FieldElement,
@@ -41,7 +43,7 @@ from robustlrs.lrs import (Lrr, InitialConfig, Ball, SpectralData, spectral,
 from robustlrs.optimize import ExactReal
 from robustlrs.torus import TorusParam, TorusPoint, root_of_unity_alg
 from robustlrs.trig import pi_ival, rotation_order, unit_box
-from robustlrs import decide, hardness, lrs
+from robustlrs import decide, hardness, lrs, optimize
 
 
 # ---------------------------------------------------------------------------
@@ -80,8 +82,8 @@ def pcompose(p, q):
 
 
 # ---------------------------------------------------------------------------
-# the optimizer's finite-torus coset values and open-ball norm term, and
-# the start solve, on `Fraction`s
+# the optimizer's finite-torus coset values, open-ball norm term and
+# branch and bound, and the start solve, on `Fraction`s
 
 
 def cyclo_combo_ref(terms, rho: AlgebraicNumber | None) -> ExactReal | None:
@@ -154,6 +156,62 @@ def solve_coords_ref(system: TraceSystem,
            for row, u in zip(mat, c.entries)):
         raise RuntimeError("exponential polynomial reconstruction failed")
     return coords
+
+
+def dyadic_box(sbox: list[Ival]) -> tuple[list[int], list[int], int]:
+    """A box of dyadic `Ival` angles as the integer box `(los, his, d)`
+    of `optimize._branch_and_bound`, at the least d that holds it."""
+    d = max((max(s.lo.denominator, s.hi.denominator) for s in sbox),
+            default=1).bit_length() - 1
+    return ([s.lo.numerator << (d + 1 - s.lo.denominator.bit_length())
+             for s in sbox],
+            [s.hi.numerator << (d + 1 - s.hi.denominator.bit_length())
+             for s in sbox], d)
+
+
+def branch_and_bound_ref(value_fn, free: int, tol: Fraction,
+                         max_boxes: int = optimize._MAX_BOXES,
+                         sign_exit: bool = False):
+    """`optimize._branch_and_bound` on `Fraction` boxes: each box a list
+    of `Ival` angles, split at the `Fraction` midpoint of its widest
+    angle.  `value_fn` reads the integer box, so each box is converted by
+    `dyadic_box` before it is evaluated.  The reference of the integer
+    search, which gives the same enclosure, witness, `converged` and
+    number of `value_fn` calls."""
+    if free == 0:
+        return value_fn(dyadic_box([]))[0], (), True
+    start = [Ival(ZERO, ONE) for _ in range(free)]
+    counter = itertools.count()
+    iv0 = value_fn(dyadic_box(start))[0]
+    heap = [(iv0.lo, next(counter), start)]
+    upper = iv0.hi
+    best_mid = tuple(s.mid for s in start)
+    boxes_done = 0
+    converged = True
+    while heap:
+        lo, _, box = heapq.heappop(heap)
+        if upper - lo <= tol or (sign_exit and (upper < 0 or lo > 0)):
+            heapq.heappush(heap, (lo, next(counter), box))
+            break
+        if boxes_done >= max_boxes:
+            heapq.heappush(heap, (lo, next(counter), box))
+            converged = False
+            break
+        boxes_done += 1
+        widths = [s.width for s in box]
+        dim = widths.index(max(widths))
+        mid = box[dim].mid
+        for part in (Ival(box[dim].lo, mid), Ival(mid, box[dim].hi)):
+            child = list(box)
+            child[dim] = part
+            iv, at_mid = value_fn(dyadic_box(child))
+            if at_mid.hi < upper:
+                upper = at_mid.hi
+                best_mid = tuple(s.mid for s in child)
+            if iv.lo <= upper:
+                heapq.heappush(heap, (iv.lo, next(counter), child))
+    global_lo = min((item[0] for item in heap), default=upper)
+    return Ival(min(global_lo, upper), upper), best_mid, converged
 
 
 # ---------------------------------------------------------------------------
@@ -347,9 +405,10 @@ def fraction_enclosure(sc: OrbitScanner, normal,
 class OrbitScannerRef:
     """The orbit scan with one call to advance and one to read: `step`
     rebuilds the list of power points, `enclosure` sums every term through
-    `lrs._imul` and multiplies a base of 1 like any other.  The reference
-    of `lrs.OrbitScanner`, whose `step` returns the same (lo, hi, den) and
-    leaves the same power points (`scanner_powers`), `err` and `n`."""
+    `interval.imul` and multiplies a base of 1 like any other.  The
+    reference of `lrs.OrbitScanner`, whose `step` returns the same (lo, hi,
+    den) and leaves the same power points (`scanner_powers`), `err` and
+    `n`."""
 
     def __init__(self, normal, bits: int):
         self.bits = bits
@@ -391,9 +450,9 @@ class OrbitScannerRef:
         lo = hi = 0
         for (ar_lo, ar_hi, ai_lo, ai_hi), (vr, vi), k in zip(
                 self._alpha, self._power, self._nexp):
-            re_lo, re_hi = lrs._imul(ar_lo, ar_hi, vr - e, vr + e)
+            re_lo, re_hi = imul(ar_lo, ar_hi, vr - e, vr + e)
             if ai_lo or ai_hi:
-                b_lo, b_hi = lrs._imul(ai_lo, ai_hi, vi - e, vi + e)
+                b_lo, b_hi = imul(ai_lo, ai_hi, vi - e, vi + e)
                 re_lo, re_hi = re_lo - b_hi, re_hi - b_lo
             if k:
                 s = n ** k

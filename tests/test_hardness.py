@@ -1,3 +1,5 @@
+import dataclasses
+import itertools
 import math
 import random
 from fractions import Fraction as Q
@@ -369,3 +371,47 @@ def test_cone_membership_vs_orbit_sign():
 def test_off_circle_point_rejected(call):
     with pytest.raises(ValueError, match="unit circle"):
         call()
+
+
+def _contradicting_prefixes(monkeypatch):
+    """Make `lagrange_prefix` certify L = 2/5 on its first call and 1/20
+    on every later one, give each probe its own prefix length, and make
+    every tail scan clean: the first probe lifts the lower bound above
+    the upper bound the second one brings."""
+    calls = []
+
+    def prefix(p, q, n):
+        calls.append(n)
+        x = Q(2, 5) if len(calls) == 1 else Q(1, 20)
+        return Ival(x, x)
+
+    real, probes = hardness.compute_params, itertools.count()
+
+    def params(*args):
+        out = real(*args)
+        return dataclasses.replace(out, n2=out.n2 + next(probes))
+
+    monkeypatch.setattr(hardness, "lagrange_prefix", prefix)
+    monkeypatch.setattr(hardness, "compute_params", params)
+    monkeypatch.setattr(hardness, "scan_ball_terms",
+                        lambda params, n_from, n_to: ("clean",))
+    return calls
+
+
+def test_approximate_L_crossed_bounds_raise(monkeypatch):
+    """Both ends of the bracket are certified, so bounds that cross are a
+    broken invariant: a `RuntimeError`, not a swap."""
+    calls = _contradicting_prefixes(monkeypatch)
+    with pytest.raises(RuntimeError, match="certified bounds crossed"):
+        approximate_L(P, QSIN, Q(1, 20), horizon_cap=10**5)
+    assert len(calls) == 2
+
+
+def test_lab_approx_L_crossed_bounds_exit_internal(monkeypatch, capsys):
+    from robustlrs.cli import main
+    _contradicting_prefixes(monkeypatch)
+    code = main(["lab", "approx-L", "--p", "3/5", "--q", "4/5", "--eps",
+                 "1/20", "--horizon", "100000"])
+    assert code == 4
+    assert capsys.readouterr().err.startswith(
+        "internal error: RuntimeError: certified bounds crossed")

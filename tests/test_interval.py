@@ -1,10 +1,12 @@
+import itertools
+import random
 from fractions import Fraction as Q
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from robustlrs import qmath
-from robustlrs.interval import Ival, Box
+from robustlrs.interval import Ival, Box, box_ends, imul, mul_ends
 from robustlrs.qmath import (parse_rational, format_rational, round_down,
                              round_up, sqrt_down, sqrt_up, exact_sqrt,
                              precisions, PrecisionExhausted)
@@ -105,3 +107,53 @@ def test_sign():
     assert Ival(Q(-2), Q(-1)).sign() == -1
     assert Ival(Q(0), Q(0)).sign() == 0
     assert Ival(Q(-1), Q(1)).sign() is None
+
+
+def _interval_of_sign(rng, sign, bits):
+    """Integer endpoints of an interval >= 0 (sign 1), <= 0 (sign -1) or
+    straddling 0 (sign 0), about `bits` bits wide; a third of the signed
+    ones end at 0 and a third are points, [0, 0] among them."""
+    m = 1 << bits
+    if sign == 0:
+        return -rng.randint(1, m), rng.randint(1, m)
+    lo = rng.choice((0, rng.randint(1, m), rng.randint(1, m)))
+    hi = lo + rng.choice((0, rng.randint(1, m), rng.randint(1, m)))
+    return (lo, hi) if sign > 0 else (-hi, -lo)
+
+
+SIGNS = (1, -1, 0)
+
+
+@pytest.mark.parametrize("bits", (1, 8, 200))
+def test_imul_matches_ival_product_in_every_sign_case(bits):
+    """`imul` picks the end products `Ival.__mul__` takes the min and max
+    of, in all nine sign cases of a factor pair."""
+    rng = random.Random(bits)
+    for sa, sb in itertools.product(SIGNS, repeat=2):
+        for _ in range(60):
+            a = _interval_of_sign(rng, sa, bits)
+            b = _interval_of_sign(rng, sb, bits)
+            want = Ival(Q(a[0]), Q(a[1])) * Ival(Q(b[0]), Q(b[1]))
+            assert imul(*a, *b) == (want.lo, want.hi), (a, b)
+
+
+@pytest.mark.parametrize("bits", (1, 8, 200))
+def test_mul_ends_matches_box_product_in_every_sign_case(bits):
+    """`mul_ends` gives `Box.__mul__`'s endpoints over the product of the
+    denominators, whatever the signs of the four intervals, so each of
+    its four interval products meets all nine sign cases."""
+    rng = random.Random(bits)
+    for signs in itertools.product(SIGNS, repeat=4):
+        for _ in range(6):
+            ends = [_interval_of_sign(rng, s, bits) for s in signs]
+            A, B = rng.choice((1, 3, 1 << bits)), rng.choice((1, 7, 1 << 5))
+            a, b = ends[0] + ends[1], ends[2] + ends[3]
+            za, zb = (Box(Ival(Q(e[0], D), Q(e[1], D)),
+                          Ival(Q(e[2], D), Q(e[3], D)))
+                      for e, D in ((a, A), (b, B)))
+            want = za * zb
+            got = [Q(e, A * B) for e in mul_ends(a, b)]
+            assert got == [want.re.lo, want.re.hi, want.im.lo, want.im.hi]
+            # and on box_ends' own form of the two boxes
+            (ea, da), (eb, db) = box_ends(za), box_ends(zb)
+            assert [Q(e, da * db) for e in mul_ends(ea, eb)] == got

@@ -8,19 +8,20 @@ import pytest
 
 from robustlrs import optimize
 from robustlrs.interval import Box, Ival
-from robustlrs.lrs import Lrr, InitialConfig, normalize
+from robustlrs.lrs import Lrr, InitialConfig, Ball, normalize
+from robustlrs.poly import pmul
 from robustlrs.torus import relation_lattice, parametrize, TorusPoint
 from robustlrs.optimize import (mu, nu, min_over_ball,
                                 DominantFamily, DEFAULT_TOL, ExactReal,
                                 _Objective, _exact_min)
 from robustlrs.trig import pi_ival, unit_box
-from robustlrs.decide import Analysis
+from robustlrs.decide import Analysis, robust_nonuniform_ultpos_open_ball
 from robustlrs.hardness import (build_hardness_lrr, config_from_coeffs,
                                 CoefficientBasisPoint)
 
 from oracles import (point_turns, point_values, residual_box,
                      fraction_enclosure, cos_turn_ival, sin_turn_ival,
-                     has_point_mod1_ref)
+                     has_point_mod1_ref, dyadic_box, branch_and_bound_ref)
 
 FIB = Lrr((Q(1), Q(1)))
 ALT = Lrr((Q(-1),))
@@ -466,22 +467,33 @@ class _FractionObjective:
 
 
 def _random_subbox(rng, free, depth):
-    """A box the branch and bound can reach: `depth` random halvings of
-    [0, 1]^free."""
-    box = [Ival(Q(0), Q(1))] * free
+    """A box the branch and bound can reach, as it holds it: `depth`
+    random halvings of [0, 1]^free, as (los, his, depth)."""
+    los, his = [0] * free, [1] * free
     for _ in range(depth):
         dim = rng.randrange(free)
-        lo, hi, mid = box[dim].lo, box[dim].hi, box[dim].mid
-        box = box[:dim] + [Ival(lo, mid) if rng.random() < 0.5
-                           else Ival(mid, hi)] + box[dim + 1:]
-    return box
+        los, his = [a << 1 for a in los], [b << 1 for b in his]
+        mid = (los[dim] + his[dim]) >> 1
+        if rng.random() < 0.5:
+            his[dim] = mid
+        else:
+            los[dim] = mid
+    return los, his, depth
+
+
+def _ivals(box):
+    """An integer box (los, his, d) as its `Ival` angles."""
+    los, his, d = box
+    return [Ival(Q(a, 1 << d), Q(b, 1 << d)) for a, b in zip(los, his)]
+
+
+# (x^2 - 6/5 x + 1)(x^2 - 10/13 x + 1): two pairs at independent angles
+TWO_PAIR = Lrr(tuple(-c for c in pmul((Q(1), Q(-6, 5), Q(1)),
+                                      (Q(1), Q(-10, 13), Q(1)))[:4]))
 
 
 def _two_pair_forms():
-    from robustlrs.poly import pmul
-    lrr = Lrr(tuple(-c for c in pmul((Q(1), Q(-6, 5), Q(1)),
-                                     (Q(1), Q(-10, 13), Q(1)))[:4]))
-    form, torus = build_torus(lrr, cfg(1, 0, 0, 0))
+    form, torus = build_torus(TWO_PAIR, cfg(1, 0, 0, 0))
     return [form], torus
 
 
@@ -518,11 +530,11 @@ def test_objective_matches_fraction_oracle(make, bits_list):
             obj = _Objective(alpha_boxes, torus, coset, bits)
             ref = _FractionObjective(forms, torus, coset, bits)
             for _ in range(12):
-                sbox = _random_subbox(rng, torus.free_rank,
-                                      rng.randint(0, bits + 8))
-                got, want = obj.evaluate(sbox), ref.evaluate(sbox)
+                box = _random_subbox(rng, torus.free_rank,
+                                     rng.randint(0, bits + 8))
+                got, want = obj.evaluate(box), ref.evaluate(_ivals(box))
                 assert [[(v.lo, v.hi) for v in part] for part in got] == \
-                    [[(v.lo, v.hi) for v in part] for part in want], sbox
+                    [[(v.lo, v.hi) for v in part] for part in want], box
 
 
 def _chosen_boxes(free):
@@ -575,7 +587,7 @@ def test_objective_matches_fraction_oracle_on_chosen_boxes(bits):
         obj = _Objective(alpha_boxes, torus, coset, bits)
         ref = _FractionObjective(forms, torus, coset, bits)
         for sbox in boxes:
-            got, want = obj.evaluate(sbox), ref.evaluate(sbox)
+            got, want = obj.evaluate(dyadic_box(sbox)), ref.evaluate(sbox)
             assert [[(v.lo, v.hi) for v in part] for part in got] == \
                 [[(v.lo, v.hi) for v in part] for part in want], sbox
             plain = ref._values(ref._terms(sbox))[0]
@@ -593,10 +605,82 @@ def test_objective_on_no_free_angles():
                             coset_turns=[(Q(0), Q(1, 3), Q(2, 3))])
     alpha_boxes = [[alpha.box(96) for alpha, _s in form.terms]
                    for form in forms]
-    got = _Objective(alpha_boxes, torus, 0, 96).evaluate([])
+    got = _Objective(alpha_boxes, torus, 0, 96).evaluate(([], [], 0))
     want = _FractionObjective(forms, torus, 0, 96).evaluate([])
     assert [[(v.lo, v.hi) for v in part] for part in got] == \
         [[(v.lo, v.hi) for v in part] for part in want]
+
+
+def _bnb_cases():
+    """(name, thunk) pairs whose thunk returns a `SignOutcome` found by
+    branch and bound: the optimizer golden cases that run it (`mu` on two
+    pairs at tol 1/4, the Fibonacci balls, whose torus has no free angle,
+    and the p = 3/5 open balls), and `mu` and one `nu` pass on random
+    starts of the two-pair recurrence, whose torus has two free angles."""
+    [form], torus = _two_pair_forms()
+    yield "mu two-pair", lambda: mu(form, torus, Q(1, 4))
+    for center, radius in (((1, 1), Q(1, 10)), ((1, 1), Q(1, 10**6)),
+                           ((-1, -1), Q(1, 2))):
+        def fib_ball(center=center, radius=radius):
+            center_form, _ = normalize(FIB, cfg(*center))
+            basis = [normalize(FIB, cfg(1, 0))[0],
+                     normalize(FIB, cfg(0, 1))[0]]
+            t = parametrize(relation_lattice([s for _, s in
+                                              center_form.terms]))
+            return min_over_ball(DominantFamily(center_form, basis), radius,
+                                 t)
+        yield f"fib ball {center} r={radius}", fib_ball
+    for init in ((3, 1, 0, 2, 1, 5), (1, 0, 0, 0, 0, 0), (2, 1, 1, 1, 0, 0)):
+        def p35_ball(init=init):
+            a = Analysis.build(hard_lrr(P35), cfg(*init))
+            return robust_nonuniform_ultpos_open_ball(
+                a, Ball(cfg(*init), Q(1, 20))).certificate.optimum
+        yield f"p=3/5 ball {init}", p35_ball
+    rng = random.Random(33)
+    for i in range(8):
+        start = tuple(rng.randint(-3, 3) for _ in range(4))
+        tol = rng.choice((Q(1, 4), Q(1, 16), Q(1, 1 << 10)))
+        absolute = i % 3 == 2
+        f, t = build_torus(TWO_PAIR, cfg(*start))
+        yield (f"{'nu' if absolute else 'mu'} two-pair {start} tol={tol}",
+               lambda f=f, t=t, tol=tol, absolute=absolute:
+               optimize._minimize(f, t, tol, absolute))
+
+
+def _searched(monkeypatch, search, thunk):
+    """thunk's outcome when `_bb_min` searches with `search`, and per
+    search its (enclosure, witness, converged) and its `value_fn` calls."""
+    runs = []
+
+    def counted(value_fn, free, tol, **bnb):
+        calls = []
+
+        def fn(box):
+            calls.append(1)
+            return value_fn(box)
+
+        encl, wit, conv = search(fn, free, tol, **bnb)
+        runs.append(((encl.lo, encl.hi), wit, conv, len(calls)))
+        return encl, wit, conv
+
+    monkeypatch.setattr(optimize, "_branch_and_bound", counted)
+    out = thunk()
+    return (out.verdict, out.enclosure.lo, out.enclosure.hi, out.witness,
+            out.converged, out.method), runs
+
+
+_BNB_CASES = list(_bnb_cases())
+
+
+@pytest.mark.parametrize("name,thunk", _BNB_CASES,
+                         ids=[name for name, _ in _BNB_CASES])
+def test_branch_and_bound_matches_fraction_oracle(monkeypatch, name, thunk):
+    """The integer branch and bound gives the `Fraction` one's enclosure,
+    witness and `converged`, after the same number of objective calls."""
+    integer = optimize._branch_and_bound
+    got = _searched(monkeypatch, integer, thunk)
+    want = _searched(monkeypatch, branch_and_bound_ref, thunk)
+    assert got == want and got[1]
 
 
 # -- the integer kernels of the finite torus and the open ball -------------
@@ -732,9 +816,9 @@ def test_ball_value_matches_fraction_oracle_on_objective(bits):
     for coset in range(len(torus.coset_turns)):
         obj = _Objective(alpha_boxes, torus, coset, bits)
         for _ in range(10):
-            sbox = _random_subbox(rng, torus.free_rank,
-                                  rng.randint(0, bits + 8))
-            for part in obj.ends(sbox):
+            box = _random_subbox(rng, torus.free_rank,
+                                 rng.randint(0, bits + 8))
+            for part in obj.ends(box):
                 for radius in (Q(1, 20), Q(7, 3), Q(1, 10**6), Q(5)):
                     got = optimize._ball_value(part, bits, radius)
                     want = ball_value_ref(_ends_to_ivals(part), bits, radius)

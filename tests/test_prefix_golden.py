@@ -309,9 +309,9 @@ def _sign_case(lo, hi):
 def test_scan_cases_reach_every_sign_case():
     """Over the 300 steps above, the real products alpha_re * power_re of
     `SCAN_CASES` meet all nine sign cases of an interval product, written
-    out or through `lrs._imul`: alpha's real part >= 0, <= 0 or straddling
-    0, times a power box >= 0, <= 0 or straddling 0 (a power sunk into the
-    error band)."""
+    out or through `interval.imul`: alpha's real part >= 0, <= 0 or
+    straddling 0, times a power box >= 0, <= 0 or straddling 0 (a power
+    sunk into the error band)."""
     seen = set()
     for lrr, c in SCAN_CASES.values():
         sc = OrbitScanner(normalize(lrr, c), 160)
@@ -340,8 +340,8 @@ def test_scanner_steps_match_the_two_call_reference():
     power points, error count and n, for n <= 3000 at the scan's 192 bits.
     Together the cases reach every path of a term: a base of 1, a real and
     a complex base; a real alpha of either sign over a power above the
-    error band (written out) or sunk into it (`_imul`), and a complex
-    alpha."""
+    error band (written out) or sunk into it (`interval.imul`), and a
+    complex alpha."""
     paths = set()
     for name, (lrr, c) in REF_CASES.items():
         normal = normalize(lrr, c)

@@ -12,8 +12,8 @@ import robustlrs
 from robustlrs import trig
 from robustlrs.interval import Box, Ival
 from robustlrs.trig import (pi_ival, cos_turn_point, sin_turn_point, cos_turn,
-                            sin_turn, unit_box, atan_ival, angle_from_cos,
-                            rotation_order, rotation_power)
+                            sin_turn, unit_box, unit_ends, atan_ival,
+                            angle_from_cos, rotation_order, rotation_power)
 from robustlrs.hardness import _rotation_ivals, lagrange_prefix
 from robustlrs.qmath import exact_sqrt, is_perfect_square, sqrt_down, sqrt_up
 
@@ -229,17 +229,29 @@ def test_integer_turns_match_ival_forms(bits):
 
 
 def test_unit_box_table_matches_point_enclosures():
-    """unit_box on a rational turn reads a table keyed by (t mod 1, bits);
-    every entry is the enclosure cos_turn_point and sin_turn_point give at
-    the unreduced turn, endpoint for endpoint, and stays so on repeat."""
+    """`unit_ends` on a rational turn reads a table of integers keyed by
+    (t mod 1, bits): every entry, over 2^(bits + 2), is the enclosure
+    cos_turn_point and sin_turn_point give at the unreduced turn, endpoint
+    for endpoint, and stays so on repeat; `unit_box` is the same entry as
+    a `Box`.  At a dyadic turn the entry is the one `cos_turn` and
+    `sin_turn` read from their own table."""
     for bits in (64, 96, 192):
+        one = 1 << (bits + 2)
         for n in range(1, 25):
             for k in range(-n, 2 * n):
                 t = Q(k, n)
                 want = _endpoints(Box(cos_turn_point(t, bits),
                                       sin_turn_point(t, bits)))
-                assert _endpoints(unit_box(t, bits)) == want, (t, bits)
-                assert _endpoints(unit_box(t, bits)) == want, (t, bits)
+                for _ in range(2):
+                    ends, den = unit_ends(t, bits)
+                    assert den == one
+                    assert tuple(Q(e, den) for e in ends) == want, (t, bits)
+                    assert _endpoints(unit_box(t, bits)) == want, (t, bits)
+                if n & (n - 1) == 0:
+                    d = n.bit_length() - 1
+                    assert trig._turn_ends(k, d, bits) == ends, (t, bits)
+                    assert trig._turn_table(t.numerator % t.denominator,
+                                            t.denominator, bits) == ends
 
 
 class _FieldWrites(ast.NodeVisitor):
@@ -286,7 +298,7 @@ class _FieldWrites(ast.NodeVisitor):
 
 
 def test_no_code_assigns_to_box_or_ival_fields():
-    """unit_box hands every caller the same table entry, so no code in the
+    """pi_ival hands every caller the same table entry, so no code in the
     package may change a Box or Ival after building it."""
     found = []
     for path in sorted(Path(robustlrs.__file__).parent.glob("*.py")):
