@@ -402,7 +402,7 @@ class FieldElement:
     def _same(self, other) -> "FieldElement":
         if isinstance(other, FieldElement):
             if other.field is not self.field:
-                raise ValueError("field mismatch")
+                raise RuntimeError("field mismatch")
             return other
         return FieldElement.const(self.field, Q(other))
 
@@ -428,6 +428,8 @@ class FieldElement:
     __rmul__ = __mul__
 
     def __eq__(self, other):
+        if isinstance(other, FieldElement) and other.field is not self.field:
+            return NotImplemented
         try:
             other = self._same(other)
         except (ValueError, TypeError):
@@ -539,12 +541,16 @@ def _same_root_of(intpoly, refine_a, refine_b) -> bool:
     `refine_a`/`refine_b` map a bit count to enclosing boxes.  Terminates:
     either the boxes separate, or each eventually fits inside the unique
     isolating box of its root, and equality reduces to identity of that
-    root."""
-    fields = _root_fields(intpoly)
+    root.  Boxes that are disjoint at the first rung answer before any
+    field of intpoly's roots is seeded; only the boxes that meet go on to
+    the root boxes."""
+    fields = None
     for bits in precisions(64, "root identification"):
         ba, bb = refine_a(bits), refine_b(bits)
         if ba.disjoint(bb):
             return False
+        if fields is None:
+            fields = _root_fields(intpoly)
         root_boxes = [f.root_box(bits) for f in fields]
         ia = [i for i, rb in enumerate(root_boxes) if not rb.disjoint(ba)]
         ib = [i for i, rb in enumerate(root_boxes) if not rb.disjoint(bb)]

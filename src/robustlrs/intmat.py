@@ -145,6 +145,13 @@ def lll_reduce(basis: list[list[int]]) -> list[list[int]]:
     """Lenstra-Lenstra-Lovasz reduction over exact rationals, with the
     Lovasz constant delta = 3/4.
 
+    A size reduction b_k -= q b_j leaves every Gram-Schmidt vector and
+    norm as it was and changes only row k of mu (mu[k][i] -= q mu[j][i]
+    for i < j, mu[k][j] -= q), so it updates that row in place; only a
+    swap rebuilds the Gram-Schmidt data.  A zero Gram-Schmidt norm (a
+    rank-deficient basis) keeps its column of mu at 0, as the rebuild
+    leaves it.
+
     Candidate-generation helper only: downstream callers verify any
     relation extracted from the output exactly.
     """
@@ -162,8 +169,7 @@ def lll_reduce(basis: list[list[int]]) -> list[list[int]]:
             for j in range(i):
                 if norms[j] == 0:
                     continue
-                mu[i][j] = Fraction(sum(Fraction(b[i][k]) * star[j][k]
-                                        for k in range(len(vec)))) / norms[j]
+                mu[i][j] = sum(x * s for x, s in zip(b[i], star[j])) / norms[j]
                 vec = [vk - mu[i][j] * sk for vk, sk in zip(vec, star[j])]
             star.append(vec)
             norms[i] = sum(x * x for x in vec)
@@ -172,12 +178,16 @@ def lll_reduce(basis: list[list[int]]) -> list[list[int]]:
     mu, norms = gram_schmidt()
     k = 1
     while k < n:
+        mk = mu[k]
         for j in range(k - 1, -1, -1):
-            q = round(mu[k][j])
+            q = round(mk[j])
             if q:
                 b[k] = [x - q * y for x, y in zip(b[k], b[j])]
-                mu, norms = gram_schmidt()
-        if norms[k] >= (Fraction(3, 4) - mu[k][k - 1] ** 2) * norms[k - 1]:
+                mj = mu[j]
+                for i in range(j):
+                    mk[i] -= q * mj[i]
+                mk[j] -= q
+        if norms[k] >= (Fraction(3, 4) - mk[k - 1] ** 2) * norms[k - 1]:
             k += 1
         else:
             b[k], b[k - 1] = b[k - 1], b[k]

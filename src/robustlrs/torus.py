@@ -8,6 +8,14 @@ inverse-conjugate pair plus roots of unity -- any extra relation would
 force the base to be a root of unity).  Otherwise a bounded LLL-assisted
 search runs and the lattice is flagged incomplete; a too-coarse lattice
 only enlarges the torus, so downstream minima become sound lower bounds.
+
+The search works from the boxes it already holds: the 96-bit boxes that
+give the LLL basis its angles also screen every candidate on integers
+(`_product_screen`), so the exact test runs only on a candidate whose
+product box holds 1.  No box is requested deeper than the search's own
+96 bits: a field keeps its deepest root box and hands it to every later,
+shallower request, so a deeper box here could move enclosures that a
+report prints.
 """
 
 from __future__ import annotations
@@ -21,6 +29,7 @@ from functools import lru_cache
 
 from .qmath import Q, ZERO, precisions
 from .trig import unit_box
+from .interval import mul_ends
 from .intmat import hnf_rows, snf, kernel_basis, lll_reduce
 from .poly import cyclotomic
 from .algebraic import (AlgebraicNumber, NumberField,
@@ -166,15 +175,23 @@ def relation_lattice(gammas: list[AlgebraicNumber],
                            complete=complete)
 
 
+# Precision of the boxes behind the search's angles and its screen.
+_SEARCH_BITS = 96
+
+
 def _search_relations(gammas, tested, height_bound) -> list[list[int]]:
     """LLL-assisted bounded search for extra relations; exact verification.
-    A candidate in `tested`, or its negative, is not tested again."""
+
+    The candidates are the rows of an LLL-reduced basis built from the
+    gammas' angles, then, for k <= 3, the net [-3, 3]^k.  A candidate in
+    `tested`, or its negative, is not tested again.  Every other one must
+    pass `_product_screen` on the same 96-bit boxes the angles come from
+    before the exact `power_product_is_one` runs."""
     k = len(gammas)
-    angles = []
-    for g in gammas:
-        b = g.box(96)
-        angles.append(cmath.phase(complex(float(b.re.mid), float(b.im.mid)))
-                      / (2 * math.pi))
+    boxes = [g.box(_SEARCH_BITS) for g in gammas]
+    angles = [cmath.phase(complex(float(b.re.mid), float(b.im.mid)))
+              / (2 * math.pi) for b in boxes]
+    may_be_one = _product_screen(boxes, _SEARCH_BITS)
     out = []
     seen = {tuple(r) for r in tested}
 
@@ -187,7 +204,7 @@ def _search_relations(gammas, tested, height_bound) -> list[list[int]]:
         if key in seen or negkey in seen:
             return
         seen.add(key)
-        if power_product_is_one(list(gammas), cand):
+        if may_be_one(cand) and power_product_is_one(list(gammas), cand):
             out.append(cand)
 
     scale = 10 ** 12
@@ -202,6 +219,54 @@ def _search_relations(gammas, tested, height_bound) -> list[list[int]]:
         for cand in itertools.product(span, repeat=k):
             try_candidate(cand)
     return out
+
+
+def _product_screen(boxes, bits: int):
+    """A test `may_be_one(exponents)` that is False only when the product
+    of gamma_j^exponents_j, with gamma_j of modulus 1 in boxes[j], is not 1.
+
+    Each box becomes integer endpoints over 2^bits, rounded outward.  A
+    negative power is the conjugate of the positive one (1/gamma is
+    conj(gamma) on the unit circle); positive powers are formed by squaring
+    and cached per (j, exponent); every product is `interval.mul_ends`
+    shifted back to 2^bits, rounded outward.  So the integer box encloses
+    the product, and a box that misses 1 proves it is not 1."""
+    def down(x):
+        return (x.numerator << bits) // x.denominator
+
+    def up(x):
+        return -((-x.numerator << bits) // x.denominator)
+
+    def shift_out(e):
+        return (e[0] >> bits, -(-e[1] >> bits), e[2] >> bits, -(-e[3] >> bits))
+
+    powers = {(j, 1): (down(b.re.lo), up(b.re.hi), down(b.im.lo), up(b.im.hi))
+              for j, b in enumerate(boxes)}
+
+    def power(j, lam):
+        p = powers.get((j, lam))
+        if p is None:
+            p = power(j, lam >> 1)
+            p = shift_out(mul_ends(p, p))
+            if lam & 1:
+                p = shift_out(mul_ends(p, powers[j, 1]))
+            powers[j, lam] = p
+        return p
+
+    one = 1 << bits
+
+    def may_be_one(exponents) -> bool:
+        acc = None
+        for j, lam in enumerate(exponents):
+            if lam:
+                p = power(j, abs(lam))
+                if lam < 0:
+                    p = (p[0], p[1], -p[3], -p[2])
+                acc = p if acc is None else shift_out(mul_ends(acc, p))
+        re_lo, re_hi, im_lo, im_hi = acc
+        return re_lo <= one <= re_hi and im_lo <= 0 <= im_hi
+
+    return may_be_one
 
 
 def parametrize(lat: RelationLattice) -> TorusParam:

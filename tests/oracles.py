@@ -5,7 +5,8 @@ decisions (`brute_force_check`), exact companion-matrix powers and
 hyperplane distances, exact orbit points and parametrization points of
 the closure torus, a direct enclosure of the residual, the orbit scan's
 `Fraction` formula and its two-call integer form (`OrbitScannerRef`), the
-exact check of the order-6 rotation block, the per-step rotation walk
+exact check of the order-6 rotation block, LLL with a Gram-Schmidt
+rebuild after every step (`lll_reduce_ref`), the per-step rotation walk
 (`RotScan`) and scans of the hardness lab, the
 `Fraction` Horner loop of box evaluation, polynomial composition (the
 root exchange of a quadratic field), the `Fraction` interval forms of
@@ -254,6 +255,52 @@ def sin_turn_ival(t: Ival, bits: int) -> Ival:
     if has_point_mod1_ref(t.lo, t.hi, Q(3, 4)):
         out = Ival(Q(-1), out.hi)
     return out
+
+
+# ---------------------------------------------------------------------------
+# lattice reduction
+
+
+def lll_reduce_ref(basis: list[list[int]]) -> list[list[int]]:
+    """LLL with delta = 3/4 that rebuilds the whole Gram-Schmidt data after
+    every size-reduction step and every swap: the reference of
+    `intmat.lll_reduce`, which updates row k of mu in place instead."""
+    b = [list(map(int, row)) for row in basis]
+    n = len(b)
+    if n == 0:
+        return b
+
+    def gram_schmidt():
+        mu = [[Fraction(0)] * n for _ in range(n)]
+        norms = [Fraction(0)] * n
+        star: list[list[Fraction]] = []
+        for i in range(n):
+            vec = [Fraction(x) for x in b[i]]
+            for j in range(i):
+                if norms[j] == 0:
+                    continue
+                mu[i][j] = Fraction(sum(Fraction(b[i][k]) * star[j][k]
+                                        for k in range(len(vec)))) / norms[j]
+                vec = [vk - mu[i][j] * sk for vk, sk in zip(vec, star[j])]
+            star.append(vec)
+            norms[i] = sum(x * x for x in vec)
+        return mu, norms
+
+    mu, norms = gram_schmidt()
+    k = 1
+    while k < n:
+        for j in range(k - 1, -1, -1):
+            q = round(mu[k][j])
+            if q:
+                b[k] = [x - q * y for x, y in zip(b[k], b[j])]
+                mu, norms = gram_schmidt()
+        if norms[k] >= (Fraction(3, 4) - mu[k][k - 1] ** 2) * norms[k - 1]:
+            k += 1
+        else:
+            b[k], b[k - 1] = b[k - 1], b[k]
+            mu, norms = gram_schmidt()
+            k = max(k - 1, 1)
+    return b
 
 
 # ---------------------------------------------------------------------------

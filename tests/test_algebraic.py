@@ -240,6 +240,66 @@ def test_field_element_arithmetic():
     assert (g * c).coeffs == (Q(1),)  # unit modulus exactly
 
 
+def test_field_mismatch_is_an_internal_error():
+    """Arithmetic across two fields is a broken invariant (no CLI input
+    reaches it): RuntimeError, exit 4.  Comparison across fields is
+    False, not an error."""
+    a = FieldElement.generator(NumberField.get((5, -6, 5), 0))
+    b = FieldElement.generator(NumberField.get((5, -6, 5), 1))
+    for op in (lambda: a + b, lambda: a - b, lambda: a * b, lambda: a / b):
+        with pytest.raises(RuntimeError, match="field mismatch"):
+            op()
+    assert not a == b and a != b
+
+
+def _conjugate_pair_x2_x_4():
+    """The normalized roots r/2 of x^2 - x + 4 (modulus 1, minimal
+    polynomial 2x^2 - x + 2), as elements of the two fields of x^2 - x + 4."""
+    from robustlrs.lrs import InitialConfig, normalize
+    form, _ = normalize(Lrr((Q(-4), Q(1))), InitialConfig((Q(1), Q(1))))
+    return [g for _, g in form.terms]
+
+
+def _recording_field_cache(monkeypatch):
+    built = []
+    fresh = functools.lru_cache(maxsize=None)(NumberField)
+    monkeypatch.setattr(algebraic, "_field_cache",
+                        lambda mp, idx: built.append(mp) or fresh(mp, idx))
+    return built
+
+
+def test_equals_on_disjoint_boxes_seeds_no_root_field(monkeypatch):
+    """gamma and conj(gamma) of x^2 - x + 4, normalized, have disjoint
+    64-bit boxes: `equals` answers False before any field of their minimal
+    polynomial 2x^2 - x + 2 is seeded."""
+    a, b = _conjugate_pair_x2_x_4()
+    assert a._defining_ints() == b._defining_ints() == (2, -1, 2)
+    built = _recording_field_cache(monkeypatch)
+    assert not a.equals(b) and not b.equals(a)
+    assert built == []
+    assert a.equals(a)
+
+
+@pytest.mark.parametrize("minpoly, unit", [
+    ((5, -6, 5), True),             # (3 +- 4i)/5
+    ((1, 1, 1, 1, 1), True),        # primitive fifth roots of unity
+    ((2, 1, 2, 1, 2), True),        # unit circle, not cyclotomic
+    ((1, -3, 1), False),            # real, 1/z a root
+    ((1, 1, 3, 1, 1), False),       # complex, moduli 1.54 and 0.65
+    ((4, -1, 1), False),            # 1/z not a root
+])
+def test_on_unit_circle_for_every_root(minpoly, unit, monkeypatch):
+    """`_on_unit_circle` answers for each root of the minimal polynomial;
+    a non-unit root whose conjugate and inverse boxes are disjoint at the
+    first rung seeds no field of the other roots."""
+    for idx in range(len(minpoly) - 1):
+        f = NumberField(minpoly, idx)
+        built = _recording_field_cache(monkeypatch)
+        assert algebraic._on_unit_circle(minpoly, f.root_box) is unit
+        if not unit:
+            assert built == []
+
+
 def _inverse_substitution(e, x):
     """sum c_i x^i from the powers of x: the former loop of `conj_in_field`
     and `_as_common_field`, the reference for `FieldElement.at`."""

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from robustlrs.intmat import hnf_rows, snf, kernel_basis, lll_reduce
 
-from oracles import mat_mul
+from oracles import mat_mul, lll_reduce_ref
 
 
 def det_unimodular(m):
@@ -110,3 +110,51 @@ def test_lll_finds_short_relation():
     lengths = [sum(x * x for x in r) for r in red]
     best = red[lengths.index(min(lengths))]
     assert abs(best[0]) == 1 and best[0] == best[1]
+
+
+def _lll_bases():
+    """Seeded bases for `lll_reduce` against its rebuild-per-step
+    reference: the relation search's shape (k <= 4 unit rows with a scaled
+    angle column, and the scale row) at scales 1e3, 1e6 and 1e12; dense
+    small bases; rank-deficient ones (a repeated, zero or combined row,
+    so that a Gram-Schmidt norm is 0); and a size reduction at mu = 1/2
+    and at mu = 5/2, where `round` goes to the even neighbour."""
+    rng = random.Random(20261020)
+    bases = []
+    for scale in (10**3, 10**6, 10**12):
+        for _ in range(50):
+            k = rng.randint(1, 4)
+            rows = [[0] * i + [1] + [0] * (k - i - 1)
+                    + [round(scale * rng.uniform(-0.5, 0.5))]
+                    for i in range(k)]
+            bases.append(rows + [[0] * k + [scale]])
+    for _ in range(100):
+        n = rng.randint(2, 5)
+        m = rng.randint(n, 6)
+        bases.append([[rng.randint(-6, 6) for _ in range(m)]
+                      for _ in range(n)])
+    for _ in range(60):
+        n = rng.randint(2, 4)
+        m = rng.randint(2, 5)
+        rows = [[rng.randint(-6, 6) for _ in range(m)] for _ in range(n)]
+        kind = rng.randrange(3)
+        extra = (list(rows[rng.randrange(n)]) if kind == 0
+                 else [0] * m if kind == 1
+                 else [x - 2 * y for x, y in zip(rows[0], rows[-1])])
+        rows.insert(rng.randrange(n + 1), extra)
+        bases.append(rows)
+    bases += [[[2, 0], [1, 5]], [[2, 0], [5, 9]], [[2, 0, 0], [1, 7, 0], [5, 1, 9]]]
+    return bases
+
+
+def test_lll_matches_rebuild_per_step_reference():
+    bases = _lll_bases()
+    assert len(bases) >= 300
+    for basis in bases:
+        assert lll_reduce(basis) == lll_reduce_ref(basis), basis
+
+
+def test_lll_half_integer_mu_rounds_to_even():
+    """mu = 1/2 rounds to 0 (no reduction) and mu = 5/2 to 2."""
+    assert lll_reduce([[2, 0], [1, 5]]) == [[2, 0], [1, 5]]
+    assert lll_reduce([[2, 0], [5, 9]]) == [[2, 0], [1, 9]]

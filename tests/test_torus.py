@@ -1,5 +1,7 @@
 from fractions import Fraction as Q
 
+import itertools
+
 import pytest
 
 from robustlrs import torus
@@ -190,3 +192,61 @@ def test_lattice_tests_each_inverse_pair_once(monkeypatch):
                         lambda g, e: tested.append(tuple(e)) or real(g, e))
     relation_lattice(gammas)
     assert tested.count((1, 1)) + tested.count((-1, -1)) == 1
+
+
+def _x2_x_4_pair():
+    from robustlrs.lrs import Lrr, InitialConfig, normalize
+    form, _ = normalize(Lrr((Q(-4), Q(1))), InitialConfig((Q(1), Q(1))))
+    return [g for _, g in form.terms]
+
+
+def _i_minus_one_zeta6():
+    i = next(a for a, _ in isolate_roots(poly(1, 0, 1)) if a.box(64).im.lo > 0)
+    zeta6 = next(a for a in sixth_roots() if a.box(64).im.lo > 0)
+    return [i, AlgebraicNumber.from_rational(Q(-1)), zeta6]
+
+
+def _double_angle():
+    """gamma_1 = (3 + 4i)/5, its conjugate, and gamma_2 = gamma_1^2."""
+    a, b = pair_3_4_5()
+    return [a, b, AlgebraicNumber.from_element(a.elem.pow(2))]
+
+
+@pytest.mark.parametrize("make", [
+    _i_minus_one_zeta6,
+    lambda: pair_3_4_5() + [AlgebraicNumber.from_rational(Q(-1))],
+    _double_angle,
+], ids=["i,-1,zeta6", "unit pair of x^2-6/5x+1, -1", "double angle"])
+def test_product_screen_passes_every_true_relation(make):
+    """Every candidate of the net [-3, 3]^k that `power_product_is_one`
+    accepts passes the integer box screen, and on these gammas the screen
+    turns away every other one."""
+    gammas = make()
+    may_be_one = torus._product_screen(
+        [g.box(torus._SEARCH_BITS) for g in gammas], torus._SEARCH_BITS)
+    true = false_passed = 0
+    for cand in itertools.product(range(-3, 4), repeat=len(gammas)):
+        if not any(cand):
+            continue
+        if power_product_is_one(gammas, list(cand)):
+            true += 1
+            assert may_be_one(cand), cand
+        else:
+            false_passed += may_be_one(cand)
+    assert true >= 2
+    assert false_passed == 0
+
+
+def test_search_runs_the_exact_test_only_past_the_screen(monkeypatch):
+    """On the normalized roots of x^2 - x + 4, with (1, 1) already tested,
+    the search calls `power_product_is_one` twice, on (-3, -3) and
+    (-2, -2), whose boxes hold 1 (the pair is conjugate; the exact test
+    rejects them through the conjugate mapping of ROADMAP item 1).  With
+    every candidate tested exactly it made 23 calls."""
+    gammas = _x2_x_4_pair()
+    tested = []
+    real = torus.power_product_is_one
+    monkeypatch.setattr(torus, "power_product_is_one",
+                        lambda g, e: tested.append(tuple(e)) or real(g, e))
+    assert torus._search_relations(gammas, [[1, 1]], 64) == []
+    assert tested == [(-3, -3), (-2, -2)]
