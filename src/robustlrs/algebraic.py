@@ -239,10 +239,16 @@ class _BisectionPath:
         # every rectangle here is on sympy's path and no deeper than the
         # request, so sympy's refinement reaches the same rectangle
         centre = _eval_rational(self.root, bits)
-        if self.im_sq is not None and not self._holds_root(centre, bits):
-            raise RuntimeError(
-                f"sympy puts a root of {[int(c) for c in self.poly]} at "
-                f"{centre[0]} + {centre[1]} i, off the exact root")
+        if self.im_sq is not None:
+            # the box of half-side 2^-(bits+1) about the centre, in sympy's
+            # coordinates
+            eps = Q(1, 1 << (bits + 1))
+            re, im = centre[0], -centre[1] if self.conj else centre[1]
+            self.rect = (re - eps, im - eps, re + eps, im + eps)
+            if not self._rect_holds_root():
+                raise RuntimeError(
+                    f"sympy puts a root of {[int(c) for c in self.poly]} at "
+                    f"{centre[0]} + {centre[1]} i, off the exact root")
         self._adopt(self.root._get_interval())
         return centre
 
@@ -253,19 +259,6 @@ class _BisectionPath:
         u, v, s, t = self.rect
         return (u <= self.re <= s and t >= 0 and t * t >= self.im_sq
                 and (v <= 0 or v * v <= self.im_sq))
-
-    def _holds_root(self, centre: tuple[Fraction, Fraction],
-                    bits: int) -> bool:
-        """Whether the box of half-side 2^-(bits+1) about `centre` holds the
-        quadratic's root: re exactly, and im^2 = im_sq with the sign of
-        this conjugate, by comparing squares."""
-        eps = Q(1, 1 << (bits + 1))
-        re, im = centre
-        if not re - eps <= self.re <= re + eps:
-            return False
-        lo, hi = (-im - eps, -im + eps) if self.conj else (im - eps, im + eps)
-        return (hi >= 0 and hi * hi >= self.im_sq
-                and (lo <= 0 or lo * lo <= self.im_sq))
 
 
 _PATHS: dict = {}

@@ -4,11 +4,14 @@
 rounded (containment preserving).  `round_out` coarsens endpoints to
 dyadics so denominators stay bounded in long computations.
 
-Hot loops run on integer numerators, with this module's one integer
-interval product `imul` (per term in `lrs.OrbitScanner.step`): `box_ends`
-writes a box as endpoints (re lo, re hi, im lo, im hi) over one
-denominator, and `mul_ends`, four `imul`s, is the box product on such
-endpoints, exactly what `Box.__mul__` gives on the same values.
+Each interval operation is written once, on bare endpoints, and serves
+both the `Fraction` classes and the hot loops, which run on integer
+numerators: `imul` is the one interval product (`Ival.__mul__`, and per
+term in `lrs.OrbitScanner.step`), `isq` the one square (`Ival.sq` and the
+optimizer's gradient norm), and `mul_ends`, four `imul`s, the one box
+product (`Box.__mul__`).  `box_ends` writes a box as endpoints (re lo,
+re hi, im lo, im hi) over one denominator, and `round_ends` is the one
+outward rounding of such integer endpoints onto a 2^-bits grid.
 """
 
 from __future__ import annotations
@@ -76,13 +79,9 @@ class Ival:
 
     def __mul__(self, other):
         if isinstance(other, Ival):
-            cands = (self.lo * other.lo, self.lo * other.hi,
-                     self.hi * other.lo, self.hi * other.hi)
-            return Ival(min(cands), max(cands))
+            return Ival(*imul(self.lo, self.hi, other.lo, other.hi))
         other = Q(other)
-        if other >= 0:
-            return Ival(self.lo * other, self.hi * other)
-        return Ival(self.hi * other, self.lo * other)
+        return Ival(*imul(self.lo, self.hi, other, other))
 
     __rmul__ = __mul__
 
@@ -91,10 +90,8 @@ class Ival:
             raise ZeroDivisionError("interval contains zero")
         return Ival(1 / self.hi, 1 / self.lo)
 
-    def __truediv__(self, other):
-        if isinstance(other, Ival):
-            return self * other.inverse()
-        return self * (1 / Q(other))
+    def __truediv__(self, other: "Ival") -> "Ival":
+        return self * other.inverse()
 
     def abs(self) -> "Ival":
         if self.lo >= 0:
@@ -104,8 +101,8 @@ class Ival:
         return Ival(ZERO, max(-self.lo, self.hi))
 
     def sq(self) -> "Ival":
-        return (self * self) if self.lo >= 0 or self.hi <= 0 else Ival(
-            ZERO, max(self.lo * self.lo, self.hi * self.hi))
+        lo, hi = isq(self.lo, self.hi)
+        return Ival(lo or ZERO, hi)
 
     def sqrt(self, bits: int = 128) -> "Ival":
         lo = self.lo if self.lo > 0 else ZERO
@@ -165,10 +162,10 @@ class Box:
 
     def __mul__(self, other):
         if isinstance(other, Box):
-            return Box(self.re * other.re - self.im * other.im,
-                       self.re * other.im + self.im * other.re)
-        if isinstance(other, Ival):
-            return Box(self.re * other, self.im * other)
+            re_lo, re_hi, im_lo, im_hi = mul_ends(
+                (self.re.lo, self.re.hi, self.im.lo, self.im.hi),
+                (other.re.lo, other.re.hi, other.im.lo, other.im.hi))
+            return Box(Ival(re_lo, re_hi), Ival(im_lo, im_hi))
         return Box(self.re * other, self.im * other)
 
     __rmul__ = __mul__
@@ -219,10 +216,11 @@ def box_ends(z: Box) -> tuple[tuple, int]:
     return tuple(e.numerator * (D // e.denominator) for e in ends), D
 
 
-def imul(a_lo: int, a_hi: int, b_lo: int, b_hi: int) -> tuple[int, int]:
-    """[a_lo, a_hi] * [b_lo, b_hi] on integer endpoints: the two of the four
-    end products that the factors' signs pick, which are their min and
-    max; only when both straddle 0 are all four formed."""
+def imul(a_lo, a_hi, b_lo, b_hi) -> tuple:
+    """[a_lo, a_hi] * [b_lo, b_hi]: the two of the four end products that
+    the factors' signs pick, which are their min and max; only when both
+    straddle 0 are all four formed.  The ends are integers or `Fraction`s
+    (`Ival.__mul__`)."""
     if a_lo >= 0:
         if b_lo >= 0:
             return a_lo * b_lo, a_hi * b_hi
@@ -242,11 +240,21 @@ def imul(a_lo: int, a_hi: int, b_lo: int, b_hi: int) -> tuple[int, int]:
     return min(a_lo * b_hi, a_hi * b_lo), max(a_lo * b_lo, a_hi * b_hi)
 
 
+def isq(lo, hi) -> tuple:
+    """[lo, hi]^2: the square of each end, in the order the interval's sign
+    gives, and [0, max] when it straddles 0."""
+    if lo >= 0:
+        return lo * lo, hi * hi
+    if hi <= 0:
+        return hi * hi, lo * lo
+    return 0, max(lo * lo, hi * hi)
+
+
 def mul_ends(a: tuple, b: tuple) -> tuple:
-    """The product of two boxes given as integer endpoints (re lo, re hi,
-    im lo, im hi) over denominators A and B, as endpoints over A*B.  Each
-    interval product is an `imul`, the min and max of `Ival.__mul__`, so
-    the values are those `Box.__mul__` gives."""
+    """The product of two boxes given as endpoints (re lo, re hi, im lo,
+    im hi): integers over denominators A and B give endpoints over A*B,
+    `Fraction`s give `Box.__mul__`'s own.  Each interval product is an
+    `imul`."""
     ar, Ar, ai, Ai = a
     cr, Cr, ci, Ci = b
     # re = a.re b.re - a.im b.im, im = a.re b.im + a.im b.re
@@ -255,3 +263,12 @@ def mul_ends(a: tuple, b: tuple) -> tuple:
     ri_lo, ri_hi = imul(ar, Ar, ci, Ci)
     ir_lo, ir_hi = imul(ai, Ai, cr, Cr)
     return rr_lo - ii_hi, rr_hi - ii_lo, ri_lo + ir_lo, ri_hi + ir_hi
+
+
+def round_ends(ends: tuple, den: int, bits: int) -> tuple:
+    """Integer box endpoints (re lo, re hi, im lo, im hi) over `den` rounded
+    outward onto the 2^-bits grid, as integers over 2^bits: each lower end
+    floored, each upper end ceiled."""
+    re_lo, re_hi, im_lo, im_hi = ends
+    return ((re_lo << bits) // den, -((-re_hi << bits) // den),
+            (im_lo << bits) // den, -((-im_hi << bits) // den))

@@ -620,20 +620,14 @@ def _pow_ge(x: int, y: int, bn: int, bd: int, n: int) -> bool:
 
     Decided from floor/ceiling dyadic bounds of (bn/bd)^n with
     `_POW_BITS`-bit mantissas; only when they straddle y does the exact
-    integer comparison run (the powers there are n * log2(bd) bits)."""
-    lo, hi = _dyadic_pow(bn, bd, n)
-    if _dyadic_ge(x, lo, y):
+    integer comparison run (the powers there are n * log2(bd) bits).  Each
+    bound m * 2^e is at most 1 with m >= 2^127 or m = 0, so e < 0."""
+    (m_lo, e_lo), (m_hi, e_hi) = _dyadic_pow(bn, bd, n)
+    if x * m_lo >= y << -e_lo:
         return True
-    if not _dyadic_ge(x, hi, y):
+    if x * m_hi < y << -e_hi:
         return False
     return x * bn ** n >= y * bd ** n
-
-
-def _dyadic_ge(x: int, d: tuple[int, int], y: int) -> bool:
-    m, e = d
-    if e >= 0:
-        return (x * m) << e >= y
-    return x * m >= y << -e
 
 
 def _dyadic_pow(bn: int, bd: int, n: int):

@@ -48,7 +48,7 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 from .qmath import Q, ZERO, is_perfect_square, exact_sqrt, ceil_frac
-from .interval import Ival, Box, box_ends, mul_ends
+from .interval import Ival, Box, box_ends, isq, mul_ends, round_ends
 from .trig import unit_box, unit_ends, cos_turn, sin_turn, pi_ival
 from .poly import cyclotomic, pnorm, pdivmod
 from .algebraic import AlgebraicNumber, FieldElement, identify_root_of_unity
@@ -376,12 +376,7 @@ class _Objective:
             row = []
             for ab, (z, zden) in zip(boxes, zetas):
                 a, aden = box_ends(ab)
-                den = aden * zden
-                re_lo, re_hi, im_lo, im_hi = mul_ends(a, z)
-                row.append(((re_lo << bits) // den,
-                            -((-re_hi << bits) // den),
-                            (im_lo << bits) // den,
-                            -((-im_hi << bits) // den)))
+                row.append(round_ends(mul_ends(a, z), aden * zden, bits))
             self.weights.append(row)
         # upper end of 2 pi over 2^(bits + 2); pi_ival rounds to that grid
         self.two_pi_hi = ceil_frac(pi_ival(bits).hi * (1 << (bits + 3)))
@@ -423,7 +418,8 @@ class _Objective:
         The box is the branch and bound's (los, his, d): angle b spans
         [los[b], his[b]] / 2^d.  Form 0's box enclosure is the plain one
         intersected with the centered form f(m) + f'(box) 2 pi (box - m),
-        whose derivative reuses the box's trig pass."""
+        whose derivative reuses the box's trig pass.  Both hold f(m), so
+        two that miss each other are an internal fault (RuntimeError)."""
         bits = self.bits
         los, his, d = box
         terms = self._terms(los, his, d)
@@ -448,10 +444,9 @@ class _Objective:
         s, up = 3 * bits + 5 + d, 2 * bits + 5 + d
         acc_lo, acc_hi = (at_mid[0][0] << up) - r, (at_mid[0][1] << up) + r
         p_lo, p_hi = plain[0][0] << up, plain[0][1] << up
-        if acc_lo <= p_hi and p_lo <= acc_hi:
-            centered = (max(acc_lo, p_lo), min(acc_hi, p_hi), s)
-        else:
-            centered = plain[0] + (bits,)
+        if acc_lo > p_hi or p_lo > acc_hi:
+            raise RuntimeError("plain and centered enclosures are disjoint")
+        centered = (max(acc_lo, p_lo), min(acc_hi, p_hi), s)
         return ([centered] + [(lo, hi, bits) for lo, hi in plain[1:]],
                 [(lo, hi, bits) for lo, hi in at_mid])
 
@@ -707,12 +702,8 @@ def _ball_value(ends: list[tuple], bits: int, radius: Fraction) -> Ival:
     `Fraction`s."""
     sq_lo = sq_hi = 0
     for lo, hi, _ in ends[1:]:
-        if lo >= 0:
-            sq_lo, sq_hi = sq_lo + lo * lo, sq_hi + hi * hi
-        elif hi <= 0:
-            sq_lo, sq_hi = sq_lo + hi * hi, sq_hi + lo * lo
-        else:
-            sq_hi += max(lo * lo, hi * hi)
+        s_lo, s_hi = isq(lo, hi)
+        sq_lo, sq_hi = sq_lo + s_lo, sq_hi + s_hi
     r_lo, r_hi = math.isqrt(sq_lo), math.isqrt(sq_hi)
     r_hi += r_hi * r_hi < sq_hi
     v_lo, v_hi, e = ends[0]

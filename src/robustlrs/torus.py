@@ -29,7 +29,7 @@ from functools import lru_cache
 
 from .qmath import Q, ZERO, precisions
 from .trig import unit_box
-from .interval import mul_ends
+from .interval import box_ends, mul_ends, round_ends
 from .intmat import hnf_rows, snf, kernel_basis, lll_reduce
 from .poly import cyclotomic
 from .algebraic import (AlgebraicNumber, NumberField,
@@ -228,28 +228,21 @@ def _product_screen(boxes, bits: int):
     Each box becomes integer endpoints over 2^bits, rounded outward.  A
     negative power is the conjugate of the positive one (1/gamma is
     conj(gamma) on the unit circle); positive powers are formed by squaring
-    and cached per (j, exponent); every product is `interval.mul_ends`
-    shifted back to 2^bits, rounded outward.  So the integer box encloses
-    the product, and a box that misses 1 proves it is not 1."""
-    def down(x):
-        return (x.numerator << bits) // x.denominator
-
-    def up(x):
-        return -((-x.numerator << bits) // x.denominator)
-
-    def shift_out(e):
-        return (e[0] >> bits, -(-e[1] >> bits), e[2] >> bits, -(-e[3] >> bits))
-
-    powers = {(j, 1): (down(b.re.lo), up(b.re.hi), down(b.im.lo), up(b.im.hi))
+    and cached per (j, exponent); every product is `interval.mul_ends`,
+    exact over 2^(2 bits), rounded outward back onto the 2^-bits grid
+    (`interval.round_ends`).  So the integer box encloses the product, and
+    a box that misses 1 proves it is not 1."""
+    powers = {(j, 1): round_ends(*box_ends(b), bits)
               for j, b in enumerate(boxes)}
+    den = 1 << (2 * bits)     # of a product of two such boxes
 
     def power(j, lam):
         p = powers.get((j, lam))
         if p is None:
             p = power(j, lam >> 1)
-            p = shift_out(mul_ends(p, p))
+            p = round_ends(mul_ends(p, p), den, bits)
             if lam & 1:
-                p = shift_out(mul_ends(p, powers[j, 1]))
+                p = round_ends(mul_ends(p, powers[j, 1]), den, bits)
             powers[j, lam] = p
         return p
 
@@ -262,7 +255,8 @@ def _product_screen(boxes, bits: int):
                 p = power(j, abs(lam))
                 if lam < 0:
                     p = (p[0], p[1], -p[3], -p[2])
-                acc = p if acc is None else shift_out(mul_ends(acc, p))
+                acc = p if acc is None else round_ends(mul_ends(acc, p), den,
+                                                       bits)
         re_lo, re_hi, im_lo, im_hi = acc
         return re_lo <= one <= re_hi and im_lo <= 0 <= im_hi
 

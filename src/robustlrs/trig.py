@@ -5,9 +5,12 @@ period reduction is exact rational arithmetic; only the final Taylor
 evaluation multiplies by an enclosure of 2*pi.  Series remainders are
 bounded by the alternating-series criterion after argument reduction.
 
-The Taylor series runs on integers at scale 2^(bits + 8), rounding each
-term outward as `Ival.round_out` would, so its enclosures are those of
-the same series on `Fraction` intervals, endpoint for endpoint.
+A point enclosure of cos and sin comes from one octant reduction: the
+turn is reflected once into [0, 1/8] (`_point_ends`), and both Taylor
+series run at the one argument 2 pi r.  The series runs on integers at
+scale 2^(bits + 8), rounding each term outward as `Ival.round_out` would,
+so its enclosures are those of the same series on `Fraction` intervals,
+endpoint for endpoint.
 
 `unit_ends` takes a rational turn, the one form its callers hold (an
 interval turn goes through `cos_turn` and `sin_turn`), and reads a
@@ -53,7 +56,7 @@ _PI_CACHE: dict[int, Ival] = {}
 def _atan_inv_int(m: int, bits: int) -> Ival:
     """Enclosure of atan(1/m) for integer m >= 2, by alternating series."""
     # terms 1/((2k+1) m^(2k+1)) are strictly decreasing, so consecutive
-    # partial sums bracket the limit
+    # partial sums bracket the limit, the odd ones below the even ones
     acc_lo = acc_hi = Q(0)
     k = 0
     mpow = m
@@ -68,8 +71,6 @@ def _atan_inv_int(m: int, bits: int) -> Ival:
             break
         k += 1
         mpow *= m * m
-    if acc_lo > acc_hi:
-        acc_lo, acc_hi = acc_hi, acc_lo
     return Ival(acc_lo, acc_hi).round_out(bits + 4)
 
 
@@ -120,37 +121,6 @@ def _taylor_series(x: Ival, bits: int, odd: int) -> Ival:
     return Ival(Q(max(out_lo, -one), one), Q(min(out_hi, one), one))
 
 
-def _quarter(r: Fraction, bits: int, odd: int) -> Ival:
-    """cos (odd = 0) or sin (odd = 1) of 2 pi r for 0 <= r <= 1/4.  Past
-    r = 1/8 it is the other series at the complement 1/4 - r."""
-    if r > Q(1, 8):
-        r, odd = Q(1, 4) - r, 1 - odd
-    return _taylor_series(pi_ival(bits + 8) * (2 * r), bits, odd)
-
-
-def cos_turn_point(r: Fraction, bits: int) -> Ival:
-    """Enclosure of cos(2 pi r) for rational r (r in turns)."""
-    r = r - (r.numerator // r.denominator)  # reduce mod 1 into [0, 1)
-    if r > Q(1, 2):
-        r = 1 - r
-    if r <= Q(1, 4):
-        return _quarter(r, bits, 0)
-    return -_quarter(Q(1, 2) - r, bits, 0)
-
-
-def sin_turn_point(r: Fraction, bits: int) -> Ival:
-    """Enclosure of sin(2 pi r) for rational r (r in turns)."""
-    r = r - (r.numerator // r.denominator)
-    sign = 1
-    if r > Q(1, 2):
-        r = 1 - r
-        sign = -1
-    if r > Q(1, 4):
-        r = Q(1, 2) - r
-    v = _quarter(r, bits, 1)
-    return v if sign == 1 else -v
-
-
 def _has_point_mod1(lo: int, hi: int, d: int, q: int) -> bool:
     """Is there an x in [lo, hi] / 2^d with x = q/4 (mod 1)?  That is, is
     ceil((4 lo - q 2^d) / 2^(d + 2)) <= floor((4 hi - q 2^d) / 2^(d + 2)),
@@ -175,11 +145,31 @@ def _turn_ends(n: int, d: int, bits: int) -> tuple[int, int, int, int]:
 
 def _point_ends(n: int, q: int, bits: int) -> tuple[int, int, int, int]:
     """(cos lo, cos hi, sin lo, sin hi) of the point enclosures at the turn
-    n/q, over 2^(bits + 2), the grid their endpoints lie on."""
-    t, one = Q(n, q), 1 << (bits + 2)
-    c, s = cos_turn_point(t, bits), sin_turn_point(t, bits)
-    return (floor_frac(c.lo * one), ceil_frac(c.hi * one),
-            floor_frac(s.lo * one), ceil_frac(s.hi * one))
+    n/q, over 2^(bits + 2), the grid their endpoints lie on.
+
+    The turn r = n/q mod 1 is reduced once into [0, 1/8] by three
+    reflections, each taken when r is past the reflection's midpoint:
+    r -> 1 - r negates sin, r -> 1/2 - r negates cos, and r -> 1/4 - r
+    swaps cos and sin.  Both series then run at the one x = 2 pi r."""
+    r = Q(n % q, q)
+    flip_sin = r > Q(1, 2)
+    if flip_sin:
+        r = 1 - r
+    flip_cos = r > Q(1, 4)
+    if flip_cos:
+        r = Q(1, 2) - r
+    swap = int(r > Q(1, 8))
+    if swap:
+        r = Q(1, 4) - r
+    x, one = pi_ival(bits + 8) * (2 * r), 1 << (bits + 2)
+    c, s = _taylor_series(x, bits, swap), _taylor_series(x, bits, 1 - swap)
+    c_lo, c_hi = floor_frac(c.lo * one), ceil_frac(c.hi * one)
+    s_lo, s_hi = floor_frac(s.lo * one), ceil_frac(s.hi * one)
+    if flip_cos:
+        c_lo, c_hi = -c_hi, -c_lo
+    if flip_sin:
+        s_lo, s_hi = -s_hi, -s_lo
+    return c_lo, c_hi, s_lo, s_hi
 
 
 # Two bounded tables of `_point_ends`.  `_turn_table` holds turns n / 2^d

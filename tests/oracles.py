@@ -10,7 +10,8 @@ rebuild after every step (`lll_reduce_ref`), the per-step rotation walk
 (`RotScan`) and scans of the hardness lab, the
 `Fraction` Horner loop of box evaluation, polynomial composition (the
 root exchange of a quadratic field), the `Fraction` interval forms of
-`cos_turn` and `sin_turn`, the problem document of a parsed spec, the
+`cos_turn` and `sin_turn` and the per-function reduction of a point turn
+(`turn_point_ref`), the problem document of a parsed spec, the
 `Fraction` forms of the optimizer's finite-torus coset values and
 open-ball norm term, of its branch and bound and of the start solve, and
 the emptying of the recurrence-level memos.
@@ -44,7 +45,7 @@ from robustlrs.lrs import (Lrr, InitialConfig, Ball, SpectralData, spectral,
 from robustlrs.optimize import ExactReal
 from robustlrs.torus import TorusParam, TorusPoint, root_of_unity_alg
 from robustlrs.trig import pi_ival, rotation_order, unit_box
-from robustlrs import decide, hardness, lrs, optimize
+from robustlrs import decide, hardness, lrs, optimize, trig
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +217,26 @@ def branch_and_bound_ref(value_fn, free: int, tol: Fraction,
 
 
 # ---------------------------------------------------------------------------
-# cos and sin of an interval turn on `Fraction` intervals
+# cos and sin of a turn on `Fraction` intervals
+
+
+def turn_point_ref(r: Fraction, bits: int) -> tuple[Ival, Ival]:
+    """Enclosures of cos(2 pi r) and sin(2 pi r) for a rational turn r,
+    each reduced on its own into a quarter turn (cos by r -> 1 - r and
+    r -> 1/2 - r, negated after the second; sin by the same, negated after
+    the first), then past 1/8 the other series at 1/4 - r.  The reference
+    of `trig._point_ends`, which reduces the turn once for both."""
+    def quarter(r, odd):
+        if r > Q(1, 8):
+            r, odd = Q(1, 4) - r, 1 - odd
+        return trig._taylor_series(pi_ival(bits + 8) * (2 * r), bits, odd)
+
+    r = r - (r.numerator // r.denominator)
+    c = 1 - r if r > Q(1, 2) else r
+    cos = quarter(c, 0) if c <= Q(1, 4) else -quarter(Q(1, 2) - c, 0)
+    s, sign = (1 - r, -1) if r > Q(1, 2) else (r, 1)
+    sin = quarter(Q(1, 2) - s if s > Q(1, 4) else s, 1)
+    return cos, (sin if sign == 1 else -sin)
 
 
 def has_point_mod1_ref(lo: Fraction, hi: Fraction, frac: Fraction) -> bool:

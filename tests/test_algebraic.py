@@ -230,6 +230,57 @@ def test_mixed_rou_and_pair_product():
     assert not power_product_is_one([minus, a, b], [1, 1, 1])
 
 
+def test_power_product_root_of_unity_comparison(monkeypatch):
+    """In Q(i), (3 + 4i)/5 * (4 + 3i)/5 = i: with i^-1 the product is 1,
+    with i^1 it is -1.  Both answers come from the comparison of the field
+    product with the root of unity the exponents of i leave, not from the
+    composed-product fallback."""
+    def refuse(gammas, exponents):
+        raise AssertionError("composed-product fallback ran")
+
+    monkeypatch.setattr(algebraic, "_power_product_general", refuse)
+    i = next(a for a, _ in isolate_roots(poly(1, 0, 1)) if a.box(64).im.lo > 0)
+    field = i.elem.field
+    gammas = [AlgebraicNumber.from_element(FieldElement(field, coeffs))
+              for coeffs in ((Q(3, 5), Q(4, 5)), (Q(4, 5), Q(3, 5)))] + [i]
+    assert identify_root_of_unity(i) == (1, 4)
+    assert power_product_is_one(gammas, [1, 1, -1])
+    assert not power_product_is_one(gammas, [1, 1, 1])
+    assert not power_product_is_one(gammas, [1, 1, 0])
+
+
+def test_root_box_reseeds_between_close_roots():
+    """x^3 - 2 (2^30 x - 1)^2 is irreducible, with two real roots about
+    2^-60 apart near 2^-30.  Newton cannot contract on either 64-bit seed
+    box, so `root_box` reseeds at 128 bits; each close root's 256-bit box
+    brackets a sign change of the polynomial and misses the other's."""
+    from robustlrs.poly import peval
+    minpoly = (-2, 1 << 32, -(1 << 61), 1)
+    assert factor_int(minpoly) == [(minpoly, 1)]
+    seeds = []
+    real = NumberField._seed_box
+
+    def spy(field, bits):
+        seeds.append((field.root_index, bits))
+        return real(field, bits)
+
+    fields = [NumberField(minpoly, i) for i in range(3)]
+    close = [f for f in fields if f.root_box(64).re.hi < 1]
+    assert len(close) == 2
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(NumberField, "_seed_box", spy)
+        fields = [NumberField(minpoly, f.root_index) for f in close]
+        for f in fields:
+            f.root_box(128)
+    assert seeds == [(f.root_index, b) for f in fields for b in (64, 128)]
+    boxes = [f.root_box(256) for f in fields]
+    assert boxes[0].disjoint(boxes[1])
+    p = tuple(Q(c) for c in minpoly)
+    for b in boxes:
+        assert b.width <= Q(1, 1 << 256) and b.im.lo == b.im.hi == 0
+        assert peval(p, b.re.lo) * peval(p, b.re.hi) < 0
+
+
 def test_field_element_arithmetic():
     f = NumberField.get((5, -6, 5), 0)
     g = FieldElement.generator(f)

@@ -101,6 +101,40 @@ def test_scan_ball_terms_cases_cover_clean_and_violation():
     assert outcomes["clean"] >= 5 and outcomes["violation"] >= 5
 
 
+def test_scan_resolves_ambiguous_terms_at_high_precision(monkeypatch):
+    """With the scan's rotation enclosures cut to 12 bits, terms the
+    160-bit scan certifies come out ambiguous; `_resolve_ambiguous` settles
+    them at 512 bits, and the verdict and index are those of the 160-bit
+    scan, which leaves none ambiguous on these windows."""
+    resolved = []
+    real = hardness._resolve_ambiguous
+
+    def spy(ambiguous, params):
+        resolved.append(list(ambiguous))
+        return real(ambiguous, params)
+
+    monkeypatch.setattr(hardness, "_resolve_ambiguous", spy)
+    outcomes = Counter()
+    for p, q in [_pyth(2, 1), _pyth(3, 2), _pyth(5, 2)]:
+        for ell in (Q(1, 4), Q(1, 2), Q(1)):
+            params = compute_params(ell, Q(1, 20), p, q)
+            window = (params.n2, 20000)
+            fine = scan_ball_terms(params, *window)
+            assert not any(resolved)
+            resolved.clear()
+            monkeypatch.setattr(hardness, "_SCAN_BITS", 12)
+            coarse = scan_ball_terms(params, *window)
+            monkeypatch.setattr(hardness, "_SCAN_BITS", 160)
+            outcomes[fine[0]] += 1
+            outcomes["ambiguous"] += sum(map(len, resolved))
+            resolved.clear()
+            assert coarse[:2] == fine[:2], (p, q, ell)
+            if fine[0] == "violation":
+                assert coarse[2].hi < 0 and coarse[2].overlaps(fine[2])
+    assert outcomes["clean"] >= 3 and outcomes["violation"] >= 3
+    assert outcomes["ambiguous"] >= 10
+
+
 def test_first_multiple_in_matches_brute_force():
     rng = random.Random(5)
     for _ in range(3000):

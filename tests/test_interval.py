@@ -3,10 +3,10 @@ import random
 from fractions import Fraction as Q
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from robustlrs import qmath
-from robustlrs.interval import Ival, Box, box_ends, imul, mul_ends
+from robustlrs.interval import Ival, Box, box_ends, imul, mul_ends, round_ends
 from robustlrs.qmath import (parse_rational, format_rational, round_down,
                              round_up, sqrt_down, sqrt_up, exact_sqrt,
                              precisions, PrecisionExhausted)
@@ -124,24 +124,111 @@ def _interval_of_sign(rng, sign, bits):
 SIGNS = (1, -1, 0)
 
 
+def _four_products(a_lo, a_hi, b_lo, b_hi):
+    """The min and max of the four end products: the reference interval
+    product."""
+    cands = (a_lo * b_lo, a_lo * b_hi, a_hi * b_lo, a_hi * b_hi)
+    return min(cands), max(cands)
+
+
+def _box_product(a, b):
+    """The product of two boxes (re lo, re hi, im lo, im hi) from four
+    `_four_products`."""
+    rr, ii = _four_products(*a[:2], *b[:2]), _four_products(*a[2:], *b[2:])
+    ri, ir = _four_products(*a[:2], *b[2:]), _four_products(*a[2:], *b[:2])
+    return (rr[0] - ii[1], rr[1] - ii[0], ri[0] + ir[0], ri[1] + ir[1])
+
+
 @pytest.mark.parametrize("bits", (1, 8, 200))
 def test_imul_matches_ival_product_in_every_sign_case(bits):
-    """`imul` picks the end products `Ival.__mul__` takes the min and max
-    of, in all nine sign cases of a factor pair."""
+    """`imul` picks the end products whose min and max make the interval
+    product, in all nine sign cases of a factor pair."""
     rng = random.Random(bits)
     for sa, sb in itertools.product(SIGNS, repeat=2):
         for _ in range(60):
             a = _interval_of_sign(rng, sa, bits)
             b = _interval_of_sign(rng, sb, bits)
-            want = Ival(Q(a[0]), Q(a[1])) * Ival(Q(b[0]), Q(b[1]))
-            assert imul(*a, *b) == (want.lo, want.hi), (a, b)
+            assert imul(*a, *b) == _four_products(*a, *b), (a, b)
+
+
+@st.composite
+def signed_ivals(draw):
+    """A `Fraction` interval >= 0, <= 0, straddling 0 or a point (0
+    included), its ends drawn apart from its sign."""
+    a, b = sorted((draw(st.fractions(min_value=0, max_value=100,
+                                     max_denominator=1000)),
+                   draw(st.fractions(min_value=0, max_value=100,
+                                     max_denominator=1000))))
+    kind = draw(st.sampled_from(("pos", "neg", "straddle", "point")))
+    if kind == "pos":
+        return Ival(a, b)
+    if kind == "neg":
+        return Ival(-b, -a)
+    if kind == "straddle":
+        return Ival(-a, b)
+    return Ival.point(draw(st.sampled_from((a, -a))))
+
+
+def _ends(x):
+    return x.lo, x.hi
+
+
+@given(signed_ivals(), signed_ivals(), signed_ivals(), signed_ivals())
+@example(Ival(Q(-2), Q(3)), Ival(Q(-5), Q(1)), Ival(Q(-1, 3), Q(1, 2)),
+         Ival(Q(-7), Q(7)))
+@example(Ival(Q(0), Q(0)), Ival(Q(-3, 2), Q(-1, 2)), Ival(Q(0), Q(2)),
+         Ival(Q(-4), Q(0)))
+@settings(max_examples=300)
+def test_fraction_classes_match_four_product_reference(a, b, c, d):
+    """`Ival.__mul__` (by an interval and by a scalar), `Ival.sq` and
+    `Box.__mul__` run the integer kernels on `Fraction` ends; each equals
+    the min and max of the four end products, the square with its lower
+    end raised to 0 when the interval straddles 0."""
+    assert _ends(a * b) == _four_products(*_ends(a), *_ends(b))
+    assert _ends(a * b.lo) == _four_products(*_ends(a), b.lo, b.lo)
+    assert _ends(b.hi * a) == _four_products(*_ends(a), b.hi, b.hi)
+    lo, hi = _four_products(*_ends(a), *_ends(a))
+    assert _ends(a.sq()) == (max(lo, 0), hi)
+    assert all(type(e) is Q for e in _ends(a.sq()) + _ends(a * b))
+    z, w = Box(a, b), Box(c, d)
+    got = z * w
+    assert (*_ends(got.re), *_ends(got.im)) == \
+        _box_product((*_ends(a), *_ends(b)), (*_ends(c), *_ends(d)))
+    scaled = z * c
+    assert (*_ends(scaled.re), *_ends(scaled.im)) == \
+        (*_four_products(*_ends(a), *_ends(c)),
+         *_four_products(*_ends(b), *_ends(c)))
+
+
+def test_round_ends_matches_fraction_and_shift_rounding():
+    """`round_ends` floors each lower end and ceils each upper end of a box
+    onto the 2^-bits grid: the floor and ceiling of each end as a `Fraction` times
+    2^bits and, over 2^(2 bits), the right shifts by `bits` the relation
+    screen and the objective's weights ran before."""
+    rng = random.Random(7)
+    for _ in range(2000):
+        bits = rng.choice((1, 8, 96, 200))
+        den = rng.choice((1, 3, 1 << bits, 1 << (2 * bits),
+                          rng.randint(1, 1 << 300)))
+        ends = tuple(rng.choice((0, 1, -1)) * rng.randint(0, 1 << 400)
+                     for _ in range(4))
+        got = round_ends(ends, den, bits)
+        want = tuple((Q(e, den).numerator << bits) // Q(e, den).denominator
+                     if i % 2 == 0 else
+                     -((-Q(e, den).numerator << bits) // Q(e, den).denominator)
+                     for i, e in enumerate(ends))
+        assert got == want, (ends, den, bits)
+        if den == 1 << (2 * bits):
+            assert got == tuple(-(-e >> bits) if i % 2 else e >> bits
+                                for i, e in enumerate(ends))
 
 
 @pytest.mark.parametrize("bits", (1, 8, 200))
 def test_mul_ends_matches_box_product_in_every_sign_case(bits):
-    """`mul_ends` gives `Box.__mul__`'s endpoints over the product of the
-    denominators, whatever the signs of the four intervals, so each of
-    its four interval products meets all nine sign cases."""
+    """`mul_ends` gives the reference box product's endpoints over the
+    product of the denominators, and `Box.__mul__`'s, whatever the signs of
+    the four intervals, so each of its four interval products meets all
+    nine sign cases."""
     rng = random.Random(bits)
     for signs in itertools.product(SIGNS, repeat=4):
         for _ in range(6):
@@ -154,6 +241,7 @@ def test_mul_ends_matches_box_product_in_every_sign_case(bits):
             want = za * zb
             got = [Q(e, A * B) for e in mul_ends(a, b)]
             assert got == [want.re.lo, want.re.hi, want.im.lo, want.im.hi]
+            assert tuple(mul_ends(a, b)) == _box_product(a, b)
             # and on box_ends' own form of the two boxes
             (ea, da), (eb, db) = box_ends(za), box_ends(zb)
             assert [Q(e, da * db) for e in mul_ends(ea, eb)] == got

@@ -596,6 +596,31 @@ def test_objective_matches_fraction_oracle_on_chosen_boxes(bits):
     assert tighter > 0
 
 
+def test_objective_with_disjoint_forms_is_an_internal_fault(monkeypatch):
+    """The plain and centered enclosures both hold f(m), so sound kernels
+    never part them; when the midpoint pass is made to read far off the
+    box's values, `ends` raises RuntimeError (exit 4) rather than fall back
+    to the plain form."""
+    forms, torus = _p35_ball_forms()
+    alpha_boxes = [[alpha.box(96) for alpha, _s in form.terms]
+                   for form in forms]
+    obj = _Objective(alpha_boxes, torus, 0, 96)
+    box = _random_subbox(random.Random(5), torus.free_rank, 6)
+    obj.ends(box)
+    real, calls = obj._values, []
+
+    def midpoint_off(terms):
+        calls.append(terms)
+        vals = real(terms)
+        if len(calls) % 2 == 0:     # `ends` reads the box, then the midpoint
+            return [(lo + (1 << 120), hi + (1 << 120)) for lo, hi in vals]
+        return vals
+
+    monkeypatch.setattr(obj, "_values", midpoint_off)
+    with pytest.raises(RuntimeError, match="plain and centered enclosures"):
+        obj.ends(box)
+
+
 def test_objective_on_no_free_angles():
     """With no free angle, as `min_over_ball` on a finite torus asks, the
     objective is the exact coset value's enclosure, as on the oracle."""

@@ -237,6 +237,27 @@ def test_product_screen_passes_every_true_relation(make):
     assert false_passed == 0
 
 
+def test_search_adds_the_double_angle_relation(monkeypatch):
+    """The normalized dominant roots of the double-angle recurrence (coeffs
+    -1, 16/25, -166/125, 16/25 from 1, 0, 0, 1) are gamma_1, gamma_2 =
+    gamma_1^2 and their conjugates.  The inverse pairs give two relations;
+    the search adds the third, which ties gamma_2 to gamma_1, and the
+    lattice stays flagged incomplete."""
+    from robustlrs.lrs import Lrr, InitialConfig, normalize
+    form, _ = normalize(Lrr((Q(-1), Q(16, 25), Q(-166, 125), Q(16, 25))),
+                        InitialConfig((Q(1), Q(0), Q(0), Q(1))))
+    gammas = [g for _, g in form.terms]
+    found = []
+    real = torus._search_relations
+    monkeypatch.setattr(torus, "_search_relations",
+                        lambda *args: found.append(real(*args)) or found[-1])
+    lat = relation_lattice(gammas)
+    assert len(found) == 1 and found[0]
+    assert all(power_product_is_one(gammas, rel) for rel in found[0])
+    assert lat.generators == [[1, 1, 0, 0], [0, 2, 0, -1], [0, 0, 1, 1]]
+    assert not lat.complete
+
+
 def test_search_runs_the_exact_test_only_past_the_screen(monkeypatch):
     """On the normalized roots of x^2 - x + 4, with (1, 1) already tested,
     the search calls `power_product_is_one` twice, on (-3, -3) and

@@ -11,14 +11,14 @@ from hypothesis import given, settings, strategies as st
 import robustlrs
 from robustlrs import trig
 from robustlrs.interval import Box, Ival
-from robustlrs.trig import (pi_ival, cos_turn_point, sin_turn_point, cos_turn,
-                            sin_turn, unit_box, unit_ends, atan_ival,
-                            angle_from_cos, rotation_order, rotation_power)
+from robustlrs.trig import (pi_ival, cos_turn, sin_turn, unit_box, unit_ends,
+                            atan_ival, angle_from_cos, rotation_order,
+                            rotation_power)
 from robustlrs.hardness import _rotation_ivals, lagrange_prefix
 from robustlrs.qmath import exact_sqrt, is_perfect_square, sqrt_down, sqrt_up
 
 from oracles import (RotScan, walk_to, cos_turn_ival, sin_turn_ival,
-                     has_point_mod1_ref)
+                     has_point_mod1_ref, turn_point_ref)
 
 mpmath.mp.dps = 60
 
@@ -37,8 +37,8 @@ def test_pi_enclosure():
 @given(st.fractions(min_value=-3, max_value=3, max_denominator=720))
 @settings(max_examples=60)
 def test_cos_sin_point_vs_mpmath(r):
-    c = cos_turn_point(r, 64)
-    s = sin_turn_point(r, 64)
+    box = unit_box(r, 64)
+    c, s = box.re, box.im
     arg = 2 * mpmath.pi * mpmath.mpf(r.numerator) / r.denominator
     assert _inside(c, mpmath.cos(arg))
     assert _inside(s, mpmath.sin(arg))
@@ -115,16 +115,46 @@ def test_taylor_series_matches_fraction_oracle(bits):
 
 
 def test_point_turns_match_fraction_oracle(monkeypatch):
-    """cos_turn_point and sin_turn_point at the octant boundaries and a
-    few other turns, against the same functions on the oracle series."""
+    """`_point_ends` at the octant boundaries and a few other turns,
+    against the same function on the oracle series."""
     turns = [Q(k, 8) for k in range(-8, 17)] + [Q(1, 3), Q(-5, 12), Q(7, 10)]
-    got = [(cos_turn_point(t, b), sin_turn_point(t, b))
+    got = [trig._point_ends(t.numerator, t.denominator, b)
            for t in turns for b in (64, 200)]
     monkeypatch.setattr(trig, "_taylor_series", _taylor_series_fraction)
-    want = [(cos_turn_point(t, b), sin_turn_point(t, b))
+    want = [trig._point_ends(t.numerator, t.denominator, b)
             for t in turns for b in (64, 200)]
-    for (gc, gs), (wc, ws) in zip(got, want):
-        assert (gc.lo, gc.hi, gs.lo, gs.hi) == (wc.lo, wc.hi, ws.lo, ws.hi)
+    assert got == want
+
+
+def _point_turns(rng):
+    """Every k/8, k/16 and k/24 for k in [-q, 2q], then 300 seeded turns:
+    small and large denominators, dyadic ones and ones just off an octant
+    boundary, of either sign."""
+    turns = [Q(k, q) for q in (8, 16, 24) for k in range(-q, 2 * q + 1)]
+    for _ in range(300):
+        kind = rng.randrange(3)
+        if kind == 0:
+            q = rng.randint(1, 1000)
+        elif kind == 1:
+            q = 1 << rng.randint(1, 80)
+        else:
+            turns.append(Q(rng.randint(-8, 16), 8)
+                         + rng.choice((1, -1)) * Q(1, rng.randint(2, 1 << 40)))
+            continue
+        turns.append(Q(rng.randint(-2 * q, 3 * q), q))
+    return turns
+
+
+@pytest.mark.parametrize("bits", (64, 96, 200))
+def test_point_ends_match_per_function_reduction(bits):
+    """`_point_ends` reduces a turn once into [0, 1/8] for both cos and
+    sin; its endpoints are those of `oracles.turn_point_ref`, which
+    reduces the turn for each function on its own."""
+    one = 1 << (bits + 2)
+    for t in _point_turns(random.Random(bits)):
+        got = trig._point_ends(t.numerator, t.denominator, bits)
+        c, s = turn_point_ref(t, bits)
+        assert tuple(Q(e, one) for e in got) == (c.lo, c.hi, s.lo, s.hi), t
 
 
 def _point_hull(point_fn, t, bits, top, bottom):
@@ -196,18 +226,26 @@ def _random_dyadic_turn(rng) -> Ival:
     return Ival(Q(lo, 1 << d), Q(lo + width, 1 << d))
 
 
+def _cos_ref(t, bits):
+    return turn_point_ref(t, bits)[0]
+
+
+def _sin_ref(t, bits):
+    return turn_point_ref(t, bits)[1]
+
+
 def test_interval_turns_match_point_hull():
     """cos_turn and sin_turn read their endpoints from the turn table; the
-    enclosures are the hull of cos_turn_point / sin_turn_point."""
+    enclosures are the hull of the point enclosures of `turn_point_ref`."""
     rng = random.Random(10)
     for _ in range(150):
         bits = rng.choice((64, 96, 232))
         t = _random_dyadic_turn(rng)
         assert _endpoints(Box(_turn_ival(cos_turn, t, bits),
                               _turn_ival(sin_turn, t, bits))) == \
-            _endpoints(Box(_point_hull(cos_turn_point, t, bits, Q(0), Q(1, 2)),
-                           _point_hull(sin_turn_point, t, bits, Q(1, 4),
-                                       Q(3, 4)))), (t, bits)
+            _endpoints(Box(_point_hull(_cos_ref, t, bits, Q(0), Q(1, 2)),
+                           _point_hull(_sin_ref, t, bits, Q(1, 4), Q(3, 4)))), \
+            (t, bits)
 
 
 @pytest.mark.parametrize("bits", (64, 96, 160, 232, 320))
@@ -231,17 +269,15 @@ def test_integer_turns_match_ival_forms(bits):
 def test_unit_box_table_matches_point_enclosures():
     """`unit_ends` on a rational turn reads a table of integers keyed by
     (t mod 1, bits): every entry, over 2^(bits + 2), is the enclosure
-    cos_turn_point and sin_turn_point give at the unreduced turn, endpoint
-    for endpoint, and stays so on repeat; `unit_box` is the same entry as
-    a `Box`.  At a dyadic turn the entry is the one `cos_turn` and
+    `turn_point_ref` gives at the unreduced turn, endpoint for endpoint,
+    and stays so on repeat; `unit_box` is the same entry as a `Box`.  At a dyadic turn the entry is the one `cos_turn` and
     `sin_turn` read from their own table."""
     for bits in (64, 96, 192):
         one = 1 << (bits + 2)
         for n in range(1, 25):
             for k in range(-n, 2 * n):
                 t = Q(k, n)
-                want = _endpoints(Box(cos_turn_point(t, bits),
-                                      sin_turn_point(t, bits)))
+                want = _endpoints(Box(*turn_point_ref(t, bits)))
                 for _ in range(2):
                     ends, den = unit_ends(t, bits)
                     assert den == one
