@@ -2,14 +2,18 @@
 
 An algebraic number is represented as an element of Q[x]/(M) for an
 irreducible integer polynomial M together with an isolating box for the
-distinguished root of M.  sympy isolates the roots (`CRootOf`); the first
-box of a non-real root comes from replaying sympy's bisection of its
-isolating rectangle here (`_BisectionPath`, the same box sympy's
-`eval_rational` would return), and deeper refinement is the package's
-own interval Newton.  A real root's seed box is still sympy's, and sympy
-factors.  Everything layered on top -- arithmetic, conjugation, zero tests,
-unit-modulus and root-of-unity decisions, minimal polynomials from power
-sums -- is exact rational computation here.
+distinguished root of M.  The first box of a root is the one sympy's
+isolation and `eval_rational` would give, and deeper refinement is the
+package's own interval Newton.  For a non-real root of a quadratic that
+box is computed in closed form on sympy's bisection grid
+(`_quadratic_seed`), with no sympy call; for one of higher degree, or a
+quadratic root on a horizontal line of that grid, sympy isolates the
+roots (`CRootOf`) and the package replays sympy's bisection of the
+isolating rectangle (`_BisectionPath`).  A real root's seed box is still
+sympy's, and sympy factors.  Everything layered on top -- arithmetic,
+conjugation, zero tests, unit-modulus and root-of-unity decisions,
+minimal polynomials from power sums -- is exact rational computation
+here.
 
 Predicates are never decided by approximation alone: enclosures may
 *separate* two numbers, while equalities are certified through unique
@@ -30,7 +34,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import sympy
 from sympy.polys import rootoftools
@@ -273,6 +277,69 @@ def _bisection_path(r) -> _BisectionPath:
     return path
 
 
+def _integer_basis(c0: int, c1: int, c2: int) -> int | None:
+    """sympy's `_integer_basis` for c2 x^2 + c1 x + c0, c2 > 0, c0 != 0,
+    tried only when c2 < |c0|: the largest d >= 2 with d | c1 and d^2 | c0,
+    or for c1 = 0 the integer sqrt(|c0|); None when there is none.
+    `CRootOf` names a root of the quadratic as d times a root of
+    c2 y^2 + (c1/d) y + c0/d^2 (`preprocess_roots`)."""
+    a0, a1 = abs(c0), abs(c1)
+    if c2 >= a0:
+        return None
+    if not a1:
+        r = math.isqrt(a0)
+        return r if r * r == a0 else None
+    return next((d for d in reversed(sympy.divisors(math.gcd(a0, a1))[1:])
+                 if a0 % (d * d) == 0), None)
+
+
+def _quadratic_seed(minpoly: tuple[int, ...], index: int, bits: int) -> Box | None:
+    """The seed box `_sympy_expr_box` gives the non-real root `index` of
+    the irreducible quadratic `minpoly` (c0, c1, c2 > 0) from a fresh
+    sympy state, in closed form; None for a root on a horizontal line of
+    sympy's grid, which the replay and its fallback keep.
+
+    sympy isolates the root of c2 x^2 + c1 x + c0 (after
+    `_integer_basis`) in [-B, B] x [0, B], B = 2 max|c_i| / c2, and every
+    later rectangle, in the isolation, in sympy's refinement and in the
+    replay, halves the longer side (the height on a tie) and
+    keeps the half that holds the root, a root on a vertical line going
+    right.  So the rectangle after k halvings is the cell of the grid of
+    width B / 2^((k-1)//2) and height B / 2^(k//2) that holds the root.
+    sympy's isolation stops at the first cell clear of both axes, the
+    replay at the first square cell of side < 2^-(bits+1), and the seed is
+    the centre of the deeper of the two, read off the exact root
+    re = -c1 / 2 c2, im = sqrt(4 c2 c0 - c1^2) / 2 c2 with one floor
+    division and one integer square root.  A root on the imaginary axis
+    has re read as 0, as sympy reads it."""
+    c0, c1, c2 = minpoly
+    d = _integer_basis(c0, c1, c2)
+    if d is not None:
+        # the root is d * CRootOf(...), each factor seeded 4 bits deeper
+        c0, c1, bits = c0 // (d * d), c1 // d, bits + 4
+    top = max(abs(c0), abs(c1), c2)    # B = 2 top / c2
+    disc = 4 * c2 * c0 - c1 * c1       # (2 c2 im)^2
+    # the replay's stop: width B / 2^j < 2^-(bits+1) at step 2j + 1
+    k = 2 * ((top << (bits + 2)) // c2).bit_length() + 1
+    if c1:
+        # clear of the imaginary axis: width <= re, or < -re for re < 0
+        k = max(k, 2 * ((4 * top - (c1 < 0)) // abs(c1)).bit_length() + 1)
+    # clear of the real axis: height B / 2^n <= im at step 2n
+    k = max(k, (((16 * top * top - 1) // disc).bit_length() + 1) // 2 * 2)
+    m, n = (k - 1) // 2, k // 2
+    # im / height = sqrt(disc) 2^n / 4 top, re / width = -c1 2^m / 4 top
+    root = math.isqrt(disc << (2 * n))
+    if root * root == disc << (2 * n) and root % (4 * top) == 0:
+        return None
+    im = Q((2 * (root // (4 * top)) + 1) * top, c2 << n)
+    re = Q((2 * ((-c1 << m) // (4 * top)) + 1) * top, c2 << m) if c1 else ZERO
+    if index == 0:
+        im = -im    # sympy's index 0 is the root below the real axis
+    eps = Q(1, 1 << (bits + 1))
+    box = Box(Ival(re - eps, re + eps), Ival(im - eps, im + eps))
+    return box if d is None else Box.point(d) * box
+
+
 @lru_cache(maxsize=None)
 def _field_cache(minpoly: tuple[int, ...], index: int) -> "NumberField":
     return NumberField(minpoly, index)
@@ -284,8 +351,12 @@ class NumberField:
     Deep refinement runs a certified complex interval Newton iteration
     (sound over convex boxes; the minimal polynomial is irreducible, so
     the root is simple and p' eventually excludes zero).  The certified
-    seed box comes from sympy's isolation: sympy's own refinement for a
-    real root, the replay of its bisection (`_BisectionPath`) otherwise.
+    seed box is the one sympy's isolation gives, a function of the
+    polynomial, the index and the bits: in closed form for a non-real
+    quadratic root (`_quadratic_seed`), else sympy's own refinement for a
+    real root and the replay of its bisection (`_BisectionPath`) for a
+    non-real one.  sympy's `CRootOf` is built only for those, and whether
+    a quadratic's root is real is the sign of its discriminant.
     """
 
     def __init__(self, minpoly: tuple[int, ...], root_index: int):
@@ -293,7 +364,6 @@ class NumberField:
         self.root_index = root_index
         self.minpoly_q = pnorm([Q(c, self.minpoly[-1]) for c in self.minpoly])  # monic
         self.degree = len(self.minpoly) - 1
-        self._rootof = _rootof(self.minpoly, root_index)
         self._box_bits = 0
         self._box: Box | None = None
         self._deriv = pderiv(self.minpoly_q)
@@ -307,13 +377,25 @@ class NumberField:
     def __repr__(self):
         return f"NumberField({self.minpoly}, root {self.root_index})"
 
-    @property
+    @cached_property
+    def _crootof(self):
+        """sympy's name for the root, built on first use."""
+        return _rootof(self.minpoly, self.root_index)
+
+    @cached_property
     def is_real_root(self) -> bool:
-        return bool(self._rootof.is_real)
+        if self.degree == 2:
+            c0, c1, c2 = self.minpoly
+            return c1 * c1 > 4 * c2 * c0
+        return bool(self._crootof.is_real)
 
     def _seed_box(self, bits: int) -> Box:
-        box = _sympy_expr_box(self._rootof, bits)
-        if self._rootof.is_real:
+        if self.degree == 2 and not self.is_real_root:
+            box = _quadratic_seed(self.minpoly, self.root_index, bits)
+            if box is not None:
+                return box
+        box = _sympy_expr_box(self._crootof, bits)
+        if self.is_real_root:
             box = Box(box.re, Ival.point(0))
         return box
 
@@ -339,7 +421,7 @@ class NumberField:
                     break
                 continue
             box = nxt
-        if self._rootof.is_real:
+        if self.is_real_root:
             box = Box(box.re, Ival.point(0))
         self._box = box
         self._box_bits = bits

@@ -268,7 +268,12 @@ def mul_ends(a: tuple, b: tuple) -> tuple:
 def round_ends(ends: tuple, den: int, bits: int) -> tuple:
     """Integer box endpoints (re lo, re hi, im lo, im hi) over `den` rounded
     outward onto the 2^-bits grid, as integers over 2^bits: each lower end
-    floored, each upper end ceiled."""
+    floored, each upper end ceiled, by shifts when `den` is a power of two
+    no smaller than 2^bits."""
     re_lo, re_hi, im_lo, im_hi = ends
+    shift = den.bit_length() - 1 - bits
+    if shift >= 0 and den & (den - 1) == 0:
+        return (re_lo >> shift, -(-re_hi >> shift),
+                im_lo >> shift, -(-im_hi >> shift))
     return ((re_lo << bits) // den, -((-re_hi << bits) // den),
             (im_lo << bits) // den, -((-im_hi << bits) // den))

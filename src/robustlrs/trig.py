@@ -10,7 +10,8 @@ turn is reflected once into [0, 1/8] (`_point_ends`), and both Taylor
 series run at the one argument 2 pi r.  The series runs on integers at
 scale 2^(bits + 8), rounding each term outward as `Ival.round_out` would,
 so its enclosures are those of the same series on `Fraction` intervals,
-endpoint for endpoint.
+endpoint for endpoint; it returns them as integers on the 2^-(bits + 2)
+grid, the ends `_point_ends` gives.
 
 `unit_ends` takes a rational turn, the one form its callers hold (an
 interval turn goes through `cos_turn` and `sin_turn`), and reads a
@@ -47,7 +48,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .qmath import Q, ZERO, ONE, sqrt_down, sqrt_up, floor_frac, ceil_frac
+from .qmath import Q, ZERO, ONE, sqrt_down, sqrt_up
 from .interval import Ival, Box
 
 _PI_CACHE: dict[int, Ival] = {}
@@ -83,9 +84,10 @@ def pi_ival(bits: int) -> Ival:
     return _PI_CACHE[bits]
 
 
-def _taylor_series(x: Ival, bits: int, odd: int) -> Ival:
+def _taylor_series(x: Ival, bits: int, odd: int) -> tuple[int, int]:
     """cos (odd = 0) or sin (odd = 1) on 0 <= x <= 1 (radians): the
-    alternating Taylor series x^(2k + odd) / (2k + odd)!.
+    alternating Taylor series x^(2k + odd) / (2k + odd)!, as integer ends
+    over 2^(bits + 2), the grid `round_out(bits + 2)` rounds onto.
 
     x^2 and the terms after the first are integers at scale 2^s, s =
     bits + 8, each floored (lower end) or ceiled (upper end) as
@@ -118,7 +120,7 @@ def _taylor_series(x: Ival, bits: int, odd: int) -> Ival:
     one = 1 << (bits + 2)
     out_lo = ((first_lo.numerator << s) + acc_lo * d_lo) // (d_lo << 6)
     out_hi = -((-(first_hi.numerator << s) - acc_hi * d_hi) // (d_hi << 6))
-    return Ival(Q(max(out_lo, -one), one), Q(min(out_hi, one), one))
+    return max(out_lo, -one), min(out_hi, one)
 
 
 def _has_point_mod1(lo: int, hi: int, d: int, q: int) -> bool:
@@ -161,10 +163,9 @@ def _point_ends(n: int, q: int, bits: int) -> tuple[int, int, int, int]:
     swap = int(r > Q(1, 8))
     if swap:
         r = Q(1, 4) - r
-    x, one = pi_ival(bits + 8) * (2 * r), 1 << (bits + 2)
-    c, s = _taylor_series(x, bits, swap), _taylor_series(x, bits, 1 - swap)
-    c_lo, c_hi = floor_frac(c.lo * one), ceil_frac(c.hi * one)
-    s_lo, s_hi = floor_frac(s.lo * one), ceil_frac(s.hi * one)
+    x = pi_ival(bits + 8) * (2 * r)
+    c_lo, c_hi = _taylor_series(x, bits, swap)
+    s_lo, s_hi = _taylor_series(x, bits, 1 - swap)
     if flip_cos:
         c_lo, c_hi = -c_hi, -c_lo
     if flip_sin:

@@ -10,7 +10,8 @@ rebuild after every step (`lll_reduce_ref`), the per-step rotation walk
 (`RotScan`) and scans of the hardness lab, the
 `Fraction` Horner loop of box evaluation, polynomial composition (the
 root exchange of a quadratic field), the `Fraction` interval forms of
-`cos_turn` and `sin_turn` and the per-function reduction of a point turn
+`cos_turn` and `sin_turn`, of the Taylor series under them
+(`taylor_series_ref`) and of the per-function reduction of a point turn
 (`turn_point_ref`), the problem document of a parsed spec, the
 `Fraction` forms of the optimizer's finite-torus coset values and
 open-ball norm term, of its branch and bound and of the start solve, and
@@ -220,16 +221,37 @@ def branch_and_bound_ref(value_fn, free: int, tol: Fraction,
 # cos and sin of a turn on `Fraction` intervals
 
 
+def taylor_series_ref(x: Ival, bits: int, odd: int) -> Ival:
+    """cos (odd = 0) or sin (odd = 1) on 0 <= x <= 1 by the series on
+    `Fraction` intervals, every term rounded out to bits + 8: the
+    reference of `trig._taylor_series`, which runs the same rounding on
+    integers."""
+    term = acc = x if odd else Ival.point(1)
+    x2 = (x * x).round_out(bits + 8)
+    k = 0
+    threshold = Q(1, 1 << (bits + 4))
+    while True:
+        k += 1
+        term = (term * x2 * Q(1, (2 * k - 1 + odd) * (2 * k + odd))
+                ).round_out(bits + 8)
+        if term.hi < threshold:
+            acc = acc + Ival(-term.hi, term.hi)
+            break
+        acc = acc + (term if k % 2 == 0 else -term)
+    return acc.round_out(bits + 2).intersect(Ival(Q(-1), Q(1)))
+
+
 def turn_point_ref(r: Fraction, bits: int) -> tuple[Ival, Ival]:
     """Enclosures of cos(2 pi r) and sin(2 pi r) for a rational turn r,
     each reduced on its own into a quarter turn (cos by r -> 1 - r and
     r -> 1/2 - r, negated after the second; sin by the same, negated after
-    the first), then past 1/8 the other series at 1/4 - r.  The reference
-    of `trig._point_ends`, which reduces the turn once for both."""
+    the first), then past 1/8 the other series at 1/4 - r, on `Fraction`
+    intervals (`taylor_series_ref`).  The reference of
+    `trig._point_ends`, which reduces the turn once for both."""
     def quarter(r, odd):
         if r > Q(1, 8):
             r, odd = Q(1, 4) - r, 1 - odd
-        return trig._taylor_series(pi_ival(bits + 8) * (2 * r), bits, odd)
+        return taylor_series_ref(pi_ival(bits + 8) * (2 * r), bits, odd)
 
     r = r - (r.numerator // r.denominator)
     c = 1 - r if r > Q(1, 2) else r

@@ -758,3 +758,130 @@ def test_positivity_on_quadratics_sympy_misplaces(fresh_roots, coeffs):
     start = InitialConfig((Q(1), Q(0)))
     assert exists_robust_positivity(
         Analysis.build(Lrr(coeffs), start)).verdict == "NO"
+
+
+# -- closed-form seeds of non-real quadratic roots ---------------------------
+#
+# `algebraic._quadratic_seed` computes the cell of sympy's bisection grid
+# that the replay above reaches from a fresh sympy state, without sympy.
+# The replay started from a fresh sympy state stays its oracle.
+
+_SEED_CASES = [(16, -4, 1),   # 2 +- 2 sqrt(3) i: on a vertical line
+               (12, -4, 3),   # sympy's 2 * (a root of 3y^2 - 2y + 3)
+               (4, -3, 1),    # 3/2 +- i sqrt(7)/2: on a vertical line
+               (7, 0, 1),     # +- i sqrt(7): on the imaginary axis
+               (5, -6, 5)]    # 3/5 +- 4/5 i: on a vertical line
+_ON_A_LINE = [(1, 0, 1), (4, 0, 1), (2, -2, 1), _NINE]
+# roots nearer an axis than 2^-65, where sympy's isolation, which stops at
+# the first cell clear of both axes, goes deeper than a 64-bit seed: re
+# = -+2^-71 on a vertical line, im about 2^-70, and im = 2^-70 / sqrt(3)
+# on the imaginary axis
+_DEEP_ISOLATION = [(1, 1, 2 ** 70), (1, -1, 2 ** 70),
+                   (2 ** 140 + 1, -2 ** 141 - 1, 2 ** 140 + 1),
+                   (1, 0, 3 * 2 ** 139)]
+
+
+def _sampled_quadratics(count, seed):
+    rng, out = random.Random(seed), []
+    while len(out) < count:
+        p = (rng.randint(1, 48), rng.randint(-24, 24), rng.randint(1, 12))
+        if p[1] ** 2 < 4 * p[0] * p[2] and math.gcd(*p) == 1 and p not in out:
+            out.append(p)
+    return out
+
+
+def test_quadratic_seed_matches_the_fresh_replay(fresh_roots):
+    routed = 0
+    for p in _SEED_CASES + _DEEP_ISOLATION + _sampled_quadratics(400, 37):
+        fresh_roots()
+        for index in (0, 1):
+            for bits in (64, 128, 256):
+                got = algebraic._quadratic_seed(p, index, bits)
+                if got is None:
+                    assert p not in _SEED_CASES
+                    routed += 1
+                    continue
+                want = algebraic._sympy_expr_box(algebraic._rootof(p, index), bits)
+                assert _box_key(got) == _box_key(want), (p, index, bits)
+    assert routed < 60
+
+
+def test_integer_basis_matches_sympys_preprocess_roots():
+    """`_integer_basis` is sympy's: `preprocess_roots` writes the root of
+    c2 x^2 + c1 x + c0 as d times a root of c2 y^2 + (c1/d) y + c0/d^2."""
+    import sympy
+    from sympy.polys.polyroots import preprocess_roots
+    x = sympy.Symbol("x")
+    cases = _SEED_CASES + _sampled_quadratics(200, 38) + [
+        (c0, c1, c2) for c2 in (1, 2, 3) for c1 in (0, 2, -6, 12, -36)
+        for c0 in (4, 9, 18, 36, 72, 144) if math.gcd(c0, c1, c2) == 1]
+    bases = 0
+    for c0, c1, c2 in cases:
+        coeff, reduced = preprocess_roots(sympy.Poly(c2 * x**2 + c1 * x + c0, x))
+        d = algebraic._integer_basis(c0, c1, c2)
+        assert coeff == (d or 1), (c0, c1, c2)
+        want = [c2, c1 // (d or 1), c0 // (d or 1) ** 2]
+        assert [int(c) for c in reduced.all_coeffs()] == want, (c0, c1, c2)
+        bases += d is not None
+    assert bases >= 10
+
+
+@pytest.mark.parametrize("minpoly", _ON_A_LINE,
+                         ids=["x^2+1", "x^2+4", "x^2-2x+2", "9x^2-12x+8"])
+def test_roots_on_a_horizontal_grid_line_take_the_replay(fresh_roots,
+                                                         monkeypatch, minpoly):
+    fresh_roots()
+    replayed = []
+    expr_box = algebraic._sympy_expr_box
+    monkeypatch.setattr(algebraic, "_sympy_expr_box",
+                        lambda r, bits: replayed.append(bits) or expr_box(r, bits))
+    for index in (0, 1):
+        assert algebraic._quadratic_seed(minpoly, index, 64) is None
+        replayed.clear()
+        NumberField(minpoly, index).root_box(64)
+        assert replayed[:1] == [64]    # then each factor of 2 * root
+
+
+def test_is_real_root_of_a_quadratic_matches_sympy():
+    for p in [(-2, 0, 1), (-1, -1, 1), (1, -3, 1), (-5, 2, 3)] + _SEED_CASES:
+        for index in (0, 1):
+            assert NumberField(p, index).is_real_root == \
+                bool(algebraic._rootof(p, index).is_real), p
+
+
+def test_quadratic_seeds_do_not_depend_on_earlier_seeds(fresh_roots):
+    """sympy names the roots of 3x^2 - 4x + 12 as twice those of
+    3y^2 - 2y + 3, and refined that shared root to 68 bits for a 64-bit
+    seed: a later 64-bit seed of 3x^2 - 2x + 3 came from sympy's deeper
+    rectangle.  Now each seed is a function of the polynomial, the index
+    and the bits alone."""
+    fresh_roots()
+    alone = NumberField((3, -2, 3), 1).root_box(64)
+    fresh_roots()
+    for index in (0, 1):
+        NumberField((12, -4, 3), index).root_box(64)
+    after = NumberField((3, -2, 3), 1).root_box(64)
+    assert _box_key(after) == _box_key(alone)
+    assert max(e.denominator for e in _box_key(alone)).bit_length() <= 69
+
+
+def test_quadratic_fields_make_no_sympy_root_isolation(fresh_roots,
+                                                        monkeypatch):
+    """Seeding, `is_real_root` and `conjugate_field` of x^2 - x + 4 and
+    13x^2 - 10x + 13 run without sympy's root isolation."""
+    def no_isolation(cls, *args, **kwargs):
+        raise AssertionError("sympy root isolation")
+
+    fresh_roots()
+    monkeypatch.setattr(algebraic, "_field_cache",
+                        functools.lru_cache(maxsize=None)(NumberField))
+    for name in ("_get_complexes", "_get_reals"):
+        monkeypatch.setattr(rootoftools.ComplexRootOf, name,
+                            classmethod(no_isolation))
+    for minpoly in ((4, -1, 1), (13, -10, 13)):
+        for index in (0, 1):
+            field = algebraic._field_cache(minpoly, index)
+            for bits in (64, 128):
+                assert field.root_box(bits).width <= Q(1, 1 << (bits - 1))
+            assert not field.is_real_root
+            assert field.conjugate_field().root_index == 1 - index

@@ -200,6 +200,21 @@ def test_fraction_classes_match_four_product_reference(a, b, c, d):
          *_four_products(*_ends(b), *_ends(c)))
 
 
+def test_round_ends_shifts_match_division_by_a_power_of_two():
+    """Over a power of two `den` no smaller than 2^bits, `round_ends`
+    rounds by shifts; on random signed ends of every size they equal the
+    floor and ceiling divisions of the general form."""
+    rng = random.Random(37)
+    for _ in range(3000):
+        bits = rng.choice((0, 1, 8, 64, 96, 192))
+        den = 1 << (bits + rng.choice((0, 1, 2, bits, rng.randint(0, 300))))
+        ends = tuple(rng.choice((1, -1)) * rng.randint(0, 1 << rng.randint(0, 500))
+                     for _ in range(4))
+        want = tuple(-((-e << bits) // den) if i % 2 else (e << bits) // den
+                     for i, e in enumerate(ends))
+        assert round_ends(ends, den, bits) == want, (ends, den, bits)
+
+
 def test_round_ends_matches_fraction_and_shift_rounding():
     """`round_ends` floors each lower end and ceils each upper end of a box
     onto the 2^-bits grid: the floor and ceiling of each end as a `Fraction` times

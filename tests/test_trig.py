@@ -18,7 +18,7 @@ from robustlrs.hardness import _rotation_ivals, lagrange_prefix
 from robustlrs.qmath import exact_sqrt, is_perfect_square, sqrt_down, sqrt_up
 
 from oracles import (RotScan, walk_to, cos_turn_ival, sin_turn_ival,
-                     has_point_mod1_ref, turn_point_ref)
+                     has_point_mod1_ref, taylor_series_ref, turn_point_ref)
 
 mpmath.mp.dps = 60
 
@@ -76,23 +76,11 @@ def _endpoints(box):
     return box.re.lo, box.re.hi, box.im.lo, box.im.hi
 
 
-def _taylor_series_fraction(x: Ival, bits: int, odd: int) -> Ival:
-    """The series on `Fraction` intervals, every term rounded out to
-    bits + 8: the reference oracle of `trig._taylor_series`, which runs
-    the same rounding on integers."""
-    term = acc = x if odd else Ival.point(1)
-    x2 = (x * x).round_out(bits + 8)
-    k = 0
-    threshold = Q(1, 1 << (bits + 4))
-    while True:
-        k += 1
-        term = (term * x2 * Q(1, (2 * k - 1 + odd) * (2 * k + odd))
-                ).round_out(bits + 8)
-        if term.hi < threshold:
-            acc = acc + Ival(-term.hi, term.hi)
-            break
-        acc = acc + (term if k % 2 == 0 else -term)
-    return acc.round_out(bits + 2).intersect(Ival(Q(-1), Q(1)))
+def _grid_ends(iv: Ival, bits: int) -> tuple[int, int]:
+    """An interval on the 2^-(bits + 2) grid as its integer ends."""
+    lo, hi = iv.lo * (1 << (bits + 2)), iv.hi * (1 << (bits + 2))
+    assert lo.denominator == hi.denominator == 1
+    return lo.numerator, hi.numerator
 
 
 # turns r in [0, 1/8] at which the quarter functions evaluate the series,
@@ -110,8 +98,8 @@ def test_taylor_series_matches_fraction_oracle(bits):
         for x in (pi * (2 * r), pi * (2 * (Q(1, 4) - r))):
             for odd in (0, 1):
                 got = trig._taylor_series(x, bits, odd)
-                want = _taylor_series_fraction(x, bits, odd)
-                assert (got.lo, got.hi) == (want.lo, want.hi), (r, bits, odd)
+                want = _grid_ends(taylor_series_ref(x, bits, odd), bits)
+                assert got == want, (r, bits, odd)
 
 
 def test_point_turns_match_fraction_oracle(monkeypatch):
@@ -120,7 +108,8 @@ def test_point_turns_match_fraction_oracle(monkeypatch):
     turns = [Q(k, 8) for k in range(-8, 17)] + [Q(1, 3), Q(-5, 12), Q(7, 10)]
     got = [trig._point_ends(t.numerator, t.denominator, b)
            for t in turns for b in (64, 200)]
-    monkeypatch.setattr(trig, "_taylor_series", _taylor_series_fraction)
+    monkeypatch.setattr(trig, "_taylor_series", lambda x, bits, odd: _grid_ends(
+        taylor_series_ref(x, bits, odd), bits))
     want = [trig._point_ends(t.numerator, t.denominator, b)
             for t in turns for b in (64, 200)]
     assert got == want
@@ -155,6 +144,19 @@ def test_point_ends_match_per_function_reduction(bits):
         got = trig._point_ends(t.numerator, t.denominator, bits)
         c, s = turn_point_ref(t, bits)
         assert tuple(Q(e, one) for e in got) == (c.lo, c.hi, s.lo, s.hi), t
+
+
+@pytest.mark.parametrize("bits", (64, 96, 192))
+def test_point_ends_match_reference_at_small_denominators(bits):
+    """`_point_ends` at every turn n/q with q <= 24, over a turn and a half
+    either way, equals `oracles.turn_point_ref`, which runs the series on
+    `Fraction` intervals: a rounding slip in the integer series or in the
+    octant reflections moves an end."""
+    for q in range(1, 25):
+        for n in range(-q, 2 * q + 1):
+            c, s = turn_point_ref(Q(n, q), bits)
+            assert trig._point_ends(n, q, bits) == \
+                (*_grid_ends(c, bits), *_grid_ends(s, bits)), (n, q)
 
 
 def _point_hull(point_fn, t, bits, top, bottom):
