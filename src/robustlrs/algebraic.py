@@ -4,16 +4,14 @@ An algebraic number is represented as an element of Q[x]/(M) for an
 irreducible integer polynomial M together with an isolating box for the
 distinguished root of M.  The first box of a root is the one sympy's
 isolation and `eval_rational` would give, and deeper refinement is the
-package's own interval Newton.  For a non-real root of a quadratic that
-box is computed in closed form on sympy's bisection grid
-(`_quadratic_seed`), with no sympy call; for one of higher degree, or a
-quadratic root on a horizontal line of that grid, sympy isolates the
-roots (`CRootOf`) and the package replays sympy's bisection of the
-isolating rectangle (`_BisectionPath`).  A real root's seed box is still
-sympy's, and sympy factors.  Everything layered on top -- arithmetic,
-conjugation, zero tests, unit-modulus and root-of-unity decisions,
-minimal polynomials from power sums -- is exact rational computation
-here.
+package's own interval Newton.  sympy's bisection of a non-real root's
+rectangle lands on a cell of a grid, found in one step (`_grid_cell`):
+on sympy's first rectangle for a quadratic's root (`_quadratic_seed`),
+with no sympy call, else on sympy's isolating rectangle
+(`_BisectionPath`).  A real root's seed box is sympy's, and sympy
+factors.  All else -- arithmetic, conjugation, zero tests, unit-modulus
+and root-of-unity decisions, minimal polynomials from power sums -- is
+exact rational computation here.
 
 Predicates are never decided by approximation alone: enclosures may
 *separate* two numbers, while equalities are certified through unique
@@ -119,32 +117,69 @@ def _bits_of(width: Fraction) -> int:
     return (width.denominator // width.numerator).bit_length()
 
 
+def _grid_cell(rect, bits: int, re, im, a: int = 0, b: int = 0):
+    """The cell (u, v, s, t) of the 2^a x 2^b grid over `rect` that holds
+    the root; None when the root's description leaves a side undecided.
+
+    This is sympy's refinement rule, written once.  sympy's isolation, its
+    `eval_rational` and the replay halve the longer side (the height on a
+    tie), keeping the half that holds the root, until both sides are
+    < 2^-(bits+1).  A side is halved only while it is at least that, so in
+    any order the halvings reach this grid, a and b raised to
+    bit_length(floor(side * 2^(bits+1))); a side below gets none.
+    The root, in sympy's coordinates (im >= 0), is described on each side by
+    - `re`, the exact real part x: column floor((x - u) / w), clamped to
+      the grid, so a root on a vertical line goes right, and one on the
+      right edge to the last column;
+    - `im`, the exact X = im^2: row floor((sqrt(X) - v) / h), by one
+      integer square root, clamped; undecided on an inner line;
+    - or an `Ival` enclosing either part: decided when both ends lie in one
+      cell, a row also needing the lower end off every inner line (a
+      halving keeps the top half only for a root strictly above the cut).
+    """
+    u, v, s, t = rect
+    a = max(a, math.floor((s - u) * (2 << bits)).bit_length())
+    b = max(b, math.floor((t - v) * (2 << bits)).bit_length())
+    w, h = (s - u) / (1 << a), (t - v) / (1 << b)
+
+    def cell(x, lo, step, n):
+        return min(max(math.floor((x - lo) / step), 0), (1 << n) - 1)
+
+    lo, hi = (re.lo, re.hi) if isinstance(re, Ival) else (re, re)
+    i = cell(lo, u, w, a)
+    if i != cell(hi, u, w, a):
+        return None
+    if isinstance(im, Ival):
+        j, y = cell(im.lo, v, h, b), (im.lo - v) / h
+        if j != cell(im.hi, v, h, b) or (y.denominator == 1 and 0 < y < 1 << b):
+            return None
+    else:
+        c = v / h    # p / q: floor(sqrt(X) / h - c) is, by one isqrt,
+        j = (math.isqrt(math.floor(im * c.denominator ** 2 / (h * h)))
+             - c.numerator) // c.denominator
+        if 0 < j < 1 << b and (v + j * h) ** 2 == im:
+            return None
+        j = min(max(j, 0), (1 << b) - 1)
+    return u + i * w, v + j * h, u + (i + 1) * w, v + (j + 1) * h
+
+
 class _BisectionPath:
     """sympy's refinement of one non-real CRootOf, replayed without sympy.
 
-    `CRootOf.eval_rational` halves the longer side of the root's isolating
-    rectangle (the vertical split when dx > dy), keeps the half that holds
-    the root, returns the centre of the first rectangle with both sides
-    < dx, and caches that rectangle: a later request for fewer bits gets
-    the deepest rectangle reached.  This walks the same path from sympy's
-    isolating rectangle, so it returns the same centres.  The rectangle
-    (u, v)-(s, t) is in sympy's coordinates for the conjugate with positive
-    imaginary part; sympy flips the imaginary part when `conj` is set and
-    reads the real part as 0 for a root on the imaginary axis.
-
-    Each half is chosen from an exact description of the root where there
-    is one: the real part of a quadratic's or an imaginary root (a root on
-    a vertical line goes to the right half, as in sympy) and the squared
-    imaginary part of a quadratic's.  Otherwise it comes from a certified
-    Newton enclosure, sharpened when it straddles the line, once sympy's
-    own steps have shrunk the rectangle until a Newton step contracts.  A
-    side this cannot decide (a root on a horizontal line, or a straddle
-    that persists at high precision) is left to sympy's `eval_rational`.
-    For a quadratic, whose root is known exactly, every rectangle taken
-    from sympy (the isolating one, a deeper cached one, the one after a
-    fallback) and every centre it returns is checked against the root, and
-    one that misses it is an internal fault: sympy 1.14 refines a root of
-    9x^2 - 12x + 8 to 4/3 + 4/3 i.
+    `CRootOf.eval_rational` refines the isolating rectangle by
+    `_grid_cell`'s rule and caches the cell it reaches, so a request for
+    fewer bits gets the deepest rectangle reached; this keeps the same
+    deepest rectangle, in sympy's coordinates for the conjugate with
+    positive imaginary part (sympy flips the imaginary part when `conj` is
+    set and reads the real part of an imaginary root as 0).  The cell comes
+    from the exact real part of a quadratic's or an imaginary root and the
+    exact squared imaginary part of a quadratic's, else from a certified
+    Newton enclosure, found once sympy's own steps have shrunk the
+    rectangle until a Newton step contracts, and sharpened while it
+    straddles a grid line.  A side still undecided goes to sympy's
+    `eval_rational`.  For a quadratic, every rectangle taken from sympy and
+    every centre it returns must hold the exact root, or it is an internal
+    fault: sympy 1.14 refines a root of 9x^2 - 12x + 8 to 4/3 + 4/3 i.
     """
 
     def __init__(self, r):
@@ -165,9 +200,8 @@ class _BisectionPath:
         self.enc: Box | None = None
 
     def _adopt(self, iv):
-        """Continue from sympy's rectangle `iv`; for a quadratic, whose
-        root is known exactly, a rectangle that misses the root is an
-        internal fault."""
+        """Continue from sympy's rectangle `iv`; one that misses a
+        quadratic's exact root is an internal fault."""
         self.iv = iv
         self.rect = _corners(iv)
         if self.im_sq is not None and not self._rect_holds_root():
@@ -184,22 +218,20 @@ class _BisectionPath:
             # sympy's cached rectangle is at least as deep: continue from it
             self._adopt(iv)
             u, v, s, t = self.rect
-        while not (s - u < eps and t - v < eps):
-            if self.im_sq is None and self.enc is None:
-                self.iv = self.iv._inner_refine()
-                u, v, s, t = self.rect = _corners(self.iv)
-                self._try_newton()
-                continue
-            vertical = s - u > t - v
-            m = (u + s) / 2 if vertical else (v + t) / 2
-            upper = self._upper_half(vertical, m, bits)
-            if upper is None:
+        while (self.im_sq is None and self.enc is None
+               and not (s - u < eps and t - v < eps)):
+            self.iv = self.iv._inner_refine()
+            u, v, s, t = self.rect = _corners(self.iv)
+            self._try_newton()
+        while self.im_sq is not None or self.enc is not None:
+            re, im = ((self.re, self.im_sq) if self.im_sq is not None else
+                      (self.enc.re if self.re is None else self.re, self.enc.im))
+            cell = _grid_cell(self.rect, bits, re, im)
+            if cell is not None:
+                u, v, s, t = self.rect = cell
+                break
+            if self.im_sq is not None or not self._sharpen(4 * (bits + 1)):
                 return self._fallback(bits)
-            if vertical:
-                u, s = (m, s) if upper else (u, m)
-            else:
-                v, t = (m, t) if upper else (v, m)
-            self.rect = (u, v, s, t)
         im = (v + t) / 2
         return (ZERO if self.imaginary else (u + s) / 2), (-im if self.conj else im)
 
@@ -209,24 +241,6 @@ class _BisectionPath:
         nxt = _newton_step(self.poly, self.deriv, box, 2 * _bits_of(box.width) + 32)
         if nxt is not None and nxt.width <= box.width / 4:
             self.enc = nxt
-
-    def _upper_half(self, vertical: bool, m: Fraction, bits: int) -> bool | None:
-        """Whether the root lies in the right (vertical split at re = m) or
-        the top (horizontal split at im = m) half; None if undecided."""
-        if vertical and self.re is not None:
-            return self.re >= m
-        if not vertical and self.im_sq is not None:
-            if self.im_sq == m * m:
-                return None  # m > 0: the root is on the line
-            return self.im_sq > m * m
-        while True:
-            ival = self.enc.re if vertical else self.enc.im
-            if ival.lo > m or (vertical and ival.lo == m):
-                return True
-            if ival.hi < m:
-                return False
-            if not self._sharpen(4 * (bits + 1)):
-                return None
 
     def _sharpen(self, max_bits: int) -> bool:
         width = self.enc.width
@@ -296,22 +310,16 @@ def _integer_basis(c0: int, c1: int, c2: int) -> int | None:
 def _quadratic_seed(minpoly: tuple[int, ...], index: int, bits: int) -> Box | None:
     """The seed box `_sympy_expr_box` gives the non-real root `index` of
     the irreducible quadratic `minpoly` (c0, c1, c2 > 0) from a fresh
-    sympy state, in closed form; None for a root on a horizontal line of
-    sympy's grid, which the replay and its fallback keep.
+    sympy state, with no sympy call; None for a root on a horizontal line
+    of sympy's grid, which the replay and its fallback keep.
 
-    sympy isolates the root of c2 x^2 + c1 x + c0 (after
-    `_integer_basis`) in [-B, B] x [0, B], B = 2 max|c_i| / c2, and every
-    later rectangle, in the isolation, in sympy's refinement and in the
-    replay, halves the longer side (the height on a tie) and
-    keeps the half that holds the root, a root on a vertical line going
-    right.  So the rectangle after k halvings is the cell of the grid of
-    width B / 2^((k-1)//2) and height B / 2^(k//2) that holds the root.
-    sympy's isolation stops at the first cell clear of both axes, the
-    replay at the first square cell of side < 2^-(bits+1), and the seed is
-    the centre of the deeper of the two, read off the exact root
-    re = -c1 / 2 c2, im = sqrt(4 c2 c0 - c1^2) / 2 c2 with one floor
-    division and one integer square root.  A root on the imaginary axis
-    has re read as 0, as sympy reads it."""
+    sympy isolates the root of c2 x^2 + c1 x + c0 (after `_integer_basis`)
+    in [-B, B] x [0, B], B = 2 max|c_i| / c2, by `_grid_cell`'s rule, up
+    to the first cell clear of both axes: after k halvings, 2^((k+1)//2)
+    columns and 2^(k//2) rows.  The seed is the centre of the cell found
+    there, at that depth or deeper, from re = -c1 / 2 c2 (0 on the
+    imaginary axis, as sympy reads it) and im^2 = (4 c2 c0 - c1^2) / 4 c2^2.
+    """
     c0, c1, c2 = minpoly
     d = _integer_basis(c0, c1, c2)
     if d is not None:
@@ -319,20 +327,18 @@ def _quadratic_seed(minpoly: tuple[int, ...], index: int, bits: int) -> Box | No
         c0, c1, bits = c0 // (d * d), c1 // d, bits + 4
     top = max(abs(c0), abs(c1), c2)    # B = 2 top / c2
     disc = 4 * c2 * c0 - c1 * c1       # (2 c2 im)^2
-    # the replay's stop: width B / 2^j < 2^-(bits+1) at step 2j + 1
-    k = 2 * ((top << (bits + 2)) // c2).bit_length() + 1
+    # clear of the real axis: height B / 2^n <= im at step 2n
+    k = (((16 * top * top - 1) // disc).bit_length() + 1) // 2 * 2
     if c1:
         # clear of the imaginary axis: width <= re, or < -re for re < 0
         k = max(k, 2 * ((4 * top - (c1 < 0)) // abs(c1)).bit_length() + 1)
-    # clear of the real axis: height B / 2^n <= im at step 2n
-    k = max(k, (((16 * top * top - 1) // disc).bit_length() + 1) // 2 * 2)
-    m, n = (k - 1) // 2, k // 2
-    # im / height = sqrt(disc) 2^n / 4 top, re / width = -c1 2^m / 4 top
-    root = math.isqrt(disc << (2 * n))
-    if root * root == disc << (2 * n) and root % (4 * top) == 0:
+    bound = Q(2 * top, c2)
+    cell = _grid_cell((-bound, ZERO, bound, bound), bits, Q(-c1, 2 * c2),
+                      Q(disc, 4 * c2 * c2), (k + 1) // 2, k // 2)
+    if cell is None:
         return None
-    im = Q((2 * (root // (4 * top)) + 1) * top, c2 << n)
-    re = Q((2 * ((-c1 << m) // (4 * top)) + 1) * top, c2 << m) if c1 else ZERO
+    u, v, s, t = cell
+    re, im = ((u + s) / 2 if c1 else ZERO), (v + t) / 2
     if index == 0:
         im = -im    # sympy's index 0 is the root below the real axis
     eps = Q(1, 1 << (bits + 1))
@@ -850,10 +856,9 @@ def _root_of_unity_index(a: AlgebraicNumber) -> tuple[int, int] | None:
     n = cyclotomic_index(mp)
     if n is None:
         return None
-    k = _sole_hit(a.box, [k for k in range(n) if math.gcd(k, n) == 1],
-                  lambda k, bits: trig.unit_box(Q(k, n), bits),
-                  64, "root-of-unity identification")
-    return (k, n)
+    hit = _sole_hit(a.box, [Q(k, n) for k in range(n) if math.gcd(k, n) == 1],
+                    trig.unit_box, 64, "root-of-unity identification")
+    return (hit.numerator, n)
 
 
 def _as_common_field(gammas: list[AlgebraicNumber]):
@@ -916,18 +921,12 @@ def power_product_is_one(gammas: list[AlgebraicNumber],
         if turn == 0:
             return prod.coeffs == (ONE,)
         n = turn.denominator
-        # product == zeta^(-turn) requires product^n == 1 in the field
+        # prod = zeta^(-turn) needs prod^n = 1, and then its box names it
         if prod.pow(n).coeffs != (ONE,):
             return False
-        target = -turn
-        for bits in precisions(64, "root-of-unity comparison"):
-            b = prod.box(bits)
-            tb = trig.unit_box(target, bits)
-            if b.disjoint(tb):
-                return False
-            if max(b.width, tb.width) < Q(1, 4 * n):
-                # distinct n-th roots of unity are at least 2 sin(pi/n) > 4/n apart
-                return True
+        hit = _sole_hit(prod.box, [Q(k, n) for k in range(n)], trig.unit_box,
+                        64, "root-of-unity comparison")
+        return hit == -turn % 1
     return _power_product_general(gammas, exponents)
 
 

@@ -67,9 +67,9 @@ def round_up(x: Fraction, bits: int) -> Fraction:
 
 
 def sqrt_down(x: Fraction, bits: int) -> Fraction:
-    """Dyadic lower bound on sqrt(x); requires x >= 0."""
+    """Dyadic lower bound on sqrt(x); x < 0 is an internal fault."""
     if x < 0:
-        raise ValueError("sqrt of negative rational")
+        raise RuntimeError("sqrt of negative rational")
     if x == 0:
         return ZERO
     # sqrt(x) >= isqrt(num * 2^(2 bits) // den) / 2^bits
@@ -78,9 +78,9 @@ def sqrt_down(x: Fraction, bits: int) -> Fraction:
 
 
 def sqrt_up(x: Fraction, bits: int) -> Fraction:
-    """Dyadic upper bound on sqrt(x); requires x >= 0."""
+    """Dyadic upper bound on sqrt(x); x < 0 is an internal fault."""
     if x < 0:
-        raise ValueError("sqrt of negative rational")
+        raise RuntimeError("sqrt of negative rational")
     if x == 0:
         return ZERO
     scaled = -((-(x.numerator << (2 * bits))) // x.denominator)

@@ -9,7 +9,8 @@ exact check of the order-6 rotation block, LLL with a Gram-Schmidt
 rebuild after every step (`lll_reduce_ref`), the per-step rotation walk
 (`RotScan`) and scans of the hardness lab, the
 `Fraction` Horner loop of box evaluation, polynomial composition (the
-root exchange of a quadratic field), the `Fraction` interval forms of
+root exchange of a quadratic field), sympy's bisection of a root's
+rectangle one halving at a time (`bisection_walk_ref`), the `Fraction` interval forms of
 `cos_turn` and `sin_turn`, of the Taylor series under them
 (`taylor_series_ref`) and of the per-function reduction of a point turn
 (`turn_point_ref`), the problem document of a parsed spec, the
@@ -215,6 +216,51 @@ def branch_and_bound_ref(value_fn, free: int, tol: Fraction,
                 heapq.heappush(heap, (iv.lo, next(counter), child))
     global_lo = min((item[0] for item in heap), default=upper)
     return Ival(min(global_lo, upper), upper), best_mid, converged
+
+
+# ---------------------------------------------------------------------------
+# sympy's bisection of a root's rectangle, one halving at a time
+
+
+def bisection_walk_ref(rect, bits: int, re, im, steps: int = 0):
+    """Halve the longer side of `rect` = (u, v, s, t) (the height on a
+    tie) and keep the half that holds the root, at least `steps` times and
+    until both sides are < 2^-(bits+1); None at the first halving the
+    root's description leaves undecided.  The description is
+    `algebraic._grid_cell`'s: an exact real part or an `Ival` enclosing
+    it, and an exact squared imaginary part (v >= 0) or an `Ival`
+    enclosing the imaginary part.  The per-halving walk the replay took
+    before `_grid_cell`, and its reference."""
+    def upper_half(vertical, m):
+        """Whether the root lies in the right (vertical split at re = m)
+        or the top (horizontal split at im = m) half; None if undecided."""
+        if vertical and not isinstance(re, Ival):
+            return re >= m    # a root on a vertical line goes right
+        if not vertical and not isinstance(im, Ival):
+            if im == m * m:
+                return None   # m > 0: the root is on the line
+            return im > m * m
+        ival = re if vertical else im
+        if ival.lo > m or (vertical and ival.lo == m):
+            return True
+        if ival.hi < m:
+            return False
+        return None
+
+    eps = Q(1, 1 << (bits + 1))
+    u, v, s, t = rect
+    while steps > 0 or not (s - u < eps and t - v < eps):
+        steps -= 1
+        vertical = s - u > t - v
+        m = (u + s) / 2 if vertical else (v + t) / 2
+        upper = upper_half(vertical, m)
+        if upper is None:
+            return None
+        if vertical:
+            u, s = (m, s) if upper else (u, m)
+        else:
+            v, t = (m, t) if upper else (v, m)
+    return u, v, s, t
 
 
 # ---------------------------------------------------------------------------

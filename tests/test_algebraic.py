@@ -1,4 +1,5 @@
 import functools
+import itertools
 import math
 import random
 from fractions import Fraction as Q
@@ -16,7 +17,7 @@ from robustlrs.algebraic import (AlgebraicNumber, FieldElement, NumberField,
                                  isolate_roots, power_product_is_one,
                                  identify_root_of_unity)
 
-from oracles import pcompose
+from oracles import bisection_walk_ref as walk, pcompose
 
 
 def poly(*coeffs):
@@ -637,15 +638,19 @@ def test_replay_matches_sympy_on_higher_degree_roots(fresh_roots, monkeypatch):
 
 def test_replay_falls_back_to_sympy(fresh_roots, monkeypatch):
     # an undecided side hands the rest of the request to eval_rational, and
-    # the replay then continues from sympy's rectangle
+    # the replay then continues from sympy's rectangle: the first cell asked
+    # for gets the root put on the middle horizontal line of its rectangle
     calls = {"n": 0}
-    decide = algebraic._BisectionPath._upper_half
+    grid_cell = algebraic._grid_cell
 
-    def undecided_once(self, vertical, m, bits):
+    def undecided_once(rect, bits, re, im, a=0, b=0):
         calls["n"] += 1
-        return None if calls["n"] == 20 else decide(self, vertical, m, bits)
+        if calls["n"] == 1:
+            u, v, s, t = rect
+            im = ((v + t) / 2) ** 2
+        return grid_cell(rect, bits, re, im, a, b)
 
-    monkeypatch.setattr(algebraic._BisectionPath, "_upper_half", undecided_once)
+    monkeypatch.setattr(algebraic, "_grid_cell", undecided_once)
     fallbacks = []
     fallback = algebraic._BisectionPath._fallback
     monkeypatch.setattr(algebraic._BisectionPath, "_fallback",
@@ -658,6 +663,137 @@ def test_replay_falls_back_to_sympy(fresh_roots, monkeypatch):
     replayed, reference = _replay_and_sympy(fresh_roots, monkeypatch, requests)
     assert fallbacks == [64]
     assert replayed == reference
+
+
+# -- sympy's bisection grid, cell by cell ------------------------------------
+#
+# `algebraic._grid_cell` lands in one step where sympy's bisection lands
+# one halving at a time; the per-halving walk, kept in `tests/oracles.py`,
+# is its reference on synthetic rectangles, one test per rule.
+
+_RECTS = [(Q(0), Q(0), Q(1), Q(1)), (Q(-2), Q(0), Q(2), Q(2)),
+          (Q(-1, 3), Q(1, 5), Q(2, 7), Q(3, 4)), (Q(5, 8), Q(1, 8), Q(7, 8), Q(1)),
+          (Q(-3), Q(7, 9), Q(-1, 11), Q(1, 1)), (Q(1, 6), Q(0), Q(1, 2), Q(3))]
+
+
+def _grid_lines(lo, hi, bits):
+    """The lines of the grid `_grid_cell` puts over [lo, hi] at `bits`."""
+    n = 1 << math.floor((hi - lo) * (1 << (bits + 1))).bit_length()
+    return [lo + (hi - lo) * j / n for j in range(n + 1)], n
+
+
+def _check_cell(rect, bits, re, im, a=0, b=0):
+    # on sympy's [-B, B] x [0, B], k halvings give a, b = (k+1)//2, k//2
+    want = walk(rect, bits, re, im, a + b)
+    got = algebraic._grid_cell(rect, bits, re, im, a, b)
+    assert got == want, (rect, bits, re, im, a, b)
+    return got
+
+
+def test_grid_size_is_the_fewest_halvings_below_the_width():
+    """a and b are bit_length(floor(side 2^(bits+1))) whatever order the
+    walk takes: wide, tall and square rectangles, sides on and off a power
+    of two, and roots anywhere inside."""
+    rng = random.Random(38)
+    for bits in (2, 5, 9, 64):
+        eps = Q(1, 1 << (bits + 1))
+        for _ in range(40):
+            u, v = Q(rng.randint(-50, 50), 17), Q(rng.randint(0, 50), 19)
+            w = eps * rng.choice([Q(1, 3), 1, Q(8, 7), 2, 5, 64, 100, 1 << 20])
+            h = eps * rng.choice([Q(1, 2), 1, 3, 16, 33, 1 << 12, 1 << 21])
+            rect = (u, v, u + w, v + h)
+            # off every inner horizontal line: no k / 1001 is j / 2^b
+            re = u + w * Q(rng.randint(0, 1001), 1001)
+            im = (v + h * Q(rng.randint(1, 1001), 1001)) ** 2
+            cu, cv, cs, ct = _check_cell(rect, bits, re, im)
+            assert cs - cu == w / (1 << math.floor(w / eps).bit_length())
+            assert ct - cv == h / (1 << math.floor(h / eps).bit_length())
+
+
+def test_grid_column_of_a_root_on_a_vertical_line_is_the_right_one():
+    """A column is floor((x - u) / w), clamped to the last column: a root
+    on any vertical line goes right, one on the right edge lands in the
+    last column."""
+    for rect in _RECTS:
+        u, v, s, t = rect
+        im = ((v + t) / 2 + (t - v) / 1000) ** 2
+        lines, n = _grid_lines(u, s, 3)
+        for j, x in enumerate(lines):
+            cell = _check_cell(rect, 3, x, im)
+            assert cell[0] == lines[min(j, n - 1)]
+
+
+def test_grid_row_of_an_exact_square():
+    """A row from the exact square X is floor((sqrt(X) - v) / h): on an
+    inner horizontal line it is undecided (the replay's fallback), on the
+    bottom or top edge it is the first or last row, and off the lines it is
+    the row the walk reaches."""
+    for rect in _RECTS:
+        u, v, s, t = rect
+        re = u + (s - u) / 3
+        lines, n = _grid_lines(v, t, 3)
+        for j, y in enumerate(lines):
+            cell = _check_cell(rect, 3, re, y * y)
+            assert (cell is None) == (0 < j < n)
+            if cell is not None:
+                assert cell[1] == lines[min(j, n - 1)]
+            for off in (Q(1, 10 ** 9), (t - v) / (3 * n)):
+                if y + off < t:
+                    assert _check_cell(rect, 3, re, (y + off) ** 2)[1] == y
+                if y - off > v:
+                    assert _check_cell(rect, 3, re, (y - off) ** 2)[1] == lines[j - 1]
+
+
+def test_grid_cell_of_an_enclosure():
+    """An enclosure decides a side when both ends lie in one cell; a row
+    also needs its lower end off every inner line.  Ends on lines, inside
+    cells, on the edges and outside the rectangle, in both sides."""
+    for rect in _RECTS:
+        u, v, s, t = rect
+        xs, nx = _grid_lines(u, s, 2)
+        ys, ny = _grid_lines(v, t, 2)
+        w, h = (s - u) / nx, (t - v) / ny
+        x_pts = sorted({u - w, *xs, *(x + w / 3 for x in xs), s + w})
+        y_pts = sorted({v - h, *ys, *(y + h / 5 for y in ys), t + h})
+        im_mid = Ival(v + (t - v) / 2 + h / 7, v + (t - v) / 2 + h / 6)
+        re_mid = Ival(u + w / 3, u + w / 2)
+        decided = 0
+        for lo, hi in itertools.combinations_with_replacement(x_pts, 2):
+            decided += _check_cell(rect, 2, Ival(lo, hi), im_mid) is not None
+            decided += _check_cell(rect, 2, (lo + hi) / 2, Ival(lo, hi)) is not None
+        for lo, hi in itertools.combinations_with_replacement(y_pts, 2):
+            cell = _check_cell(rect, 2, re_mid, Ival(lo, hi))
+            assert cell is None or lo not in ys[1:-1]
+            decided += cell is not None
+        assert decided > 0
+
+
+def test_grid_side_below_the_width_gets_no_halving():
+    """A side already below 2^-(bits+1) is not halved: a small rectangle
+    is its own cell, and a thin one is cut along its long side only."""
+    eps = Q(1, 1 << 65)
+    rect = (Q(1, 3), Q(1, 7), Q(1, 3) + eps / 2, Q(1, 7) + eps * Q(9, 10))
+    re, im = Q(1, 3) + eps / 5, (Q(1, 7) + eps / 3) ** 2
+    assert _check_cell(rect, 64, re, im) == rect
+    assert _check_cell(rect, 64, Ival(rect[0], rect[2]), Ival(rect[1], rect[3])) == rect
+    thin = (Q(1, 3), Q(1, 7), Q(1, 3) + eps / 2, Q(1, 7) + 5 * eps)
+    u, v, s, t = _check_cell(thin, 64, re, im)
+    assert (u, s) == (thin[0], thin[2]) and t - v == 5 * eps / 8
+
+
+def test_grid_at_a_given_depth_is_sympys_isolation():
+    """Given a and b, the cell is the walk's after k halvings of sympy's
+    order on [-B, B] x [0, B] (2^((k+1)//2) columns, 2^(k//2) rows), or
+    deeper where the width asks for it."""
+    rng = random.Random(37)
+    for _ in range(60):
+        big = Q(rng.randint(1, 40), rng.randint(1, 7))
+        rect = (-big, Q(0), big, big)
+        re = big * Q(rng.randint(-999, 999), 1000)
+        im = (big * Q(rng.randint(1, 999), 1000)) ** 2
+        for k in (1, 2, 7, 30, 31):
+            for bits in (1, 4, 20):
+                _check_cell(rect, bits, re, im, (k + 1) // 2, k // 2)
 
 
 # 9x^2 - 12x + 8 has the roots 2/3 +- 2/3 i; sympy 1.14's own refinement

@@ -576,6 +576,20 @@ def test_nonpositive_threshold_eps_exits_internal(tmp_path, monkeypatch,
                                        "must be positive\n")
 
 
+def test_negative_square_root_exits_internal(tmp_path, monkeypatch, capsys):
+    # every square root is taken of a square, a checked positive value or
+    # 1 - p^2 with p checked, so a negative one is an internal fault (4),
+    # not a usage error (3): here the radius of an isolating disk
+    from robustlrs import algebraic
+    problem = tmp_path / "fib.json"
+    problem.write_text('{"coeffs":["1","1"],"init":["1","1"]}')
+    monkeypatch.setattr(algebraic, "sqrt_up",
+                        lambda x, bits: qmath.sqrt_up(-1 - x, bits))
+    assert main(["roots", "--problem", str(problem)]) == 4
+    assert capsys.readouterr().err == ("internal error: RuntimeError: sqrt "
+                                       "of negative rational\n")
+
+
 @pytest.mark.parametrize("ns", [{"command": "bogus"},
                                 {"command": "lab", "lab_command": "bogus"}])
 def test_unhandled_command_exits_internal(monkeypatch, capsys, ns):

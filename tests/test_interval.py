@@ -37,6 +37,13 @@ def test_sqrt_bounds(x):
     assert hi - lo <= Q(2, 1 << 40) + Q(1, 1 << 30)
 
 
+@pytest.mark.parametrize("sqrt", [sqrt_down, sqrt_up])
+def test_sqrt_of_a_negative_rational_is_an_internal_fault(sqrt):
+    assert sqrt(Q(0), 40) == 0
+    with pytest.raises(RuntimeError, match="sqrt of negative rational"):
+        sqrt(Q(-1, 1 << 80), 40)
+
+
 def test_exact_sqrt():
     assert exact_sqrt(Q(9, 4)) == Q(3, 2)
     with pytest.raises(ValueError):
