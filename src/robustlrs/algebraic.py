@@ -4,14 +4,18 @@ An algebraic number is represented as an element of Q[x]/(M) for an
 irreducible integer polynomial M together with an isolating box for the
 distinguished root of M.  The first box of a root is the one sympy's
 isolation and `eval_rational` would give, and deeper refinement is the
-package's own interval Newton.  sympy's bisection of a non-real root's
-rectangle lands on a cell of a grid, found in one step (`_grid_cell`):
-on sympy's first rectangle for a quadratic's root (`_quadratic_seed`),
-with no sympy call, else on sympy's isolating rectangle
-(`_BisectionPath`).  A real root's seed box is sympy's, and sympy
-factors.  All else -- arithmetic, conjugation, zero tests, unit-modulus
-and root-of-unity decisions, minimal polynomials from power sums -- is
-exact rational computation here.
+package's own interval Newton.  sympy factors and isolates; none of its
+refinement steps runs.  sympy's bisection of a non-real root's rectangle
+lands on a cell of a grid, found in one step (`_grid_cell`): on sympy's
+first rectangle for a quadratic's root (`_quadratic_seed`), with no
+sympy call, else on sympy's isolating rectangle (`_BisectionPath`),
+steered by the exact root of a quadratic or by a certified enclosure
+(`_root_enclosures`: Aberth-Ehrlich approximations, each confirmed by
+one interval Newton step).  A real root's interval is sympy's
+continued-fraction refinement replayed on plain integers
+(`_real_interval`).  All else -- arithmetic, conjugation, zero tests,
+unit-modulus and root-of-unity decisions, minimal polynomials from power
+sums -- is exact rational computation here.
 
 Predicates are never decided by approximation alone: enclosures may
 *separate* two numbers, while equalities are certified through unique
@@ -30,12 +34,13 @@ the root of unity and `locate_root` all ask it.
 
 from __future__ import annotations
 
+import cmath
 import math
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
 import sympy
-from sympy.polys import rootoftools
+from sympy.polys import rootisolation, rootoftools
 
 from .qmath import Q, ZERO, ONE, precisions, sqrt_up
 from .interval import Ival, Box
@@ -65,12 +70,20 @@ def _eval_rational(r, bits: int) -> tuple[Fraction, Fraction]:
 
 def _sympy_expr_box(expr, bits: int) -> Box:
     """Certified box for what sympy's `CRootOf(...)` returns: a Rational, a
-    CRootOf, or a rational multiple of a CRootOf."""
+    CRootOf, or a rational multiple of a CRootOf.  A real root of degree
+    >= 3 must change the sign of its polynomial across sympy's interval,
+    or it is an internal fault."""
     if expr.is_Rational:
         return Box.point(Q(expr.p, expr.q))
     if isinstance(expr, rootoftools.ComplexRootOf):
         if expr.is_real:
-            re, im = _eval_rational(expr, bits)
+            lo, hi = _real_interval(expr, bits)
+            p = expr.poly.rep.to_list()[::-1]
+            if len(p) > 3 and (peval(p, lo) > 0) == (peval(p, hi) > 0):
+                raise RuntimeError(
+                    f"sympy isolates a real root of {p} in [{lo}, {hi}], "
+                    f"where its sign does not change")
+            re, im = (lo + hi) / 2, ZERO
         else:
             re, im = _bisection_path(expr).centre(bits)
         eps = Q(1, 1 << (bits + 1))
@@ -81,6 +94,101 @@ def _sympy_expr_box(expr, bits: int) -> Box:
             acc = acc * _sympy_expr_box(arg, bits + 4)
         return acc
     raise TypeError(f"unsupported root expression {expr!r}")
+
+
+def _real_interval(r, bits: int) -> tuple[Fraction, Fraction]:
+    """The interval `r.eval_rational` refines the real CRootOf `r` to, for
+    sides < 2^-(bits+1), by sympy 1.14's own steps on plain integers, with
+    sympy's cache written back as `eval_rational` writes it; its centre is
+    sympy's.
+
+    sympy keeps a real root as a Moebius map x -> (a x + b) / (c x + d)
+    (c, d > 0 from the isolation on), `neg` for a root it mirrored, and the
+    transformed polynomial f whose one positive root the map sends to
+    |root|; the interval's ends are a/c and b/d.  `refine_size` takes
+    `_real_step`s until |a/c - b/d| < 2^-(bits+1), that is until
+    |ad - bc| 2^(bits+1) < cd."""
+    iv = r._get_interval()
+    f, (a, b, c, d) = iv.f, iv.mobius
+    while abs(a * d - b * c) << (bits + 1) >= c * d:
+        f, (a, b, c, d) = _real_step(f, a, b, c, d)
+    r._set_interval(rootisolation.RealInterval((a, b, c, d, iv.neg), f, iv.dom))
+    lo, hi = sorted((Q(a, c), Q(b, d)))
+    return (-hi, -lo) if iv.neg else (lo, hi)
+
+
+def _real_step(f: list, a: int, b: int, c: int, d: int):
+    """sympy's `dup_step_refine_real_root` (without `fast`) on integers:
+    f's coefficients highest degree first, the Moebius map (a, b, c, d).
+    Shift by the LMQ lower bound of f's positive root when it is >= 1,
+    then keep the half (1, inf) when f(x + 1) has one sign variation,
+    else the half (0, 1), through x -> 1 / (x + 1)."""
+    if a == b and c == d:
+        return f, (a, b, c, d)
+    A = _lmq_lower_bound(f)
+    if A >= 1:
+        f = _taylor_shift(f, A)
+        b, d = A * a + b, A * c + d
+        if not f[-1]:
+            return f, (b, b, d, d)
+    f, g = _taylor_shift(f, 1), f
+    if not f[-1]:
+        return f, (a + b, a + b, c + d, c + d)
+    if _sign_variations(f) == 1:
+        return f, (a, a + b, c, c + d)
+    rev = g[::-1]
+    while not rev[0]:
+        rev.pop(0)
+    f = _taylor_shift(rev, 1)
+    if not f[-1]:
+        f = f[:-1]
+    return f, (b, a + b, d, c + d)
+
+
+def _lmq_lower_bound(f: list) -> int:
+    """int(`dup_root_lower_bound`(f)): the integer part of the reciprocal
+    of the LMQ bound on the positive roots of f reversed (A. G. Akritas,
+    J. UCS 15(3), 2009), with sympy's `int(math.log(x, 2))` for floor(log2)."""
+    h = list(f)
+    while not h[-1]:
+        h.pop()
+    if h[-1] < 0:
+        h = [-x for x in h]
+    times, exps = [1] * len(h), []
+    for i, hi in enumerate(h):
+        if hi >= 0:
+            continue
+        log_hi, best = int(math.log(-hi, 2)), None
+        for j in range(i + 1, len(h)):
+            if h[j] > 0:
+                q = (times[j] + log_hi - int(math.log(h[j], 2))) // (j - i)
+                if best is None or q < best[0]:
+                    best = (q, j)
+        if best is not None:
+            times[best[1]] += 1
+            exps.append(best[0])
+    # the bound is 2^(max + 1); its reciprocal's integer part
+    e = max(exps) + 1 if exps else 1
+    return 1 << -e if e <= 0 else 0
+
+
+def _taylor_shift(f: list, a: int) -> list:
+    """f(x + a), coefficients highest degree first."""
+    f = list(f)
+    for i in range(len(f) - 1, 0, -1):
+        for j in range(i):
+            f[j + 1] += a * f[j]
+    return f
+
+
+def _sign_variations(f: list) -> int:
+    count, prev = 0, 0
+    for c in f:
+        if c * prev < 0:
+            count += 1
+        if c:
+            prev = c
+    return count
 
 
 def _newton_step(p, dp, box: Box, work: int) -> Box | None:
@@ -102,6 +210,84 @@ def _newton_step(p, dp, box: Box, work: int) -> Box | None:
     if re is None or im is None:
         return None
     return Box(re, im)
+
+
+def _certify(p, dp, box: Box) -> Box | None:
+    """The Newton image of `box` when it lies strictly inside the box: then
+    the box holds exactly one root of p, and so does the image; else
+    None."""
+    nxt = _newton_step(p, dp, box, 2 * _bits_of(box.width) + 32)
+    if nxt is None or not all(b.lo < a.lo and a.hi < b.hi for a, b in
+                              ((nxt.re, box.re), (nxt.im, box.im))):
+        return None
+    return nxt
+
+
+def _approx_roots(c: list[float]) -> list[complex] | None:
+    """All roots of the monic polynomial with coefficients `c` (highest
+    degree first), untrusted: the Aberth-Ehrlich iteration in double
+    precision (O. Aberth, Math. Comp. 27(122), 1973), from a circle of
+    radius |c_0|^(1/n), until every correction is below 2^-45 of its root.
+    None when a float overflows or the iteration does not settle in 100
+    sweeps."""
+    n = len(c) - 1
+    try:
+        radius = abs(c[-1]) ** (1 / n)
+        z = [radius * cmath.exp(1j * (2 * math.pi * k / n + 0.4)) for k in range(n)]
+        for _ in range(100):
+            settled = True
+            for k, zk in enumerate(z):
+                p = dp = 0j
+                for a in c:
+                    p, dp = p * zk + a, dp * zk + p
+                if not p:
+                    continue
+                w = p / dp
+                w /= 1 - w * sum(1 / (zk - zj) for j, zj in enumerate(z) if j != k)
+                z[k] = zk - w
+                settled = settled and abs(w) <= abs(zk) * 2.0 ** -45
+            if settled:
+                return z
+    except (ZeroDivisionError, OverflowError):
+        pass
+    return None
+
+
+@lru_cache(maxsize=None)
+def _root_enclosures(poly: tuple[int, ...]) -> tuple[Box, ...] | None:
+    """A certified box about every root of the irreducible integer
+    polynomial `poly`, pairwise disjoint, so that each holds one root and
+    together they hold all; None when a stage fails.  Each root's
+    approximation is the centre of a box of half-side a power of two above
+    twice its error estimate (|p(z)| and the rounding of p's Horner sum,
+    over |p'(z)|), and the box's Newton image, strictly inside, is kept."""
+    try:
+        coeffs = [c / poly[-1] for c in reversed(poly)]
+    except OverflowError:
+        return None
+    zs = _approx_roots(coeffs)
+    if zs is None:
+        return None
+    n, p = len(poly) - 1, tuple(Q(c) for c in poly)
+    dp = pderiv(p)
+    out = []
+    for z in zs:
+        val = der = size = 0.0
+        for a in coeffs:
+            val, der, size = val * z + a, der * z + val, size * abs(z) + abs(a)
+        r = 2 * (abs(val) + n * size * 2.0 ** -50) / abs(der) if der else math.inf
+        if not 0 < r < math.inf:
+            return None
+        e = math.frexp(r)[1]
+        r = Q(1 << e) if e >= 0 else Q(1, 1 << -e)
+        re, im = Q(z.real), Q(z.imag)
+        box = _certify(p, dp, Box(Ival(re - r, re + r), Ival(im - r, im + r)))
+        if box is None:
+            return None
+        out.append(box)
+    if any(not out[i].disjoint(out[j]) for i in range(n) for j in range(i + 1, n)):
+        return None
+    return tuple(out)
 
 
 def _frac(v) -> Fraction:
@@ -136,31 +322,41 @@ def _grid_cell(rect, bits: int, re, im, a: int = 0, b: int = 0):
     - or an `Ival` enclosing either part: decided when both ends lie in one
       cell, a row also needing the lower end off every inner line (a
       halving keeps the top half only for a root strictly above the cut).
+    The rectangle is taken in integers over its common denominator `den`,
+    so that each column, row and cell end is a shift or a floor division.
     """
-    u, v, s, t = rect
-    a = max(a, math.floor((s - u) * (2 << bits)).bit_length())
-    b = max(b, math.floor((t - v) * (2 << bits)).bit_length())
-    w, h = (s - u) / (1 << a), (t - v) / (1 << b)
+    den = math.lcm(*(c.denominator for c in rect))
+    U, V, S, T = (c.numerator * (den // c.denominator) for c in rect)
+    a = max(a, (((S - U) << (bits + 1)) // den).bit_length())
+    b = max(b, (((T - V) << (bits + 1)) // den).bit_length())
 
-    def cell(x, lo, step, n):
-        return min(max(math.floor((x - lo) / step), 0), (1 << n) - 1)
+    def cell(x, lo, side, n):
+        """x's cell among 2^n of `side` from `lo` (over den), clamped, and
+        whether x is on an inner line."""
+        k, rem = divmod((x.numerator * den - lo * x.denominator) << n,
+                        x.denominator * side)
+        return min(max(k, 0), (1 << n) - 1), rem == 0 and 0 < k < 1 << n
 
     lo, hi = (re.lo, re.hi) if isinstance(re, Ival) else (re, re)
-    i = cell(lo, u, w, a)
-    if i != cell(hi, u, w, a):
+    i = cell(lo, U, S - U, a)[0]
+    if i != cell(hi, U, S - U, a)[0]:
         return None
     if isinstance(im, Ival):
-        j, y = cell(im.lo, v, h, b), (im.lo - v) / h
-        if j != cell(im.hi, v, h, b) or (y.denominator == 1 and 0 < y < 1 << b):
+        j, on_line = cell(im.lo, V, T - V, b)
+        if on_line or j != cell(im.hi, V, T - V, b)[0]:
             return None
     else:
-        c = v / h    # p / q: floor(sqrt(X) / h - c) is, by one isqrt,
-        j = (math.isqrt(math.floor(im * c.denominator ** 2 / (h * h)))
-             - c.numerator) // c.denominator
-        if 0 < j < 1 << b and (v + j * h) ** 2 == im:
+        # floor((sqrt(X) den 2^b - V 2^b) / (T - V)), by one isqrt
+        top = V << b
+        j = (math.isqrt(im.numerator * (den << b) ** 2 // im.denominator)
+             - top) // (T - V)
+        if 0 < j < 1 << b and (top + j * (T - V)) ** 2 * im.denominator \
+                == im.numerator * (den << b) ** 2:
             return None
         j = min(max(j, 0), (1 << b) - 1)
-    return u + i * w, v + j * h, u + (i + 1) * w, v + (j + 1) * h
+    return (Q((U << a) + i * (S - U), den << a), Q((V << b) + j * (T - V), den << b),
+            Q((U << a) + (i + 1) * (S - U), den << a),
+            Q((V << b) + (j + 1) * (T - V), den << b))
 
 
 class _BisectionPath:
@@ -174,12 +370,14 @@ class _BisectionPath:
     set and reads the real part of an imaginary root as 0).  The cell comes
     from the exact real part of a quadratic's or an imaginary root and the
     exact squared imaginary part of a quadratic's, else from a certified
-    Newton enclosure, found once sympy's own steps have shrunk the
-    rectangle until a Newton step contracts, and sharpened while it
-    straddles a grid line.  A side still undecided goes to sympy's
-    `eval_rational`.  For a quadratic, every rectangle taken from sympy and
-    every centre it returns must hold the exact root, or it is an internal
-    fault: sympy 1.14 refines a root of 9x^2 - 12x + 8 to 4/3 + 4/3 i.
+    enclosure (`_root_enclosures`): of the pairwise disjoint boxes that
+    hold all the roots, the one box that meets sympy's rectangle, sharpened
+    by Newton steps while it straddles a grid line.  Where that box is not
+    found or stays undecided, the request goes to sympy's `eval_rational`.
+    A rectangle that every certified box misses, and, for a quadratic, a
+    rectangle taken from sympy or a centre it returns off the exact root,
+    is an internal fault: sympy 1.14 refines a root of 9x^2 - 12x + 8 to
+    4/3 + 4/3 i.
     """
 
     def __init__(self, r):
@@ -188,13 +386,13 @@ class _BisectionPath:
         iv = r._get_interval()
         self.conj = iv.conj
         self.imaginary = bool(r.is_imaginary)
-        coeffs = [int(c) for c in reversed(r.poly.all_coeffs())]
-        self.poly = tuple(Q(c) for c in coeffs)
+        self.coeffs = tuple(reversed(r.poly.rep.to_list()))
+        self.poly = tuple(Q(c) for c in self.coeffs)
         self.deriv = pderiv(self.poly)
         self.re = ZERO if self.imaginary else None
         self.im_sq = None
-        if len(coeffs) == 3:
-            c, b, a = coeffs
+        if len(self.coeffs) == 3:
+            c, b, a = self.coeffs
             self.re, self.im_sq = Q(-b, 2 * a), Q(4 * a * c - b * b, 4 * a * a)
         self._adopt(iv)
         self.enc: Box | None = None
@@ -202,28 +400,24 @@ class _BisectionPath:
     def _adopt(self, iv):
         """Continue from sympy's rectangle `iv`; one that misses a
         quadratic's exact root is an internal fault."""
-        self.iv = iv
         self.rect = _corners(iv)
         if self.im_sq is not None and not self._rect_holds_root():
             u, v, s, t = self.rect
             raise RuntimeError(
-                f"sympy isolates a root of {[int(c) for c in self.poly]} in "
+                f"sympy isolates a root of {list(self.coeffs)} in "
                 f"[{u}, {s}] + [{v}, {t}] i, off the exact root")
 
     def centre(self, bits: int) -> tuple[Fraction, Fraction]:
-        eps = Q(1, 1 << (bits + 1))
         u, v, s, t = self.rect
         iv = self.root._get_interval()
         if _frac(iv.dx) <= s - u and _frac(iv.dy) <= t - v:
             # sympy's cached rectangle is at least as deep: continue from it
             self._adopt(iv)
-            u, v, s, t = self.rect
-        while (self.im_sq is None and self.enc is None
-               and not (s - u < eps and t - v < eps)):
-            self.iv = self.iv._inner_refine()
-            u, v, s, t = self.rect = _corners(self.iv)
-            self._try_newton()
-        while self.im_sq is not None or self.enc is not None:
+        if self.im_sq is None and self.enc is None:
+            self.enc = self._enclosure()
+            if self.enc is None:
+                return self._fallback(bits)
+        while True:
             re, im = ((self.re, self.im_sq) if self.im_sq is not None else
                       (self.enc.re if self.re is None else self.re, self.enc.im))
             cell = _grid_cell(self.rect, bits, re, im)
@@ -235,12 +429,20 @@ class _BisectionPath:
         im = (v + t) / 2
         return (ZERO if self.imaginary else (u + s) / 2), (-im if self.conj else im)
 
-    def _try_newton(self):
+    def _enclosure(self) -> Box | None:
+        """The certified box of the one root that meets sympy's rectangle;
+        None when the boxes are not found or several meet it."""
+        boxes = _root_enclosures(self.coeffs)
+        if boxes is None:
+            return None
         u, v, s, t = self.rect
-        box = Box(Ival(u, s), Ival(v, t))
-        nxt = _newton_step(self.poly, self.deriv, box, 2 * _bits_of(box.width) + 32)
-        if nxt is not None and nxt.width <= box.width / 4:
-            self.enc = nxt
+        rect = Box(Ival(u, s), Ival(v, t))
+        hits = [box for box in boxes if not box.disjoint(rect)]
+        if not hits:
+            raise RuntimeError(
+                f"sympy isolates a root of {list(self.coeffs)} in "
+                f"[{u}, {s}] + [{v}, {t}] i, where no root lies")
+        return hits[0] if len(hits) == 1 else None
 
     def _sharpen(self, max_bits: int) -> bool:
         width = self.enc.width
@@ -265,7 +467,7 @@ class _BisectionPath:
             self.rect = (re - eps, im - eps, re + eps, im + eps)
             if not self._rect_holds_root():
                 raise RuntimeError(
-                    f"sympy puts a root of {[int(c) for c in self.poly]} at "
+                    f"sympy puts a root of {list(self.coeffs)} at "
                     f"{centre[0]} + {centre[1]} i, off the exact root")
         self._adopt(self.root._get_interval())
         return centre
@@ -359,9 +561,10 @@ class NumberField:
     the root is simple and p' eventually excludes zero).  The certified
     seed box is the one sympy's isolation gives, a function of the
     polynomial, the index and the bits: in closed form for a non-real
-    quadratic root (`_quadratic_seed`), else sympy's own refinement for a
-    real root and the replay of its bisection (`_BisectionPath`) for a
-    non-real one.  sympy's `CRootOf` is built only for those, and whether
+    quadratic root (`_quadratic_seed`), else the replay of sympy's
+    refinement: its continued-fraction steps for a real root
+    (`_real_interval`) and its bisection for a non-real one
+    (`_BisectionPath`).  sympy's `CRootOf` is built only for those, and whether
     a quadratic's root is real is the sign of its discriminant.
     """
 

@@ -624,16 +624,89 @@ def _acceptance4_factors(count):
 
 
 def test_replay_matches_sympy_on_higher_degree_roots(fresh_roots, monkeypatch):
+    # a seeded batch of cubics to sextics, each root landed through its
+    # certified enclosure
     requests = []
-    for k, fac in enumerate(_acceptance4_factors(4)):
+    for k, fac in enumerate(_acceptance4_factors(8)):
         complex_idx = [i for i in range(len(fac) - 1)
                        if not algebraic._rootof(fac, i).is_real]
-        bits_seq = [[64], [64, 128], [128, 64], [64]][k]
+        bits_seq = [[64], [64, 128], [128, 64]][k] if k < 3 else [64]
         requests += [(fac, i, b) for i in complex_idx[:2] for b in bits_seq]
-    # x^4 + 3x^2 + 1: four roots on the imaginary axis
-    requests += [((1, 0, 3, 0, 1), i, 64) for i in range(4)]
+    # x^4 + 3x^2 + 1: four roots on the imaginary axis; x^4 - x^2 + 1: roots
+    # (+-sqrt(3) +- i) / 2, whose im = 1/2 is the top edge of sympy's
+    # rectangle, so each enclosure straddles that edge
+    requests += [(p, i, 64) for p in ((1, 0, 3, 0, 1), (1, 0, -1, 0, 1))
+                 for i in range(4)]
+    fallbacks = []
+    fallback = algebraic._BisectionPath._fallback
+    monkeypatch.setattr(algebraic._BisectionPath, "_fallback",
+                        lambda self, bits: fallbacks.append(bits) or fallback(self, bits))
     replayed, reference = _replay_and_sympy(fresh_roots, monkeypatch, requests)
     assert replayed == reference
+    assert not fallbacks
+
+
+def _real_factors(count, seed):
+    """Seeded irreducible factors of degree 2-6 with a real root."""
+    rng, out = random.Random(seed), []
+    while len(out) < count:
+        p = tuple(rng.randint(-9, 9) for _ in range(rng.randint(2, 6)))
+        if not p[0]:
+            continue
+        for fac, _ in factor_int(p + (rng.randint(1, 3),)):
+            if len(fac) >= 3 and fac not in out and algebraic._rootof(fac, 0).is_real:
+                out.append(fac)
+    return out[:count]
+
+
+def test_real_replay_matches_sympy(fresh_roots, monkeypatch):
+    """`_real_interval` takes sympy's own continued-fraction steps on
+    plain integers: from the same fresh sympy state, each real seed box
+    and, afterwards, every interval in sympy's cache are those of
+    `eval_rational`, for the request orders 64; 64 then 128; 128 then 64.
+    x^2 + 2x - 4 is one that sympy writes as 2 * (a root of y^2 + y - 1);
+    the first requests, at 0 and 1 bits, pass an interval of width exactly
+    2^-(bits+1), where sympy takes one more step."""
+    def sympy_interval(r, bits):
+        algebraic._eval_rational(r, bits)
+        iv = r._get_interval()
+        return algebraic._frac(iv.a), algebraic._frac(iv.b)
+
+    facs = _real_factors(30, 39) + [(-4, 2, 1)]
+    assert algebraic._rootof((-4, 2, 1), 0).is_Mul
+    assert {len(fac) - 1 for fac in facs} == {2, 3, 4, 5, 6}
+    requests = [((-2, 0, 1), 1, 0), ((-5, 0, 1), 1, 1), ((-7, 2, 1), 0, 1)]
+    for k, fac in enumerate(facs):
+        reals = [i for i in range(len(fac) - 1) if algebraic._rootof(fac, i).is_real]
+        requests += [(fac, i, b) for i in reals for b in [[64], [64, 128], [128, 64]][k % 3]]
+
+    def run():
+        fresh_roots()
+        boxes = [_box_key(algebraic._sympy_expr_box(algebraic._rootof(p, i), bits))
+                 for p, i, bits in requests]
+        return boxes, {poly: [iv.args for iv in ivs]
+                       for poly, ivs in rootoftools._reals_cache._dict.items()}
+
+    replayed = run()
+    with monkeypatch.context() as m:
+        m.setattr(algebraic, "_real_interval", sympy_interval)
+        reference = run()
+    assert replayed == reference
+
+
+def test_lmq_bound_matches_sympys():
+    """`_lmq_lower_bound` is `int(dup_root_lower_bound(f))`, with sympy's
+    `int(math.log(x, 2))`, which rounds up past floor(log2 x) for
+    coefficients just below a large power of two, as drawn here."""
+    from sympy.polys.domains import ZZ
+    from sympy.polys.rootisolation import dup_root_lower_bound
+    rng = random.Random(39)
+    for _ in range(2000):
+        f = [rng.choice([1, -1]) * rng.choice([rng.randint(1, 50),
+                                               (1 << rng.randint(50, 70)) - rng.randint(1, 3)])
+             for _ in range(rng.randint(3, 5))]
+        bound = dup_root_lower_bound(f, ZZ)
+        assert algebraic._lmq_lower_bound(f) == (0 if bound is None else int(bound)), f
 
 
 def test_replay_falls_back_to_sympy(fresh_roots, monkeypatch):
@@ -662,6 +735,28 @@ def test_replay_falls_back_to_sympy(fresh_roots, monkeypatch):
                 (cubic, complex_idx[0], 64), (cubic, complex_idx[0], 128)]
     replayed, reference = _replay_and_sympy(fresh_roots, monkeypatch, requests)
     assert fallbacks == [64]
+    assert replayed == reference
+
+
+def test_rectangle_meeting_two_enclosures_falls_back(fresh_roots, monkeypatch):
+    """A rectangle that meets the certified boxes of two roots names
+    neither, and the request goes to sympy's refinement: here every
+    rectangle of x^4 - x^2 + 1 is widened to hold both roots
+    (+-sqrt(3) + i) / 2."""
+    corners = algebraic._corners
+
+    def wide(iv):
+        u, v, s, t = corners(iv)
+        return u - 2, v, s + 2, t
+
+    monkeypatch.setattr(algebraic, "_corners", wide)
+    fallbacks = []
+    fallback = algebraic._BisectionPath._fallback
+    monkeypatch.setattr(algebraic._BisectionPath, "_fallback",
+                        lambda self, bits: fallbacks.append(bits) or fallback(self, bits))
+    requests = [((1, 0, -1, 0, 1), i, 64) for i in range(4)]
+    replayed, reference = _replay_and_sympy(fresh_roots, monkeypatch, requests)
+    assert fallbacks == [64] * 4
     assert replayed == reference
 
 

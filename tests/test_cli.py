@@ -622,6 +622,98 @@ def test_broken_refinement_invariant_exits_internal(tmp_path):
     assert p.stdout == ""
 
 
+CUBIC_POS = ('{"coeffs":["-3","-1","0"],"init":["1","0","0"],'
+             '"question":"exists-robust-positivity"}')
+
+# each patch moves the seeds of degree >= 3 only: a non-real root's
+# isolating rectangle 100 to the right, a real root's interval by 1/8
+_WRONG_SEEDS = {
+    "complex": ("adopt = algebraic._BisectionPath._adopt\n"
+                "def wrong(self, iv):\n"
+                "    adopt(self, iv)\n"
+                "    if len(self.coeffs) > 3:\n"
+                "        u, v, s, t = self.rect\n"
+                "        self.rect = (u + 100, v, s + 100, t)\n"
+                "algebraic._BisectionPath._adopt = wrong\n",
+                "where no root lies"),
+    "real": ("real = algebraic._real_interval\n"
+             "def wrong(r, bits):\n"
+             "    lo, hi = real(r, bits)\n"
+             "    shift = Fraction(1, 8) if r.poly.degree() > 2 else 0\n"
+             "    return lo + shift, hi + shift\n"
+             "algebraic._real_interval = wrong\n",
+             "where its sign does not change"),
+}
+
+
+@pytest.mark.parametrize("kind", list(_WRONG_SEEDS))
+def test_wrong_seed_of_a_cubic_exits_internal(tmp_path, kind):
+    """A non-real root's isolating rectangle must meet one of the certified
+    enclosures of its polynomial's roots, and a real root's interval must
+    change the sign of its polynomial: a wrong rectangle or interval for
+    the roots of x^3 + x + 3 is an internal fault (4), in a fresh
+    interpreter so that every seed is taken anew."""
+    problem = tmp_path / "cubic.json"
+    problem.write_text(CUBIC_POS)
+    patch, message = _WRONG_SEEDS[kind]
+    script = ("import sys\n"
+              "from fractions import Fraction\n"
+              "from robustlrs import algebraic, cli\n"
+              + patch + "sys.exit(cli.main(sys.argv[1:]))\n")
+    p = run_cli(["decide", "exists-robust-positivity", "--problem", str(problem)],
+                python=("-c", script))
+    assert p.returncode == 4, p.stderr
+    assert p.stderr.startswith("internal error: RuntimeError: sympy isolates a")
+    assert message in p.stderr and p.stdout == ""
+
+
+_STEP_GUARD = """
+import json, sys, traceback
+from sympy.polys import rootisolation
+from robustlrs import algebraic, cli, serialize
+from robustlrs.decide import DEFAULT_PREFIX_CAP
+from robustlrs.optimize import DEFAULT_TOL
+from robustlrs.torus import DEFAULT_HEIGHT_BOUND
+
+# sympy's first isolation refines its intervals apart; the replay's own
+# fallback hands a request to sympy's refinement
+EXEMPT = {"_get_reals", "_get_complexes", "_fallback"}
+calls = {"steps": 0, "real": 0, "complex": 0}
+
+def counted(obj, name, key, exempt=False):
+    call = getattr(obj, name)
+    def counting(*args):
+        if not exempt or not EXEMPT & {f.name for f in traceback.extract_stack()}:
+            calls[key] += 1
+        return call(*args)
+    setattr(obj, name, counting)
+
+counted(rootisolation.RealInterval, "_inner_refine", "steps", True)
+counted(rootisolation.ComplexInterval, "_inner_refine", "steps", True)
+counted(algebraic, "_real_interval", "real")
+counted(algebraic._BisectionPath, "centre", "complex")
+for doc in sys.argv[1:]:
+    cli.run(serialize.parse_problem(doc), "exists-robust-positivity",
+            DEFAULT_TOL, DEFAULT_PREFIX_CAP, DEFAULT_HEIGHT_BOUND)
+print(json.dumps(calls))
+"""
+
+
+def test_root_seeds_take_no_sympy_refinement_steps():
+    """Every seed box is refined by the package: on an order-2 pair of
+    irrational modulus (x^2 - x + 3, whose gamma / rho is a quartic), a
+    split cubic ((x - 2)(x^2 - x + 3)) and x^3 + x + 3, sympy's
+    `_inner_refine` runs only in its first isolation and in the replay's
+    fallback, while both replays run."""
+    docs = ['{"coeffs":["-3","1"],"init":["1","0"]}',
+            '{"coeffs":["6","-5","3"],"init":["1","0","0"]}',
+            '{"coeffs":["-3","-1","0"],"init":["1","0","0"]}']
+    p = run_cli(docs, python=("-c", _STEP_GUARD))
+    assert p.returncode == 0, p.stderr
+    calls = json.loads(p.stdout)
+    assert calls["steps"] == 0 and calls["real"] > 0 and calls["complex"] > 0, calls
+
+
 @pytest.mark.parametrize("args,config,source", [
     (["decide", "exists-robust-positivity", "--tol", "0.001"], None,
      "argument --tol"),

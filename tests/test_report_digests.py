@@ -3,7 +3,8 @@
 Each problem goes through `cli.main` as a problem file, and the sha256 of
 the report it writes is compared with the digest recorded for it.  The
 problems cover the four questions; the optimizer's finite-exact,
-pair-closed-form, branch-and-bound and ball-bnb routes; and both prefix
+pair-closed-form, branch-and-bound and ball-bnb routes; root seeds of
+degree >= 3, complex and real, refined by the package; and both prefix
 paths of positivity and Skolem: a residual threshold at or below
 `lrs.EXACT_TERMS` (4096), scanned exactly, and one past it, scanned by
 the certified orbit scan.  The long-prefix shapes are those of
@@ -68,6 +69,18 @@ CASES = {
         {"coeffs": ["-4", "-1/2"], "init": ["-3/2", "-5/3"],
          "question": "exists-robust-skolem", "tol": "1/1024"}, 2,
         "3f4e39a7344176bf540598d904f11701d1e3c61408c24e5a01a83072b47a6794"),
+    # x^2 - x + 3: a pair of modulus sqrt(3), whose gamma / rho is a root
+    # of a quartic, seeded through its certified enclosure
+    "pair-irrational-modulus-positivity": (
+        {"coeffs": ["-3", "1"], "init": ["1", "0"],
+         "question": "exists-robust-positivity"}, 1,
+        "27be25b4a183bdaa494490812a0f570f236ad2b98e725c3ff3b24cd17bcd1f7b"),
+    # x^3 + x + 3: a real root and a pair, each of degree 3, seeded by the
+    # package's refinement
+    "cubic-positivity-no": (
+        {"coeffs": ["-3", "-1", "0"], "init": ["1", "0", "0"],
+         "question": "exists-robust-positivity"}, 1,
+        "984097648ace8aa5bfaa848c3a5dbe2aafda3089a942889560a2c357b8940a62"),
     "ball-bnb-open-ball": (
         {"coeffs": P35, "init": ["3", "1", "0", "2", "1", "5"],
          "question": "robust-ultpos-open", "ball": {"radius": "1/20"}}, 0,
