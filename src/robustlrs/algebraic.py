@@ -9,13 +9,14 @@ refinement steps runs.  sympy's bisection of a non-real root's rectangle
 lands on a cell of a grid, found in one step (`_grid_cell`): on sympy's
 first rectangle for a quadratic's root (`_quadratic_seed`), with no
 sympy call, else on sympy's isolating rectangle (`_BisectionPath`),
-steered by the exact root of a quadratic or by a certified enclosure
-(`_root_enclosures`: Aberth-Ehrlich approximations, each confirmed by
-one interval Newton step).  A real root's interval is sympy's
-continued-fraction refinement replayed on plain integers
-(`_real_interval`).  All else -- arithmetic, conjugation, zero tests,
-unit-modulus and root-of-unity decisions, minimal polynomials from power
-sums -- is exact rational computation here.
+steered by the root's certified box (`_root_enclosures`: closed form for
+a quadratic, else Aberth-Ehrlich approximations, each confirmed by one
+interval Newton step), which every rectangle taken from sympy must meet.
+A real root's interval is sympy's continued-fraction refinement replayed
+on plain integers (`_real_interval`), and must straddle a sign change.
+All else -- arithmetic, conjugation, zero tests, unit-modulus and
+root-of-unity decisions, minimal polynomials from power sums -- is exact
+rational computation here.
 
 Predicates are never decided by approximation alone: enclosures may
 *separate* two numbers, while equalities are certified through unique
@@ -70,16 +71,16 @@ def _eval_rational(r, bits: int) -> tuple[Fraction, Fraction]:
 
 def _sympy_expr_box(expr, bits: int) -> Box:
     """Certified box for what sympy's `CRootOf(...)` returns: a Rational, a
-    CRootOf, or a rational multiple of a CRootOf.  A real root of degree
-    >= 3 must change the sign of its polynomial across sympy's interval,
-    or it is an internal fault."""
+    CRootOf, or a rational multiple of a CRootOf.  A real root must change
+    the sign of its polynomial across sympy's interval (an irreducible
+    polynomial has no rational root), or it is an internal fault."""
     if expr.is_Rational:
         return Box.point(Q(expr.p, expr.q))
     if isinstance(expr, rootoftools.ComplexRootOf):
         if expr.is_real:
             lo, hi = _real_interval(expr, bits)
             p = expr.poly.rep.to_list()[::-1]
-            if len(p) > 3 and (peval(p, lo) > 0) == (peval(p, hi) > 0):
+            if (peval(p, lo) > 0) == (peval(p, hi) > 0):
                 raise RuntimeError(
                     f"sympy isolates a real root of {p} in [{lo}, {hi}], "
                     f"where its sign does not change")
@@ -212,6 +213,13 @@ def _newton_step(p, dp, box: Box, work: int) -> Box | None:
     return Box(re, im)
 
 
+def _contract(p, dp, box: Box, work: int) -> Box | None:
+    """`_newton_step`'s image when it is at most 3/4 of the box's width,
+    the step refinement keeps; None when the step fails or stalls."""
+    nxt = _newton_step(p, dp, box, work)
+    return None if nxt is None or nxt.width > box.width * Q(3, 4) else nxt
+
+
 def _certify(p, dp, box: Box) -> Box | None:
     """The Newton image of `box` when it lies strictly inside the box: then
     the box holds exactly one root of p, and so does the image; else
@@ -257,10 +265,18 @@ def _approx_roots(c: list[float]) -> list[complex] | None:
 def _root_enclosures(poly: tuple[int, ...]) -> tuple[Box, ...] | None:
     """A certified box about every root of the irreducible integer
     polynomial `poly`, pairwise disjoint, so that each holds one root and
-    together they hold all; None when a stage fails.  Each root's
+    together they hold all; None when a stage fails.  A non-real quadratic
+    c + b x + a x^2 has its two in closed form: re = -b / 2a exactly, im
+    between directed square roots of (4ac - b^2) / 4a^2.  Else each root's
     approximation is the centre of a box of half-side a power of two above
     twice its error estimate (|p(z)| and the rounding of p's Horner sum,
     over |p'(z)|), and the box's Newton image, strictly inside, is kept."""
+    if len(poly) == 3:
+        c, b, a = poly
+        sq = Q(4 * a * c - b * b, 4 * a * a)
+        if sq > 0:
+            re, im = Ival.point(Q(-b, 2 * a)), Ival.point(sq).sqrt(128 + _bits_of(sq))
+            return Box(re, -im), Box(re, im)
     try:
         coeffs = [c / poly[-1] for c in reversed(poly)]
     except OverflowError:
@@ -367,16 +383,15 @@ class _BisectionPath:
     fewer bits gets the deepest rectangle reached; this keeps the same
     deepest rectangle, in sympy's coordinates for the conjugate with
     positive imaginary part (sympy flips the imaginary part when `conj` is
-    set and reads the real part of an imaginary root as 0).  The cell comes
-    from the exact real part of a quadratic's or an imaginary root and the
-    exact squared imaginary part of a quadratic's, else from a certified
-    enclosure (`_root_enclosures`): of the pairwise disjoint boxes that
-    hold all the roots, the one box that meets sympy's rectangle, sharpened
+    set and reads the real part of an imaginary root as 0).  The root is
+    described once, for every degree: by its certified box `enc`, the one
+    of `_root_enclosures`' pairwise disjoint boxes that meets sympy's
+    rectangle (with real part exactly 0 for an imaginary root), sharpened
     by Newton steps while it straddles a grid line.  Where that box is not
     found or stays undecided, the request goes to sympy's `eval_rational`.
-    A rectangle that every certified box misses, and, for a quadratic, a
-    rectangle taken from sympy or a centre it returns off the exact root,
-    is an internal fault: sympy 1.14 refines a root of 9x^2 - 12x + 8 to
+    Every rectangle taken from sympy must meet the box, and so must the box
+    of half-side 2^-(bits+1) about a centre sympy returns, or it is an
+    internal fault: sympy 1.14 refines a root of 9x^2 - 12x + 8 to
     4/3 + 4/3 i.
     """
 
@@ -389,23 +404,13 @@ class _BisectionPath:
         self.coeffs = tuple(reversed(r.poly.rep.to_list()))
         self.poly = tuple(Q(c) for c in self.coeffs)
         self.deriv = pderiv(self.poly)
-        self.re = ZERO if self.imaginary else None
-        self.im_sq = None
-        if len(self.coeffs) == 3:
-            c, b, a = self.coeffs
-            self.re, self.im_sq = Q(-b, 2 * a), Q(4 * a * c - b * b, 4 * a * a)
-        self._adopt(iv)
         self.enc: Box | None = None
+        self._adopt(iv)
+        self.enc = self._enclosure()
 
     def _adopt(self, iv):
-        """Continue from sympy's rectangle `iv`; one that misses a
-        quadratic's exact root is an internal fault."""
+        """Continue from sympy's rectangle `iv`."""
         self.rect = _corners(iv)
-        if self.im_sq is not None and not self._rect_holds_root():
-            u, v, s, t = self.rect
-            raise RuntimeError(
-                f"sympy isolates a root of {list(self.coeffs)} in "
-                f"[{u}, {s}] + [{v}, {t}] i, off the exact root")
 
     def centre(self, bits: int) -> tuple[Fraction, Fraction]:
         u, v, s, t = self.rect
@@ -413,72 +418,49 @@ class _BisectionPath:
         if _frac(iv.dx) <= s - u and _frac(iv.dy) <= t - v:
             # sympy's cached rectangle is at least as deep: continue from it
             self._adopt(iv)
-        if self.im_sq is None and self.enc is None:
             self.enc = self._enclosure()
-            if self.enc is None:
-                return self._fallback(bits)
-        while True:
-            re, im = ((self.re, self.im_sq) if self.im_sq is not None else
-                      (self.enc.re if self.re is None else self.re, self.enc.im))
-            cell = _grid_cell(self.rect, bits, re, im)
+        while self.enc is not None:
+            cell = _grid_cell(self.rect, bits, ZERO if self.imaginary else self.enc.re,
+                              self.enc.im)
             if cell is not None:
                 u, v, s, t = self.rect = cell
+                im = (v + t) / 2
+                return (ZERO if self.imaginary else (u + s) / 2), (-im if self.conj else im)
+            # sharpen; a point box is the root itself, and a stalled step falls back
+            k = _bits_of(self.enc.width) if self.enc.width else math.inf
+            if k > 4 * (bits + 1):
                 break
-            if self.im_sq is not None or not self._sharpen(4 * (bits + 1)):
-                return self._fallback(bits)
-        im = (v + t) / 2
-        return (ZERO if self.imaginary else (u + s) / 2), (-im if self.conj else im)
+            self.enc = _contract(self.poly, self.deriv, self.enc, 2 * k + 32)
+        return self._fallback(bits)
 
     def _enclosure(self) -> Box | None:
-        """The certified box of the one root that meets sympy's rectangle;
-        None when the boxes are not found or several meet it."""
-        boxes = _root_enclosures(self.coeffs)
+        """The root's certified box, which the rectangle must meet: `enc`
+        once found, else the one of `_root_enclosures` that meets the
+        rectangle; None when the boxes are not found or several meet it."""
+        boxes = (self.enc,) if self.enc is not None else _root_enclosures(self.coeffs)
         if boxes is None:
             return None
         u, v, s, t = self.rect
-        rect = Box(Ival(u, s), Ival(v, t))
-        hits = [box for box in boxes if not box.disjoint(rect)]
+        hits = [box for box in boxes if not box.disjoint(Box(Ival(u, s), Ival(v, t)))]
         if not hits:
             raise RuntimeError(
                 f"sympy isolates a root of {list(self.coeffs)} in "
                 f"[{u}, {s}] + [{v}, {t}] i, where no root lies")
         return hits[0] if len(hits) == 1 else None
 
-    def _sharpen(self, max_bits: int) -> bool:
-        width = self.enc.width
-        k = _bits_of(width)
-        if k > max_bits:
-            return False
-        nxt = _newton_step(self.poly, self.deriv, self.enc, 2 * k + 32)
-        if nxt is None or nxt.width > width * Q(3, 4):
-            return False
-        self.enc = nxt
-        return True
-
     def _fallback(self, bits: int) -> tuple[Fraction, Fraction]:
         # every rectangle here is on sympy's path and no deeper than the
-        # request, so sympy's refinement reaches the same rectangle
+        # request, so sympy's refinement reaches the same rectangle; the box
+        # of half-side 2^-(bits+1) about its centre, in sympy's coordinates,
+        # must meet the root's box, as the rectangle must
         centre = _eval_rational(self.root, bits)
-        if self.im_sq is not None:
-            # the box of half-side 2^-(bits+1) about the centre, in sympy's
-            # coordinates
-            eps = Q(1, 1 << (bits + 1))
-            re, im = centre[0], -centre[1] if self.conj else centre[1]
-            self.rect = (re - eps, im - eps, re + eps, im + eps)
-            if not self._rect_holds_root():
-                raise RuntimeError(
-                    f"sympy puts a root of {list(self.coeffs)} at "
-                    f"{centre[0]} + {centre[1]} i, off the exact root")
+        re, im = centre[0], -centre[1] if self.conj else centre[1]
+        eps = Q(1, 1 << (bits + 1))
+        self.rect = (re - eps, im - eps, re + eps, im + eps)
+        self._enclosure()
         self._adopt(self.root._get_interval())
+        self.enc = self._enclosure()
         return centre
-
-    def _rect_holds_root(self) -> bool:
-        """Whether the rectangle (u, v)-(s, t) holds the quadratic's root:
-        re exactly, and im^2 = im_sq with im >= 0 in sympy's coordinates,
-        by comparing squares."""
-        u, v, s, t = self.rect
-        return (u <= self.re <= s and t >= 0 and t * t >= self.im_sq
-                and (v <= 0 or v * v <= self.im_sq))
 
 
 _PATHS: dict = {}
@@ -620,16 +602,14 @@ class NumberField:
         work = bits + 16
         seed_bits = 64
         while box.width > Q(1, 1 << bits):
-            nxt = _newton_step(self.minpoly_q, self._deriv, box, work)
-            if nxt is None or nxt.width > box.width * Q(3, 4):
+            box = _contract(self.minpoly_q, self._deriv, box, work)
+            if box is None:
                 # derivative box straddles zero or convergence stalled:
                 # take a sharper certified seed and retry
                 seed_bits = max(seed_bits * 2, bits)
                 box = self._seed_box(seed_bits)
                 if seed_bits >= bits:
                     break
-                continue
-            box = nxt
         if self.is_real_root:
             box = Box(box.re, Ival.point(0))
         self._box = box

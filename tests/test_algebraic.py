@@ -710,20 +710,23 @@ def test_lmq_bound_matches_sympys():
 
 
 def test_replay_falls_back_to_sympy(fresh_roots, monkeypatch):
-    # an undecided side hands the rest of the request to eval_rational, and
-    # the replay then continues from sympy's rectangle: the first cell asked
-    # for gets the root put on the middle horizontal line of its rectangle
+    # an undecided side that a Newton step cannot sharpen hands the rest of
+    # the request to eval_rational, and the replay then continues from
+    # sympy's rectangle: the first cell asked for gets the root put on the
+    # middle horizontal line of its rectangle, and its Newton step stalls
     calls = {"n": 0}
-    grid_cell = algebraic._grid_cell
+    grid_cell, contract = algebraic._grid_cell, algebraic._contract
 
     def undecided_once(rect, bits, re, im, a=0, b=0):
         calls["n"] += 1
         if calls["n"] == 1:
             u, v, s, t = rect
-            im = ((v + t) / 2) ** 2
+            im = Ival.point((v + t) / 2)
         return grid_cell(rect, bits, re, im, a, b)
 
     monkeypatch.setattr(algebraic, "_grid_cell", undecided_once)
+    monkeypatch.setattr(algebraic, "_contract",
+                        lambda *args: None if calls["n"] == 1 else contract(*args))
     fallbacks = []
     fallback = algebraic._BisectionPath._fallback
     monkeypatch.setattr(algebraic._BisectionPath, "_fallback",
@@ -734,6 +737,24 @@ def test_replay_falls_back_to_sympy(fresh_roots, monkeypatch):
     requests = [((11, 3, 2), 1, 64), ((11, 3, 2), 1, 128), ((11, 3, 2), 1, 64),
                 (cubic, complex_idx[0], 64), (cubic, complex_idx[0], 128)]
     replayed, reference = _replay_and_sympy(fresh_roots, monkeypatch, requests)
+    assert fallbacks == [64]
+    assert replayed == reference
+
+
+def test_point_box_undecided_falls_back(fresh_roots, monkeypatch):
+    """The closed-form box of 1 + i, a root of x^2 - 2x + 2, is a point,
+    the root itself; put on an inner line of its grid, it cannot be
+    sharpened, and the request goes to sympy's refinement."""
+    grid_cell = algebraic._grid_cell
+    monkeypatch.setattr(algebraic, "_grid_cell", lambda rect, bits, re, im, a=0, b=0:
+                        None if bits == 64 else grid_cell(rect, bits, re, im, a, b))
+    fallbacks = []
+    fallback = algebraic._BisectionPath._fallback
+    monkeypatch.setattr(algebraic._BisectionPath, "_fallback",
+                        lambda self, bits: fallbacks.append(bits) or fallback(self, bits))
+    requests = [((2, -2, 1), 1, 64), ((2, -2, 1), 1, 128)]
+    replayed, reference = _replay_and_sympy(fresh_roots, monkeypatch, requests)
+    assert algebraic._root_enclosures((2, -2, 1))[1].width == 0
     assert fallbacks == [64]
     assert replayed == reference
 
@@ -758,6 +779,61 @@ def test_rectangle_meeting_two_enclosures_falls_back(fresh_roots, monkeypatch):
     replayed, reference = _replay_and_sympy(fresh_roots, monkeypatch, requests)
     assert fallbacks == [64] * 4
     assert replayed == reference
+
+
+def _cubic_path(fresh_roots):
+    """The replay of a non-real root of a cubic, once its certified box is
+    known."""
+    fresh_roots()
+    cubic = _acceptance4_factors(1)[0]
+    index = next(i for i in range(len(cubic) - 1)
+                 if not algebraic._rootof(cubic, i).is_real)
+    path = algebraic._bisection_path(algebraic._rootof(cubic, index))
+    path.centre(64)
+    assert path.enc is not None
+    return path
+
+
+def _shift_rectangles(monkeypatch):
+    """Every rectangle taken from sympy from now on lies 1 to the right."""
+    corners = algebraic._corners
+
+    def shifted(iv):
+        u, v, s, t = corners(iv)
+        return u + 1, v, s + 1, t
+
+    monkeypatch.setattr(algebraic, "_corners", shifted)
+
+
+def test_fallback_off_a_cubic_root_raises(fresh_roots, monkeypatch):
+    """Once the root's box is known, a centre sympy returns off it, or a
+    rectangle its refinement leaves off it, is an internal fault for every
+    degree; sympy's own centre and rectangle pass."""
+    path = _cubic_path(fresh_roots)
+    right = algebraic._eval_rational(path.root, 64)
+    assert path._fallback(64) == right
+    d = Q(1, 1 << 40)
+    with monkeypatch.context() as m:
+        for wrong in ((right[0] + d, right[1]), (right[0], right[1] + d)):
+            m.setattr(algebraic, "_eval_rational", lambda r, bits: wrong)
+            with pytest.raises(RuntimeError, match="where no root lies"):
+                path._fallback(64)
+    _shift_rectangles(monkeypatch)
+    with pytest.raises(RuntimeError, match="where no root lies"):
+        path._fallback(64)
+
+
+def test_deeper_rectangle_off_a_cubic_root_raises(fresh_roots, monkeypatch):
+    """A deeper rectangle sympy has cached, taken after the root's box is
+    known, must still meet that box: shifted off it, the replay raises
+    instead of landing on an edge cell."""
+    import sympy
+    path = _cubic_path(fresh_roots)
+    dx = sympy.Rational(1, 1 << 129)
+    path.root.eval_rational(dx=dx, dy=dx)
+    _shift_rectangles(monkeypatch)
+    with pytest.raises(RuntimeError, match="where no root lies"):
+        path.centre(128)
 
 
 # -- sympy's bisection grid, cell by cell ------------------------------------
@@ -820,9 +896,9 @@ def test_grid_column_of_a_root_on_a_vertical_line_is_the_right_one():
 
 def test_grid_row_of_an_exact_square():
     """A row from the exact square X is floor((sqrt(X) - v) / h): on an
-    inner horizontal line it is undecided (the replay's fallback), on the
-    bottom or top edge it is the first or last row, and off the lines it is
-    the row the walk reaches."""
+    inner horizontal line it is undecided (the closed-form seed leaves the
+    root to the replay), on the bottom or top edge it is the first or last
+    row, and off the lines it is the row the walk reaches."""
     for rect in _RECTS:
         u, v, s, t = rect
         re = u + (s - u) / 3
@@ -909,9 +985,10 @@ def test_root_boxes_hold_the_exact_quadratic_root(fresh_roots, index):
 @pytest.mark.parametrize("index", [0, 1])
 def test_fallback_checks_sympys_quadratic_root(fresh_roots, monkeypatch,
                                                index):
-    """An undecided side hands the request to sympy's `eval_rational`; for
-    a quadratic its centre must hold the exact root, or the request is an
-    internal fault."""
+    """An undecided side hands the request to sympy's `eval_rational`; the
+    box of half-side 2^-(bits+1) about its centre must meet the root's
+    certified box, for a quadratic the closed-form one, or the request is
+    an internal fault."""
     fresh_roots()
     r = algebraic._rootof(_NINE, index)
     sign = -1 if algebraic._bisection_path(r).conj else 1
@@ -924,7 +1001,7 @@ def test_fallback_checks_sympys_quadratic_root(fresh_roots, monkeypatch,
                       (Q(2, 3) + 2 * eps, exact[1]),
                       (Q(2, 3), exact[1] + 2 * eps)):
             m.setattr(algebraic, "_eval_rational", lambda r, bits: wrong)
-            with pytest.raises(RuntimeError, match="off the exact root"):
+            with pytest.raises(RuntimeError, match="where no root lies"):
                 algebraic._bisection_path(r)._fallback(64)
     # sympy's own answer is either right or refused
     fresh_roots()
@@ -947,20 +1024,21 @@ def test_sympy_rectangle_off_the_quadratic_root_raises(fresh_roots,
     dx = sympy.Rational(1, 1 << 65)
     fresh_roots()
     algebraic._rootof(_NINE, 1).eval_rational(dx=dx, dy=dx)
-    with pytest.raises(RuntimeError, match="off the exact root"):
+    with pytest.raises(RuntimeError, match="where no root lies"):
         NumberField(_NINE, 1).root_box(64)
     fresh_roots()
     r = algebraic._rootof(_NINE, 1)
     path = algebraic._bisection_path(r)
     r.eval_rational(dx=dx, dy=dx)
-    with pytest.raises(RuntimeError, match="off the exact root"):
+    with pytest.raises(RuntimeError, match="where no root lies"):
         path.centre(64)
 
 
 def test_rectangle_check_on_every_side(fresh_roots):
-    """The rectangle check compares the exact root with each side: a
-    rectangle beside, below or above 2/3 + 2/3 i (sympy's coordinates)
-    misses it, one around it or with the root on its edge holds it."""
+    """The rectangle check compares the root's closed-form box with each
+    side: a rectangle beside, below or above 2/3 + 2/3 i (sympy's
+    coordinates) misses it and raises, one around it or with the root on
+    its edge meets it."""
     fresh_roots()
     path = algebraic._bisection_path(algebraic._rootof(_NINE, 1))
     h = Q(1, 1 << 20)
@@ -974,7 +1052,32 @@ def test_rectangle_check_on_every_side(fresh_roots):
                         ((r - h, r - 2 * h, r + h, r - h), False),
                         ((r - h, -r - h, r + h, -r + h), False)]:
         path.rect = rect
-        assert path._rect_holds_root() is holds, rect
+        if holds:
+            assert path._enclosure() is path.enc is not None, rect
+        else:
+            with pytest.raises(RuntimeError, match="where no root lies"):
+                path._enclosure()
+
+
+def test_closed_form_boxes_hold_the_quadratic_roots():
+    """Both boxes `_root_enclosures` gives a non-real quadratic hold its
+    exact roots, compared exactly: re = -b / 2a and im.lo^2 <= X <= im.hi^2
+    for X = im^2 = (4ac - b^2) / 4a^2, on a seeded grid with coefficients
+    up to 2^141."""
+    rng = random.Random(40)
+    polys = _sampled_quadratics(300, 40) + _DEEP_ISOLATION + _ON_A_LINE
+    while len(polys) < 400:
+        c, a = (rng.randint(1, 1 << rng.randint(1, 141)) for _ in range(2))
+        b = rng.randint(-1, 1) * math.isqrt(4 * a * c - 1)
+        polys.append((c, b, a))
+    for c, b, a in polys:
+        X = Q(4 * a * c - b * b, 4 * a * a)
+        assert X > 0
+        lower, upper = algebraic._root_enclosures((c, b, a))
+        assert lower.disjoint(upper)
+        for box, im in ((lower, -lower.im), (upper, upper.im)):
+            assert box.re.lo == box.re.hi == Q(-b, 2 * a), (c, b, a)
+            assert 0 < im.lo and im.lo ** 2 <= X <= im.hi ** 2, (c, b, a)
 
 
 @pytest.mark.parametrize("coeffs", [(Q(-8, 9), Q(4, 3)),

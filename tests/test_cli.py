@@ -625,10 +625,18 @@ def test_broken_refinement_invariant_exits_internal(tmp_path):
 CUBIC_POS = ('{"coeffs":["-3","-1","0"],"init":["1","0","0"],'
              '"question":"exists-robust-positivity"}')
 
-# each patch moves the seeds of degree >= 3 only: a non-real root's
-# isolating rectangle 100 to the right, a real root's interval by 1/8
+# each patch moves some seeds: for degree >= 3 a non-real root's isolating
+# rectangle 100 to the right or a real root's interval by 1/8 (in x^3 + x +
+# 3's problem), for degree 2 a real root's interval by 1/8 (in x^2 - x - 1's)
+_SHIFT_REAL = ("real = algebraic._real_interval\n"
+               "def wrong(r, bits):\n"
+               "    lo, hi = real(r, bits)\n"
+               "    shift = Fraction(1, 8) if r.poly.degree() {} else 0\n"
+               "    return lo + shift, hi + shift\n"
+               "algebraic._real_interval = wrong\n")
 _WRONG_SEEDS = {
-    "complex": ("adopt = algebraic._BisectionPath._adopt\n"
+    "complex": (CUBIC_POS,
+                "adopt = algebraic._BisectionPath._adopt\n"
                 "def wrong(self, iv):\n"
                 "    adopt(self, iv)\n"
                 "    if len(self.coeffs) > 3:\n"
@@ -636,13 +644,9 @@ _WRONG_SEEDS = {
                 "        self.rect = (u + 100, v, s + 100, t)\n"
                 "algebraic._BisectionPath._adopt = wrong\n",
                 "where no root lies"),
-    "real": ("real = algebraic._real_interval\n"
-             "def wrong(r, bits):\n"
-             "    lo, hi = real(r, bits)\n"
-             "    shift = Fraction(1, 8) if r.poly.degree() > 2 else 0\n"
-             "    return lo + shift, hi + shift\n"
-             "algebraic._real_interval = wrong\n",
-             "where its sign does not change"),
+    "real": (CUBIC_POS, _SHIFT_REAL.format("> 2"), "where its sign does not change"),
+    "real-quadratic": (FIB_POS, _SHIFT_REAL.format("== 2"),
+                       "where its sign does not change"),
 }
 
 
@@ -651,11 +655,12 @@ def test_wrong_seed_of_a_cubic_exits_internal(tmp_path, kind):
     """A non-real root's isolating rectangle must meet one of the certified
     enclosures of its polynomial's roots, and a real root's interval must
     change the sign of its polynomial: a wrong rectangle or interval for
-    the roots of x^3 + x + 3 is an internal fault (4), in a fresh
-    interpreter so that every seed is taken anew."""
-    problem = tmp_path / "cubic.json"
-    problem.write_text(CUBIC_POS)
-    patch, message = _WRONG_SEEDS[kind]
+    the roots of x^3 + x + 3, or a wrong interval for a root of x^2 - x - 1,
+    is an internal fault (4), in a fresh interpreter so that every seed is
+    taken anew."""
+    doc, patch, message = _WRONG_SEEDS[kind]
+    problem = tmp_path / "problem.json"
+    problem.write_text(doc)
     script = ("import sys\n"
               "from fractions import Fraction\n"
               "from robustlrs import algebraic, cli\n"
@@ -676,9 +681,9 @@ from robustlrs.optimize import DEFAULT_TOL
 from robustlrs.torus import DEFAULT_HEIGHT_BOUND
 
 # sympy's first isolation refines its intervals apart; the replay's own
-# fallback hands a request to sympy's refinement
+# fallback hands a request to sympy's refinement, and is counted apart
 EXEMPT = {"_get_reals", "_get_complexes", "_fallback"}
-calls = {"steps": 0, "real": 0, "complex": 0}
+calls = {"steps": 0, "real": 0, "complex": 0, "fallback": 0}
 
 def counted(obj, name, key, exempt=False):
     call = getattr(obj, name)
@@ -692,6 +697,7 @@ counted(rootisolation.RealInterval, "_inner_refine", "steps", True)
 counted(rootisolation.ComplexInterval, "_inner_refine", "steps", True)
 counted(algebraic, "_real_interval", "real")
 counted(algebraic._BisectionPath, "centre", "complex")
+counted(algebraic._BisectionPath, "_fallback", "fallback")
 for doc in sys.argv[1:]:
     cli.run(serialize.parse_problem(doc), "exists-robust-positivity",
             DEFAULT_TOL, DEFAULT_PREFIX_CAP, DEFAULT_HEIGHT_BOUND)
@@ -702,16 +708,19 @@ print(json.dumps(calls))
 def test_root_seeds_take_no_sympy_refinement_steps():
     """Every seed box is refined by the package: on an order-2 pair of
     irrational modulus (x^2 - x + 3, whose gamma / rho is a quartic), a
-    split cubic ((x - 2)(x^2 - x + 3)) and x^3 + x + 3, sympy's
-    `_inner_refine` runs only in its first isolation and in the replay's
-    fallback, while both replays run."""
+    split cubic ((x - 2)(x^2 - x + 3)), x^3 + x + 3 and x^2 - 2x + 2 (roots
+    1 +- i, on a line of sympy's grid, so replayed), sympy's
+    `_inner_refine` runs only in its first isolation, while both replays
+    run and the replay never falls back to sympy's refinement."""
     docs = ['{"coeffs":["-3","1"],"init":["1","0"]}',
             '{"coeffs":["6","-5","3"],"init":["1","0","0"]}',
-            '{"coeffs":["-3","-1","0"],"init":["1","0","0"]}']
+            '{"coeffs":["-3","-1","0"],"init":["1","0","0"]}',
+            '{"coeffs":["-2","2"],"init":["1","1"]}']
     p = run_cli(docs, python=("-c", _STEP_GUARD))
     assert p.returncode == 0, p.stderr
     calls = json.loads(p.stdout)
-    assert calls["steps"] == 0 and calls["real"] > 0 and calls["complex"] > 0, calls
+    assert calls["steps"] == calls["fallback"] == 0, calls
+    assert calls["real"] > 0 and calls["complex"] > 0, calls
 
 
 @pytest.mark.parametrize("args,config,source", [
