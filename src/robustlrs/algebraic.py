@@ -5,13 +5,13 @@ irreducible integer polynomial M together with an isolating box for the
 distinguished root of M.  The first box of a root is the one sympy's
 isolation and `eval_rational` would give, and deeper refinement is the
 package's own interval Newton.  sympy factors and isolates; none of its
-refinement steps runs.  sympy's bisection of a non-real root's rectangle
-lands on a cell of a grid, found in one step (`_grid_cell`): on sympy's
-first rectangle for a quadratic's root (`_quadratic_seed`), with no
-sympy call, else on sympy's isolating rectangle (`_BisectionPath`),
-steered by the root's certified box (`_root_enclosures`: closed form for
-a quadratic, else Aberth-Ehrlich approximations, each confirmed by one
-interval Newton step), which every rectangle taken from sympy must meet.
+refinement steps runs.  A non-real root's seed has one path, `_land`: its
+certified box (`_root_enclosures`: closed form for a quadratic, else
+Aberth-Ehrlich approximations, each confirmed by one interval Newton
+step), sharpened while it straddles a line, lands on the cell of sympy's
+bisection grid that holds it (`_grid_cell`), over sympy's first
+rectangle for a quadratic (`_quadratic_seed`, no sympy call), else over
+sympy's isolating rectangle (`_BisectionPath`), which must meet the box.
 A real root's interval is sympy's continued-fraction refinement replayed
 on plain integers (`_real_interval`), and must straddle a sign change.
 All else -- arithmetic, conjugation, zero tests, unit-modulus and
@@ -69,26 +69,31 @@ def _eval_rational(r, bits: int) -> tuple[Fraction, Fraction]:
     return Q(re_s.p, re_s.q), Q(im_s.p, im_s.q)
 
 
+def _centre_box(re: Fraction, im: Fraction, bits: int) -> Box:
+    """The box of half-side 2^-(bits+1) about re + im i, a centre of
+    sympy's refinement to sides < 2^-(bits+1)."""
+    eps = Q(1, 1 << (bits + 1))
+    return Box(Ival(re - eps, re + eps), Ival(im - eps, im + eps))
+
+
 def _sympy_expr_box(expr, bits: int) -> Box:
     """Certified box for what sympy's `CRootOf(...)` returns: a Rational, a
-    CRootOf, or a rational multiple of a CRootOf.  A real root must change
-    the sign of its polynomial across sympy's interval (an irreducible
-    polynomial has no rational root), or it is an internal fault."""
+    CRootOf, or a rational multiple of a CRootOf.  A real root's box has
+    imaginary part exactly 0, and the root must change the sign of its
+    polynomial across sympy's interval (an irreducible polynomial has no
+    rational root), or it is an internal fault."""
     if expr.is_Rational:
         return Box.point(Q(expr.p, expr.q))
     if isinstance(expr, rootoftools.ComplexRootOf):
-        if expr.is_real:
-            lo, hi = _real_interval(expr, bits)
-            p = expr.poly.rep.to_list()[::-1]
-            if (peval(p, lo) > 0) == (peval(p, hi) > 0):
-                raise RuntimeError(
-                    f"sympy isolates a real root of {p} in [{lo}, {hi}], "
-                    f"where its sign does not change")
-            re, im = (lo + hi) / 2, ZERO
-        else:
-            re, im = _bisection_path(expr).centre(bits)
-        eps = Q(1, 1 << (bits + 1))
-        return Box(Ival(re - eps, re + eps), Ival(im - eps, im + eps))
+        if not expr.is_real:
+            return _centre_box(*_bisection_path(expr).centre(bits), bits)
+        lo, hi = _real_interval(expr, bits)
+        p = expr.poly.rep.to_list()[::-1]
+        if (peval(p, lo) > 0) == (peval(p, hi) > 0):
+            raise RuntimeError(
+                f"sympy isolates a real root of {p} in [{lo}, {hi}], "
+                f"where its sign does not change")
+        return Box(_centre_box((lo + hi) / 2, ZERO, bits).re, Ival.point(ZERO))
     if expr.is_Mul:
         acc = Box.point(1)
         for arg in expr.args:
@@ -319,27 +324,25 @@ def _bits_of(width: Fraction) -> int:
     return (width.denominator // width.numerator).bit_length()
 
 
-def _grid_cell(rect, bits: int, re, im, a: int = 0, b: int = 0):
+def _grid_cell(rect, bits: int, re: Ival, im: Ival, a: int = 0, b: int = 0):
     """The cell (u, v, s, t) of the 2^a x 2^b grid over `rect` that holds
-    the root; None when the root's description leaves a side undecided.
+    the root whose real and imaginary parts, in sympy's coordinates
+    (im >= 0), lie in `re` and `im`; None when the box leaves a side
+    undecided.
 
     This is sympy's refinement rule, written once.  sympy's isolation, its
     `eval_rational` and the replay halve the longer side (the height on a
     tie), keeping the half that holds the root, until both sides are
     < 2^-(bits+1).  A side is halved only while it is at least that, so in
     any order the halvings reach this grid, a and b raised to
-    bit_length(floor(side * 2^(bits+1))); a side below gets none.
-    The root, in sympy's coordinates (im >= 0), is described on each side by
-    - `re`, the exact real part x: column floor((x - u) / w), clamped to
-      the grid, so a root on a vertical line goes right, and one on the
-      right edge to the last column;
-    - `im`, the exact X = im^2: row floor((sqrt(X) - v) / h), by one
-      integer square root, clamped; undecided on an inner line;
-    - or an `Ival` enclosing either part: decided when both ends lie in one
-      cell, a row also needing the lower end off every inner line (a
-      halving keeps the top half only for a root strictly above the cut).
-    The rectangle is taken in integers over its common denominator `den`,
-    so that each column, row and cell end is a shift or a floor division.
+    bit_length(floor(side * 2^(bits+1))); a side below gets none.  A side
+    is decided when both ends of its interval lie in one cell, the column
+    of x being floor((x - u) / w), clamped to the grid, so that a root on a
+    vertical line goes right and one on the right edge to the last column;
+    a row also needs the lower end off every inner line (a halving keeps
+    the top half only for a root strictly above the cut).  The rectangle
+    is taken in integers over its common denominator `den`, so that each
+    column, row and cell end is a shift or a floor division.
     """
     den = math.lcm(*(c.denominator for c in rect))
     U, V, S, T = (c.numerator * (den // c.denominator) for c in rect)
@@ -353,26 +356,32 @@ def _grid_cell(rect, bits: int, re, im, a: int = 0, b: int = 0):
                         x.denominator * side)
         return min(max(k, 0), (1 << n) - 1), rem == 0 and 0 < k < 1 << n
 
-    lo, hi = (re.lo, re.hi) if isinstance(re, Ival) else (re, re)
-    i = cell(lo, U, S - U, a)[0]
-    if i != cell(hi, U, S - U, a)[0]:
+    i = cell(re.lo, U, S - U, a)[0]
+    j, on_line = cell(im.lo, V, T - V, b)
+    if i != cell(re.hi, U, S - U, a)[0] or on_line or j != cell(im.hi, V, T - V, b)[0]:
         return None
-    if isinstance(im, Ival):
-        j, on_line = cell(im.lo, V, T - V, b)
-        if on_line or j != cell(im.hi, V, T - V, b)[0]:
-            return None
-    else:
-        # floor((sqrt(X) den 2^b - V 2^b) / (T - V)), by one isqrt
-        top = V << b
-        j = (math.isqrt(im.numerator * (den << b) ** 2 // im.denominator)
-             - top) // (T - V)
-        if 0 < j < 1 << b and (top + j * (T - V)) ** 2 * im.denominator \
-                == im.numerator * (den << b) ** 2:
-            return None
-        j = min(max(j, 0), (1 << b) - 1)
     return (Q((U << a) + i * (S - U), den << a), Q((V << b) + j * (T - V), den << b),
             Q((U << a) + (i + 1) * (S - U), den << a),
             Q((V << b) + (j + 1) * (T - V), den << b))
+
+
+def _land(rect, bits: int, p, dp, box: Box | None, imaginary: bool = False,
+          a: int = 0, b: int = 0) -> tuple[tuple | None, Box | None]:
+    """`_grid_cell` of the root of `p` that the certified box `box` holds
+    (real part 0 for an `imaginary` root, as sympy reads it), sharpened by
+    Newton steps while it leaves a side undecided, and the box it reached.
+    No cell where there is no box, the box is a point (the root itself) or
+    outgrows 4 (bits+1) bits, or a step stalls, the box then being None."""
+    while box is not None:
+        cell = _grid_cell(rect, bits, Ival.point(ZERO) if imaginary else box.re,
+                          box.im, a, b)
+        if cell is not None:
+            return cell, box
+        k = _bits_of(box.width) if box.width else math.inf
+        if k > 4 * (bits + 1):
+            break
+        box = _contract(p, dp, box, 2 * k + 32)
+    return None, box
 
 
 class _BisectionPath:
@@ -386,9 +395,9 @@ class _BisectionPath:
     set and reads the real part of an imaginary root as 0).  The root is
     described once, for every degree: by its certified box `enc`, the one
     of `_root_enclosures`' pairwise disjoint boxes that meets sympy's
-    rectangle (with real part exactly 0 for an imaginary root), sharpened
-    by Newton steps while it straddles a grid line.  Where that box is not
-    found or stays undecided, the request goes to sympy's `eval_rational`.
+    rectangle, landed by `_land` as a quadratic's seed is.  Where that box
+    is not found or stays undecided, the request goes to sympy's
+    `eval_rational`.
     Every rectangle taken from sympy must meet the box, and so must the box
     of half-side 2^-(bits+1) about a centre sympy returns, or it is an
     internal fault: sympy 1.14 refines a root of 9x^2 - 12x + 8 to
@@ -419,18 +428,12 @@ class _BisectionPath:
             # sympy's cached rectangle is at least as deep: continue from it
             self._adopt(iv)
             self.enc = self._enclosure()
-        while self.enc is not None:
-            cell = _grid_cell(self.rect, bits, ZERO if self.imaginary else self.enc.re,
-                              self.enc.im)
-            if cell is not None:
-                u, v, s, t = self.rect = cell
-                im = (v + t) / 2
-                return (ZERO if self.imaginary else (u + s) / 2), (-im if self.conj else im)
-            # sharpen; a point box is the root itself, and a stalled step falls back
-            k = _bits_of(self.enc.width) if self.enc.width else math.inf
-            if k > 4 * (bits + 1):
-                break
-            self.enc = _contract(self.poly, self.deriv, self.enc, 2 * k + 32)
+        cell, self.enc = _land(self.rect, bits, self.poly, self.deriv, self.enc,
+                               self.imaginary)
+        if cell is not None:
+            u, v, s, t = self.rect = cell
+            im = (v + t) / 2
+            return (ZERO if self.imaginary else (u + s) / 2), (-im if self.conj else im)
         return self._fallback(bits)
 
     def _enclosure(self) -> Box | None:
@@ -454,9 +457,8 @@ class _BisectionPath:
         # of half-side 2^-(bits+1) about its centre, in sympy's coordinates,
         # must meet the root's box, as the rectangle must
         centre = _eval_rational(self.root, bits)
-        re, im = centre[0], -centre[1] if self.conj else centre[1]
-        eps = Q(1, 1 << (bits + 1))
-        self.rect = (re - eps, im - eps, re + eps, im + eps)
+        box = _centre_box(centre[0], -centre[1] if self.conj else centre[1], bits)
+        self.rect = (box.re.lo, box.im.lo, box.re.hi, box.im.hi)
         self._enclosure()
         self._adopt(self.root._get_interval())
         self.enc = self._enclosure()
@@ -494,15 +496,15 @@ def _integer_basis(c0: int, c1: int, c2: int) -> int | None:
 def _quadratic_seed(minpoly: tuple[int, ...], index: int, bits: int) -> Box | None:
     """The seed box `_sympy_expr_box` gives the non-real root `index` of
     the irreducible quadratic `minpoly` (c0, c1, c2 > 0) from a fresh
-    sympy state, with no sympy call; None for a root on a horizontal line
-    of sympy's grid, which the replay and its fallback keep.
+    sympy state, with no sympy call; None where `_land` finds no cell (a
+    root on a horizontal line of sympy's grid), left to the replay.
 
     sympy isolates the root of c2 x^2 + c1 x + c0 (after `_integer_basis`)
     in [-B, B] x [0, B], B = 2 max|c_i| / c2, by `_grid_cell`'s rule, up
     to the first cell clear of both axes: after k halvings, 2^((k+1)//2)
-    columns and 2^(k//2) rows.  The seed is the centre of the cell found
-    there, at that depth or deeper, from re = -c1 / 2 c2 (0 on the
-    imaginary axis, as sympy reads it) and im^2 = (4 c2 c0 - c1^2) / 4 c2^2.
+    columns and 2^(k//2) rows.  The seed is the centre of the cell that
+    the upper closed-form box lands on, at that depth or deeper (real part
+    0 on the imaginary axis, as sympy reads it).
     """
     c0, c1, c2 = minpoly
     d = _integer_basis(c0, c1, c2)
@@ -517,16 +519,15 @@ def _quadratic_seed(minpoly: tuple[int, ...], index: int, bits: int) -> Box | No
         # clear of the imaginary axis: width <= re, or < -re for re < 0
         k = max(k, 2 * ((4 * top - (c1 < 0)) // abs(c1)).bit_length() + 1)
     bound = Q(2 * top, c2)
-    cell = _grid_cell((-bound, ZERO, bound, bound), bits, Q(-c1, 2 * c2),
-                      Q(disc, 4 * c2 * c2), (k + 1) // 2, k // 2)
+    p = (Q(c0), Q(c1), Q(c2))
+    cell, _ = _land((-bound, ZERO, bound, bound), bits, p, pderiv(p),
+                    _root_enclosures((c0, c1, c2))[1], a=(k + 1) // 2, b=k // 2)
     if cell is None:
         return None
     u, v, s, t = cell
     re, im = ((u + s) / 2 if c1 else ZERO), (v + t) / 2
-    if index == 0:
-        im = -im    # sympy's index 0 is the root below the real axis
-    eps = Q(1, 1 << (bits + 1))
-    box = Box(Ival(re - eps, re + eps), Ival(im - eps, im + eps))
+    # sympy's index 0 is the root below the real axis
+    box = _centre_box(re, -im if index == 0 else im, bits)
     return box if d is None else Box.point(d) * box
 
 
@@ -542,12 +543,12 @@ class NumberField:
     (sound over convex boxes; the minimal polynomial is irreducible, so
     the root is simple and p' eventually excludes zero).  The certified
     seed box is the one sympy's isolation gives, a function of the
-    polynomial, the index and the bits: in closed form for a non-real
-    quadratic root (`_quadratic_seed`), else the replay of sympy's
-    refinement: its continued-fraction steps for a real root
-    (`_real_interval`) and its bisection for a non-real one
-    (`_BisectionPath`).  sympy's `CRootOf` is built only for those, and whether
-    a quadratic's root is real is the sign of its discriminant.
+    polynomial, the index and the bits: landed from the closed form for a
+    non-real quadratic root (`_quadratic_seed`), else the replay of sympy's
+    refinement (`_sympy_expr_box`).  sympy's `CRootOf` is built only for
+    the replay, and whether a quadratic's root is real is the sign of its
+    discriminant.  A Newton step that fails takes one seed as sharp as
+    the request.
     """
 
     def __init__(self, minpoly: tuple[int, ...], root_index: int):
@@ -585,10 +586,7 @@ class NumberField:
             box = _quadratic_seed(self.minpoly, self.root_index, bits)
             if box is not None:
                 return box
-        box = _sympy_expr_box(self._crootof, bits)
-        if self.is_real_root:
-            box = Box(box.re, Ival.point(0))
-        return box
+        return _sympy_expr_box(self._crootof, bits)
 
     def root_box(self, bits: int) -> Box:
         if self._box is not None and self._box_bits >= bits:
@@ -599,19 +597,13 @@ class NumberField:
             if bits <= 64:
                 return self._box
         box = self._box
-        work = bits + 16
-        seed_bits = 64
         while box.width > Q(1, 1 << bits):
-            box = _contract(self.minpoly_q, self._deriv, box, work)
+            box = _contract(self.minpoly_q, self._deriv, box, bits + 16)
             if box is None:
                 # derivative box straddles zero or convergence stalled:
-                # take a sharper certified seed and retry
-                seed_bits = max(seed_bits * 2, bits)
-                box = self._seed_box(seed_bits)
-                if seed_bits >= bits:
-                    break
-        if self.is_real_root:
-            box = Box(box.re, Ival.point(0))
+                # a seed as sharp as the request
+                box = self._seed_box(max(bits, 128))
+                break
         self._box = box
         self._box_bits = bits
         return box

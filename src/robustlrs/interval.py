@@ -30,7 +30,7 @@ class Ival:
 
     def __init__(self, lo: Fraction, hi: Fraction):
         if lo > hi:
-            raise ValueError(f"empty interval [{lo}, {hi}]")
+            raise RuntimeError(f"empty interval [{lo}, {hi}]")
         self.lo = lo
         self.hi = hi
 

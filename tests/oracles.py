@@ -222,15 +222,17 @@ def branch_and_bound_ref(value_fn, free: int, tol: Fraction,
 # sympy's bisection of a root's rectangle, one halving at a time
 
 
-def bisection_walk_ref(rect, bits: int, re, im, steps: int = 0):
+def bisection_walk_ref(rect, bits: int | None, re, im, steps: int = 0):
     """Halve the longer side of `rect` = (u, v, s, t) (the height on a
     tie) and keep the half that holds the root, at least `steps` times and
-    until both sides are < 2^-(bits+1); None at the first halving the
-    root's description leaves undecided.  The description is
-    `algebraic._grid_cell`'s: an exact real part or an `Ival` enclosing
-    it, and an exact squared imaginary part (v >= 0) or an `Ival`
-    enclosing the imaginary part.  The per-halving walk the replay took
-    before `_grid_cell`, and its reference."""
+    until both sides are < 2^-(bits+1) (exactly `steps` times for bits
+    None); None at the first halving the root's description leaves
+    undecided.  The root is described by an exact real part or an `Ival`
+    enclosing it, and by an exact squared imaginary part (v >= 0) or an
+    `Ival` enclosing the imaginary part.  `algebraic._grid_cell` takes the
+    `Ival` forms only; the exact forms, a quadratic's root in closed form,
+    live only here.  The per-halving walk the replay took before
+    `_grid_cell`, and its reference."""
     def upper_half(vertical, m):
         """Whether the root lies in the right (vertical split at re = m)
         or the top (horizontal split at im = m) half; None if undecided."""
@@ -247,9 +249,9 @@ def bisection_walk_ref(rect, bits: int, re, im, steps: int = 0):
             return False
         return None
 
-    eps = Q(1, 1 << (bits + 1))
+    eps = None if bits is None else Q(1, 1 << (bits + 1))
     u, v, s, t = rect
-    while steps > 0 or not (s - u < eps and t - v < eps):
+    while steps > 0 or eps is not None and not (s - u < eps and t - v < eps):
         steps -= 1
         vertical = s - u > t - v
         m = (u + s) / 2 if vertical else (v + t) / 2

@@ -10,6 +10,7 @@ from sympy.polys import rootoftools
 from robustlrs import algebraic, trig
 from robustlrs.interval import Box, Ival
 from robustlrs.lrs import Lrr
+from robustlrs.qmath import exact_sqrt
 from robustlrs.poly import (peval, pmul, pnorm, separation_bound,
                             factor_int, cyclotomic)
 from robustlrs.torus import root_of_unity_alg
@@ -280,6 +281,33 @@ def test_root_box_reseeds_between_close_roots():
     for b in boxes:
         assert b.width <= Q(1, 1 << 256) and b.im.lo == b.im.hi == 0
         assert peval(p, b.re.lo) * peval(p, b.re.hi) < 0
+
+
+@pytest.mark.parametrize("minpoly, index", [((5, -6, 5), 1), ((-2, 0, 0, 1), 0)],
+                         ids=["5x^2-6x+5", "x^3-2"])
+@pytest.mark.parametrize("bits", [100, 300])
+def test_root_box_reseeds_once(monkeypatch, minpoly, index, bits):
+    """A Newton step that fails in `root_box` takes one seed box, at
+    max(bits, 128) bits, and that box is the answer: no wider than
+    2^-bits, with imaginary part exactly 0 for a real root."""
+    field = NumberField(minpoly, index)
+    field.root_box(64)
+    contract, seed_box = algebraic._contract, NumberField._seed_box
+    failed, seeds = [], []
+
+    def fail_once(*args):
+        if not failed:
+            failed.append(args)
+            return None
+        return contract(*args)
+
+    monkeypatch.setattr(algebraic, "_contract", fail_once)
+    monkeypatch.setattr(NumberField, "_seed_box",
+                        lambda f, b: seeds.append(b) or seed_box(f, b))
+    box = field.root_box(bits)
+    assert failed and seeds == [max(bits, 128)]
+    assert box.width <= Q(1, 1 << bits)
+    assert field.is_real_root == (box.im.lo == box.im.hi == 0)
 
 
 def test_field_element_arithmetic():
@@ -854,9 +882,14 @@ def _grid_lines(lo, hi, bits):
 
 
 def _check_cell(rect, bits, re, im, a=0, b=0):
-    # on sympy's [-B, B] x [0, B], k halvings give a, b = (k+1)//2, k//2
+    # on sympy's [-B, B] x [0, B], k halvings give a, b = (k+1)//2, k//2;
+    # the walk takes an exact part as it is, re or im^2, and `_grid_cell`
+    # the point box of it, each exact part here being rational
     want = walk(rect, bits, re, im, a + b)
-    got = algebraic._grid_cell(rect, bits, re, im, a, b)
+    got = algebraic._grid_cell(rect, bits,
+                               re if isinstance(re, Ival) else Ival.point(re),
+                               im if isinstance(im, Ival) else Ival.point(exact_sqrt(im)),
+                               a, b)
     assert got == want, (rect, bits, re, im, a, b)
     return got
 
@@ -1098,7 +1131,8 @@ def test_positivity_on_quadratics_sympy_misplaces(fresh_roots, coeffs):
 #
 # `algebraic._quadratic_seed` computes the cell of sympy's bisection grid
 # that the replay above reaches from a fresh sympy state, without sympy.
-# The replay started from a fresh sympy state stays its oracle.
+# The replay started from a fresh sympy state stays its oracle, and the
+# walk on the exact root is a second one that shares no landing code.
 
 _SEED_CASES = [(16, -4, 1),   # 2 +- 2 sqrt(3) i: on a vertical line
                (12, -4, 3),   # sympy's 2 * (a root of 3y^2 - 2y + 3)
@@ -1138,6 +1172,72 @@ def test_quadratic_seed_matches_the_fresh_replay(fresh_roots):
                 want = algebraic._sympy_expr_box(algebraic._rootof(p, index), bits)
                 assert _box_key(got) == _box_key(want), (p, index, bits)
     assert routed < 60
+
+
+def _exact_isolation(c0, c1, c2):
+    """sympy's isolation of the root of c2 x^2 + c1 x + c0 (after
+    `_integer_basis` d) above the real axis, walked on the exact root, re =
+    -c1 / 2 c2 and im^2 = (4 c2 c0 - c1^2) / 4 c2^2: d, the first rectangle
+    [-B, B] x [0, B] with B = 2 max|c_i| / c2, re, im^2, and the fewest
+    halvings that leave the root's cell clear of both axes (of the real
+    one only for a root on the imaginary axis), or that reach a line."""
+    d = algebraic._integer_basis(c0, c1, c2)
+    if d is not None:
+        c0, c1 = c0 // (d * d), c1 // d
+    bound = Q(2 * max(abs(c0), abs(c1), c2), c2)
+    rect = (-bound, Q(0), bound, bound)
+    re, im_sq = Q(-c1, 2 * c2), Q(4 * c2 * c0 - c1 * c1, 4 * c2 * c2)
+    k = 0
+    while (cell := walk(rect, None, re, im_sq, k)) is not None and not (
+            cell[1] > 0 and (not c1 or cell[0] > 0 or cell[2] < 0)):
+        k += 1
+    return d, rect, re, im_sq, k
+
+
+def test_quadratic_seed_lands_where_the_exact_walk_does():
+    """`_quadratic_seed` lands from a certified box, and the walk of
+    `tests/oracles.py` on the exact root is its reference: the same seed
+    box at 64, 128 and 256 bits, and None exactly where the walk meets a
+    line.  The walk shares no code with `_land`, which the replay also
+    calls."""
+    undecided = 0
+    for p in (_SEED_CASES + _ON_A_LINE + _DEEP_ISOLATION
+              + _sampled_quadratics(400, 37)):
+        d, rect, re, im_sq, k = _exact_isolation(*p)
+        for bits in (64, 128, 256):
+            seed_bits = bits if d is None else bits + 4
+            cell = walk(rect, seed_bits, re, im_sq, k)
+            for index in (0, 1):
+                got = algebraic._quadratic_seed(p, index, bits)
+                if cell is None:
+                    assert got is None, (p, index, bits)
+                    undecided += 1
+                    continue
+                u, v, s, t = cell
+                eps = Q(1, 1 << (seed_bits + 1))
+                x, y = (u + s) / 2 if re else Q(0), (v + t) / 2 if index else -(v + t) / 2
+                want = Box(Ival(x - eps, x + eps), Ival(y - eps, y + eps))
+                want = want if d is None else Box.point(d) * want
+                assert got is not None and _box_key(got) == _box_key(want), (p, index, bits)
+    assert 2 * 3 * len(_ON_A_LINE) <= undecided < 60
+
+
+def test_quadratic_seed_sharpens_a_wider_closed_form_box(monkeypatch):
+    """Handed a closed-form box 2^-30 taller on each side, which still
+    holds the root and straddles the lines of the 64-bit grid,
+    `_quadratic_seed` takes Newton steps and lands on the same seed."""
+    cases = _SEED_CASES + _sampled_quadratics(40, 37)
+    want = {(p, i): algebraic._quadratic_seed(p, i, 64) for p in cases for i in (0, 1)}
+    enclosures, contract, steps = algebraic._root_enclosures, algebraic._contract, []
+    h = Q(1, 1 << 30)
+    monkeypatch.setattr(algebraic, "_root_enclosures", lambda poly: tuple(
+        Box(b.re, Ival(b.im.lo - h, b.im.hi + h)) for b in enclosures(poly)))
+    monkeypatch.setattr(algebraic, "_contract",
+                        lambda *args: steps.append(args[-1]) or contract(*args))
+    for (p, index), box in want.items():
+        got = algebraic._quadratic_seed(p, index, 64)
+        assert box is not None and _box_key(got) == _box_key(box), (p, index)
+    assert len(steps) >= len(want)
 
 
 def test_integer_basis_matches_sympys_preprocess_roots():

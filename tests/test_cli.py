@@ -622,6 +622,23 @@ def test_broken_refinement_invariant_exits_internal(tmp_path):
     assert p.stdout == ""
 
 
+def test_crossed_interval_exits_internal():
+    """No input reaches an `Ival` with crossed ends, so one is an internal
+    fault (4), not a usage error (3): here `atan_ival` is patched far off,
+    and `angle_from_cos` intersects it with its square-root bounds."""
+    script = ("import sys\n"
+              "from fractions import Fraction\n"
+              "from robustlrs import cli, trig\n"
+              "from robustlrs.interval import Ival\n"
+              "trig.atan_ival = lambda x, bits: Ival(Fraction(100), Fraction(101))\n"
+              "sys.exit(cli.main(sys.argv[1:]))\n")
+    p = run_cli(["lab", "prefix-L", "--p", "3/5", "--q", "4/5", "--n", "10"],
+                python=("-c", script))
+    assert p.returncode == 4, p.stderr
+    assert p.stderr.startswith("internal error: RuntimeError: empty interval")
+    assert p.stdout == ""
+
+
 CUBIC_POS = ('{"coeffs":["-3","-1","0"],"init":["1","0","0"],'
              '"question":"exists-robust-positivity"}')
 
